@@ -38,6 +38,10 @@
 //!    warehouse (span persistence + metrics snapshots) on vs off, gated
 //!    at <= 5%, plus a micro record of the per-request disabled-path
 //!    check (the single `Option` branch every untraced request pays).
+//! 8. **Few-shot retrieval** (module `few_shot`): `FewShotIndex::select`
+//!    against a brute-force scan of the 7000-question Spider pool, with
+//!    the postings walked per query and the index's size; gated at
+//!    index >= 10x the scan on any core count.
 //!
 //! ```text
 //! bench_eval [--quick] [--out FILE] [--validate]
@@ -65,6 +69,8 @@ use serve::trace::{SpanRecord, TraceStore};
 use serve::{QueryRequest, ServeConfig, Service};
 use std::fmt::Write as _;
 use std::time::Instant;
+
+mod few_shot;
 
 const METHOD: &str = "SuperSQL";
 const WORKER_SWEEP: &[usize] = &[1, 2, 4, 8];
@@ -952,6 +958,10 @@ fn main() {
         cluster.two_worker_qps
     );
 
+    eprintln!("bench_eval: few-shot retrieval (inverted index vs brute-force scan) ...");
+    let few_shot = few_shot::bench(ratio_reps);
+    few_shot.print();
+
     let mut json = String::new();
     let _ = writeln!(json, "{{");
     let _ = writeln!(
@@ -1068,7 +1078,8 @@ fn main() {
         "    \"one_worker_qps\": {:.1}, \"single_worker_overhead_pct\": {:.2}, \"two_worker_qps\": {:.1}",
         cluster.one_worker_qps, cluster.single_worker_overhead_pct, cluster.two_worker_qps
     );
-    let _ = writeln!(json, "  }}");
+    let _ = writeln!(json, "  }},");
+    let _ = writeln!(json, "  \"few_shot\": {{\n{}\n  }}", few_shot.json());
     let _ = writeln!(json, "}}");
     std::fs::write(&args.out, &json).unwrap_or_else(|e| {
         eprintln!("write {}: {e}", args.out);
@@ -1077,7 +1088,7 @@ fn main() {
     println!("wrote {}", args.out);
 
     if args.validate {
-        let mut failed = false;
+        let mut failed = few_shot.fails_gate();
         for p in &plan_bench.plans {
             if p.speedup < 1.0 {
                 eprintln!(

@@ -8,6 +8,7 @@
 
 use crate::taxonomy::MethodClass;
 use datagen::GeneratedDb;
+use minidb::ResultSet;
 use rand::rngs::StdRng;
 use rand::Rng;
 use sqlkit::mutate::{corrupt, MutationKind, Vocab};
@@ -76,15 +77,21 @@ pub fn db_vocab(db: &GeneratedDb) -> Vocab {
 /// calibration targets. The engine therefore *verifies* each candidate by
 /// executing it: candidates whose results still match the gold results are
 /// re-mutated, and a guaranteed-wrong scalar answer is the last resort.
+///
+/// `gold_result` is the result of `gold` on `db` when the caller already
+/// holds it; with `None` the gold query is executed here.
 pub fn corrupt_prediction(
     gold: &Query,
     class: MethodClass,
     db: &GeneratedDb,
+    gold_result: Option<&ResultSet>,
     rng: &mut StdRng,
 ) -> Query {
     let vocab = db_vocab(db);
     let pal = palette(class);
-    let gold_rs = db.database.run_query(gold).ok();
+    let executed =
+        if gold_result.is_none() { db.database.run_query(gold).ok() } else { None };
+    let gold_rs = gold_result.or(executed.as_ref());
 
     let mut pred = gold.clone();
     let n = 1 + usize::from(rng.gen_bool(0.35)) + usize::from(rng.gen_bool(0.15));
@@ -92,12 +99,12 @@ pub fn corrupt_prediction(
         corrupt(&mut pred, &pal, &vocab, rng);
     }
     for _ in 0..6 {
-        if pred != *gold && !executes_like_gold(db, &pred, gold_rs.as_ref()) {
+        if pred != *gold && !executes_like_gold(db, &pred, gold_rs) {
             return pred;
         }
         corrupt(&mut pred, &pal, &vocab, rng);
     }
-    if pred != *gold && !executes_like_gold(db, &pred, gold_rs.as_ref()) {
+    if pred != *gold && !executes_like_gold(db, &pred, gold_rs) {
         return pred;
     }
     // guaranteed-wrong fallback: a scalar that cannot equal any gold result
@@ -106,11 +113,7 @@ pub fn corrupt_prediction(
 }
 
 /// Does `pred` execute successfully to the same result as the gold query?
-fn executes_like_gold(
-    db: &GeneratedDb,
-    pred: &Query,
-    gold_rs: Option<&minidb::ResultSet>,
-) -> bool {
+fn executes_like_gold(db: &GeneratedDb, pred: &Query, gold_rs: Option<&ResultSet>) -> bool {
     let Some(gold_rs) = gold_rs else {
         return false;
     };
@@ -144,7 +147,7 @@ mod tests {
         for (i, s) in c.dev.iter().enumerate() {
             let mut rng = StdRng::seed_from_u64(i as u64);
             let pred =
-                corrupt_prediction(&s.query, MethodClass::FinetunedPlm, c.db(s), &mut rng);
+                corrupt_prediction(&s.query, MethodClass::FinetunedPlm, c.db(s), None, &mut rng);
             total += 1;
             if pred != s.query {
                 changed += 1;
@@ -160,7 +163,8 @@ mod tests {
         let mut total = 0;
         for (i, s) in c.dev.iter().enumerate().take(40) {
             let mut rng = StdRng::seed_from_u64(1000 + i as u64);
-            let pred = corrupt_prediction(&s.query, MethodClass::PromptLlm, c.db(s), &mut rng);
+            let pred =
+                corrupt_prediction(&s.query, MethodClass::PromptLlm, c.db(s), None, &mut rng);
             let gold_rs = c.db(s).database.run_query(&s.query).unwrap();
             total += 1;
             match c.db(s).database.run_query(&pred) {
@@ -175,6 +179,26 @@ mod tests {
         // a few corruptions may be semantically inert by chance; most must
         // actually change the result
         assert!(wrong * 10 >= total * 6, "only {wrong}/{total} corruptions were wrong");
+    }
+
+    #[test]
+    fn supplied_gold_result_changes_nothing() {
+        for kind in [CorpusKind::Spider, CorpusKind::Bird] {
+            let c = generate_corpus(kind, &CorpusConfig::tiny(6));
+            for (i, s) in c.dev.iter().enumerate() {
+                let db = c.db(s);
+                let gold_rs = db.database.run_query(&s.query).unwrap();
+                for class in [MethodClass::PromptLlm, MethodClass::FinetunedPlm] {
+                    let mut executing = StdRng::seed_from_u64(i as u64);
+                    let mut supplied = executing.clone();
+                    let a = corrupt_prediction(&s.query, class, db, None, &mut executing);
+                    let b = corrupt_prediction(&s.query, class, db, Some(&gold_rs), &mut supplied);
+                    assert_eq!(a, b, "{kind:?} dev[{i}] {class:?}");
+                    // and both consumed the same random stream
+                    assert_eq!(executing.gen::<u64>(), supplied.gen::<u64>());
+                }
+            }
+        }
     }
 
     #[test]

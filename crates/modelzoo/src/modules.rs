@@ -11,8 +11,8 @@
 
 use crate::taxonomy::{Decoding, FewShot, Intermediate, ModuleSet, MultiStep, PostProcessing};
 use datagen::{GeneratedDb, Sample};
-use minidb::Value;
-use std::collections::HashSet;
+use minidb::{ColumnData, Value};
+use std::collections::{HashMap, HashSet};
 
 /// Lower-cased word tokens of a question.
 pub fn tokenize_question(q: &str) -> Vec<String> {
@@ -93,20 +93,27 @@ pub fn match_db_content(db: &GeneratedDb, question: &str, limit: usize) -> Vec<C
             if out.len() >= limit {
                 return out;
             }
-            // text columns only; scan distinct values
-            let column = t.column(ci);
-            let mut seen: HashSet<String> = HashSet::new();
-            for r in 0..t.n_rows() {
-                if let Value::Text(s) = column.get(r) {
-                    if s.len() >= 3 && seen.insert(s.clone()) && q_lower.contains(&s.to_lowercase()) {
-                        out.push(ContentMatch {
-                            table: t.schema.name.clone(),
-                            column: col.name.clone(),
-                            value: s.clone(),
-                        });
-                        if out.len() >= limit {
-                            return out;
-                        }
+            // text cells only, read in place from the typed storage
+            // (a NULL slot of a text column holds "" and is too short)
+            let (texts, mixed): (&[String], &[Value]) = match t.column(ci).data() {
+                ColumnData::Text(cells) => (cells, &[]),
+                ColumnData::Mixed(cells) => (&[], cells),
+                ColumnData::Int(_) | ColumnData::Real(_) => continue,
+            };
+            let cells = texts.iter().chain(mixed.iter().filter_map(|v| match v {
+                Value::Text(s) => Some(s),
+                _ => None,
+            }));
+            let mut seen: HashSet<&str> = HashSet::new();
+            for s in cells {
+                if s.len() >= 3 && seen.insert(s) && q_lower.contains(&s.to_lowercase()) {
+                    out.push(ContentMatch {
+                        table: t.schema.name.clone(),
+                        column: col.name.clone(),
+                        value: s.clone(),
+                    });
+                    if out.len() >= limit {
+                        return out;
                     }
                 }
             }
@@ -115,48 +122,68 @@ pub fn match_db_content(db: &GeneratedDb, question: &str, limit: usize) -> Vec<C
     out
 }
 
-/// Jaccard similarity between token sets of two questions (the core of
-/// DAIL-SQL's masked-question similarity selection).
-pub fn question_similarity(a: &str, b: &str) -> f64 {
-    let ta: HashSet<String> = tokenize_question(a).into_iter().collect();
-    let tb: HashSet<String> = tokenize_question(b).into_iter().collect();
-    if ta.is_empty() || tb.is_empty() {
-        return 0.0;
-    }
-    let inter = ta.intersection(&tb).count() as f64;
-    let union = ta.union(&tb).count() as f64;
-    inter / union
-}
-
-/// Few-shot selection (DAIL-SQL style): the `k` training samples most
-/// similar to the question.
-pub fn select_few_shot<'a>(train: &'a [Sample], question: &str, k: usize) -> Vec<&'a Sample> {
-    let mut scored: Vec<(f64, &Sample)> = train
-        .iter()
-        .map(|s| (question_similarity(question, s.question()), s))
-        .collect();
-    scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
-    scored.into_iter().take(k).map(|(_, s)| s).collect()
-}
-
-/// A pre-tokenized few-shot retrieval index over a training pool.
+/// Few-shot retrieval index over a training pool (DAIL-SQL style: rank
+/// training questions by Jaccard similarity of their token sets).
 ///
-/// Selecting examples for every dev question would otherwise re-tokenize
-/// the full training set per query; the index tokenizes once and reuses the
-/// token sets across all methods and samples.
+/// An interned-token inverted index: `new` tokenizes every training
+/// question once, interns the tokens to dense ids and stores, per token,
+/// the ascending list of samples that contain it. `select` then touches
+/// only the postings of the question's own tokens instead of intersecting
+/// string sets with every sample in the pool.
 pub struct FewShotIndex<'a> {
     samples: &'a [Sample],
-    tokens: Vec<HashSet<String>>,
+    /// Token text → dense token id.
+    vocab: HashMap<String, u32>,
+    /// The samples containing token `t`, ascending, are
+    /// `postings[offsets[t]..offsets[t + 1]]`.
+    offsets: Vec<usize>,
+    postings: Vec<u32>,
+    /// Distinct tokens per sample (the `|t|` of the Jaccard union).
+    sizes: Vec<u16>,
 }
 
 impl<'a> FewShotIndex<'a> {
     /// Build the index (tokenizes every training question once).
+    ///
+    /// # Panics
+    /// Panics if the pool holds more than `u32::MAX` samples or distinct
+    /// tokens, or one question more than `u16::MAX` distinct tokens — the
+    /// posting and counter widths; no generated or published corpus comes
+    /// near any of them.
     pub fn new(samples: &'a [Sample]) -> Self {
-        let tokens = samples
-            .iter()
-            .map(|s| tokenize_question(s.question()).into_iter().collect())
-            .collect();
-        Self { samples, tokens }
+        let mut vocab: HashMap<String, u32> = HashMap::new();
+        let mut sizes = Vec::with_capacity(samples.len());
+        // (token id, sample) pairs in ascending sample order
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
+        for (i, s) in samples.iter().enumerate() {
+            let i = u32::try_from(i).expect("few-shot pool exceeds u32::MAX samples");
+            let tokens = distinct_tokens(s.question());
+            sizes.push(
+                u16::try_from(tokens.len())
+                    .expect("training question exceeds u16::MAX distinct tokens"),
+            );
+            for token in tokens {
+                let next = u32::try_from(vocab.len())
+                    .expect("few-shot vocabulary exceeds u32::MAX tokens");
+                pairs.push((*vocab.entry(token).or_insert(next), i));
+            }
+        }
+        // counting sort by token id; stable, so each posting list stays
+        // in ascending sample order
+        let mut offsets = vec![0usize; vocab.len() + 1];
+        for &(t, _) in &pairs {
+            offsets[t as usize + 1] += 1;
+        }
+        for t in 0..vocab.len() {
+            offsets[t + 1] += offsets[t];
+        }
+        let mut cursor = offsets.clone();
+        let mut postings = vec![0u32; pairs.len()];
+        for &(t, i) in &pairs {
+            postings[cursor[t as usize]] = i;
+            cursor[t as usize] += 1;
+        }
+        Self { samples, vocab, offsets, postings, sizes }
     }
 
     /// Number of indexed samples.
@@ -169,25 +196,59 @@ impl<'a> FewShotIndex<'a> {
         self.samples.is_empty()
     }
 
-    /// The `k` most similar training samples to `question`.
-    pub fn select(&self, question: &str, k: usize) -> Vec<&'a Sample> {
-        let q: HashSet<String> = tokenize_question(question).into_iter().collect();
-        let mut scored: Vec<(f64, usize)> = self
-            .tokens
-            .iter()
-            .enumerate()
-            .map(|(i, t)| {
-                let inter = q.intersection(t).count() as f64;
-                let union = (q.len() + t.len()) as f64 - inter;
-                let sim = if union > 0.0 { inter / union } else { 0.0 };
-                (sim, i)
-            })
-            .collect();
-        scored.sort_by(|a, b| {
-            b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal).then(a.1.cmp(&b.1))
-        });
-        scored.into_iter().take(k).map(|(_, i)| &self.samples[i]).collect()
+    /// Heap bytes the index owns (the borrowed samples not counted).
+    pub fn heap_bytes(&self) -> usize {
+        let vocab = self.vocab.capacity() * std::mem::size_of::<(String, u32)>()
+            + self.vocab.keys().map(String::capacity).sum::<usize>();
+        vocab
+            + self.offsets.capacity() * std::mem::size_of::<usize>()
+            + self.postings.capacity() * std::mem::size_of::<u32>()
+            + self.sizes.capacity() * std::mem::size_of::<u16>()
     }
+
+    /// The `k` most similar training samples to `question`, most similar
+    /// first; equally similar samples keep their pool order.
+    pub fn select(&self, question: &str, k: usize) -> Vec<&'a Sample> {
+        let tokens = distinct_tokens(question);
+        // shared[i] = |q ∩ t_i|, at most sizes[i], so u16 cannot overflow
+        let mut shared = vec![0u16; self.samples.len()];
+        let mut visited = 0u64;
+        for &t in tokens.iter().filter_map(|t| self.vocab.get(t)) {
+            let list = &self.postings[self.offsets[t as usize]..self.offsets[t as usize + 1]];
+            visited += list.len() as u64;
+            for &i in list {
+                shared[i as usize] += 1;
+            }
+        }
+        if obs::enabled() {
+            obs::count("modelzoo.few_shot.select", 1);
+            obs::observe("modelzoo.few_shot.postings", visited);
+        }
+        // One ascending pass keeping the best k as (sim desc, index asc):
+        // a sample displaces a kept one only when strictly more similar,
+        // so ties keep the lower index.
+        let mut top: Vec<(f64, usize)> = Vec::with_capacity(k.min(self.samples.len()) + 1);
+        for (i, (&c, &size)) in shared.iter().zip(&self.sizes).enumerate() {
+            let inter = c as f64;
+            let union = (tokens.len() + size as usize) as f64 - inter;
+            let sim = if union > 0.0 { inter / union } else { 0.0 };
+            if top.len() == k && top.last().is_none_or(|worst| sim <= worst.0) {
+                continue;
+            }
+            let at = top.partition_point(|kept| kept.0 >= sim);
+            top.insert(at, (sim, i));
+            top.truncate(k);
+        }
+        top.into_iter().map(|(_, i)| &self.samples[i]).collect()
+    }
+}
+
+/// The distinct tokens of a question, sorted.
+fn distinct_tokens(question: &str) -> Vec<String> {
+    let mut tokens = tokenize_question(question);
+    tokens.sort_unstable();
+    tokens.dedup();
+    tokens
 }
 
 /// Accuracy contribution (EX percentage points on Spider-style data) of a
@@ -303,9 +364,61 @@ pub fn module_join_bonus(m: &ModuleSet) -> f64 {
 mod tests {
     use super::*;
     use datagen::{generate_corpus, CorpusConfig, CorpusKind};
+    use proptest::prelude::*;
 
     fn corpus() -> datagen::Corpus {
         generate_corpus(CorpusKind::Spider, &CorpusConfig::tiny(5))
+    }
+
+    /// Jaccard similarity between the token sets of two questions (the
+    /// core of DAIL-SQL's masked-question similarity selection).
+    fn question_similarity(a: &str, b: &str) -> f64 {
+        let ta: HashSet<String> = tokenize_question(a).into_iter().collect();
+        let tb: HashSet<String> = tokenize_question(b).into_iter().collect();
+        if ta.is_empty() || tb.is_empty() {
+            return 0.0;
+        }
+        let inter = ta.intersection(&tb).count() as f64;
+        let union = ta.union(&tb).count() as f64;
+        inter / union
+    }
+
+    /// The brute-force oracle [`FewShotIndex::select`] must equal: score
+    /// the whole pool, stable-sort by similarity, keep `k`.
+    fn select_few_shot<'a>(train: &'a [Sample], question: &str, k: usize) -> Vec<&'a Sample> {
+        let mut scored: Vec<(f64, &Sample)> =
+            train.iter().map(|s| (question_similarity(question, s.question()), s)).collect();
+        scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
+        scored.into_iter().take(k).map(|(_, s)| s).collect()
+    }
+
+    /// Positions in `pool` of the selected samples.
+    fn positions(pool: &[Sample], shots: &[&Sample]) -> Vec<usize> {
+        shots
+            .iter()
+            .map(|s| pool.iter().position(|p| std::ptr::eq(p, *s)).expect("shot is from the pool"))
+            .collect()
+    }
+
+    fn assert_index_matches_oracle(pool: &[Sample], question: &str) {
+        let index = FewShotIndex::new(pool);
+        for k in [0, 1, 5, 9, pool.len() + 3] {
+            assert_eq!(
+                positions(pool, &index.select(question, k)),
+                positions(pool, &select_few_shot(pool, question, k)),
+                "k={k} question={question:?}"
+            );
+        }
+    }
+
+    /// A pool whose questions are `questions`, the rest of each sample
+    /// borrowed from the tiny corpus.
+    fn pool_of(questions: &[String]) -> Vec<Sample> {
+        let template = corpus().train.swap_remove(0);
+        questions
+            .iter()
+            .map(|q| Sample { variants: vec![q.clone()], ..template.clone() })
+            .collect()
     }
 
     #[test]
@@ -387,6 +500,123 @@ mod tests {
         let s0 = question_similarity(q, shots[0].question());
         let s4 = question_similarity(q, shots[4].question());
         assert!(s0 >= s4);
+    }
+
+    #[test]
+    fn index_matches_oracle_on_every_dev_variant() {
+        for kind in [CorpusKind::Spider, CorpusKind::Bird] {
+            let c = generate_corpus(kind, &CorpusConfig::tiny(5));
+            let index = FewShotIndex::new(&c.train);
+            assert_eq!(index.len(), c.train.len());
+            for q in c.dev.iter().flat_map(|s| &s.variants) {
+                for k in [0, 1, 5, 9] {
+                    assert_eq!(
+                        positions(&c.train, &index.select(q, k)),
+                        positions(&c.train, &select_few_shot(&c.train, q, k)),
+                        "{kind:?} k={k} question={q:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn index_matches_oracle_on_edge_questions() {
+        let pool = pool_of(&[
+            "How many singers are there".into(),
+            "".into(),
+            "how how HOW many many".into(),
+            "İstanbul'da kaç şarkıcı var".into(),
+            "i\u{307}stanbul istanbul".into(),
+            "?? -- !!".into(),
+        ]);
+        for q in [
+            "",
+            "   ,,, ",
+            "zzz qqq xxx",
+            "how how how",
+            "HOW MANY SINGERS",
+            "İSTANBUL",
+            "i\u{307}stanbul",
+            "how many singers are there in İstanbul",
+        ] {
+            assert_index_matches_oracle(&pool, q);
+        }
+        assert_index_matches_oracle(&[], "how many singers");
+        let empty = FewShotIndex::new(&[]);
+        assert!(empty.is_empty());
+        assert!(empty.select("how many", 5).is_empty());
+    }
+
+    #[test]
+    fn equally_similar_samples_keep_pool_order() {
+        // sims against "a b": 1/3, 1/2, 1/3, 1/2, 1/2, 0, 1/2
+        let pool = pool_of(&["a c", "a", "b d", "b", "a", "x", "b"].map(String::from));
+        let index = FewShotIndex::new(&pool);
+        assert_eq!(positions(&pool, &index.select("a b", 3)), [1, 3, 4]);
+        assert_eq!(positions(&pool, &index.select("a b", 5)), [1, 3, 4, 6, 0]);
+        assert_eq!(positions(&pool, &index.select("a b", 7)), [1, 3, 4, 6, 0, 2, 5]);
+        // nothing in common with anything: every similarity is 0
+        assert_eq!(positions(&pool, &index.select("q", 2)), [0, 1]);
+        assert_index_matches_oracle(&pool, "a b");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Token soups over a five-word vocabulary force ties, repeats,
+        /// empty questions and unknown tokens far more often than corpus
+        /// questions do.
+        #[test]
+        fn index_matches_oracle_on_token_soups(
+            pool in proptest::collection::vec("[abcİ ,]{0,10}", 0..24),
+            question in "[abcdİ ,]{0,12}",
+        ) {
+            assert_index_matches_oracle(&pool_of(&pool), &question);
+        }
+    }
+
+    #[test]
+    fn content_match_equals_the_row_at_a_time_scan() {
+        // the scan this module used before it read typed storage in place
+        fn by_value(db: &GeneratedDb, question: &str, limit: usize) -> Vec<ContentMatch> {
+            let q_lower = question.to_lowercase();
+            let mut out = Vec::new();
+            for t in db.database.tables() {
+                for (ci, col) in t.schema.columns.iter().enumerate() {
+                    let mut seen: HashSet<String> = HashSet::new();
+                    for r in 0..t.n_rows() {
+                        let Value::Text(s) = t.column(ci).get(r) else { continue };
+                        if out.len() < limit
+                            && s.len() >= 3
+                            && seen.insert(s.clone())
+                            && q_lower.contains(&s.to_lowercase())
+                        {
+                            out.push(ContentMatch {
+                                table: t.schema.name.clone(),
+                                column: col.name.clone(),
+                                value: s,
+                            });
+                        }
+                    }
+                }
+            }
+            out
+        }
+        let mut matched = 0;
+        for kind in [CorpusKind::Spider, CorpusKind::Bird] {
+            let c = generate_corpus(kind, &CorpusConfig::tiny(5));
+            for s in &c.dev {
+                for q in &s.variants {
+                    for limit in [0, 1, 6, 100] {
+                        let got = match_db_content(c.db(s), q, limit);
+                        assert_eq!(got, by_value(c.db(s), q, limit), "{q:?} limit {limit}");
+                        matched += got.len();
+                    }
+                }
+            }
+        }
+        assert!(matched > 0, "some question should mention a cell value");
     }
 
     #[test]

@@ -21,6 +21,7 @@ use crate::restyle::restyle;
 use crate::taxonomy::PostProcessing;
 use crate::modules::FewShotIndex;
 use datagen::{GeneratedDb, Sample};
+use minidb::ResultSet;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sqlkit::Query;
@@ -43,6 +44,10 @@ pub struct TranslationTask<'a> {
     /// Few-shot retrieval index over the training pool (None disables
     /// similarity-based example selection).
     pub few_shot: Option<&'a FewShotIndex<'a>>,
+    /// The gold query's result on `db`, when the caller already holds it
+    /// (the evaluator caches one per dev sample): spares the corruption
+    /// engine re-executing gold. `None` makes it execute gold itself.
+    pub gold_result: Option<&'a ResultSet>,
 }
 
 impl<'a> TranslationTask<'a> {
@@ -192,8 +197,13 @@ impl SimulatedModel {
             }
             Some(pred_query)
         } else {
-            let mut pred_query =
-                corrupt_prediction(&task.sample.query, self.spec.class, task.db, &mut style_rng);
+            let mut pred_query = corrupt_prediction(
+                &task.sample.query,
+                self.spec.class,
+                task.db,
+                task.gold_result,
+                &mut style_rng,
+            );
             if self.spec.modules.post == PostProcessing::StaticRepair {
                 crate::repair::static_repair(&mut pred_query, task.db);
             }
@@ -222,8 +232,13 @@ impl Nl2SqlModel for SimulatedModel {
                 let _ = restyle(&mut pred_query, &mut style_rng);
             }
         } else {
-            pred_query =
-                corrupt_prediction(&task.sample.query, self.spec.class, task.db, &mut style_rng);
+            pred_query = corrupt_prediction(
+                &task.sample.query,
+                self.spec.class,
+                task.db,
+                task.gold_result,
+                &mut style_rng,
+            );
         }
         drop(decode);
 
@@ -300,6 +315,7 @@ mod tests {
             domain_train_dbs: 4,
             avg_domain_train_dbs: 4.2,
             few_shot: None,
+            gold_result: None,
         }
     }
 

@@ -24,6 +24,7 @@ fn task(sample_idx: usize, variant: usize) -> TranslationTask<'static> {
         domain_train_dbs: 3,
         avg_domain_train_dbs: 3.6,
         few_shot: None,
+        gold_result: None,
     }
 }
 

@@ -520,6 +520,7 @@ mod tests {
                 &s.query,
                 modelzoo::MethodClass::FinetunedPlm,
                 c.db(s),
+                None,
                 &mut rng,
             );
             if !diagnose(&s.query, &pred).is_empty() {

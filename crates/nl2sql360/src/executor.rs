@@ -445,6 +445,7 @@ impl<'a> EvalContext<'a> {
             domain_train_dbs: self.domain_train_dbs(sample),
             avg_domain_train_dbs: self.avg_domain_train,
             few_shot: Some(&self.few_shot),
+            gold_result: None,
         }
     }
 
@@ -567,7 +568,7 @@ impl<'a> EvalContext<'a> {
         let gold_rs = &self.gold_results[i];
         let mut variants = Vec::with_capacity(sample.variants.len());
         for v in 0..sample.variants.len() {
-            let task = self.task(sample, v);
+            let task = TranslationTask { gold_result: Some(gold_rs), ..self.task(sample, v) };
             let pred = model.translate(&task)?;
             let (mut ex, pred_work, exec_failure) =
                 score_execution(self.corpus, sample, &pred.query, gold_rs);
@@ -663,9 +664,10 @@ impl<'a> EvalContext<'a> {
         let n = n.min(self.corpus.dev.len());
         let mut correct = 0usize;
         for (i, sample) in self.corpus.dev.iter().take(n).enumerate() {
-            let task = self.task(sample, 0);
+            let gold_rs = &self.gold_results[i];
+            let task = TranslationTask { gold_result: Some(gold_rs), ..self.task(sample, 0) };
             let pred = model.predict_query_only(&task)?;
-            let (ex, _, _) = score_execution(self.corpus, sample, &pred, &self.gold_results[i]);
+            let (ex, _, _) = score_execution(self.corpus, sample, &pred, gold_rs);
             if ex {
                 correct += 1;
             }

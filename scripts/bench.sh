@@ -7,7 +7,9 @@
 # with the telemetry plane on vs off, under "registry"), and the
 # equivalence engine (full-rule canonicalization ns/query plus a
 # closed-loop serve run with canonical vs normalized cache keys, under
-# "equiv" — gated at <= 5% overhead).
+# "equiv" — gated at <= 5% overhead), and few-shot retrieval (the
+# inverted index vs a brute-force scan of the 7000-question Spider pool,
+# under "few_shot" — gated at >= 10x on any core count).
 #
 #   ./scripts/bench.sh             # full run, writes BENCH_eval.json
 #   ./scripts/bench.sh --quick     # reduced smoke run

@@ -3,7 +3,7 @@
 #
 #   ./scripts/check.sh            # build + tests (the hard gate)
 #   ./scripts/check.sh --lint     # also run clippy, warnings as errors
-#   ./scripts/check.sh --bench    # also smoke the evaluation benchmark
+#   ./scripts/check.sh --bench    # also smoke bench_eval and the repo benchmark
 #   ./scripts/check.sh --cluster  # also smoke the distributed serve plane
 #   ./scripts/check.sh --api      # also smoke the HTTP API end to end
 #
@@ -242,6 +242,12 @@ if [ "$bench" -eq 1 ]; then
   echo "==> bench_eval smoke (--quick --validate)"
   cargo run --offline --release -p nl2sql360-bench --bin bench_eval -- \
     --quick --out /tmp/BENCH_eval_smoke.json --validate
+
+  # The repo benchmark's few-shot workload, smoke-sized: its exit code is
+  # the correctness check (SuperSQL logs at workers(nproc) byte-identical
+  # to workers(1), traced replay equal to the recorded outcomes).
+  echo "==> repo benchmark smoke (eval_fewshot --quick)"
+  benchmark/run.sh --quick --workload eval_fewshot
 fi
 
 echo "==> tier-1 gate passed"
