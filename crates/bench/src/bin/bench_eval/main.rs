@@ -20,11 +20,11 @@
 //!    trace-off pass runs *after* the trace-on pass, so a recorder that
 //!    leaks past its enable guard shows up as a disabled-path regression.
 //! 4. **Registry recording overhead**: ns/op for the labeled-metric hot
-//!    path (a pre-registered counter+histogram cell pair, and the
-//!    `with()` label-resolution path), plus a closed-loop serve
-//!    mini-workload timed with the telemetry plane on vs off.
+//!    path serve records every completion through (a pre-registered
+//!    counter+histogram cell pair, and the `with()` label-resolution path
+//!    it avoids).
 //! 5. **Static-check overhead**: ns/query for the `sqlcheck` analyzer
-//!    over the corpus gold queries, plus the same closed-loop serve
+//!    over the corpus gold queries, plus a closed-loop serve
 //!    mini-workload with the `static_check` admission stage on vs off.
 //! 6. **Distributed serve overhead**: the same closed loop driven through
 //!    an embedded scheduler + 1 worker over real loopback TCP vs the
@@ -55,7 +55,9 @@
 //! aggregate columnar speedup reaches 5x on machines with >= 4 cores
 //! (recorded, not enforced, below that), the disabled-path
 //! throughput after tracing stays within 5% of the pre-tracing
-//! measurement, telemetry costs <= 5% of serve throughput, request
+//! measurement, a labeled cell pair stays inside its ns budget, canonical
+//! cache keys add no more per request than one canonicalization (plus
+//! the paired runs' interquartile range, their own resolution), request
 //! tracing + the warehouse cost <= 5% of closed-loop serve throughput
 //! (with the untraced ingress check inside its ns budget), and (on
 //! machines with >= 4 cores) evaluation reaches 2x throughput at 4
@@ -322,50 +324,90 @@ struct RegistryPoint {
     /// ns for a `with()` label resolution + counter inc (the cold path
     /// serve deliberately avoids by pre-registering cells).
     lookup_inc_ns: f64,
-    requests: usize,
-    off_qps: f64,
-    on_qps: f64,
-    /// (off - on) / off as a percentage; what the telemetry plane costs
-    /// per served request.
-    telemetry_overhead_pct: f64,
 }
 
-/// Best-of-`reps` closed-loop serve pass. Each rep runs a fresh service
-/// (fresh cache, so every request takes the full translate+execute hot
-/// path) and times only the query loop, not service start/stop.
+/// One closed-loop serve pass over a fresh service (fresh cache, so every
+/// request takes the full translate+execute hot path); times only the
+/// query loop, not service start/stop.
 fn time_serve(
     ctx: &EvalContext<'_>,
     requests: &[QueryRequest],
-    telemetry: bool,
     static_check: bool,
     canonical_key: bool,
     tracing: bool,
-    reps: usize,
 ) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let config = ServeConfig::builder()
-            .workers(2)
-            .telemetry(telemetry)
-            .static_check(static_check)
-            .canonical_cache_key(canonical_key)
-            .request_tracing(tracing)
-            .warehouse(tracing)
-            .build()
-            .unwrap();
-        let secs = Service::run_with_methods(config, ctx, &[METHOD], |handle| {
-            let started = Instant::now();
-            for req in requests {
-                match handle.query(req.clone()) {
-                    Ok(_) | Err(serve::QueryError::StaticRejected(_)) => {}
-                    Err(e) => panic!("served: {e}"),
-                }
+    let config = ServeConfig::builder()
+        .workers(2)
+        .static_check(static_check)
+        .canonical_cache_key(canonical_key)
+        .request_tracing(tracing)
+        .warehouse(tracing)
+        .build()
+        .unwrap();
+    Service::run_with_methods(config, ctx, &[METHOD], |handle| {
+        let started = Instant::now();
+        for req in requests {
+            match handle.query(req.clone()) {
+                Ok(_) | Err(serve::QueryError::StaticRejected(_)) => {}
+                Err(e) => panic!("served: {e}"),
             }
-            started.elapsed().as_secs_f64()
-        });
-        best = best.min(secs);
+        }
+        started.elapsed().as_secs_f64()
+    })
+}
+
+/// One closed-loop serve option measured on vs off.
+struct Paired {
+    requests: usize,
+    off_qps: f64,
+    on_qps: f64,
+    /// Median over the pairs of (on secs / off secs) - 1, as a percentage.
+    overhead_pct: f64,
+    /// Median over the pairs of (on secs - off secs) / requests, in µs:
+    /// what the option adds to one request, whatever the rest of it costs.
+    added_us_per_request: f64,
+    /// Interquartile range of the same per-pair quantity, in µs: how
+    /// finely this run could resolve it.
+    added_us_iqr: f64,
+}
+
+/// Time the serve mini-workload with one option on vs off. The cost of an
+/// option is a few µs against hundreds of µs of translate+execute, while
+/// one closed-loop pass lasts only tens of ms — a single on/off ratio is
+/// pure scheduler noise. So: back-to-back on/off pairs (drift cancels
+/// within a pair), medians over the pairs (outlier passes drop out).
+fn paired_serve(
+    ctx: &EvalContext<'_>,
+    requests: &[QueryRequest],
+    reps: usize,
+    static_check: bool,
+    canonical_key: bool,
+    tracing: bool,
+) -> Paired {
+    time_serve(ctx, requests, static_check, canonical_key, tracing); // warmup
+    time_serve(ctx, requests, false, false, false); // warmup
+    let pairs = reps.max(9);
+    let (mut ratios, mut deltas) = (Vec::with_capacity(pairs), Vec::with_capacity(pairs));
+    let (mut on_secs, mut off_secs) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..pairs {
+        let on = time_serve(ctx, requests, static_check, canonical_key, tracing);
+        let off = time_serve(ctx, requests, false, false, false);
+        on_secs = on_secs.min(on);
+        off_secs = off_secs.min(off);
+        ratios.push(on / off);
+        deltas.push(on - off);
     }
-    best
+    ratios.sort_by(|a, b| a.total_cmp(b));
+    deltas.sort_by(|a, b| a.total_cmp(b));
+    let us_per_request = |secs: f64| secs / requests.len() as f64 * 1e6;
+    Paired {
+        requests: requests.len(),
+        off_qps: requests.len() as f64 / off_secs,
+        on_qps: requests.len() as f64 / on_secs,
+        overhead_pct: (ratios[pairs / 2] - 1.0) * 100.0,
+        added_us_per_request: us_per_request(deltas[pairs / 2]),
+        added_us_iqr: us_per_request(deltas[pairs * 3 / 4] - deltas[pairs / 4]),
+    }
 }
 
 /// Distinct (sample, variant) questions so a fresh serve cache never hits.
@@ -385,33 +427,41 @@ fn build_requests(corpus: &Corpus) -> Vec<QueryRequest> {
         .collect()
 }
 
-struct SqlcheckPoint {
-    /// ns for one full static analysis of a gold query.
-    analyze_ns_per_query: f64,
-    requests: usize,
-    off_qps: f64,
-    on_qps: f64,
-    /// (on - off) / off as a percentage; what the static-check admission
-    /// stage costs per served request.
-    static_check_overhead_pct: f64,
+/// Seed and dev-split size of the corpus every closed-loop serve section
+/// runs over. The tiny corpus yields ~35ms passes, too short to resolve a
+/// few µs per request on a busy box; ~500 distinct requests stretch each
+/// timed window to ~150ms. Cluster workers regenerate this exact corpus
+/// from the pair.
+const SERVE_CORPUS_SEED: u64 = 5;
+const SERVE_DEV_SAMPLES: usize = 300;
+
+fn serve_corpus() -> Corpus {
+    let config =
+        CorpusConfig { dev_samples: SERVE_DEV_SAMPLES, ..CorpusConfig::tiny(SERVE_CORPUS_SEED) };
+    generate_corpus(CorpusKind::Spider, &config)
 }
 
-fn bench_sqlcheck(iters: usize, reps: usize) -> SqlcheckPoint {
-    // A dedicated corpus with a larger dev split: the tiny corpus yields
-    // ~35ms closed-loop passes, too short for a 5% ratio gate on a busy
-    // box. ~500 distinct requests stretch each timed window to ~150ms.
-    let config = CorpusConfig { dev_samples: 300, ..CorpusConfig::tiny(5) };
-    let corpus = generate_corpus(CorpusKind::Spider, &config);
-    let corpus = &corpus;
-    let ctx = &EvalContext::new(corpus);
-
-    // --- micro: analyzer cost per gold query, catalogs pre-built as in
-    // the serve admission path ---
-    let catalogs: std::collections::HashMap<&str, sqlcheck::Catalog> = corpus
+/// Schema catalogs pre-built per database, as in the serve admission path.
+fn catalogs(corpus: &Corpus) -> std::collections::HashMap<&str, sqlcheck::Catalog> {
+    corpus
         .databases
         .iter()
         .map(|(id, db)| (id.as_str(), sqlcheck::Catalog::from_database(&db.database)))
-        .collect();
+        .collect()
+}
+
+struct SqlcheckPoint {
+    /// ns for one full static analysis of a gold query.
+    analyze_ns_per_query: f64,
+    /// The `static_check` admission stage on vs off.
+    serve: Paired,
+}
+
+fn bench_sqlcheck(ctx: &EvalContext<'_>, iters: usize, reps: usize) -> SqlcheckPoint {
+    let corpus = ctx.corpus;
+
+    // --- micro: analyzer cost per gold query ---
+    let catalogs = catalogs(corpus);
     let per_pass = corpus.dev.len();
     let pass_ns = time_ns(iters, || {
         corpus
@@ -423,63 +473,35 @@ fn bench_sqlcheck(iters: usize, reps: usize) -> SqlcheckPoint {
     let analyze_ns_per_query = pass_ns / per_pass as f64;
 
     // --- macro: closed-loop serving with the admission stage on vs off ---
-    // The true per-request cost is ~1µs of analysis against hundreds of µs
-    // of translate+execute, while one closed-loop pass lasts only tens of
-    // ms — a single on/off ratio is pure scheduler noise. Run back-to-back
-    // on/off pairs (drift cancels within a pair) and gate on the median of
-    // the per-pair ratios (outlier passes drop out).
-    let requests = build_requests(corpus);
-    time_serve(ctx, &requests, false, true, false, false, 1); // warmup
-    time_serve(ctx, &requests, false, false, false, false, 1); // warmup
-    let pairs = reps.max(9);
-    let mut ratios = Vec::with_capacity(pairs);
-    let mut on_secs = f64::INFINITY;
-    let mut off_secs = f64::INFINITY;
-    for _ in 0..pairs {
-        let on = time_serve(ctx, &requests, false, true, false, false, 1);
-        let off = time_serve(ctx, &requests, false, false, false, false, 1);
-        on_secs = on_secs.min(on);
-        off_secs = off_secs.min(off);
-        ratios.push(on / off);
-    }
-    ratios.sort_by(|a, b| a.total_cmp(b));
-    let median_ratio = ratios[pairs / 2];
-    SqlcheckPoint {
-        analyze_ns_per_query,
-        requests: requests.len(),
-        off_qps: requests.len() as f64 / off_secs,
-        on_qps: requests.len() as f64 / on_secs,
-        static_check_overhead_pct: (median_ratio - 1.0) * 100.0,
-    }
+    let serve = paired_serve(ctx, &build_requests(corpus), reps, true, false, false);
+    SqlcheckPoint { analyze_ns_per_query, serve }
 }
 
 struct EquivPoint {
     /// ns to canonicalize one gold query under the full rule set with its
     /// catalog (the cost `sqlcheck equiv` and the match-kind recorder pay).
     canonicalize_ns_per_query: f64,
-    requests: usize,
-    off_qps: f64,
-    on_qps: f64,
-    /// Median over back-to-back pairs of (canonical-key secs / normalized-key
-    /// secs) - 1 as a percentage; what canonical cache keys cost per served
-    /// request on a cold-cache workload.
-    canonical_key_overhead_pct: f64,
+    /// Canonical vs normalized cache keys on a cold-cache workload.
+    serve: Paired,
 }
 
-fn bench_equiv(iters: usize, reps: usize) -> EquivPoint {
-    // Same corpus shape as bench_sqlcheck: ~500 distinct requests stretch
-    // each closed-loop pass far enough for a 5% ratio gate.
-    let config = CorpusConfig { dev_samples: 300, ..CorpusConfig::tiny(5) };
-    let corpus = generate_corpus(CorpusKind::Spider, &config);
-    let corpus = &corpus;
-    let ctx = &EvalContext::new(corpus);
+impl EquivPoint {
+    /// What canonical keys may add to one request, in µs. A request derives
+    /// its key once, under a subset of the rules timed above, so the true
+    /// cost is at most one of those canonicalizations; the paired runs
+    /// resolve it no finer than their own interquartile range. The gate is
+    /// on this absolute cost, not on its share of a request — the share
+    /// moves whenever translation gets faster or slower.
+    fn added_us_budget(&self) -> f64 {
+        self.canonicalize_ns_per_query / 1e3 + self.serve.added_us_iqr
+    }
+}
+
+fn bench_equiv(ctx: &EvalContext<'_>, iters: usize, reps: usize) -> EquivPoint {
+    let corpus = ctx.corpus;
 
     // --- micro: full-rule canonicalization per gold query ---
-    let catalogs: std::collections::HashMap<&str, sqlcheck::Catalog> = corpus
-        .databases
-        .iter()
-        .map(|(id, db)| (id.as_str(), sqlcheck::Catalog::from_database(&db.database)))
-        .collect();
+    let catalogs = catalogs(corpus);
     let per_pass = corpus.dev.len();
     let pass_ns = time_ns(iters, || {
         corpus
@@ -500,32 +522,9 @@ fn bench_equiv(iters: usize, reps: usize) -> EquivPoint {
 
     // --- macro: closed-loop serving with canonical vs normalized cache
     // keys. Every request is distinct, so the cache never hits either way
-    // and the ratio isolates the extra key-derivation cost. Same paired-
-    // median scheme as bench_sqlcheck: back-to-back on/off pairs, gate on
-    // the median per-pair ratio. ---
-    let requests = build_requests(corpus);
-    time_serve(ctx, &requests, false, false, true, false, 1); // warmup
-    time_serve(ctx, &requests, false, false, false, false, 1); // warmup
-    let pairs = reps.max(9);
-    let mut ratios = Vec::with_capacity(pairs);
-    let mut on_secs = f64::INFINITY;
-    let mut off_secs = f64::INFINITY;
-    for _ in 0..pairs {
-        let on = time_serve(ctx, &requests, false, false, true, false, 1);
-        let off = time_serve(ctx, &requests, false, false, false, false, 1);
-        on_secs = on_secs.min(on);
-        off_secs = off_secs.min(off);
-        ratios.push(on / off);
-    }
-    ratios.sort_by(|a, b| a.total_cmp(b));
-    let median_ratio = ratios[pairs / 2];
-    EquivPoint {
-        canonicalize_ns_per_query,
-        requests: requests.len(),
-        off_qps: requests.len() as f64 / off_secs,
-        on_qps: requests.len() as f64 / on_secs,
-        canonical_key_overhead_pct: (median_ratio - 1.0) * 100.0,
-    }
+    // and the difference isolates the extra key-derivation cost. ---
+    let serve = paired_serve(ctx, &build_requests(corpus), reps, false, true, false);
+    EquivPoint { canonicalize_ns_per_query, serve }
 }
 
 struct TracingPoint {
@@ -537,16 +536,11 @@ struct TracingPoint {
     /// bookkeeping in isolation (recorded; the closed-loop ratio is the
     /// gate).
     enabled_request_ns: f64,
-    requests: usize,
-    off_qps: f64,
-    on_qps: f64,
-    /// Median over back-to-back pairs of (traced + warehoused secs /
-    /// untraced secs) - 1 as a percentage; what per-request span trees
-    /// plus warehouse persistence cost per served request.
-    tracing_overhead_pct: f64,
+    /// Per-request span trees plus warehouse persistence on vs off.
+    serve: Paired,
 }
 
-fn bench_request_tracing(iters: usize, reps: usize) -> TracingPoint {
+fn bench_request_tracing(ctx: &EvalContext<'_>, iters: usize, reps: usize) -> TracingPoint {
     // --- micro: the disabled path — the exact branch the pipeline takes
     // when `request_tracing` is off ---
     let no_store: Option<&TraceStore> = None;
@@ -582,38 +576,9 @@ fn bench_request_tracing(iters: usize, reps: usize) -> TracingPoint {
     });
 
     // --- macro: closed-loop serving with per-request span trees AND the
-    // warehouse flusher persisting them, vs both off. Same oversized
-    // corpus and pair/median shape as the static-check gate: a few µs of
-    // bookkeeping per request against hundreds of µs of translate+execute
-    // needs drift-cancelling pairs, not single-shot ratios. ---
-    let config = CorpusConfig { dev_samples: 300, ..CorpusConfig::tiny(5) };
-    let corpus = generate_corpus(CorpusKind::Spider, &config);
-    let corpus = &corpus;
-    let ctx = &EvalContext::new(corpus);
-    let requests = build_requests(corpus);
-    time_serve(ctx, &requests, false, false, false, true, 1); // warmup
-    time_serve(ctx, &requests, false, false, false, false, 1); // warmup
-    let pairs = reps.max(9);
-    let mut ratios = Vec::with_capacity(pairs);
-    let mut on_secs = f64::INFINITY;
-    let mut off_secs = f64::INFINITY;
-    for _ in 0..pairs {
-        let on = time_serve(ctx, &requests, false, false, false, true, 1);
-        let off = time_serve(ctx, &requests, false, false, false, false, 1);
-        on_secs = on_secs.min(on);
-        off_secs = off_secs.min(off);
-        ratios.push(on / off);
-    }
-    ratios.sort_by(|a, b| a.total_cmp(b));
-    let median_ratio = ratios[pairs / 2];
-    TracingPoint {
-        disabled_check_ns,
-        enabled_request_ns,
-        requests: requests.len(),
-        off_qps: requests.len() as f64 / off_secs,
-        on_qps: requests.len() as f64 / on_secs,
-        tracing_overhead_pct: (median_ratio - 1.0) * 100.0,
-    }
+    // warehouse flusher persisting them, vs both off ---
+    let serve = paired_serve(ctx, &build_requests(ctx.corpus), reps, false, false, true);
+    TracingPoint { disabled_check_ns, enabled_request_ns, serve }
 }
 
 struct ClusterPoint {
@@ -635,7 +600,7 @@ struct ClusterPoint {
 /// `clients` threads, one request in flight each — the same drive shape
 /// [`time_cluster`] uses, so the ratio isolates the distribution tax.
 fn time_inproc_concurrent(ctx: &EvalContext<'_>, requests: &[QueryRequest], clients: usize) -> f64 {
-    let config = ServeConfig::builder().workers(2).telemetry(false).build().unwrap();
+    let config = ServeConfig::builder().workers(2).build().unwrap();
     Service::run_with_methods(config, ctx, &[METHOD], |handle| {
         let chunk = requests.len().div_ceil(clients).max(1);
         let started = Instant::now();
@@ -693,7 +658,7 @@ fn time_cluster(
                 corpus_seed,
                 corpus_dev_samples: Some(dev_samples),
                 methods: vec![METHOD.to_string()],
-                serve: ServeConfig::builder().workers(2).telemetry(false).build().unwrap(),
+                serve: ServeConfig::builder().workers(2).build().unwrap(),
                 ..cluster::WorkerConfig::default()
             };
             cluster::Worker::run(config, |_| {
@@ -703,7 +668,7 @@ fn time_cluster(
         worker_stops.push(tx);
     }
     let registered = cluster::worker::wait_for(std::time::Duration::from_secs(60), || {
-        matches!(serve::admin::http_get(admin_addr, "/workers"),
+        matches!(serve::http::http_get(admin_addr, "/workers"),
             Ok((200, body)) if body.matches("\"worker_id\"").count() == n_workers)
     });
     assert!(registered, "cluster bench: workers never registered");
@@ -742,22 +707,15 @@ fn time_cluster(
     secs
 }
 
-fn bench_cluster(reps: usize) -> ClusterPoint {
-    // Same oversized dev split as bench_sqlcheck, same reason: the tiny
-    // corpus's ~35ms windows are too short for a stable 5% ratio gate.
-    // Workers regenerate this exact corpus from (seed, dev_samples).
-    let corpus_seed = 5;
-    let dev_samples = 300;
+fn bench_cluster(ctx: &EvalContext<'_>, reps: usize) -> ClusterPoint {
+    let (corpus_seed, dev_samples) = (SERVE_CORPUS_SEED, SERVE_DEV_SAMPLES);
     let clients = 4;
-    let config = CorpusConfig { dev_samples, ..CorpusConfig::tiny(corpus_seed) };
-    let corpus = generate_corpus(CorpusKind::Spider, &config);
-    let ctx = EvalContext::new(&corpus);
-    let requests = build_requests(&corpus);
+    let requests = build_requests(ctx.corpus);
 
     time_cluster(&requests, clients, 1, corpus_seed, dev_samples); // warmup
-    time_inproc_concurrent(&ctx, &requests, clients); // warmup
+    time_inproc_concurrent(ctx, &requests, clients); // warmup
     // Back-to-back pairs, gate on the median of per-pair ratios — the
-    // same drift-cancelling shape bench_sqlcheck uses, because the
+    // same drift-cancelling shape `paired_serve` uses, because the
     // distribution tax (~tens of µs/request) rides on top of ~hundreds
     // of µs of translate+execute and single-shot ratios flap.
     let pairs = reps.max(5);
@@ -766,7 +724,7 @@ fn bench_cluster(reps: usize) -> ClusterPoint {
     let mut inproc_secs = f64::INFINITY;
     for _ in 0..pairs {
         let c = time_cluster(&requests, clients, 1, corpus_seed, dev_samples);
-        let i = time_inproc_concurrent(&ctx, &requests, clients);
+        let i = time_inproc_concurrent(ctx, &requests, clients);
         cluster_secs = cluster_secs.min(c);
         inproc_secs = inproc_secs.min(i);
         ratios.push(c / i);
@@ -784,13 +742,8 @@ fn bench_cluster(reps: usize) -> ClusterPoint {
     }
 }
 
-fn bench_registry(
-    ctx: &EvalContext<'_>,
-    corpus: &Corpus,
-    iters: usize,
-    reps: usize,
-) -> RegistryPoint {
-    // --- micro: the labeled hot path serve runs per request ---
+fn bench_registry(iters: usize) -> RegistryPoint {
+    // The labeled hot path serve runs per completion.
     let registry = obs::registry::Registry::new();
     let counters = registry.counter_vec("bench_requests_total", "bench", &["method"]);
     let hists = registry.histogram_vec("bench_latency_us", "bench", &["method"]);
@@ -805,20 +758,7 @@ fn bench_registry(
         counters.with(&[METHOD]).inc();
         0
     });
-
-    // --- macro: closed-loop serving with the plane on vs off ---
-    let requests = build_requests(corpus);
-    time_serve(ctx, &requests, true, false, false, false, 1); // warmup
-    let on_secs = time_serve(ctx, &requests, true, false, false, false, reps);
-    let off_secs = time_serve(ctx, &requests, false, false, false, false, reps);
-    RegistryPoint {
-        cell_pair_ns,
-        lookup_inc_ns,
-        requests: requests.len(),
-        off_qps: requests.len() as f64 / off_secs,
-        on_qps: requests.len() as f64 / on_secs,
-        telemetry_overhead_pct: (on_secs - off_secs) / off_secs * 100.0,
-    }
+    RegistryPoint { cell_pair_ns, lookup_inc_ns }
 }
 
 fn main() {
@@ -903,51 +843,57 @@ fn main() {
         trace.disabled_regression, trace.disabled_ns_per_op
     );
 
-    eprintln!("bench_eval: registry recording overhead (telemetry on/off) ...");
-    let registry =
-        bench_registry(&ctx, &corpus, if args.quick { 20_000 } else { 200_000 }, ratio_reps);
+    eprintln!("bench_eval: registry recording overhead ...");
+    let registry = bench_registry(if args.quick { 20_000 } else { 200_000 });
     eprintln!(
         "  micro: cell pair {:.1}ns  with()+inc {:.1}ns",
         registry.cell_pair_ns, registry.lookup_inc_ns
     );
-    eprintln!(
-        "  serve ({} requests): off {:>7.0} qps  on {:>7.0} qps  telemetry overhead {:+.1}%",
-        registry.requests, registry.off_qps, registry.on_qps, registry.telemetry_overhead_pct
-    );
 
     eprintln!("bench_eval: static-check overhead (sqlcheck analyzer + serve admission) ...");
-    let check = bench_sqlcheck(if args.quick { 40 } else { 200 }, ratio_reps);
+    let serve_corpus = serve_corpus();
+    let serve_ctx = EvalContext::new(&serve_corpus);
+    let check = bench_sqlcheck(&serve_ctx, if args.quick { 40 } else { 200 }, ratio_reps);
     eprintln!("  micro: analyze {:.0}ns per gold query", check.analyze_ns_per_query);
     eprintln!(
         "  serve ({} requests): off {:>7.0} qps  on {:>7.0} qps  static-check overhead {:+.1}%",
-        check.requests, check.off_qps, check.on_qps, check.static_check_overhead_pct
+        check.serve.requests, check.serve.off_qps, check.serve.on_qps, check.serve.overhead_pct
     );
 
     eprintln!("bench_eval: equivalence engine (canonicalizer + canonical cache keys) ...");
-    let equiv = bench_equiv(if args.quick { 40 } else { 200 }, ratio_reps);
+    let equiv = bench_equiv(&serve_ctx, if args.quick { 40 } else { 200 }, ratio_reps);
     eprintln!(
         "  micro: canonicalize {:.0}ns per gold query (full rule set)",
         equiv.canonicalize_ns_per_query
     );
     eprintln!(
-        "  serve ({} requests): off {:>7.0} qps  on {:>7.0} qps  canonical-key overhead {:+.1}%",
-        equiv.requests, equiv.off_qps, equiv.on_qps, equiv.canonical_key_overhead_pct
+        "  serve ({} requests): off {:>7.0} qps  on {:>7.0} qps  canonical-key overhead {:+.1}% \
+         ({:+.1}us per request, budget {:.1}us)",
+        equiv.serve.requests,
+        equiv.serve.off_qps,
+        equiv.serve.on_qps,
+        equiv.serve.overhead_pct,
+        equiv.serve.added_us_per_request,
+        equiv.added_us_budget()
     );
 
     eprintln!("bench_eval: request-tracing + warehouse overhead (spans on/off) ...");
     let tracing =
-        bench_request_tracing(if args.quick { 20_000 } else { 200_000 }, ratio_reps);
+        bench_request_tracing(&serve_ctx, if args.quick { 20_000 } else { 200_000 }, ratio_reps);
     eprintln!(
         "  micro: disabled ingress check {:.1}ns  enabled request bookkeeping {:.0}ns",
         tracing.disabled_check_ns, tracing.enabled_request_ns
     );
     eprintln!(
         "  serve ({} requests): off {:>7.0} qps  on {:>7.0} qps  tracing overhead {:+.1}%",
-        tracing.requests, tracing.off_qps, tracing.on_qps, tracing.tracing_overhead_pct
+        tracing.serve.requests,
+        tracing.serve.off_qps,
+        tracing.serve.on_qps,
+        tracing.serve.overhead_pct
     );
 
     eprintln!("bench_eval: distributed serve overhead (scheduler + worker vs in-process) ...");
-    let cluster = bench_cluster(ratio_reps);
+    let cluster = bench_cluster(&serve_ctx, ratio_reps);
     eprintln!(
         "  {} requests / {} clients: in-process {:>7.0} qps  1-worker cluster {:>7.0} qps  overhead {:+.1}%",
         cluster.requests, cluster.clients, cluster.inproc_qps, cluster.one_worker_qps,
@@ -1022,49 +968,50 @@ fn main() {
     let _ = writeln!(json, "  \"registry\": {{");
     let _ = writeln!(
         json,
-        "    \"cell_pair_ns\": {:.1}, \"lookup_inc_ns\": {:.1}, \"serve_requests\": {},",
-        registry.cell_pair_ns, registry.lookup_inc_ns, registry.requests
-    );
-    let _ = writeln!(
-        json,
-        "    \"serve_off_qps\": {:.1}, \"serve_on_qps\": {:.1}, \"telemetry_overhead_pct\": {:.2}",
-        registry.off_qps, registry.on_qps, registry.telemetry_overhead_pct
+        "    \"cell_pair_ns\": {:.1}, \"lookup_inc_ns\": {:.1}",
+        registry.cell_pair_ns, registry.lookup_inc_ns
     );
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"sqlcheck\": {{");
     let _ = writeln!(
         json,
         "    \"analyze_ns_per_query\": {:.1}, \"serve_requests\": {},",
-        check.analyze_ns_per_query, check.requests
+        check.analyze_ns_per_query, check.serve.requests
     );
     let _ = writeln!(
         json,
         "    \"serve_off_qps\": {:.1}, \"serve_on_qps\": {:.1}, \"static_check_overhead_pct\": {:.2}",
-        check.off_qps, check.on_qps, check.static_check_overhead_pct
+        check.serve.off_qps, check.serve.on_qps, check.serve.overhead_pct
     );
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"equiv\": {{");
     let _ = writeln!(
         json,
         "    \"canonicalize_ns_per_query\": {:.1}, \"serve_requests\": {},",
-        equiv.canonicalize_ns_per_query, equiv.requests
+        equiv.canonicalize_ns_per_query, equiv.serve.requests
     );
     let _ = writeln!(
         json,
-        "    \"serve_off_qps\": {:.1}, \"serve_on_qps\": {:.1}, \"canonical_key_overhead_pct\": {:.2}",
-        equiv.off_qps, equiv.on_qps, equiv.canonical_key_overhead_pct
+        "    \"serve_off_qps\": {:.1}, \"serve_on_qps\": {:.1}, \"canonical_key_overhead_pct\": {:.2},",
+        equiv.serve.off_qps, equiv.serve.on_qps, equiv.serve.overhead_pct
+    );
+    let _ = writeln!(
+        json,
+        "    \"canonical_key_added_us\": {:.2}, \"canonical_key_added_us_budget\": {:.2}",
+        equiv.serve.added_us_per_request,
+        equiv.added_us_budget()
     );
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"tracing\": {{");
     let _ = writeln!(
         json,
         "    \"disabled_check_ns\": {:.1}, \"enabled_request_ns\": {:.1}, \"serve_requests\": {},",
-        tracing.disabled_check_ns, tracing.enabled_request_ns, tracing.requests
+        tracing.disabled_check_ns, tracing.enabled_request_ns, tracing.serve.requests
     );
     let _ = writeln!(
         json,
         "    \"serve_off_qps\": {:.1}, \"serve_on_qps\": {:.1}, \"tracing_overhead_pct\": {:.2}",
-        tracing.off_qps, tracing.on_qps, tracing.tracing_overhead_pct
+        tracing.serve.off_qps, tracing.serve.on_qps, tracing.serve.overhead_pct
     );
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"cluster\": {{");
@@ -1143,13 +1090,6 @@ fn main() {
             );
             failed = true;
         }
-        if registry.telemetry_overhead_pct > 5.0 {
-            eprintln!(
-                "FAIL: telemetry costs {:.1}% of serve throughput (budget: 5%)",
-                registry.telemetry_overhead_pct
-            );
-            failed = true;
-        }
         if registry.cell_pair_ns > 250.0 {
             eprintln!(
                 "FAIL: a labeled counter+histogram record pair costs {:.0}ns (budget: 250ns)",
@@ -1157,24 +1097,26 @@ fn main() {
             );
             failed = true;
         }
-        if check.static_check_overhead_pct > 5.0 {
+        if check.serve.overhead_pct > 5.0 {
             eprintln!(
                 "FAIL: static-check admission costs {:.1}% of serve throughput (budget: 5%)",
-                check.static_check_overhead_pct
+                check.serve.overhead_pct
             );
             failed = true;
         }
-        if equiv.canonical_key_overhead_pct > 5.0 {
+        if equiv.serve.added_us_per_request > equiv.added_us_budget() {
             eprintln!(
-                "FAIL: canonical cache keys cost {:.1}% of serve throughput (budget: 5%)",
-                equiv.canonical_key_overhead_pct
+                "FAIL: canonical cache keys add {:.1}us per request (budget: {:.1}us = \
+                 canonicalize_ns_per_query + the pairs' IQR)",
+                equiv.serve.added_us_per_request,
+                equiv.added_us_budget()
             );
             failed = true;
         }
-        if tracing.tracing_overhead_pct > 5.0 {
+        if tracing.serve.overhead_pct > 5.0 {
             eprintln!(
                 "FAIL: request tracing + warehouse cost {:.1}% of serve throughput (budget: 5%)",
-                tracing.tracing_overhead_pct
+                tracing.serve.overhead_pct
             );
             failed = true;
         }

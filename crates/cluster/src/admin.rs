@@ -1,5 +1,5 @@
 //! The scheduler's admin HTTP endpoint, built on the same route table and
-//! HTTP plumbing as `serve::admin` ([`serve::http`]) —
+//! HTTP plumbing as the per-engine `serve` endpoint ([`serve::http`]) —
 //!
 //! * `GET /metrics` — Prometheus text exposition of the cluster families
 //!   (per-worker forwarded/requeued/reaped counters, forward latency,
@@ -19,7 +19,7 @@
 //!   traced request (scheduler hops + merged worker spans), when
 //!   `--trace` is on.
 //!
-//! Scrapable with the same `serve::admin::http_get`/`http_post` clients
+//! Scrapable with the same `serve::http::http_get`/`http_post` clients
 //! the loadgen and tests already use.
 
 use crate::scheduler::Inner;
@@ -29,9 +29,6 @@ use std::net::TcpListener;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Largest request body the scheduler endpoint accepts.
-const MAX_BODY_BYTES: usize = 64 * 1024;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Endpoint {
@@ -59,7 +56,6 @@ pub(crate) fn run(listener: TcpListener, inner: Arc<Inner>) {
     http::serve_loop(
         listener,
         || inner.stop.load(Ordering::SeqCst),
-        MAX_BODY_BYTES,
         |req| respond(req, &inner),
     );
 }

@@ -76,15 +76,11 @@ pub struct SchedulerConfig {
     /// shipped back on `ExecuteResult` frames into one cross-process tree,
     /// served on the admin `GET /v1/traces/<id>`. Off by default.
     pub request_tracing: bool,
-    /// Traces the scheduler's in-memory store retains before evicting.
-    pub trace_capacity: usize,
     /// Run the scheduler's telemetry warehouse: completed span trees into
     /// `trace_spans` and periodic cluster-metrics snapshots into
     /// `metrics_history`, queryable through the admin `POST /v1/sql` raw
     /// arm. Off by default.
     pub warehouse: bool,
-    /// Warehouse flush interval, milliseconds.
-    pub warehouse_flush_ms: u64,
 }
 
 impl Default for SchedulerConfig {
@@ -99,9 +95,7 @@ impl Default for SchedulerConfig {
             vnodes: crate::ring::DEFAULT_VNODES,
             forward_timeout: Duration::from_secs(30),
             request_tracing: false,
-            trace_capacity: 1024,
             warehouse: false,
-            warehouse_flush_ms: 250,
         }
     }
 }
@@ -974,7 +968,7 @@ impl Scheduler {
         let started = Instant::now();
         let traces = config
             .request_tracing
-            .then(|| TraceStore::new("sched", config.trace_capacity.max(1), started));
+            .then(|| TraceStore::new("sched", serve::trace::TRACE_CAPACITY, started));
         let warehouse = config.warehouse.then(|| Mutex::new(nl2sql360::EvalStore::new()));
         let inner = Arc::new(Inner {
             config,
@@ -1007,7 +1001,12 @@ impl Scheduler {
         });
         let flusher = inner.warehouse.is_some().then(|| {
             let inner = Arc::clone(&inner);
-            std::thread::spawn(move || warehouse_flusher(&inner))
+            std::thread::spawn(move || {
+                serve::flush_periodically(
+                    || inner.stop.load(Ordering::SeqCst),
+                    || flush_warehouse_tick(&inner),
+                )
+            })
         });
         let handle = SchedulerHandle { inner: Arc::clone(&inner) };
         let out = f(&handle);
@@ -1051,30 +1050,10 @@ fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
     }
 }
 
-/// Warehouse flusher thread, mirroring `serve`'s: every
-/// `warehouse_flush_ms` it persists completed cross-process span trees
-/// into `trace_spans` and one cluster-metrics snapshot into
-/// `metrics_history`, with one final flush on shutdown. Like the serve
-/// flusher it is a live-telemetry sink, not a WAL.
-fn warehouse_flusher(inner: &Arc<Inner>) {
-    let interval = Duration::from_millis(inner.config.warehouse_flush_ms.max(1));
-    loop {
-        let stopping = inner.stop.load(Ordering::SeqCst);
-        flush_warehouse_tick(inner);
-        if stopping {
-            return;
-        }
-        let mut slept = Duration::ZERO;
-        while slept < interval && !inner.stop.load(Ordering::SeqCst) {
-            let step = Duration::from_millis(20).min(interval - slept);
-            std::thread::sleep(step);
-            slept += step;
-        }
-    }
-}
-
-/// One scheduler warehouse flush: completed traces, then a snapshot of
-/// the cluster metric families.
+/// One scheduler warehouse flush, run by [`serve::flush_periodically`]
+/// like the serve engine's: completed cross-process span trees into
+/// `trace_spans`, then a snapshot of the cluster metric families into
+/// `metrics_history`.
 fn flush_warehouse_tick(inner: &Arc<Inner>) {
     let Some(warehouse) = &inner.warehouse else { return };
     let mut store = warehouse.lock().unwrap_or_else(|e| e.into_inner());

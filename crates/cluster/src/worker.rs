@@ -266,7 +266,7 @@ fn heartbeat_loop(
                         ready,
                         reason,
                         queue_depth: handle.queue_len() as u64,
-                        completed: handle.metrics().completed,
+                        completed: handle.completed(),
                     };
                     if write_frame(&mut stream, &beat).is_err() {
                         // evicted or scheduler restarted: register afresh

@@ -149,7 +149,7 @@ fn cluster_outcomes(
     // the burst only means anything once every worker owns ring arcs:
     // wait until all n registered (registration implies ready)
     let all_ready = cluster::worker::wait_for(Duration::from_secs(30), || {
-        match serve::admin::http_get(admin_addr, "/workers") {
+        match serve::http::http_get(admin_addr, "/workers") {
             Ok((200, body)) => body.matches("\"worker_id\"").count() == n_workers,
             _ => false,
         }

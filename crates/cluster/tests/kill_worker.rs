@@ -7,7 +7,7 @@
 //! eviction (control-connection loss and forward IO errors both fire
 //! within milliseconds of the kill; the heartbeat reaper is the backstop).
 
-use serve::admin::{http_get, http_post};
+use serve::http::{http_get, http_post};
 use serve::proto::ClusterClient;
 use serve::QueryRequest;
 use std::collections::BTreeMap;

@@ -96,7 +96,7 @@ fn with_traced_cluster(f: impl FnOnce(&channel::Sender<Cmd>)) {
                             other => panic!("warehouse query failed: {other:?}"),
                         };
                         let trace_http =
-                            serve::admin::http_get(admin, &format!("/v1/traces/{trace_id}"))
+                            serve::http::http_get(admin, &format!("/v1/traces/{trace_id}"))
                                 .expect("trace fetch");
                         let _ = reply.send(Inspection {
                             spans: handle.trace_spans(&trace_id),
@@ -112,7 +112,7 @@ fn with_traced_cluster(f: impl FnOnce(&channel::Sender<Cmd>)) {
     let workers: Vec<_> =
         (0..2).map(|i| spawn_worker(&format!("w{i}"), scheduler_addr)).collect();
     let both_ready = cluster::worker::wait_for(Duration::from_secs(30), || {
-        match serve::admin::http_get(admin_addr, "/workers") {
+        match serve::http::http_get(admin_addr, "/workers") {
             Ok((200, body)) => body.matches("\"worker_id\"").count() == 2,
             _ => false,
         }

@@ -14,10 +14,16 @@
 //! * `GET /v1/evals/<id>` / `GET /v1/evals` — run status.
 //! * `GET /metrics`, `/metrics.json`, `/healthz`, `/readyz`, `/slow` — the
 //!   pre-existing admin plane, now routed through the same table.
+//!
+//! Everything is served by one loopback listener ([`run`]) that runs
+//! nonblocking inside the service's thread scope and polls with a short
+//! sleep, so it needs no extra signaling to notice shutdown.
 
 use crate::http::{self, PathSpec, Request, Response, Route, Routed};
 use crate::{EvalRun, Inner, QueryError, QueryRequest, RunStatus};
 use nl2sql360::EvalContext;
+use std::net::TcpListener;
+use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 /// Handler tags for the service route table.
@@ -49,8 +55,18 @@ pub(crate) const ROUTES: &[Route<Endpoint>] = &[
     Route { method: "GET", path: PathSpec::Prefix("/v1/traces/"), handler: Endpoint::Trace },
 ];
 
+/// Accept-and-respond loop; runs on its own scoped thread until the
+/// service closure returns.
+pub(crate) fn run(listener: TcpListener, inner: &Inner, ctx: &EvalContext<'_>) {
+    http::serve_loop(
+        listener,
+        || inner.admin_stop.load(Ordering::Acquire),
+        |req| respond(req, inner, ctx),
+    );
+}
+
 /// Route and serve one request.
-pub(crate) fn respond(req: &Request, inner: &Inner, ctx: &EvalContext<'_>) -> Response {
+fn respond(req: &Request, inner: &Inner, ctx: &EvalContext<'_>) -> Response {
     let outcome = http::route(ROUTES, &req.method, &req.path);
     if let Some(refused) = http::refusal(&outcome, &req.path) {
         return refused;
@@ -62,7 +78,7 @@ pub(crate) fn respond(req: &Request, inner: &Inner, ctx: &EvalContext<'_>) -> Re
         Endpoint::Metrics => Response::prometheus(inner.metrics_text()),
         Endpoint::MetricsJson => {
             inner.refresh_gauges();
-            Response::json(200, inner.telemetry.registry.render_json())
+            Response::json(200, inner.telemetry.render_json())
         }
         Endpoint::Healthz => Response::text(200, "ok\n"),
         Endpoint::Readyz => match inner.readiness() {
@@ -70,7 +86,7 @@ pub(crate) fn respond(req: &Request, inner: &Inner, ctx: &EvalContext<'_>) -> Re
             Err(why) => Response::text(503, format!("{why}\n")),
         },
         Endpoint::Slow => {
-            let entries = inner.telemetry.slow.entries();
+            let entries = inner.telemetry.slow_entries();
             Response::json(200, serde_json::to_string(&entries).unwrap_or_else(|_| "[]".into()))
         }
         Endpoint::Sql => post_sql(req, inner, ctx),

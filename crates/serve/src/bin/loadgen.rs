@@ -266,7 +266,7 @@ fn scrape_admin_endpoints(addrs: &[String]) {
             eprintln!("FATAL: --scrape-addr {addr}: {e}");
             std::process::exit(1);
         });
-        match serve::admin::http_get(parsed, "/metrics") {
+        match serve::http::http_get(parsed, "/metrics") {
             Ok((200, body)) if !body.trim().is_empty() => {
                 println!("  scrape {addr}: 200, {} bytes of /metrics", body.len());
             }
@@ -574,7 +574,7 @@ fn main() {
                     scope.spawn(move || -> Result<u64, String> {
                         let mut scrapes = 0u64;
                         loop {
-                            let (status, body) = serve::admin::http_get(addr, "/metrics")
+                            let (status, body) = serve::http::http_get(addr, "/metrics")
                                 .map_err(|e| format!("GET /metrics: {e}"))?;
                             if status != 200 || !body.contains("serve_requests_total{") {
                                 return Err(format!(
@@ -583,7 +583,7 @@ fn main() {
                                 ));
                             }
                             for path in ["/healthz", "/readyz"] {
-                                let (status, _) = serve::admin::http_get(addr, path)
+                                let (status, _) = serve::http::http_get(addr, path)
                                     .map_err(|e| format!("GET {path}: {e}"))?;
                                 // readyz may legitimately be 503 under load
                                 if status != 200 && !(path == "/readyz" && status == 503) {

@@ -11,8 +11,8 @@
 //! scraper, and the `/v1` JSON API.
 
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::time::Duration;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::time::{Duration, Instant};
 
 /// Poll interval of the nonblocking accept loop.
 const ACCEPT_POLL: Duration = Duration::from_millis(10);
@@ -21,6 +21,9 @@ const ACCEPT_POLL: Duration = Duration::from_millis(10);
 const IO_TIMEOUT: Duration = Duration::from_millis(500);
 /// Upper bound on the request head (request line + headers).
 const MAX_HEAD_BYTES: usize = 8 * 1024;
+/// Largest request body an endpoint accepts; a larger `Content-Length` is
+/// refused with `413 Payload Too Large` before any body bytes are read.
+pub const MAX_BODY_BYTES: usize = 64 * 1024;
 
 /// One parsed request: method, path (query string stripped), raw body.
 #[derive(Debug, Clone)]
@@ -113,11 +116,8 @@ pub fn write_response(stream: &mut TcpStream, resp: &Response) -> std::io::Resul
 /// The outer `Err` is a transport failure (drop the connection); the
 /// inner `Err` is a well-formed refusal to send back: `400` for a
 /// malformed request line, `413` when `Content-Length` exceeds
-/// `max_body`.
-pub fn read_request(
-    stream: &mut TcpStream,
-    max_body: usize,
-) -> std::io::Result<Result<Request, Response>> {
+/// [`MAX_BODY_BYTES`].
+pub fn read_request(stream: &mut TcpStream) -> std::io::Result<Result<Request, Response>> {
     stream.set_read_timeout(Some(IO_TIMEOUT))?;
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
     let mut buf = Vec::new();
@@ -147,10 +147,12 @@ pub fn read_request(
         .find(|(k, _)| k.eq_ignore_ascii_case("content-length"))
         .and_then(|(_, v)| v.trim().parse::<usize>().ok())
         .unwrap_or(0);
-    if content_length > max_body {
+    if content_length > MAX_BODY_BYTES {
         return Ok(Err(Response::json_error(
             413,
-            &format!("request body {content_length} bytes exceeds the {max_body}-byte limit"),
+            &format!(
+                "request body {content_length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
+            ),
         )));
     }
     let mut body = buf[head_end..].to_vec();
@@ -251,7 +253,6 @@ pub fn refusal<H>(outcome: &Routed<'_, H>, path: &str) -> Option<Response> {
 pub fn serve_loop(
     listener: TcpListener,
     stop: impl Fn() -> bool,
-    max_body: usize,
     handler: impl Fn(&Request) -> Response,
 ) {
     listener.set_nonblocking(true).expect("admin listener nonblocking");
@@ -261,11 +262,14 @@ pub fn serve_loop(
                 // Best-effort: a client dying mid-response must not take
                 // the endpoint down.
                 let _ = (|| -> std::io::Result<()> {
-                    let resp = match read_request(&mut stream, max_body)? {
-                        Ok(req) => handler(&req),
-                        Err(refused) => refused,
-                    };
-                    write_response(&mut stream, &resp)
+                    match read_request(&mut stream)? {
+                        Ok(req) => write_response(&mut stream, &handler(&req)),
+                        Err(refused) => {
+                            write_response(&mut stream, &refused)?;
+                            discard_unread(&mut stream);
+                            Ok(())
+                        }
+                    }
                 })();
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => {
@@ -280,6 +284,27 @@ pub fn serve_loop(
                 }
                 std::thread::sleep(ACCEPT_POLL);
             }
+        }
+    }
+}
+
+/// After refusing a request whose body was never read (a `413`): closing
+/// with those bytes unread resets the connection, and the reset can reach
+/// the client before the refusal does. So half-close, then discard what the
+/// client sends until it closes too. The accept loop is single-threaded,
+/// so this holds up every other client: each read waits only for what is
+/// left of one [`IO_TIMEOUT`], which bounds the whole stall.
+fn discard_unread(stream: &mut TcpStream) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + IO_TIMEOUT;
+    let mut sink = [0u8; 4096];
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        if !matches!(stream.read(&mut sink), Ok(n) if n > 0) {
+            return;
         }
     }
 }

@@ -22,13 +22,17 @@
 //!   outcome-neutral — EX/EM cannot depend on cache state.
 //! * **Deadlines**: a request can carry a deadline; workers drop requests
 //!   whose deadline passed while queued ([`QueryError::DeadlineExceeded`]).
-//! * **Metrics**: lock-free counters and a log2 latency histogram
-//!   (p50/p95/p99), plus per-kind execution-failure counts.
-//! * **Live telemetry**: labeled metric families ([`obs::Registry`]) keyed
-//!   by method and failure kind, sliding-window QPS/error-rate/quantiles
-//!   over the last 1s/10s/60s ([`window`]), and a bounded top-K slow-query
-//!   log ([`slowlog`]).
-//! * **Admin endpoint**: an optional loopback HTTP listener ([`admin`])
+//! * **One completion record per request**: every exit of the pipeline —
+//!   ok, deadline exceeded, refused, statically rejected, unknown method,
+//!   unknown question, overloaded — builds one `Completion` and hands it
+//!   to `Inner::complete`, the only code that records, finishes the trace
+//!   and replies. It feeds labeled metric families ([`obs::Registry`])
+//!   keyed by method, outcome and failure kind, sliding-window
+//!   QPS/error-rate/quantiles over the last 1s/10s/60s ([`window`]), and a
+//!   bounded top-K slow-query log ([`slowlog`]); [`MetricsSnapshot`]
+//!   (p50/p95/p99, per-kind execution-failure counts) is derived from
+//!   those same cells.
+//! * **Admin endpoint**: an optional loopback HTTP listener ([`http`])
 //!   serving `GET /metrics` (Prometheus text exposition), `/metrics.json`,
 //!   `/healthz`, `/readyz` (unready while draining or saturated), and
 //!   `/slow`.
@@ -45,7 +49,6 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-pub mod admin;
 pub(crate) mod api;
 pub mod cache;
 pub mod hash;
@@ -59,7 +62,6 @@ pub mod window;
 
 use cache::{ExecCache, ExecOutcome};
 use crossbeam::channel;
-use metrics::Metrics;
 pub use metrics::MetricsSnapshot;
 use modelzoo::Nl2SqlModel;
 use nl2sql360::{EvalContext, EvalStore, ExecFailureKind};
@@ -71,7 +73,7 @@ use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-use telemetry::Telemetry;
+use telemetry::{Completion, Telemetry, Work};
 use trace::{RequestTrace, TraceStore};
 pub use trace::{SpanRecord, TraceContext};
 pub use window::{WindowReport, WindowRing};
@@ -80,6 +82,14 @@ pub use window::{WindowReport, WindowRing};
 /// degenerate values (zero-size queues/pools) at construction time; a
 /// hand-rolled struct with zeros is caught by the same validation when the
 /// service starts.
+///
+/// Only what some caller sets differently is a field. Values every caller
+/// left at their default are constants beside the code that uses them:
+/// [`window::WINDOW_BUCKET_MS`], [`window::WINDOW_BUCKETS`],
+/// [`slowlog::SLOW_LOG_K`], [`slowlog::SLOW_LOG_RATE_PER_SEC`],
+/// [`UNREADY_QUEUE_PCT`], [`http::MAX_BODY_BYTES`],
+/// [`trace::TRACE_CAPACITY`], [`WAREHOUSE_FLUSH_MS`]. To collect obs
+/// spans while a service runs, hold an [`obs::enable`] guard around it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Worker threads executing translate→execute→compare.
@@ -93,32 +103,10 @@ pub struct ServeConfig {
     pub cache_shards: usize,
     /// Execution-cache entries per shard.
     pub cache_capacity_per_shard: usize,
-    /// Enable the global obs recorder for the service's lifetime
-    /// (restored on shutdown). Spans/counters are then snapshot-able via
-    /// [`obs::snapshot`] while the service runs.
-    pub trace: bool,
-    /// Record into the labeled telemetry plane (registry families,
-    /// sliding windows, slow-query log). On by default; turning it off
-    /// leaves the families registered but empty, which is how the bench
-    /// measures the plane's own overhead.
-    pub telemetry: bool,
     /// Bind the admin HTTP endpoint here (loopback only; port 0 picks an
     /// ephemeral port, readable via [`ServiceHandle::admin_addr`]).
     /// `None` (the default) runs no listener.
     pub admin_addr: Option<SocketAddr>,
-    /// Width of one sliding-window interval bucket, in milliseconds.
-    pub window_bucket_ms: u64,
-    /// Number of interval buckets in the window ring; together with
-    /// `window_bucket_ms` this caps the longest answerable window
-    /// (default 250ms × 256 = 64s, enough for a 60s window).
-    pub window_buckets: usize,
-    /// Slow-query log capacity (top-K by latency); 0 disables the log.
-    pub slow_log_k: usize,
-    /// Max lock-taking slow-log admissions per second.
-    pub slow_log_rate_per_sec: u64,
-    /// `/readyz` reports unready once the queue is at least this percent
-    /// full (1..=100). 100 means "only unready when actually full".
-    pub unready_queue_pct: u8,
     /// Statically analyze predicted SQL against the target database's
     /// schema (via `sqlcheck`) before execution; queries with
     /// Error-severity diagnostics are rejected with
@@ -135,26 +123,18 @@ pub struct ServeConfig {
     /// ([`sqlcheck::equiv::RuleSet::cache_safe`]), so a hit returns a
     /// byte-identical outcome to a miss. Off by default.
     pub canonical_cache_key: bool,
-    /// Largest request body the HTTP endpoint accepts; a larger
-    /// `Content-Length` is refused with `413 Payload Too Large` before any
-    /// body bytes are read. Default 64 KiB.
-    pub max_body_bytes: usize,
     /// Mint a `trace_id` per admitted request and record per-stage spans
     /// into an in-memory trace store, served back on `GET /v1/traces/<id>`
     /// and echoed on responses and slow-log entries. Outcome-neutral by
     /// construction: tracing only ever *observes* the pipeline. Off by
     /// default.
     pub request_tracing: bool,
-    /// Traces the in-memory store retains before evicting the oldest.
-    pub trace_capacity: usize,
     /// Run the telemetry warehouse: a background flusher persisting
     /// completed span trees (`trace_spans`) and periodic metrics snapshots
     /// (`metrics_history`) into the eval store, queryable through
     /// `POST /v1/sql`. Implies nothing about `request_tracing` — without
     /// it the warehouse only accrues metrics history. Off by default.
     pub warehouse: bool,
-    /// Warehouse flush interval, milliseconds.
-    pub warehouse_flush_ms: u64,
     /// Process label stamped on every span this service records, and the
     /// seed of its span-id range (see [`trace`] module docs). Cluster
     /// workers set their worker id here so a cross-process tree shows
@@ -170,21 +150,11 @@ impl Default for ServeConfig {
             max_batch: 8,
             cache_shards: 8,
             cache_capacity_per_shard: 128,
-            trace: false,
-            telemetry: true,
             admin_addr: None,
-            window_bucket_ms: 250,
-            window_buckets: 256,
-            slow_log_k: 32,
-            slow_log_rate_per_sec: 64,
-            unready_queue_pct: 90,
             static_check: false,
             canonical_cache_key: false,
-            max_body_bytes: 64 * 1024,
             request_tracing: false,
-            trace_capacity: 1024,
             warehouse: false,
-            warehouse_flush_ms: 250,
             trace_process: "serve".to_string(),
         }
     }
@@ -213,24 +183,6 @@ impl ServeConfig {
         if self.cache_capacity_per_shard == 0 {
             return Err(ServeConfigError::ZeroCacheCapacity);
         }
-        if self.window_bucket_ms == 0 {
-            return Err(ServeConfigError::ZeroWindowBucket);
-        }
-        if self.window_buckets == 0 {
-            return Err(ServeConfigError::ZeroWindowBuckets);
-        }
-        if self.unready_queue_pct == 0 || self.unready_queue_pct > 100 {
-            return Err(ServeConfigError::BadUnreadyQueuePct);
-        }
-        if self.max_body_bytes == 0 {
-            return Err(ServeConfigError::ZeroMaxBody);
-        }
-        if self.trace_capacity == 0 {
-            return Err(ServeConfigError::ZeroTraceCapacity);
-        }
-        if self.warehouse_flush_ms == 0 {
-            return Err(ServeConfigError::ZeroWarehouseFlush);
-        }
         if self.trace_process.is_empty() {
             return Err(ServeConfigError::EmptyTraceProcess);
         }
@@ -256,18 +208,6 @@ pub enum ServeConfigError {
     ZeroCacheShards,
     /// `cache_capacity_per_shard` was zero — the cache could hold nothing.
     ZeroCacheCapacity,
-    /// `window_bucket_ms` was zero — intervals must have width.
-    ZeroWindowBucket,
-    /// `window_buckets` was zero — the ring could hold no history.
-    ZeroWindowBuckets,
-    /// `unready_queue_pct` was outside `1..=100`.
-    BadUnreadyQueuePct,
-    /// `max_body_bytes` was zero — no request body could ever be accepted.
-    ZeroMaxBody,
-    /// `trace_capacity` was zero — the trace store could hold nothing.
-    ZeroTraceCapacity,
-    /// `warehouse_flush_ms` was zero — the flusher would spin.
-    ZeroWarehouseFlush,
     /// `trace_process` was empty — spans would carry no process label.
     EmptyTraceProcess,
     /// `admin_addr` was not a loopback address; the admin endpoint speaks
@@ -284,16 +224,6 @@ impl fmt::Display for ServeConfigError {
             ServeConfigError::ZeroCacheShards => write!(f, "cache_shards must be >= 1"),
             ServeConfigError::ZeroCacheCapacity => {
                 write!(f, "cache_capacity_per_shard must be >= 1")
-            }
-            ServeConfigError::ZeroWindowBucket => write!(f, "window_bucket_ms must be >= 1"),
-            ServeConfigError::ZeroWindowBuckets => write!(f, "window_buckets must be >= 1"),
-            ServeConfigError::BadUnreadyQueuePct => {
-                write!(f, "unready_queue_pct must be in 1..=100")
-            }
-            ServeConfigError::ZeroMaxBody => write!(f, "max_body_bytes must be >= 1"),
-            ServeConfigError::ZeroTraceCapacity => write!(f, "trace_capacity must be >= 1"),
-            ServeConfigError::ZeroWarehouseFlush => {
-                write!(f, "warehouse_flush_ms must be >= 1")
             }
             ServeConfigError::EmptyTraceProcess => {
                 write!(f, "trace_process must be non-empty")
@@ -348,45 +278,10 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Enable the obs recorder for the service's lifetime.
-    pub fn trace(mut self, on: bool) -> Self {
-        self.config.trace = on;
-        self
-    }
-
-    /// Record into the labeled telemetry plane (default on).
-    pub fn telemetry(mut self, on: bool) -> Self {
-        self.config.telemetry = on;
-        self
-    }
-
     /// Bind the admin HTTP endpoint at `addr` (must be loopback; port 0
     /// picks an ephemeral port).
     pub fn admin_addr(mut self, addr: SocketAddr) -> Self {
         self.config.admin_addr = Some(addr);
-        self
-    }
-
-    /// Sliding-window ring geometry: `bucket_ms`-wide intervals, `buckets`
-    /// of history.
-    pub fn window(mut self, bucket_ms: u64, buckets: usize) -> Self {
-        self.config.window_bucket_ms = bucket_ms;
-        self.config.window_buckets = buckets;
-        self
-    }
-
-    /// Slow-query log: keep the top `k` by latency, admit at most
-    /// `rate_per_sec` lock-taking insertions per second. `k == 0`
-    /// disables the log.
-    pub fn slow_log(mut self, k: usize, rate_per_sec: u64) -> Self {
-        self.config.slow_log_k = k;
-        self.config.slow_log_rate_per_sec = rate_per_sec;
-        self
-    }
-
-    /// Queue-fullness percentage at which `/readyz` reports unready.
-    pub fn unready_queue_pct(mut self, pct: u8) -> Self {
-        self.config.unready_queue_pct = pct;
         self
     }
 
@@ -403,33 +298,15 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Largest HTTP request body accepted before a `413` refusal.
-    pub fn max_body_bytes(mut self, bytes: usize) -> Self {
-        self.config.max_body_bytes = bytes;
-        self
-    }
-
     /// Mint per-request trace ids and record stage spans (default off).
     pub fn request_tracing(mut self, on: bool) -> Self {
         self.config.request_tracing = on;
         self
     }
 
-    /// Traces retained in memory before the oldest is evicted.
-    pub fn trace_capacity(mut self, capacity: usize) -> Self {
-        self.config.trace_capacity = capacity;
-        self
-    }
-
     /// Run the telemetry warehouse flusher (default off).
     pub fn warehouse(mut self, on: bool) -> Self {
         self.config.warehouse = on;
-        self
-    }
-
-    /// Warehouse flush interval in milliseconds.
-    pub fn warehouse_flush_ms(mut self, ms: u64) -> Self {
-        self.config.warehouse_flush_ms = ms;
         self
     }
 
@@ -665,6 +542,9 @@ impl EvalPlane {
     }
 }
 
+/// `/readyz` reports unready once the queue is at least this percent full.
+pub const UNREADY_QUEUE_PCT: usize = 90;
+
 pub(crate) struct Inner {
     pub(crate) config: ServeConfig,
     queue: Mutex<QueueState>,
@@ -680,7 +560,6 @@ pub(crate) struct Inner {
     /// Eval-run registry, persistence store, and runner job queue behind
     /// the `/v1/evals` endpoints.
     pub(crate) evals: EvalPlane,
-    metrics: Metrics,
     pub(crate) telemetry: Telemetry,
     /// Per-request span store behind `GET /v1/traces/<id>`; present iff
     /// `config.request_tracing` is on.
@@ -707,31 +586,16 @@ impl Inner {
         let (tx, rx) = channel::bounded(1);
         let ticket = Ticket { rx };
 
-        let method_idx = match self.method_index.get(&req.method) {
-            Some(&i) => i,
-            None => {
-                Metrics::inc(&self.metrics.submitted);
-                Metrics::inc(&self.metrics.failed);
-                if self.telemetry.enabled {
-                    self.telemetry.unknown_method.inc();
-                }
-                let _ = tx.send(Err(QueryError::UnknownMethod(req.method)));
-                return Ok(ticket);
-            }
+        let Some(&method_idx) = self.method_index.get(&req.method) else {
+            self.reject(QueryError::UnknownMethod(req.method), &tx);
+            return Ok(ticket);
         };
-        let (sample_idx, variant) =
-            match self.question_index.get(&(req.db_id.clone(), req.question.clone())) {
-                Some(&pair) => pair,
-                None => {
-                    Metrics::inc(&self.metrics.submitted);
-                    Metrics::inc(&self.metrics.failed);
-                    if self.telemetry.enabled {
-                        self.telemetry.unknown_question.inc();
-                    }
-                    let _ = tx.send(Err(QueryError::UnknownQuestion));
-                    return Ok(ticket);
-                }
-            };
+        let Some(&(sample_idx, variant)) =
+            self.question_index.get(&(req.db_id.clone(), req.question.clone()))
+        else {
+            self.reject(QueryError::UnknownQuestion, &tx);
+            return Ok(ticket);
+        };
 
         // Trace identity is fixed at admission: adopt a forwarded context
         // (the scheduler's trace crossing into this process) or mint a
@@ -760,17 +624,40 @@ impl Inner {
         {
             let mut q = self.queue.lock().expect("queue lock poisoned");
             if q.shutdown || q.items.len() >= self.config.queue_capacity {
-                Metrics::inc(&self.metrics.rejected_overloaded);
-                if self.telemetry.enabled {
-                    self.telemetry.rejected_overloaded.inc();
-                }
+                drop(q);
+                // No ticket survives a refusal: the caller gets the same
+                // error `complete` sends into the channel dropped here.
+                self.reject(QueryError::Overloaded, &pending.reply);
                 return Err(QueryError::Overloaded);
             }
-            Metrics::inc(&self.metrics.submitted);
+            self.telemetry.admitted();
             q.items.push_back(pending);
         }
         self.not_empty.notify_one();
         Ok(ticket)
+    }
+
+    /// Answer at admission: the request never queued, so no worker ran.
+    fn reject(&self, why: QueryError, to: &channel::Sender<QueryReply>) {
+        self.complete(Completion { reply: Err(why), work: None }, to);
+    }
+
+    /// The one exit of the request pipeline. Every answered request —
+    /// whichever of the seven outcomes it met, at admission or in a worker
+    /// — arrives here as one [`Completion`], and only here is it counted
+    /// (registry cells, window ring, slow log), its trace finished, and
+    /// its reply sent — in that order, so a caller holding the reply can
+    /// already read the full trace and the updated counters.
+    fn complete(&self, c: Completion<'_>, to: &channel::Sender<QueryReply>) {
+        self.telemetry.record(&c, self.started.elapsed());
+        if let Some(Work { trace: Some(t), batch_size, .. }) = c.work {
+            let mut attrs = format!("batch={batch_size}");
+            if let Ok(r) = &c.reply {
+                attrs.push_str(if r.cache_hit { " cache_hit=1" } else { " cache_hit=0" });
+            }
+            t.finish("request", telemetry::outcome_label(&c.reply), attrs);
+        }
+        let _ = to.send(c.reply);
     }
 
     fn drain(&self) {
@@ -801,13 +688,12 @@ impl Inner {
                 self.queue_len()
             ));
         }
-        let threshold =
-            (self.config.queue_capacity * self.config.unready_queue_pct as usize / 100).max(1);
+        let threshold = (self.config.queue_capacity * UNREADY_QUEUE_PCT / 100).max(1);
         let len = self.queue_len();
         if len >= threshold {
             return Err(format!(
-                "saturated: queue {len}/{} >= {}% threshold",
-                self.config.queue_capacity, self.config.unready_queue_pct
+                "saturated: queue {len}/{} >= {UNREADY_QUEUE_PCT}% threshold",
+                self.config.queue_capacity
             ));
         }
         Ok(())
@@ -815,8 +701,7 @@ impl Inner {
 
     /// Point-in-time gauges are set at scrape time, not on the hot path.
     pub(crate) fn refresh_gauges(&self) {
-        self.telemetry.queue_depth.set(self.queue_len() as u64);
-        self.telemetry.ready.set(u64::from(self.readiness().is_ok()));
+        self.telemetry.set_gauges(self.queue_len(), self.readiness().is_ok());
     }
 
     /// The `/metrics` exposition body.
@@ -862,7 +747,13 @@ impl ServiceHandle<'_> {
 
     /// Current metrics.
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.inner.metrics.snapshot()
+        self.inner.telemetry.snapshot()
+    }
+
+    /// Successful responses so far. Reads the counters only — cheaper
+    /// than [`metrics`](Self::metrics), which also scans nine quantiles.
+    pub fn completed(&self) -> u64 {
+        self.inner.telemetry.completed()
     }
 
     /// Entries currently in the execution cache.
@@ -911,7 +802,7 @@ impl ServiceHandle<'_> {
 
     /// Current slow-query log, slowest first.
     pub fn slow_queries(&self) -> Vec<SlowQueryEntry> {
-        self.inner.telemetry.slow.entries()
+        self.inner.telemetry.slow_entries()
     }
 
     /// The Prometheus text exposition `/metrics` would serve right now
@@ -938,7 +829,7 @@ impl ServiceHandle<'_> {
 
     /// Force one warehouse flush (completed span trees + a metrics
     /// snapshot) right now. No-op when the warehouse is off — tests and
-    /// scripts use this instead of sleeping out `warehouse_flush_ms`.
+    /// scripts use this instead of sleeping out [`WAREHOUSE_FLUSH_MS`].
     pub fn flush_warehouse(&self) {
         if self.inner.config.warehouse {
             flush_warehouse_tick(self.inner);
@@ -967,25 +858,9 @@ impl Service {
         models: Vec<Box<dyn Nl2SqlModel>>,
         f: impl FnOnce(&ServiceHandle<'_>) -> R,
     ) -> R {
-        Self::run_inner(config, ctx, models, f)
-    }
-
-    /// The one internal constructor both public entry points route
-    /// through: validates the config, installs the obs recorder when
-    /// `config.trace` asks for it, builds the shared state, and runs the
-    /// scoped worker pool.
-    fn run_inner<'a, R>(
-        config: ServeConfig,
-        ctx: &'a EvalContext<'a>,
-        models: Vec<Box<dyn Nl2SqlModel>>,
-        f: impl FnOnce(&ServiceHandle<'_>) -> R,
-    ) -> R {
         if let Err(e) = config.validate() {
             panic!("invalid ServeConfig: {e} (ServeConfig::builder() rejects this at build time)");
         }
-        // Holds the recorder enabled for the service's lifetime; restores
-        // the previous state when the scope (and every worker) is done.
-        let _trace = config.trace.then(obs::enable);
         let method_index: HashMap<String, usize> =
             models.iter().enumerate().map(|(i, m)| (m.name().to_string(), i)).collect();
         let mut question_index = HashMap::new();
@@ -995,7 +870,7 @@ impl Service {
             }
         }
         let method_names: Vec<&str> = models.iter().map(|m| m.name()).collect();
-        let telemetry = Telemetry::new(&method_names, &config);
+        let telemetry = Telemetry::new(&method_names);
         // Bind before the scope starts so `ServiceHandle::admin_addr`
         // resolves an ephemeral `:0` port immediately — tests and loadgen
         // can scrape as soon as the closure runs.
@@ -1021,7 +896,7 @@ impl Service {
         let started = Instant::now();
         let traces = config
             .request_tracing
-            .then(|| TraceStore::new(&config.trace_process, config.trace_capacity, started));
+            .then(|| TraceStore::new(&config.trace_process, trace::TRACE_CAPACITY, started));
         let inner = Inner {
             cache: ExecCache::new(config.cache_shards, config.cache_capacity_per_shard),
             evals: EvalPlane::new(config.static_check),
@@ -1033,7 +908,6 @@ impl Service {
             models,
             method_index,
             question_index,
-            metrics: Metrics::default(),
             telemetry,
             ready: AtomicBool::new(true),
             started,
@@ -1048,11 +922,16 @@ impl Service {
             }
             if inner.config.warehouse {
                 let inner_ref = &inner;
-                scope.spawn(move |_| warehouse_flusher(inner_ref));
+                scope.spawn(move |_| {
+                    flush_periodically(
+                        || inner_ref.admin_stop.load(Ordering::Acquire),
+                        || flush_warehouse_tick(inner_ref),
+                    )
+                });
             }
             if let Some(listener) = admin_listener {
                 let inner_ref = &inner;
-                scope.spawn(move |_| admin::run(listener, inner_ref, ctx));
+                scope.spawn(move |_| api::run(listener, inner_ref, ctx));
                 // Eval jobs only arrive over HTTP, so the runner lives
                 // exactly when the listener does.
                 let inner_ref = &inner;
@@ -1084,7 +963,7 @@ impl Service {
                 Box::new(modelzoo::SimulatedModel::new(spec)) as Box<dyn Nl2SqlModel>
             })
             .collect();
-        Self::run_inner(config, ctx, models, f)
+        Self::run(config, ctx, models, f)
     }
 }
 
@@ -1152,25 +1031,24 @@ fn run_eval_job<'a>(inner: &Inner, ctx: &'a EvalContext<'a>, idx: usize) {
     inner.evals.runs.lock().expect("runs lock poisoned")[idx].status = status;
 }
 
-/// Warehouse flusher thread: every `warehouse_flush_ms` it persists
-/// completed span trees into the eval store's `trace_spans` table and one
-/// metrics snapshot into `metrics_history`, so both are queryable through
-/// `POST /v1/sql` while the service runs. On shutdown it performs one
-/// final flush before exiting; traces completed by workers draining after
-/// that final tick remain readable on `GET /v1/traces/<id>` but are not
-/// persisted — the warehouse is a live-telemetry sink, not a WAL.
-fn warehouse_flusher(inner: &Inner) {
-    let interval = Duration::from_millis(inner.config.warehouse_flush_ms);
+/// Warehouse flush interval, milliseconds.
+pub const WAREHOUSE_FLUSH_MS: u64 = 250;
+
+/// Body of a warehouse flusher thread (this service's and the cluster
+/// scheduler's): run `flush` every [`WAREHOUSE_FLUSH_MS`] until
+/// `stopping()` turns true, then once more, so whatever completed before
+/// shutdown is persisted. Sleeps in short slices so shutdown never waits
+/// out a whole interval.
+pub fn flush_periodically(stopping: impl Fn() -> bool, mut flush: impl FnMut()) {
+    let interval = Duration::from_millis(WAREHOUSE_FLUSH_MS);
     loop {
-        let stopping = inner.admin_stop.load(Ordering::Acquire);
-        flush_warehouse_tick(inner);
-        if stopping {
+        let last = stopping();
+        flush();
+        if last {
             return;
         }
-        // Sleep in short slices so shutdown is never blocked on a long
-        // flush interval.
         let mut slept = Duration::ZERO;
-        while slept < interval && !inner.admin_stop.load(Ordering::Acquire) {
+        while slept < interval && !stopping() {
             let step = Duration::from_millis(20).min(interval - slept);
             std::thread::sleep(step);
             slept += step;
@@ -1178,7 +1056,12 @@ fn warehouse_flusher(inner: &Inner) {
     }
 }
 
-/// One warehouse flush: completed traces, then a metrics snapshot.
+/// One warehouse flush: completed span trees into the eval store's
+/// `trace_spans` table, then one metrics snapshot into `metrics_history`,
+/// both queryable through `POST /v1/sql` while the service runs. Traces
+/// completed by workers draining after the final flush remain readable on
+/// `GET /v1/traces/<id>` but are not persisted — the warehouse is a
+/// live-telemetry sink, not a WAL.
 fn flush_warehouse_tick(inner: &Inner) {
     let mut store = inner.evals.store.lock().expect("eval store lock poisoned");
     if let Some(traces) = &inner.traces {
@@ -1189,7 +1072,7 @@ fn flush_warehouse_tick(inner: &Inner) {
             }
         }
     }
-    let m = inner.metrics.snapshot();
+    let m = inner.telemetry.snapshot();
     let us = |d: Option<Duration>| d.map_or(0, |d| d.as_micros() as i64);
     let values = [
         ("submitted", m.submitted as i64),
@@ -1212,7 +1095,6 @@ fn flush_warehouse_tick(inner: &Inner) {
         obs::count("serve.warehouse.metrics_insert_error", 1);
     }
 }
-
 
 /// Worker: block for work, drain a same-method batch, serve it.
 fn worker_loop<'a>(inner: &Inner, ctx: &'a EvalContext<'a>) {
@@ -1242,12 +1124,8 @@ fn worker_loop<'a>(inner: &Inner, ctx: &'a EvalContext<'a>) {
                 }
             }
         }
-        Metrics::inc(&inner.metrics.batches);
-        inner.metrics.batched_requests.fetch_add(
-            batch.len() as u64,
-            std::sync::atomic::Ordering::Relaxed,
-        );
         let batch_size = batch.len();
+        inner.telemetry.batch(batch_size);
         for pending in batch {
             serve_one(inner, ctx, pending, batch_size);
         }
@@ -1257,16 +1135,12 @@ fn worker_loop<'a>(inner: &Inner, ctx: &'a EvalContext<'a>) {
 fn serve_one<'a>(inner: &Inner, ctx: &'a EvalContext<'a>, p: Pending, batch_size: usize) {
     // Per-request tracing: the root span starts at enqueue time and is
     // parented to the forwarding process's span when one was carried in.
-    // Span recording happens strictly *before* the reply is sent, so a
-    // caller that has the response can immediately read the full trace.
     let rt = match (&p.trace, &inner.traces) {
         (Some(pt), Some(store)) => {
             Some(RequestTrace::begin(store, pt.trace_id, pt.parent_span, p.enqueued))
         }
         _ => None,
     };
-    let traced = rt.is_some();
-    let trace_hex = rt.as_ref().map(|t| t.hex().to_string()).unwrap_or_default();
     // Obs spans opened under this request join the same trace id, so a
     // warehouse trace and a chrome-trace dump line up by id.
     let _obs_ctx = rt
@@ -1280,37 +1154,42 @@ fn serve_one<'a>(inner: &Inner, ctx: &'a EvalContext<'a>, p: Pending, batch_size
     if let Some(t) = &rt {
         t.child("queue", p.enqueued, started, String::new());
     }
-    inner.metrics.queue_wait.record_duration(queue_wait);
-    obs::observe_duration("serve.queue_wait", queue_wait);
-    // All telemetry cells were pre-registered at startup: the hot path
-    // only touches relaxed atomics through these handles.
-    let t = &inner.telemetry;
-    let cells = t.enabled.then(|| &t.per_method[p.method_idx]);
-    if let Some(c) = cells {
-        c.requests.inc();
-        t.queue_wait.record_duration(queue_wait);
-    }
-    if let Some(deadline) = p.deadline {
-        if queue_wait > deadline {
-            Metrics::inc(&inner.metrics.deadline_exceeded);
-            if let Some(c) = cells {
-                c.deadline.inc();
-                let latency = p.enqueued.elapsed();
-                c.latency.record_duration(latency);
-                t.windows.record(inner.started.elapsed(), latency.as_micros() as u64, true);
-            }
-            if let Some(t) = rt {
-                t.finish("request", "deadline_exceeded", format!("batch={batch_size}"));
-            }
-            let _ = p.reply.send(Err(QueryError::DeadlineExceeded));
-            return;
-        }
-    }
+    let (reply, sql_hash) = if p.deadline.is_some_and(|deadline| queue_wait > deadline) {
+        (Err(QueryError::DeadlineExceeded), 0)
+    } else {
+        translate_and_execute(inner, ctx, &p, rt.as_ref(), started, batch_size)
+    };
+    let work = Work {
+        method: p.method_idx,
+        db_id: &ctx.corpus.dev[p.sample_idx].db_id,
+        queue_wait,
+        exec_time: started.elapsed(),
+        // the latency an ok reply reports is the one that gets recorded
+        latency: reply.as_ref().map_or_else(|_| p.enqueued.elapsed(), |r| r.latency),
+        batch_size,
+        sql_hash,
+        trace: rt,
+    };
+    inner.complete(Completion { reply, work: Some(work) }, &p.reply);
+}
+
+/// The stages a worker runs on a request that made its deadline:
+/// translate → static check → execute (through the cache) → compare.
+/// Records the stage spans on `rt` and returns the reply with the hash of
+/// the cache key (0 when the request never got one).
+fn translate_and_execute<'a>(
+    inner: &Inner,
+    ctx: &'a EvalContext<'a>,
+    p: &Pending,
+    rt: Option<&RequestTrace<'_>>,
+    started: Instant,
+    batch_size: usize,
+) -> (QueryReply, u64) {
     let sample = &ctx.corpus.dev[p.sample_idx];
     let task = ctx.task(sample, p.variant);
     let translated = inner.models[p.method_idx].translate(&task);
-    let translate_end = traced.then(Instant::now);
-    if let (Some(t), Some(end)) = (&rt, translate_end) {
+    let translate_end = rt.map(|_| Instant::now());
+    if let (Some(t), Some(end)) = (rt, translate_end) {
         t.child(
             "translate",
             started,
@@ -1319,18 +1198,7 @@ fn serve_one<'a>(inner: &Inner, ctx: &'a EvalContext<'a>, p: Pending, batch_size
         );
     }
     let Some(pred) = translated else {
-        Metrics::inc(&inner.metrics.failed);
-        if let Some(c) = cells {
-            c.refused.inc();
-            let latency = p.enqueued.elapsed();
-            c.latency.record_duration(latency);
-            t.windows.record(inner.started.elapsed(), latency.as_micros() as u64, true);
-        }
-        if let Some(t) = rt {
-            t.finish("request", "refused", format!("batch={batch_size}"));
-        }
-        let _ = p.reply.send(Err(QueryError::TranslationRefused));
-        return;
+        return (Err(QueryError::TranslationRefused), 0);
     };
 
     // Static admission: reject SQL the analyzer can prove will fail before
@@ -1346,7 +1214,7 @@ fn serve_one<'a>(inner: &Inner, ctx: &'a EvalContext<'a>, p: Pending, batch_size
                 .collect();
             fired.sort_by_key(|&r| r as usize);
             fired.dedup();
-            if let (Some(t), Some(start)) = (&rt, translate_end) {
+            if let (Some(t), Some(start)) = (rt, translate_end) {
                 t.child(
                     "static_check",
                     start,
@@ -1355,28 +1223,13 @@ fn serve_one<'a>(inner: &Inner, ctx: &'a EvalContext<'a>, p: Pending, batch_size
                 );
             }
             if !fired.is_empty() {
-                Metrics::inc(&inner.metrics.failed);
-                Metrics::inc(&inner.metrics.static_rejected);
-                if let Some(c) = cells {
-                    c.static_rejected.inc();
-                    for &rule in &fired {
-                        t.static_rejects[rule as usize].inc();
-                    }
-                    let latency = p.enqueued.elapsed();
-                    c.latency.record_duration(latency);
-                    t.windows.record(inner.started.elapsed(), latency.as_micros() as u64, true);
-                }
-                let rules = fired.into_iter().map(|r| r.id().to_string()).collect();
-                if let Some(t) = rt {
-                    t.finish("request", "static_rejected", format!("batch={batch_size}"));
-                }
-                let _ = p.reply.send(Err(QueryError::StaticRejected(rules)));
-                return;
+                let ids = fired.into_iter().map(|r| r.id().to_string()).collect();
+                return (Err(QueryError::StaticRejected(ids)), 0);
             }
         }
     }
 
-    let exec_start = traced.then(Instant::now);
+    let exec_start = rt.map(|_| Instant::now());
     // The cache key: canonical form unifies surface restylings of the same
     // query into one entry; the name-preserving cache-safe rule set keeps
     // hit outcomes byte-identical to misses.
@@ -1385,17 +1238,11 @@ fn serve_one<'a>(inner: &Inner, ctx: &'a EvalContext<'a>, p: Pending, batch_size
     } else {
         sqlkit::to_sql(&sqlkit::normalize::normalize(&pred.query))
     };
-    let sql_hash = if t.enabled { slowlog::fnv1a64(&normalized) } else { 0 };
+    let sql_hash = slowlog::fnv1a64(&normalized);
     let key = (sample.db_id.clone(), normalized);
     let (outcome, cache_hit) = match inner.cache.get(&key) {
-        Some(v) => {
-            Metrics::inc(&inner.metrics.cache_hits);
-            obs::count("serve.exec_cache.hit", 1);
-            (v, true)
-        }
+        Some(v) => (v, true),
         None => {
-            Metrics::inc(&inner.metrics.cache_misses);
-            obs::count("serve.exec_cache.miss", 1);
             let v = Arc::new(match ctx.corpus.db(sample).database.run_query(&pred.query) {
                 Ok(rs) => ExecOutcome::Ok(rs),
                 Err(e) => ExecOutcome::Failed(ExecFailureKind::of(&e)),
@@ -1404,64 +1251,21 @@ fn serve_one<'a>(inner: &Inner, ctx: &'a EvalContext<'a>, p: Pending, batch_size
             (v, false)
         }
     };
-    if t.enabled {
-        if cache_hit { &t.cache_hit } else { &t.cache_miss }.inc();
-    }
-    let exec_end = traced.then(Instant::now);
-    if let (Some(t), Some(start), Some(end)) = (&rt, exec_start, exec_end) {
+    let exec_end = rt.map(|_| Instant::now());
+    if let (Some(t), Some(start), Some(end)) = (rt, exec_start, exec_end) {
         t.child("execute", start, end, format!("cache_hit={}", u64::from(cache_hit)));
     }
 
     let gold = ctx.gold_result(p.sample_idx);
     let (ex, pred_work, exec_failure) = match &*outcome {
         ExecOutcome::Ok(rs) => (minidb::results_equivalent(gold, rs), Some(rs.work), None),
-        ExecOutcome::Failed(kind) => {
-            inner.metrics.record_exec_failure(*kind);
-            if t.enabled {
-                t.exec_failures[*kind as usize].inc();
-            }
-            (false, None, Some(*kind))
-        }
+        ExecOutcome::Failed(kind) => (false, None, Some(*kind)),
     };
     let em = sqlkit::exact_match(&sample.query, &pred.query);
-    if let (Some(t), Some(start)) = (&rt, exec_end) {
+    if let (Some(t), Some(start)) = (rt, exec_end) {
         t.child("compare", start, Instant::now(), format!("ex={} em={}", ex as u8, em as u8));
     }
-    let exec_time = started.elapsed();
-    let latency = p.enqueued.elapsed();
-    Metrics::inc(&inner.metrics.completed);
-    inner.metrics.latency.record_duration(latency);
-    inner.metrics.exec_time.record_duration(exec_time);
-    obs::observe_duration("serve.exec", exec_time);
-    if let Some(c) = cells {
-        c.ok.inc();
-        c.latency.record_duration(latency);
-        c.exec.record_duration(exec_time);
-        let now = inner.started.elapsed();
-        t.windows.record(now, latency.as_micros() as u64, exec_failure.is_some());
-        t.slow.offer(
-            now.as_millis() as u64,
-            SlowQueryEntry {
-                sql_hash,
-                method: inner.models[p.method_idx].name().to_string(),
-                db_id: sample.db_id.clone(),
-                latency_us: latency.as_micros() as u64,
-                queue_wait_us: queue_wait.as_micros() as u64,
-                exec_us: exec_time.as_micros() as u64,
-                cache_hit,
-                at_ms: now.as_millis() as u64,
-                trace_id: trace_hex.clone(),
-            },
-        );
-    }
-    if let Some(t) = rt {
-        t.finish(
-            "request",
-            "ok",
-            format!("batch={batch_size} cache_hit={}", u64::from(cache_hit)),
-        );
-    }
-    let _ = p.reply.send(Ok(QueryResponse {
+    let reply = QueryResponse {
         ex,
         em,
         pred_sql: pred.sql,
@@ -1469,9 +1273,10 @@ fn serve_one<'a>(inner: &Inner, ctx: &'a EvalContext<'a>, p: Pending, batch_size
         exec_failure,
         cache_hit,
         batch_size,
-        latency,
-        trace_id: trace_hex,
-    }));
+        latency: p.enqueued.elapsed(),
+        trace_id: rt.map(|t| t.hex().to_string()).unwrap_or_default(),
+    };
+    (Ok(reply), sql_hash)
 }
 
 #[cfg(test)]
@@ -1611,28 +1416,8 @@ mod tests {
             Err(ServeConfigError::ZeroCacheCapacity)
         );
         assert_eq!(
-            ServeConfig::builder().window(0, 8).build(),
-            Err(ServeConfigError::ZeroWindowBucket)
-        );
-        assert_eq!(
-            ServeConfig::builder().window(250, 0).build(),
-            Err(ServeConfigError::ZeroWindowBuckets)
-        );
-        assert_eq!(
-            ServeConfig::builder().unready_queue_pct(0).build(),
-            Err(ServeConfigError::BadUnreadyQueuePct)
-        );
-        assert_eq!(
-            ServeConfig::builder().unready_queue_pct(101).build(),
-            Err(ServeConfigError::BadUnreadyQueuePct)
-        );
-        assert_eq!(
-            ServeConfig::builder().trace_capacity(0).build(),
-            Err(ServeConfigError::ZeroTraceCapacity)
-        );
-        assert_eq!(
-            ServeConfig::builder().warehouse_flush_ms(0).build(),
-            Err(ServeConfigError::ZeroWarehouseFlush)
+            ServeConfig::builder().trace_process("").build(),
+            Err(ServeConfigError::EmptyTraceProcess)
         );
         // the admin endpoint is unauthenticated plaintext — loopback only
         assert_eq!(
@@ -1652,18 +1437,12 @@ mod tests {
             .max_batch(4)
             .cache_shards(2)
             .cache_capacity_per_shard(9)
-            .trace(false)
-            .telemetry(true)
             .admin_addr("127.0.0.1:0".parse().unwrap())
-            .window(100, 64)
-            .slow_log(16, 32)
-            .unready_queue_pct(75)
             .static_check(true)
             .canonical_cache_key(true)
             .request_tracing(true)
-            .trace_capacity(64)
             .warehouse(true)
-            .warehouse_flush_ms(100)
+            .trace_process("w1")
             .build()
             .expect("all sizes nonzero");
         assert_eq!(config.workers, 3);
@@ -1671,19 +1450,11 @@ mod tests {
         assert_eq!(config.max_batch, 4);
         assert_eq!(config.cache_shards, 2);
         assert_eq!(config.cache_capacity_per_shard, 9);
-        assert!(!config.trace);
-        assert!(config.telemetry);
         assert_eq!(config.admin_addr, Some("127.0.0.1:0".parse().unwrap()));
-        assert_eq!(config.window_bucket_ms, 100);
-        assert_eq!(config.window_buckets, 64);
-        assert_eq!(config.slow_log_k, 16);
-        assert_eq!(config.slow_log_rate_per_sec, 32);
-        assert_eq!(config.unready_queue_pct, 75);
         assert!(config.static_check);
         assert!(config.canonical_cache_key);
         assert!(config.request_tracing && config.warehouse);
-        assert_eq!(config.trace_capacity, 64);
-        assert_eq!(config.warehouse_flush_ms, 100);
+        assert_eq!(config.trace_process, "w1");
         assert!(!ServeConfig::default().static_check, "static check must be opt-in");
         assert!(
             !ServeConfig::default().request_tracing && !ServeConfig::default().warehouse,
@@ -1780,11 +1551,7 @@ mod tests {
             Service::run_with_methods(ServeConfig::default(), &ctx, &["C3SQL"], |handle| {
                 corpus().dev.iter().take(n).map(|s| handle.query(request(s, 0, "C3SQL"))).collect()
             });
-        let config = ServeConfig::builder()
-            .static_check(true)
-            .telemetry(true)
-            .build()
-            .expect("valid config");
+        let config = ServeConfig::builder().static_check(true).build().expect("valid config");
         let (checked, text) =
             Service::run_with_methods(config, &ctx, &["C3SQL"], |handle| {
                 let replies: Vec<Result<QueryResponse, QueryError>> = corpus()

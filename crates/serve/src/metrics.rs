@@ -1,108 +1,11 @@
-//! Lock-cheap service metrics: monotonic counters plus log2-bucketed
-//! latency histograms, all on relaxed atomics so the request path never
-//! takes a lock to record an observation.
-//!
-//! The histograms are [`obs::AtomicHistogram`] — the same fixed bucket
-//! table the obs recorder and the registry's exported histograms use, so
-//! a latency read off [`MetricsSnapshot`] and the same latency scraped
-//! off `/metrics` land in the same bucket.
+//! The public point-in-time view of the service's accounting. There is
+//! no separate store behind it: [`crate::ServiceHandle::metrics`] derives
+//! a [`MetricsSnapshot`] from the same registry cells `/metrics` exports
+//! (see `telemetry.rs`), so a count read here and the same count scraped
+//! there cannot disagree. Latencies come from [`obs::AtomicHistogram`]s
+//! over the crate-wide bucket table, so they land in the same bucket too.
 
-use obs::AtomicHistogram;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-
-/// Counter + histogram registry shared by the admission controller, the
-/// worker pool, and the execution cache.
-#[derive(Debug, Default)]
-pub struct Metrics {
-    /// Requests accepted into the queue.
-    pub submitted: AtomicU64,
-    /// Requests answered with a successful [`crate::QueryResponse`].
-    pub completed: AtomicU64,
-    /// Requests rejected at admission because the queue was full.
-    pub rejected_overloaded: AtomicU64,
-    /// Requests dropped by a worker because their deadline had passed.
-    pub deadline_exceeded: AtomicU64,
-    /// Requests answered with a non-deadline error (unknown method or
-    /// question, translation refused, static rejection).
-    pub failed: AtomicU64,
-    /// Requests rejected by the static semantic check before execution.
-    /// Counted *in addition to* `failed` (a static rejection is one kind
-    /// of failure), so `lost()` stays zero after drain.
-    pub static_rejected: AtomicU64,
-    /// Execution-cache hits.
-    pub cache_hits: AtomicU64,
-    /// Execution-cache misses.
-    pub cache_misses: AtomicU64,
-    /// Worker dequeue rounds (each serves one same-method batch).
-    pub batches: AtomicU64,
-    /// Requests served across all batches (mean batch size = this /
-    /// `batches`).
-    pub batched_requests: AtomicU64,
-    /// Execution failures by kind, indexed like
-    /// [`nl2sql360::ExecFailureKind`] in declaration order.
-    pub exec_failures: [AtomicU64; 10],
-    /// Queue-to-response latency of completed requests (microseconds).
-    pub latency: AtomicHistogram,
-    /// Time spent queued before a worker picked the request up. Recorded
-    /// for every dequeued request, including deadline drops — queue
-    /// pressure is most visible exactly when requests die waiting.
-    pub queue_wait: AtomicHistogram,
-    /// Dequeue-to-response time (translate + execute + compare) of
-    /// completed requests.
-    pub exec_time: AtomicHistogram,
-}
-
-impl Metrics {
-    /// Bump a counter.
-    pub fn inc(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record an execution failure of the given kind.
-    pub fn record_exec_failure(&self, kind: nl2sql360::ExecFailureKind) {
-        self.exec_failures[kind as usize].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Consistent point-in-time view for reports.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        let hits = load(&self.cache_hits);
-        let misses = load(&self.cache_misses);
-        let batches = load(&self.batches);
-        let batched = load(&self.batched_requests);
-        MetricsSnapshot {
-            submitted: load(&self.submitted),
-            completed: load(&self.completed),
-            rejected_overloaded: load(&self.rejected_overloaded),
-            deadline_exceeded: load(&self.deadline_exceeded),
-            failed: load(&self.failed),
-            static_rejected: load(&self.static_rejected),
-            cache_hits: hits,
-            cache_misses: misses,
-            cache_hit_rate: if hits + misses == 0 {
-                0.0
-            } else {
-                hits as f64 / (hits + misses) as f64
-            },
-            mean_batch_size: if batches == 0 { 0.0 } else { batched as f64 / batches as f64 },
-            p50: self.latency.quantile_duration(0.50),
-            p95: self.latency.quantile_duration(0.95),
-            p99: self.latency.quantile_duration(0.99),
-            queue_p50: self.queue_wait.quantile_duration(0.50),
-            queue_p95: self.queue_wait.quantile_duration(0.95),
-            queue_p99: self.queue_wait.quantile_duration(0.99),
-            exec_p50: self.exec_time.quantile_duration(0.50),
-            exec_p95: self.exec_time.quantile_duration(0.95),
-            exec_p99: self.exec_time.quantile_duration(0.99),
-            exec_failures: nl2sql360::ExecFailureKind::ALL
-                .iter()
-                .map(|&k| (k, self.exec_failures[k as usize].load(Ordering::Relaxed)))
-                .filter(|&(_, n)| n > 0)
-                .collect(),
-        }
-    }
-}
 
 /// Point-in-time metrics view.
 #[derive(Debug, Clone, PartialEq)]
@@ -175,6 +78,8 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::{Completion, Telemetry, Work};
+    use obs::AtomicHistogram;
 
     #[test]
     fn histogram_quantiles_bracket_observations() {
@@ -193,16 +98,37 @@ mod tests {
 
     #[test]
     fn snapshot_derives_rates() {
-        let m = Metrics::default();
-        Metrics::inc(&m.submitted);
-        Metrics::inc(&m.submitted);
-        Metrics::inc(&m.completed);
-        Metrics::inc(&m.completed);
-        Metrics::inc(&m.cache_hits);
-        Metrics::inc(&m.cache_misses);
-        m.batches.fetch_add(1, Ordering::Relaxed);
-        m.batched_requests.fetch_add(2, Ordering::Relaxed);
-        let s = m.snapshot();
+        let t = Telemetry::new(&["A", "B"]);
+        for (method, cache_hit) in [(0, true), (1, false)] {
+            t.admitted();
+            let latency = Duration::from_micros(100);
+            let reply = crate::QueryResponse {
+                ex: true,
+                em: true,
+                pred_sql: String::new(),
+                pred_work: Some(1),
+                exec_failure: None,
+                cache_hit,
+                batch_size: 2,
+                latency,
+                trace_id: String::new(),
+            };
+            let work = Work {
+                method,
+                db_id: "db",
+                queue_wait: Duration::ZERO,
+                exec_time: latency,
+                latency,
+                batch_size: 2,
+                sql_hash: 0,
+                trace: None,
+            };
+            t.record(&Completion { reply: Ok(reply), work: Some(work) }, Duration::ZERO);
+        }
+        t.batch(2);
+        let s = t.snapshot();
+        assert_eq!((s.submitted, s.completed), (2, 2), "completed sums over methods");
+        assert_eq!(t.completed(), 2);
         assert_eq!(s.cache_hit_rate, 0.5);
         assert_eq!(s.mean_batch_size, 2.0);
         assert_eq!(s.lost(), 0);

@@ -24,6 +24,11 @@ use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+/// Entries the service's slow-query log keeps (top-K by latency).
+pub const SLOW_LOG_K: usize = 32;
+/// Lock-taking slow-log admissions the service allows per second.
+pub const SLOW_LOG_RATE_PER_SEC: u64 = 64;
+
 /// One admitted slow query.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SlowQueryEntry {

@@ -1,15 +1,78 @@
-//! The service's labeled telemetry plane: registry families keyed by
-//! method and failure kind, the sliding-window ring, and the slow-query
-//! log, built once at service start so the request hot path only touches
-//! pre-registered lock-free cells.
+//! The service's one accounting plane. Every answered request becomes one
+//! [`Completion`]; [`Telemetry::record`] is the only code that writes the
+//! labeled registry families (keyed by method, outcome and failure kind),
+//! the sliding-window ring and the slow-query log, and
+//! [`Telemetry::snapshot`] derives the public [`MetricsSnapshot`] from
+//! those same cells — there is no second set of counters to keep in
+//! agreement. Cells are pre-registered at service start, so recording only
+//! touches lock-free atomics.
 
-use crate::slowlog::SlowLog;
-use crate::window::{WindowRing, WindowReport};
-use crate::ServeConfig;
+use crate::metrics::MetricsSnapshot;
+use crate::slowlog::{SlowLog, SlowQueryEntry, SLOW_LOG_K, SLOW_LOG_RATE_PER_SEC};
+use crate::trace::RequestTrace;
+use crate::window::{WindowReport, WindowRing, WINDOW_BUCKETS, WINDOW_BUCKET_MS};
+use crate::{QueryError, QueryReply};
 use nl2sql360::ExecFailureKind;
-use obs::{bucket_upper_bound, Counter, Gauge, Histogram, Registry, HIST_BUCKETS};
+use obs::{
+    bucket_upper_bound, AtomicHistogram, Counter, Gauge, HistSnapshot, Histogram, Registry,
+    HIST_BUCKETS,
+};
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
+
+/// The one record of an answered request, handed to `Inner::complete`.
+pub(crate) struct Completion<'a> {
+    /// What the caller receives.
+    pub reply: QueryReply,
+    /// What the worker that answered measured; `None` when admission
+    /// answered (unknown method or question, overloaded) — such a request
+    /// never queued, so it has no method cell, timings, batch or trace.
+    pub work: Option<Work<'a>>,
+}
+
+/// The worker's side of a [`Completion`].
+pub(crate) struct Work<'a> {
+    /// Index of the method that ran (into `Inner::models`).
+    pub method: usize,
+    pub db_id: &'a str,
+    /// Enqueue → worker pickup.
+    pub queue_wait: Duration,
+    /// Worker pickup → answer.
+    pub exec_time: Duration,
+    /// Enqueue → answer.
+    pub latency: Duration,
+    pub batch_size: usize,
+    /// FNV-1a of the cache key, for the slow log; 0 unless the reply is ok.
+    pub sql_hash: u64,
+    /// The request's open span tree; `None` when tracing is off.
+    pub trace: Option<RequestTrace<'a>>,
+}
+
+// Outcome labels: the values of `serve_responses_total{outcome}` and
+// `serve_admission_rejects_total{reason}`, and a root span's `outcome=`.
+const OK: &str = "ok";
+const DEADLINE_EXCEEDED: &str = "deadline_exceeded";
+const REFUSED: &str = "refused";
+const STATIC_REJECTED: &str = "static_rejected";
+const UNKNOWN_METHOD: &str = "unknown_method";
+const UNKNOWN_QUESTION: &str = "unknown_question";
+const OVERLOADED: &str = "overloaded";
+
+/// The label `reply` carries everywhere its outcome is exported.
+pub(crate) fn outcome_label(reply: &QueryReply) -> &'static str {
+    match reply {
+        Ok(_) => OK,
+        Err(QueryError::DeadlineExceeded) => DEADLINE_EXCEEDED,
+        Err(QueryError::TranslationRefused) => REFUSED,
+        Err(QueryError::StaticRejected(_)) => STATIC_REJECTED,
+        Err(QueryError::UnknownMethod(_)) => UNKNOWN_METHOD,
+        Err(QueryError::UnknownQuestion) => UNKNOWN_QUESTION,
+        Err(QueryError::Overloaded) => OVERLOADED,
+        // never completed: it is what a ticket reads when no reply came
+        Err(QueryError::Internal) => "internal",
+    }
+}
 
 /// The windows exported on `/metrics` (label value, width). Longer
 /// windows clamp to the ring's coverage at scrape time.
@@ -20,55 +83,62 @@ const EXPORTED_WINDOWS: [(&str, Duration); 3] = [
 ];
 
 /// Pre-registered cells for one served method.
-pub(crate) struct MethodCells {
-    /// `serve_requests_total{method=...}` — requests a worker picked up.
-    pub requests: Counter,
-    /// `serve_responses_total{method,outcome="ok"}`.
-    pub ok: Counter,
-    /// `outcome="deadline_exceeded"`.
-    pub deadline: Counter,
-    /// `outcome="refused"`.
-    pub refused: Counter,
-    /// `outcome="static_rejected"`.
-    pub static_rejected: Counter,
-    /// `serve_latency_us{method=...}` — submit-to-response.
-    pub latency: Histogram,
-    /// `serve_exec_us{method=...}` — worker pickup-to-response.
-    pub exec: Histogram,
+struct MethodCells {
+    name: String,
+    /// `serve_requests_total{method=...}` — requests a worker answered.
+    /// Counted at completion like everything else (the HELP text still
+    /// says "picked up": `/metrics` is byte-pinned), so a request stuck
+    /// mid-pipeline is not in here yet and this never exceeds Σ responses.
+    requests: Counter,
+    /// `serve_responses_total{method,outcome}`, one cell per worker outcome.
+    ok: Counter,
+    deadline: Counter,
+    refused: Counter,
+    static_rejected: Counter,
+    /// `serve_latency_us{method=...}` — submit-to-response, every outcome.
+    latency: Histogram,
+    /// `serve_exec_us{method=...}` — worker pickup-to-response, ok only.
+    exec: Histogram,
 }
 
-/// All live-telemetry state; one instance per running service.
+/// All accounting state; one instance per running service.
 pub(crate) struct Telemetry {
-    /// Master switch: when false the cells exist but nothing records into
-    /// them (used to measure the plane's own overhead and to pin that
-    /// outcomes never depend on it).
-    pub enabled: bool,
-    pub registry: Registry,
+    registry: Registry,
     /// Indexed like `Inner::models`.
-    pub per_method: Vec<MethodCells>,
+    per_method: Vec<MethodCells>,
     /// Indexed by `ExecFailureKind as usize`.
-    pub exec_failures: Vec<Counter>,
+    exec_failures: Vec<Counter>,
     /// Indexed by `sqlcheck::Rule as usize` (registry declaration order).
-    pub static_rejects: Vec<Counter>,
-    pub cache_hit: Counter,
-    pub cache_miss: Counter,
-    pub rejected_overloaded: Counter,
-    pub unknown_method: Counter,
-    pub unknown_question: Counter,
-    pub queue_wait: Histogram,
-    pub queue_depth: Gauge,
-    pub ready: Gauge,
-    pub windows: WindowRing,
-    pub slow: SlowLog,
+    static_rejects: Vec<Counter>,
+    cache_hit: Counter,
+    cache_miss: Counter,
+    rejected_overloaded: Counter,
+    unknown_method: Counter,
+    unknown_question: Counter,
+    /// `serve_queue_wait_us` — known at pickup, recorded at completion.
+    queue_wait: Histogram,
+    queue_depth: Gauge,
+    ready: Gauge,
+    windows: WindowRing,
+    slow: SlowLog,
+    // The quantities below have no exported family; they exist for
+    // `MetricsSnapshot` alone.
+    /// Requests accepted into the queue.
+    admitted: AtomicU64,
+    /// Worker dequeue rounds, and the requests they carried.
+    batches: AtomicU64,
+    batched_requests: AtomicU64,
+    /// Latency of ok replies only (`serve_latency_us` covers every outcome).
+    ok_latency: AtomicHistogram,
 }
 
 /// Prometheus-safe form of an [`ExecFailureKind`] label.
-pub(crate) fn kind_label(kind: ExecFailureKind) -> String {
+fn kind_label(kind: ExecFailureKind) -> String {
     kind.label().replace(' ', "_")
 }
 
 impl Telemetry {
-    pub(crate) fn new(method_names: &[&str], config: &ServeConfig) -> Telemetry {
+    pub(crate) fn new(method_names: &[&str]) -> Telemetry {
         let registry = Registry::new();
         let requests = registry.counter_vec(
             "serve_requests_total",
@@ -93,11 +163,12 @@ impl Telemetry {
         let per_method = method_names
             .iter()
             .map(|m| MethodCells {
+                name: m.to_string(),
                 requests: requests.with(&[m]),
-                ok: responses.with(&[m, "ok"]),
-                deadline: responses.with(&[m, "deadline_exceeded"]),
-                refused: responses.with(&[m, "refused"]),
-                static_rejected: responses.with(&[m, "static_rejected"]),
+                ok: responses.with(&[m, OK]),
+                deadline: responses.with(&[m, DEADLINE_EXCEEDED]),
+                refused: responses.with(&[m, REFUSED]),
+                static_rejected: responses.with(&[m, STATIC_REJECTED]),
                 latency: latency.with(&[m]),
                 exec: exec.with(&[m]),
             })
@@ -128,15 +199,14 @@ impl Telemetry {
             &["reason"],
         );
         Telemetry {
-            enabled: config.telemetry,
             per_method,
             exec_failures,
             static_rejects,
             cache_hit: cache.with(&["hit"]),
             cache_miss: cache.with(&["miss"]),
-            rejected_overloaded: rejects.with(&["overloaded"]),
-            unknown_method: rejects.with(&["unknown_method"]),
-            unknown_question: rejects.with(&["unknown_question"]),
+            rejected_overloaded: rejects.with(&[OVERLOADED]),
+            unknown_method: rejects.with(&[UNKNOWN_METHOD]),
+            unknown_question: rejects.with(&[UNKNOWN_QUESTION]),
             queue_wait: registry
                 .histogram_vec(
                     "serve_queue_wait_us",
@@ -154,16 +224,167 @@ impl Telemetry {
                     &[],
                 )
                 .with(&[]),
-            windows: WindowRing::new(config.window_bucket_ms, config.window_buckets),
-            slow: SlowLog::new(config.slow_log_k, config.slow_log_rate_per_sec),
+            windows: WindowRing::new(WINDOW_BUCKET_MS, WINDOW_BUCKETS),
+            slow: SlowLog::new(SLOW_LOG_K, SLOW_LOG_RATE_PER_SEC),
             registry,
+            admitted: AtomicU64::new(0),
+            batches: AtomicU64::new(0),
+            batched_requests: AtomicU64::new(0),
+            ok_latency: AtomicHistogram::default(),
         }
+    }
+
+    /// One request entered the queue.
+    pub(crate) fn admitted(&self) {
+        self.admitted.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// One worker dequeue round carrying `requests` same-method requests.
+    pub(crate) fn batch(&self, requests: usize) {
+        self.batches.fetch_add(1, Ordering::Relaxed);
+        self.batched_requests.fetch_add(requests as u64, Ordering::Relaxed);
+    }
+
+    /// Account one answered request; `now` is service-relative.
+    pub(crate) fn record(&self, c: &Completion<'_>, now: Duration) {
+        let Some(w) = &c.work else {
+            return match &c.reply {
+                Err(QueryError::UnknownMethod(_)) => self.unknown_method.inc(),
+                Err(QueryError::UnknownQuestion) => self.unknown_question.inc(),
+                _ => self.rejected_overloaded.inc(),
+            };
+        };
+        let cells = &self.per_method[w.method];
+        cells.requests.inc();
+        self.queue_wait.record_duration(w.queue_wait);
+        cells.latency.record_duration(w.latency);
+        let latency_us = w.latency.as_micros() as u64;
+        let at_ms = now.as_millis() as u64;
+        let error = match &c.reply {
+            Ok(r) => {
+                cells.ok.inc();
+                cells.exec.record_duration(w.exec_time);
+                self.ok_latency.record(latency_us);
+                if r.cache_hit { &self.cache_hit } else { &self.cache_miss }.inc();
+                if let Some(kind) = r.exec_failure {
+                    self.exec_failures[kind as usize].inc();
+                }
+                self.slow.offer(
+                    at_ms,
+                    SlowQueryEntry {
+                        sql_hash: w.sql_hash,
+                        method: cells.name.clone(),
+                        db_id: w.db_id.to_string(),
+                        latency_us,
+                        queue_wait_us: w.queue_wait.as_micros() as u64,
+                        exec_us: w.exec_time.as_micros() as u64,
+                        cache_hit: r.cache_hit,
+                        at_ms,
+                        trace_id: r.trace_id.clone(),
+                    },
+                );
+                r.exec_failure.is_some()
+            }
+            Err(QueryError::DeadlineExceeded) => {
+                cells.deadline.inc();
+                true
+            }
+            Err(QueryError::StaticRejected(ids)) => {
+                cells.static_rejected.inc();
+                for rule in ids.iter().filter_map(|id| sqlcheck::Rule::from_id(id)) {
+                    self.static_rejects[rule as usize].inc();
+                }
+                true
+            }
+            // `TranslationRefused`: the last way a worker answers
+            Err(_) => {
+                cells.refused.inc();
+                true
+            }
+        };
+        self.windows.record(now, latency_us, error);
+    }
+
+    /// Successful responses so far — the counters only, for callers (the
+    /// cluster heartbeat) that would otherwise build a whole snapshot.
+    pub(crate) fn completed(&self) -> u64 {
+        self.per_method.iter().map(|c| c.ok.get()).sum()
+    }
+
+    /// The public point-in-time view, summed over the per-method cells.
+    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
+        let sum = |cell: fn(&MethodCells) -> &Counter| -> u64 {
+            self.per_method.iter().map(|c| cell(c).get()).sum()
+        };
+        let unresolved = self.unknown_method.get() + self.unknown_question.get();
+        // `submitted` is read first so a racing request can only make
+        // `lost()` transiently negative, which it clamps.
+        let submitted = self.admitted.load(Ordering::Relaxed) + unresolved;
+        let static_rejected = sum(|c| &c.static_rejected);
+        let (hits, misses) = (self.cache_hit.get(), self.cache_miss.get());
+        let batches = self.batches.load(Ordering::Relaxed);
+        let batched = self.batched_requests.load(Ordering::Relaxed);
+        let (mut buckets, mut exec_sum) = ([0u64; HIST_BUCKETS], 0u64);
+        for cells in &self.per_method {
+            cells.exec.inner().accumulate(&mut buckets, &mut exec_sum);
+        }
+        let exec =
+            HistSnapshot { buckets: buckets.to_vec(), count: buckets.iter().sum(), sum: exec_sum };
+        let latency = self.ok_latency.snapshot();
+        let queue = self.queue_wait.inner().snapshot();
+        let q = |h: &HistSnapshot, q: f64| h.quantile(q).map(Duration::from_micros);
+        MetricsSnapshot {
+            submitted,
+            completed: self.completed(),
+            rejected_overloaded: self.rejected_overloaded.get(),
+            deadline_exceeded: sum(|c| &c.deadline),
+            failed: unresolved + sum(|c| &c.refused) + static_rejected,
+            static_rejected,
+            cache_hits: hits,
+            cache_misses: misses,
+            cache_hit_rate: if hits + misses == 0 {
+                0.0
+            } else {
+                hits as f64 / (hits + misses) as f64
+            },
+            mean_batch_size: if batches == 0 { 0.0 } else { batched as f64 / batches as f64 },
+            p50: q(&latency, 0.50),
+            p95: q(&latency, 0.95),
+            p99: q(&latency, 0.99),
+            queue_p50: q(&queue, 0.50),
+            queue_p95: q(&queue, 0.95),
+            queue_p99: q(&queue, 0.99),
+            exec_p50: q(&exec, 0.50),
+            exec_p95: q(&exec, 0.95),
+            exec_p99: q(&exec, 0.99),
+            exec_failures: ExecFailureKind::ALL
+                .iter()
+                .map(|&k| (k, self.exec_failures[k as usize].get()))
+                .filter(|&(_, n)| n > 0)
+                .collect(),
+        }
+    }
+
+    /// Point-in-time gauges are set at scrape time, not on the hot path.
+    pub(crate) fn set_gauges(&self, queue_depth: usize, ready: bool) {
+        self.queue_depth.set(queue_depth as u64);
+        self.ready.set(u64::from(ready));
     }
 
     /// Windowed aggregate over the last `window` (clamped to ring
     /// coverage); `now` is service-relative.
     pub(crate) fn window_report(&self, now: Duration, window: Duration) -> WindowReport {
         self.windows.report(now, window)
+    }
+
+    /// Current slow-query log, slowest first.
+    pub(crate) fn slow_entries(&self) -> Vec<SlowQueryEntry> {
+        self.slow.entries()
+    }
+
+    /// The `/metrics.json` body: the registry families as JSON.
+    pub(crate) fn render_json(&self) -> String {
+        self.registry.render_json()
     }
 
     /// The exposition body served on `/metrics`: the service registry

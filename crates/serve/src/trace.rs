@@ -94,6 +94,10 @@ struct TraceEntry {
     flushed: bool,
 }
 
+/// Traces a service's (or the scheduler's) store retains before evicting
+/// the oldest.
+pub const TRACE_CAPACITY: usize = 1024;
+
 /// Bounded per-service span store; see the module docs.
 pub struct TraceStore {
     capacity: usize,

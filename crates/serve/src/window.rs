@@ -23,6 +23,12 @@ use obs::{AtomicHistogram, HistSnapshot, HIST_BUCKETS};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
+/// Width of one interval bucket of the service's ring, in milliseconds.
+pub const WINDOW_BUCKET_MS: u64 = 250;
+/// Interval buckets in the service's ring: 250 ms × 256 = 64 s of history,
+/// enough to answer the widest exported window (60 s).
+pub const WINDOW_BUCKETS: usize = 256;
+
 /// Tag value for a bucket that has never been written.
 const EMPTY: u64 = u64::MAX;
 

@@ -6,7 +6,7 @@
 use datagen::{generate_corpus, Corpus, CorpusConfig, CorpusKind, Sample};
 use modelzoo::{Nl2SqlModel, Prediction, TranslationTask};
 use nl2sql360::EvalContext;
-use serve::admin::http_get;
+use serve::http::http_get;
 use serve::{QueryError, QueryRequest, ServeConfig, Service};
 use std::collections::BTreeMap;
 use std::sync::mpsc;
@@ -292,7 +292,6 @@ fn readyz_saturation_reason_reports_queue_numbers() {
     let config = ServeConfig::builder()
         .workers(1)
         .queue_capacity(10)
-        .unready_queue_pct(50)
         .admin_addr("127.0.0.1:0".parse().unwrap())
         .build()
         .expect("valid config");
@@ -300,15 +299,18 @@ fn readyz_saturation_reason_reports_queue_numbers() {
     Service::run(config, &ctx, models, |handle| {
         let addr = handle.admin_addr().expect("admin endpoint configured");
         let sample = &corpus.dev[0];
-        // wedge the single worker, then queue past the 50% threshold
+        // wedge the single worker, then queue up to the constant
+        // `UNREADY_QUEUE_PCT` (90%) threshold: 8/10 is still ready, 9/10 not
         let mut tickets = vec![handle.submit(request(sample, 0, "Gate")).expect("admitted")];
         started_rx.recv_timeout(Duration::from_secs(5)).expect("worker wedged");
-        for _ in 0..6 {
+        for _ in 0..8 {
             tickets.push(handle.submit(request(sample, 0, "Gate")).expect("admitted"));
         }
-        let reason = handle.readiness().expect_err("6/10 queued >= 50% must be unready");
+        assert!(handle.ready(), "8/10 queued is under the threshold");
+        tickets.push(handle.submit(request(sample, 0, "Gate")).expect("admitted"));
+        let reason = handle.readiness().expect_err("9/10 queued >= 90% must be unready");
         assert!(
-            reason.contains("saturated: queue 6/10") && reason.contains("50%"),
+            reason.contains("saturated: queue 9/10") && reason.contains("90%"),
             "reason must carry the numbers: {reason}"
         );
         let (status, body) = http_get(addr, "/readyz").expect("readyz while saturated");

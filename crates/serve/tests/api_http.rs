@@ -9,7 +9,7 @@
 use datagen::{generate_corpus, Corpus, CorpusConfig, CorpusKind, Sample};
 use modelzoo::{method_by_name, Nl2SqlModel, Prediction, SimulatedModel, TranslationTask};
 use nl2sql360::{EvalContext, EvalOptions, Filter};
-use serve::admin::{http_get, http_post};
+use serve::http::{http_get, http_post};
 use serve::{QueryRequest, ServeConfig, Service};
 use std::net::SocketAddr;
 use std::sync::mpsc;
@@ -249,7 +249,6 @@ fn refusal_surface_speaks_json_and_proper_statuses() {
     let config = ServeConfig::builder()
         .workers(1)
         .admin_addr("127.0.0.1:0".parse().unwrap())
-        .max_body_bytes(256)
         .build()
         .expect("valid config");
     Service::run_with_methods(config, &ctx, &["C3SQL"], |handle| {
@@ -267,9 +266,8 @@ fn refusal_surface_speaks_json_and_proper_statuses() {
         let (status, _) = http_post(addr, "/v1/sql", "").expect("empty body");
         assert_eq!(status, 400);
 
-        // a body past max_body_bytes → 413 before any parsing
-        let oversized = format!(r#"{{"sql": "SELECT {}"}}"#, "1 + ".repeat(200));
-        assert!(oversized.len() > 256);
+        // a body one byte past MAX_BODY_BYTES → 413 before any parsing
+        let oversized = "x".repeat(serve::http::MAX_BODY_BYTES + 1);
         let (status, reply) = http_post(addr, "/v1/sql", &oversized).expect("oversized");
         assert_eq!(status, 413, "{reply}");
         let v: serde::Value = serde_json::from_str(&reply).expect("413 is JSON too");

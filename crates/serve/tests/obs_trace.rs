@@ -1,8 +1,8 @@
-//! Serve ↔ obs ↔ minidb reconciliation: with `ServeConfig { trace: true }`
-//! the obs counters recorded during a service run must agree with the
-//! service's own metrics AND with minidb's dispatch accounting — every
-//! execution-cache miss is exactly one `run_query` dispatch, every hit is
-//! zero. Runs in its own test binary because the obs recorder is global.
+//! Serve ↔ obs ↔ minidb reconciliation: with the obs recorder enabled
+//! around a service run, minidb's dispatch accounting must agree with the
+//! service's own cache metrics — every execution-cache miss is exactly one
+//! `run_query` dispatch, every hit is zero. Runs in its own test binary
+//! because the obs recorder is global.
 
 use datagen::{generate_corpus, CorpusConfig, CorpusKind};
 use nl2sql360::EvalContext;
@@ -31,11 +31,9 @@ fn trace_counters_reconcile_cache_with_minidb_dispatch() {
     let ctx = EvalContext::new(&corpus);
     obs::reset();
 
-    let config = ServeConfig::builder()
-        .workers(2)
-        .trace(true)
-        .build()
-        .expect("valid config");
+    let config = ServeConfig::builder().workers(2).build().expect("valid config");
+    // Recorder on for the service's lifetime, restored when the guard drops.
+    let recording = obs::enable();
     let (metrics, mid) = Service::run_with_methods(config, &ctx, &["C3SQL"], |handle| {
         // round 1: distinct questions — all execution-cache misses
         for sample in corpus.dev.iter().take(10) {
@@ -51,10 +49,9 @@ fn trace_counters_reconcile_cache_with_minidb_dispatch() {
         (handle.metrics(), mid)
     });
 
+    drop(recording);
+
     let snap = obs::snapshot();
-    // obs counters mirror the service's own cache metrics
-    assert_eq!(snap.counter("serve.exec_cache.hit"), metrics.cache_hits);
-    assert_eq!(snap.counter("serve.exec_cache.miss"), metrics.cache_misses);
     assert_eq!(metrics.cache_hits, 10);
     assert_eq!(metrics.cache_misses, 10);
 
@@ -74,12 +71,10 @@ fn trace_counters_reconcile_cache_with_minidb_dispatch() {
          (round1={round1}, round2={round2})"
     );
 
-    // the request span and both halves of the latency split were recorded
-    assert!(snap.events.iter().any(|e| e.name == "serve.request"));
-    let qw = snap.histograms.get("serve.queue_wait").expect("queue-wait histogram");
-    let ex = snap.histograms.get("serve.exec").expect("exec histogram");
-    assert_eq!(qw.count, 20);
-    assert_eq!(ex.count, metrics.completed);
+    // one request span per served request
+    let request_spans = snap.events.iter().filter(|e| e.name == "serve.request").count();
+    assert_eq!(request_spans as u64, metrics.completed);
+    assert_eq!(metrics.completed, 20);
 
     // per-operator work charged during serving flows through too
     assert!(snap.counter("minidb.work.total") > 0);
@@ -99,7 +94,7 @@ fn untraced_service_records_no_obs_data() {
         }
     });
     let snap = obs::snapshot();
-    assert!(snap.events.is_empty(), "trace: false must record nothing");
+    assert!(snap.events.is_empty(), "a disabled recorder must record nothing");
     assert!(snap.counters.is_empty());
     assert!(snap.histograms.is_empty());
 }

@@ -71,7 +71,7 @@ fn traced_request_yields_span_tree_and_warehouse_rows() {
         // the HTTP endpoint serves the same assembled tree
         let admin = handle.admin_addr().expect("admin bound");
         let (status, body) =
-            serve::admin::http_get(admin, &format!("/v1/traces/{}", resp.trace_id))
+            serve::http::http_get(admin, &format!("/v1/traces/{}", resp.trace_id))
                 .expect("trace fetch");
         assert_eq!(status, 200, "{body}");
         assert!(body.contains(&resp.trace_id), "{body}");
@@ -114,7 +114,7 @@ fn untraced_service_mints_no_ids_and_refuses_trace_lookups() {
         assert!(resp.trace_id.is_empty(), "tracing off must mint no ids");
         assert!(handle.trace_spans("00000000000000ab").is_none());
         let admin = handle.admin_addr().expect("admin bound");
-        let (status, body) = serve::admin::http_get(admin, "/v1/traces/00000000000000ab")
+        let (status, body) = serve::http::http_get(admin, "/v1/traces/00000000000000ab")
             .expect("trace fetch");
         assert_eq!(status, 404, "{body}");
         // the warehouse tables exist but hold nothing

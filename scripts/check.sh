@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate: what must stay green on every commit.
 #
-#   ./scripts/check.sh            # build + tests (the hard gate)
+#   ./scripts/check.sh            # build (workspace + benchmark/) + tests (the hard gate)
 #   ./scripts/check.sh --lint     # also run clippy, warnings as errors
 #   ./scripts/check.sh --bench    # also smoke bench_eval and the repo benchmark
 #   ./scripts/check.sh --cluster  # also smoke the distributed serve plane
@@ -31,8 +31,20 @@ done
 echo "==> cargo build --release (workspace)"
 cargo build --offline --workspace --release
 
+# benchmark/ is its own package outside the workspace and is frozen
+# between benchmark PRs; building it here catches a change to the serve or
+# cluster API it uses before the benchmark driver does.
+echo "==> cargo build --release (benchmark/)"
+cargo build --offline --release --manifest-path benchmark/Cargo.toml
+
+# The run is kept in target/check-test.log so that a failure — the
+# intermittent ones above all — can be named after the fact.
 echo "==> cargo test (workspace)"
-cargo test --offline --workspace -q
+if ! cargo test --offline --workspace -q 2>&1 | tee target/check-test.log; then
+  echo "==> test run failed; from target/check-test.log:" >&2
+  grep -E 'FAILED|panicked at|^---- .* ----$|^error: test failed' target/check-test.log >&2 || true
+  exit 1
+fi
 
 if [ "$lint" -eq 1 ]; then
   echo "==> cargo clippy (-D warnings)"
@@ -62,9 +74,9 @@ if [ "$lint" -eq 1 ]; then
 
   # Observability overhead smoke: bench_eval runs the same evaluation with
   # tracing on and off; --validate fails if the disabled path regressed
-  # more than 5% after tracing ran (a recorder leaking past its guard), a
-  # disabled span+counter pair exceeds its ns budget, or the serve
-  # telemetry plane costs more than 5% of closed-loop throughput.
+  # more than 5% after tracing ran (a recorder leaking past its guard), or
+  # a disabled span+counter pair or a labeled registry cell pair exceeds
+  # its ns budget.
   echo "==> obs overhead smoke (bench_eval --quick --validate)"
   cargo run --offline --release -p nl2sql360-bench --bin bench_eval -- \
     --quick --out /tmp/BENCH_obs_smoke.json --validate
