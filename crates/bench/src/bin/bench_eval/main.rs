@@ -7,10 +7,12 @@
 //!    speedup over the 1-worker (sequential) run.
 //! 2. **Compiled query plans**: ns/op for the minidb AST interpreter vs
 //!    the compiled plan on join, group-by, order-by (with LIMIT), and
-//!    set-op microbenches, with the plan cache on (lower once, execute
-//!    many) and off (`run_query` re-lowers each call). A correlated
-//!    EXISTS filter rides along as the compile-fallback control: it runs
-//!    on the interpreter and is recorded, not gated. The same shapes also
+//!    set-op microbenches plus the two uncorrelated subquery shapes the
+//!    corpora hold (`id IN (SELECT fk ...)`, `col > (SELECT AVG(col)
+//!    ...)`), with the plan cache on (lower once, execute many) and off
+//!    (`run_query` re-lowers each call). A correlated EXISTS filter rides
+//!    along as the compile-fallback control: it runs on the interpreter
+//!    and is recorded, not gated. The same shapes also
 //!    feed a **columnar** record comparing the row-at-a-time compiled
 //!    executor (`execute_rowwise`) against the vectorized columnar one
 //!    (the default `execute`), per shape and in aggregate
@@ -204,6 +206,16 @@ fn bench_plans(iters: usize) -> PlanBench {
     let order_by =
         format!("SELECT id, {fk_col} FROM {child} ORDER BY {fk_col} DESC, id LIMIT 50");
     let set_op = format!("SELECT id FROM {child} UNION SELECT id FROM {parent}");
+    // the two subquery shapes the corpora hold (datagen's `InSubquery` and
+    // `ScalarSubquery` recipes): uncorrelated, compiled as sub-plan slots
+    let in_subquery =
+        format!("SELECT id FROM {parent} WHERE id IN (SELECT {fk_col} FROM {child})");
+    let scalar_subquery = format!(
+        "SELECT id FROM {child} WHERE {fk_col} > (SELECT AVG({fk_col}) FROM {child})"
+    );
+    // the control: `compile` declines a correlated subquery, so this runs on
+    // the interpreter and is recorded, not gated. Hand-written — no gold or
+    // predicted query in either corpus has this shape.
     let correlated = format!(
         "SELECT T1.id FROM {child} AS T1 WHERE EXISTS \
          (SELECT T2.id FROM {parent} AS T2 WHERE T2.id = T1.{fk_col})"
@@ -217,6 +229,8 @@ fn bench_plans(iters: usize) -> PlanBench {
         ("group_by", group_by),
         ("order_by", order_by),
         ("set_op", set_op),
+        ("in_subquery", in_subquery),
+        ("scalar_subquery", scalar_subquery),
         ("correlated", correlated),
     ] {
         let query = sqlkit::parse_query(&sql).expect("bench SQL parses");
@@ -800,7 +814,7 @@ fn main() {
     let plan_bench = bench_plans(plan_iters);
     for p in &plan_bench.plans {
         eprintln!(
-            "  {:<9} interpreter {:>9.0}ns  compiled {:>9.0}ns  cache-off {:>9.0}ns  speedup x{:.2}",
+            "  {:<15} interpreter {:>9.0}ns  compiled {:>9.0}ns  cache-off {:>9.0}ns  speedup x{:.2}",
             p.query, p.interpreter_ns, p.compiled_ns, p.cache_off_ns, p.speedup
         );
     }
@@ -809,12 +823,12 @@ fn main() {
     for p in &plan_bench.columnar {
         if p.fallback {
             eprintln!(
-                "  {:<10} interpreter {:>9.0}ns  (compile fallback; excluded from aggregate)",
+                "  {:<15} interpreter {:>9.0}ns  (compile fallback; excluded from aggregate)",
                 p.query, p.interpreter_ns
             );
         } else {
             eprintln!(
-                "  {:<10} rowwise {:>9.0}ns  columnar {:>9.0}ns  x{:.2} vs rowwise  x{:.2} vs interpreter",
+                "  {:<15} rowwise {:>9.0}ns  columnar {:>9.0}ns  x{:.2} vs rowwise  x{:.2} vs interpreter",
                 p.query, p.rowwise_ns, p.columnar_ns, p.speedup_vs_rowwise,
                 p.speedup_vs_interpreter
             );

@@ -3,8 +3,8 @@
 //! [`Worker::run`] regenerates the corpus from its seed (generation is
 //! deterministic, so every worker started with the same seed serves the
 //! same question set), starts [`serve::Service`] with the registry's
-//! simulated models, and layers two things on top inside the service
-//! scope:
+//! simulated models, and [`Worker::attach`]es it to the cluster — two
+//! things layered on top inside the service scope:
 //!
 //! * an **Execute listener**: each scheduler forwarder connection gets a
 //!   thread that reads [`Execute`](Message::Execute) frames and answers
@@ -120,50 +120,66 @@ impl Worker {
             serve_config.trace_process = config.worker_id.clone();
         }
         Service::run_with_methods(serve_config, &ctx, &methods, |handle| {
-            let listener = TcpListener::bind(config.listen)
-                .unwrap_or_else(|e| panic!("bind worker listener {}: {e}", config.listen));
-            listener.set_nonblocking(true).expect("worker listener nonblocking");
-            let serve_addr = listener.local_addr().expect("worker listener has an addr");
-            let stop = AtomicBool::new(false);
-            crossbeam::thread::scope(|scope| {
-                let stop_ref = &stop;
-                let config_ref = &config;
-                scope.spawn(move |scope| {
-                    // accept loop: one scoped thread per scheduler
-                    // forwarder connection, all joined before the service
-                    // drains
-                    loop {
-                        match listener.accept() {
-                            Ok((stream, _)) => {
-                                scope.spawn(move |_| execute_connection(stream, handle, stop_ref));
+            Self::attach(&config, handle, f)
+        })
+    }
+
+    /// Put a running engine on the cluster: bind the Execute listener,
+    /// register and heartbeat with the scheduler, run `f`, then stop both
+    /// and join their threads. [`Worker::run`] is this around the engine it
+    /// builds from `config`; a caller that needs a particular engine (a test
+    /// holding a model behind a gate) starts its own and attaches it. Uses
+    /// `config`'s identity, addresses, method list and heartbeat only.
+    ///
+    /// # Panics
+    /// Panics when the Execute listener cannot bind.
+    pub fn attach<R>(
+        config: &WorkerConfig,
+        handle: &ServiceHandle<'_>,
+        f: impl FnOnce(&WorkerRuntime<'_>) -> R,
+    ) -> R {
+        let listener = TcpListener::bind(config.listen)
+            .unwrap_or_else(|e| panic!("bind worker listener {}: {e}", config.listen));
+        listener.set_nonblocking(true).expect("worker listener nonblocking");
+        let serve_addr = listener.local_addr().expect("worker listener has an addr");
+        let stop = AtomicBool::new(false);
+        crossbeam::thread::scope(|scope| {
+            let stop_ref = &stop;
+            scope.spawn(move |scope| {
+                // accept loop: one scoped thread per scheduler
+                // forwarder connection, all joined before the service
+                // drains
+                loop {
+                    match listener.accept() {
+                        Ok((stream, _)) => {
+                            scope.spawn(move |_| execute_connection(stream, handle, stop_ref));
+                        }
+                        Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                            if stop_ref.load(Ordering::SeqCst) {
+                                return;
                             }
-                            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                                if stop_ref.load(Ordering::SeqCst) {
-                                    return;
-                                }
-                                std::thread::sleep(ACCEPT_POLL);
+                            std::thread::sleep(ACCEPT_POLL);
+                        }
+                        Err(_) => {
+                            if stop_ref.load(Ordering::SeqCst) {
+                                return;
                             }
-                            Err(_) => {
-                                if stop_ref.load(Ordering::SeqCst) {
-                                    return;
-                                }
-                                std::thread::sleep(ACCEPT_POLL);
-                            }
+                            std::thread::sleep(ACCEPT_POLL);
                         }
                     }
-                });
-                scope.spawn(move |_| heartbeat_loop(config_ref, handle, serve_addr, stop_ref));
-                let runtime = WorkerRuntime {
-                    serve_addr,
-                    admin_addr: handle.admin_addr(),
-                    stop: stop_ref,
-                };
-                let out = f(&runtime);
-                stop.store(true, Ordering::SeqCst);
-                out
-            })
-            .expect("worker thread panicked")
+                }
+            });
+            scope.spawn(move |_| heartbeat_loop(config, handle, serve_addr, stop_ref));
+            let runtime = WorkerRuntime {
+                serve_addr,
+                admin_addr: handle.admin_addr(),
+                stop: stop_ref,
+            };
+            let out = f(&runtime);
+            stop.store(true, Ordering::SeqCst);
+            out
         })
+        .expect("worker thread panicked")
     }
 }
 

@@ -11,10 +11,12 @@
 use cluster::{Scheduler, SchedulerConfig, Worker, WorkerConfig};
 use crossbeam::channel;
 use datagen::{generate_corpus, CorpusConfig, CorpusKind};
+use modelzoo::{method_by_name, Nl2SqlModel, Prediction, SimulatedModel, TranslationTask};
 use serve::proto::ClusterClient;
 use serve::{QueryReply, QueryRequest, ServeConfig, Service};
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::Duration;
 
@@ -79,9 +81,8 @@ struct EmbeddedWorker {
     join: thread::JoinHandle<()>,
 }
 
-fn spawn_worker(worker_id: &str, scheduler: SocketAddr, traced: bool) -> EmbeddedWorker {
-    let (stop, stop_rx) = channel::bounded::<()>(1);
-    let config = WorkerConfig {
+fn worker_config(worker_id: &str, scheduler: SocketAddr, traced: bool) -> WorkerConfig {
+    WorkerConfig {
         worker_id: worker_id.to_string(),
         scheduler: scheduler.to_string(),
         corpus_seed: CORPUS_SEED,
@@ -89,10 +90,89 @@ fn spawn_worker(worker_id: &str, scheduler: SocketAddr, traced: bool) -> Embedde
         serve: engine_config(traced),
         heartbeat: Duration::from_millis(100),
         ..WorkerConfig::default()
-    };
+    }
+}
+
+fn spawn_worker(worker_id: &str, scheduler: SocketAddr, traced: bool) -> EmbeddedWorker {
+    let (stop, stop_rx) = channel::bounded::<()>(1);
+    let config = worker_config(worker_id, scheduler, traced);
     let join = thread::spawn(move || {
         Worker::run(config, |_| {
             let _ = stop_rx.recv();
+        })
+    });
+    EmbeddedWorker { stop, join }
+}
+
+/// Lets the first [`Gate::FREE`] translations through, then holds every
+/// later one until opened. A worker behind it answers a few requests and
+/// then sits on in-flight work for as long as the test needs — no matter
+/// how fast the box is.
+struct Gate {
+    /// (translations let through so far, opened)
+    state: Mutex<(usize, bool)>,
+    opened: Condvar,
+}
+
+impl Gate {
+    const FREE: usize = 4;
+
+    fn pass(&self) {
+        let mut st = self.state.lock().expect("gate lock");
+        while !st.1 && st.0 >= Self::FREE {
+            st = self.opened.wait(st).expect("gate lock");
+        }
+        st.0 += 1;
+    }
+
+    fn open(&self) {
+        self.state.lock().expect("gate lock").1 = true;
+        self.opened.notify_all();
+    }
+}
+
+/// A registry model whose translations queue at a [`Gate`]; outcomes are
+/// the wrapped model's, so the byte-identity pin is untouched.
+struct Gated {
+    inner: SimulatedModel,
+    gate: Arc<Gate>,
+}
+
+impl Nl2SqlModel for Gated {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn translate(&self, task: &TranslationTask<'_>) -> Option<Prediction> {
+        self.gate.pass();
+        self.inner.translate(task)
+    }
+}
+
+/// [`spawn_worker`] with every model behind `gate`: the same engine
+/// `Worker::run` would build, attached to the cluster the same way.
+fn spawn_gated_worker(
+    worker_id: &str,
+    scheduler: SocketAddr,
+    traced: bool,
+    gate: Arc<Gate>,
+) -> EmbeddedWorker {
+    let (stop, stop_rx) = channel::bounded::<()>(1);
+    let config = worker_config(worker_id, scheduler, traced);
+    let join = thread::spawn(move || {
+        let corpus = generate_corpus(CorpusKind::Spider, &CorpusConfig::tiny(CORPUS_SEED));
+        let ctx = nl2sql360::EvalContext::new(&corpus);
+        let models: Vec<Box<dyn Nl2SqlModel>> = METHODS
+            .iter()
+            .map(|m| {
+                let inner = SimulatedModel::new(method_by_name(m).expect("registered"));
+                Box::new(Gated { inner, gate: Arc::clone(&gate) }) as Box<dyn Nl2SqlModel>
+            })
+            .collect();
+        Service::run(config.serve.clone(), &ctx, models, |handle| {
+            Worker::attach(&config, handle, |_| {
+                let _ = stop_rx.recv();
+            })
         })
     });
     EmbeddedWorker { stop, join }
@@ -111,8 +191,10 @@ struct ClusterStats {
 
 /// Drive `reqs` through an embedded cluster with `n_workers`, open loop.
 /// When `kill_after` is set, worker 0 is stopped after that many replies
-/// have been read, mid-burst. Returns outcomes in request order plus the
-/// scheduler's counters.
+/// have been read, mid-burst: it runs behind a [`Gate`], so by then it has
+/// answered [`Gate::FREE`] requests and is holding the rest of its shard,
+/// and the gate only opens once the scheduler has evicted it. Returns
+/// outcomes in request order plus the scheduler's counters.
 fn cluster_outcomes(
     reqs: &[QueryRequest],
     n_workers: usize,
@@ -143,17 +225,20 @@ fn cluster_outcomes(
         })
     });
     let (scheduler_addr, admin_addr) = addr_rx.recv().expect("scheduler binds");
+    let gate = Arc::new(Gate { state: Mutex::new((0, false)), opened: Condvar::new() });
     let mut workers: Vec<EmbeddedWorker> = (0..n_workers)
-        .map(|i| spawn_worker(&format!("w{i}"), scheduler_addr, traced))
+        .map(|i| match (i, kill_after) {
+            (0, Some(_)) => spawn_gated_worker("w0", scheduler_addr, traced, Arc::clone(&gate)),
+            _ => spawn_worker(&format!("w{i}"), scheduler_addr, traced),
+        })
         .collect();
+    let registered = |n: usize| match serve::http::http_get(admin_addr, "/workers") {
+        Ok((200, body)) => body.matches("\"worker_id\"").count() == n,
+        _ => false,
+    };
     // the burst only means anything once every worker owns ring arcs:
     // wait until all n registered (registration implies ready)
-    let all_ready = cluster::worker::wait_for(Duration::from_secs(30), || {
-        match serve::http::http_get(admin_addr, "/workers") {
-            Ok((200, body)) => body.matches("\"worker_id\"").count() == n_workers,
-            _ => false,
-        }
-    });
+    let all_ready = cluster::worker::wait_for(Duration::from_secs(30), || registered(n_workers));
     assert!(all_ready, "{n_workers} worker(s) never all registered");
 
     let mut client = ClusterClient::connect(&scheduler_addr.to_string(), Duration::from_secs(5))
@@ -173,9 +258,18 @@ fn cluster_outcomes(
         assert!(duplicate.is_none(), "request {id} answered twice");
         if let Some(n) = kill_after {
             if by_id.len() == n {
-                // take down worker 0 with most of the burst outstanding
+                // take down worker 0 with most of the burst outstanding:
+                // ask it to stop, see the scheduler evict it (and requeue
+                // what it held), and only then let its held work finish so
+                // its threads can be joined
                 let w0 = workers.remove(0);
-                stop_worker(w0);
+                drop(w0.stop);
+                let evicted = cluster::worker::wait_for(Duration::from_secs(30), || {
+                    registered(n_workers - 1)
+                });
+                assert!(evicted, "the scheduler never noticed worker 0 leaving");
+                gate.open();
+                w0.join.join().expect("worker thread exits cleanly");
             }
         }
     }

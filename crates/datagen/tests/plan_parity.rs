@@ -3,7 +3,10 @@
 //! ordered flag, and deterministic work units (the VES currency), or the
 //! same execution error.
 
-use datagen::{domain_by_name, generate_db, GeneratedDb, QueryGenerator, Recipe, SchemaProfile};
+use datagen::{
+    domain_by_name, generate_db, regenerate_content, GeneratedDb, QueryGenerator, Recipe,
+    SchemaProfile,
+};
 use minidb::exec;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -23,11 +26,10 @@ fn build_db(domain: &str, seed: u64) -> GeneratedDb {
 /// where the shape is eligible) — and assert observational identity:
 /// rows, columns, ordered flag, and deterministic work units (the VES
 /// currency), or the same execution error.
-/// Returns whether the query actually compiled (for vacuity accounting).
-fn check_parity(db: &GeneratedDb, sql: &str, query: &sqlkit::Query) -> bool {
-    let Some(plan) = minidb::compile(&db.database, query) else {
-        return false;
-    };
+/// Returns `None` when `compile` declined, else whether the plan is
+/// vectorized end to end (for vacuity accounting).
+fn check_parity(db: &GeneratedDb, sql: &str, query: &sqlkit::Query) -> Option<bool> {
+    let plan = minidb::compile(&db.database, query)?;
     let compiled = plan.execute(&db.database);
     let rowwise = plan.execute_rowwise(&db.database);
     let interpreted = exec::execute(&db.database, query);
@@ -58,7 +60,7 @@ fn check_parity(db: &GeneratedDb, sql: &str, query: &sqlkit::Query) -> bool {
             "`{sql}` outcome diverged: compiled {compiled:?} vs interpreted {interpreted:?}"
         ),
     }
-    true
+    Some(plan.is_vectorized())
 }
 
 /// Rebuild a database with most non-key cells replaced by NULL: validity
@@ -168,28 +170,65 @@ proptest! {
     }
 }
 
-/// The property tests above are vacuous if `compile` rejected everything;
-/// pin that a healthy share of the generated corpus actually takes the
-/// compiled path (subquery recipes legitimately fall back).
+/// The property tests above are vacuous if `compile` rejected everything.
+/// The healthy share is all of it: pin, per recipe, that every generated
+/// query takes the compiled path on the normal, the NULL-dense and the
+/// emptied database — and that the two subquery recipes (`col > (SELECT
+/// AVG/MAX ...)`, `id [NOT] IN (SELECT fk ...)`, the only subquery shapes
+/// either corpus holds) are vectorized end to end, sub-plan included,
+/// rather than landing on the row-wise path.
 #[test]
 fn a_healthy_share_of_generated_queries_compiles() {
     let db = build_db("College", 11);
+    let targets = [
+        ("normal", build_db("College", 11)),
+        ("null-dense", null_dense(&db, 41)),
+        ("emptied", emptied(&db)),
+    ];
     let qg = QueryGenerator::new(&db);
-    let mut generated = 0usize;
-    let mut compiled = 0usize;
-    for seed in 0..300u64 {
+    let mut generated = vec![0usize; Recipe::ALL.len()];
+    for seed in 0..400u64 {
         let mut rng = StdRng::seed_from_u64(seed);
-        let recipe = Recipe::ALL[(seed as usize) % Recipe::ALL.len()];
-        if let Some(g) = qg.generate(recipe, &mut rng) {
-            generated += 1;
-            if check_parity(&db, &g.sql, &g.query) {
-                compiled += 1;
+        let ri = (seed as usize) % Recipe::ALL.len();
+        let recipe = Recipe::ALL[ri];
+        let Some(g) = qg.generate(recipe, &mut rng) else { continue };
+        generated[ri] += 1;
+        for (label, target) in &targets {
+            let vectorized = check_parity(target, &g.sql, &g.query)
+                .unwrap_or_else(|| panic!("{recipe:?} on the {label} database declined: `{}`", g.sql));
+            if matches!(recipe, Recipe::ScalarSubquery | Recipe::InSubquery) {
+                assert!(vectorized, "{recipe:?} on the {label} database ran row-wise: `{}`", g.sql);
             }
         }
     }
-    assert!(generated >= 100, "only {generated} queries generated");
-    assert!(
-        compiled * 2 >= generated,
-        "only {compiled}/{generated} queries took the compiled path"
-    );
+    for (recipe, n) in Recipe::ALL.iter().zip(&generated) {
+        assert!(*n >= 10, "only {n} {recipe:?} queries generated");
+    }
+}
+
+/// One plan, many contents: the test-suite metric compiles a query once and
+/// re-executes it over `regenerate_content` instances. A sub-plan's recorded
+/// run lives in per-execution state, so every execution must answer for the
+/// database it was handed — including the original again afterwards.
+#[test]
+fn subquery_plans_are_reusable_across_regenerated_content() {
+    let db = build_db("College", 13);
+    let profile = SchemaProfile::spider();
+    let instances =
+        [regenerate_content(&db, &profile, 1), regenerate_content(&db, &profile, 2)];
+    let qg = QueryGenerator::new(&db);
+    let mut checked = 0;
+    for seed in 0..40u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let recipe = [Recipe::ScalarSubquery, Recipe::InSubquery][(seed % 2) as usize];
+        let Some(g) = qg.generate(recipe, &mut rng) else { continue };
+        let plan = minidb::compile(&db.database, &g.query).expect("subquery recipes compile");
+        for target in [&db, &instances[0], &instances[1], &db] {
+            let compiled = plan.execute(&target.database).expect("gold-shaped query executes");
+            let interpreted = exec::execute(&target.database, &g.query).expect("interpreter");
+            assert_eq!(compiled, interpreted, "`{}` on {}", g.sql, target.db_id);
+        }
+        checked += 1;
+    }
+    assert!(checked >= 20, "only {checked} subquery queries generated");
 }

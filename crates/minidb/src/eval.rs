@@ -33,6 +33,9 @@ pub(crate) const WORK_OPS: [(WorkOp, &str); 7] = [
     (WorkOp::SetOp, "minidb.work.set_op"),
 ];
 
+/// Work units per operator class, indexed like [`WORK_OPS`].
+pub(crate) type OpCharges = [u64; WORK_OPS.len()];
+
 /// Shared execution counters: deterministic work units plus a budget guard
 /// against runaway cross joins in corrupted predictions. Work is tagged by
 /// operator class ([`WorkOp`]) for latency/work attribution; the total is
@@ -70,6 +73,23 @@ impl Counters {
     /// Work charged against one operator class so far.
     pub(crate) fn op_work(&self, op: WorkOp) -> u64 {
         self.ops[op as usize].get()
+    }
+
+    /// Per-operator totals so far, indexed like [`WORK_OPS`].
+    pub(crate) fn op_totals(&self) -> OpCharges {
+        std::array::from_fn(|i| self.ops[i].get())
+    }
+
+    /// Charge a recorded per-operator delta again (see
+    /// [`crate::plan`]'s sub-plan slots): same totals per [`WorkOp`] and the
+    /// same budget trip as making the original charges one by one.
+    pub(crate) fn replay(&self, charges: &OpCharges) -> ExecResult<()> {
+        for ((op, _), &n) in WORK_OPS.iter().zip(charges) {
+            if n > 0 {
+                self.charge(*op, n)?;
+            }
+        }
+        Ok(())
     }
 
     /// Publish per-operator work to the global obs recorder. Free (one

@@ -28,6 +28,8 @@
 //! assert_eq!(rs.rows, vec![vec![Value::text("Ann")]]);
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 pub mod column;
 pub mod database;
 pub mod error;

@@ -215,7 +215,7 @@ impl std::hash::Hasher for KeyHasher {
     fn write(&mut self, bytes: &[u8]) {
         let mut chunks = bytes.chunks_exact(8);
         for c in &mut chunks {
-            self.mix(u64::from_le_bytes(c.try_into().unwrap()));
+            self.mix(u64::from_le_bytes(c.try_into().expect("chunks_exact(8) yields 8-byte chunks")));
         }
         let rest = chunks.remainder();
         if !rest.is_empty() {

@@ -26,23 +26,28 @@
 //! and the budget trip point both read them). Two facts make bulk charging
 //! sound: compiled non-aggregate expression evaluation is infallible (arity
 //! is validated at compile time, arithmetic edge cases yield NULL), and the
-//! only charge inside expression evaluation is the per-group-row unit of an
-//! argful aggregate. So per-op totals equal to the row path's imply the
-//! same success value and the same failure (`ResourceExhausted` depends
-//! only on the budget). Aggregates are pre-folded into [`CExpr::Pre`]
+//! only charges inside expression evaluation are the per-group-row unit of
+//! an argful aggregate and a sub-plan slot's recorded work. So per-op totals
+//! equal to the row path's imply the same success value and the same
+//! failure (`ResourceExhausted` depends only on the budget). A slot charges
+//! at *every* evaluation, so it only ever sits in the WHERE predicate, which
+//! stays one unsplit residual evaluated once per candidate row exactly like
+//! the row path; a slot anywhere else, or one that can raise
+//! (`CardinalityViolation`), keeps the core on the row path
+//! (`plan::compile_core` decides). Aggregates are pre-folded into [`CExpr::Pre`]
 //! slots only when every argful aggregate sits in a *strict* position —
 //! evaluated exactly once whenever its containing expression is evaluated —
 //! so the bulk `group-len × occurrences` charge reproduces the
 //! interpreter's per-row charges exactly. Anything else (short-circuited
-//! aggregates, CASE operands, nested joins, subquery fallbacks) declines
-//! vectorization at compile time and runs on the row path unchanged.
+//! aggregates, CASE operands, nested joins) declines vectorization at
+//! compile time and runs on the row path unchanged.
 
 use crate::column::{ColumnData, Zones, ZONE_ROWS};
-use crate::database::{Database, Table};
+use crate::database::Table;
 use crate::error::ExecResult;
-use crate::eval::{fold_aggregate, like_match, Counters, WorkOp};
+use crate::eval::{fold_aggregate, like_match, WorkOp};
 use crate::plan::{
-    ceval, scan_table, CExpr, CItem, CJoinStep, COrderKey, CompiledCore, RowView,
+    ceval, scan_table, CExpr, CItem, CJoinStep, COrderKey, CompiledCore, Exec, RowView,
 };
 use crate::result::ResultSet;
 use crate::value::{row_key_parts, KeyPart, Value};
@@ -304,29 +309,17 @@ fn strip_aggs(e: &CExpr, strict: bool, specs: &mut Vec<AggSpec>) -> Option<CExpr
             expr: Box::new(strip_aggs(expr, strict, specs)?),
             ty: ty.clone(),
         },
+        // a slot charges per evaluation, which the bulk per-group charges
+        // cannot reproduce; `compile_core` only lowers cores whose slots all
+        // sit in WHERE, so this is the backstop, not the policy
+        CExpr::InSub { .. } | CExpr::ExistsSub { .. } | CExpr::ScalarSub(_) => return None,
     })
 }
 
 fn contains_agg(e: &CExpr) -> bool {
-    match e {
-        CExpr::Lit(_) | CExpr::Col(_) | CExpr::Pre(_) => false,
-        CExpr::AggCountStar | CExpr::Agg { .. } => true,
-        CExpr::Func { args, .. } => args.iter().any(contains_agg),
-        CExpr::Binary { left, right, .. } => contains_agg(left) || contains_agg(right),
-        CExpr::Unary { expr, .. } | CExpr::IsNull { expr, .. } | CExpr::Cast { expr, .. } => {
-            contains_agg(expr)
-        }
-        CExpr::Between { expr, low, high, .. } => {
-            contains_agg(expr) || contains_agg(low) || contains_agg(high)
-        }
-        CExpr::InList { expr, list, .. } => contains_agg(expr) || list.iter().any(contains_agg),
-        CExpr::Like { expr, pattern, .. } => contains_agg(expr) || contains_agg(pattern),
-        CExpr::Case { operand, branches, else_expr } => {
-            operand.as_deref().map(contains_agg).unwrap_or(false)
-                || branches.iter().any(|(w, t)| contains_agg(w) || contains_agg(t))
-                || else_expr.as_deref().map(contains_agg).unwrap_or(false)
-        }
-    }
+    let mut found = false;
+    e.walk(&mut |n| found |= matches!(n, CExpr::AggCountStar | CExpr::Agg { .. }));
+    found
 }
 
 fn kernelize(e: &CExpr) -> Option<Kernel> {
@@ -467,10 +460,10 @@ impl Kernel {
                     CmpOp::Ne => true,
                 }
             }
-            Kernel::Between { negated: false, lo, hi, .. } => {
-                let (lo, hi) = (lo.as_f64().unwrap(), hi.as_f64().unwrap());
-                !(zmax < lo || zmin > hi)
-            }
+            Kernel::Between { negated: false, lo, hi, .. } => match (lo.as_f64(), hi.as_f64()) {
+                (Some(lo), Some(hi)) => !(zmax < lo || zmin > hi),
+                _ => true,
+            },
             _ => true,
         }
     }
@@ -483,27 +476,26 @@ impl Kernel {
             Kernel::Cmp { col, op, lit } => {
                 let c = t.column(*col);
                 let va = c.validity();
-                match (c.data(), lit) {
-                    (ColumnData::Int(d), Value::Int(b)) => {
+                match (c.data(), lit, lit.as_f64()) {
+                    (ColumnData::Int(d), Value::Int(b), _) => {
                         cand.retain(|&i| {
                             let i = i as usize;
                             va.get(i) && ord_passes(*op, d[i].cmp(b))
                         });
                     }
-                    (ColumnData::Int(d), Value::Real(b)) => {
+                    (ColumnData::Int(d), Value::Real(b), _) => {
                         cand.retain(|&i| {
                             let i = i as usize;
                             va.get(i) && ord_passes(*op, cmp_f64(d[i] as f64, *b))
                         });
                     }
-                    (ColumnData::Real(d), _) if lit.as_f64().is_some() => {
-                        let b = lit.as_f64().unwrap();
+                    (ColumnData::Real(d), _, Some(b)) => {
                         cand.retain(|&i| {
                             let i = i as usize;
                             va.get(i) && ord_passes(*op, cmp_f64(d[i], b))
                         });
                     }
-                    (ColumnData::Text(d), Value::Text(b)) => {
+                    (ColumnData::Text(d), Value::Text(b), _) => {
                         cand.retain(|&i| {
                             let i = i as usize;
                             va.get(i) && ord_passes(*op, d[i].as_str().cmp(b.as_str()))
@@ -620,9 +612,9 @@ enum JoinMap {
 }
 
 impl JoinMap {
-    fn build(rt: &Table, rcol: usize, counters: &Counters) -> ExecResult<Self> {
+    fn build(rt: &Table, rcol: usize, cx: &Exec<'_>) -> ExecResult<Self> {
         let n = rt.n_rows();
-        counters.charge(WorkOp::Join, n as u64)?;
+        cx.charge(WorkOp::Join, n as u64)?;
         let c = rt.column(rcol);
         Ok(match c.data() {
             ColumnData::Int(d) => {
@@ -669,22 +661,18 @@ impl JoinMap {
 
 /// Execute a lowered core. Charges exactly the per-[`WorkOp`] totals of the
 /// row-wise compiled path (itself parity-locked to the interpreter).
-pub(crate) fn exec_core(
-    db: &Database,
-    core: &CompiledCore,
-    v: &VecCore,
-    counters: &Counters,
-) -> ExecResult<ResultSet> {
+pub(crate) fn exec_core(cx: &Exec<'_>, core: &CompiledCore, v: &VecCore) -> ExecResult<ResultSet> {
+    let db = cx.db;
     let base = core.base.as_ref().expect("vectorized core always has a base scan");
     let base_t = scan_table(db, base)?;
     let n_base = base_t.n_rows();
-    counters.charge(WorkOp::Scan, n_base as u64)?;
+    cx.charge(WorkOp::Scan, n_base as u64)?;
 
     let rel = match &v.join {
         None => {
             let ids = if core.has_where {
-                counters.charge(WorkOp::Filter, n_base as u64)?;
-                select_base(base_t, &v.kernels, &v.residual, counters)?
+                cx.charge(WorkOp::Filter, n_base as u64)?;
+                select_base(base_t, &v.kernels, &v.residual, cx)?
             } else {
                 (0..n_base as u32).collect()
             };
@@ -694,8 +682,8 @@ pub(crate) fn exec_core(
         Some(j) => {
             let scan = &core.joins[0].1;
             let rt = scan_table(db, scan)?;
-            counters.charge(WorkOp::Scan, rt.n_rows() as u64)?;
-            let map = JoinMap::build(rt, j.rcol, counters)?;
+            cx.charge(WorkOp::Scan, rt.n_rows() as u64)?;
+            let map = JoinMap::build(rt, j.rcol, cx)?;
             let lc = base_t.column(j.lcol);
             let mut lids: Vec<u32> = Vec::new();
             let mut rids: Vec<u32> = Vec::new();
@@ -703,7 +691,7 @@ pub(crate) fn exec_core(
                 // pushdown shape: probe/emit/WHERE charges cover every base
                 // row (the row path prices phantom rows before filtering),
                 // but only selected base rows materialize join pairs
-                let sel = select_base(base_t, &v.kernels, &v.residual, counters)?;
+                let sel = select_base(base_t, &v.kernels, &v.residual, cx)?;
                 let mut sp = 0usize;
                 let mut emits = 0u64;
                 let mut filt = 0u64;
@@ -727,8 +715,8 @@ pub(crate) fn exec_core(
                         }
                     }
                 }
-                counters.charge(WorkOp::Join, n_base as u64 + emits)?;
-                counters.charge(WorkOp::Filter, filt)?;
+                cx.charge(WorkOp::Join, n_base as u64 + emits)?;
+                cx.charge(WorkOp::Filter, filt)?;
             } else {
                 // general shape: probe + emit charges, then one WHERE unit
                 // per joined row when a WHERE clause exists
@@ -746,9 +734,9 @@ pub(crate) fn exec_core(
                         }
                     }
                 }
-                counters.charge(WorkOp::Join, n_base as u64 + emits)?;
+                cx.charge(WorkOp::Join, n_base as u64 + emits)?;
                 if core.has_where {
-                    counters.charge(WorkOp::Filter, lids.len() as u64)?;
+                    cx.charge(WorkOp::Filter, lids.len() as u64)?;
                 }
             }
             let mut rel = Rel {
@@ -759,7 +747,7 @@ pub(crate) fn exec_core(
             };
             rel.len = rel.idx[0].len();
             if !core.where_rest.is_empty() {
-                retain_rel(&mut rel, &core.where_rest, counters)?;
+                retain_rel(&mut rel, &core.where_rest, cx)?;
             }
             rel
         }
@@ -767,24 +755,26 @@ pub(crate) fn exec_core(
 
     let mut keyed: Vec<(Vec<Value>, Vec<Value>)> = Vec::new();
     if let Some(agg) = &v.agg {
-        exec_agg(core, agg, &rel, counters, &mut keyed)?;
+        exec_agg(core, agg, &rel, cx, &mut keyed)?;
     } else {
-        counters.charge(WorkOp::Project, rel.len as u64)?;
-        return exec_project(core, &rel, counters);
+        cx.charge(WorkOp::Project, rel.len as u64)?;
+        return exec_project(core, &rel, cx);
     }
 
     finish(core, keyed)
 }
 
 /// Fused scan + filter: zone-pruned kernel passes build the selection
-/// vector; residual conjuncts evaluate per surviving row. All of this is
+/// vector; residual conjuncts evaluate per surviving row. Kernels are
 /// charge-free (the per-row WHERE units are bulk-charged by the caller) and
-/// infallible, so kernel order is unobservable.
+/// infallible, so their order is unobservable. A residual holding a
+/// sub-plan slot does charge, per evaluation — it is then the whole,
+/// unsplit predicate, so there are no kernels to skip rows ahead of it.
 fn select_base(
     t: &Table,
     kernels: &[Kernel],
     residual: &[CExpr],
-    counters: &Counters,
+    cx: &Exec<'_>,
 ) -> ExecResult<Vec<u32>> {
     let n = t.n_rows();
     let mut sel: Vec<u32> = Vec::new();
@@ -804,7 +794,7 @@ fn select_base(
                 let mut keep = Vec::with_capacity(cand.len());
                 for &i in &cand {
                     let view = TableRow { t, row: i as usize };
-                    if pass_all_view(counters, &view, residual)? {
+                    if pass_all_view(cx, &view, residual)? {
                         keep.push(i);
                     }
                 }
@@ -830,22 +820,22 @@ impl RowView for TableRow<'_> {
 }
 
 fn pass_all_view<R: RowView + ?Sized>(
-    counters: &Counters,
+    cx: &Exec<'_>,
     row: &R,
     preds: &[CExpr],
 ) -> ExecResult<bool> {
     for p in preds {
-        if ceval(counters, row, None, &[], p)?.truth() != Some(true) {
+        if ceval(cx, row, None, &[], p)?.truth() != Some(true) {
             return Ok(false);
         }
     }
     Ok(true)
 }
 
-fn retain_rel(rel: &mut Rel<'_>, preds: &[CExpr], counters: &Counters) -> ExecResult<()> {
+fn retain_rel(rel: &mut Rel<'_>, preds: &[CExpr], cx: &Exec<'_>) -> ExecResult<()> {
     let mut keep: Vec<usize> = Vec::with_capacity(rel.len);
     for row in 0..rel.len {
-        if pass_all_view(counters, &RelRow { rel, row }, preds)? {
+        if pass_all_view(cx, &RelRow { rel, row }, preds)? {
             keep.push(row);
         }
     }
@@ -870,7 +860,7 @@ fn exec_agg(
     core: &CompiledCore,
     agg: &AggPlan,
     rel: &Rel<'_>,
-    counters: &Counters,
+    cx: &Exec<'_>,
     keyed: &mut Vec<(Vec<Value>, Vec<Value>)>,
 ) -> ExecResult<()> {
     // group rows by key, first-encounter order
@@ -878,14 +868,14 @@ fn exec_agg(
     if core.group_by.is_empty() {
         groups.push((0..rel.len as u32).collect());
     } else {
-        counters.charge(WorkOp::Group, rel.len as u64)?;
+        cx.charge(WorkOp::Group, rel.len as u64)?;
         if !group_by_int_column(core, rel, &mut groups) {
             let mut index: HashMap<Vec<KeyPart>, usize> = HashMap::new();
             for row in 0..rel.len {
                 let view = RelRow { rel, row };
                 let mut key = Vec::with_capacity(core.group_by.len());
                 for g in &core.group_by {
-                    key.push(ceval(counters, &view, None, &[], g)?.key_part());
+                    key.push(ceval(cx, &view, None, &[], g)?.key_part());
                 }
                 let gi = *index.entry(key).or_insert_with(|| {
                     groups.push(Vec::new());
@@ -897,7 +887,7 @@ fn exec_agg(
     }
 
     for group in &groups {
-        counters.charge(WorkOp::Group, 1)?;
+        cx.charge(WorkOp::Group, 1)?;
         let glen = group.len() as u64;
         // Lazy head: non-aggregate column references read straight from the
         // columns of the group's first row instead of materializing the full
@@ -905,28 +895,27 @@ fn exec_agg(
         // columns out of a wide relation).
         let head = GroupHead { rel, row: group.first().map(|&r| r as usize) };
         if let Some(having) = &agg.having {
-            counters.charge(WorkOp::Group, glen * argful(&agg.having_specs))?;
-            let pre = fold_specs(rel, group, &agg.having_specs, counters)?;
-            if ceval(counters, &head, None, &pre, having)?.truth() != Some(true) {
+            cx.charge(WorkOp::Group, glen * argful(&agg.having_specs))?;
+            let pre = fold_specs(rel, group, &agg.having_specs, cx)?;
+            if ceval(cx, &head, None, &pre, having)?.truth() != Some(true) {
                 continue;
             }
         }
-        counters
-            .charge(WorkOp::Group, glen * (argful(&agg.item_specs) + argful(&agg.okey_specs)))?;
-        let pre_i = fold_specs(rel, group, &agg.item_specs, counters)?;
+        cx.charge(WorkOp::Group, glen * (argful(&agg.item_specs) + argful(&agg.okey_specs)))?;
+        let pre_i = fold_specs(rel, group, &agg.item_specs, cx)?;
         let mut out = Vec::with_capacity(agg.items.len());
         for item in &agg.items {
             match item {
                 CItem::Range(s, e) => out.extend((*s..*e).map(|off| head.cell(off))),
-                CItem::Expr(e) => out.push(ceval(counters, &head, None, &pre_i, e)?),
+                CItem::Expr(e) => out.push(ceval(cx, &head, None, &pre_i, e)?),
             }
         }
-        let pre_o = fold_specs(rel, group, &agg.okey_specs, counters)?;
+        let pre_o = fold_specs(rel, group, &agg.okey_specs, cx)?;
         let mut keys = Vec::with_capacity(agg.okeys.len());
         for k in &agg.okeys {
             keys.push(match k {
                 COrderKey::Projected(idx) => out[*idx].clone(),
-                COrderKey::Expr(e) => ceval(counters, &head, None, &pre_o, e)?,
+                COrderKey::Expr(e) => ceval(cx, &head, None, &pre_o, e)?,
             });
         }
         keyed.push((keys, out));
@@ -987,7 +976,7 @@ fn fold_specs(
     rel: &Rel<'_>,
     group: &[u32],
     specs: &[AggSpec],
-    counters: &Counters,
+    cx: &Exec<'_>,
 ) -> ExecResult<Vec<Value>> {
     let mut out = Vec::with_capacity(specs.len());
     for s in specs {
@@ -1004,7 +993,7 @@ fn fold_specs(
                 }
                 let mut vals = Vec::with_capacity(group.len());
                 for &row in group {
-                    let v = ceval(counters, &RelRow { rel, row: row as usize }, None, &[], arg)?;
+                    let v = ceval(cx, &RelRow { rel, row: row as usize }, None, &[], arg)?;
                     if !v.is_null() {
                         vals.push(v);
                     }
@@ -1093,7 +1082,7 @@ fn fold_int_col(rel: &Rel<'_>, group: &[u32], off: usize, func: AggFunc) -> Opti
 fn exec_project(
     core: &CompiledCore,
     rel: &Rel<'_>,
-    counters: &Counters,
+    cx: &Exec<'_>,
 ) -> ExecResult<ResultSet> {
     let project = |row: usize| -> ExecResult<Vec<Value>> {
         let view = RelRow { rel, row };
@@ -1105,7 +1094,7 @@ fn exec_project(
                         out.push(rel.cell(row, off));
                     }
                 }
-                CItem::Expr(e) => out.push(ceval(counters, &view, None, &[], e)?),
+                CItem::Expr(e) => out.push(ceval(cx, &view, None, &[], e)?),
             }
         }
         Ok(out)
@@ -1120,7 +1109,7 @@ fn exec_project(
             if !seen.insert(row_key_parts(&out)) {
                 continue;
             }
-            let keys = order_keys_for(core, rel, row, &out, counters)?;
+            let keys = order_keys_for(core, rel, row, &out, cx)?;
             keyed.push((keys, out));
         }
         return finish(core, keyed);
@@ -1134,9 +1123,9 @@ fn exec_project(
             let mut keys = Vec::with_capacity(core.order_keys.len());
             for k in &core.order_keys {
                 keys.push(match k {
-                    COrderKey::Projected(idx) => projected_pos_value(core, rel, row, *idx, counters)?,
+                    COrderKey::Projected(idx) => projected_pos_value(core, rel, row, *idx, cx)?,
                     COrderKey::Expr(e) => {
-                        ceval(counters, &RelRow { rel, row }, None, &[], e)?
+                        ceval(cx, &RelRow { rel, row }, None, &[], e)?
                     }
                 });
             }
@@ -1175,13 +1164,13 @@ fn order_keys_for(
     rel: &Rel<'_>,
     row: usize,
     projected: &[Value],
-    counters: &Counters,
+    cx: &Exec<'_>,
 ) -> ExecResult<Vec<Value>> {
     let mut keys = Vec::with_capacity(core.order_keys.len());
     for k in &core.order_keys {
         keys.push(match k {
             COrderKey::Projected(idx) => projected[*idx].clone(),
-            COrderKey::Expr(e) => ceval(counters, &RelRow { rel, row }, None, &[], e)?,
+            COrderKey::Expr(e) => ceval(cx, &RelRow { rel, row }, None, &[], e)?,
         });
     }
     Ok(keys)
@@ -1195,7 +1184,7 @@ fn projected_pos_value(
     rel: &Rel<'_>,
     row: usize,
     idx: usize,
-    counters: &Counters,
+    cx: &Exec<'_>,
 ) -> ExecResult<Value> {
     let mut acc = 0usize;
     for item in &core.items {
@@ -1209,7 +1198,7 @@ fn projected_pos_value(
             }
             CItem::Expr(e) => {
                 if idx == acc {
-                    return ceval(counters, &RelRow { rel, row }, None, &[], e);
+                    return ceval(cx, &RelRow { rel, row }, None, &[], e);
                 }
                 acc += 1;
             }

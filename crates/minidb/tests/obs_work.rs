@@ -78,6 +78,42 @@ fn per_op_work_sums_to_ves_work_on_both_paths() {
     obs::reset();
 }
 
+/// A sub-plan runs once and its recorded charges are replayed per
+/// evaluation, so not just the total but every operator class's share must
+/// match the interpreter, which re-executes the subquery per outer row.
+#[test]
+fn replayed_subquery_work_keeps_the_interpreters_per_op_attribution() {
+    let _g = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
+    let db = demo_db();
+    let sql = "SELECT name FROM users WHERE id IN \
+               (SELECT user_id FROM orders WHERE total > 100 GROUP BY user_id) \
+               AND id > (SELECT AVG(user_id) FROM orders)";
+    let query = sqlkit::parse_query(sql).unwrap();
+    let per_op = |snap: &obs::Snapshot| -> Vec<u64> {
+        WORK_COUNTERS.iter().map(|c| snap.counter(c)).collect()
+    };
+
+    obs::reset();
+    let interp = {
+        let _on = obs::enable();
+        minidb::exec::execute(&db, &query).unwrap()
+    };
+    let interp_ops = per_op(&obs::snapshot());
+
+    obs::reset();
+    let plan = minidb::compile(&db, &query).expect("uncorrelated subqueries compile");
+    let compiled = {
+        let _on = obs::enable();
+        plan.execute(&db).unwrap()
+    };
+    let snap = obs::snapshot();
+    assert_eq!(compiled, interp);
+    assert_eq!(per_op(&snap), interp_ops, "per-operator work, in WORK_COUNTERS order");
+    assert_eq!(op_sum(&snap), compiled.work);
+    assert!(snap.counter("minidb.work.group") > 0, "the sub-plan's grouping was charged");
+    obs::reset();
+}
+
 #[test]
 fn dispatch_counters_split_compiled_vs_interpreter() {
     let _g = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -87,7 +123,11 @@ fn dispatch_counters_split_compiled_vs_interpreter() {
         let _on = obs::enable();
         // compilable query -> compiled dispatch
         db.run("SELECT id FROM users WHERE id > 10").unwrap();
-        // correlated subquery does not lower -> interpreter dispatch
+        // an uncorrelated subquery is a sub-plan slot -> compiled dispatch,
+        // once for the statement (the sub-plan is not a dispatch of its own)
+        db.run("SELECT name FROM users WHERE id IN (SELECT user_id FROM orders WHERE total > 300)")
+            .unwrap();
+        // a correlated subquery does not lower -> interpreter dispatch
         db.run(
             "SELECT name FROM users WHERE id IN \
              (SELECT user_id FROM orders WHERE orders.user_id = users.id)",
@@ -96,11 +136,8 @@ fn dispatch_counters_split_compiled_vs_interpreter() {
         db.run("SELECT COUNT(*) FROM orders").unwrap();
     }
     let snap = obs::snapshot();
-    let compiled = snap.counter("minidb.dispatch.compiled");
-    let interp = snap.counter("minidb.dispatch.interpreter");
-    assert_eq!(compiled + interp, 3, "every run_query is dispatched exactly once");
-    assert!(compiled >= 1, "plain scans compile");
-    assert!(interp >= 1, "correlated subqueries fall back");
+    assert_eq!(snap.counter("minidb.dispatch.compiled"), 3, "scans and uncorrelated subqueries");
+    assert_eq!(snap.counter("minidb.dispatch.interpreter"), 1, "correlated subqueries fall back");
     obs::reset();
 }
 

@@ -136,17 +136,25 @@ fn raw_sql(body: &serde::Value, inner: &Inner, ctx: &EvalContext<'_>) -> Respons
             return Response::json_error(404, &format!("unknown database: {id}"));
         }
     }
+    // Text past the parser's nesting budget is a malformed request, refused
+    // here like any other bad body. Any other parse failure goes on to
+    // execution, which reports it as the engine's 422.
+    let parsed = sqlkit::parse_query(sql);
+    if let Err(e) = &parsed {
+        if e.kind == sqlkit::ErrorKind::NestingTooDeep {
+            return Response::json_error(400, &e.to_string());
+        }
+    }
     // Static admission mirrors the NL pipeline: with the check on,
-    // Error-severity diagnostics reject before execution. Queries that do
-    // not parse skip straight to execution, which reports the parse error.
+    // Error-severity diagnostics reject before execution.
     if inner.config.static_check {
-        if let Ok(query) = sqlkit::parse_query(sql) {
+        if let Ok(query) = &parsed {
             let catalog = match db_id {
                 Some(id) => inner.catalogs.get(id),
                 None => inner.evals.catalog.as_ref(),
             };
             if let Some(catalog) = catalog {
-                let mut fired: Vec<sqlcheck::Rule> = sqlcheck::analyze(catalog, &query)
+                let mut fired: Vec<sqlcheck::Rule> = sqlcheck::analyze(catalog, query)
                     .into_iter()
                     .filter(|d| d.severity == sqlcheck::Severity::Error)
                     .map(|d| d.rule)
@@ -164,10 +172,16 @@ fn raw_sql(body: &serde::Value, inner: &Inner, ctx: &EvalContext<'_>) -> Respons
             }
         }
     }
-    let executed = match db_id {
-        Some(id) => ctx.corpus.databases[id].database.run(sql),
-        None => inner.evals.store.lock().expect("eval store lock poisoned").sql(sql),
-    };
+    let executed = parsed.map_err(minidb::ExecError::from).and_then(|query| match db_id {
+        Some(id) => ctx.corpus.databases[id].database.run_query(&query),
+        None => inner
+            .evals
+            .store
+            .lock()
+            .expect("eval store lock poisoned")
+            .database()
+            .run_query(&query),
+    });
     match executed {
         Ok(rs) => Response::json(
             200,

@@ -276,6 +276,32 @@ fn refusal_surface_speaks_json_and_proper_statuses() {
             Some(&serde::Value::Int(413))
         );
 
+        // SQL nested past the parser's budget — 10 000 parentheses, 20 KB,
+        // well under MAX_BODY_BYTES — used to overflow the handler's stack
+        // and abort the process; it is a 400 in the uniform shape, for a
+        // corpus database and for the eval store alike, and the server
+        // keeps answering
+        let deep = format!("SELECT {}1{} FROM t", "(".repeat(10_000), ")".repeat(10_000));
+        let db_id = &corpus.dev[0].db_id;
+        for body in [
+            format!(r#"{{"sql": "{deep}", "db": "{db_id}"}}"#),
+            format!(r#"{{"sql": "{deep}"}}"#),
+        ] {
+            assert!(body.len() < serve::http::MAX_BODY_BYTES);
+            let (status, reply) = http_post(addr, "/v1/sql", &body).expect("deep sql");
+            assert_eq!(status, 400, "{reply}");
+            let v: serde::Value = serde_json::from_str(&reply).expect("error body is JSON");
+            let err = v.get("error").expect("error key");
+            assert_eq!(err.get("status"), Some(&serde::Value::Int(400)));
+            assert!(get_str(err, "message").contains("nesting deeper than"), "{reply}");
+        }
+        let (status, _) = http_get(addr, "/healthz").expect("server survived");
+        assert_eq!(status, 200);
+        // an ordinary syntax error is still the engine's 422
+        let (status, reply) =
+            http_post(addr, "/v1/sql", r#"{"sql": "SELECT FROM"}"#).expect("syntax error");
+        assert_eq!(status, 422, "{reply}");
+
         // wrong method on a known path → 405 naming the allowed methods
         let (status, reply) = http_get(addr, "/v1/sql").expect("GET on POST route");
         assert_eq!(status, 405);

@@ -37,9 +37,9 @@ pub mod printer;
 pub mod token;
 
 pub use ast::Query;
-pub use error::{Error, Result};
+pub use error::{Error, ErrorKind, Result};
 pub use exact_match::exact_match;
 pub use features::SqlFeatures;
 pub use hardness::Hardness;
-pub use parser::parse_query;
+pub use parser::{parse_query, MAX_NESTING};
 pub use printer::to_sql;

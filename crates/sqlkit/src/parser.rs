@@ -23,19 +23,62 @@ use crate::token::{Keyword as K, Symbol as S, Token, TokenKind as T};
 /// Trailing semicolons are permitted; any other trailing tokens are an error.
 pub fn parse_query(src: &str) -> Result<Query> {
     let tokens = tokenize(src)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser { tokens, pos: 0, depth: 0, peak: 0 };
     let q = p.parse_query()?;
     p.eat_symbol(S::Semicolon);
     p.expect_eof()?;
     Ok(q)
 }
 
+/// Deepest nesting of expressions and subqueries [`parse_query`] accepts;
+/// anything deeper is an [`ErrorKind::NestingTooDeep`](crate::ErrorKind)
+/// error instead of a stack overflow. It bounds the parser's own recursion
+/// and the height of the AST it returns, and with that every recursive walk
+/// downstream (printer, analyzer, plan compiler, evaluators, `Drop`). Sized
+/// for a 2 MiB thread stack: one parenthesis level costs the parser nine
+/// frames, 4–6 KiB measured, so the deepest accepted input needs under
+/// 768 KiB and leaves the rest to the caller and the later walks. Generated
+/// and gold queries nest under 10 deep.
+pub const MAX_NESTING: usize = 128;
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// How many [`Parser::nested`] scopes enclose the current position.
+    depth: usize,
+    /// Height of the tallest subtree finished inside the current scope.
+    peak: usize,
 }
 
 impl Parser {
+    /// Parse one nesting level down. Every cycle in this grammar passes
+    /// through here, so `depth` bounds the recursion on the way down. On the
+    /// way up the scope's height lands in the parent's `peak`: a left-deep
+    /// operator chain (`1 + 1 + 1 + …`) is built by a loop, never recurses,
+    /// and still nests the AST one level per operator — [`Parser::grow`]
+    /// accounts for those.
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        self.depth += 1;
+        if self.depth > MAX_NESTING {
+            return Err(Error::nesting_too_deep(self.offset(), MAX_NESTING));
+        }
+        let siblings = std::mem::take(&mut self.peak);
+        let out = f(self)?;
+        self.depth -= 1;
+        self.grow()?;
+        self.peak = self.peak.max(siblings);
+        Ok(out)
+    }
+
+    /// One more AST level on top of everything finished in this scope.
+    fn grow(&mut self) -> Result<()> {
+        self.peak += 1;
+        if self.depth + self.peak > MAX_NESTING {
+            return Err(Error::nesting_too_deep(self.offset(), MAX_NESTING));
+        }
+        Ok(())
+    }
+
     fn peek(&self) -> &T {
         &self.tokens[self.pos].kind
     }
@@ -115,6 +158,10 @@ impl Parser {
     // ---- query level ----
 
     fn parse_query(&mut self) -> Result<Query> {
+        self.nested(Self::parse_query_body)
+    }
+
+    fn parse_query_body(&mut self) -> Result<Query> {
         let body = self.parse_select_core()?;
         let mut set_ops = Vec::new();
         loop {
@@ -305,13 +352,14 @@ impl Parser {
     // ---- expressions (precedence climbing) ----
 
     fn parse_expr(&mut self) -> Result<Expr> {
-        self.parse_or()
+        self.nested(Self::parse_or)
     }
 
     fn parse_or(&mut self) -> Result<Expr> {
         let mut left = self.parse_and()?;
         while self.eat_kw(K::Or) {
             let right = self.parse_and()?;
+            self.grow()?;
             left = Expr::binary(BinOp::Or, left, right);
         }
         Ok(left)
@@ -321,6 +369,7 @@ impl Parser {
         let mut left = self.parse_not()?;
         while self.eat_kw(K::And) {
             let right = self.parse_not()?;
+            self.grow()?;
             left = Expr::binary(BinOp::And, left, right);
         }
         Ok(left)
@@ -328,7 +377,7 @@ impl Parser {
 
     fn parse_not(&mut self) -> Result<Expr> {
         if self.eat_kw(K::Not) {
-            let inner = self.parse_not()?;
+            let inner = self.nested(Self::parse_not)?;
             return Ok(Expr::Unary { op: UnOp::Not, expr: Box::new(inner) });
         }
         self.parse_predicate()
@@ -338,6 +387,16 @@ impl Parser {
     /// IS NULL, which all bind looser than arithmetic.
     fn parse_predicate(&mut self) -> Result<Expr> {
         let left = self.parse_additive()?;
+        let operand_end = self.pos;
+        let expr = self.parse_predicate_tail(left)?;
+        // tokens past the operand mean it was wrapped in a predicate node
+        if self.pos != operand_end {
+            self.grow()?;
+        }
+        Ok(expr)
+    }
+
+    fn parse_predicate_tail(&mut self, left: Expr) -> Result<Expr> {
         // optional NOT before BETWEEN/IN/LIKE
         let negated = if matches!(self.peek(), T::Keyword(K::Not))
             && matches!(self.peek_at(1), T::Keyword(K::Between | K::In | K::Like))
@@ -412,6 +471,7 @@ impl Parser {
             };
             self.bump();
             let right = self.parse_multiplicative()?;
+            self.grow()?;
             left = Expr::binary(op, left, right);
         }
         Ok(left)
@@ -428,6 +488,7 @@ impl Parser {
             };
             self.bump();
             let right = self.parse_unary()?;
+            self.grow()?;
             left = Expr::binary(op, left, right);
         }
         Ok(left)
@@ -435,7 +496,7 @@ impl Parser {
 
     fn parse_unary(&mut self) -> Result<Expr> {
         if self.eat_symbol(S::Minus) {
-            let inner = self.parse_unary()?;
+            let inner = self.nested(Self::parse_unary)?;
             // fold negation of literals for cleaner ASTs
             return Ok(match inner {
                 Expr::Literal(Literal::Int(v)) => Expr::Literal(Literal::Int(-v)),
@@ -444,7 +505,7 @@ impl Parser {
             });
         }
         if self.eat_symbol(S::Plus) {
-            return self.parse_unary();
+            return self.nested(Self::parse_unary);
         }
         self.parse_primary()
     }
@@ -845,6 +906,49 @@ mod tests {
         let mut n = 0;
         crate::ast::walk_subqueries(&q, &mut |_| n += 1);
         assert_eq!(n, 3);
+    }
+
+    /// Every shape that nests: the budget admits `MAX_NESTING` levels and
+    /// refuses one more with the typed error, and far past it (what used to
+    /// overflow the stack and abort the process) it still just refuses. Runs
+    /// on a 2 MiB thread — what a spawned server thread gets — and walks
+    /// each admitted tree with the printer, `Clone` and `Drop` on it too.
+    #[test]
+    fn nesting_budget_refuses_deep_input_instead_of_overflowing() {
+        // each shape at `n` repetitions; `spare` is how many levels the
+        // fixed part of the statement (query, select item / WHERE) uses
+        type Shape = (&'static str, usize, fn(usize) -> String);
+        let shapes: [Shape; 7] = [
+            ("parentheses", 2, |n| format!("SELECT {}1{} FROM t", "(".repeat(n), ")".repeat(n))),
+            ("operator chain", 2, |n| format!("SELECT 1{} FROM t", " + 1".repeat(n))),
+            ("AND chain", 2, |n| format!("SELECT a FROM t WHERE a{}", " AND a".repeat(n))),
+            ("NOT chain", 2, |n| format!("SELECT a FROM t WHERE {}a", "NOT ".repeat(n))),
+            ("unary minus", 2, |n| format!("SELECT {}a FROM t", "- ".repeat(n))),
+            ("function calls", 2, |n| format!("SELECT {}a{} FROM t", "ABS(".repeat(n), ")".repeat(n))),
+            ("derived tables", 1, |n| {
+                format!("SELECT * FROM {}t{}", "(SELECT * FROM ".repeat(n), ") AS s".repeat(n))
+            }),
+        ];
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                for (what, spare, make) in shapes {
+                    let at_limit = MAX_NESTING - spare;
+                    let q = parse_query(&make(at_limit))
+                        .unwrap_or_else(|e| panic!("{what} x{at_limit} must parse: {e}"));
+                    assert!(crate::to_sql(&q.clone()).starts_with("SELECT"), "{what}");
+                    for n in [at_limit + 1, 1_000, 10_000] {
+                        let err = parse_query(&make(n)).expect_err(what);
+                        assert_eq!(err.kind, crate::ErrorKind::NestingTooDeep, "{what} x{n}: {err}");
+                    }
+                }
+                // an ordinary syntax error keeps its kind
+                let err = parse_query("SELECT FROM t").unwrap_err();
+                assert_eq!(err.kind, crate::ErrorKind::Syntax);
+            })
+            .expect("spawn")
+            .join()
+            .expect("no shape overflows a 2 MiB stack");
     }
 
     #[test]

@@ -50,12 +50,12 @@ if [ "$lint" -eq 1 ]; then
   echo "==> cargo clippy (-D warnings)"
   cargo clippy --offline --workspace --all-targets -- -D warnings
 
-  # Panic hygiene: sqlkit, sqlcheck and serve deny clippy::unwrap_used in
-  # non-test code (crate-level #![cfg_attr(not(test), deny(...))]
-  # attributes; this run compiles the non-test targets so the deny is
-  # active).
-  echo "==> cargo clippy (sqlkit + sqlcheck + serve, unwrap_used denied)"
-  cargo clippy --offline -p sqlkit -p sqlcheck -p serve --lib --bins -- -D warnings
+  # Panic hygiene: sqlkit, sqlcheck, minidb and serve deny
+  # clippy::unwrap_used in non-test code (crate-level
+  # #![cfg_attr(not(test), deny(...))] attributes; this run compiles the
+  # non-test targets so the deny is active).
+  echo "==> cargo clippy (sqlkit + sqlcheck + minidb + serve, unwrap_used denied)"
+  cargo clippy --offline -p sqlkit -p sqlcheck -p minidb -p serve --lib --bins -- -D warnings
 
   # Equivalence-engine self-test: the per-rule rewrite unit tests plus the
   # execution-soundness suite (canonical form == original by execution on
@@ -260,6 +260,12 @@ if [ "$bench" -eq 1 ]; then
   # to workers(1), traced replay equal to the recorded outcomes).
   echo "==> repo benchmark smoke (eval_fewshot --quick)"
   benchmark/run.sh --quick --workload eval_fewshot
+
+  # And the engine-only workload: set-up checks every BIRD gold query's
+  # rows, order flag and work units against the interpreter, every timed
+  # run its row count and work units.
+  echo "==> repo benchmark smoke (sql_exec --quick)"
+  benchmark/run.sh --quick --workload sql_exec
 fi
 
 echo "==> tier-1 gate passed"
