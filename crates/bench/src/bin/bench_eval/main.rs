@@ -12,11 +12,13 @@
 //!    ...)`), with the plan cache on (lower once, execute many) and off
 //!    (`run_query` re-lowers each call). A correlated EXISTS filter rides
 //!    along as the compile-fallback control: it runs on the interpreter
-//!    and is recorded, not gated. The same shapes also
-//!    feed a **columnar** record comparing the row-at-a-time compiled
-//!    executor (`execute_rowwise`) against the vectorized columnar one
-//!    (the default `execute`), per shape and in aggregate
-//!    (Σ interpreter_ns / Σ columnar_ns over the vectorizable shapes).
+//!    and is recorded, not gated. The same shapes, plus two more join
+//!    shapes (`equi_chain`, a 3-table BIRD gold shape, and `non_equi`,
+//!    the `a JOIN b ON a.fk != b.id` that `sqlkit::mutate`'s comparison
+//!    flip mints), feed a **columnar** record: compiled vs interpreter
+//!    per shape, gated at >= 2x on any core count (a single-thread
+//!    ratio), and in aggregate (Σ interpreter_ns / Σ columnar_ns over the
+//!    compiled shapes).
 //! 3. **Observability overhead**: the same evaluation with tracing on vs
 //!    off, plus the micro-cost of a disabled span+counter pair. The
 //!    trace-off pass runs *after* the trace-on pass, so a recorder that
@@ -38,8 +40,9 @@
 //! 7. **Request-tracing + warehouse overhead**: the closed-loop serve
 //!    mini-workload with per-request span trees and the telemetry
 //!    warehouse (span persistence + metrics snapshots) on vs off, gated
-//!    at <= 5%, plus a micro record of the per-request disabled-path
-//!    check (the single `Option` branch every untraced request pays).
+//!    on the µs it adds per request, plus a micro record of the
+//!    per-request disabled-path check (the single `Option` branch every
+//!    untraced request pays).
 //! 8. **Few-shot retrieval** (module `few_shot`): `FewShotIndex::select`
 //!    against a brute-force scan of the 7000-question Spider pool, with
 //!    the postings walked per query and the index's size; gated at
@@ -53,15 +56,16 @@
 //! that feed `--validate` gates always run at full repetition (they cost
 //! under a second, and a single-shot timing ratio on a busy box produces
 //! false failures). `--validate` exits nonzero unless the compiled plan
-//! beats the interpreter on every microbench (row-wise and columnar), the
-//! aggregate columnar speedup reaches 5x on machines with >= 4 cores
-//! (recorded, not enforced, below that), the disabled-path
+//! beats the interpreter on every microbench (by 2x on every columnar
+//! shape), the aggregate columnar speedup reaches 5x on machines with >= 4
+//! cores (recorded, not enforced, below that), the disabled-path
 //! throughput after tracing stays within 5% of the pre-tracing
 //! measurement, a labeled cell pair stays inside its ns budget, canonical
 //! cache keys add no more per request than one canonicalization (plus
 //! the paired runs' interquartile range, their own resolution), request
-//! tracing + the warehouse cost <= 5% of closed-loop serve throughput
-//! (with the untraced ingress check inside its ns budget), and (on
+//! tracing + the warehouse add no more per request than one request's
+//! span bookkeeping (plus, again, the pairs' interquartile range; the
+//! untraced ingress check stays inside its ns budget), and (on
 //! machines with >= 4 cores) evaluation reaches 2x throughput at 4
 //! workers; parallel scaling is physically impossible on fewer cores, so
 //! that check is recorded but not enforced there.
@@ -146,22 +150,24 @@ struct PlanPoint {
     speedup: f64,
 }
 
-/// One query shape timed through the row-wise compiled executor vs the
-/// columnar (vectorized) one. `fallback` marks shapes `compile` declines
+/// One query shape timed through the interpreter vs the compiled plan's
+/// columnar executor. `fallback` marks shapes `compile` declines
 /// (correlated subqueries): they run on the interpreter regardless, are
-/// recorded for coverage, and are excluded from the aggregate speedup.
+/// recorded for coverage, and are excluded from the gate and the
+/// aggregate speedup.
 struct ColumnarPoint {
     query: &'static str,
     interpreter_ns: f64,
-    rowwise_ns: f64,
     columnar_ns: f64,
     /// interpreter / columnar
     speedup_vs_interpreter: f64,
-    /// rowwise / columnar — what batching buys over the same plan
-    /// executed row at a time
-    speedup_vs_rowwise: f64,
     fallback: bool,
 }
+
+/// What every compiled shape must beat the interpreter by. Both sides run
+/// on one thread, so the ratio holds on any core count; the slowest shape
+/// read x4.4 when the gate was set.
+const COLUMNAR_MIN_SPEEDUP: f64 = 2.0;
 
 struct PlanBench {
     plans: Vec<PlanPoint>,
@@ -186,10 +192,10 @@ fn bench_plans(iters: usize) -> PlanBench {
     let domain = datagen::domain_by_name("Finance").expect("domain exists");
     let g = generate_db("bench_plan_db", domain, &SchemaProfile::bird(), 7);
     let db = &g.database;
-    let (child, fk_col, parent) = db
+    let edges: Vec<(String, String, String)> = db
         .tables()
-        .find_map(|t| {
-            t.schema.foreign_keys.first().map(|fk| {
+        .flat_map(|t| {
+            t.schema.foreign_keys.iter().map(|fk| {
                 (
                     t.schema.name.clone(),
                     t.schema.columns[fk.column].name.clone(),
@@ -197,10 +203,34 @@ fn bench_plans(iters: usize) -> PlanBench {
                 )
             })
         })
-        .expect("bird profile generates FKs");
+        .collect();
+    let (child, fk_col, parent) = edges.first().cloned().expect("bird profile generates FKs");
+    // a second FK edge out of the same child or out of its parent: the
+    // third table of `datagen`'s two-join recipe
+    let (third, third_on) = edges
+        .iter()
+        .find_map(|(c, col, p)| {
+            if *p == child || *p == parent {
+                None
+            } else if *c == child {
+                Some((p.clone(), format!("T1.{col} = T3.id")))
+            } else if *c == parent {
+                Some((p.clone(), format!("T2.{col} = T3.id")))
+            } else {
+                None
+            }
+        })
+        .expect("bird profile generates a two-edge FK path");
 
     let join = format!(
         "SELECT T1.id, T2.id FROM {child} AS T1 JOIN {parent} AS T2 ON T1.{fk_col} = T2.id"
+    );
+    let equi_chain = format!(
+        "SELECT T1.id, T3.id FROM {child} AS T1 JOIN {parent} AS T2 ON T1.{fk_col} = T2.id \
+         JOIN {third} AS T3 ON {third_on}"
+    );
+    let non_equi = format!(
+        "SELECT T1.id, T2.id FROM {child} AS T1 JOIN {parent} AS T2 ON T1.{fk_col} != T2.id"
     );
     let group_by = format!("SELECT {fk_col}, COUNT(*) FROM {child} GROUP BY {fk_col}");
     let order_by =
@@ -226,6 +256,8 @@ fn bench_plans(iters: usize) -> PlanBench {
     let (mut interp_sum, mut columnar_sum) = (0.0f64, 0.0f64);
     for (name, sql) in [
         ("join", join),
+        ("equi_chain", equi_chain),
+        ("non_equi", non_equi),
         ("group_by", group_by),
         ("order_by", order_by),
         ("set_op", set_op),
@@ -241,19 +273,14 @@ fn bench_plans(iters: usize) -> PlanBench {
             columnar.push(ColumnarPoint {
                 query: name,
                 interpreter_ns,
-                rowwise_ns: interpreter_ns,
                 columnar_ns: interpreter_ns,
                 speedup_vs_interpreter: 1.0,
-                speedup_vs_rowwise: 1.0,
                 fallback: true,
             });
             continue;
         };
-        assert!(plan.is_vectorized(), "bench shape {name} must lower to the columnar path");
         let compiled_ns = time_ns(iters, || plan.execute(db).expect("executes").rows.len());
         let cache_off_ns = time_ns(iters, || db.run_query(&query).expect("executes").rows.len());
-        let rowwise_ns =
-            time_ns(iters, || plan.execute_rowwise(db).expect("executes").rows.len());
         plans.push(PlanPoint {
             query: name,
             interpreter_ns,
@@ -266,10 +293,8 @@ fn bench_plans(iters: usize) -> PlanBench {
         columnar.push(ColumnarPoint {
             query: name,
             interpreter_ns,
-            rowwise_ns,
             columnar_ns: compiled_ns,
             speedup_vs_interpreter: interpreter_ns / compiled_ns,
-            speedup_vs_rowwise: rowwise_ns / compiled_ns,
             fallback: false,
         });
     }
@@ -547,11 +572,23 @@ struct TracingPoint {
     disabled_check_ns: f64,
     /// ns to mint a trace id, record the six pipeline spans, complete
     /// the tree, and drain it for the flusher — the enabled per-request
-    /// bookkeeping in isolation (recorded; the closed-loop ratio is the
-    /// gate).
+    /// bookkeeping in isolation (what the closed-loop gate allows a
+    /// request to cost, see [`TracingPoint::added_us_budget`]).
     enabled_request_ns: f64,
     /// Per-request span trees plus warehouse persistence on vs off.
     serve: Paired,
+}
+
+impl TracingPoint {
+    /// What tracing may add to one request, in µs: the request does the
+    /// span bookkeeping timed above once and the warehouse persists off the
+    /// request path, so the true cost is about one `enabled_request_ns`;
+    /// the paired runs resolve it no finer than their own interquartile
+    /// range. Absolute, like [`EquivPoint::added_us_budget`]: the share of
+    /// a request it makes up moves whenever the rest of the request does.
+    fn added_us_budget(&self) -> f64 {
+        self.enabled_request_ns / 1e3 + self.serve.added_us_iqr
+    }
 }
 
 fn bench_request_tracing(ctx: &EvalContext<'_>, iters: usize, reps: usize) -> TracingPoint {
@@ -819,7 +856,7 @@ fn main() {
         );
     }
 
-    eprintln!("bench_eval: columnar execution (rowwise vs vectorized compiled path) ...");
+    eprintln!("bench_eval: columnar execution (compiled path vs interpreter) ...");
     for p in &plan_bench.columnar {
         if p.fallback {
             eprintln!(
@@ -828,9 +865,8 @@ fn main() {
             );
         } else {
             eprintln!(
-                "  {:<15} rowwise {:>9.0}ns  columnar {:>9.0}ns  x{:.2} vs rowwise  x{:.2} vs interpreter",
-                p.query, p.rowwise_ns, p.columnar_ns, p.speedup_vs_rowwise,
-                p.speedup_vs_interpreter
+                "  {:<15} interpreter {:>9.0}ns  columnar {:>9.0}ns  x{:.2}",
+                p.query, p.interpreter_ns, p.columnar_ns, p.speedup_vs_interpreter
             );
         }
     }
@@ -899,11 +935,13 @@ fn main() {
         tracing.disabled_check_ns, tracing.enabled_request_ns
     );
     eprintln!(
-        "  serve ({} requests): off {:>7.0} qps  on {:>7.0} qps  tracing overhead {:+.1}%",
+        "  serve ({} requests): off {:>7.0} qps  on {:>7.0} qps  tracing overhead {:+.1}% = {:+.1}us/request (budget {:.1}us)",
         tracing.serve.requests,
         tracing.serve.off_qps,
         tracing.serve.on_qps,
-        tracing.serve.overhead_pct
+        tracing.serve.overhead_pct,
+        tracing.serve.added_us_per_request,
+        tracing.added_us_budget()
     );
 
     eprintln!("bench_eval: distributed serve overhead (scheduler + worker vs in-process) ...");
@@ -955,9 +993,8 @@ fn main() {
         let comma = if i + 1 < plan_bench.columnar.len() { "," } else { "" };
         let _ = writeln!(
             json,
-            "      {{\"query\": \"{}\", \"interpreter_ns\": {:.0}, \"rowwise_ns\": {:.0}, \"columnar_ns\": {:.0}, \"speedup_vs_interpreter\": {:.3}, \"speedup_vs_rowwise\": {:.3}, \"fallback\": {}}}{comma}",
-            p.query, p.interpreter_ns, p.rowwise_ns, p.columnar_ns,
-            p.speedup_vs_interpreter, p.speedup_vs_rowwise, p.fallback
+            "      {{\"query\": \"{}\", \"interpreter_ns\": {:.0}, \"columnar_ns\": {:.0}, \"speedup_vs_interpreter\": {:.3}, \"fallback\": {}}}{comma}",
+            p.query, p.interpreter_ns, p.columnar_ns, p.speedup_vs_interpreter, p.fallback
         );
     }
     let _ = writeln!(json, "    ],");
@@ -1024,8 +1061,14 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "    \"serve_off_qps\": {:.1}, \"serve_on_qps\": {:.1}, \"tracing_overhead_pct\": {:.2}",
+        "    \"serve_off_qps\": {:.1}, \"serve_on_qps\": {:.1}, \"tracing_overhead_pct\": {:.2},",
         tracing.serve.off_qps, tracing.serve.on_qps, tracing.serve.overhead_pct
+    );
+    let _ = writeln!(
+        json,
+        "    \"tracing_added_us\": {:.2}, \"tracing_added_us_budget\": {:.2}",
+        tracing.serve.added_us_per_request,
+        tracing.added_us_budget()
     );
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"cluster\": {{");
@@ -1060,10 +1103,10 @@ fn main() {
             }
         }
         for p in plan_bench.columnar.iter().filter(|p| !p.fallback) {
-            if p.speedup_vs_interpreter < 1.0 {
+            if p.speedup_vs_interpreter < COLUMNAR_MIN_SPEEDUP {
                 eprintln!(
-                    "FAIL: columnar path slower than interpreter on {} (x{:.2})",
-                    p.query, p.speedup_vs_interpreter
+                    "FAIL: columnar path only x{:.2} the interpreter on {} (floor: x{:.0})",
+                    p.speedup_vs_interpreter, p.query, COLUMNAR_MIN_SPEEDUP
                 );
                 failed = true;
             }
@@ -1127,10 +1170,12 @@ fn main() {
             );
             failed = true;
         }
-        if tracing.serve.overhead_pct > 5.0 {
+        if tracing.serve.added_us_per_request > tracing.added_us_budget() {
             eprintln!(
-                "FAIL: request tracing + warehouse cost {:.1}% of serve throughput (budget: 5%)",
-                tracing.serve.overhead_pct
+                "FAIL: request tracing + warehouse add {:.1}us per request (budget: {:.1}us = \
+                 enabled_request_ns + the pairs' IQR)",
+                tracing.serve.added_us_per_request,
+                tracing.added_us_budget()
             );
             failed = true;
         }

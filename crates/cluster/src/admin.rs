@@ -24,11 +24,10 @@
 
 use crate::scheduler::Inner;
 use serve::http::{self, PathSpec, Request, Response, Route, Routed};
-use serve::{QueryError, QueryRequest};
+use serve::QueryError;
 use std::net::TcpListener;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Endpoint {
@@ -91,29 +90,10 @@ fn respond(req: &Request, inner: &Arc<Inner>) -> Response {
             }
         }
         Endpoint::Sql => post_sql(req, inner),
-        Endpoint::Trace => get_trace(suffix, inner),
-    }
-}
-
-/// `GET /v1/traces/<id>`: the assembled cross-process span tree — the
-/// scheduler's own hops plus the worker spans merged off `ExecuteResult`
-/// frames — in the same JSON shape as the per-engine endpoint.
-fn get_trace(suffix: &str, inner: &Arc<Inner>) -> Response {
-    let Some(store) = inner.traces.as_ref() else {
-        return Response::json_error(404, "request tracing is not enabled on this scheduler");
-    };
-    let Some(id) = serve::trace::parse_trace_id(suffix) else {
-        return Response::json_error(404, &format!("bad trace id: {suffix}"));
-    };
-    match store.spans(id) {
-        Some(spans) => {
-            let hex = serve::trace::format_trace_id(id);
-            Response::json(
-                200,
-                serde_json::to_string(&serve::trace::trace_json(&hex, &spans)).unwrap_or_default(),
-            )
-        }
-        None => Response::json_error(404, &format!("no trace with id {suffix} (unknown or evicted)")),
+        // the assembled cross-process span tree — the scheduler's own hops
+        // plus the worker spans merged off `ExecuteResult` frames — in the
+        // same JSON shape as the per-engine endpoint
+        Endpoint::Trace => http::get_trace(inner.traces.as_ref(), suffix, "scheduler"),
     }
 }
 
@@ -121,15 +101,9 @@ fn get_trace(suffix: &str, inner: &Arc<Inner>) -> Response {
 /// answer with the worker's verdict. The scheduler holds no databases, so
 /// raw-SQL bodies are redirected to a worker's own endpoint.
 fn post_sql(req: &Request, inner: &Arc<Inner>) -> Response {
-    let Ok(text) = std::str::from_utf8(&req.body) else {
-        return Response::json_error(400, "body is not UTF-8");
-    };
-    if text.is_empty() {
-        return Response::json_error(400, "missing JSON body");
-    }
-    let body: serde::Value = match serde_json::from_str(text) {
+    let body = match http::body_json(req) {
         Ok(v) => v,
-        Err(e) => return Response::json_error(400, &format!("malformed JSON body: {e}")),
+        Err(refused) => return refused,
     };
     if let Some(sql) = body.get("sql") {
         // Raw SQL runs against the scheduler's own telemetry warehouse
@@ -155,27 +129,11 @@ fn post_sql(req: &Request, inner: &Arc<Inner>) -> Response {
             Err(e) => Response::json_error(422, &e.to_string()),
         };
     }
-    let (Some(question), Some(db_id), Some(method)) =
-        (str_field(&body, "question"), str_field(&body, "db_id"), str_field(&body, "method"))
-    else {
-        return Response::json_error(
-            400,
-            "NL requests need \"question\", \"db_id\", and \"method\" strings",
-        );
-    };
-    let deadline = match body.get("deadline_ms") {
-        None | Some(serde::Value::Null) => None,
-        Some(serde::Value::Int(ms)) if *ms >= 0 => Some(Duration::from_millis(*ms as u64)),
-        Some(_) => {
-            return Response::json_error(400, "\"deadline_ms\" must be a non-negative integer")
-        }
-    };
-    let request = QueryRequest {
-        method: method.to_string(),
-        db_id: db_id.to_string(),
-        question: question.to_string(),
-        deadline,
-        trace: None,
+    let request = match http::nl_request(&body, |_| {
+        "NL requests need \"question\", \"db_id\", and \"method\" strings".to_string()
+    }) {
+        Ok(r) => r,
+        Err(refused) => return refused,
     };
     let (tx, rx) = crossbeam::channel::bounded(1);
     inner.submit_job(0, tx, request);
@@ -185,37 +143,6 @@ fn post_sql(req: &Request, inner: &Arc<Inner>) -> Response {
     };
     match reply {
         Err(e) => Response::json_error(e.http_status(), &e.to_string()),
-        Ok(resp) => {
-            let mut fields = vec![
-                ("ex".to_string(), serde::Value::Bool(resp.ex)),
-                ("em".to_string(), serde::Value::Bool(resp.em)),
-                ("pred_sql".to_string(), serde::Value::Str(resp.pred_sql.clone())),
-                (
-                    "exec_failure".to_string(),
-                    resp.exec_failure
-                        .map_or(serde::Value::Null, |k| serde::Value::Str(k.label().to_string())),
-                ),
-                ("cache_hit".to_string(), serde::Value::Bool(resp.cache_hit)),
-                ("batch_size".to_string(), serde::Value::Int(resp.batch_size as i64)),
-                (
-                    "latency_us".to_string(),
-                    serde::Value::Int(resp.latency.as_micros() as i64),
-                ),
-            ];
-            if !resp.trace_id.is_empty() {
-                fields.push(("trace_id".to_string(), serde::Value::Str(resp.trace_id.clone())));
-            }
-            Response::json(
-                200,
-                serde_json::to_string(&serde::Value::Map(fields)).unwrap_or_default(),
-            )
-        }
-    }
-}
-
-fn str_field<'v>(v: &'v serde::Value, key: &str) -> Option<&'v str> {
-    match v.get(key) {
-        Some(serde::Value::Str(s)) => Some(s),
-        _ => None,
+        Ok(resp) => http::nl_reply(&resp, None),
     }
 }

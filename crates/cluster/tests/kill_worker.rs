@@ -11,8 +11,8 @@ use serve::http::{http_get, http_post};
 use serve::proto::ClusterClient;
 use serve::QueryRequest;
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader};
-use std::net::SocketAddr;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -241,4 +241,28 @@ fn sigkilled_workers_requeue_and_every_request_answers_exactly_once() {
         http_get(admin_addr, &format!("/v1/traces/{hex}")).expect("trace fetch");
     assert_eq!(status, 200, "{tree}");
     assert!(tree.contains("sched.requeue"), "retry hop missing from the tree: {tree}");
+
+    // Hostile input last, at the two processes still standing. A JSON body
+    // or a wire frame nested 30 000 deep (60 KB, inside both size bounds)
+    // used to overflow the reading thread's stack and abort the process.
+    // Now the body is the uniform 400, the frame costs its sender the
+    // connection, and both processes go on answering.
+    let deep = format!("{}{}", "[".repeat(30_000), "]".repeat(30_000));
+    let (status, reply) = http_post(admin_addr, "/v1/sql", &deep).expect("deep body");
+    assert_eq!(status, 400, "{reply}");
+    assert!(reply.contains("nesting deeper than"), "{reply}");
+    for addr in [client_addr.as_str(), banner_field(&w1_banner, "serve").as_str()] {
+        let mut stream = TcpStream::connect(addr).expect("connects");
+        stream.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout set");
+        stream.write_all(&(deep.len() as u32).to_be_bytes()).expect("length prefix");
+        stream.write_all(deep.as_bytes()).expect("deep frame");
+        let mut reply = Vec::new();
+        let _ = stream.read_to_end(&mut reply); // closed, or reset with the frame unread
+        assert!(reply.is_empty(), "{addr} answered a frame it cannot decode");
+    }
+    let (status, _) = http_get(admin_addr, "/healthz").expect("scheduler survived");
+    assert_eq!(status, 200);
+    let id = client.submit(reqs[0].clone()).expect("submit after the deep frames");
+    let (got, reply) = client.next_reply().expect("w1 survived and answers");
+    assert_eq!((got, reply.is_ok()), (id, true));
 }

@@ -21,17 +21,14 @@ fn build_db(domain: &str, seed: u64) -> GeneratedDb {
     )
 }
 
-/// Execute one generated query through all three engines — the interpreter,
-/// the row-wise compiled path, and the default compiled path (vectorized
-/// where the shape is eligible) — and assert observational identity:
-/// rows, columns, ordered flag, and deterministic work units (the VES
+/// Execute one generated query through both engines — the interpreter and
+/// the compiled plan — and assert observational identity: rows (as a
+/// sequence), columns, ordered flag, and deterministic work units (the VES
 /// currency), or the same execution error.
-/// Returns `None` when `compile` declined, else whether the plan is
-/// vectorized end to end (for vacuity accounting).
-fn check_parity(db: &GeneratedDb, sql: &str, query: &sqlkit::Query) -> Option<bool> {
-    let plan = minidb::compile(&db.database, query)?;
+/// Returns whether `compile` accepted the query (for vacuity accounting).
+fn check_parity(db: &GeneratedDb, sql: &str, query: &sqlkit::Query) -> bool {
+    let Some(plan) = minidb::compile(&db.database, query) else { return false };
     let compiled = plan.execute(&db.database);
-    let rowwise = plan.execute_rowwise(&db.database);
     let interpreted = exec::execute(&db.database, query);
     match (&compiled, &interpreted) {
         (Ok(c), Ok(i)) => {
@@ -43,24 +40,15 @@ fn check_parity(db: &GeneratedDb, sql: &str, query: &sqlkit::Query) -> Option<bo
             );
             assert_eq!(c.ordered, i.ordered, "`{sql}` ordered flag diverged");
             assert_eq!(c.work, i.work, "`{sql}` work units diverged");
-            let r = rowwise.as_ref().expect("rowwise diverged in outcome");
-            assert_eq!(
-                format!("{:?}", c.rows),
-                format!("{:?}", r.rows),
-                "`{sql}` vectorized vs rowwise rows diverged"
-            );
-            assert_eq!(c.work, r.work, "`{sql}` vectorized vs rowwise work diverged");
         }
         (Err(ce), Err(ie)) => {
             assert_eq!(format!("{ce:?}"), format!("{ie:?}"), "`{sql}` errors diverged");
-            let re = rowwise.as_ref().expect_err("rowwise diverged in outcome");
-            assert_eq!(format!("{ce:?}"), format!("{re:?}"), "`{sql}` rowwise error diverged");
         }
         _ => panic!(
             "`{sql}` outcome diverged: compiled {compiled:?} vs interpreted {interpreted:?}"
         ),
     }
-    Some(plan.is_vectorized())
+    true
 }
 
 /// Rebuild a database with most non-key cells replaced by NULL: validity
@@ -172,11 +160,10 @@ proptest! {
 
 /// The property tests above are vacuous if `compile` rejected everything.
 /// The healthy share is all of it: pin, per recipe, that every generated
-/// query takes the compiled path on the normal, the NULL-dense and the
-/// emptied database — and that the two subquery recipes (`col > (SELECT
-/// AVG/MAX ...)`, `id [NOT] IN (SELECT fk ...)`, the only subquery shapes
-/// either corpus holds) are vectorized end to end, sub-plan included,
-/// rather than landing on the row-wise path.
+/// query of all 15 recipes compiles on the normal, the NULL-dense and the
+/// emptied database. A compiled plan has one executor, the columnar one, so
+/// this is also the pin that no recipe — join chains and the two subquery
+/// shapes included — reaches the interpreter.
 #[test]
 fn a_healthy_share_of_generated_queries_compiles() {
     let db = build_db("College", 11);
@@ -194,11 +181,11 @@ fn a_healthy_share_of_generated_queries_compiles() {
         let Some(g) = qg.generate(recipe, &mut rng) else { continue };
         generated[ri] += 1;
         for (label, target) in &targets {
-            let vectorized = check_parity(target, &g.sql, &g.query)
-                .unwrap_or_else(|| panic!("{recipe:?} on the {label} database declined: `{}`", g.sql));
-            if matches!(recipe, Recipe::ScalarSubquery | Recipe::InSubquery) {
-                assert!(vectorized, "{recipe:?} on the {label} database ran row-wise: `{}`", g.sql);
-            }
+            assert!(
+                check_parity(target, &g.sql, &g.query),
+                "{recipe:?} on the {label} database declined: `{}`",
+                g.sql
+            );
         }
     }
     for (recipe, n) in Recipe::ALL.iter().zip(&generated) {

@@ -1,46 +1,52 @@
-//! Vectorized batch execution over columnar storage.
+//! The compiled executor: batch execution over columnar storage.
 //!
-//! The row-wise compiled path in [`crate::plan`] materializes every
-//! intermediate row as a `Vec<Value>` and dispatches on the `Value` enum per
-//! cell. This module executes eligible plan shapes directly against the
-//! typed column vectors of [`crate::database::Table`]:
+//! Every [`crate::plan::CompiledQuery`] core runs here, directly against the
+//! typed column vectors of [`crate::database::Table`]; nothing materializes
+//! an intermediate row as a `Vec<Value>`:
 //!
 //! * **fused scan + filter** builds a selection vector of surviving row ids;
 //!   comparison/BETWEEN/LIKE/IS NULL conjuncts against literals run as typed
 //!   kernels (one storage dispatch per batch, not per cell), and zone maps
 //!   skip whole [`crate::column::ZONE_ROWS`]-row batches that provably
 //!   cannot match an equality or range predicate;
-//! * **batch hash join** builds the hash table once from the right column
-//!   (an integer-keyed map when the column has `Int` storage) and probes
-//!   with raw column values; joined rows are *pairs of row ids*, never
-//!   materialized tuples;
+//! * **joins** are steps over a relation of *row ids*, one id column per
+//!   table, never materialized tuples: a hash step builds the table once
+//!   from the right column (an integer-keyed map when the column has `Int`
+//!   storage) and probes with raw column values; a nested-loop step (`!=`,
+//!   `<`, compound or absent `ON`, RIGHT, CROSS) evaluates the compiled `ON`
+//!   over an id pair read in place. Chains of any length compose the two;
 //! * **batch aggregation** groups by raw column values where possible and
 //!   folds aggregates column-at-a-time (a hand-rolled kernel for `Int`
 //!   storage, [`fold_aggregate`] on gathered values otherwise);
 //! * **late materialization**: ORDER BY + LIMIT sorts (key, row-id) pairs
 //!   and gathers output cells only for the rows that survive the limit.
 //!
-//! **Observational identity.** The vectorized path must be indistinguishable
-//! from the interpreter: same rows, same order, same errors, and the same
-//! deterministic work-unit totals per [`WorkOp`] (the VES efficiency metric
-//! and the budget trip point both read them). Two facts make bulk charging
-//! sound: compiled non-aggregate expression evaluation is infallible (arity
-//! is validated at compile time, arithmetic edge cases yield NULL), and the
-//! only charges inside expression evaluation are the per-group-row unit of
-//! an argful aggregate and a sub-plan slot's recorded work. So per-op totals
-//! equal to the row path's imply the same success value and the same
-//! failure (`ResourceExhausted` depends only on the budget). A slot charges
-//! at *every* evaluation, so it only ever sits in the WHERE predicate, which
-//! stays one unsplit residual evaluated once per candidate row exactly like
-//! the row path; a slot anywhere else, or one that can raise
-//! (`CardinalityViolation`), keeps the core on the row path
-//! (`plan::compile_core` decides). Aggregates are pre-folded into [`CExpr::Pre`]
-//! slots only when every argful aggregate sits in a *strict* position —
-//! evaluated exactly once whenever its containing expression is evaluated —
-//! so the bulk `group-len × occurrences` charge reproduces the
-//! interpreter's per-row charges exactly. Anything else (short-circuited
-//! aggregates, CASE operands, nested joins) declines vectorization at
-//! compile time and runs on the row path unchanged.
+//! **Observational identity.** This path must be indistinguishable from the
+//! interpreter ([`crate::exec`]): same rows in the same order (join emission
+//! order shows through LIMIT without ORDER BY and first-seen group order),
+//! same errors, and the same deterministic work-unit totals per [`WorkOp`]
+//! (the VES efficiency metric and the budget trip point both read them). Two
+//! facts make bulk charging sound: compiled non-aggregate expression
+//! evaluation is infallible (arity is validated at compile time, arithmetic
+//! edge cases yield NULL), and the only charge inside expression evaluation
+//! is a sub-plan slot's recorded work. So per-op totals equal to the
+//! interpreter's imply the same success value and the same failure
+//! (`ResourceExhausted` depends only on the budget). Totals suffice only
+//! while nothing but the budget can fail, so everything that would break
+//! that declines *at compile time* and the statement runs on the
+//! interpreter — there is no per-row mode here. A slot charges at *every*
+//! evaluation, so it only ever sits in an `ON` (evaluated once per pair, in
+//! the interpreter's pair order) or in the WHERE predicate, which stays one
+//! unsplit residual evaluated once per candidate row; a slot anywhere else,
+//! or one that can raise (`CardinalityViolation`), declines
+//! (`plan::compile_core`, `Lowering::sub_slot`). Aggregates are pre-folded
+//! into [`CExpr::Pre`] slots only when every argful aggregate sits in a
+//! *strict* position — evaluated exactly once whenever its containing
+//! expression is evaluated — so the bulk `group-len × occurrences` charge
+//! reproduces the interpreter's per-row charges exactly; short-circuited
+//! aggregates and CASE operands decline ([`lower`]). Join charges are made
+//! before the id vectors grow by what they pay for, so a budget trip still
+//! precedes the blow-up it exists to stop.
 
 use crate::column::{ColumnData, Zones, ZONE_ROWS};
 use crate::database::Table;
@@ -67,27 +73,16 @@ type IntMap<V> = HashMap<i64, V, crate::value::KeyHashBuilder>;
 // compiled vectorized plan
 // ---------------------------------------------------------------------------
 
-/// The vectorized execution plan for one eligible [`CompiledCore`]. Built
-/// once at compile time by [`lower`]; holds only shape, never data.
+/// The execution plan of one [`CompiledCore`] beyond its resolved shape.
+/// Built once at compile time by [`lower`]; holds only shape, never data.
 #[derive(Debug, Clone)]
 pub(crate) struct VecCore {
     /// Typed filter kernels over base-table columns (from pushed conjuncts).
     kernels: Vec<Kernel>,
     /// Pushed conjuncts that did not kernelize; evaluated per base row.
     residual: Vec<CExpr>,
-    /// At most one hash equi-join (larger chains run on the row path).
-    join: Option<VJoin>,
     /// Aggregation plan with pre-fold slots, when the core aggregates.
     agg: Option<AggPlan>,
-}
-
-#[derive(Debug, Clone)]
-struct VJoin {
-    kind: JoinKind,
-    /// Key offset in the base row.
-    lcol: usize,
-    /// Key offset in the right table's row.
-    rcol: usize,
 }
 
 /// Comparison kernels recognize `col <op> literal` conjuncts (either
@@ -141,63 +136,58 @@ fn argful(specs: &[AggSpec]) -> u64 {
 // lowering (compile time)
 // ---------------------------------------------------------------------------
 
-/// Lower an eligible core to a vectorized plan, or `None` when any part of
-/// the shape would break observational identity (the row path runs it).
-pub(crate) fn lower(core: &CompiledCore) -> Option<VecCore> {
-    core.base.as_ref()?;
-    let join = match core.joins.len() {
-        0 => None,
-        1 => match &core.joins[0].0 {
-            CJoinStep::Hash { kind, lcol, rcol } => {
-                Some(VJoin { kind: *kind, lcol: *lcol, rcol: *rcol })
-            }
-            CJoinStep::Nested { .. } => return None,
-        },
-        _ => return None,
-    };
-    // WHERE and GROUP BY compile with aggregates rejected, but the charge
-    // argument depends on it — decline rather than assume
-    if core.pushed.iter().any(contains_agg)
-        || core.where_rest.iter().any(contains_agg)
-        || core.group_by.iter().any(contains_agg)
-    {
-        return None;
-    }
+/// Lower a core's pushed conjuncts and, in aggregate mode, its HAVING /
+/// projection / order keys. `None` when an aggregate or a sub-plan slot sits
+/// where bulk charging would break observational identity; the statement
+/// then declines to the interpreter. WHERE, ON and GROUP BY hold no
+/// aggregates (`compile_expr` rejects them there), which the charge
+/// argument in the module doc relies on.
+pub(crate) fn lower(
+    pushed: &[CExpr],
+    agg_mode: bool,
+    having: Option<&CExpr>,
+    items: &[CItem],
+    order_keys: &[COrderKey],
+) -> Option<VecCore> {
     let mut kernels = Vec::new();
     let mut residual = Vec::new();
-    for p in &core.pushed {
+    for p in pushed {
         match kernelize(p) {
             Some(k) => kernels.push(k),
             None => residual.push(p.clone()),
         }
     }
-    let agg = if core.agg_mode { Some(lower_agg(core)?) } else { None };
-    Some(VecCore { kernels, residual, join, agg })
+    let agg = if agg_mode { Some(lower_agg(having, items, order_keys)?) } else { None };
+    Some(VecCore { kernels, residual, agg })
 }
 
-fn lower_agg(core: &CompiledCore) -> Option<AggPlan> {
+fn lower_agg(
+    having: Option<&CExpr>,
+    items: &[CItem],
+    order_keys: &[COrderKey],
+) -> Option<AggPlan> {
     let mut having_specs = Vec::new();
-    let having = match &core.having {
+    let having = match having {
         None => None,
         Some(h) => Some(strip_aggs(h, true, &mut having_specs)?),
     };
     let mut item_specs = Vec::new();
-    let mut items = Vec::with_capacity(core.items.len());
-    for it in &core.items {
-        items.push(match it {
+    let mut out_items = Vec::with_capacity(items.len());
+    for it in items {
+        out_items.push(match it {
             CItem::Range(s, e) => CItem::Range(*s, *e),
             CItem::Expr(e) => CItem::Expr(strip_aggs(e, true, &mut item_specs)?),
         });
     }
     let mut okey_specs = Vec::new();
-    let mut okeys = Vec::with_capacity(core.order_keys.len());
-    for k in &core.order_keys {
+    let mut okeys = Vec::with_capacity(order_keys.len());
+    for k in order_keys {
         okeys.push(match k {
             COrderKey::Projected(i) => COrderKey::Projected(*i),
             COrderKey::Expr(e) => COrderKey::Expr(strip_aggs(e, true, &mut okey_specs)?),
         });
     }
-    Some(AggPlan { having, having_specs, items, item_specs, okeys, okey_specs })
+    Some(AggPlan { having, having_specs, items: out_items, item_specs, okeys, okey_specs })
 }
 
 /// Replace aggregate occurrences with [`CExpr::Pre`] slots. `strict` means
@@ -558,7 +548,9 @@ impl Kernel {
 // ---------------------------------------------------------------------------
 
 /// The joined/filtered relation as row-id vectors into the source tables —
-/// rows materialize only when an expression actually reads them.
+/// rows materialize only when an expression actually reads them. A core
+/// without FROM is the zero-table relation of one row (none when its WHERE
+/// rejects it).
 struct Rel<'a> {
     tables: Vec<&'a Table>,
     /// Flat-offset start of each table in the concatenated row.
@@ -586,6 +578,26 @@ impl<'a> Rel<'a> {
         self.tables[t].column(c).get(ri as usize)
     }
 
+    /// Width of the concatenated row: where the next joined table starts.
+    fn width(&self) -> usize {
+        match (self.starts.last(), self.tables.last()) {
+            (Some(start), Some(t)) => start + t.schema.columns.len(),
+            _ => 0,
+        }
+    }
+
+    /// One join step's output: row `i` is row `left[i]` of the relation so
+    /// far ([`SENT`] = all-NULL left pad) beside row `right[i]` of `rt`.
+    fn join(&mut self, left: &[u32], right: Vec<u32>, rt: &'a Table) {
+        let start = self.width();
+        for col in &mut self.idx {
+            *col = left.iter().map(|&l| if l == SENT { SENT } else { col[l as usize] }).collect();
+        }
+        self.tables.push(rt);
+        self.starts.push(start);
+        self.idx.push(right);
+        self.len = left.len();
+    }
 }
 
 struct RelRow<'a, 'b> {
@@ -600,7 +612,7 @@ impl RowView for RelRow<'_, '_> {
 }
 
 // ---------------------------------------------------------------------------
-// join
+// joins
 // ---------------------------------------------------------------------------
 
 /// Build-side hash table keyed by raw `i64` when the right column has `Int`
@@ -641,7 +653,7 @@ impl JoinMap {
         })
     }
 
-    /// Probe with a base-row key value (NULL never matches, as in the
+    /// Probe with a left-row key value (NULL never matches, as in the
     /// interpreter's build-side NULL skip + probe-side NULL check).
     fn probe(&self, key: &Value) -> &[u32] {
         if key.is_null() {
@@ -655,113 +667,211 @@ impl JoinMap {
     }
 }
 
+/// Hash equi-join step: build on `rt`, probe from the relation in row order,
+/// emit each row's matches in build-side insertion order (a LEFT step pads
+/// an unmatched row) — the interpreter's emission order. A key read through
+/// an earlier step's NULL pad matches nothing. One build unit per right row
+/// and one probe unit per left row are charged up front, a row's emit units
+/// before the id vectors grow by them.
+///
+/// `sel` is the single-join pushdown shape: the relation is still the bare
+/// base scan and `sel` holds, ascending, the base rows that passed the
+/// pushed conjuncts. Every base row is probed and charged, only selected
+/// ones emit, and the return value counts the joined rows priced but never
+/// materialized — the caller still owes their WHERE units.
+fn hash_step<'a>(
+    cx: &Exec<'_>,
+    rel: &mut Rel<'a>,
+    kind: JoinKind,
+    lcol: usize,
+    rcol: usize,
+    rt: &'a Table,
+    sel: Option<&[u32]>,
+) -> ExecResult<u64> {
+    let map = JoinMap::build(rt, rcol, cx)?;
+    cx.charge(WorkOp::Join, rel.len as u64)?;
+    let (t, c) = rel.locate(lcol);
+    let lc = rel.tables[t].column(c);
+    let mut left: Vec<u32> = Vec::new();
+    let mut right: Vec<u32> = Vec::new();
+    let (mut sp, mut phantoms) = (0usize, 0u64);
+    for (row, &li) in rel.idx[t].iter().enumerate() {
+        let key = if li == SENT { Value::Null } else { lc.get(li as usize) };
+        let matches = map.probe(&key);
+        cx.charge(WorkOp::Join, matches.len() as u64)?;
+        let padded = matches.is_empty() && kind == JoinKind::Left;
+        if let Some(sel) = sel {
+            if sel.get(sp) != Some(&(row as u32)) {
+                phantoms += if padded { 1 } else { matches.len() as u64 };
+                continue;
+            }
+            sp += 1;
+        }
+        if padded {
+            left.push(row as u32);
+            right.push(SENT);
+        } else {
+            left.extend(std::iter::repeat_n(row as u32, matches.len()));
+            right.extend_from_slice(matches);
+        }
+    }
+    rel.join(&left, right, rt);
+    Ok(phantoms)
+}
+
+/// One candidate pair of a nested-loop step, read in place: a relation row
+/// beside a row of the table being joined, whose columns start at `start`.
+struct PairRow<'r, 'a> {
+    rel: &'r Rel<'a>,
+    row: usize,
+    rt: &'a Table,
+    rrow: usize,
+    start: usize,
+}
+
+impl RowView for PairRow<'_, '_> {
+    fn cell(&self, i: usize) -> Value {
+        if i < self.start {
+            self.rel.cell(self.row, i)
+        } else {
+            self.rt.column(i - self.start).get(self.rrow)
+        }
+    }
+}
+
+/// Nested-loop step in the interpreter's pair and emission order: INNER,
+/// CROSS and LEFT loop the relation outside and `rt` inside (LEFT pads an
+/// unmatched row after its pairs); RIGHT loops `rt` outside and pads the
+/// left side. All `n·m` pair units are charged before the first pair is
+/// evaluated, so a budget trip precedes any growth. `on` is evaluated once
+/// per pair, which is as often as the interpreter evaluates it — a sub-plan
+/// slot inside it charges the same total.
+fn nested_step<'a>(
+    cx: &Exec<'_>,
+    rel: &mut Rel<'a>,
+    kind: JoinKind,
+    on: Option<&CExpr>,
+    rt: &'a Table,
+) -> ExecResult<()> {
+    let (n, m) = (rel.len, rt.n_rows());
+    cx.charge(WorkOp::Join, (n as u64).saturating_mul(m as u64))?;
+    let start = rel.width();
+    let on_true = |row: usize, rrow: usize| -> ExecResult<bool> {
+        match on {
+            None => Ok(true),
+            Some(e) => {
+                let pair = PairRow { rel, row, rt, rrow, start };
+                Ok(ceval(cx, &pair, &[], e)?.truth() == Some(true))
+            }
+        }
+    };
+    let right_outer = kind == JoinKind::Right;
+    let (outer, inner) = if right_outer { (m, n) } else { (n, m) };
+    let mut left: Vec<u32> = Vec::new();
+    let mut right: Vec<u32> = Vec::new();
+    for o in 0..outer {
+        let before = left.len();
+        for i in 0..inner {
+            let (row, rrow) = if right_outer { (i, o) } else { (o, i) };
+            if on_true(row, rrow)? {
+                left.push(row as u32);
+                right.push(rrow as u32);
+            }
+        }
+        if left.len() == before {
+            match kind {
+                JoinKind::Left => {
+                    left.push(o as u32);
+                    right.push(SENT);
+                }
+                JoinKind::Right => {
+                    left.push(SENT);
+                    right.push(o as u32);
+                }
+                JoinKind::Inner | JoinKind::Cross => {}
+            }
+        }
+    }
+    rel.join(&left, right, rt);
+    Ok(())
+}
+
 // ---------------------------------------------------------------------------
 // execution
 // ---------------------------------------------------------------------------
 
-/// Execute a lowered core. Charges exactly the per-[`WorkOp`] totals of the
-/// row-wise compiled path (itself parity-locked to the interpreter).
-pub(crate) fn exec_core(cx: &Exec<'_>, core: &CompiledCore, v: &VecCore) -> ExecResult<ResultSet> {
-    let db = cx.db;
-    let base = core.base.as_ref().expect("vectorized core always has a base scan");
-    let base_t = scan_table(db, base)?;
+/// Execute a compiled core. Charges exactly the interpreter's per-[`WorkOp`]
+/// totals.
+pub(crate) fn exec_core(cx: &Exec<'_>, core: &CompiledCore) -> ExecResult<ResultSet> {
+    let rel = from_where(cx, core)?;
+    match &core.vcore.agg {
+        Some(agg) => {
+            let mut keyed: Vec<(Vec<Value>, Vec<Value>)> = Vec::new();
+            exec_agg(core, agg, &rel, cx, &mut keyed)?;
+            finish(core, keyed)
+        }
+        None => {
+            cx.charge(WorkOp::Project, rel.len as u64)?;
+            exec_project(core, &rel, cx)
+        }
+    }
+}
+
+/// FROM, the join chain and WHERE, as a relation of row ids.
+fn from_where<'a>(cx: &Exec<'a>, core: &CompiledCore) -> ExecResult<Rel<'a>> {
+    let v = &core.vcore;
+    let Some(base) = &core.base else {
+        // no FROM: a single empty row, optionally filtered
+        let mut len = 1;
+        if core.has_where {
+            cx.charge(WorkOp::Filter, 1)?;
+            let no_row: &[Value] = &[];
+            if !passes(cx, no_row, &core.pushed)? {
+                len = 0;
+            }
+        }
+        return Ok(Rel { tables: Vec::new(), starts: Vec::new(), idx: Vec::new(), len });
+    };
+    let base_t = scan_table(cx.db, base)?;
     let n_base = base_t.n_rows();
     cx.charge(WorkOp::Scan, n_base as u64)?;
-
-    let rel = match &v.join {
-        None => {
-            let ids = if core.has_where {
-                cx.charge(WorkOp::Filter, n_base as u64)?;
-                select_base(base_t, &v.kernels, &v.residual, cx)?
-            } else {
-                (0..n_base as u32).collect()
-            };
-            let len = ids.len();
-            Rel { tables: vec![base_t], starts: vec![0], idx: vec![ids], len }
-        }
-        Some(j) => {
-            let scan = &core.joins[0].1;
-            let rt = scan_table(db, scan)?;
-            cx.charge(WorkOp::Scan, rt.n_rows() as u64)?;
-            let map = JoinMap::build(rt, j.rcol, cx)?;
-            let lc = base_t.column(j.lcol);
-            let mut lids: Vec<u32> = Vec::new();
-            let mut rids: Vec<u32> = Vec::new();
-            if !core.pushed.is_empty() {
-                // pushdown shape: probe/emit/WHERE charges cover every base
-                // row (the row path prices phantom rows before filtering),
-                // but only selected base rows materialize join pairs
-                let sel = select_base(base_t, &v.kernels, &v.residual, cx)?;
-                let mut sp = 0usize;
-                let mut emits = 0u64;
-                let mut filt = 0u64;
-                for i in 0..n_base {
-                    let matches = map.probe(&lc.get(i));
-                    let m = matches.len() as u64;
-                    emits += m;
-                    let padded = matches.is_empty() && j.kind == JoinKind::Left;
-                    filt += if padded { 1 } else { m };
-                    let selected = sp < sel.len() && sel[sp] == i as u32;
-                    if selected {
-                        sp += 1;
-                        if padded {
-                            lids.push(i as u32);
-                            rids.push(SENT);
-                        } else {
-                            for &ri in matches {
-                                lids.push(i as u32);
-                                rids.push(ri);
-                            }
-                        }
-                    }
-                }
-                cx.charge(WorkOp::Join, n_base as u64 + emits)?;
-                cx.charge(WorkOp::Filter, filt)?;
-            } else {
-                // general shape: probe + emit charges, then one WHERE unit
-                // per joined row when a WHERE clause exists
-                let mut emits = 0u64;
-                for i in 0..n_base {
-                    let matches = map.probe(&lc.get(i));
-                    emits += matches.len() as u64;
-                    if matches.is_empty() && j.kind == JoinKind::Left {
-                        lids.push(i as u32);
-                        rids.push(SENT);
-                    } else {
-                        for &ri in matches {
-                            lids.push(i as u32);
-                            rids.push(ri);
-                        }
-                    }
-                }
-                cx.charge(WorkOp::Join, n_base as u64 + emits)?;
-                if core.has_where {
-                    cx.charge(WorkOp::Filter, lids.len() as u64)?;
-                }
-            }
-            let mut rel = Rel {
-                tables: vec![base_t, rt],
-                starts: vec![0, base.width],
-                idx: vec![lids, rids],
-                len: 0,
-            };
-            rel.len = rel.idx[0].len();
-            if !core.where_rest.is_empty() {
-                retain_rel(&mut rel, &core.where_rest, cx)?;
-            }
-            rel
-        }
-    };
-
-    let mut keyed: Vec<(Vec<Value>, Vec<Value>)> = Vec::new();
-    if let Some(agg) = &v.agg {
-        exec_agg(core, agg, &rel, cx, &mut keyed)?;
-    } else {
-        cx.charge(WorkOp::Project, rel.len as u64)?;
-        return exec_project(core, &rel, cx);
+    if core.joins.is_empty() && core.has_where {
+        cx.charge(WorkOp::Filter, n_base as u64)?;
     }
-
-    finish(core, keyed)
+    // The base rows that pass the pushed conjuncts: the whole relation when
+    // there is nothing to join, else the rows allowed to emit from the one
+    // hash join `compile_core` pushes conjuncts below — a selection never
+    // meets a chain or a nested-loop step.
+    let sel = if core.pushed.is_empty() {
+        None
+    } else {
+        Some(select_base(base_t, &v.kernels, &v.residual, cx)?)
+    };
+    let all = || (0..n_base as u32).collect::<Vec<u32>>();
+    if core.joins.is_empty() {
+        let ids = sel.unwrap_or_else(all);
+        return Ok(Rel { tables: vec![base_t], starts: vec![0], len: ids.len(), idx: vec![ids] });
+    }
+    let mut rel = Rel { tables: vec![base_t], starts: vec![0], idx: vec![all()], len: n_base };
+    let mut phantoms = 0u64;
+    for (step, scan) in &core.joins {
+        let rt = scan_table(cx.db, scan)?;
+        cx.charge(WorkOp::Scan, rt.n_rows() as u64)?;
+        match step {
+            CJoinStep::Hash { kind, lcol, rcol } => {
+                phantoms += hash_step(cx, &mut rel, *kind, *lcol, *rcol, rt, sel.as_deref())?;
+            }
+            CJoinStep::Nested { kind, on } => nested_step(cx, &mut rel, *kind, on.as_ref(), rt)?,
+        }
+    }
+    // one WHERE unit per joined row, materialized or not
+    if core.has_where {
+        cx.charge(WorkOp::Filter, rel.len as u64 + phantoms)?;
+        if !core.where_rest.is_empty() {
+            retain_rel(&mut rel, &core.where_rest, cx)?;
+        }
+    }
+    Ok(rel)
 }
 
 /// Fused scan + filter: zone-pruned kernel passes build the selection
@@ -794,7 +904,7 @@ fn select_base(
                 let mut keep = Vec::with_capacity(cand.len());
                 for &i in &cand {
                     let view = TableRow { t, row: i as usize };
-                    if pass_all_view(cx, &view, residual)? {
+                    if passes(cx, &view, residual)? {
                         keep.push(i);
                     }
                 }
@@ -819,13 +929,13 @@ impl RowView for TableRow<'_> {
     }
 }
 
-fn pass_all_view<R: RowView + ?Sized>(
+fn passes<R: RowView + ?Sized>(
     cx: &Exec<'_>,
     row: &R,
     preds: &[CExpr],
 ) -> ExecResult<bool> {
     for p in preds {
-        if ceval(cx, row, None, &[], p)?.truth() != Some(true) {
+        if ceval(cx, row, &[], p)?.truth() != Some(true) {
             return Ok(false);
         }
     }
@@ -835,7 +945,7 @@ fn pass_all_view<R: RowView + ?Sized>(
 fn retain_rel(rel: &mut Rel<'_>, preds: &[CExpr], cx: &Exec<'_>) -> ExecResult<()> {
     let mut keep: Vec<usize> = Vec::with_capacity(rel.len);
     for row in 0..rel.len {
-        if pass_all_view(cx, &RelRow { rel, row }, preds)? {
+        if passes(cx, &RelRow { rel, row }, preds)? {
             keep.push(row);
         }
     }
@@ -875,7 +985,7 @@ fn exec_agg(
                 let view = RelRow { rel, row };
                 let mut key = Vec::with_capacity(core.group_by.len());
                 for g in &core.group_by {
-                    key.push(ceval(cx, &view, None, &[], g)?.key_part());
+                    key.push(ceval(cx, &view, &[], g)?.key_part());
                 }
                 let gi = *index.entry(key).or_insert_with(|| {
                     groups.push(Vec::new());
@@ -897,7 +1007,7 @@ fn exec_agg(
         if let Some(having) = &agg.having {
             cx.charge(WorkOp::Group, glen * argful(&agg.having_specs))?;
             let pre = fold_specs(rel, group, &agg.having_specs, cx)?;
-            if ceval(cx, &head, None, &pre, having)?.truth() != Some(true) {
+            if ceval(cx, &head, &pre, having)?.truth() != Some(true) {
                 continue;
             }
         }
@@ -907,7 +1017,7 @@ fn exec_agg(
         for item in &agg.items {
             match item {
                 CItem::Range(s, e) => out.extend((*s..*e).map(|off| head.cell(off))),
-                CItem::Expr(e) => out.push(ceval(cx, &head, None, &pre_i, e)?),
+                CItem::Expr(e) => out.push(ceval(cx, &head, &pre_i, e)?),
             }
         }
         let pre_o = fold_specs(rel, group, &agg.okey_specs, cx)?;
@@ -915,7 +1025,7 @@ fn exec_agg(
         for k in &agg.okeys {
             keys.push(match k {
                 COrderKey::Projected(idx) => out[*idx].clone(),
-                COrderKey::Expr(e) => ceval(cx, &head, None, &pre_o, e)?,
+                COrderKey::Expr(e) => ceval(cx, &head, &pre_o, e)?,
             });
         }
         keyed.push((keys, out));
@@ -925,7 +1035,7 @@ fn exec_agg(
 
 /// Row view over a group's first row; an empty group (global aggregate over
 /// an empty relation) reads NULL for every column, matching the
-/// all-NULL head row the row-wise path synthesizes.
+/// all-NULL head row the interpreter synthesizes.
 struct GroupHead<'r, 'a> {
     rel: &'r Rel<'a>,
     row: Option<usize>,
@@ -993,7 +1103,7 @@ fn fold_specs(
                 }
                 let mut vals = Vec::with_capacity(group.len());
                 for &row in group {
-                    let v = ceval(cx, &RelRow { rel, row: row as usize }, None, &[], arg)?;
+                    let v = ceval(cx, &RelRow { rel, row: row as usize }, &[], arg)?;
                     if !v.is_null() {
                         vals.push(v);
                     }
@@ -1094,7 +1204,7 @@ fn exec_project(
                         out.push(rel.cell(row, off));
                     }
                 }
-                CItem::Expr(e) => out.push(ceval(cx, &view, None, &[], e)?),
+                CItem::Expr(e) => out.push(ceval(cx, &view, &[], e)?),
             }
         }
         Ok(out)
@@ -1125,7 +1235,7 @@ fn exec_project(
                 keys.push(match k {
                     COrderKey::Projected(idx) => projected_pos_value(core, rel, row, *idx, cx)?,
                     COrderKey::Expr(e) => {
-                        ceval(cx, &RelRow { rel, row }, None, &[], e)?
+                        ceval(cx, &RelRow { rel, row }, &[], e)?
                     }
                 });
             }
@@ -1170,7 +1280,7 @@ fn order_keys_for(
     for k in &core.order_keys {
         keys.push(match k {
             COrderKey::Projected(idx) => projected[*idx].clone(),
-            COrderKey::Expr(e) => ceval(cx, &RelRow { rel, row }, None, &[], e)?,
+            COrderKey::Expr(e) => ceval(cx, &RelRow { rel, row }, &[], e)?,
         });
     }
     Ok(keys)
@@ -1178,7 +1288,7 @@ fn order_keys_for(
 
 /// Value at flattened projected position `idx` without materializing the
 /// whole projected row (alias order keys resolve against the projected row
-/// in the row path; this reproduces that lookup cell-by-cell).
+/// in the interpreter; this reproduces that lookup cell-by-cell).
 fn projected_pos_value(
     core: &CompiledCore,
     rel: &Rel<'_>,
@@ -1198,7 +1308,7 @@ fn projected_pos_value(
             }
             CItem::Expr(e) => {
                 if idx == acc {
-                    return ceval(cx, &RelRow { rel, row }, None, &[], e);
+                    return ceval(cx, &RelRow { rel, row }, &[], e);
                 }
                 acc += 1;
             }
@@ -1208,7 +1318,7 @@ fn projected_pos_value(
 }
 
 /// DISTINCT / sort / limit tail shared with the aggregate path — identical
-/// to the row path's ending.
+/// to the interpreter's ending.
 fn finish(core: &CompiledCore, mut keyed: Vec<(Vec<Value>, Vec<Value>)>) -> ExecResult<ResultSet> {
     if core.distinct {
         let mut seen = HashSet::new();
@@ -1265,13 +1375,10 @@ mod tests {
         let db = db();
         let q = sqlkit::parse_query(sql).expect("parse");
         let plan = compile(&db, &q).expect("compiles");
-        let vec_rs = plan.execute(&db).expect("vectorized");
-        let row_rs = plan.execute_rowwise(&db).expect("rowwise");
+        let vec_rs = plan.execute(&db).expect("compiled");
         let int_rs = crate::exec::execute(&db, &q).expect("interpreter");
-        assert_eq!(vec_rs.columns, row_rs.columns);
-        assert_eq!(format!("{:?}", vec_rs.rows), format!("{:?}", row_rs.rows), "{sql}");
+        assert_eq!(vec_rs.columns, int_rs.columns, "{sql}");
         assert_eq!(format!("{:?}", vec_rs.rows), format!("{:?}", int_rs.rows), "{sql}");
-        assert_eq!(vec_rs.work, row_rs.work, "work parity vs rowwise: {sql}");
         assert_eq!(vec_rs.work, int_rs.work, "work parity vs interpreter: {sql}");
         assert_eq!(vec_rs.ordered, int_rs.ordered);
     }
@@ -1350,15 +1457,15 @@ mod tests {
     #[test]
     fn strictness_declines_conditional_aggregates() {
         // an argful aggregate on the lazy side of AND has data-dependent
-        // charges: the shape must not vectorize (it still runs, via the
-        // row path, with identical results)
+        // charges: the shape must not compile (it still runs, on the
+        // interpreter)
         let db = db();
         let q = sqlkit::parse_query(
             "SELECT dept FROM people GROUP BY dept HAVING COUNT(*) > 100 AND SUM(score) > 0",
         )
         .unwrap();
-        let plan = compile(&db, &q).unwrap();
-        let a = plan.execute(&db).unwrap();
+        assert!(compile(&db, &q).is_none());
+        let a = db.run_query(&q).unwrap();
         let b = crate::exec::execute(&db, &q).unwrap();
         assert_eq!(format!("{:?}", a.rows), format!("{:?}", b.rows));
         assert_eq!(a.work, b.work);

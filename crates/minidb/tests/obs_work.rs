@@ -114,6 +114,44 @@ fn replayed_subquery_work_keeps_the_interpreters_per_op_attribution() {
     obs::reset();
 }
 
+/// A hash chain and a `!=` nested loop dispatch compiled, and bulk
+/// charging attributes their work to the interpreter's operator classes.
+#[test]
+fn join_chains_and_non_equi_joins_dispatch_compiled_with_the_interpreters_attribution() {
+    let _g = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
+    let db = demo_db();
+    let per_op = |snap: &obs::Snapshot| -> Vec<u64> {
+        WORK_COUNTERS.iter().map(|c| snap.counter(c)).collect()
+    };
+    for sql in [
+        "SELECT T2.name, T3.total FROM orders AS T1 JOIN users AS T2 ON T1.user_id = T2.id \
+         JOIN orders AS T3 ON T3.user_id = T2.id WHERE T1.total < 60 AND T3.total > 200",
+        "SELECT T2.name, COUNT(*) FROM orders AS T1 JOIN users AS T2 ON T1.user_id != T2.id \
+         WHERE T1.total > 300 GROUP BY T2.name ORDER BY T2.name LIMIT 3",
+    ] {
+        let query = sqlkit::parse_query(sql).unwrap();
+        obs::reset();
+        let interp = {
+            let _on = obs::enable();
+            minidb::exec::execute(&db, &query).unwrap()
+        };
+        let interp_ops = per_op(&obs::snapshot());
+
+        obs::reset();
+        let ran = {
+            let _on = obs::enable();
+            db.run_query(&query).unwrap()
+        };
+        let snap = obs::snapshot();
+        assert_eq!(ran, interp, "`{sql}`");
+        assert_eq!(snap.counter("minidb.dispatch.compiled"), 1, "`{sql}`");
+        assert_eq!(snap.counter("minidb.dispatch.interpreter"), 0, "`{sql}`");
+        assert_eq!(per_op(&snap), interp_ops, "`{sql}` per-operator work");
+        assert!(snap.counter("minidb.work.join") > 0, "`{sql}`");
+    }
+    obs::reset();
+}
+
 #[test]
 fn dispatch_counters_split_compiled_vs_interpreter() {
     let _g = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());

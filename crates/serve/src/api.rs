@@ -19,12 +19,11 @@
 //! nonblocking inside the service's thread scope and polls with a short
 //! sleep, so it needs no extra signaling to notice shutdown.
 
-use crate::http::{self, PathSpec, Request, Response, Route, Routed};
-use crate::{EvalRun, Inner, QueryError, QueryRequest, RunStatus};
+use crate::http::{self, body_json, str_field, PathSpec, Request, Response, Route, Routed};
+use crate::{EvalRun, Inner, QueryError, RunStatus};
 use nl2sql360::EvalContext;
 use std::net::TcpListener;
 use std::sync::atomic::Ordering;
-use std::time::Duration;
 
 /// Handler tags for the service route table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,7 +89,7 @@ fn respond(req: &Request, inner: &Inner, ctx: &EvalContext<'_>) -> Response {
             Response::json(200, serde_json::to_string(&entries).unwrap_or_else(|_| "[]".into()))
         }
         Endpoint::Sql => post_sql(req, inner, ctx),
-        Endpoint::Trace => get_trace(suffix, inner),
+        Endpoint::Trace => http::get_trace(inner.traces.as_ref(), suffix, "service"),
         Endpoint::EvalStart => post_eval(req, suffix, inner, ctx),
         Endpoint::EvalStatus => get_eval(suffix, inner),
         Endpoint::EvalList => {
@@ -195,27 +194,14 @@ fn raw_sql(body: &serde::Value, inner: &Inner, ctx: &EvalContext<'_>) -> Respons
 /// admission queue and worker pool, then execute the predicted SQL for the
 /// actual rows.
 fn nl_query(body: &serde::Value, inner: &Inner, ctx: &EvalContext<'_>) -> Response {
-    let Some(question) = str_field(body, "question") else {
-        return Response::json_error(400, "\"question\" must be a string");
+    let request = match http::nl_request(body, |field| match field {
+        "question" => "\"question\" must be a string".to_string(),
+        field => format!("NL requests need a \"{field}\" string"),
+    }) {
+        Ok(r) => r,
+        Err(refused) => return refused,
     };
-    let Some(db_id) = str_field(body, "db_id") else {
-        return Response::json_error(400, "NL requests need a \"db_id\" string");
-    };
-    let Some(method) = str_field(body, "method") else {
-        return Response::json_error(400, "NL requests need a \"method\" string");
-    };
-    let deadline = match body.get("deadline_ms") {
-        None | Some(serde::Value::Null) => None,
-        Some(serde::Value::Int(ms)) if *ms >= 0 => Some(Duration::from_millis(*ms as u64)),
-        Some(_) => return Response::json_error(400, "\"deadline_ms\" must be a non-negative integer"),
-    };
-    let request = QueryRequest {
-        method: method.to_string(),
-        db_id: db_id.to_string(),
-        question: question.to_string(),
-        deadline,
-        trace: None,
-    };
+    let db_id = request.db_id.clone();
     let ticket = match inner.submit(request) {
         Ok(t) => t,
         Err(e) => return query_error_response(&e),
@@ -228,57 +214,16 @@ fn nl_query(body: &serde::Value, inner: &Inner, ctx: &EvalContext<'_>) -> Respon
     // database; execution is deterministic, so this matches the outcome
     // the pipeline scored. A failed execution reports the failure kind and
     // `null` rows instead.
-    let mut out = vec![
-        ("ex".to_string(), serde::Value::Bool(resp.ex)),
-        ("em".to_string(), serde::Value::Bool(resp.em)),
-        ("pred_sql".to_string(), serde::Value::Str(resp.pred_sql.clone())),
-        (
-            "exec_failure".to_string(),
-            resp.exec_failure
-                .map_or(serde::Value::Null, |k| serde::Value::Str(k.label().to_string())),
-        ),
-    ];
     let rows = if resp.exec_failure.is_none() {
         ctx.corpus
             .databases
-            .get(db_id)
+            .get(&db_id)
             .and_then(|db| db.database.run(&resp.pred_sql).ok())
             .map(|rs| result_set_json(&rs))
     } else {
         None
     };
-    out.push(("result".to_string(), rows.unwrap_or(serde::Value::Null)));
-    out.push(("cache_hit".to_string(), serde::Value::Bool(resp.cache_hit)));
-    out.push(("batch_size".to_string(), serde::Value::Int(resp.batch_size as i64)));
-    out.push((
-        "latency_us".to_string(),
-        serde::Value::Int(resp.latency.as_micros() as i64),
-    ));
-    if !resp.trace_id.is_empty() {
-        out.push(("trace_id".to_string(), serde::Value::Str(resp.trace_id.clone())));
-    }
-    Response::json(200, serde_json::to_string(&serde::Value::Map(out)).unwrap_or_default())
-}
-
-/// `GET /v1/traces/<id>`: the assembled span tree of one traced request,
-/// as flat spans plus a parent-nested tree (see [`crate::trace::trace_json`]).
-fn get_trace(suffix: &str, inner: &Inner) -> Response {
-    let Some(store) = inner.traces.as_ref() else {
-        return Response::json_error(404, "request tracing is not enabled on this service");
-    };
-    let Some(id) = crate::trace::parse_trace_id(suffix) else {
-        return Response::json_error(404, &format!("bad trace id: {suffix}"));
-    };
-    match store.spans(id) {
-        Some(spans) => {
-            let hex = crate::trace::format_trace_id(id);
-            Response::json(
-                200,
-                serde_json::to_string(&crate::trace::trace_json(&hex, &spans)).unwrap_or_default(),
-            )
-        }
-        None => Response::json_error(404, &format!("no trace with id {suffix} (unknown or evicted)")),
-    }
+    http::nl_reply(&resp, Some(rows.unwrap_or(serde::Value::Null)))
 }
 
 /// `POST /v1/evals/<corpus>`: validate, register a queued run, hand it to
@@ -381,24 +326,6 @@ fn run_json(idx: usize, run: &EvalRun) -> serde::Value {
 /// Map a [`QueryError`] to its HTTP refusal.
 fn query_error_response(e: &QueryError) -> Response {
     Response::json_error(e.http_status(), &e.to_string())
-}
-
-/// Parse the request body as JSON, mapping every refusal to a `400`.
-fn body_json(req: &Request) -> Result<serde::Value, Response> {
-    if req.body.is_empty() {
-        return Err(Response::json_error(400, "missing JSON body"));
-    }
-    let text = std::str::from_utf8(&req.body)
-        .map_err(|_| Response::json_error(400, "body is not UTF-8"))?;
-    serde_json::from_str(text)
-        .map_err(|e| Response::json_error(400, &format!("malformed JSON body: {e}")))
-}
-
-fn str_field<'v>(v: &'v serde::Value, key: &str) -> Option<&'v str> {
-    match v.get(key) {
-        Some(serde::Value::Str(s)) => Some(s),
-        _ => None,
-    }
 }
 
 /// Optional non-negative integer field; anything else is a `400`.

@@ -10,6 +10,8 @@
 //! chunked transfer — exactly enough protocol for `curl`, a Prometheus
 //! scraper, and the `/v1` JSON API.
 
+use crate::trace::TraceStore;
+use crate::{QueryRequest, QueryResponse};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
@@ -350,6 +352,108 @@ fn read_reply(mut stream: TcpStream) -> std::io::Result<(u16, String)> {
         })?;
     let body = raw.split_once("\r\n\r\n").map(|(_, b)| b.to_string()).unwrap_or_default();
     Ok((status, body))
+}
+
+// ---------------------------------------------------------------------------
+// `/v1` request parsing and replies, shared by the per-engine API and the
+// scheduler's admin endpoint
+// ---------------------------------------------------------------------------
+
+/// Parse the request body as JSON, mapping every refusal to a `400` — a
+/// body nested past [`serde_json::MAX_DEPTH`] included.
+pub fn body_json(req: &Request) -> Result<serde::Value, Response> {
+    if req.body.is_empty() {
+        return Err(Response::json_error(400, "missing JSON body"));
+    }
+    let text = std::str::from_utf8(&req.body)
+        .map_err(|_| Response::json_error(400, "body is not UTF-8"))?;
+    serde_json::from_str(text)
+        .map_err(|e| Response::json_error(400, &format!("malformed JSON body: {e}")))
+}
+
+/// The string at `key`, if there is one.
+pub fn str_field<'v>(v: &'v serde::Value, key: &str) -> Option<&'v str> {
+    match v.get(key) {
+        Some(serde::Value::Str(s)) => Some(s),
+        _ => None,
+    }
+}
+
+/// The NL form of `POST /v1/sql` — `question` / `db_id` / `method` strings
+/// and an optional `deadline_ms` — as a [`QueryRequest`], or the `400` that
+/// refuses it. `missing` words the refusal of the first required field
+/// that is absent or not a string; the two endpoints phrase that one
+/// differently.
+pub fn nl_request(
+    body: &serde::Value,
+    missing: impl Fn(&str) -> String,
+) -> Result<QueryRequest, Response> {
+    let field = |key: &str| {
+        str_field(body, key)
+            .map(str::to_string)
+            .ok_or_else(|| Response::json_error(400, &missing(key)))
+    };
+    let (question, db_id, method) = (field("question")?, field("db_id")?, field("method")?);
+    let deadline = match body.get("deadline_ms") {
+        None | Some(serde::Value::Null) => None,
+        Some(serde::Value::Int(ms)) if *ms >= 0 => Some(Duration::from_millis(*ms as u64)),
+        Some(_) => {
+            return Err(Response::json_error(400, "\"deadline_ms\" must be a non-negative integer"))
+        }
+    };
+    Ok(QueryRequest { method, db_id, question, deadline, trace: None })
+}
+
+/// The `200` that answers an NL request. `result` is the predicted SQL's
+/// rows where the endpoint has the database to produce them (the engine;
+/// the scheduler holds none and leaves the field out).
+pub fn nl_reply(resp: &QueryResponse, result: Option<serde::Value>) -> Response {
+    let mut out = vec![
+        ("ex".to_string(), serde::Value::Bool(resp.ex)),
+        ("em".to_string(), serde::Value::Bool(resp.em)),
+        ("pred_sql".to_string(), serde::Value::Str(resp.pred_sql.clone())),
+        (
+            "exec_failure".to_string(),
+            resp.exec_failure
+                .map_or(serde::Value::Null, |k| serde::Value::Str(k.label().to_string())),
+        ),
+    ];
+    if let Some(result) = result {
+        out.push(("result".to_string(), result));
+    }
+    out.push(("cache_hit".to_string(), serde::Value::Bool(resp.cache_hit)));
+    out.push(("batch_size".to_string(), serde::Value::Int(resp.batch_size as i64)));
+    out.push(("latency_us".to_string(), serde::Value::Int(resp.latency.as_micros() as i64)));
+    if !resp.trace_id.is_empty() {
+        out.push(("trace_id".to_string(), serde::Value::Str(resp.trace_id.clone())));
+    }
+    Response::json(200, serde_json::to_string(&serde::Value::Map(out)).unwrap_or_default())
+}
+
+/// `GET /v1/traces/<id>`: the assembled span tree of one traced request,
+/// as flat spans plus a parent-nested tree (see
+/// [`crate::trace::trace_json`]). `process` names what was asked — "service"
+/// or "scheduler" — when tracing is off there.
+pub fn get_trace(store: Option<&TraceStore>, suffix: &str, process: &str) -> Response {
+    let Some(store) = store else {
+        return Response::json_error(
+            404,
+            &format!("request tracing is not enabled on this {process}"),
+        );
+    };
+    let Some(id) = crate::trace::parse_trace_id(suffix) else {
+        return Response::json_error(404, &format!("bad trace id: {suffix}"));
+    };
+    match store.spans(id) {
+        Some(spans) => {
+            let hex = crate::trace::format_trace_id(id);
+            Response::json(
+                200,
+                serde_json::to_string(&crate::trace::trace_json(&hex, &spans)).unwrap_or_default(),
+            )
+        }
+        None => Response::json_error(404, &format!("no trace with id {suffix} (unknown or evicted)")),
+    }
 }
 
 /// A [`minidb::ResultSet`] as plain JSON:

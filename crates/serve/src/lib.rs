@@ -63,7 +63,7 @@ pub mod window;
 use cache::{ExecCache, ExecOutcome};
 use crossbeam::channel;
 pub use metrics::MetricsSnapshot;
-use modelzoo::Nl2SqlModel;
+use modelzoo::{Nl2SqlModel, TranslationTask};
 use nl2sql360::{EvalContext, EvalStore, ExecFailureKind};
 use serde::{Deserialize, Serialize};
 pub use slowlog::{fnv1a64, SlowLog, SlowQueryEntry};
@@ -1186,7 +1186,12 @@ fn translate_and_execute<'a>(
     batch_size: usize,
 ) -> (QueryReply, u64) {
     let sample = &ctx.corpus.dev[p.sample_idx];
-    let task = ctx.task(sample, p.variant);
+    // the context already holds the gold result; without it a wrong
+    // prediction's corruption check would execute the gold query again
+    let task = TranslationTask {
+        gold_result: Some(ctx.gold_result(p.sample_idx)),
+        ..ctx.task(sample, p.variant)
+    };
     let translated = inner.models[p.method_idx].translate(&task);
     let translate_end = rt.map(|_| Instant::now());
     if let (Some(t), Some(end)) = (rt, translate_end) {

@@ -386,5 +386,14 @@ mod tests {
             read_frame(&mut &garbage[..]).unwrap_err().kind(),
             io::ErrorKind::InvalidData
         );
+        // the largest frame, all of it nesting: the decoder's depth bound
+        // refuses it where unbounded recursion would overflow this thread's
+        // stack and abort the scheduler or worker that read it
+        let mut deep = Vec::new();
+        deep.extend_from_slice(&(MAX_FRAME as u32).to_be_bytes());
+        deep.extend_from_slice("[".repeat(MAX_FRAME).as_bytes());
+        let err = read_frame(&mut &deep[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("nesting deeper than"), "{err}");
     }
 }

@@ -295,6 +295,18 @@ fn refusal_surface_speaks_json_and_proper_statuses() {
             assert_eq!(err.get("status"), Some(&serde::Value::Int(400)));
             assert!(get_str(err, "message").contains("nesting deeper than"), "{reply}");
         }
+        // and the JSON around it: 30 000 brackets, 60 KB, overflowed the
+        // same stack one layer earlier, on every endpoint that reads a body
+        let deep = format!("{}{}", "[".repeat(30_000), "]".repeat(30_000));
+        assert!(deep.len() < serve::http::MAX_BODY_BYTES);
+        for path in ["/v1/sql", "/v1/evals/spider"] {
+            let (status, reply) = http_post(addr, path, &deep).expect("deep json");
+            assert_eq!(status, 400, "{reply}");
+            let v: serde::Value = serde_json::from_str(&reply).expect("error body is JSON");
+            let err = v.get("error").expect("error key");
+            assert_eq!(err.get("status"), Some(&serde::Value::Int(400)));
+            assert!(get_str(err, "message").contains("nesting deeper than"), "{reply}");
+        }
         let (status, _) = http_get(addr, "/healthz").expect("server survived");
         assert_eq!(status, 200);
         // an ordinary syntax error is still the engine's 422
