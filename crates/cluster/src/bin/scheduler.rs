@@ -11,6 +11,8 @@
 //! addr>`); clients are `serve-loadgen --endpoints <client addr>` or any
 //! `serve::proto::ClusterClient`.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 use cluster::{Scheduler, SchedulerConfig};
 use std::io::Write;
 use std::net::SocketAddr;

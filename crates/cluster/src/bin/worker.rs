@@ -9,6 +9,8 @@
 //! serve-worker WID serve=127.0.0.1:PORT admin=127.0.0.1:PORT
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 use cluster::{Worker, WorkerConfig};
 use serve::ServeConfig;
 use std::io::Write;

@@ -37,6 +37,8 @@
 //! [`Submit`]: serve::proto::Message::Submit
 //! [`Execute`]: serve::proto::Message::Execute
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 mod admin;
 pub mod ring;
 pub mod scheduler;

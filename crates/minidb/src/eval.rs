@@ -2,6 +2,7 @@
 
 use crate::database::Database;
 use crate::error::{ExecError, ExecResult};
+use crate::exec::resolve_in;
 use crate::value::Value;
 use sqlkit::ast::*;
 use std::cell::Cell;
@@ -115,6 +116,22 @@ pub(crate) struct Binding {
     pub(crate) offset: usize,
 }
 
+impl Binding {
+    /// The binding a named FROM table contributes, at offset 0.
+    pub(crate) fn of_table(t: &crate::database::Table, name: &str, alias: &Option<String>) -> Self {
+        Binding {
+            name: Some(alias.as_deref().unwrap_or(name).to_string()),
+            columns: t.schema.column_names(),
+            offset: 0,
+        }
+    }
+
+    /// Does the qualifier `t` name this binding?
+    pub(crate) fn is_named(&self, t: &str) -> bool {
+        self.name.as_deref().is_some_and(|n| n.eq_ignore_ascii_case(t))
+    }
+}
+
 /// A name-resolution scope: bindings + the current concatenated row, chained
 /// to an optional outer scope for correlated subqueries.
 #[derive(Debug, Clone, Copy)]
@@ -125,22 +142,14 @@ pub(crate) struct Scope<'a> {
 }
 
 impl<'a> Scope<'a> {
-    /// Resolve a (possibly qualified) column to its value, walking outward
-    /// through parent scopes.
-    fn resolve(&self, table: Option<&str>, column: &str) -> Option<Value> {
-        for b in self.bindings {
-            if let Some(t) = table {
-                let matches_binding =
-                    b.name.as_deref().map(|n| n.eq_ignore_ascii_case(t)).unwrap_or(false);
-                if !matches_binding {
-                    continue;
-                }
-            }
-            if let Some(ci) = b.columns.iter().position(|c| c.eq_ignore_ascii_case(column)) {
-                return Some(self.row[b.offset + ci].clone());
-            }
+    /// The scope level that binds a (possibly qualified) column — this one,
+    /// else the nearest enclosing one — and the column's offset in that
+    /// level's row ([`resolve_in`] at each level).
+    pub(crate) fn lookup(&self, table: Option<&str>, column: &str) -> Option<(&Scope<'a>, usize)> {
+        match resolve_in(self.bindings, table, column) {
+            Some(i) => Some((self, i)),
+            None => self.parent.and_then(|p| p.lookup(table, column)),
         }
-        self.parent.and_then(|p| p.resolve(table, column))
     }
 }
 
@@ -165,10 +174,10 @@ impl<'a> EvalCtx<'a> {
 pub(crate) fn eval(ctx: &EvalCtx<'_>, expr: &Expr) -> ExecResult<Value> {
     match expr {
         Expr::Literal(lit) => Ok(literal_value(lit)),
-        Expr::Column { table, column } => ctx
-            .scope
-            .resolve(table.as_deref(), column)
-            .ok_or_else(|| ExecError::UnknownColumn(render_col(table.as_deref(), column))),
+        Expr::Column { table, column } => match ctx.scope.lookup(table.as_deref(), column) {
+            Some((level, i)) => Ok(level.row[i].clone()),
+            None => Err(unknown_column(table.as_deref(), column)),
+        },
         Expr::AggWildcard(func) => eval_aggregate(ctx, *func, None, false),
         Expr::Agg { func, distinct, arg } => eval_aggregate(ctx, *func, Some(arg), *distinct),
         Expr::Func { name, args } => eval_function(ctx, name, args),
@@ -293,11 +302,25 @@ pub(crate) fn eval(ctx: &EvalCtx<'_>, expr: &Expr) -> ExecResult<Value> {
     }
 }
 
-fn render_col(table: Option<&str>, column: &str) -> String {
-    match table {
+/// The error a column that binds nowhere raises, naming it as written.
+pub(crate) fn unknown_column(table: Option<&str>, column: &str) -> ExecError {
+    ExecError::UnknownColumn(match table {
         Some(t) => format!("{t}.{column}"),
         None => column.to_string(),
-    }
+    })
+}
+
+/// Evaluate an expression that reads no row — literals under operators and
+/// scalar functions — exactly as [`eval`] would, short-circuits included.
+/// `None` when evaluating it reads a column, an aggregate or a subquery, or
+/// raises. This is what `sqlcheck`'s constant folding calls instead of
+/// mirroring the arithmetic, comparison and three-valued rules.
+pub fn eval_rowless(e: &Expr) -> Option<Value> {
+    let db = Database::new("");
+    let scope = Scope { bindings: &[], row: &[], parent: None };
+    // a zero budget refuses the first unit any subquery would charge
+    let counters = Counters::new(0);
+    eval(&EvalCtx { db: &db, scope: &scope, group: None, counters: &counters }, e).ok()
 }
 
 /// Apply a unary operator to an evaluated operand.
@@ -434,13 +457,16 @@ pub(crate) fn eval_arith(op: BinOp, l: Value, r: Value) -> ExecResult<Value> {
             }
             _ => unreachable!(),
         };
-        // overflow degrades to float, as SQLite does
+        // overflow degrades to float, as SQLite does (`i64::MIN / -1` is the
+        // one quotient that overflows)
         return Ok(v.unwrap_or_else(|| {
             let (af, bf) = (a as f64, b as f64);
             Value::Real(match op {
                 BinOp::Add => af + bf,
                 BinOp::Sub => af - bf,
                 BinOp::Mul => af * bf,
+                BinOp::Div => af / bf,
+                BinOp::Mod => af % bf,
                 _ => unreachable!(),
             })
         }));
@@ -578,7 +604,7 @@ fn eval_function(ctx: &EvalCtx<'_>, name: &str, args: &[Expr]) -> ExecResult<Val
 /// Validate a scalar function's argument count before evaluating any
 /// argument, so arity errors fire ahead of argument-evaluation errors in
 /// both the interpreter and the compiled-plan executor.
-pub(crate) fn check_function_arity(name: &str, n: usize) -> ExecResult<()> {
+pub fn check_function_arity(name: &str, n: usize) -> ExecResult<()> {
     match name {
         "ABS" | "LENGTH" | "UPPER" | "LOWER" if n != 1 => {
             Err(ExecError::Arity(format!("{name} expects 1 args, got {n}")))
@@ -596,8 +622,9 @@ pub(crate) fn check_function_arity(name: &str, n: usize) -> ExecResult<()> {
 }
 
 /// Is this a scalar function the evaluator implements? (Used by the plan
-/// compiler to decide up front whether an expression can be lowered.)
-pub(crate) fn known_function(name: &str) -> bool {
+/// compiler to decide up front whether an expression can be lowered, and by
+/// `sqlcheck` as the function surface it lints against.)
+pub fn known_function(name: &str) -> bool {
     matches!(
         name,
         "ABS"
@@ -833,6 +860,29 @@ mod tests {
         assert_eq!(parse_prefix_f64("-3.5x"), -3.5);
         assert_eq!(parse_prefix_f64("abc"), 0.0);
         assert_eq!(parse_prefix_f64("  7"), 7.0);
+    }
+
+    #[test]
+    fn rowless_evaluation_is_eval_without_a_row() {
+        let value = |expr: &str| {
+            let q = sqlkit::parse_query(&format!("SELECT {expr}")).unwrap();
+            let SelectItem::Expr { expr, .. } = &q.body.items[0] else { panic!("{q:?}") };
+            eval_rowless(expr)
+        };
+        assert_eq!(value("1 + 2 * 3"), Some(Value::Int(7)));
+        assert_eq!(value("'a' || 1.0"), Some(Value::text("a1.0")));
+        assert_eq!(value("NULL = 1"), Some(Value::Null));
+        // short-circuits are eval's: the right operand is never reached
+        assert_eq!(value("0 AND nosuch"), Some(Value::Int(0)));
+        assert_eq!(value("1 OR (SELECT 1)"), Some(Value::Int(1)));
+        // anything that reads a column, an aggregate or a subquery is None
+        assert_eq!(value("1 AND nosuch"), None);
+        assert_eq!(value("(SELECT 1)"), None);
+        assert_eq!(value("1 IN (SELECT 1)"), None);
+        assert_eq!(value("COUNT(*)"), None);
+        // the one quotient that overflows degrades to float, not a panic
+        assert_eq!(value("(-9223372036854775807 - 1) / -1"), Some(Value::Real(9_223_372_036_854_775_808.0)));
+        assert_eq!(value("(-9223372036854775807 - 1) % -1"), Some(Value::Real(-0.0)));
     }
 
     #[test]

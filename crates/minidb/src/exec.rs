@@ -5,6 +5,13 @@
 //! plan stage. Benchmark databases are small (hundreds of rows per table),
 //! so nested-loop joins with a work budget are both sufficient and fully
 //! deterministic, which matters for the Valid Efficiency Score.
+//!
+//! It is the oracle the compiled plans in [`crate::plan`] are pinned
+//! against, and what [`Database::run_query`] runs for the shapes `compile`
+//! declines — none that any corpus emits (DESIGN §8). Like a compiled plan
+//! it sits behind [`crate::bind`]: [`execute_with_budget`] binds the whole
+//! statement before it reads a row or charges a unit, so an unknown table
+//! or column is the same error here and there, whatever the tables hold.
 
 use crate::database::Database;
 use crate::error::{ExecError, ExecResult};
@@ -26,6 +33,7 @@ pub fn execute(db: &Database, query: &Query) -> ExecResult<ResultSet> {
 /// Execute with an explicit work budget (rows touched).
 pub fn execute_with_budget(db: &Database, query: &Query, budget: u64) -> ExecResult<ResultSet> {
     let _span = obs::span("minidb.exec.interpret");
+    crate::bind::bind(db, query)?;
     let counters = Counters::new(budget);
     let result = execute_query(db, query, None, &counters);
     counters.flush_obs();
@@ -171,14 +179,9 @@ fn table_source(
         TableRef::Named { name, alias } => {
             let t = db.table(name)?;
             counters.charge(WorkOp::Scan, t.n_rows() as u64)?;
-            let binding = Binding {
-                name: Some(alias.clone().unwrap_or_else(|| name.clone())),
-                columns: t.schema.column_names(),
-                offset: 0,
-            };
             Ok(Relation {
                 width: t.schema.columns.len(),
-                bindings: vec![binding],
+                bindings: vec![Binding::of_table(t, name, alias)],
                 rows: t.to_rows(),
             })
         }
@@ -191,26 +194,46 @@ fn table_source(
     }
 }
 
-/// Resolve a column reference to a flat index within one binding set, or
-/// `None` if it does not resolve there (used to route equi-join sides).
+/// The lookup rule, in its one place: resolve a (possibly qualified) column
+/// to its flat row offset within one binding set — ASCII case-insensitive,
+/// a qualifier must name the binding, the first binding carrying the column
+/// wins — or `None` if it does not resolve there. [`Scope::lookup`] chains
+/// it through the enclosing queries; the interpreter, the plan compiler and
+/// [`crate::bind`] all resolve through it.
+#[inline]
 pub(crate) fn resolve_in(
     bindings: &[Binding],
     table: Option<&str>,
     column: &str,
 ) -> Option<usize> {
     for b in bindings {
-        if let Some(t) = table {
-            let matches =
-                b.name.as_deref().map(|n| n.eq_ignore_ascii_case(t)).unwrap_or(false);
-            if !matches {
-                continue;
-            }
+        if table.is_some_and(|t| !b.is_named(t)) {
+            continue;
         }
         if let Some(ci) = b.columns.iter().position(|c| c.eq_ignore_ascii_case(column)) {
             return Some(b.offset + ci);
         }
     }
     None
+}
+
+/// The binding a `t.*` item names: this query's own FROM only, no parents.
+pub(crate) fn binding_named<'a>(bindings: &'a [Binding], t: &str) -> ExecResult<&'a Binding> {
+    bindings.iter().find(|b| b.is_named(t)).ok_or_else(|| ExecError::UnknownTable(t.to_string()))
+}
+
+/// The select item an ORDER BY key stands for when it is a bare select
+/// alias: the key is then that projected column, ahead of any scope lookup
+/// (SQLite resolution order; the last item carrying the alias wins). An
+/// alias is a whole-key reference — inside a key *expression* names resolve
+/// through the scope like anywhere else. (Public for `sqlcheck`, whose
+/// binder asks the same question.)
+pub fn order_alias(core: &SelectCore, key: &Expr) -> Option<usize> {
+    let Expr::Column { table: None, column } = key else { return None };
+    let name = column.to_lowercase();
+    core.items.iter().rposition(
+        |i| matches!(i, SelectItem::Expr { alias: Some(a), .. } if a.to_lowercase() == name),
+    )
 }
 
 /// Detect `left_col = right_col` equi-join conditions and return the flat
@@ -437,13 +460,8 @@ fn exec_core(
     // output column names
     let columns = output_columns(core, &rel.bindings)?;
 
-    // alias map for ORDER BY name resolution (alias → item index)
-    let mut alias_index: HashMap<String, usize> = HashMap::new();
-    for (i, item) in core.items.iter().enumerate() {
-        if let SelectItem::Expr { alias: Some(a), .. } = item {
-            alias_index.insert(a.to_lowercase(), i);
-        }
-    }
+    let order_aliases: Vec<Option<usize>> =
+        order_by.iter().map(|k| order_alias(core, &k.expr)).collect();
 
     let null_row: Vec<Value> = std::iter::repeat_n(Value::Null, rel.width).collect();
 
@@ -482,7 +500,7 @@ fn exec_core(
                 }
             }
             let out = project(&ctx, core, &rel.bindings, head)?;
-            let keys = order_keys(&ctx, order_by, &alias_index, &out)?;
+            let keys = order_keys(&ctx, order_by, &order_aliases, &out)?;
             keyed.push((keys, out));
         }
     } else {
@@ -491,7 +509,7 @@ fn exec_core(
             let scope = Scope { bindings: &rel.bindings, row, parent: outer };
             let ctx = EvalCtx { db, scope: &scope, group: None, counters };
             let out = project(&ctx, core, &rel.bindings, row)?;
-            let keys = order_keys(&ctx, order_by, &alias_index, &out)?;
+            let keys = order_keys(&ctx, order_by, &order_aliases, &out)?;
             keyed.push((keys, out));
         }
     }
@@ -528,13 +546,7 @@ pub(crate) fn output_columns(core: &SelectCore, bindings: &[Binding]) -> ExecRes
                 }
             }
             SelectItem::QualifiedWildcard(t) => {
-                let b = bindings
-                    .iter()
-                    .find(|b| {
-                        b.name.as_deref().map(|n| n.eq_ignore_ascii_case(t)).unwrap_or(false)
-                    })
-                    .ok_or_else(|| ExecError::UnknownTable(t.clone()))?;
-                cols.extend(b.columns.iter().cloned());
+                cols.extend(binding_named(bindings, t)?.columns.iter().cloned());
             }
             SelectItem::Expr { expr, alias } => {
                 let name = match alias {
@@ -576,12 +588,7 @@ fn project(
                 out.extend(head.iter().cloned());
             }
             SelectItem::QualifiedWildcard(t) => {
-                let b = bindings
-                    .iter()
-                    .find(|b| {
-                        b.name.as_deref().map(|n| n.eq_ignore_ascii_case(t)).unwrap_or(false)
-                    })
-                    .ok_or_else(|| ExecError::UnknownTable(t.clone()))?;
+                let b = binding_named(bindings, t)?;
                 out.extend(head[b.offset..b.offset + b.columns.len()].iter().cloned());
             }
             SelectItem::Expr { expr, .. } => out.push(eval(ctx, expr)?),
@@ -590,38 +597,22 @@ fn project(
     Ok(out)
 }
 
-/// Evaluate ORDER BY keys in the row/group context, falling back to select
-/// aliases for bare column references (SQLite resolution order).
+/// Evaluate ORDER BY keys: a select alias (see [`order_alias`]) is the
+/// projected column, anything else evaluates in the row/group context.
 fn order_keys(
     ctx: &EvalCtx<'_>,
     order_by: &[OrderKey],
-    alias_index: &HashMap<String, usize>,
+    aliases: &[Option<usize>],
     projected: &[Value],
 ) -> ExecResult<Vec<Value>> {
-    let mut keys = Vec::with_capacity(order_by.len());
-    for k in order_by {
-        // alias reference?
-        if let Expr::Column { table: None, column } = &k.expr {
-            if let Some(&idx) = alias_index.get(&column.to_lowercase()) {
-                keys.push(projected[idx].clone());
-                continue;
-            }
-        }
-        match eval(ctx, &k.expr) {
-            Ok(v) => keys.push(v),
-            Err(ExecError::UnknownColumn(name)) => {
-                // final fallback: maybe it names a projected output column
-                let lname = name.to_lowercase();
-                if let Some(&idx) = alias_index.get(&lname) {
-                    keys.push(projected[idx].clone());
-                } else {
-                    return Err(ExecError::UnknownColumn(name));
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(keys)
+    order_by
+        .iter()
+        .zip(aliases)
+        .map(|(k, alias)| match alias {
+            Some(idx) => Ok(projected[*idx].clone()),
+            None => eval(ctx, &k.expr),
+        })
+        .collect()
 }
 
 /// Stable sort of `(keys, row)` pairs by the per-key descending flags.

@@ -30,6 +30,7 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
+mod bind;
 pub mod column;
 pub mod database;
 pub mod error;

@@ -17,23 +17,27 @@
 //! * projections, predicates, grouping keys and order keys all evaluate
 //!   against resolved offsets.
 //!
-//! **Two tiers, not three.** A compiled plan has exactly one executor, the
-//! columnar one in [`crate::vector`]; [`Database::run_query`] is "compiled
-//! plan, else the interpreter". `compile` returns `None` for anything that
-//! executor does not mirror bit-for-bit — correlated subqueries,
-//! `FROM (SELECT ...)`, unresolvable columns, unknown functions, aggregates
-//! in positions where the interpreter would raise only *data-dependently*,
-//! sub-plan slots outside ON / WHERE or that can raise, argful aggregates
-//! behind a short-circuit — and the caller runs the interpreter instead,
-//! which keeps behavioral parity trivially. Measured over all 2 568 gold
-//! queries and 52 686 predictions at corpus seed 7, the only statements that
-//! decline are predictions naming a column that does not exist (DESIGN §8
-//! has the table).
+//! **Two tiers, one bind step.** A compiled plan has exactly one executor,
+//! the columnar one in [`crate::vector`]; [`Database::run_query`] is
+//! "compiled plan, else the interpreter", and both sit behind
+//! [`crate::bind`]. Lowering resolves every name it accepts, so a lowered
+//! statement is bound. Where lowering finds nothing, [`compile`] runs the
+//! bind walk to tell the two reasons apart: a table or column that does not
+//! exist compiles to a plan whose execution *is* that error (no row read,
+//! no unit charged, at any budget), and `None` is left to mean "a shape the
+//! columnar executor does not mirror bit-for-bit" — correlated subqueries,
+//! `FROM (SELECT ...)`, unknown functions, aggregates in positions where
+//! the interpreter would raise only *data-dependently*, sub-plan slots
+//! outside ON / WHERE or that can raise, argful aggregates behind a
+//! short-circuit — which the caller runs on the interpreter, keeping
+//! behavioral parity trivially. Measured over all 2 568 gold queries and
+//! 52 686 predictions at corpus seed 7, nothing declines (DESIGN §8 has the
+//! table).
 //!
 //! **Sub-plan slots.** A subquery that resolves entirely inside itself
 //! (`x IN (SELECT ...)`, `x > (SELECT AVG(..) ...)`, uncorrelated `EXISTS`)
 //! compiles standing alone and the expression keeps a slot index into
-//! [`CompiledQuery::subs`]. The sub-plan runs at most once per statement
+//! [`Plan::subs`]. The sub-plan runs at most once per statement
 //! execution, lazily at the slot's first evaluation, against the statement's
 //! own [`Counters`]; what it charged per [`WorkOp`] is recorded, and every
 //! later evaluation *replays* that charge ([`Exec::sub`]). The interpreter
@@ -63,19 +67,19 @@ use crate::eval::{
     WorkOp,
 };
 use crate::exec::{
-    any_aggregate, apply_limit, combine_set_op, equi_join_columns, output_columns, resolve_in,
-    sort_keyed, DEFAULT_WORK_BUDGET,
+    any_aggregate, apply_limit, binding_named, combine_set_op, equi_join_columns, order_alias,
+    output_columns, resolve_in, sort_keyed, DEFAULT_WORK_BUDGET,
 };
 use crate::result::ResultSet;
 use crate::value::{KeyHashBuilder, Value};
 use sqlkit::ast::*;
 use std::cell::OnceCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// A compiled expression: column references are flat row offsets, literals
 /// are pre-converted values, functions are pre-validated (arity checked at
 /// compile time, so evaluation of slot-free non-aggregate expressions is
-/// infallible). Subqueries are slot indexes into [`CompiledQuery::subs`].
+/// infallible). Subqueries are slot indexes into [`Plan::subs`].
 #[derive(Debug, Clone)]
 pub(crate) enum CExpr {
     /// A pre-converted literal.
@@ -177,9 +181,14 @@ pub(crate) struct CompiledCore {
     pub(crate) vcore: crate::vector::VecCore,
 }
 
-/// A fully compiled query: set-op arms plus compound ordering.
+/// What [`compile`] returns: a lowered plan, or the bind error that
+/// executing the statement raises.
 #[derive(Debug, Clone)]
-pub struct CompiledQuery {
+pub struct CompiledQuery(Result<Plan, ExecError>);
+
+/// A lowered query: set-op arms plus compound ordering.
+#[derive(Debug, Clone)]
+struct Plan {
     arms: Vec<CompiledCore>,
     ops: Vec<SetOp>,
     /// Compound ORDER BY keys over the output row.
@@ -188,26 +197,26 @@ pub struct CompiledQuery {
     compound_limit: Option<Limit>,
     /// The statement's uncorrelated subqueries, each compiled standing
     /// alone, by slot.
-    subs: Vec<CompiledQuery>,
+    subs: Vec<Plan>,
 }
 
 /// Compile-time state of one statement: the database to resolve against
 /// and the sub-plans collected so far, in slot order.
 struct Lowering<'a> {
     db: &'a Database,
-    subs: Vec<CompiledQuery>,
+    subs: Vec<Plan>,
 }
 
 impl Lowering<'_> {
-    /// Compile `query` with no outer bindings and give it a slot. A
+    /// Lower `query` with no outer bindings and give it a slot. A
     /// correlated subquery fails to resolve its outer references here, so
-    /// the whole statement declines exactly as it always did. So does an
+    /// the whole statement declines. So does an
     /// `IN` / scalar use site over any width but one column: the
     /// interpreter raises `CardinalityViolation` at the slot's first
     /// *evaluation*, which is data-dependent, and bulk charging is sound
     /// only while nothing but the budget can fail.
     fn sub_slot(&mut self, query: &Query, one_column: bool) -> Option<usize> {
-        let plan = compile(self.db, query)?;
+        let plan = lower(self.db, query)?;
         if one_column && plan.arms[0].columns.len() != 1 {
             return None;
         }
@@ -216,14 +225,24 @@ impl Lowering<'_> {
     }
 }
 
-/// Lower a query to a compiled plan, or `None` when any construct requires
-/// the interpreter (the caller falls back; results are identical either
-/// way, the plan is just faster).
+/// Compile a query: `Some` plan when it lowers or when a table or column
+/// name in it does not exist (executing that plan raises the bind error),
+/// `None` when a construct requires the interpreter (the caller falls back;
+/// results are identical either way, the plan is just faster).
 pub fn compile(db: &Database, query: &Query) -> Option<CompiledQuery> {
+    match lower(db, query) {
+        Some(plan) => Some(CompiledQuery(Ok(plan))),
+        // lowering resolved every name it accepted, so the bind walk runs
+        // only here, to tell a name error from a declined shape
+        None => crate::bind::bind(db, query).err().map(|e| CompiledQuery(Err(e))),
+    }
+}
+
+fn lower(db: &Database, query: &Query) -> Option<Plan> {
     let mut lw = Lowering { db, subs: Vec::new() };
     if query.set_ops.is_empty() {
         let core = compile_core(&mut lw, &query.body, &query.order_by, query.limit)?;
-        return Some(CompiledQuery {
+        return Some(Plan {
             arms: vec![core],
             ops: Vec::new(),
             compound_order: Vec::new(),
@@ -257,7 +276,7 @@ pub fn compile(db: &Database, query: &Query) -> Option<CompiledQuery> {
         compound_order.push(compile_expr(&mut lw, &out_bindings, &k.expr, false)?);
         compound_desc.push(k.desc);
     }
-    Some(CompiledQuery {
+    Some(Plan {
         arms,
         ops,
         compound_order,
@@ -282,21 +301,13 @@ fn compile_core(
     if let Some(from) = &core.from {
         let TableRef::Named { name, alias } = &from.base else { return None };
         let t = db.table(name).ok()?;
-        bindings.push(Binding {
-            name: Some(alias.clone().unwrap_or_else(|| name.clone())),
-            columns: t.schema.column_names(),
-            offset: 0,
-        });
+        bindings.push(Binding::of_table(t, name, alias));
         width = t.schema.columns.len();
         base = Some(CScan { table: name.clone(), width });
         for join in &from.joins {
             let TableRef::Named { name, alias } = &join.table else { return None };
             let rt = db.table(name).ok()?;
-            let right_binding = Binding {
-                name: Some(alias.clone().unwrap_or_else(|| name.clone())),
-                columns: rt.schema.column_names(),
-                offset: 0,
-            };
+            let right_binding = Binding::of_table(rt, name, alias);
             let rwidth = rt.schema.columns.len();
             // detect the hash fast path exactly like the interpreter does:
             // right offsets unshifted during detection
@@ -376,15 +387,9 @@ fn compile_core(
         || any_aggregate(select_exprs)
         || any_aggregate(order_by.iter().map(|k| &k.expr));
 
-    // 4. output columns and alias index (errors here are raised lazily by
+    // 4. output columns (`SELECT *` without FROM raises at evaluation in
     // the interpreter → fall back on failure)
     let columns = output_columns(core, &bindings).ok()?;
-    let mut alias_index: HashMap<String, usize> = HashMap::new();
-    for (i, item) in core.items.iter().enumerate() {
-        if let SelectItem::Expr { alias: Some(a), .. } = item {
-            alias_index.insert(a.to_lowercase(), i);
-        }
-    }
 
     // 5. grouping keys, HAVING, projection items
     let group_by = core
@@ -401,29 +406,21 @@ fn compile_core(
         items.push(match item {
             SelectItem::Wildcard => CItem::Range(0, width),
             SelectItem::QualifiedWildcard(t) => {
-                let b = bindings.iter().find(|b| {
-                    b.name.as_deref().map(|n| n.eq_ignore_ascii_case(t)).unwrap_or(false)
-                })?;
+                let b = binding_named(&bindings, t).ok()?;
                 CItem::Range(b.offset, b.offset + b.columns.len())
             }
             SelectItem::Expr { expr, .. } => CItem::Expr(compile_expr(lw, &bindings, expr, true)?),
         });
     }
 
-    // 6. ORDER BY keys: select-alias references resolve to the projected
-    // column *before* scope lookup (SQLite resolution order); anything that
-    // does not compile statically falls back — the interpreter's
-    // error-driven alias fallback is per-row and cannot be mirrored
+    // 6. ORDER BY keys: a select alias is the projected column, *before*
+    // scope lookup (`order_alias`)
     let mut order_keys = Vec::with_capacity(order_by.len());
     let mut order_desc = Vec::with_capacity(order_by.len());
     for k in order_by {
-        let key = if let Expr::Column { table: None, column } = &k.expr {
-            match alias_index.get(&column.to_lowercase()) {
-                Some(&idx) => COrderKey::Projected(idx),
-                None => COrderKey::Expr(compile_expr(lw, &bindings, &k.expr, true)?),
-            }
-        } else {
-            COrderKey::Expr(compile_expr(lw, &bindings, &k.expr, true)?)
+        let key = match order_alias(core, &k.expr) {
+            Some(idx) => COrderKey::Projected(idx),
+            None => COrderKey::Expr(compile_expr(lw, &bindings, &k.expr, true)?),
         };
         order_keys.push(key);
         order_desc.push(k.desc);
@@ -666,11 +663,13 @@ impl CompiledQuery {
         self.execute_with_budget(db, DEFAULT_WORK_BUDGET)
     }
 
-    /// Execute with an explicit work budget (rows touched).
+    /// Execute with an explicit work budget (rows touched). A bind error
+    /// is returned before any unit is charged, so no budget outranks it.
     pub fn execute_with_budget(&self, db: &Database, budget: u64) -> ExecResult<ResultSet> {
         let _span = obs::span("minidb.exec.compiled");
+        let plan = self.0.as_ref().map_err(ExecError::clone)?;
         let counters = Counters::new(budget);
-        let result = self.execute_inner(db, &counters);
+        let result = plan.execute_inner(db, &counters);
         counters.flush_obs();
         let mut rs = result?;
         rs.work = counters.work();
@@ -683,7 +682,9 @@ impl CompiledQuery {
     pub fn is_vectorized(&self) -> bool {
         true
     }
+}
 
+impl Plan {
     /// One execution of this plan against `counters`. The sub-plan slot
     /// state is created here and dropped on return: nothing a statement
     /// computed outlives it, and a sub-plan run as part of an outer
@@ -728,13 +729,13 @@ impl CompiledQuery {
     }
 }
 
-/// What one execution of a [`CompiledQuery`] carries besides the row being
+/// What one execution of a [`Plan`] carries besides the row being
 /// evaluated: the database, the shared work counters, and the sub-plan
 /// slots with their per-execution results.
 pub(crate) struct Exec<'a> {
     pub(crate) db: &'a Database,
     counters: &'a Counters,
-    subs: &'a [CompiledQuery],
+    subs: &'a [Plan],
     /// One cell per slot, filled at the slot's first evaluation.
     runs: Vec<OnceCell<SubRun>>,
 }
@@ -1604,17 +1605,26 @@ mod tests {
         }
     }
 
+    /// A name that does not exist compiles to the plan that raises it, at
+    /// any budget and whatever the tables hold; an unknown function is
+    /// still a shape for the interpreter.
     #[test]
-    fn unresolvable_or_unknown_falls_back() {
+    fn unknown_names_raise_and_unknown_functions_fall_back() {
         let db = db();
-        for sql in [
-            "SELECT nonexistent FROM singer",
-            "SELECT x FROM nope",
-            "SELECT UNKNOWNFN(age) FROM singer",
+        for (sql, expect) in [
+            ("SELECT nonexistent FROM singer", ExecError::UnknownColumn("nonexistent".into())),
+            ("SELECT x FROM nope", ExecError::UnknownTable("nope".into())),
+            // the name error outranks the shape that would decline
+            ("SELECT UNKNOWNFN(nonexistent) FROM singer", ExecError::UnknownColumn("nonexistent".into())),
         ] {
             let q = sqlkit::parse_query(sql).unwrap();
-            assert!(compile(&db, &q).is_none(), "`{sql}` must fall back");
+            let plan = compile(&db, &q).unwrap_or_else(|| panic!("`{sql}` must compile"));
+            for budget in [1, DEFAULT_WORK_BUDGET] {
+                assert_eq!(plan.execute_with_budget(&db, budget), Err(expect.clone()), "`{sql}`");
+                assert_eq!(exec::execute_with_budget(&db, &q, budget), Err(expect.clone()), "`{sql}`");
+            }
         }
+        assert_declines(&db, "SELECT UNKNOWNFN(age) FROM singer");
     }
 
     #[test]

@@ -152,6 +152,38 @@ fn join_chains_and_non_equi_joins_dispatch_compiled_with_the_interpreters_attrib
     obs::reset();
 }
 
+/// Names bind before rows move: a statement that names a missing column —
+/// here behind a 4 800-pair cross join the old lazy contract materialized
+/// first — charges none of the seven operator classes, on `run_query`, on
+/// the compiled plan and on the interpreter.
+#[test]
+fn a_name_error_charges_no_work_on_either_executor() {
+    let _g = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
+    let db = demo_db();
+    let query = sqlkit::parse_query("SELECT nosuch FROM users, orders").unwrap();
+    let plan = minidb::compile(&db, &query).expect("a name error compiles to the plan that raises it");
+    let expect = Err(minidb::ExecError::UnknownColumn("nosuch".into()));
+    let runs: [&dyn Fn() -> minidb::ExecResult<minidb::ResultSet>; 3] = [
+        &|| db.run_query(&query),
+        &|| plan.execute_with_budget(&db, 1),
+        &|| minidb::exec::execute_with_budget(&db, &query, 1),
+    ];
+    for run in runs {
+        obs::reset();
+        let outcome = {
+            let _on = obs::enable();
+            run()
+        };
+        let snap = obs::snapshot();
+        assert_eq!(outcome, expect);
+        for counter in WORK_COUNTERS {
+            assert_eq!(snap.counter(counter), 0, "{counter}");
+        }
+        assert_eq!(snap.counter("minidb.work.total"), 0);
+    }
+    obs::reset();
+}
+
 #[test]
 fn dispatch_counters_split_compiled_vs_interpreter() {
     let _g = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());

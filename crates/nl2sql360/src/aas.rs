@@ -300,7 +300,7 @@ pub fn search_with_workers(
         let worst_idx = scores
             .iter()
             .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(b.1).unwrap())
+            .min_by(|a, b| a.1.total_cmp(b.1))
             .map(|(i, _)| i)
             .expect("non-empty population");
         let pool: Vec<(ModuleSet, f64)> = population

@@ -17,6 +17,8 @@
 //! execution) into a `chrome://tracing` / Perfetto-loadable JSON file and
 //! prints a flame summary on stderr when the command finishes.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 use datagen::{generate_corpus, Corpus, CorpusConfig, CorpusKind};
 use modelzoo::{Nl2SqlModel, SimulatedModel};
 use nl2sql360::{

@@ -34,6 +34,8 @@
 //! assert!(overall_ex > 50.0);
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 pub mod aas;
 pub mod diagnose;
 pub mod evaluator;

@@ -2,7 +2,13 @@
 //! similarity-based methods. The values were computed on the commit
 //! before few-shot retrieval became an inverted index, so a retrieval
 //! change that reorders or swaps a single exemplar — and with it
-//! `prompt_tokens` and `cost_usd` — fails here.
+//! `prompt_tokens` and `cost_usd` — fails here. The BIRD digests were
+//! regenerated when minidb began binding names before execution: prompt
+//! tokens, EX and EM are what they were, and six records differ — two
+//! predictions that executed only because no row ever reached their unknown
+//! column now report `UnknownColumn`, and the corruption check, no longer
+//! mistaking such a candidate for gold, keeps it instead of mutating again
+//! (CHANGES.md, PR 19, lists them).
 
 use datagen::{generate_corpus, CorpusConfig, CorpusKind};
 use modelzoo::profiles::fnv1a;
@@ -44,9 +50,9 @@ fn bird_logs_of_similarity_based_methods_are_byte_stable() {
     assert_golden(
         CorpusKind::Bird,
         [
-            ("SuperSQL", 69867, 0xb10e_13e2_62ba_1d36, 114283),
-            ("DAILSQL", 69906, 0x0811_f557_7e87_bb17, 114475),
-            ("DAILSQL(SC)", 70203, 0x9989_bece_b2dc_fb14, 114475),
+            ("SuperSQL", 70044, 0xdf0b_4a11_c8bf_d4fa, 114283),
+            ("DAILSQL", 70129, 0x6826_a83c_9b5e_97c4, 114475),
+            ("DAILSQL(SC)", 70203, 0x45d8_5554_ffd8_e1c6, 114475),
         ],
     );
 }

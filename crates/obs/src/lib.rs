@@ -24,6 +24,8 @@
 //! in `chrome://tracing` / Perfetto) and a text flame summary with
 //! self-time attribution.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 pub mod export;
 pub mod registry;
 

@@ -337,6 +337,61 @@ fn refusal_surface_speaks_json_and_proper_statuses() {
     });
 }
 
+/// Hostile SQL against a server *without* the static check: minidb binds
+/// names before it reads a row, so 40 bytes naming a missing column over
+/// the three largest tables of a BIRD database (a cross join of millions of
+/// rows, which the lazy contract materialized — seconds and gigabytes —
+/// before the projection tripped) is a typed `422` in milliseconds, and so
+/// is the deepest chain of scalar subqueries the parser admits with the bad
+/// name innermost. The process answers `/healthz` afterwards. (That no work
+/// unit is charged is `minidb/tests/obs_work.rs`'s assertion.)
+#[test]
+fn unknown_names_are_refused_before_any_row_is_read() {
+    let corpus = generate_corpus(CorpusKind::Bird, &CorpusConfig::tiny(91));
+    let ctx = EvalContext::new(&corpus);
+    // the database whose three largest tables multiply furthest
+    let (db_id, tables, pairs) = corpus
+        .databases
+        .iter()
+        .map(|(id, g)| {
+            let mut sizes: Vec<(usize, &str)> =
+                g.database.tables().map(|t| (t.n_rows(), t.schema.name.as_str())).collect();
+            sizes.sort_unstable_by(|a, b| b.cmp(a));
+            let top = &sizes[..3];
+            let names: Vec<&str> = top.iter().map(|(_, name)| *name).collect();
+            (id, names.join(", "), top.iter().map(|(n, _)| n).product::<usize>())
+        })
+        .max_by_key(|(_, _, pairs)| *pairs)
+        .expect("corpus has databases");
+    assert!(pairs > 1_000_000, "{db_id}: {tables} is only {pairs} rows");
+    Service::run_with_methods(api_config(), &ctx, &["C3SQL"], |handle| {
+        let addr = handle.admin_addr().expect("admin endpoint configured");
+        let refused = |sql: &str| {
+            let started = Instant::now();
+            let body = format!(r#"{{"sql": "{sql}", "db": "{db_id}"}}"#);
+            let (status, reply) = http_post(addr, "/v1/sql", &body).expect("hostile sql");
+            let took = started.elapsed();
+            assert_eq!(status, 422, "{reply}");
+            let v: serde::Value = serde_json::from_str(&reply).expect("error body is JSON");
+            let message = get_str(v.get("error").expect("error key"), "message");
+            assert_eq!(message, "unknown column: nosuch", "{sql}");
+            assert!(took < Duration::from_millis(500), "`{sql}` took {took:?}");
+        };
+        refused(&format!("SELECT nosuch FROM {tables}"));
+        let chain = |n: usize| {
+            format!("SELECT {}nosuch{} FROM {tables}", "(SELECT ".repeat(n), ")".repeat(n))
+        };
+        let deepest = (1..=sqlkit::MAX_NESTING)
+            .rev()
+            .find(|&n| sqlkit::parse_query(&chain(n)).is_ok())
+            .expect("some depth parses");
+        assert!(deepest >= sqlkit::MAX_NESTING / 4, "chain depth {deepest}");
+        refused(&chain(deepest));
+        let (status, _) = http_get(addr, "/healthz").expect("server survived");
+        assert_eq!(status, 200);
+    });
+}
+
 /// A model whose `translate` blocks until released, to wedge the worker
 /// while a deadlined request waits in the queue.
 struct GateModel {

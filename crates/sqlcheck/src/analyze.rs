@@ -1,16 +1,22 @@
 //! The analysis pass: binder → type checker → rule visitors.
 //!
-//! The binder mirrors minidb's name resolution *exactly* — ASCII
+//! The binder follows minidb's bind step (`minidb/src/bind.rs`) — ASCII
 //! case-insensitive matching, first-match-wins within a scope level,
 //! parent-chained lookup for correlated subqueries, JOIN ON expressions
-//! seeing only the bindings materialized so far, FROM subqueries seeing the
-//! enclosing query's outer scope (not their FROM siblings), and ORDER BY
-//! falling back to select-list aliases. Any place the analyzer resolves a
-//! name differently from `minidb::eval::Scope::resolve` is a parity bug;
-//! the differential suite in `tests/differential.rs` exists to catch it.
+//! seeing only the bindings joined so far, FROM subqueries seeing the
+//! enclosing query's outer scope (not their FROM siblings), and a bare
+//! ORDER BY key naming a select-list alias. It keeps its own lookup loop
+//! because it needs more than minidb's `resolve_in` returns: every
+//! diagnostic of a statement rather than the first error (hence *poisoned*
+//! bindings that swallow follow-on lookups), the number of bindings that
+//! carry a column (ambiguity), and column types. The function table and
+//! arity rules are minidb's own. Any statement where the analyzer reports a
+//! name Error and minidb does not refuse that name — or the reverse — is a
+//! parity bug; `tests/differential.rs` pins both directions.
 
 use crate::catalog::{Catalog, Ty};
 use crate::{Diagnostic, Rule, Span};
+use minidb::eval::{check_function_arity, known_function};
 use sqlkit::ast::*;
 use std::collections::HashMap;
 
@@ -91,9 +97,10 @@ enum Resolution {
 }
 
 impl<'a> Scope<'a> {
-    /// Mirror of `minidb::eval::Scope::resolve`: walk levels outward, first
-    /// matching binding wins; `dups` counts how many bindings at the
-    /// winning level carry the column (ambiguity detection).
+    /// minidb's lookup rule (`Scope::lookup` over `resolve_in`): walk levels
+    /// outward, first matching binding wins; on top of it, `dups` counts
+    /// how many bindings at the winning level carry the column (ambiguity
+    /// detection) and poisoned bindings are skipped.
     fn resolve(&self, table: Option<&str>, column: &str) -> Resolution {
         let mut poisoned = false;
         let mut level = 0usize;
@@ -157,8 +164,6 @@ struct Env<'e> {
     /// `Some(outer fn)` while inside an aggregate argument (nested
     /// aggregates raise at runtime).
     in_agg: Option<&'static str>,
-    /// Select-list aliases usable as a resolution fallback (ORDER BY only).
-    aliases: Option<&'e HashMap<String, Ty>>,
     /// Group keys, when the ungrouped-column rule applies here.
     grouped: Option<&'e Grouped>,
 }
@@ -306,7 +311,6 @@ impl<'a> Analyzer<'a> {
         // SELECT items → output columns (mirrors exec::output_columns).
         let mut out: Vec<(String, Ty)> = Vec::new();
         let mut width_known = true;
-        let mut aliases: HashMap<String, Ty> = HashMap::new();
         for item in &core.items {
             match item {
                 SelectItem::Wildcard => {
@@ -346,10 +350,7 @@ impl<'a> Analyzer<'a> {
                     let env = Env { grouped: grouped.as_ref(), ..Env::default() };
                     let ty = self.check_expr(expr, &scope, env);
                     let name = match alias {
-                        Some(a) => {
-                            aliases.insert(a.to_lowercase(), ty);
-                            a.clone()
-                        }
+                        Some(a) => a.clone(),
                         None => match expr {
                             Expr::Column { column, .. } => column.clone(),
                             other => render_expr(other),
@@ -360,15 +361,15 @@ impl<'a> Analyzer<'a> {
             }
         }
 
-        // ORDER BY of a simple query: select aliases are a fallback.
+        // ORDER BY of a simple query: a bare key naming a select alias is
+        // the projected column (minidb's own rule); inside a key expression
+        // an alias is just a name, resolved through the scope.
         if let Some(order) = order_by {
-            let env = Env {
-                aliases: Some(&aliases),
-                grouped: grouped.as_ref(),
-                ..Env::default()
-            };
+            let env = Env { grouped: grouped.as_ref(), ..Env::default() };
             for k in order {
-                self.check_expr(&k.expr, &scope, env);
+                if minidb::exec::order_alias(core, &k.expr).is_none() {
+                    self.check_expr(&k.expr, &scope, env);
+                }
             }
         }
 
@@ -420,13 +421,6 @@ impl<'a> Analyzer<'a> {
                     }
                     Resolution::Poisoned => Ty::Unknown,
                     Resolution::NotFound => {
-                        if table.is_none() {
-                            if let Some(aliases) = env.aliases {
-                                if let Some(ty) = aliases.get(&column.to_lowercase()) {
-                                    return *ty;
-                                }
-                            }
-                        }
                         let ident = render_col(table.as_deref(), column);
                         self.diag(
                             Rule::UnknownColumn,
@@ -445,12 +439,7 @@ impl<'a> Analyzer<'a> {
                 self.check_agg_position(*func, env);
                 // Inside the argument: nested aggregates error at runtime;
                 // grouping rules don't apply (args evaluate per group row).
-                let inner = Env {
-                    in_agg: Some(func.as_str()),
-                    no_agg: None,
-                    aliases: None,
-                    grouped: None,
-                };
+                let inner = Env { in_agg: Some(func.as_str()), no_agg: None, grouped: None };
                 let aty = self.check_expr(arg, scope, inner);
                 match func {
                     AggFunc::Count => Ty::Num,
@@ -468,13 +457,18 @@ impl<'a> Analyzer<'a> {
                 }
             }
             Expr::Func { name, args } => {
+                // minidb's own function surface (names are uppercase
+                // post-parse; programmatically built lowercase names are
+                // unknown at runtime too) and arity rules
                 if !known_function(name) {
                     self.diag(
                         Rule::UnknownFunction,
                         Some(name.clone()),
                         format!("unknown function {name}"),
                     );
-                } else if let Some(msg) = arity_violation(name, args.len()) {
+                } else if let Err(minidb::ExecError::Arity(msg)) =
+                    check_function_arity(name, args.len())
+                {
                     self.diag(Rule::FunctionArity, Some(name.clone()), msg);
                 }
                 let mut tys = Vec::with_capacity(args.len());
@@ -828,46 +822,6 @@ fn render_expr(e: &Expr) -> String {
         e.clone(),
     )])));
     sql.trim_start_matches("SELECT ").to_string()
-}
-
-/// Mirror of `minidb::eval::known_function` — the executor's exact scalar
-/// function surface (names are uppercase post-parse; programmatically
-/// built lowercase names are unknown at runtime too).
-pub(crate) fn known_function(name: &str) -> bool {
-    matches!(
-        name,
-        "ABS"
-            | "ROUND"
-            | "LENGTH"
-            | "UPPER"
-            | "LOWER"
-            | "SUBSTR"
-            | "SUBSTRING"
-            | "IIF"
-            | "COALESCE"
-            | "NULLIF"
-            | "INSTR"
-    )
-}
-
-/// Mirror of `minidb::eval::check_function_arity`.
-pub(crate) fn arity_violation(name: &str, n: usize) -> Option<String> {
-    match name {
-        "ABS" | "LENGTH" | "UPPER" | "LOWER" if n != 1 => {
-            Some(format!("{name} expects 1 argument, got {n}"))
-        }
-        "ROUND" if n == 0 || n > 2 => {
-            Some(format!("ROUND expects 1 or 2 arguments, got {n}"))
-        }
-        "SUBSTR" | "SUBSTRING" if n != 2 && n != 3 => {
-            Some(format!("{name} expects 2 or 3 arguments, got {n}"))
-        }
-        "IIF" if n != 3 => Some(format!("IIF expects 3 arguments, got {n}")),
-        "NULLIF" | "INSTR" if n != 2 => {
-            Some(format!("{name} expects 2 arguments, got {n}"))
-        }
-        _ => None,
-    }
 }
 
 fn function_ty(name: &str, tys: &[Ty]) -> Ty {

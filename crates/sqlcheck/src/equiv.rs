@@ -8,14 +8,17 @@
 //! [`RewriteRule`], individually testable and individually gated:
 //!
 //! - **Value-exact** rules (De Morgan, negation pushing, `BETWEEN` ↔ range,
-//!   `IN` ↔ `OR`, constant folding) mirror minidb's three-valued evaluator
+//!   `IN` ↔ `OR`, constant folding) follow minidb's three-valued evaluator
 //!   exactly, including short-circuit order, and fire unconditionally.
+//!   Constant folding does not mirror it: the folded value *is* minidb's
+//!   row-free evaluation of the node (`minidb::eval::eval_rowless`).
 //! - **Reordering** rules (conjunct sorting, commutative operands,
 //!   comparison orientation) may change *which* sub-expression is evaluated
 //!   first, so they fire only when the affected expressions are *total*:
 //!   provably deterministic and error-free. Totality needs a schema
-//!   [`Catalog`] to prove columns resolve (minidb resolves columns lazily
-//!   per row, so an unknown column can hide behind a short-circuit).
+//!   [`Catalog`] to prove columns resolve (minidb refuses the *first*
+//!   unresolved name in clause order, so reordering two expressions of
+//!   which one names a missing column could change the error reported).
 //! - **Structural** rules (`DISTINCT`/`GROUP BY`/`ORDER BY` elimination,
 //!   join commutation) preserve rows/errors/ordered but not the work
 //!   counter or emission order, so they are in [`RuleSet::full`] but not
@@ -40,7 +43,9 @@ use sqlkit::normalize::normalize;
 use sqlkit::printer::expr_to_sql;
 use sqlkit::to_sql;
 
-use crate::analyze::{arity_violation, known_function};
+use minidb::eval::{check_function_arity, eval_rowless, known_function};
+use minidb::Value;
+
 use crate::catalog::Catalog;
 
 /// The named rewrite rules of the canonicalizer, in catalog order. Ids are
@@ -399,7 +404,12 @@ fn catalog_has_column(catalog: &Catalog, table: &str, column: &str) -> bool {
     catalog.table(table).map(|t| t.column_index(column).is_some()).unwrap_or(false)
 }
 
-/// Mirror minidb's innermost-first, first-frame-wins column resolution.
+/// minidb's innermost-first, first-frame-wins column resolution, asked a
+/// different question than `minidb::exec::resolve_in` answers: frames hold
+/// (binding, table) pairs looked up in the [`Catalog`], not column lists; an
+/// unqualified name must tell `Unique` from `Ambiguous` (rewrites fire only
+/// where first-match and any-match agree); and a frame with a derived table
+/// is `Opaque` — `Unknown`, not `NotFound`.
 fn resolve(
     frames: &[Frame],
     catalog: Option<&Catalog>,
@@ -456,7 +466,7 @@ fn total_expr(
         Expr::Agg { .. } | Expr::AggWildcard(_) => ok = false,
         Expr::Func { name, args } => {
             let n = name.to_ascii_uppercase();
-            if !known_function(&n) || arity_violation(&n, args.len()).is_some() {
+            if !known_function(&n) || check_function_arity(&n, args.len()).is_err() {
                 ok = false;
             }
         }
@@ -473,289 +483,44 @@ fn total_expr(
 }
 
 // ---------------------------------------------------------------------------
-// constant folding (mirrors minidb eval exactly)
+// constant folding
 // ---------------------------------------------------------------------------
 
-/// Literal value domain mirroring `minidb::Value` for folding.
-#[derive(Debug, Clone, PartialEq)]
-enum FoldVal {
-    Null,
-    Int(i64),
-    Real(f64),
-    Text(String),
-}
-
-fn as_fold_val(e: &Expr) -> Option<FoldVal> {
-    match e {
-        Expr::Literal(Literal::Null) => Some(FoldVal::Null),
-        Expr::Literal(Literal::Int(v)) => Some(FoldVal::Int(*v)),
-        Expr::Literal(Literal::Float(v)) => Some(FoldVal::Real(*v)),
-        Expr::Literal(Literal::Str(s)) => Some(FoldVal::Text(s.clone())),
-        Expr::Literal(Literal::Bool(b)) => Some(FoldVal::Int(i64::from(*b))),
-        _ => None,
-    }
-}
-
-fn fold_val_expr(v: FoldVal) -> Expr {
-    Expr::Literal(match v {
-        FoldVal::Null => Literal::Null,
-        FoldVal::Int(i) => Literal::Int(i),
-        FoldVal::Real(r) => Literal::Float(r),
-        FoldVal::Text(s) => Literal::Str(s),
-    })
-}
-
-fn truth3(v: &FoldVal) -> Option<bool> {
-    match v {
-        FoldVal::Null => None,
-        FoldVal::Int(i) => Some(*i != 0),
-        FoldVal::Real(r) => Some(*r != 0.0),
-        FoldVal::Text(s) => {
-            Some(s.trim().parse::<f64>().map(|v| v != 0.0).unwrap_or(false))
-        }
-    }
-}
-
-fn cmp_f64(a: f64, b: f64) -> std::cmp::Ordering {
-    match (a.is_nan(), b.is_nan()) {
-        (true, true) => std::cmp::Ordering::Equal,
-        (true, false) => std::cmp::Ordering::Less,
-        (false, true) => std::cmp::Ordering::Greater,
-        (false, false) => a.partial_cmp(&b).unwrap_or(std::cmp::Ordering::Equal),
-    }
-}
-
-/// Mirror `Value::sql_cmp`: NULL < numbers < text.
-fn fold_cmp(a: &FoldVal, b: &FoldVal) -> std::cmp::Ordering {
-    use FoldVal::*;
-    fn rank(v: &FoldVal) -> u8 {
-        match v {
-            Null => 0,
-            Int(_) | Real(_) => 1,
-            Text(_) => 2,
-        }
-    }
-    match (a, b) {
-        (Null, Null) => std::cmp::Ordering::Equal,
-        (Int(x), Int(y)) => x.cmp(y),
-        (Int(x), Real(y)) => cmp_f64(*x as f64, *y),
-        (Real(x), Int(y)) => cmp_f64(*x, *y as f64),
-        (Real(x), Real(y)) => cmp_f64(*x, *y),
-        (Text(x), Text(y)) => x.cmp(y),
-        _ => rank(a).cmp(&rank(b)),
-    }
-}
-
-fn fold_ord(a: &FoldVal, b: &FoldVal) -> Option<std::cmp::Ordering> {
-    if matches!(a, FoldVal::Null) || matches!(b, FoldVal::Null) {
-        return None;
-    }
-    Some(fold_cmp(a, b))
-}
-
-fn fold_as_f64(v: &FoldVal) -> Option<f64> {
-    match v {
-        FoldVal::Int(i) => Some(*i as f64),
-        FoldVal::Real(r) => Some(*r),
-        FoldVal::Text(s) => s.trim().parse::<f64>().ok(),
-        FoldVal::Null => None,
-    }
-}
-
-fn fold_render(v: &FoldVal) -> String {
-    match v {
-        FoldVal::Null => "NULL".to_string(),
-        FoldVal::Int(i) => i.to_string(),
-        FoldVal::Real(r) => {
-            if r.fract() == 0.0 && r.is_finite() && r.abs() < 1e15 {
-                format!("{r:.1}")
-            } else {
-                r.to_string()
-            }
-        }
-        FoldVal::Text(s) => s.clone(),
-    }
-}
-
-fn bool3_fold(b: Option<bool>) -> FoldVal {
-    match b {
-        None => FoldVal::Null,
-        Some(b) => FoldVal::Int(i64::from(b)),
-    }
-}
-
-fn and3(a: Option<bool>, b: Option<bool>) -> Option<bool> {
-    match (a, b) {
-        (Some(false), _) | (_, Some(false)) => Some(false),
-        (Some(true), Some(true)) => Some(true),
-        _ => None,
-    }
-}
-
-fn or3(a: Option<bool>, b: Option<bool>) -> Option<bool> {
-    match (a, b) {
-        (Some(true), _) | (_, Some(true)) => Some(true),
-        (Some(false), Some(false)) => Some(false),
-        _ => None,
-    }
-}
-
-/// Mirror `minidb::eval::eval_arith` on literals.
-fn fold_arith(op: BinOp, l: &FoldVal, r: &FoldVal) -> Option<FoldVal> {
-    if matches!(l, FoldVal::Null) || matches!(r, FoldVal::Null) {
-        return Some(FoldVal::Null);
-    }
-    if let (FoldVal::Int(a), FoldVal::Int(b)) = (l, r) {
-        let (a, b) = (*a, *b);
-        let v = match op {
-            BinOp::Add => a.checked_add(b).map(FoldVal::Int),
-            BinOp::Sub => a.checked_sub(b).map(FoldVal::Int),
-            BinOp::Mul => a.checked_mul(b).map(FoldVal::Int),
-            BinOp::Div => {
-                if b == 0 {
-                    return Some(FoldVal::Null);
-                }
-                a.checked_div(b).map(FoldVal::Int)
-            }
-            BinOp::Mod => {
-                if b == 0 {
-                    return Some(FoldVal::Null);
-                }
-                a.checked_rem(b).map(FoldVal::Int)
-            }
-            _ => return None,
-        };
-        return Some(v.unwrap_or_else(|| {
-            let (af, bf) = (a as f64, b as f64);
-            FoldVal::Real(match op {
-                BinOp::Add => af + bf,
-                BinOp::Sub => af - bf,
-                BinOp::Mul => af * bf,
-                // Div/Mod overflow only on i64::MIN / -1, which checked_div
-                // rejects; the float fallback mirrors minidb's.
-                BinOp::Div => af / bf,
-                BinOp::Mod => af % bf,
-                _ => unreachable!("non-arith op"),
-            })
-        }));
-    }
-    let a = fold_as_f64(l).unwrap_or(0.0);
-    let b = fold_as_f64(r).unwrap_or(0.0);
-    let v = match op {
-        BinOp::Add => a + b,
-        BinOp::Sub => a - b,
-        BinOp::Mul => a * b,
-        BinOp::Div => {
-            if b == 0.0 {
-                return Some(FoldVal::Null);
-            }
-            a / b
-        }
-        BinOp::Mod => {
-            if b == 0.0 {
-                return Some(FoldVal::Null);
-            }
-            a % b
-        }
-        _ => return None,
-    };
-    Some(FoldVal::Real(v))
-}
-
-fn cmp_result(op: BinOp, o: std::cmp::Ordering) -> bool {
-    use std::cmp::Ordering::*;
-    match op {
-        BinOp::Eq => o == Equal,
-        BinOp::NotEq => o != Equal,
-        BinOp::Lt => o == Less,
-        BinOp::LtEq => o != Greater,
-        BinOp::Gt => o == Greater,
-        BinOp::GtEq => o != Less,
-        _ => unreachable!("non-comparison op"),
-    }
-}
-
-/// Try to fold one node to a literal; `None` when not foldable.
+/// Try to fold one node to a literal; `None` when not foldable. What folds
+/// is an operator over literal operands — binary, unary, `IS [NOT] NULL` —
+/// plus `AND` / `OR` on a literal left operand that decides the result
+/// alone; the value is minidb's own row-free evaluation of the node
+/// ([`eval_rowless`]), so there are no semantics here to drift.
 fn try_const_fold(e: &Expr) -> Option<Expr> {
     match e {
         // Bool literals fold to their Int evaluation so downstream key
         // comparisons see one spelling.
-        Expr::Literal(Literal::Bool(b)) => Some(Expr::Literal(Literal::Int(i64::from(*b)))),
-        Expr::Binary { op, left, right } => {
-            let lv = as_fold_val(left);
-            let rv = as_fold_val(right);
-            match op {
-                BinOp::And => {
-                    if let Some(lv) = &lv {
-                        let lt = truth3(lv);
-                        if lt == Some(false) {
-                            // minidb short-circuits without evaluating right
-                            return Some(Expr::Literal(Literal::Int(0)));
-                        }
-                        if let Some(rv) = &rv {
-                            return Some(fold_val_expr(bool3_fold(and3(lt, truth3(rv)))));
-                        }
-                    }
-                    None
-                }
-                BinOp::Or => {
-                    if let Some(lv) = &lv {
-                        let lt = truth3(lv);
-                        if lt == Some(true) {
-                            return Some(Expr::Literal(Literal::Int(1)));
-                        }
-                        if let Some(rv) = &rv {
-                            return Some(fold_val_expr(bool3_fold(or3(lt, truth3(rv)))));
-                        }
-                    }
-                    None
-                }
-                BinOp::Eq | BinOp::NotEq | BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq => {
-                    let (lv, rv) = (lv?, rv?);
-                    let b = fold_ord(&lv, &rv).map(|o| cmp_result(*op, o));
-                    Some(fold_val_expr(bool3_fold(b)))
-                }
-                BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => {
-                    let (lv, rv) = (lv?, rv?);
-                    fold_arith(*op, &lv, &rv).map(fold_val_expr)
-                }
-                BinOp::Concat => {
-                    let (lv, rv) = (lv?, rv?);
-                    if matches!(lv, FoldVal::Null) || matches!(rv, FoldVal::Null) {
-                        return Some(Expr::Literal(Literal::Null));
-                    }
-                    Some(Expr::Literal(Literal::Str(format!(
-                        "{}{}",
-                        fold_render(&lv),
-                        fold_render(&rv)
-                    ))))
-                }
-            }
+        Expr::Literal(Literal::Bool(_)) => {}
+        Expr::Binary { op: op @ (BinOp::And | BinOp::Or), left, right }
+            if is_literal(left) && !is_literal(right) =>
+        {
+            // minidb short-circuits past the right operand of FALSE AND _
+            // and TRUE OR _ without evaluating it
+            let decides = *op == BinOp::Or;
+            return (eval_rowless(left)?.truth() == Some(decides))
+                .then(|| Expr::Literal(Literal::Int(i64::from(decides))));
         }
-        Expr::Unary { op, expr } => {
-            let v = as_fold_val(expr)?;
-            match op {
-                UnOp::Not => Some(fold_val_expr(bool3_fold(truth3(&v).map(|b| !b)))),
-                UnOp::Neg => match v {
-                    FoldVal::Null => Some(Expr::Literal(Literal::Null)),
-                    // i64::MIN negation would overflow; leave it alone
-                    FoldVal::Int(i) if i != i64::MIN => Some(Expr::Literal(Literal::Int(-i))),
-                    FoldVal::Int(_) => None,
-                    FoldVal::Real(r) => Some(Expr::Literal(Literal::Float(-r))),
-                    FoldVal::Text(s) => Some(match s.trim().parse::<f64>() {
-                        Ok(f) => Expr::Literal(Literal::Float(-f)),
-                        Err(_) => Expr::Literal(Literal::Int(0)),
-                    }),
-                },
-            }
+        Expr::Binary { left, right, .. } if is_literal(left) && is_literal(right) => {}
+        // i64::MIN negation would overflow; leave it alone
+        Expr::Unary { op: UnOp::Neg, expr }
+            if matches!(**expr, Expr::Literal(Literal::Int(i64::MIN))) =>
+        {
+            return None
         }
-        Expr::IsNull { expr, negated } => {
-            let v = as_fold_val(expr)?;
-            let is_null = matches!(v, FoldVal::Null);
-            Some(Expr::Literal(Literal::Int(i64::from(is_null != *negated))))
-        }
-        _ => None,
+        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } if is_literal(expr) => {}
+        _ => return None,
     }
+    Some(Expr::Literal(match eval_rowless(e)? {
+        Value::Null => Literal::Null,
+        Value::Int(i) => Literal::Int(i),
+        Value::Real(r) => Literal::Float(r),
+        Value::Text(s) => Literal::Str(s),
+    }))
 }
 
 // ---------------------------------------------------------------------------

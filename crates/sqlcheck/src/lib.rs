@@ -1,17 +1,24 @@
 //! Static SQL semantic analysis against a schema catalog.
 //!
-//! `sqlcheck` walks a `sqlkit` AST with a binder (scope stack mirroring
+//! `sqlcheck` walks a `sqlkit` AST with a binder (scope stack following
 //! minidb's case-insensitive, first-match, parent-chained name resolution),
 //! a type checker over a small `Num`/`Text` lattice, and a set of rule
 //! visitors, producing [`Diagnostic`]s from a stable [`Rule`] registry.
+//! What can be *called* rather than mirrored is minidb's own: the scalar
+//! function table and arity rule the analyzer lints against, and the
+//! evaluation of literal-only nodes that [`equiv`]'s constant folding
+//! needs (`minidb::eval::{known_function, check_function_arity,
+//! eval_rowless}`).
 //!
 //! # Severity policy
 //!
-//! - [`Severity::Error`]: the construct raises a minidb binding/type error
-//!   whenever it is evaluated (unknown table/column, function arity,
-//!   unknown function, aggregate misuse, set-operation / subquery column
-//!   arity, `SELECT *` without FROM). A query with no Error diagnostics is
-//!   *clean*.
+//! - [`Severity::Error`]: the construct raises a minidb binding/type error.
+//!   The name rules (unknown table/column) hold **always**: minidb binds
+//!   every name of a statement before it reads a row, so the statement
+//!   fails with that name whatever the tables hold. The rest (function
+//!   arity, unknown function, aggregate misuse, set-operation / subquery
+//!   column arity, `SELECT *` without FROM) hold whenever the construct is
+//!   evaluated. A query with no Error diagnostics is *clean*.
 //! - [`Severity::Warning`]: advisory findings the executor tolerates by
 //!   coercion or first-match resolution (ambiguous unqualified columns,
 //!   type mismatches, non-grouped columns under GROUP BY, tautological or
@@ -21,8 +28,9 @@
 //!
 //! The split is pinned differentially against minidb (see
 //! `tests/differential.rs`): a clean query never raises a minidb
-//! binding/type error, and every minidb binding error is flagged by at
-//! least one Error-severity rule.
+//! binding/type error, every minidb binding error is flagged by at
+//! least one Error-severity rule, and a name Error ⇔ minidb refuses the
+//! statement with that name — on normal, NULL-dense and emptied content.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
@@ -36,8 +44,9 @@ pub use catalog::{Catalog, CatalogTable, Ty};
 
 use serde::{Deserialize, Serialize};
 
-/// How bad a finding is. `Error` means "minidb will refuse this whenever it
-/// evaluates the construct"; `Warning` is advisory.
+/// How bad a finding is. `Error` means "minidb will refuse this" — always
+/// for a name that does not bind, whenever it evaluates the construct for
+/// the rest; `Warning` is advisory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum Severity {
     /// Advisory: executes, but almost certainly not what was meant.

@@ -3,24 +3,31 @@
 //! The contract under test (see the crate docs):
 //!
 //! 1. a query with no Error-severity diagnostics never raises a minidb
-//!    binding/type error, and
+//!    binding/type error,
 //! 2. every minidb binding/type error is flagged by at least one
-//!    Error-severity rule.
+//!    Error-severity rule, and
+//! 3. a name Error (`unknown-table` / `unknown-column`) ⇔ minidb refuses
+//!    the statement with that name, on both executors and whatever the
+//!    tables hold — minidb binds names before it reads a row, so an empty
+//!    scan or an earlier FALSE no longer hides one.
 //!
-//! Both directions are exercised over generated corpora (gold queries must
-//! be clean *and* execute) and over adversarial AST mutations of gold
-//! queries (broken names, misused aggregates, arity violations) that
-//! drive the executor into each error class.
+//! All three are exercised over generated corpora (gold queries must be
+//! clean *and* execute) and over adversarial AST mutations of gold queries
+//! (broken names, misused aggregates, arity violations) that drive the
+//! executor into each error class, each on normal, NULL-dense and emptied
+//! content.
+
+mod common;
 
 use datagen::{
     generate_corpus, generate_db, CorpusConfig, CorpusKind, QueryGenerator, Recipe,
     SchemaProfile,
 };
-use minidb::ExecError;
+use minidb::{Database, ExecError};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sqlcheck::{analyze, is_clean, Catalog};
+use sqlcheck::{analyze, is_clean, Catalog, Rule, Severity};
 use sqlkit::ast::*;
 
 /// The executor error classes the static analyzer is accountable for.
@@ -39,22 +46,54 @@ fn binding_error(e: &ExecError) -> bool {
     )
 }
 
-/// Assert both parity directions for one query on one database.
-fn assert_parity(db: &minidb::Database, cat: &Catalog, q: &Query, label: &str) {
+/// The database as generated, NULL-dense and emptied: the contents a
+/// lazily raised name error used to depend on.
+fn contents(db: &Database) -> [Database; 3] {
+    [db.clone(), common::null_dense(db), common::empty_content(db)]
+}
+
+/// Assert all three parity directions for one query on every content of
+/// one database (see [`contents`]).
+fn assert_parity(dbs: &[Database; 3], cat: &Catalog, q: &Query, label: &str) {
     let diags = analyze(cat, q);
     let clean = is_clean(&diags);
-    match db.run_query(q) {
-        Ok(_) => {}
-        Err(e) if binding_error(&e) => {
-            assert!(
-                !clean,
-                "{label}: executor raised `{e}` but sqlcheck found no Error \
-                 diagnostics\n  sql: {}\n  diags: {diags:?}",
-                sqlkit::to_sql(q)
-            );
+    let flagged: Vec<&str> = diags
+        .iter()
+        .filter(|d| {
+            matches!(d.rule, Rule::UnknownTable | Rule::UnknownColumn)
+                && d.severity == Severity::Error
+        })
+        .filter_map(|d| d.ident.as_deref())
+        .collect();
+    for db in dbs {
+        let outcome = db.run_query(q);
+        let context = || format!("{label}: `{}`\n  diags: {diags:?}", sqlkit::to_sql(q));
+        // direction 3, both ways, and on both executors
+        match &outcome {
+            Err(e @ (ExecError::UnknownTable(_) | ExecError::UnknownColumn(_))) => {
+                let name = e.offending_name().expect("name errors carry the name");
+                assert!(flagged.contains(&name), "executor refused `{name}` unflagged\n  {}", context());
+                assert_eq!(minidb::exec::execute(db, q).as_ref(), Err(e), "{}", context());
+            }
+            other => assert!(
+                flagged.is_empty(),
+                "name Error {flagged:?} but the executor answered {:?}\n  {}",
+                other.as_ref().map(|rs| rs.rows.len()),
+                context()
+            ),
         }
-        // budget trips etc. are not the analyzer's business
-        Err(_) => {}
+        match outcome {
+            Ok(_) => {}
+            Err(e) if binding_error(&e) => {
+                assert!(
+                    !clean,
+                    "executor raised `{e}` but sqlcheck found no Error diagnostics\n  {}",
+                    context()
+                );
+            }
+            // budget trips etc. are not the analyzer's business
+            Err(_) => {}
+        }
     }
 }
 
@@ -322,16 +361,18 @@ fn dequalify(e: &mut Expr) -> bool {
 fn corpus_gold_is_diagnostic_free() {
     for kind in [CorpusKind::Spider, CorpusKind::Bird] {
         let c = generate_corpus(kind, &CorpusConfig::tiny(5));
-        let catalogs: std::collections::BTreeMap<&str, Catalog> = c
+        let catalogs: std::collections::BTreeMap<&str, (Catalog, [Database; 3])> = c
             .databases
             .iter()
-            .map(|(id, gdb)| (id.as_str(), Catalog::from_database(&gdb.database)))
+            .map(|(id, gdb)| {
+                (id.as_str(), (Catalog::from_database(&gdb.database), contents(&gdb.database)))
+            })
             .collect();
         for s in c.train.iter().chain(c.dev.iter()) {
-            let cat = &catalogs[s.db_id.as_str()];
+            let (cat, dbs) = &catalogs[s.db_id.as_str()];
             let diags = analyze(cat, &s.query);
             assert!(diags.is_empty(), "{kind:?} gold `{}`: {diags:?}", s.sql);
-            assert_parity(&c.db(s).database, cat, &s.query, "gold");
+            assert_parity(dbs, cat, &s.query, "gold");
         }
     }
 }
@@ -373,6 +414,7 @@ proptest! {
         let profile = if bird { SchemaProfile::bird() } else { SchemaProfile::spider() };
         let gdb = generate_db("pdb", datagen::DomainId(domain_idx), &profile, seed);
         let cat = Catalog::from_database(&gdb.database);
+        let dbs = contents(&gdb.database);
         let qg = QueryGenerator::new(&gdb);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
         for recipe in Recipe::ALL {
@@ -380,13 +422,13 @@ proptest! {
             // direction 1 on the valid query: clean, and stays clean
             let diags = analyze(&cat, &g.query);
             prop_assert!(is_clean(&diags), "{recipe:?} gold `{}`: {diags:?}", g.sql);
-            assert_parity(&gdb.database, &cat, &g.query, "gold");
+            assert_parity(&dbs, &cat, &g.query, "gold");
             for (name, mutate) in mutations() {
                 let mut mutated = g.query.clone();
                 if !mutate(&mut mutated) {
                     continue;
                 }
-                assert_parity(&gdb.database, &cat, &mutated, name);
+                assert_parity(&dbs, &cat, &mutated, name);
                 // name-breaking mutations must always be flagged statically,
                 // whether or not the executor happens to evaluate the site
                 if matches!(name, "rename-table" | "rename-column" | "agg-in-where" | "bogus-function" | "wrong-arity") {

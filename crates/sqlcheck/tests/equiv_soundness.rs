@@ -6,6 +6,9 @@
 //! canonical-form duplicate gold samples), and the interaction with the
 //! tautology/unsatisfiability lint rules.
 
+mod common;
+
+use common::{empty_content, null_dense};
 use datagen::{
     generate_corpus, generate_db, CorpusConfig, CorpusKind, QueryGenerator, Recipe, SchemaProfile,
 };
@@ -18,43 +21,6 @@ use sqlcheck::{Catalog, Rule};
 use sqlkit::{parse_query, to_sql, Query};
 use std::collections::{BTreeSet, HashSet};
 use std::mem::discriminant;
-
-/// Same schema and row count, but every non-primary-key value on a
-/// deterministic stripe replaced with NULL — exercises the three-valued
-/// logic paths of every rewrite.
-fn null_dense(db: &Database) -> Database {
-    let mut out = Database::new(db.name());
-    for table in db.tables() {
-        let schema = table.schema.clone();
-        let rows: Vec<Vec<Value>> = (0..table.n_rows())
-            .map(|i| {
-                let mut row = table.row(i);
-                for (j, v) in row.iter_mut().enumerate() {
-                    if !schema.primary_key.contains(&j) && (i + j) % 2 == 0 {
-                        *v = Value::Null;
-                    }
-                }
-                row
-            })
-            .collect();
-        let rebuilt = minidb::database::Table::from_rows(schema, rows)
-            .expect("nulled rows keep the schema");
-        out.add_table(rebuilt).expect("table names stay unique");
-    }
-    out
-}
-
-/// Same schema, zero rows everywhere — aggregates over empty input,
-/// vacuous EXISTS/IN, empty join sides.
-fn empty_content(db: &Database) -> Database {
-    let mut out = Database::new(db.name());
-    for table in db.tables() {
-        let rebuilt = minidb::database::Table::from_rows(table.schema.clone(), Vec::new())
-            .expect("empty tables are valid");
-        out.add_table(rebuilt).expect("table names stay unique");
-    }
-    out
-}
 
 /// Original and canonical must agree: equivalent results when both
 /// succeed, the same error kind when both fail, and never a split.

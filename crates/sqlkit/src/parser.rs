@@ -34,7 +34,8 @@ pub fn parse_query(src: &str) -> Result<Query> {
 /// anything deeper is an [`ErrorKind::NestingTooDeep`](crate::ErrorKind)
 /// error instead of a stack overflow. It bounds the parser's own recursion
 /// and the height of the AST it returns, and with that every recursive walk
-/// downstream (printer, analyzer, plan compiler, evaluators, `Drop`). Sized
+/// downstream (printer, analyzer, minidb's bind step and plan compiler,
+/// evaluators, `Drop`). Sized
 /// for a 2 MiB thread stack: one parenthesis level costs the parser nine
 /// frames, 4–6 KiB measured, so the deepest accepted input needs under
 /// 768 KiB and leaves the rest to the caller and the later walks. Generated
