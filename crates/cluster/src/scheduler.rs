@@ -667,9 +667,14 @@ impl Inner {
         routing.members.values().filter(|m| m.ready).count()
     }
 
-    /// Begin shutdown: refuse new work, fail parked jobs, wake forwarders.
+    /// Begin shutdown: refuse new work, wake both acceptors, fail parked
+    /// jobs, wake forwarders.
     fn shutdown(self: &Arc<Inner>) {
         self.stop.store(true, Ordering::SeqCst);
+        serve::wake_listener(self.listen_addr);
+        if let Some(addr) = self.admin_addr {
+            serve::wake_listener(addr);
+        }
         let (pending, queues): (Vec<Job>, Vec<Arc<WorkerQueue>>) = {
             let mut routing = self.routing.lock().unwrap_or_else(|e| e.into_inner());
             routing.shutdown = true;
@@ -955,13 +960,9 @@ impl Scheduler {
     pub fn run<R>(config: SchedulerConfig, f: impl FnOnce(&SchedulerHandle) -> R) -> R {
         let listener = TcpListener::bind(config.listen)
             .unwrap_or_else(|e| panic!("bind scheduler listener {}: {e}", config.listen));
-        listener.set_nonblocking(true).expect("scheduler listener nonblocking");
         let listen_addr = listener.local_addr().expect("scheduler listener has an addr");
         let admin_listener = config.admin_addr.map(|addr| {
-            let l = TcpListener::bind(addr)
-                .unwrap_or_else(|e| panic!("bind scheduler admin {addr}: {e}"));
-            l.set_nonblocking(true).expect("admin listener nonblocking");
-            l
+            TcpListener::bind(addr).unwrap_or_else(|e| panic!("bind scheduler admin {addr}: {e}"))
         });
         let admin_addr =
             admin_listener.as_ref().map(|l| l.local_addr().expect("admin listener has an addr"));
@@ -1023,31 +1024,17 @@ impl Scheduler {
     }
 }
 
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
-
 fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let inner = Arc::clone(&inner);
-                std::thread::spawn(move || {
-                    let _ = serve_connection(stream, inner);
-                });
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                if inner.stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => {
-                if inner.stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                std::thread::sleep(ACCEPT_POLL);
-            }
-        }
-    }
+    serve::accept_until(
+        &listener,
+        || inner.stop.load(Ordering::SeqCst),
+        |stream| {
+            let inner = Arc::clone(&inner);
+            std::thread::spawn(move || {
+                let _ = serve_connection(stream, inner);
+            });
+        },
+    );
 }
 
 /// One scheduler warehouse flush, run by [`serve::flush_periodically`]
@@ -1085,8 +1072,7 @@ fn flush_warehouse_tick(inner: &Arc<Inner>) {
 }
 
 fn reaper_loop(inner: Arc<Inner>) {
-    while !inner.stop.load(Ordering::SeqCst) {
-        std::thread::sleep(inner.config.reap_interval);
+    while serve::sleep_unless(inner.config.reap_interval, || inner.stop.load(Ordering::SeqCst)) {
         for line in inner.reap_at(inner.now_ms()) {
             eprintln!("serve-scheduler: reaper: {line}");
         }

@@ -90,6 +90,7 @@ impl WorkerRuntime<'_> {
     /// waiting for the closure to return.
     pub fn begin_stop(&self) {
         self.stop.store(true, Ordering::SeqCst);
+        serve::wake_listener(self.serve_addr);
     }
 }
 
@@ -140,34 +141,20 @@ impl Worker {
     ) -> R {
         let listener = TcpListener::bind(config.listen)
             .unwrap_or_else(|e| panic!("bind worker listener {}: {e}", config.listen));
-        listener.set_nonblocking(true).expect("worker listener nonblocking");
         let serve_addr = listener.local_addr().expect("worker listener has an addr");
         let stop = AtomicBool::new(false);
         crossbeam::thread::scope(|scope| {
             let stop_ref = &stop;
             scope.spawn(move |scope| {
-                // accept loop: one scoped thread per scheduler
-                // forwarder connection, all joined before the service
-                // drains
-                loop {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            scope.spawn(move |_| execute_connection(stream, handle, stop_ref));
-                        }
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                            if stop_ref.load(Ordering::SeqCst) {
-                                return;
-                            }
-                            std::thread::sleep(ACCEPT_POLL);
-                        }
-                        Err(_) => {
-                            if stop_ref.load(Ordering::SeqCst) {
-                                return;
-                            }
-                            std::thread::sleep(ACCEPT_POLL);
-                        }
-                    }
-                }
+                // one scoped thread per scheduler forwarder connection,
+                // all joined before the service drains
+                serve::accept_until(
+                    &listener,
+                    || stop_ref.load(Ordering::SeqCst),
+                    |stream| {
+                        scope.spawn(move |_| execute_connection(stream, handle, stop_ref));
+                    },
+                );
             });
             scope.spawn(move |_| heartbeat_loop(config, handle, serve_addr, stop_ref));
             let runtime = WorkerRuntime {
@@ -176,14 +163,13 @@ impl Worker {
                 stop: stop_ref,
             };
             let out = f(&runtime);
-            stop.store(true, Ordering::SeqCst);
+            runtime.begin_stop();
             out
         })
         .expect("worker thread panicked")
     }
 }
 
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
 /// Granularity at which blocked reads re-check the stop flag.
 const READ_POLL: Duration = Duration::from_millis(100);
 
@@ -266,11 +252,12 @@ fn heartbeat_loop(
     serve_addr: SocketAddr,
     stop: &AtomicBool,
 ) {
-    while !stop.load(Ordering::SeqCst) {
+    let stopping = || stop.load(Ordering::SeqCst);
+    while !stopping() {
         match register(config, serve_addr) {
             Ok(mut stream) => {
                 loop {
-                    if !sleep_until(config.heartbeat, stop) {
+                    if !serve::sleep_unless(config.heartbeat, stopping) {
                         return;
                     }
                     let (ready, reason) = match handle.readiness() {
@@ -292,7 +279,7 @@ fn heartbeat_loop(
             }
             Err(_) => {
                 // scheduler not up (yet): retry after one interval
-                if !sleep_until(config.heartbeat, stop) {
+                if !serve::sleep_unless(config.heartbeat, stopping) {
                     return;
                 }
             }
@@ -316,21 +303,6 @@ fn register(config: &WorkerConfig, serve_addr: SocketAddr) -> io::Result<TcpStre
         },
     )?;
     Ok(stream)
-}
-
-/// Sleep `d` in small slices, bailing early (returning false) on stop.
-fn sleep_until(d: Duration, stop: &AtomicBool) -> bool {
-    let slice = Duration::from_millis(50);
-    let mut left = d;
-    while left > Duration::ZERO {
-        if stop.load(Ordering::SeqCst) {
-            return false;
-        }
-        let step = left.min(slice);
-        std::thread::sleep(step);
-        left = left.saturating_sub(step);
-    }
-    !stop.load(Ordering::SeqCst)
 }
 
 /// Block until a condition holds or a deadline passes; a test helper for

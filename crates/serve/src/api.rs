@@ -15,9 +15,11 @@
 //! * `GET /metrics`, `/metrics.json`, `/healthz`, `/readyz`, `/slow` — the
 //!   pre-existing admin plane, now routed through the same table.
 //!
-//! Everything is served by one loopback listener ([`run`]) that runs
-//! nonblocking inside the service's thread scope and polls with a short
-//! sleep, so it needs no extra signaling to notice shutdown.
+//! Everything is served by one loopback listener ([`run`]) inside the
+//! service's thread scope: [`http::serve_loop`] blocks in `accept` and
+//! answers on its handler pool, so `respond` runs on several threads at
+//! once. Shutdown sets `admin_stop` and wakes the listener
+//! ([`crate::wake_listener`]).
 
 use crate::http::{self, body_json, str_field, PathSpec, Request, Response, Route, Routed};
 use crate::{EvalRun, Inner, QueryError, RunStatus};
@@ -265,11 +267,14 @@ fn post_eval(req: &Request, corpus: &str, inner: &Inner, ctx: &EvalContext<'_>) 
             workers,
             status: RunStatus::Queued,
         });
-        runs.len() - 1
+        let idx = runs.len() - 1;
+        // The runner thread is alive for the service's lifetime; a send can
+        // only fail after shutdown began, in which case the run stays
+        // queued. Sent under the lock: handlers run concurrently, and runs
+        // execute in id order.
+        let _ = inner.evals.jobs_tx.send(idx);
+        idx
     };
-    // The runner thread is alive for the service's lifetime; a send can
-    // only fail after shutdown began, in which case the run stays queued.
-    let _ = inner.evals.jobs_tx.send(idx);
     let accepted = serde::Value::Map(vec![
         ("id".to_string(), serde::Value::Int(idx as i64 + 1)),
         ("status".to_string(), serde::Value::Str("queued".to_string())),

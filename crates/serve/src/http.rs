@@ -1,14 +1,20 @@
 //! Minimal HTTP/1.0 plumbing shared by the serve and cluster admin/API
-//! planes: one accept-and-respond loop, request parsing with bounded
-//! bodies, typed responses with an explicit `Content-Type` on every
-//! reply, a method+path route table with correct `404`/`405` semantics,
-//! and the blocking client helpers the tests, `serve-loadgen`, and
-//! `scripts/check.sh --api` drive requests through.
+//! planes: one accept-and-respond loop ([`serve_loop`]: a blocking accept
+//! feeding a small fixed pool of handler threads through a bounded queue,
+//! so a connection is answered when it arrives and a slow request or a
+//! silent client costs one handler, not the endpoint), request parsing
+//! with bounded bodies, typed responses with an explicit `Content-Type`
+//! on every reply, a method+path route table with correct `404`/`405`
+//! semantics, and the blocking client helpers the tests, `serve-loadgen`,
+//! and `scripts/check.sh --api` drive requests through.
 //!
 //! Still deliberately not a real HTTP stack: HTTP/1.0 only, one
-//! connection per request, `Connection: close`, no keep-alive, no
-//! chunked transfer — exactly enough protocol for `curl`, a Prometheus
-//! scraper, and the `/v1` JSON API.
+//! connection per request, `Connection: close`, no chunked transfer —
+//! exactly enough protocol for `curl`, a Prometheus scraper, and the
+//! `/v1` JSON API. No keep-alive either: with blocking I/O a persistent
+//! connection would pin a handler and put probes behind it. The server
+//! is always the side that closes first, which keeps TIME_WAIT on its
+//! own port instead of eating the client's ephemeral ones.
 
 use crate::trace::TraceStore;
 use crate::{QueryRequest, QueryResponse};
@@ -16,11 +22,15 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
-/// Poll interval of the nonblocking accept loop.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
 /// Per-connection read/write timeout; a client that stalls longer is
-/// dropped so it cannot wedge the endpoint.
+/// dropped so it cannot hold a handler.
 const IO_TIMEOUT: Duration = Duration::from_millis(500);
+/// Threads answering accepted connections; a slow request or a silent
+/// client occupies one of them, the rest keep answering probes.
+const HANDLER_THREADS: usize = 4;
+/// Accepted connections that may wait for a handler. Past this the
+/// acceptor blocks and later clients wait in the kernel backlog.
+const PENDING_CONNECTIONS: usize = 64;
 /// Upper bound on the request head (request line + headers).
 const MAX_HEAD_BYTES: usize = 8 * 1024;
 /// Largest request body an endpoint accepts; a larger `Content-Length` is
@@ -99,17 +109,19 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Write `resp` as a complete HTTP/1.0 response and flush.
+/// Write `resp` as a complete HTTP/1.0 response — head and body in one
+/// `write_all`, so the body never waits as a second small segment behind
+/// Nagle and the peer's delayed ACK — and flush.
 pub fn write_response(stream: &mut TcpStream, resp: &Response) -> std::io::Result<()> {
-    let head = format!(
+    let mut out = format!(
         "HTTP/1.0 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         resp.status,
         reason(resp.status),
         resp.content_type,
         resp.body.len()
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(resp.body.as_bytes())?;
+    out.push_str(&resp.body);
+    stream.write_all(out.as_bytes())?;
     stream.flush()
 }
 
@@ -117,8 +129,8 @@ pub fn write_response(stream: &mut TcpStream, resp: &Response) -> std::io::Resul
 ///
 /// The outer `Err` is a transport failure (drop the connection); the
 /// inner `Err` is a well-formed refusal to send back: `400` for a
-/// malformed request line, `413` when `Content-Length` exceeds
-/// [`MAX_BODY_BYTES`].
+/// malformed request line or `Content-Length`, `413` when
+/// `Content-Length` exceeds [`MAX_BODY_BYTES`].
 pub fn read_request(stream: &mut TcpStream) -> std::io::Result<Result<Request, Response>> {
     stream.set_read_timeout(Some(IO_TIMEOUT))?;
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
@@ -144,11 +156,19 @@ pub fn read_request(stream: &mut TcpStream) -> std::io::Result<Result<Request, R
     if method.is_empty() || !target.starts_with('/') {
         return Ok(Err(Response::json_error(400, "malformed request line")));
     }
-    let content_length = lines
+    let mut declared: Option<usize> = None;
+    for (_, v) in lines
         .filter_map(|l| l.split_once(':'))
-        .find(|(k, _)| k.eq_ignore_ascii_case("content-length"))
-        .and_then(|(_, v)| v.trim().parse::<usize>().ok())
-        .unwrap_or(0);
+        .filter(|(k, _)| k.eq_ignore_ascii_case("content-length"))
+    {
+        match v.trim().parse::<usize>() {
+            Ok(n) if declared.is_none_or(|seen| seen == n) => declared = Some(n),
+            // unparsable, negative, overflowing, or two that disagree:
+            // guessing a length would drop or misframe the body
+            _ => return Ok(Err(Response::json_error(400, "malformed Content-Length"))),
+        }
+    }
+    let content_length = declared.unwrap_or(0);
     if content_length > MAX_BODY_BYTES {
         return Ok(Err(Response::json_error(
             413,
@@ -248,44 +268,50 @@ pub fn refusal<H>(outcome: &Routed<'_, H>, path: &str) -> Option<Response> {
     }
 }
 
-/// Accept-and-respond loop shared by both admin planes: nonblocking
-/// accepts polled every [`ACCEPT_POLL`], one request per connection,
-/// exits once `stop()` turns true. Handler failures never take the
-/// listener down.
+/// Accept-and-respond loop shared by both planes: [`crate::accept_until`]
+/// on the calling thread, [`HANDLER_THREADS`] scoped threads behind a
+/// queue of [`PENDING_CONNECTIONS`] answering one request per connection.
+/// Exits — handlers joined, every queued connection answered — once
+/// `stop()` is true and the listener was woken
+/// ([`crate::wake_listener`]). Handler failures never take the listener
+/// down.
 pub fn serve_loop(
     listener: TcpListener,
     stop: impl Fn() -> bool,
-    handler: impl Fn(&Request) -> Response,
+    handler: impl Fn(&Request) -> Response + Sync,
 ) {
-    listener.set_nonblocking(true).expect("admin listener nonblocking");
-    loop {
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                // Best-effort: a client dying mid-response must not take
-                // the endpoint down.
-                let _ = (|| -> std::io::Result<()> {
-                    match read_request(&mut stream)? {
-                        Ok(req) => write_response(&mut stream, &handler(&req)),
-                        Err(refused) => {
-                            write_response(&mut stream, &refused)?;
-                            discard_unread(&mut stream);
-                            Ok(())
-                        }
-                    }
-                })();
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                if stop() {
-                    return;
+    let (tx, rx) = crossbeam::channel::bounded::<TcpStream>(PENDING_CONNECTIONS);
+    std::thread::scope(|scope| {
+        for _ in 0..HANDLER_THREADS {
+            let (rx, handler) = (rx.clone(), &handler);
+            scope.spawn(move || {
+                while let Ok(mut stream) = rx.recv() {
+                    // Best-effort: a client dying mid-response must not
+                    // take the endpoint down.
+                    let _ = exchange(&mut stream, handler);
                 }
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => {
-                if stop() {
-                    return;
-                }
-                std::thread::sleep(ACCEPT_POLL);
-            }
+            });
+        }
+        // A full queue blocks the acceptor and the kernel backlog fills
+        // behind it: back-pressure is the connection cap.
+        crate::accept_until(&listener, stop, |stream| {
+            let _ = tx.send(stream);
+        });
+        drop(tx);
+    });
+}
+
+/// One request, one response; the server closes first.
+fn exchange(
+    stream: &mut TcpStream,
+    handler: &impl Fn(&Request) -> Response,
+) -> std::io::Result<()> {
+    match read_request(stream)? {
+        Ok(req) => write_response(stream, &handler(&req)),
+        Err(refused) => {
+            write_response(stream, &refused)?;
+            discard_unread(stream);
+            Ok(())
         }
     }
 }
@@ -293,9 +319,9 @@ pub fn serve_loop(
 /// After refusing a request whose body was never read (a `413`): closing
 /// with those bytes unread resets the connection, and the reset can reach
 /// the client before the refusal does. So half-close, then discard what the
-/// client sends until it closes too. The accept loop is single-threaded,
-/// so this holds up every other client: each read waits only for what is
-/// left of one [`IO_TIMEOUT`], which bounds the whole stall.
+/// client sends until it closes too. This occupies one handler of
+/// [`HANDLER_THREADS`], not the endpoint, and each read waits only for
+/// what is left of one [`IO_TIMEOUT`], which bounds the whole stall.
 fn discard_unread(stream: &mut TcpStream) {
     let _ = stream.shutdown(Shutdown::Write);
     let deadline = Instant::now() + IO_TIMEOUT;

@@ -69,7 +69,7 @@ use serde::{Deserialize, Serialize};
 pub use slowlog::{fnv1a64, SlowLog, SlowQueryEntry};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::net::SocketAddr;
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -721,6 +721,9 @@ impl Drop for DrainOnDrop<'_> {
         // The serve closure is done (or panicked): nobody scrapes anymore,
         // so the admin accept loop may exit and let the scope join.
         self.0.admin_stop.store(true, Ordering::Release);
+        if let Some(addr) = self.0.admin_addr {
+            wake_listener(addr);
+        }
     }
 }
 
@@ -875,7 +878,7 @@ impl Service {
         // resolves an ephemeral `:0` port immediately — tests and loadgen
         // can scrape as soon as the closure runs.
         let admin_listener = config.admin_addr.map(|addr| {
-            std::net::TcpListener::bind(addr)
+            TcpListener::bind(addr)
                 .unwrap_or_else(|e| panic!("bind admin endpoint {addr}: {e}"))
         });
         let admin_addr = admin_listener
@@ -1037,23 +1040,75 @@ pub const WAREHOUSE_FLUSH_MS: u64 = 250;
 /// Body of a warehouse flusher thread (this service's and the cluster
 /// scheduler's): run `flush` every [`WAREHOUSE_FLUSH_MS`] until
 /// `stopping()` turns true, then once more, so whatever completed before
-/// shutdown is persisted. Sleeps in short slices so shutdown never waits
-/// out a whole interval.
+/// shutdown is persisted.
 pub fn flush_periodically(stopping: impl Fn() -> bool, mut flush: impl FnMut()) {
-    let interval = Duration::from_millis(WAREHOUSE_FLUSH_MS);
     loop {
         let last = stopping();
         flush();
         if last {
             return;
         }
-        let mut slept = Duration::ZERO;
-        while slept < interval && !stopping() {
-            let step = Duration::from_millis(20).min(interval - slept);
-            std::thread::sleep(step);
-            slept += step;
+        sleep_unless(Duration::from_millis(WAREHOUSE_FLUSH_MS), &stopping);
+    }
+}
+
+/// Sleep `d` in short slices so shutdown never waits out a whole interval;
+/// false as soon as `stopping()` is true. The stop-aware sleep under every
+/// periodic loop of both crates (flusher, heartbeat, reaper).
+pub fn sleep_unless(d: Duration, stopping: impl Fn() -> bool) -> bool {
+    let deadline = Instant::now() + d;
+    while !stopping() {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return true;
+        }
+        std::thread::sleep(left.min(Duration::from_millis(20)));
+    }
+    false
+}
+
+/// How long an acceptor rests after `accept` fails. A failure that lasts
+/// (EMFILE) must not spin; the no-client path never sleeps, because it
+/// does not exist — `accept` blocks in the kernel until a client arrives.
+const ACCEPT_ERR_BACKOFF: Duration = Duration::from_millis(50);
+
+/// Body of an acceptor thread — the one accept loop under all four
+/// listeners (this service's API, the scheduler's client and admin ports,
+/// the worker's Execute port): hand every accepted stream to `on_conn`
+/// until `stopping()` turns true. `accept` blocks, so whoever flips the
+/// stop flag must *then* call [`wake_listener`]; the flag is re-read after
+/// every return of `accept`, which makes the wake level-triggered — a
+/// wake that lands before the acceptor blocks waits in the backlog.
+pub fn accept_until(
+    listener: &TcpListener,
+    stopping: impl Fn() -> bool,
+    mut on_conn: impl FnMut(TcpStream),
+) {
+    loop {
+        let accepted = listener.accept();
+        if stopping() {
+            return;
+        }
+        match accepted {
+            Ok((stream, _)) => on_conn(stream),
+            Err(_) => std::thread::sleep(ACCEPT_ERR_BACKOFF),
         }
     }
+}
+
+/// Wake the [`accept_until`] loop of the listener bound to `addr` with one
+/// throw-away connection; call it after storing the stop flag. A listener
+/// that is already gone refuses the connection, which is fine, and a full
+/// backlog drops it, which is fine too: that acceptor is about to return
+/// from `accept` anyway.
+pub fn wake_listener(mut addr: SocketAddr) {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect_timeout(&addr, Duration::from_millis(100));
 }
 
 /// One warehouse flush: completed span trees into the eval store's

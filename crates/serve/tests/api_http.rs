@@ -2,16 +2,21 @@
 //! translation through `POST /v1/sql`, background eval runs through
 //! `POST /v1/evals/<corpus>` persisted as queryable `minidb` tables, the
 //! refusal surface (malformed JSON, oversized bodies, wrong methods,
-//! deadline expiry), and the isolation pin — an eval run executing while
+//! deadline expiry), the isolation pin — an eval run executing while
 //! serve traffic flows must leave both outcomes byte-identical to solo
-//! executions.
+//! executions — and what `serve::http`'s handler pool promises: probes
+//! answer while a request is parked or a client is silent, concurrent
+//! exchanges read like serial ones, back-pressure loses nobody, shutdown
+//! does not wait.
 
 use datagen::{generate_corpus, Corpus, CorpusConfig, CorpusKind, Sample};
 use modelzoo::{method_by_name, Nl2SqlModel, Prediction, SimulatedModel, TranslationTask};
 use nl2sql360::{EvalContext, EvalOptions, Filter};
 use serve::http::{http_get, http_post};
 use serve::{QueryRequest, ServeConfig, Service};
-use std::net::SocketAddr;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -427,21 +432,24 @@ impl Nl2SqlModel for GateModel {
     }
 }
 
+/// The service owns its models; the test keeps the gate through this.
+struct Shared(std::sync::Arc<GateModel>);
+
+impl Nl2SqlModel for Shared {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+    fn translate(&self, task: &TranslationTask<'_>) -> Option<Prediction> {
+        self.0.translate(task)
+    }
+}
+
 #[test]
 fn deadline_expiry_mid_queue_returns_504() {
     let corpus = corpus();
     let ctx = EvalContext::new(&corpus);
     let (started_tx, started_rx) = mpsc::sync_channel(16);
     let gate = std::sync::Arc::new(GateModel::new(started_tx));
-    struct Shared(std::sync::Arc<GateModel>);
-    impl Nl2SqlModel for Shared {
-        fn name(&self) -> &str {
-            self.0.name()
-        }
-        fn translate(&self, task: &TranslationTask<'_>) -> Option<Prediction> {
-            self.0.translate(task)
-        }
-    }
     let config = ServeConfig::builder()
         .workers(1)
         .admin_addr("127.0.0.1:0".parse().unwrap())
@@ -566,4 +574,278 @@ fn concurrent_eval_and_serve_traffic_are_byte_identical_to_solo_runs() {
         traffic_alone, traffic_mixed,
         "serve outcomes diverged under a concurrent eval run"
     );
+}
+
+/// Send `raw` bytes as one request and read the reply to EOF.
+fn raw_exchange(addr: SocketAddr, raw: &str) -> (u16, String) {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(5))).expect("read timeout");
+    stream.write_all(raw.as_bytes()).expect("send request");
+    let mut reply = String::new();
+    stream.read_to_string(&mut reply).expect("read reply");
+    let status = reply.split_whitespace().nth(1).and_then(|s| s.parse().ok()).expect("status line");
+    (status, reply.split_once("\r\n\r\n").map(|(_, b)| b.to_string()).unwrap_or_default())
+}
+
+/// An unparsable `Content-Length` used to be read as 0: the body was
+/// dropped, an oversized one dodged the `413`, and the caller was told
+/// "missing JSON body". Each is a typed `400` now, as are two headers that
+/// disagree; two that agree are one header, and the next connection is
+/// answered as if nothing happened.
+#[test]
+fn malformed_content_length_is_a_typed_400() {
+    let corpus = corpus();
+    let ctx = EvalContext::new(&corpus);
+    Service::run_with_methods(api_config(), &ctx, &["C3SQL"], |handle| {
+        let addr = handle.admin_addr().expect("admin endpoint configured");
+        let body = r#"{"sql": "SELECT COUNT(*) FROM eval_runs"}"#;
+        let post = |headers: &str| {
+            raw_exchange(addr, &format!("POST /v1/sql HTTP/1.0\r\n{headers}\r\n\r\n{body}"))
+        };
+        for headers in [
+            "Content-Length: abc".to_string(),
+            "Content-Length: -1".to_string(),
+            "Content-Length: 99999999999999999999".to_string(),
+            "Content-Length:".to_string(),
+            format!("Content-Length: {}\r\nContent-Length: {}", body.len(), body.len() + 1),
+        ] {
+            let (status, reply) = post(&headers);
+            assert_eq!(status, 400, "{headers}: {reply}");
+            let v: serde::Value = serde_json::from_str(&reply).expect("error body is JSON");
+            let message = get_str(v.get("error").expect("error key"), "message");
+            assert_eq!(message, "malformed Content-Length", "{headers}");
+        }
+        let agreeing = format!("Content-Length: {0}\r\ncontent-length: {0}", body.len());
+        let (status, reply) = post(&agreeing);
+        assert_eq!(status, 200, "{reply}");
+        let (status, reply) = http_post(addr, "/v1/sql", body).expect("well-formed follow-up");
+        assert_eq!(status, 200, "{reply}");
+    });
+}
+
+/// Time one `GET path`, which must answer 200.
+fn probe(addr: SocketAddr, path: &str) -> Duration {
+    let started = Instant::now();
+    let (status, body) = http_get(addr, path).expect("probe");
+    assert_eq!(status, 200, "{path}: {body}");
+    started.elapsed()
+}
+
+/// `attempt` comes in under `limit`. Up to three tries, so that a
+/// scheduling hiccup on a loaded box is not a failure; an endpoint that
+/// waits for something fails every one.
+fn assert_within(limit: Duration, what: &str, mut attempt: impl FnMut() -> Duration) {
+    let mut best = Duration::MAX;
+    for _ in 0..3 {
+        best = best.min(attempt());
+        if best < limit {
+            return;
+        }
+    }
+    panic!("{what} took {best:?} at best, limit {limit:?}");
+}
+
+/// One NL request parked in its handler (the worker is held at the gate):
+/// the probes are answered by the other handlers, not after it.
+#[test]
+fn probes_answer_while_an_nl_request_is_parked() {
+    let corpus = corpus();
+    let ctx = EvalContext::new(&corpus);
+    let (started_tx, started_rx) = mpsc::sync_channel(16);
+    let config = ServeConfig::builder()
+        .workers(1)
+        .admin_addr("127.0.0.1:0".parse().unwrap())
+        .build()
+        .expect("valid config");
+    let gate = std::sync::Arc::new(GateModel::new(started_tx));
+    let models: Vec<Box<dyn Nl2SqlModel>> = vec![Box::new(Shared(gate.clone()))];
+    Service::run(config, &ctx, models, |handle| {
+        let addr = handle.admin_addr().expect("admin endpoint configured");
+        let sample = &corpus.dev[0];
+        let body = serde_json::to_string(&serde::Value::Map(vec![
+            ("question".to_string(), serde::Value::Str(sample.variants[0].clone())),
+            ("db_id".to_string(), serde::Value::Str(sample.db_id.clone())),
+            ("method".to_string(), serde::Value::Str("Gate".to_string())),
+        ]))
+        .unwrap();
+        let poster = std::thread::spawn(move || http_post(addr, "/v1/sql", &body));
+        started_rx.recv_timeout(Duration::from_secs(5)).expect("NL request reached the worker");
+        // opened on the way out of a failed probe too, or the drain that
+        // follows the panic would wait at the gate forever
+        struct Open(std::sync::Arc<GateModel>);
+        impl Drop for Open {
+            fn drop(&mut self) {
+                self.0.release(1);
+            }
+        }
+        let open = Open(gate.clone());
+        for path in ["/healthz", "/readyz", "/metrics"] {
+            assert_within(Duration::from_millis(50), path, || probe(addr, path));
+        }
+        drop(open);
+        let (status, reply) = poster.join().expect("poster thread").expect("post");
+        assert_ne!(status, 200, "the gate model refuses: {reply}");
+    });
+}
+
+/// Connections that hold a handler without asking anything — one that
+/// never sends a byte (its handler waits out the read timeout) and one that
+/// announces a body past the limit, takes its `413` and then neither sends
+/// the body nor closes (its handler sits in the discard) — cost that
+/// handler, not the endpoint.
+#[test]
+fn silent_and_refused_clients_do_not_delay_probes() {
+    let corpus = corpus();
+    let ctx = EvalContext::new(&corpus);
+    Service::run_with_methods(api_config(), &ctx, &["C3SQL"], |handle| {
+        let addr = handle.admin_addr().expect("admin endpoint configured");
+        // both are armed anew for each try: they only hold for one timeout
+        assert_within(Duration::from_millis(50), "/healthz beside held handlers", || {
+            let _silent = TcpStream::connect(addr).expect("connect");
+            let mut refused = TcpStream::connect(addr).expect("connect");
+            refused.set_read_timeout(Some(Duration::from_secs(5))).expect("read timeout");
+            let oversized = serve::http::MAX_BODY_BYTES + 1;
+            let head = format!("POST /v1/sql HTTP/1.0\r\nContent-Length: {oversized}\r\n\r\n");
+            refused.write_all(head.as_bytes()).expect("send head");
+            let mut reply = String::new();
+            refused.read_to_string(&mut reply).expect("server half-closes after the refusal");
+            assert!(reply.starts_with("HTTP/1.0 413"), "{reply}");
+            probe(addr, "/healthz")
+        });
+    });
+}
+
+/// Eight clients at once read what one client reads: every exchange of a
+/// mixed list (probe, raw SQL, NL translation, unknown path, malformed
+/// body) gets the body the same exchange got when issued alone, byte for
+/// byte — NL replies minus the fields that report scheduling.
+#[test]
+fn concurrent_exchanges_are_byte_identical_to_serial_ones() {
+    let corpus = corpus();
+    let ctx = EvalContext::new(&corpus);
+    let exchanges: Vec<(Option<String>, String)> = (0..50)
+        .map(|i| {
+            let sample = &corpus.dev[i % corpus.dev.len()];
+            let text = |s: &str| serde::Value::Str(s.to_string());
+            let json = |fields: Vec<(&str, serde::Value)>| {
+                let map = fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect();
+                serde_json::to_string(&serde::Value::Map(map)).unwrap()
+            };
+            match i % 5 {
+                0 => (None, "/healthz".to_string()),
+                1 => (
+                    Some(json(vec![("sql", text(&sample.sql)), ("db", text(&sample.db_id))])),
+                    "/v1/sql".to_string(),
+                ),
+                2 => (
+                    Some(json(vec![
+                        ("question", text(&sample.variants[0])),
+                        ("db_id", text(&sample.db_id)),
+                        ("method", text("C3SQL")),
+                    ])),
+                    "/v1/sql".to_string(),
+                ),
+                3 => (None, format!("/no-such-path/{i}")),
+                _ => (Some(format!("not json {i}")), "/v1/sql".to_string()),
+            }
+        })
+        .collect();
+    let run = |addr: SocketAddr, (body, path): &(Option<String>, String)| {
+        let (status, reply) = match body {
+            Some(body) => http_post(addr, path, body),
+            None => http_get(addr, path),
+        }
+        .expect("exchange");
+        let scheduling = ["cache_hit", "batch_size", "latency_us", "trace_id"];
+        match serde_json::from_str::<serde::Value>(&reply) {
+            Ok(serde::Value::Map(fields)) if fields.iter().any(|(k, _)| k == "pred_sql") => {
+                let kept = fields.into_iter().filter(|(k, _)| !scheduling.contains(&k.as_str()));
+                let kept = serde::Value::Map(kept.collect());
+                format!("{status} {}", serde_json::to_string(&kept).unwrap())
+            }
+            _ => format!("{status} {reply}"),
+        }
+    };
+    Service::run_with_methods(api_config(), &ctx, &["C3SQL"], |handle| {
+        let addr = handle.admin_addr().expect("admin endpoint configured");
+        let serial: Vec<String> = exchanges.iter().map(|e| run(addr, e)).collect();
+        assert!(serial.iter().filter(|r| r.starts_with("200 ")).count() >= 20, "{serial:?}");
+        std::thread::scope(|scope| {
+            for client in 0..8 {
+                let (exchanges, serial, run) = (&exchanges, &serial, &run);
+                scope.spawn(move || {
+                    // each client starts somewhere else in the list, so
+                    // different kinds of exchange overlap
+                    for step in 0..exchanges.len() {
+                        let i = (step + client * 7) % exchanges.len();
+                        assert_eq!(run(addr, &exchanges[i]), serial[i], "exchange {i}");
+                    }
+                });
+            }
+        });
+    });
+}
+
+/// `Service::run` returns when its closure does: the acceptor is woken out
+/// of `accept`, not waited for, and nothing on the start or stop path
+/// sleeps out a poll.
+#[test]
+fn service_with_an_idle_listener_shuts_down_at_once() {
+    let corpus = corpus();
+    let ctx = EvalContext::new(&corpus);
+    assert_within(Duration::from_millis(100), "Service::run after its closure", || {
+        Service::run_with_methods(api_config(), &ctx, &["C3SQL"], |_| Instant::now()).elapsed()
+    });
+}
+
+/// More simultaneous connections than handlers plus queue slots (4 + 64):
+/// the acceptor blocks, the rest wait in the kernel backlog, and every one
+/// is answered — back-pressure, nobody reset.
+#[test]
+fn connections_past_the_queue_wait_and_are_all_answered() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            serve::http::serve_loop(
+                listener,
+                || stop.load(Ordering::SeqCst),
+                |req| {
+                    std::thread::sleep(Duration::from_millis(2));
+                    serve::http::Response::text(200, req.path.clone())
+                },
+            )
+        });
+        let mut clients: Vec<TcpStream> = (0..100)
+            .map(|i| {
+                let mut stream = TcpStream::connect(addr).expect("connect");
+                stream.write_all(format!("GET /{i} HTTP/1.0\r\n\r\n").as_bytes()).expect("send");
+                stream
+            })
+            .collect();
+        for (i, stream) in clients.iter_mut().enumerate() {
+            let mut reply = String::new();
+            stream.read_to_string(&mut reply).expect("read reply");
+            assert!(reply.starts_with("HTTP/1.0 200"), "client {i}: {reply}");
+            assert!(reply.ends_with(&format!("\r\n\r\n/{i}")), "client {i}: {reply}");
+        }
+        stop.store(true, Ordering::SeqCst);
+        serve::wake_listener(addr);
+    });
+}
+
+/// The absolute gate on the transport floor, armed on any core count: a
+/// probe that does no work answers in well under the 10 ms the accept poll
+/// used to cost every exchange.
+#[test]
+fn healthz_median_is_under_half_the_old_poll() {
+    let corpus = corpus();
+    let ctx = EvalContext::new(&corpus);
+    Service::run_with_methods(api_config(), &ctx, &["C3SQL"], |handle| {
+        let addr = handle.admin_addr().expect("admin endpoint configured");
+        let mut took: Vec<Duration> = (0..50).map(|_| probe(addr, "/healthz")).collect();
+        took.sort_unstable();
+        assert!(took[25] < Duration::from_millis(5), "median /healthz {:?}", took[25]);
+    });
 }
