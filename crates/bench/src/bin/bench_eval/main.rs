@@ -570,10 +570,10 @@ struct TracingPoint {
     /// ns for the ingress decision an *untraced* request pays: one
     /// `Option<&TraceStore>` branch. This is the whole disabled path.
     disabled_check_ns: f64,
-    /// ns to mint a trace id, record the six pipeline spans, complete
-    /// the tree, and drain it for the flusher — the enabled per-request
-    /// bookkeeping in isolation (what the closed-loop gate allows a
-    /// request to cost, see [`TracingPoint::added_us_budget`]).
+    /// ns to mint a trace id, build the six pipeline spans, append them as
+    /// one completed tree, and flush it into `trace_spans` — the enabled
+    /// per-request bookkeeping in isolation (what the closed-loop gate
+    /// allows a request to cost, see [`TracingPoint::added_us_budget`]).
     enabled_request_ns: f64,
     /// Per-request span trees plus warehouse persistence on vs off.
     serve: Paired,
@@ -601,29 +601,38 @@ fn bench_request_tracing(ctx: &EvalContext<'_>, iters: usize, reps: usize) -> Tr
     });
 
     // --- micro: the enabled path's bookkeeping, shaped like one real
-    // request (root + queue/translate/static_check/execute/compare),
-    // including the drain the flusher would perform ---
+    // request: its six spans (root + queue/translate/static_check/execute/
+    // compare, attributes formatted as `Inner::complete` does) stored in
+    // one append-and-complete, then the flusher's share — the shared
+    // `serve::flush_warehouse` draining the tree into `trace_spans`. The
+    // warehouse restarts every 1024 traces so memory stays bounded. ---
     let store = TraceStore::new("bench", 1024, Instant::now());
-    let span = |trace_hex: &str, span_id: u64, parent_id: u64, name: &str, attrs: &str| SpanRecord {
-        trace_id: trace_hex.to_string(),
-        span_id,
-        parent_id,
-        name: name.to_string(),
-        process: "bench".to_string(),
-        start_us: 0,
-        dur_us: 1,
-        attrs: attrs.to_string(),
-    };
+    let (mut warehouse, mut held) = (nl2sql360::EvalStore::new(), 0usize);
     let enabled_request_ns = time_ns(iters, || {
         let tid = store.mint("concert_singer", "how many singers do we have", METHOD);
-        let hex = serve::trace::format_trace_id(tid);
-        let root = store.next_span_id();
-        for name in ["queue", "translate", "static_check", "execute", "compare"] {
-            store.record(tid, span(&hex, store.next_span_id(), root, name, ""));
+        let (root, t0) = (store.next_span_id(), Instant::now());
+        let child = |(name, attrs): (&str, String)| {
+            store.span(tid, store.next_span_id(), root, name, t0..t0, attrs)
+        };
+        let (hit, one) = std::hint::black_box((0u8, 1u8));
+        let mut spans: Vec<SpanRecord> = [
+            ("queue", String::new()),
+            ("translate", format!("method={METHOD}")),
+            ("static_check", format!("rules_fired={hit}")),
+            ("execute", format!("cache_hit={hit}")),
+            ("compare", format!("ex={one} em={hit}")),
+        ]
+        .map(child)
+        .into();
+        let attrs = format!("outcome=ok batch={one} cache_hit={hit}");
+        spans.push(store.span(tid, root, 0, "request", t0..t0, attrs));
+        store.append(tid, spans, true);
+        if held == 1024 {
+            (warehouse, held) = (nl2sql360::EvalStore::new(), 0);
         }
-        store.record(tid, span(&hex, root, 0, "request", "outcome=ok"));
-        store.complete(tid);
-        store.drain_completed(4).len()
+        held += 1;
+        serve::flush_warehouse(&mut warehouse, Some(&store), t0, &[], ("bench", "bench"));
+        held
     });
 
     // --- macro: closed-loop serving with per-request span trees AND the

@@ -380,20 +380,10 @@ impl Inner {
     fn answer(&self, job: &Job, reply: QueryReply) {
         let outcome = if reply.is_ok() { "ok" } else { "error" };
         if let (Some(store), true) = (&self.traces, job.trace_id != 0) {
-            store.record(
-                job.trace_id,
-                SpanRecord {
-                    trace_id: format_trace_id(job.trace_id),
-                    span_id: job.root_span,
-                    parent_id: 0,
-                    name: "sched.request".to_string(),
-                    process: store.process().to_string(),
-                    start_us: store.rel_us(job.accepted),
-                    dur_us: job.accepted.elapsed().as_micros() as u64,
-                    attrs: format!("outcome={outcome} attempts={}", job.attempts + 1),
-                },
-            );
-            store.complete(job.trace_id);
+            let attrs = format!("outcome={outcome} attempts={}", job.attempts + 1);
+            let root = job.accepted..Instant::now();
+            let span = store.span(job.trace_id, job.root_span, 0, "sched.request", root, attrs);
+            store.append(job.trace_id, vec![span], true);
         }
         self.metrics.replied.with(&[outcome]).inc();
         let _ = job.reply.send((job.client_id, reply));
@@ -406,19 +396,10 @@ impl Inner {
         // the retry hop, visible in the trace as an instantaneous span
         if let (Some(store), true) = (&self.traces, job.trace_id != 0) {
             let now = Instant::now();
-            store.record(
-                job.trace_id,
-                SpanRecord {
-                    trace_id: format_trace_id(job.trace_id),
-                    span_id: store.next_span_id(),
-                    parent_id: job.root_span,
-                    name: "sched.requeue".to_string(),
-                    process: store.process().to_string(),
-                    start_us: store.rel_us(now),
-                    dur_us: 0,
-                    attrs: format!("attempt={}", job.attempts),
-                },
-            );
+            let attrs = format!("attempt={}", job.attempts);
+            let id = store.next_span_id();
+            let span = store.span(job.trace_id, id, job.root_span, "sched.requeue", now..now, attrs);
+            store.append(job.trace_id, vec![span], false);
         }
         if job.attempts >= self.config.max_attempts {
             self.metrics.retries_exhausted.inc();
@@ -686,7 +667,12 @@ impl Inner {
         for job in pending {
             self.answer(&job, Err(QueryError::Overloaded));
         }
+        // Notify under each queue's lock: a forwarder that read `stop ==
+        // false` under it is then already waiting, and one that has not
+        // read it yet will see `true`. Unlocked, the wake could land in
+        // between and be lost.
         for queue in queues {
+            let _st = queue.state.lock().unwrap_or_else(|e| e.into_inner());
             queue.not_empty.notify_all();
         }
     }
@@ -718,11 +704,7 @@ fn stream_loop(
                     // drained: nothing queued, nothing to wait for
                     return;
                 }
-                let (guard, _) = queue
-                    .not_empty
-                    .wait_timeout(st, Duration::from_millis(200))
-                    .unwrap_or_else(|e| e.into_inner());
-                st = guard;
+                st = queue.not_empty.wait(st).unwrap_or_else(|e| e.into_inner());
             }
         };
         let mut request = job.request.clone();
@@ -752,68 +734,43 @@ fn stream_loop(
         }
         let started = Instant::now();
         next_id += 1;
-        match forward(&mut conn, &serve_addr, inner.config.forward_timeout, next_id, &request) {
-            Ok((reply, worker_spans)) => {
-                let taken = {
-                    let mut st = queue.state.lock().unwrap_or_else(|e| e.into_inner());
-                    st.in_flight[slot].take()
-                };
-                // a None slot means an eviction already took (and requeued)
-                // the job; the requeued run answers the client, this result
-                // is the duplicate and is dropped (its spans with it)
+        let timeout = inner.config.forward_timeout;
+        let mut result = forward(&mut conn, &serve_addr, timeout, next_id, &request);
+        let ended = Instant::now();
+        // a None slot means an eviction already took (and requeued) the
+        // job: after a success the requeued run answers the client, so
+        // this result is the duplicate and is dropped, its spans with it
+        let taken = queue.state.lock().unwrap_or_else(|e| e.into_inner()).in_flight[slot].take();
+        if let (Some(store), Some((trace_id, root_span, attempts, forward_span))) =
+            (&inner.traces, trace)
+        {
+            // a failed hop lands in the trace too: this is what a retry
+            // storm looks like when queried from the warehouse
+            let worker_spans = match &mut result {
+                Ok((_, spans)) => taken.is_some().then(|| std::mem::take(spans)),
+                Err(_) => Some(Vec::new()),
+            };
+            if let Some(worker_spans) = worker_spans {
+                let error = if result.is_err() { " error=1" } else { "" };
+                let attrs = format!("worker={worker_id} attempt={}{error}", attempts + 1);
+                let name = "sched.forward";
+                let hop = store.span(trace_id, forward_span, root_span, name, started..ended, attrs);
+                let mut spans = vec![hop];
+                spans.extend(worker_spans);
+                store.append(trace_id, spans, false);
+            }
+        }
+        match result {
+            Ok((reply, _)) => {
                 if let Some(job) = taken {
-                    if let (Some(store), Some((trace_id, root_span, attempts, forward_span))) =
-                        (&inner.traces, &trace)
-                    {
-                        store.record(
-                            *trace_id,
-                            SpanRecord {
-                                trace_id: format_trace_id(*trace_id),
-                                span_id: *forward_span,
-                                parent_id: *root_span,
-                                name: "sched.forward".to_string(),
-                                process: store.process().to_string(),
-                                start_us: store.rel_us(started),
-                                dur_us: started.elapsed().as_micros() as u64,
-                                attrs: format!("worker={worker_id} attempt={}", attempts + 1),
-                            },
-                        );
-                        store.merge(*trace_id, worker_spans);
-                    }
                     inner.metrics.forwarded.with(&[&worker_id]).inc();
                     inner.metrics.forwarded_all.inc();
-                    inner
-                        .metrics
-                        .forward_latency
-                        .with(&[&worker_id])
-                        .record(started.elapsed().as_micros() as u64);
+                    let latency = (ended - started).as_micros() as u64;
+                    inner.metrics.forward_latency.with(&[&worker_id]).record(latency);
                     inner.answer(&job, reply);
                 }
             }
             Err(e) => {
-                let taken = {
-                    let mut st = queue.state.lock().unwrap_or_else(|e| e.into_inner());
-                    st.in_flight[slot].take()
-                };
-                // the failed hop still lands in the trace: this is what a
-                // retry storm looks like when queried from the warehouse
-                if let (Some(store), Some((trace_id, root_span, attempts, forward_span))) =
-                    (&inner.traces, &trace)
-                {
-                    store.record(
-                        *trace_id,
-                        SpanRecord {
-                            trace_id: format_trace_id(*trace_id),
-                            span_id: *forward_span,
-                            parent_id: *root_span,
-                            name: "sched.forward".to_string(),
-                            process: store.process().to_string(),
-                            start_us: store.rel_us(started),
-                            dur_us: started.elapsed().as_micros() as u64,
-                            attrs: format!("worker={worker_id} attempt={} error=1", attempts + 1),
-                        },
-                    );
-                }
                 // an IO failure on loopback means the worker is gone;
                 // evict it (no-op if another stream already did)
                 if let Some(line) = inner.evict(
@@ -1037,22 +994,11 @@ fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
     );
 }
 
-/// One scheduler warehouse flush, run by [`serve::flush_periodically`]
-/// like the serve engine's: completed cross-process span trees into
-/// `trace_spans`, then a snapshot of the cluster metric families into
-/// `metrics_history`.
+/// The scheduler's warehouse flush, run by [`serve::flush_periodically`]
+/// like the serve engine's and through the same [`serve::flush_warehouse`]:
+/// completed cross-process span trees, then the cluster metric families.
 fn flush_warehouse_tick(inner: &Arc<Inner>) {
     let Some(warehouse) = &inner.warehouse else { return };
-    let mut store = warehouse.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(traces) = &inner.traces {
-        for spans in traces.drain_completed(usize::MAX) {
-            let rows: Vec<nl2sql360::TraceSpanRow> =
-                spans.iter().map(serve::trace::span_row).collect();
-            if store.insert_trace_spans(&rows).is_err() {
-                obs::count("cluster.warehouse.trace_insert_error", 1);
-            }
-        }
-    }
     inner.refresh_gauges();
     let m = &inner.metrics;
     let values = [
@@ -1065,10 +1011,9 @@ fn flush_warehouse_tick(inner: &Arc<Inner>) {
         ("workers_total", m.workers_total.get() as i64),
         ("pending_depth", m.pending_depth.get() as i64),
     ];
-    let at_ms = inner.started.elapsed().as_millis() as i64;
-    if store.insert_metrics_snapshot(at_ms, &values).is_err() {
-        obs::count("cluster.warehouse.metrics_insert_error", 1);
-    }
+    let mut store = warehouse.lock().unwrap_or_else(|e| e.into_inner());
+    let errors = ("cluster.warehouse.trace_insert_error", "cluster.warehouse.metrics_insert_error");
+    serve::flush_warehouse(&mut store, inner.traces.as_ref(), inner.started, &values, errors);
 }
 
 fn reaper_loop(inner: Arc<Inner>) {

@@ -2,13 +2,15 @@
 //! the cluster's side (the engine's twin is `serve/tests/api_http.rs`): the
 //! scheduler's admin probes answer while an NL request is parked in a
 //! handler, and neither `Scheduler::run` nor `Worker::attach` waits for a
-//! client — or for a poll — to return once its closure has.
+//! client — or for a poll — to return once its closure has, registered
+//! workers or not.
 
 use cluster::{Scheduler, SchedulerConfig, Worker, WorkerConfig};
 use datagen::{generate_corpus, CorpusConfig, CorpusKind};
 use serve::http::{http_get, http_post};
+use serve::proto::{write_frame, Message};
 use serve::{ServeConfig, Service};
-use std::net::{SocketAddr, TcpListener};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 fn loopback_any() -> SocketAddr {
@@ -67,6 +69,35 @@ fn scheduler_with_idle_listeners_shuts_down_at_once() {
             SchedulerConfig { admin_addr: Some(loopback_any()), ..SchedulerConfig::default() };
         Scheduler::run(config, |_| Instant::now()).elapsed()
     });
+}
+
+/// A registered worker with nothing to do parks its forwarder streams on
+/// their queue in a plain `wait` (shutdown notifies them under the queue
+/// lock, so no timed re-check is needed), and `Scheduler::run` still
+/// returns at once. Twenty rounds: shutdown paths race, and one lucky run
+/// proves little.
+#[test]
+fn scheduler_with_an_idle_registered_worker_shuts_down_at_once() {
+    for round in 0..20 {
+        let (control, returned) = Scheduler::run(SchedulerConfig::default(), |handle| {
+            // a worker's control connection: registration spawns its
+            // forwarders, which dial the worker only once work arrives
+            let mut control = TcpStream::connect(handle.client_addr()).expect("connect");
+            let register = Message::Register {
+                worker_id: "idle".to_string(),
+                serve_addr: "127.0.0.1:9".to_string(),
+                methods: vec!["C3SQL".to_string()],
+            };
+            write_frame(&mut control, &register).expect("register");
+            let registered =
+                cluster::worker::wait_for(Duration::from_secs(5), || handle.ready_workers() == 1);
+            assert!(registered, "round {round}: the worker never registered");
+            (control, Instant::now())
+        });
+        let took = returned.elapsed();
+        assert!(took < Duration::from_millis(100), "round {round}: shutdown took {took:?}");
+        drop(control);
+    }
 }
 
 #[test]

@@ -272,7 +272,7 @@ fn post_eval(req: &Request, corpus: &str, inner: &Inner, ctx: &EvalContext<'_>) 
         // only fail after shutdown began, in which case the run stays
         // queued. Sent under the lock: handlers run concurrently, and runs
         // execute in id order.
-        let _ = inner.evals.jobs_tx.send(idx);
+        let _ = inner.evals.jobs_tx.send(Some(idx));
         idx
     };
     let accepted = serde::Value::Map(vec![

@@ -25,8 +25,10 @@
 //! * **One completion record per request**: every exit of the pipeline —
 //!   ok, deadline exceeded, refused, statically rejected, unknown method,
 //!   unknown question, overloaded — builds one `Completion` and hands it
-//!   to `Inner::complete`, the only code that records, finishes the trace
-//!   and replies. It feeds labeled metric families ([`obs::Registry`])
+//!   to `Inner::complete`, the only code that records, traces and replies.
+//!   Queue wait, exec time, latency and the stage spans (derived at
+//!   completion from the request's stamps, each read once) add up. It
+//!   feeds labeled metric families ([`obs::Registry`])
 //!   keyed by method, outcome and failure kind, sliding-window
 //!   QPS/error-rate/quantiles over the last 1s/10s/60s ([`window`]), and a
 //!   bounded top-K slow-query log ([`slowlog`]); [`MetricsSnapshot`]
@@ -73,8 +75,8 @@ use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-use telemetry::{Completion, Telemetry, Work};
-use trace::{RequestTrace, TraceStore};
+use telemetry::{Completion, Stages, Telemetry, Work};
+use trace::TraceStore;
 pub use trace::{SpanRecord, TraceContext};
 pub use window::{WindowReport, WindowRing};
 
@@ -463,9 +465,12 @@ struct Pending {
     trace: Option<PendingTrace>,
 }
 
-/// The trace identity a queued request carries to its worker.
-struct PendingTrace {
+/// The trace identity a request carries from admission to its completion.
+#[derive(Clone, Copy)]
+pub(crate) struct PendingTrace {
     trace_id: u64,
+    /// The local `request` root every stage span parents to.
+    root_span: u64,
     /// Remote parent for the local root span; 0 when minted here.
     parent_span: u64,
 }
@@ -524,10 +529,11 @@ pub(crate) struct EvalPlane {
     pub(crate) store: Mutex<EvalStore>,
     /// All registered runs, in submission order.
     pub(crate) runs: Mutex<Vec<EvalRun>>,
-    /// Registration side of the job queue (payload: run index).
-    pub(crate) jobs_tx: channel::Sender<usize>,
+    /// Registration side of the job queue: `Some(run index)`, or `None`,
+    /// the stop message sent once `admin_stop` is set.
+    pub(crate) jobs_tx: channel::Sender<Option<usize>>,
     /// Runner side of the job queue.
-    jobs_rx: channel::Receiver<usize>,
+    jobs_rx: channel::Receiver<Option<usize>>,
     /// sqlcheck catalog over the store schema, for static admission of
     /// raw `/v1/sql` queries; present iff `static_check` is on.
     pub(crate) catalog: Option<sqlcheck::Catalog>,
@@ -602,15 +608,12 @@ impl Inner {
         // fresh id. Resolution failures above get no trace — they never
         // reach the pipeline the spans describe.
         let trace = self.traces.as_ref().map(|store| {
-            match req.trace.as_ref().and_then(|t| {
-                trace::parse_trace_id(&t.trace_id).map(|id| (id, t.parent_span))
-            }) {
-                Some((trace_id, parent_span)) => PendingTrace { trace_id, parent_span },
-                None => PendingTrace {
-                    trace_id: store.mint(&req.db_id, &req.question, &req.method),
-                    parent_span: 0,
-                },
-            }
+            let (trace_id, parent_span) = req
+                .trace
+                .as_ref()
+                .and_then(|t| trace::parse_trace_id(&t.trace_id).map(|id| (id, t.parent_span)))
+                .unwrap_or_else(|| (store.mint(&req.db_id, &req.question, &req.method), 0));
+            PendingTrace { trace_id, root_span: store.next_span_id(), parent_span }
         });
         let pending = Pending {
             method_idx,
@@ -644,20 +647,65 @@ impl Inner {
 
     /// The one exit of the request pipeline. Every answered request —
     /// whichever of the seven outcomes it met, at admission or in a worker
-    /// — arrives here as one [`Completion`], and only here is it counted
-    /// (registry cells, window ring, slow log), its trace finished, and
-    /// its reply sent — in that order, so a caller holding the reply can
+    /// — arrives here as one [`Completion`], and only here does an ok
+    /// reply get its latency and trace id, is it counted (registry cells,
+    /// window ring, slow log), its span tree derived and stored, and its
+    /// reply sent — in that order, so a caller holding the reply can
     /// already read the full trace and the updated counters.
-    fn complete(&self, c: Completion<'_>, to: &channel::Sender<QueryReply>) {
-        self.telemetry.record(&c, self.started.elapsed());
-        if let Some(Work { trace: Some(t), batch_size, .. }) = c.work {
-            let mut attrs = format!("batch={batch_size}");
-            if let Ok(r) = &c.reply {
-                attrs.push_str(if r.cache_hit { " cache_hit=1" } else { " cache_hit=0" });
+    fn complete(&self, mut c: Completion<'_>, to: &channel::Sender<QueryReply>) {
+        if let (Some(w), Ok(r)) = (&c.work, &mut c.reply) {
+            r.latency = w.finished - w.enqueued;
+            if let Some(t) = w.trace {
+                r.trace_id = trace::format_trace_id(t.trace_id);
             }
-            t.finish("request", telemetry::outcome_label(&c.reply), attrs);
+        }
+        self.telemetry.record(&c, self.started);
+        if let (Some(w), Some(store)) = (&c.work, &self.traces) {
+            if let Some(t) = w.trace {
+                store.append(t.trace_id, self.request_spans(store, t, w, &c.reply), true);
+            }
         }
         let _ = to.send(c.reply);
+    }
+
+    /// A worker-answered request's span tree, derived from its stamps and
+    /// reply: the `request` root over `[enqueued, finished)` and one child
+    /// per stage that ran, each from the previous stage's end to its own.
+    fn request_spans(
+        &self,
+        store: &TraceStore,
+        t: PendingTrace,
+        w: &Work<'_>,
+        reply: &QueryReply,
+    ) -> Vec<SpanRecord> {
+        let child = |name: &str, from: Instant, to: Instant, attrs: String| {
+            store.span(t.trace_id, store.next_span_id(), t.root_span, name, from..to, attrs)
+        };
+        let mut spans = vec![child("queue", w.enqueued, w.started, String::new())];
+        let Stages { translated, checked, executed } = w.stages;
+        if let Some(translated) = translated {
+            let method = self.models[w.method].name();
+            spans.push(child("translate", w.started, translated, format!("method={method}")));
+            if let Some(checked) = checked {
+                let fired =
+                    if let Err(QueryError::StaticRejected(rules)) = reply { rules.len() } else { 0 };
+                spans.push(child("static_check", translated, checked, format!("rules_fired={fired}")));
+            }
+            if let (Some(executed), Ok(r)) = (executed, reply) {
+                let hit = format!("cache_hit={}", u8::from(r.cache_hit));
+                spans.push(child("execute", checked.unwrap_or(translated), executed, hit));
+                let agree = format!("ex={} em={}", u8::from(r.ex), u8::from(r.em));
+                spans.push(child("compare", executed, w.finished, agree));
+            }
+        }
+        let outcome = telemetry::outcome_label(reply);
+        let mut attrs = format!("outcome={outcome} batch={}", w.batch_size);
+        if let Ok(r) = reply {
+            attrs.push_str(if r.cache_hit { " cache_hit=1" } else { " cache_hit=0" });
+        }
+        let root = w.enqueued..w.finished;
+        spans.push(store.span(t.trace_id, t.root_span, t.parent_span, "request", root, attrs));
+        spans
     }
 
     fn drain(&self) {
@@ -719,11 +767,13 @@ impl Drop for DrainOnDrop<'_> {
     fn drop(&mut self) {
         self.0.drain();
         // The serve closure is done (or panicked): nobody scrapes anymore,
-        // so the admin accept loop may exit and let the scope join.
+        // so the admin accept loop and the eval runner may exit and let the
+        // scope join — flag first, then the wakes.
         self.0.admin_stop.store(true, Ordering::Release);
         if let Some(addr) = self.0.admin_addr {
             wake_listener(addr);
         }
+        let _ = self.0.evals.jobs_tx.send(None);
     }
 }
 
@@ -977,18 +1027,15 @@ impl Service {
 /// corpus (both planes are read-only over shared state, and the eval path
 /// has its own internal worker fan-out), so a run executing while serve
 /// traffic flows perturbs neither — the isolation pin in the HTTP tests
-/// compares both byte-for-byte against solo executions.
+/// compares both byte-for-byte against solo executions. Blocks in `recv`
+/// until a job or the stop message arrives; a job still queued once
+/// `admin_stop` is set is dropped.
 fn eval_runner<'a>(inner: &Inner, ctx: &'a EvalContext<'a>) {
-    loop {
-        match inner.evals.jobs_rx.recv_timeout(Duration::from_millis(50)) {
-            Ok(idx) => run_eval_job(inner, ctx, idx),
-            Err(channel::RecvTimeoutError::Timeout) => {
-                if inner.admin_stop.load(Ordering::Acquire) {
-                    return;
-                }
-            }
-            Err(channel::RecvTimeoutError::Disconnected) => return,
+    while let Ok(Some(idx)) = inner.evals.jobs_rx.recv() {
+        if inner.admin_stop.load(Ordering::Acquire) {
+            return;
         }
+        run_eval_job(inner, ctx, idx);
     }
 }
 
@@ -1111,22 +1158,34 @@ pub fn wake_listener(mut addr: SocketAddr) {
     let _ = TcpStream::connect_timeout(&addr, Duration::from_millis(100));
 }
 
-/// One warehouse flush: completed span trees into the eval store's
-/// `trace_spans` table, then one metrics snapshot into `metrics_history`,
-/// both queryable through `POST /v1/sql` while the service runs. Traces
-/// completed by workers draining after the final flush remain readable on
+/// One warehouse flush, the body behind this service's flusher and the
+/// cluster scheduler's: completed span trees into `trace_spans`, then
+/// `values` as one `metrics_history` snapshot stamped `epoch.elapsed()`,
+/// both queryable through `POST /v1/sql` while the process runs. Traces
+/// completed after the final flush remain readable on
 /// `GET /v1/traces/<id>` but are not persisted — the warehouse is a
-/// live-telemetry sink, not a WAL.
-fn flush_warehouse_tick(inner: &Inner) {
-    let mut store = inner.evals.store.lock().expect("eval store lock poisoned");
-    if let Some(traces) = &inner.traces {
-        for spans in traces.drain_completed(usize::MAX) {
-            let rows: Vec<nl2sql360::TraceSpanRow> = spans.iter().map(trace::span_row).collect();
-            if store.insert_trace_spans(&rows).is_err() {
-                obs::count("serve.warehouse.trace_insert_error", 1);
-            }
+/// live-telemetry sink, not a WAL. `errors` names the obs counters a
+/// failed trace / metrics insert bumps.
+pub fn flush_warehouse(
+    store: &mut EvalStore,
+    traces: Option<&TraceStore>,
+    epoch: Instant,
+    values: &[(&str, i64)],
+    errors: (&'static str, &'static str),
+) {
+    for spans in traces.map(|t| t.drain_completed()).unwrap_or_default() {
+        let rows: Vec<nl2sql360::TraceSpanRow> = spans.iter().map(trace::span_row).collect();
+        if store.insert_trace_spans(&rows).is_err() {
+            obs::count(errors.0, 1);
         }
     }
+    if store.insert_metrics_snapshot(epoch.elapsed().as_millis() as i64, values).is_err() {
+        obs::count(errors.1, 1);
+    }
+}
+
+/// This service's warehouse flush: its counters and latency quantiles.
+fn flush_warehouse_tick(inner: &Inner) {
     let m = inner.telemetry.snapshot();
     let us = |d: Option<Duration>| d.map_or(0, |d| d.as_micros() as i64);
     let values = [
@@ -1145,10 +1204,9 @@ fn flush_warehouse_tick(inner: &Inner) {
         ("queue_wait_p99_us", us(m.queue_p99)),
         ("exec_p99_us", us(m.exec_p99)),
     ];
-    let at_ms = inner.started.elapsed().as_millis() as i64;
-    if store.insert_metrics_snapshot(at_ms, &values).is_err() {
-        obs::count("serve.warehouse.metrics_insert_error", 1);
-    }
+    let mut store = inner.evals.store.lock().expect("eval store lock poisoned");
+    let errors = ("serve.warehouse.trace_insert_error", "serve.warehouse.metrics_insert_error");
+    flush_warehouse(&mut store, inner.traces.as_ref(), inner.started, &values, errors);
 }
 
 /// Worker: block for work, drain a same-method batch, serve it.
@@ -1188,58 +1246,45 @@ fn worker_loop<'a>(inner: &Inner, ctx: &'a EvalContext<'a>) {
 }
 
 fn serve_one<'a>(inner: &Inner, ctx: &'a EvalContext<'a>, p: Pending, batch_size: usize) {
-    // Per-request tracing: the root span starts at enqueue time and is
-    // parented to the forwarding process's span when one was carried in.
-    let rt = match (&p.trace, &inner.traces) {
-        (Some(pt), Some(store)) => {
-            Some(RequestTrace::begin(store, pt.trace_id, pt.parent_span, p.enqueued))
-        }
-        _ => None,
-    };
-    // Obs spans opened under this request join the same trace id, so a
-    // warehouse trace and a chrome-trace dump line up by id.
-    let _obs_ctx = rt
-        .as_ref()
-        .map(|t| obs::with_ctx(obs::TraceCtx { trace_id: t.trace_id(), span_id: t.root_span() }));
+    // Obs spans opened under this request join its trace under its root,
+    // so a warehouse trace and a chrome-trace dump line up by id.
+    let _obs_ctx = p
+        .trace
+        .map(|t| obs::with_ctx(obs::TraceCtx { trace_id: t.trace_id, span_id: t.root_span }));
     let _span = obs::span("serve.request");
     // End of the queued phase: everything before `started` is queue wait,
     // everything after is this worker's own processing time.
-    let queue_wait = p.enqueued.elapsed();
     let started = Instant::now();
-    if let Some(t) = &rt {
-        t.child("queue", p.enqueued, started, String::new());
-    }
-    let (reply, sql_hash) = if p.deadline.is_some_and(|deadline| queue_wait > deadline) {
-        (Err(QueryError::DeadlineExceeded), 0)
+    let (reply, sql_hash, stages) = if p.deadline.is_some_and(|d| started - p.enqueued > d) {
+        (Err(QueryError::DeadlineExceeded), 0, Stages::default())
     } else {
-        translate_and_execute(inner, ctx, &p, rt.as_ref(), started, batch_size)
+        translate_and_execute(inner, ctx, &p, batch_size)
     };
     let work = Work {
         method: p.method_idx,
         db_id: &ctx.corpus.dev[p.sample_idx].db_id,
-        queue_wait,
-        exec_time: started.elapsed(),
-        // the latency an ok reply reports is the one that gets recorded
-        latency: reply.as_ref().map_or_else(|_| p.enqueued.elapsed(), |r| r.latency),
         batch_size,
         sql_hash,
-        trace: rt,
+        enqueued: p.enqueued,
+        started,
+        stages,
+        finished: Instant::now(),
+        trace: p.trace,
     };
     inner.complete(Completion { reply, work: Some(work) }, &p.reply);
 }
 
 /// The stages a worker runs on a request that made its deadline:
 /// translate → static check → execute (through the cache) → compare.
-/// Records the stage spans on `rt` and returns the reply with the hash of
-/// the cache key (0 when the request never got one).
+/// Returns the reply (its `latency` and `trace_id` are `Inner::complete`'s
+/// to set), the hash of the cache key (0 when the request never got one)
+/// and when each stage ended.
 fn translate_and_execute<'a>(
     inner: &Inner,
     ctx: &'a EvalContext<'a>,
     p: &Pending,
-    rt: Option<&RequestTrace<'_>>,
-    started: Instant,
     batch_size: usize,
-) -> (QueryReply, u64) {
+) -> (QueryReply, u64, Stages) {
     let sample = &ctx.corpus.dev[p.sample_idx];
     // the context already holds the gold result; without it a wrong
     // prediction's corruption check would execute the gold query again
@@ -1248,17 +1293,9 @@ fn translate_and_execute<'a>(
         ..ctx.task(sample, p.variant)
     };
     let translated = inner.models[p.method_idx].translate(&task);
-    let translate_end = rt.map(|_| Instant::now());
-    if let (Some(t), Some(end)) = (rt, translate_end) {
-        t.child(
-            "translate",
-            started,
-            end,
-            format!("method={}", inner.models[p.method_idx].name()),
-        );
-    }
+    let mut stages = Stages { translated: Some(Instant::now()), ..Stages::default() };
     let Some(pred) = translated else {
-        return (Err(QueryError::TranslationRefused), 0);
+        return (Err(QueryError::TranslationRefused), 0, stages);
     };
 
     // Static admission: reject SQL the analyzer can prove will fail before
@@ -1274,22 +1311,14 @@ fn translate_and_execute<'a>(
                 .collect();
             fired.sort_by_key(|&r| r as usize);
             fired.dedup();
-            if let (Some(t), Some(start)) = (rt, translate_end) {
-                t.child(
-                    "static_check",
-                    start,
-                    Instant::now(),
-                    format!("rules_fired={}", fired.len()),
-                );
-            }
+            stages.checked = Some(Instant::now());
             if !fired.is_empty() {
                 let ids = fired.into_iter().map(|r| r.id().to_string()).collect();
-                return (Err(QueryError::StaticRejected(ids)), 0);
+                return (Err(QueryError::StaticRejected(ids)), 0, stages);
             }
         }
     }
 
-    let exec_start = rt.map(|_| Instant::now());
     // The cache key: canonical form unifies surface restylings of the same
     // query into one entry; the name-preserving cache-safe rule set keeps
     // hit outcomes byte-identical to misses.
@@ -1311,10 +1340,7 @@ fn translate_and_execute<'a>(
             (v, false)
         }
     };
-    let exec_end = rt.map(|_| Instant::now());
-    if let (Some(t), Some(start), Some(end)) = (rt, exec_start, exec_end) {
-        t.child("execute", start, end, format!("cache_hit={}", u64::from(cache_hit)));
-    }
+    stages.executed = Some(Instant::now());
 
     let gold = ctx.gold_result(p.sample_idx);
     let (ex, pred_work, exec_failure) = match &*outcome {
@@ -1322,9 +1348,6 @@ fn translate_and_execute<'a>(
         ExecOutcome::Failed(kind) => (false, None, Some(*kind)),
     };
     let em = sqlkit::exact_match(&sample.query, &pred.query);
-    if let (Some(t), Some(start)) = (rt, exec_end) {
-        t.child("compare", start, Instant::now(), format!("ex={} em={}", ex as u8, em as u8));
-    }
     let reply = QueryResponse {
         ex,
         em,
@@ -1333,10 +1356,10 @@ fn translate_and_execute<'a>(
         exec_failure,
         cache_hit,
         batch_size,
-        latency: p.enqueued.elapsed(),
-        trace_id: rt.map(|t| t.hex().to_string()).unwrap_or_default(),
+        latency: Duration::ZERO,
+        trace_id: String::new(),
     };
-    (Ok(reply), sql_hash)
+    (Ok(reply), sql_hash, stages)
 }
 
 #[cfg(test)]

@@ -113,17 +113,19 @@ mod tests {
                 latency,
                 trace_id: String::new(),
             };
+            let enqueued = std::time::Instant::now();
             let work = Work {
                 method,
                 db_id: "db",
-                queue_wait: Duration::ZERO,
-                exec_time: latency,
-                latency,
                 batch_size: 2,
                 sql_hash: 0,
+                enqueued,
+                started: enqueued,
+                stages: Default::default(),
+                finished: enqueued + latency,
                 trace: None,
             };
-            t.record(&Completion { reply: Ok(reply), work: Some(work) }, Duration::ZERO);
+            t.record(&Completion { reply: Ok(reply), work: Some(work) }, enqueued);
         }
         t.batch(2);
         let s = t.snapshot();

@@ -9,9 +9,8 @@
 
 use crate::metrics::MetricsSnapshot;
 use crate::slowlog::{SlowLog, SlowQueryEntry, SLOW_LOG_K, SLOW_LOG_RATE_PER_SEC};
-use crate::trace::RequestTrace;
 use crate::window::{WindowReport, WindowRing, WINDOW_BUCKETS, WINDOW_BUCKET_MS};
-use crate::{QueryError, QueryReply};
+use crate::{PendingTrace, QueryError, QueryReply};
 use nl2sql360::ExecFailureKind;
 use obs::{
     bucket_upper_bound, AtomicHistogram, Counter, Gauge, HistSnapshot, Histogram, Registry,
@@ -19,7 +18,7 @@ use obs::{
 };
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The one record of an answered request, handed to `Inner::complete`.
 pub(crate) struct Completion<'a> {
@@ -31,22 +30,36 @@ pub(crate) struct Completion<'a> {
     pub work: Option<Work<'a>>,
 }
 
-/// The worker's side of a [`Completion`].
+/// The worker's side of a [`Completion`]: what ran, and the instants it
+/// passed, each read once. Every duration recorded anywhere — histograms,
+/// window, slow log, the ok reply's `latency`, the span tree — is a
+/// difference of them, so latency is queue wait plus exec by construction.
 pub(crate) struct Work<'a> {
     /// Index of the method that ran (into `Inner::models`).
     pub method: usize,
     pub db_id: &'a str,
-    /// Enqueue → worker pickup.
-    pub queue_wait: Duration,
-    /// Worker pickup → answer.
-    pub exec_time: Duration,
-    /// Enqueue → answer.
-    pub latency: Duration,
     pub batch_size: usize,
     /// FNV-1a of the cache key, for the slow log; 0 unless the reply is ok.
     pub sql_hash: u64,
-    /// The request's open span tree; `None` when tracing is off.
-    pub trace: Option<RequestTrace<'a>>,
+    /// Admission, worker pickup, and the answer (read once the pipeline
+    /// returned, before `Inner::complete`).
+    pub enqueued: Instant,
+    pub started: Instant,
+    pub finished: Instant,
+    /// Ends of the stages in between.
+    pub stages: Stages,
+    /// The request's trace identity; `None` when tracing is off.
+    pub trace: Option<PendingTrace>,
+}
+
+/// When each stage after pickup ended; `None` for a stage that did not
+/// run (translation after a missed deadline, the static check when it is
+/// off, execution after a refusal or rejection).
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Stages {
+    pub translated: Option<Instant>,
+    pub checked: Option<Instant>,
+    pub executed: Option<Instant>,
 }
 
 // Outcome labels: the values of `serve_responses_total{outcome}` and
@@ -245,8 +258,9 @@ impl Telemetry {
         self.batched_requests.fetch_add(requests as u64, Ordering::Relaxed);
     }
 
-    /// Account one answered request; `now` is service-relative.
-    pub(crate) fn record(&self, c: &Completion<'_>, now: Duration) {
+    /// Account one answered request; windows and the slow log time it
+    /// against the service's `epoch`.
+    pub(crate) fn record(&self, c: &Completion<'_>, epoch: Instant) {
         let Some(w) = &c.work else {
             return match &c.reply {
                 Err(QueryError::UnknownMethod(_)) => self.unknown_method.inc(),
@@ -256,14 +270,18 @@ impl Telemetry {
         };
         let cells = &self.per_method[w.method];
         cells.requests.inc();
-        self.queue_wait.record_duration(w.queue_wait);
-        cells.latency.record_duration(w.latency);
-        let latency_us = w.latency.as_micros() as u64;
+        let queue_wait = w.started - w.enqueued;
+        let latency = w.finished - w.enqueued;
+        self.queue_wait.record_duration(queue_wait);
+        cells.latency.record_duration(latency);
+        let latency_us = latency.as_micros() as u64;
+        let now = w.finished - epoch;
         let at_ms = now.as_millis() as u64;
         let error = match &c.reply {
             Ok(r) => {
                 cells.ok.inc();
-                cells.exec.record_duration(w.exec_time);
+                let exec = w.finished - w.started;
+                cells.exec.record_duration(exec);
                 self.ok_latency.record(latency_us);
                 if r.cache_hit { &self.cache_hit } else { &self.cache_miss }.inc();
                 if let Some(kind) = r.exec_failure {
@@ -276,8 +294,8 @@ impl Telemetry {
                         method: cells.name.clone(),
                         db_id: w.db_id.to_string(),
                         latency_us,
-                        queue_wait_us: w.queue_wait.as_micros() as u64,
-                        exec_us: w.exec_time.as_micros() as u64,
+                        queue_wait_us: queue_wait.as_micros() as u64,
+                        exec_us: exec.as_micros() as u64,
                         cache_hit: r.cache_hit,
                         at_ms,
                         trace_id: r.trace_id.clone(),

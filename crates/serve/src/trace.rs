@@ -12,12 +12,16 @@
 //! Spans land in a [`TraceStore`]: one bounded, insertion-order-evicting
 //! map per service instance (NOT process-global — test processes run many
 //! services concurrently, and their traces must not cross-contaminate).
-//! The serve pipeline records its stage spans explicitly; the cluster
-//! scheduler keeps its own store and merges the worker-side spans shipped
-//! back on `ExecuteResult` frames, which is how one request's tree comes
-//! to span three processes. A trace marked [`TraceStore::complete`] is
-//! eligible for the warehouse flusher, which persists it into the
-//! `trace_spans` minidb table.
+//! Every span a process records is built by [`TraceStore::span`] and lands
+//! through [`TraceStore::append`]. The serve pipeline's stage spans are derived at
+//! completion from the request's stamps — one set of instants, each read
+//! once, so the children tile the root and the root is the reply's
+//! latency — and appended as one tree; the cluster scheduler keeps its own
+//! store and appends the worker-side spans shipped back on `ExecuteResult`
+//! frames with each forward hop, which is how one request's tree comes to
+//! span three processes. A trace appended as complete is eligible for the
+//! warehouse flusher, which persists it into the `trace_spans` minidb
+//! table.
 //!
 //! Span ids must be unique *within a trace* even when two processes
 //! contribute spans, so each store offsets its ids by a base derived from
@@ -34,6 +38,7 @@
 use crate::hash;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -125,11 +130,6 @@ impl TraceStore {
         }
     }
 
-    /// The process label spans recorded here carry.
-    pub fn process(&self) -> &str {
-        &self.process
-    }
-
     /// Mint a fresh trace id for a request: the shared key hash over the
     /// request identity mixed with a per-store sequence number (so
     /// identical requests in one burst still get distinct traces).
@@ -148,42 +148,52 @@ impl TraceStore {
         self.span_base + self.next_span.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Microseconds between the store's epoch and `at` (0 if `at`
-    /// precedes the epoch).
-    pub fn rel_us(&self, at: Instant) -> u64 {
-        at.saturating_duration_since(self.epoch).as_micros() as u64
+    /// The one constructor of a span recorded here: `name` in trace
+    /// `trace_id`, covering `during`, labeled with this store's process and
+    /// timed against its epoch.
+    pub fn span(
+        &self,
+        trace_id: u64,
+        span_id: u64,
+        parent_id: u64,
+        name: &str,
+        during: Range<Instant>,
+        attrs: String,
+    ) -> SpanRecord {
+        SpanRecord {
+            trace_id: format_trace_id(trace_id),
+            span_id,
+            parent_id,
+            name: name.to_string(),
+            process: self.process.clone(),
+            start_us: during.start.saturating_duration_since(self.epoch).as_micros() as u64,
+            dur_us: during.end.saturating_duration_since(during.start).as_micros() as u64,
+            attrs,
+        }
     }
 
-    /// Append one span to its trace, creating the trace (and evicting the
-    /// oldest one past capacity) as needed.
-    pub fn record(&self, trace_id: u64, span: SpanRecord) {
-        self.merge(trace_id, vec![span]);
-    }
-
-    /// Append many spans to one trace (e.g. the worker-side spans shipped
-    /// back on an `ExecuteResult`).
-    pub fn merge(&self, trace_id: u64, spans: Vec<SpanRecord>) {
-        if trace_id == 0 || spans.is_empty() {
+    /// Append `spans` to their trace — created, evicting the oldest trace
+    /// past capacity, when the store does not hold it — and with
+    /// `complete` mark the trace finished, so the warehouse flusher may
+    /// persist it. The one write entry: a traced serve request calls it
+    /// once with its whole tree, the scheduler once per hop (with the
+    /// worker's merged spans) and once to close its root.
+    pub fn append(&self, trace_id: u64, spans: Vec<SpanRecord>, complete: bool) {
+        if trace_id == 0 {
             return;
         }
         let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-        match entries.iter_mut().find(|t| t.trace_id == trace_id) {
-            Some(entry) => entry.spans.extend(spans),
+        match entries.iter_mut().rev().find(|t| t.trace_id == trace_id) {
+            Some(entry) => {
+                entry.spans.extend(spans);
+                entry.complete |= complete;
+            }
             None => {
                 if entries.len() >= self.capacity {
                     entries.pop_front();
                 }
-                entries.push_back(TraceEntry { trace_id, spans, complete: false, flushed: false });
+                entries.push_back(TraceEntry { trace_id, spans, complete, flushed: false });
             }
-        }
-    }
-
-    /// Mark a trace finished: its root span has been recorded and the
-    /// warehouse flusher may persist it.
-    pub fn complete(&self, trace_id: u64) {
-        let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(entry) = entries.iter_mut().find(|t| t.trace_id == trace_id) {
-            entry.complete = true;
         }
     }
 
@@ -191,7 +201,7 @@ impl TraceStore {
     /// store does not hold (never seen, or already evicted).
     pub fn spans(&self, trace_id: u64) -> Option<Vec<SpanRecord>> {
         let entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-        entries.iter().find(|t| t.trace_id == trace_id).map(|t| t.spans.clone())
+        entries.iter().rev().find(|t| t.trace_id == trace_id).map(|t| t.spans.clone())
     }
 
     /// Traces currently held.
@@ -204,125 +214,24 @@ impl TraceStore {
         self.len() == 0
     }
 
-    /// Up to `max` completed, not-yet-flushed traces for the warehouse.
-    /// The spans stay in the store (so `GET /v1/traces/<id>` keeps
-    /// working) but are marked flushed and never returned again.
-    pub fn drain_completed(&self, max: usize) -> Vec<Vec<SpanRecord>> {
+    /// Every completed, not-yet-flushed trace, for the warehouse. The
+    /// spans stay in the store (so `GET /v1/traces/<id>` keeps working)
+    /// but are marked flushed and never returned again.
+    pub fn drain_completed(&self) -> Vec<Vec<SpanRecord>> {
         let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-        let mut out = Vec::new();
-        for entry in entries.iter_mut() {
-            if out.len() >= max {
-                break;
-            }
-            if entry.complete && !entry.flushed {
+        entries
+            .iter_mut()
+            .filter(|entry| entry.complete && !entry.flushed)
+            .map(|entry| {
                 entry.flushed = true;
-                out.push(entry.spans.clone());
-            }
-        }
-        out
-    }
-}
-
-/// One live request's tracing state: mints the root span at admission
-/// time semantics (start = enqueue), records stage children, and finishes
-/// the trace with an outcome attribute. Used by the serve pipeline and
-/// the cluster scheduler.
-pub struct RequestTrace<'s> {
-    store: &'s TraceStore,
-    trace_id: u64,
-    hex: String,
-    root_span: u64,
-    parent_span: u64,
-    root_start: Instant,
-}
-
-impl<'s> RequestTrace<'s> {
-    /// Open the root span of `trace_id` in `store`, parented to the
-    /// remote `parent_span` (0 when this process minted the trace). The
-    /// root's interval starts at `start` (typically enqueue time).
-    pub fn begin(
-        store: &'s TraceStore,
-        trace_id: u64,
-        parent_span: u64,
-        start: Instant,
-    ) -> RequestTrace<'s> {
-        RequestTrace {
-            store,
-            trace_id,
-            hex: format_trace_id(trace_id),
-            root_span: store.next_span_id(),
-            parent_span,
-            root_start: start,
-        }
-    }
-
-    /// The internal trace id.
-    pub fn trace_id(&self) -> u64 {
-        self.trace_id
-    }
-
-    /// The external (hex) trace id.
-    pub fn hex(&self) -> &str {
-        &self.hex
-    }
-
-    /// The root span's id — what child processes should parent to.
-    pub fn root_span(&self) -> u64 {
-        self.root_span
-    }
-
-    /// Record one stage child covering `[start, end)`.
-    pub fn child(&self, name: &str, start: Instant, end: Instant, attrs: String) {
-        self.store.record(
-            self.trace_id,
-            SpanRecord {
-                trace_id: self.hex.clone(),
-                span_id: self.store.next_span_id(),
-                parent_id: self.root_span,
-                name: name.to_string(),
-                process: self.store.process.clone(),
-                start_us: self.store.rel_us(start),
-                dur_us: end.saturating_duration_since(start).as_micros() as u64,
-                attrs,
-            },
-        );
-    }
-
-    /// Record an instantaneous child (e.g. a requeue hop).
-    pub fn event(&self, name: &str, at: Instant, attrs: String) {
-        self.child(name, at, at, attrs);
-    }
-
-    /// Close the root span (ending now), stamp the request outcome on it,
-    /// and mark the trace complete for the flusher. Must be called before
-    /// the reply is sent, so a caller that saw the reply can already read
-    /// the full trace.
-    pub fn finish(self, name: &str, outcome: &str, extra_attrs: String) {
-        let end = Instant::now();
-        let attrs = if extra_attrs.is_empty() {
-            format!("outcome={outcome}")
-        } else {
-            format!("outcome={outcome} {extra_attrs}")
-        };
-        self.store.record(
-            self.trace_id,
-            SpanRecord {
-                trace_id: self.hex.clone(),
-                span_id: self.root_span,
-                parent_id: self.parent_span,
-                name: name.to_string(),
-                process: self.store.process.clone(),
-                start_us: self.store.rel_us(self.root_start),
-                dur_us: end.saturating_duration_since(self.root_start).as_micros() as u64,
-                attrs,
-            },
-        );
-        self.store.complete(self.trace_id);
+                entry.spans.clone()
+            })
+            .collect()
     }
 }
 
 /// A [`SpanRecord`] as the row shape the `trace_spans` warehouse table
-/// takes; shared by the serve and scheduler flushers.
+/// takes, for [`crate::flush_warehouse`].
 pub fn span_row(s: &SpanRecord) -> nl2sql360::TraceSpanRow {
     nl2sql360::TraceSpanRow {
         trace_id: s.trace_id.clone(),
@@ -476,7 +385,7 @@ mod tests {
     fn store_bounds_traces_by_eviction() {
         let store = TraceStore::new("t", 2, Instant::now());
         for id in 1..=3u64 {
-            store.record(id, span("x", id * 10, 0, "request", 0));
+            store.append(id, vec![span("x", id * 10, 0, "request", 0)], false);
         }
         assert_eq!(store.len(), 2);
         assert!(store.spans(1).is_none(), "oldest trace evicted");
@@ -486,39 +395,62 @@ mod tests {
     #[test]
     fn drain_completed_returns_each_trace_once() {
         let store = TraceStore::new("t", 8, Instant::now());
-        store.record(1, span("a", 10, 0, "request", 0));
-        store.record(2, span("b", 20, 0, "request", 0));
-        assert!(store.drain_completed(16).is_empty(), "incomplete traces stay");
-        store.complete(1);
-        let drained = store.drain_completed(16);
+        store.append(1, vec![span("a", 10, 0, "request", 0)], false);
+        store.append(2, vec![span("b", 20, 0, "request", 0)], false);
+        assert!(store.drain_completed().is_empty(), "incomplete traces stay");
+        store.append(1, Vec::new(), true);
+        let drained = store.drain_completed();
         assert_eq!(drained.len(), 1);
         assert_eq!(drained[0][0].trace_id, "a");
-        assert!(store.drain_completed(16).is_empty(), "already flushed");
+        assert!(store.drain_completed().is_empty(), "already flushed");
         assert!(store.spans(1).is_some(), "flushed traces stay readable");
-        store.complete(2);
-        assert_eq!(store.drain_completed(16).len(), 1);
+        store.append(2, Vec::new(), true);
+        assert_eq!(store.drain_completed().len(), 1);
     }
 
     #[test]
-    fn request_trace_builds_a_rooted_tree() {
+    fn append_completes_a_rooted_tree_in_a_full_store() {
         let epoch = Instant::now();
-        let store = TraceStore::new("serve", 8, epoch);
-        let id = store.mint("db", "q", "M");
-        let t0 = Instant::now();
-        let rt = RequestTrace::begin(&store, id, 0, t0);
-        let root = rt.root_span();
-        rt.child("queue", t0, t0 + Duration::from_micros(50), String::new());
-        rt.child("execute", t0 + Duration::from_micros(50), t0 + Duration::from_micros(90), "cache_hit=0".into());
-        rt.finish("request", "ok", "batch=1".into());
-        let spans = store.spans(id).expect("trace recorded");
+        let store = TraceStore::new("serve", TRACE_CAPACITY, epoch);
+        let ids: Vec<u64> = (0..TRACE_CAPACITY).map(|_| store.mint("db", "q", "M")).collect();
+        for &id in &ids {
+            store.append(id, Vec::new(), false);
+        }
+        let newest = *ids.last().expect("a full store");
+        // one call carries the whole tree and completes it: the root over
+        // [t0, t0 + 90us), children tiling it from consecutive instants
+        let at = |us: u64| epoch + Duration::from_micros(us);
+        let root = store.next_span_id();
+        let child = |name: &str, from: u64, to: u64, attrs: &str| {
+            store.span(newest, store.next_span_id(), root, name, at(from)..at(to), attrs.into())
+        };
+        let spans = vec![
+            child("queue", 10, 60, ""),
+            child("execute", 60, 100, "cache_hit=0"),
+            store.span(newest, root, 0, "request", at(10)..at(100), "outcome=ok batch=1".into()),
+        ];
+        store.append(newest, spans, true);
+        assert_eq!(store.len(), TRACE_CAPACITY, "appending to a held trace evicts nothing");
+        assert!(store.spans(ids[0]).is_some(), "the oldest trace is still held");
+
+        let spans = store.spans(newest).expect("trace recorded");
+        let hex = format_trace_id(newest);
         assert_eq!(spans.len(), 3);
-        let root_span = spans.iter().find(|s| s.name == "request").unwrap();
-        assert_eq!(root_span.span_id, root);
-        assert_eq!(root_span.parent_id, 0);
-        assert!(root_span.attrs.contains("outcome=ok") && root_span.attrs.contains("batch=1"));
-        assert!(spans.iter().filter(|s| s.name != "request").all(|s| s.parent_id == root));
-        // finish marked it complete
-        assert_eq!(store.drain_completed(16).len(), 1);
+        assert!(spans.iter().all(|s| s.trace_id == hex && s.process == "serve"));
+        let request = &spans[2];
+        assert_eq!((request.name.as_str(), request.span_id, request.parent_id), ("request", root, 0));
+        assert_eq!((request.start_us, request.dur_us), (10, 90));
+        assert_eq!(request.attrs, "outcome=ok batch=1");
+        assert!(spans[..2].iter().all(|s| s.parent_id == root));
+        assert_eq!(spans[0].dur_us + spans[1].dur_us, request.dur_us, "children tile the root");
+        let drained = store.drain_completed();
+        assert_eq!(drained, vec![spans], "only the completed tree drains");
+
+        // a new trace past capacity evicts the oldest
+        store.append(store.mint("db", "q", "M"), Vec::new(), false);
+        assert_eq!(store.len(), TRACE_CAPACITY);
+        assert!(store.spans(ids[0]).is_none(), "oldest trace evicted");
+        assert!(store.spans(ids[1]).is_some());
     }
 
     #[test]

@@ -10,6 +10,11 @@
 //! * every `MetricsSnapshot` counter, the composition of `failed`,
 //!   `lost() == 0`, the window report's error count and the slow log's
 //!   trace-id echo have the values the script implies;
+//! * every worker-answered request's span tree — derived at completion
+//!   from the request's stamps — has the exact span list its outcome
+//!   implies, the root of an ok reply spans exactly the reply's latency,
+//!   and every slow-log entry's latency is its queue wait plus its
+//!   execution time to the microsecond;
 //! * the `/metrics` and `/metrics.json` surface (every `# HELP`/`# TYPE`
 //!   line, every series name and label set, every counter and histogram
 //!   `_count` value) equals a golden captured before serve's duplicate
@@ -25,7 +30,9 @@ use datagen::{generate_corpus, Corpus, CorpusConfig, CorpusKind, Sample};
 use modelzoo::{Nl2SqlModel, Prediction, TranslationTask};
 use nl2sql360::{EvalContext, ExecFailureKind};
 use serve::http::http_get;
-use serve::{QueryError, QueryRequest, ServeConfig, Service, ServiceHandle};
+use serve::{
+    QueryError, QueryRequest, QueryResponse, ServeConfig, Service, ServiceHandle, TraceContext,
+};
 use std::fmt::Write as _;
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
@@ -113,12 +120,52 @@ fn pick_samples(corpus: &Corpus, ctx: &EvalContext<'_>, static_check: bool) -> (
     })
 }
 
+/// `req` under a trace id the test names: an error reply has no field
+/// that echoes one, so the service adopts this id instead of minting.
+fn traced(mut req: QueryRequest, id: u64) -> QueryRequest {
+    req.trace = Some(TraceContext { trace_id: format!("{id:016x}"), parent_span: 0 });
+    req
+}
+
+/// A worker-answered request and the span tree its outcome implies.
+struct Traced {
+    trace_id: String,
+    /// `(name, attrs)` of every span in recording order, root last.
+    spans: Vec<(&'static str, String)>,
+    /// An ok reply's latency, which its root span must cover exactly.
+    latency: Option<Duration>,
+}
+
+impl Traced {
+    /// The tree of an ok reply from C3SQL: every stage ran.
+    fn ok(r: &QueryResponse, static_check: bool) -> Traced {
+        let hit = u8::from(r.cache_hit);
+        let mut spans = vec![("queue", String::new()), ("translate", "method=C3SQL".to_string())];
+        if static_check {
+            spans.push(("static_check", "rules_fired=0".to_string()));
+        }
+        spans.push(("execute", format!("cache_hit={hit}")));
+        spans.push(("compare", format!("ex={} em={}", u8::from(r.ex), u8::from(r.em))));
+        spans.push(("request", format!("outcome=ok batch={} cache_hit={hit}", r.batch_size)));
+        Traced { trace_id: r.trace_id.clone(), spans, latency: Some(r.latency) }
+    }
+
+    /// The tree of an error reply: the stages that ran, then the root.
+    fn error(id: u64, stages: &[(&'static str, &str)], root: &str) -> Traced {
+        let mut spans: Vec<_> = stages.iter().map(|&(n, a)| (n, a.to_string())).collect();
+        spans.push(("request", root.to_string()));
+        Traced { trace_id: format!("{id:016x}"), spans, latency: None }
+    }
+}
+
 /// What a script observed besides the service's own accounting.
 #[derive(Default)]
 struct Observed {
     exec_failure: Option<ExecFailureKind>,
     rules: Vec<String>,
     ok_trace_ids: Vec<String>,
+    /// One per worker outcome the script produced.
+    traced: Vec<Traced>,
 }
 
 /// The main script, static check off (the default): one worker answers ok
@@ -147,6 +194,7 @@ fn scripted_run<R>(read: impl FnOnce(&ServiceHandle<'_>, &Observed) -> R) -> R {
         let failing = handle.query(request(&corpus.dev[exec_fails], "C3SQL")).expect("served");
         assert!(!failing.cache_hit);
         seen.exec_failure = failing.exec_failure;
+        seen.traced.extend([&miss, &hit, &failing].map(|r| Traced::ok(r, false)));
         seen.ok_trace_ids.extend([miss.trace_id, hit.trace_id, failing.trace_id]);
 
         assert!(matches!(
@@ -158,9 +206,9 @@ fn scripted_run<R>(read: impl FnOnce(&ServiceHandle<'_>, &Observed) -> R) -> R {
         assert!(matches!(handle.query(nobody_asked), Err(QueryError::UnknownQuestion)));
 
         // wedge the worker, fill the queue of 4, overflow it by one
-        let wedged = handle.submit(request(clean, "Gate")).expect("admitted");
+        let wedged = handle.submit(traced(request(clean, "Gate"), 0xa)).expect("admitted");
         started_rx.recv_timeout(Duration::from_secs(5)).expect("worker wedged");
-        let mut late = request(clean, "C3SQL");
+        let mut late = traced(request(clean, "C3SQL"), 0xb);
         late.deadline = Some(Duration::from_millis(1));
         let late = handle.submit(late).expect("admitted");
         let refused_a = handle.submit(request(clean, "Gate")).expect("admitted");
@@ -178,6 +226,11 @@ fn scripted_run<R>(read: impl FnOnce(&ServiceHandle<'_>, &Observed) -> R) -> R {
         assert!(queued_hit.cache_hit);
         // dequeued together with the deadline drop: same method, one round
         assert_eq!(queued_hit.batch_size, 2);
+        seen.traced.extend([
+            Traced::ok(&queued_hit, false),
+            Traced::error(0xa, &[("queue", ""), ("translate", "method=Gate")], "outcome=refused batch=1"),
+            Traced::error(0xb, &[("queue", "")], "outcome=deadline_exceeded batch=2"),
+        ]);
         seen.ok_trace_ids.push(queued_hit.trace_id);
 
         read(handle, &seen)
@@ -193,12 +246,16 @@ fn scripted_static_run<R>(read: impl FnOnce(&ServiceHandle<'_>, &Observed) -> R)
     Service::run(config(true), &ctx, vec![c3sql()], |handle| {
         let mut seen = Observed::default();
         let ok = handle.query(request(&corpus.dev[clean], "C3SQL")).expect("served");
+        seen.traced.push(Traced::ok(&ok, true));
         seen.ok_trace_ids.push(ok.trace_id);
         let Err(QueryError::StaticRejected(rules)) =
-            handle.query(request(&corpus.dev[rejected], "C3SQL"))
+            handle.query(traced(request(&corpus.dev[rejected], "C3SQL"), 0xc))
         else {
             panic!("the picked sample must be statically rejected");
         };
+        let fired = format!("rules_fired={}", rules.len());
+        let stages = [("queue", ""), ("translate", "method=C3SQL"), ("static_check", &fired)];
+        seen.traced.push(Traced::error(0xc, &stages, "outcome=static_rejected batch=1"));
         seen.rules = rules;
         read(handle, &seen)
     })
@@ -268,6 +325,48 @@ fn seven_outcomes_are_each_counted_once() {
             let series = format!("serve_static_rejects_total{{rule=\"{rule}\"}} 1\n");
             assert!(handle.metrics_text().contains(&series), "{series}");
         }
+    });
+}
+
+/// Every traced outcome's tree is the one its stamps imply, and every
+/// duration the service reports is a difference of the same instants.
+fn assert_trees_and_slow_log_add_up(handle: &ServiceHandle<'_>, seen: &Observed) {
+    for want in &seen.traced {
+        let spans = handle.trace_spans(&want.trace_id).expect("trace recorded");
+        let got: Vec<(&str, &str)> =
+            spans.iter().map(|s| (s.name.as_str(), s.attrs.as_str())).collect();
+        let expected: Vec<(&str, &str)> =
+            want.spans.iter().map(|(n, a)| (*n, a.as_str())).collect();
+        assert_eq!(got, expected, "trace {}", want.trace_id);
+        let (root, children) = spans.split_last().expect("a root span");
+        assert_eq!(root.parent_id, 0, "{spans:?}");
+        assert!(children.iter().all(|s| s.parent_id == root.span_id), "{spans:?}");
+        assert!(spans.iter().all(|s| s.trace_id == want.trace_id), "{spans:?}");
+        let covered: u64 = children.iter().map(|s| s.dur_us).sum();
+        assert!(covered <= root.dur_us, "stages outlast their root: {spans:?}");
+        if let Some(latency) = want.latency {
+            assert_eq!(u128::from(root.dur_us), latency.as_micros(), "{spans:?}");
+            // consecutive stamps tile an ok tree; each child floors once
+            assert!(root.dur_us - covered <= children.len() as u64, "{spans:?}");
+        }
+    }
+    let slow = handle.slow_queries();
+    assert!(!slow.is_empty());
+    for e in slow {
+        let parts = e.queue_wait_us + e.exec_us;
+        assert!(e.latency_us >= parts && e.latency_us - parts <= 1, "{e:?}");
+    }
+}
+
+#[test]
+fn every_worker_outcome_derives_its_span_tree_from_one_clock() {
+    scripted_run(|handle, seen| {
+        assert_eq!(seen.traced.len(), 6, "ok miss, hit, exec failure, queued hit, refused, deadline");
+        assert_trees_and_slow_log_add_up(handle, seen);
+    });
+    scripted_static_run(|handle, seen| {
+        assert_eq!(seen.traced.len(), 2, "ok, statically rejected");
+        assert_trees_and_slow_log_add_up(handle, seen);
     });
 }
 

@@ -66,12 +66,30 @@ if [ "$lint" -eq 1 ]; then
     exit 1
   fi
 
-  # The size of the engine the metrics stand on, and of the three files
-  # the request path's fixed costs live in, counted one way for builder
-  # and reviewer: lines above each file's first #[cfg(test)].
+  # One span constructor: every span is built by serve::trace::TraceStore::span,
+  # so the serve pipeline and the scheduler spell no SpanRecord literal.
+  echo "==> one span constructor (no SpanRecord literal in cluster/src or serve/src/lib.rs)"
+  if grep -n "SpanRecord {" crates/cluster/src/*.rs crates/serve/src/lib.rs; then
+    echo "build spans with TraceStore::span" >&2
+    exit 1
+  fi
+
+  # No timed re-check on a stop path: the eval runner and the forwarders
+  # block until a message or a notify (sent under the lock) wakes them.
+  echo "==> no stop poll (recv_timeout / wait_timeout in serve/src/lib.rs, cluster/src/scheduler.rs)"
+  if grep -n "recv_timeout\|wait_timeout" crates/serve/src/lib.rs crates/cluster/src/scheduler.rs; then
+    echo "a stop path polls again; wake the waiter instead" >&2
+    exit 1
+  fi
+
+  # The size of the engine the metrics stand on, and of the files the
+  # request path's fixed costs and its one completion / telemetry spine
+  # live in, counted one way for builder and reviewer: lines above each
+  # file's first #[cfg(test)].
   echo "==> non-test lines"
   for path in crates/minidb/src crates/sqlcheck/src \
-    crates/serve/src/http.rs crates/cluster/src/scheduler.rs crates/cluster/src/worker.rs; do
+    crates/serve/src/http.rs crates/serve/src/lib.rs crates/serve/src/trace.rs \
+    crates/serve/src/telemetry.rs crates/cluster/src/scheduler.rs crates/cluster/src/worker.rs; do
     find "$path" -name '*.rs' | sort | xargs awk '
       FNR == 1 { counting = 1 }
       /#\[cfg\(test\)\]/ { counting = 0 }
