@@ -6,7 +6,7 @@
 //! `--validate` gate (index >= 10x the scan) is a ratio of two
 //! single-threaded loops, so it arms on any core count.
 
-use crate::time_ns;
+use crate::{time_ns, Gate};
 use datagen::{generate_corpus, CorpusConfig, CorpusKind, Sample};
 use modelzoo::modules::{tokenize_question, FewShotIndex};
 use std::collections::HashSet;
@@ -53,7 +53,7 @@ fn brute_force<'a>(
     scored.into_iter().take(k).map(|(_, i)| &pool[i]).collect()
 }
 
-pub fn bench(reps: usize) -> FewShotPoint {
+pub fn bench() -> FewShotPoint {
     let corpus = generate_corpus(CorpusKind::Spider, &CorpusConfig::spider(5));
     let pool = &corpus.train;
     let questions: Vec<&str> =
@@ -81,10 +81,7 @@ pub fn bench(reps: usize) -> FewShotPoint {
     };
 
     let pass = |select: &dyn Fn(&str) -> usize| {
-        (0..reps)
-            .map(|_| time_ns(1, || questions.iter().map(|q| select(q)).sum()))
-            .fold(f64::INFINITY, f64::min)
-            / questions.len() as f64
+        time_ns(|| questions.iter().map(|q| select(q)).sum()) / questions.len() as f64
     };
     let index_ns_per_query = pass(&|q| index.select(q, K).len());
     let brute_force_ns_per_query = pass(&|q| brute_force(pool, &sets, q, K).len());
@@ -133,16 +130,8 @@ impl FewShotPoint {
         )
     }
 
-    /// The `--validate` gate; prints the failure and returns `true` on one.
-    pub fn fails_gate(&self) -> bool {
-        let failed = self.speedup < MIN_SPEEDUP;
-        if failed {
-            eprintln!(
-                "FAIL: few-shot index only x{:.1} faster than the brute-force scan \
-                 (gate: x{MIN_SPEEDUP:.0})",
-                self.speedup
-            );
-        }
-        failed
+    /// The `--validate` gate: index >= 10x the scan.
+    pub fn gate(&self) -> Gate {
+        Gate::floor("few-shot index speedup", self.speedup, MIN_SPEEDUP)
     }
 }

@@ -227,17 +227,6 @@ impl Database {
         }
     }
 
-    /// Compile a query into a reusable plan for this database's schema, or
-    /// `None` when the query needs the interpreter. A prepared plan can be
-    /// re-executed without re-lowering (and across content changes, as long
-    /// as the schema is unchanged).
-    pub fn prepare(&self, query: &sqlkit::Query) -> Option<crate::plan::CompiledQuery> {
-        let plan = crate::plan::compile(self, query);
-        let outcome = if plan.is_some() { "minidb.plan.compiled" } else { "minidb.plan.fallback" };
-        obs::count(outcome, 1);
-        plan
-    }
-
     /// All `CREATE TABLE` statements, for prompt construction.
     pub fn schema_sql(&self) -> String {
         let mut out = String::new();

@@ -212,28 +212,6 @@ fn dispatch_counters_split_compiled_vs_interpreter() {
 }
 
 #[test]
-fn prepare_records_compile_outcome() {
-    let _g = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
-    let db = demo_db();
-    obs::reset();
-    {
-        let _on = obs::enable();
-        let q = sqlkit::parse_query("SELECT id FROM users").unwrap();
-        assert!(db.prepare(&q).is_some());
-        let q = sqlkit::parse_query(
-            "SELECT name FROM users WHERE id IN \
-             (SELECT user_id FROM orders WHERE orders.user_id = users.id)",
-        )
-        .unwrap();
-        assert!(db.prepare(&q).is_none());
-    }
-    let snap = obs::snapshot();
-    assert_eq!(snap.counter("minidb.plan.compiled"), 1);
-    assert_eq!(snap.counter("minidb.plan.fallback"), 1);
-    obs::reset();
-}
-
-#[test]
 fn disabled_recorder_observes_nothing_from_minidb() {
     let _g = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
     let db = demo_db();

@@ -248,8 +248,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn every_message_kind_roundtrips() {
+    /// One frame of every `Message` kind, `ExecuteResult` with and without
+    /// worker spans.
+    fn every_kind() -> Vec<Message> {
         let ok_reply: QueryReply = Ok(QueryResponse {
             ex: true,
             em: false,
@@ -286,7 +287,7 @@ mod tests {
             dur_us: 950,
             attrs: "outcome=ok batch=1".into(),
         }];
-        let messages = [
+        vec![
             Message::Register {
                 worker_id: "w0".into(),
                 serve_addr: "127.0.0.1:4100".into(),
@@ -304,8 +305,12 @@ mod tests {
             Message::ExecuteResult { id: 8, reply: failed_reply, spans: Vec::new() },
             Message::Submit { id: 9, request: request() },
             Message::SubmitResult { id: 9, reply: err_reply },
-        ];
-        for msg in &messages {
+        ]
+    }
+
+    #[test]
+    fn every_message_kind_roundtrips() {
+        for msg in &every_kind() {
             assert_eq!(&roundtrip(msg), msg);
         }
     }
@@ -370,14 +375,16 @@ mod tests {
             read_frame(&mut &huge[..]).unwrap_err().kind(),
             io::ErrorKind::InvalidData
         );
-        // a torn frame (length promises more than the stream holds)
-        let mut torn = Vec::new();
-        write_frame(&mut torn, &Message::Submit { id: 1, request: request() }).unwrap();
-        torn.truncate(torn.len() - 3);
-        assert_eq!(
-            read_frame(&mut &torn[..]).unwrap_err().kind(),
-            io::ErrorKind::UnexpectedEof
-        );
+        // a torn frame: every strict prefix of every kind's frame, the
+        // empty one and a cut inside the length prefix included
+        for msg in &every_kind() {
+            let mut frame = Vec::new();
+            write_frame(&mut frame, msg).unwrap();
+            for cut in 0..frame.len() {
+                let err = read_frame(&mut &frame[..cut]).unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{msg:?} cut at {cut}");
+            }
+        }
         // garbage payload of the promised length
         let mut garbage = Vec::new();
         garbage.extend_from_slice(&4u32.to_be_bytes());
@@ -395,5 +402,49 @@ mod tests {
         let err = read_frame(&mut &deep[..]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("nesting deeper than"), "{err}");
+    }
+
+    /// The frame's own JSON vocabulary, so token soups reach the decoder's
+    /// field and variant handling rather than failing on the first byte.
+    const TOKENS: &[&str] = &[
+        "{", "}", "[", "]", ":", ",", "\"Submit\"", "\"SubmitResult\"", "\"Heartbeat\"",
+        "\"id\"", "\"request\"", "\"reply\"", "\"Ok\"", "\"Err\"", "\"method\"", "\"spans\"",
+        "\"deadline\"", "\"trace\"", "\"x\"", "null", "true", "-1", "7", "1e400",
+        "18446744073709551616", "\"\\ud800\"",
+    ];
+
+    /// Ok or a typed error, never a panic: what the decoder owes any input.
+    fn assert_typed(input: &[u8]) -> Result<(), proptest::TestCaseError> {
+        if let Err(e) = read_frame(&mut &input[..]) {
+            proptest::prop_assert!(
+                matches!(e.kind(), io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof),
+                "untyped error {e:?} on {input:?}"
+            );
+        }
+        Ok(())
+    }
+
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut out = (payload.len() as u32).to_be_bytes().to_vec();
+        out.extend_from_slice(payload);
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// Arbitrary bytes as they come (the length prefix is almost always
+        /// out of bounds), the same bytes behind a prefix that matches them
+        /// (so UTF-8 and JSON decoding see them), and a framed token soup.
+        #[test]
+        fn arbitrary_bytes_never_panic_the_decoder(
+            raw in proptest::collection::vec(proptest::any::<u8>(), 0..96),
+            soup in proptest::collection::vec(0..TOKENS.len(), 0..40),
+        ) {
+            assert_typed(&raw)?;
+            assert_typed(&framed(&raw))?;
+            let soup: String = soup.into_iter().map(|t| TOKENS[t]).collect();
+            assert_typed(&framed(soup.as_bytes()))?;
+        }
     }
 }
