@@ -184,31 +184,36 @@ impl SimulatedModel {
     /// prediction to [`Nl2SqlModel::translate`] for the same task.
     pub fn predict_query_only(&self, task: &TranslationTask<'_>) -> Option<Query> {
         let p = self.spec.profile.p_correct(&self.traits(task))?;
+        Some(self.predict(task, p))
+    }
+
+    /// The prediction both paths share: decide correctness, then restyle
+    /// the gold query (correct intent; EM may break, EX holds) or corrupt
+    /// it from the method's error palette, then apply the method's static
+    /// repair.
+    fn predict(&self, task: &TranslationTask<'_>, p: f64) -> Query {
         let correct = self.decide_correct(task, p);
         let mut style_rng = self.rng(task, "style", true, true);
-        if correct {
+        let mut pred_query = if correct {
             let mut pred_query = task.sample.query.clone();
             let alignment = self.spec.profile.em_alignment(task.sample.hardness);
             if !style_rng.gen_bool(alignment.clamp(0.0, 1.0)) {
                 let _ = restyle(&mut pred_query, &mut style_rng);
             }
-            if self.spec.modules.post == PostProcessing::StaticRepair {
-                crate::repair::static_repair(&mut pred_query, task.db);
-            }
-            Some(pred_query)
+            pred_query
         } else {
-            let mut pred_query = corrupt_prediction(
+            corrupt_prediction(
                 &task.sample.query,
                 self.spec.class,
                 task.db,
                 task.gold_result,
                 &mut style_rng,
-            );
-            if self.spec.modules.post == PostProcessing::StaticRepair {
-                crate::repair::static_repair(&mut pred_query, task.db);
-            }
-            Some(pred_query)
+            )
+        };
+        if self.spec.modules.post == PostProcessing::StaticRepair {
+            crate::repair::static_repair(&mut pred_query, task.db);
         }
+        pred_query
     }
 }
 
@@ -221,33 +226,13 @@ impl Nl2SqlModel for SimulatedModel {
         let _span = obs::span("modelzoo.translate");
         let p = self.spec.profile.p_correct(&self.traits(task))?;
 
-        let decode = obs::span("modelzoo.decode");
-        let correct = self.decide_correct(task, p);
-        let mut pred_query = task.sample.query.clone();
-        let mut style_rng = self.rng(task, "style", true, true);
-        if correct {
-            // correct intent; possibly restyled surface form (EM ≠ EX)
-            let alignment = self.spec.profile.em_alignment(task.sample.hardness);
-            if !style_rng.gen_bool(alignment.clamp(0.0, 1.0)) {
-                let _ = restyle(&mut pred_query, &mut style_rng);
-            }
-        } else {
-            pred_query = corrupt_prediction(
-                &task.sample.query,
-                self.spec.class,
-                task.db,
-                task.gold_result,
-                &mut style_rng,
-            );
-        }
-        drop(decode);
-
-        // post-processing + surface-form finalization
+        let pred_query = {
+            let _decode = obs::span("modelzoo.decode");
+            self.predict(task, p)
+        };
+        // surface-form finalization
         let sql = {
             let _post = obs::span("modelzoo.post_process");
-            if self.spec.modules.post == PostProcessing::StaticRepair {
-                crate::repair::static_repair(&mut pred_query, task.db);
-            }
             sqlkit::to_sql(&pred_query)
         };
 

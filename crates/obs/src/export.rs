@@ -10,91 +10,27 @@ use crate::{Snapshot, SpanEvent};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Render a snapshot as chrome trace-event JSON.
-///
-/// Spans that carry a `trace_id` are grouped into one process lane per
-/// trace (`pid` = dense per-trace index, named `trace <hex id>` via a
-/// process-name metadata event), so a warehouse-dumped trace opens in
-/// Perfetto as one tree instead of interleaving with unrelated requests.
-/// Untraced spans keep the legacy `pid:1` lane.
+/// Render a snapshot as chrome trace-event JSON: one lane (`pid:1`),
+/// one track per recorder thread.
 pub fn chrome_trace(snap: &Snapshot) -> String {
-    // Dense pid per distinct trace id, in sorted order for determinism.
-    let mut trace_ids: Vec<u64> =
-        snap.events.iter().map(|e| e.trace_id).filter(|&t| t != 0).collect();
-    trace_ids.sort_unstable();
-    trace_ids.dedup();
-    let pid_of = |trace_id: u64| -> u64 {
-        match trace_ids.binary_search(&trace_id) {
-            Ok(i) => 2 + i as u64,
-            Err(_) => 1,
-        }
-    };
-    let mut out = String::with_capacity(64 + snap.events.len() * 96);
-    out.push_str("{\"traceEvents\":[\n");
-    let mut first = true;
-    for (i, trace_id) in trace_ids.iter().enumerate() {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        let _ = write!(
-            out,
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{},\"args\":{{\"name\":\"trace {:016x}\"}}}}",
-            2 + i as u64,
-            trace_id
-        );
-    }
-    for ev in &snap.events {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        let pid = if ev.trace_id == 0 { 1 } else { pid_of(ev.trace_id) };
-        let _ = write!(
-            out,
-            "{{\"name\":{},\"cat\":\"obs\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{},\"tid\":{}",
+    let spans = snap.events.iter().map(|ev| {
+        format!(
+            "{{\"name\":{},\"cat\":\"obs\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{}}}",
             json_string(ev.name),
             ev.start_us,
             ev.dur_us,
-            pid,
             ev.tid
-        );
-        if ev.trace_id != 0 || !ev.attrs.is_empty() {
-            out.push_str(",\"args\":{");
-            let mut first_arg = true;
-            if ev.trace_id != 0 {
-                let _ = write!(
-                    out,
-                    "\"trace_id\":\"{:016x}\",\"span_id\":{},\"parent_id\":{}",
-                    ev.trace_id, ev.span_id, ev.parent_id
-                );
-                first_arg = false;
-            }
-            for (k, v) in &ev.attrs {
-                if !first_arg {
-                    out.push(',');
-                }
-                first_arg = false;
-                let _ = write!(out, "{}:{}", json_string(k), v);
-            }
-            out.push('}');
-        }
-        out.push('}');
-    }
-    for (name, value) in &snap.counters {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        let _ = write!(
-            out,
+        )
+    });
+    let counters = snap.counters.iter().map(|(name, value)| {
+        format!(
             "{{\"name\":{},\"cat\":\"obs\",\"ph\":\"C\",\"ts\":0,\"pid\":1,\"args\":{{\"value\":{}}}}}",
             json_string(name),
             value
-        );
-    }
-    out.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
-    out
+        )
+    });
+    let events: Vec<String> = spans.chain(counters).collect();
+    format!("{{\"traceEvents\":[\n{}\n],\"displayTimeUnit\":\"ms\"}}\n", events.join(",\n"))
 }
 
 pub(crate) fn json_string(s: &str) -> String {
@@ -226,16 +162,7 @@ mod tests {
     use crate::HistSnapshot;
 
     fn ev(name: &'static str, tid: u64, start_us: u64, dur_us: u64) -> SpanEvent {
-        SpanEvent {
-            name,
-            tid,
-            start_us,
-            dur_us,
-            trace_id: 0,
-            span_id: 0,
-            parent_id: 0,
-            attrs: Vec::new(),
-        }
+        SpanEvent { name, tid, start_us, dur_us }
     }
 
     #[test]
@@ -286,26 +213,23 @@ mod tests {
         assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 
+    /// The exact bytes for two spans and a counter: the format is a
+    /// contract with whatever loads the file.
     #[test]
-    fn chrome_trace_groups_spans_by_trace_id() {
-        let mut a = ev("req", 1, 0, 50);
-        a.trace_id = 0xabc;
-        a.span_id = 7;
-        a.parent_id = 0;
-        a.attrs.push(("batch", 3));
-        let mut b = ev("req", 2, 10, 40);
-        b.trace_id = 0xdef;
-        let snap = Snapshot { events: vec![a, b, ev("bg", 3, 0, 5)], ..Default::default() };
-        let json = chrome_trace(&snap);
-        // one process-name lane per distinct trace id, hex-named
-        assert!(json.contains("\"name\":\"trace 0000000000000abc\""));
-        assert!(json.contains("\"name\":\"trace 0000000000000def\""));
-        // traced spans land on their trace's pid and carry ids + attrs
-        assert!(json.contains("\"trace_id\":\"0000000000000abc\",\"span_id\":7,\"parent_id\":0"));
-        assert!(json.contains("\"batch\":3"));
-        // the untraced span stays on the legacy lane
-        assert!(json.contains("\"pid\":1,\"tid\":3"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+    fn chrome_trace_output_is_pinned() {
+        let mut snap = Snapshot {
+            events: vec![ev("eval.run", 1, 0, 120), ev("eval.sample", 2, 10, 30)],
+            ..Default::default()
+        };
+        snap.counters.insert("minidb.work.total".into(), 42);
+        assert_eq!(
+            chrome_trace(&snap),
+            "{\"traceEvents\":[\n\
+             {\"name\":\"eval.run\",\"cat\":\"obs\",\"ph\":\"X\",\"ts\":0,\"dur\":120,\"pid\":1,\"tid\":1},\n\
+             {\"name\":\"eval.sample\",\"cat\":\"obs\",\"ph\":\"X\",\"ts\":10,\"dur\":30,\"pid\":1,\"tid\":2},\n\
+             {\"name\":\"minidb.work.total\",\"cat\":\"obs\",\"ph\":\"C\",\"ts\":0,\"pid\":1,\"args\":{\"value\":42}}\n\
+             ],\"displayTimeUnit\":\"ms\"}\n"
+        );
     }
 
     #[test]

@@ -9,14 +9,15 @@
 //!
 //! Three primitives:
 //!
-//! - **Spans** — wall-clock intervals with a static name, recorded per
-//!   thread. [`span`] returns an RAII guard; [`enter`] / [`exit`] are the
-//!   manual form and tolerate mismatched exits (tracked under the
-//!   `obs.span_mismatch` counter instead of panicking).
+//! - **Spans** — anonymous timings: a static name, the recording thread
+//!   and a wall-clock interval. [`span`] returns an RAII guard. Request
+//!   identity (trace ids, parent links, attributes) is not the recorder's
+//!   business; it lives in serve's per-request trace store.
 //! - **Counters** — named monotonic `u64`s via [`count`].
 //! - **Histograms** — power-of-two bucketed value distributions via
-//!   [`observe`] / [`observe_duration`], mirroring the bucket math of the
-//!   serve-layer latency histogram so quantiles line up across layers.
+//!   [`observe`] / [`observe_duration`], recorded into the same
+//!   [`AtomicHistogram`] the serve-layer metrics and the registry use, so
+//!   quantiles line up across layers.
 //!
 //! [`snapshot`] drains nothing — it copies the current state, so a
 //! long-running service can export periodically. [`reset`] clears it.
@@ -33,7 +34,6 @@ pub use registry::{
     AtomicHistogram, Counter, CounterVec, Gauge, GaugeVec, Histogram, HistogramVec, Registry,
 };
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -55,10 +55,6 @@ fn epoch() -> Instant {
     *EPOCH.get_or_init(Instant::now)
 }
 
-fn now_us() -> u64 {
-    Instant::now().saturating_duration_since(epoch()).as_micros() as u64
-}
-
 /// One completed span: a named interval on one thread.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanEvent {
@@ -68,14 +64,6 @@ pub struct SpanEvent {
     /// Microseconds since the recorder epoch.
     pub start_us: u64,
     pub dur_us: u64,
-    /// Request trace this span belongs to (0 = not part of a trace).
-    pub trace_id: u64,
-    /// Recorder-assigned span id within the trace (0 when untraced).
-    pub span_id: u64,
-    /// Span id of the enclosing span (0 = trace root / untraced).
-    pub parent_id: u64,
-    /// Key=value attributes attached via [`Span::attr`].
-    pub attrs: Vec<(&'static str, u64)>,
 }
 
 #[derive(Debug, Default)]
@@ -87,7 +75,7 @@ struct ThreadBuf {
 struct RecorderState {
     bufs: Vec<Arc<Mutex<ThreadBuf>>>,
     counters: BTreeMap<&'static str, u64>,
-    hists: BTreeMap<&'static str, Hist>,
+    hists: BTreeMap<&'static str, AtomicHistogram>,
 }
 
 fn recorder_state() -> &'static Mutex<RecorderState> {
@@ -105,21 +93,18 @@ fn lock_registry() -> std::sync::MutexGuard<'static, RecorderState> {
     recorder_state().lock().unwrap_or_else(|e| e.into_inner())
 }
 
-type SpanStack = RefCell<Vec<(&'static str, u64)>>;
-
 thread_local! {
-    /// (logical tid, shared buffer registered with the global registry,
-    ///  manual enter/exit stack)
-    static LOCAL: (u64, Arc<Mutex<ThreadBuf>>, SpanStack) = {
+    /// (logical tid, shared buffer registered with the global registry)
+    static LOCAL: (u64, Arc<Mutex<ThreadBuf>>) = {
         let tid = NEXT_TID.fetch_add(1, Ordering::Relaxed);
         let buf = Arc::new(Mutex::new(ThreadBuf::default()));
         lock_registry().bufs.push(Arc::clone(&buf));
-        (tid, buf, RefCell::new(Vec::new()))
+        (tid, buf)
     };
 }
 
 fn record_event(ev: SpanEvent) {
-    LOCAL.with(|(_, buf, _)| {
+    LOCAL.with(|(_, buf)| {
         let mut b = buf.lock().unwrap_or_else(|e| e.into_inner());
         if b.events.len() < MAX_EVENTS_PER_THREAD {
             b.events.push(ev);
@@ -170,73 +155,6 @@ pub fn enable() -> EnableGuard {
 }
 
 // ---------------------------------------------------------------------------
-// Trace context
-// ---------------------------------------------------------------------------
-
-static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
-
-/// Per-request trace context: which trace the calling code is working for
-/// and which span is the current parent. `(0, 0)` means "no trace"; spans
-/// started under it stay anonymous exactly as before this layer existed.
-///
-/// The context is thread-local and explicitly installed via [`with_ctx`],
-/// so it crosses threads (and processes) only where a caller deliberately
-/// carries it — e.g. serve's worker loop adopting the context minted at
-/// admission, or a cluster worker adopting the scheduler's context from a
-/// `serve::proto` frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TraceCtx {
-    /// Request trace id (0 = none).
-    pub trace_id: u64,
-    /// Parent span id for the next span started under this context.
-    pub span_id: u64,
-}
-
-impl TraceCtx {
-    /// The empty context: spans started under it carry no trace.
-    pub const NONE: TraceCtx = TraceCtx { trace_id: 0, span_id: 0 };
-
-    /// Does this context name a trace?
-    pub fn is_traced(&self) -> bool {
-        self.trace_id != 0
-    }
-}
-
-thread_local! {
-    static CURRENT_CTX: std::cell::Cell<TraceCtx> = const { std::cell::Cell::new(TraceCtx::NONE) };
-}
-
-/// The calling thread's current trace context.
-pub fn current_ctx() -> TraceCtx {
-    CURRENT_CTX.with(|c| c.get())
-}
-
-/// Restores the previous thread-local trace context on drop.
-#[must_use = "the previous trace context is restored when the guard drops"]
-pub struct CtxGuard {
-    prev: TraceCtx,
-}
-
-impl Drop for CtxGuard {
-    fn drop(&mut self) {
-        CURRENT_CTX.with(|c| c.set(self.prev));
-    }
-}
-
-/// Install `ctx` as the calling thread's trace context until the guard
-/// drops. Spans started meanwhile inherit `ctx.trace_id` and link to
-/// `ctx.span_id` as their parent.
-pub fn with_ctx(ctx: TraceCtx) -> CtxGuard {
-    CURRENT_CTX.with(|c| CtxGuard { prev: c.replace(ctx) })
-}
-
-/// Mint a fresh recorder-unique span id (for callers that assemble their
-/// own span records, e.g. serve's per-request trace store).
-pub fn next_span_id() -> u64 {
-    NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed)
-}
-
-// ---------------------------------------------------------------------------
 // Spans
 // ---------------------------------------------------------------------------
 
@@ -248,55 +166,17 @@ pub fn next_span_id() -> u64 {
 #[must_use = "the span is recorded when the guard drops"]
 pub struct Span {
     name: &'static str,
-    start: Option<(u64, Instant)>,
-    /// `(own ctx, previous ctx)` when this span joined a trace; the own
-    /// ctx was installed thread-locally so child spans link to it, and
-    /// the previous one is restored on drop.
-    ctx: Option<(TraceCtx, TraceCtx)>,
-    attrs: Vec<(&'static str, u64)>,
-}
-
-impl Span {
-    /// The span name this guard was created with.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Attach a key=value attribute. Inert on spans that are not
-    /// recording.
-    pub fn attr(&mut self, key: &'static str, value: u64) {
-        if self.start.is_some() {
-            self.attrs.push((key, value));
-        }
-    }
-
-    /// The trace context this span recorded under ([`TraceCtx::NONE`]
-    /// when the span is inert or untraced).
-    pub fn ctx(&self) -> TraceCtx {
-        self.ctx.map(|(own, _)| own).unwrap_or(TraceCtx::NONE)
-    }
+    start: Option<Instant>,
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        let (trace_id, span_id, parent_id) = match self.ctx {
-            Some((own, prev)) => {
-                CURRENT_CTX.with(|c| c.set(prev));
-                (own.trace_id, own.span_id, prev.span_id)
-            }
-            None => (0, 0, 0),
-        };
-        if let Some((start_us, started)) = self.start {
-            let dur_us = started.elapsed().as_micros() as u64;
+        if let Some(started) = self.start {
             record_event(SpanEvent {
                 name: self.name,
                 tid: current_tid(),
-                start_us,
-                dur_us,
-                trace_id,
-                span_id,
-                parent_id,
-                attrs: std::mem::take(&mut self.attrs),
+                start_us: started.saturating_duration_since(epoch()).as_micros() as u64,
+                dur_us: started.elapsed().as_micros() as u64,
             });
         }
     }
@@ -304,81 +184,14 @@ impl Drop for Span {
 
 /// Start an RAII span; the interval is recorded when the guard drops.
 /// Near-free when the recorder is disabled.
-///
-/// When the calling thread carries a trace context (see [`with_ctx`]) the
-/// span joins that trace: it gets a fresh span id, links to the context's
-/// span as its parent, and becomes the context for spans nested under it.
 #[inline]
 pub fn span(name: &'static str) -> Span {
-    if !enabled() {
-        return Span { name, start: None, ctx: None, attrs: Vec::new() };
-    }
-    let cur = current_ctx();
-    let ctx = cur.is_traced().then(|| {
-        let own = TraceCtx { trace_id: cur.trace_id, span_id: next_span_id() };
-        CURRENT_CTX.with(|c| c.set(own));
-        (own, cur)
-    });
-    Span { name, start: Some((now_us(), Instant::now())), ctx, attrs: Vec::new() }
+    Span { name, start: enabled().then(Instant::now) }
 }
 
 /// The recorder-assigned logical id of the calling thread.
 pub fn current_tid() -> u64 {
-    LOCAL.with(|(tid, _, _)| *tid)
-}
-
-/// Manually open a span. Must be balanced by [`exit`] with the same name
-/// on the same thread; prefer [`span`] where scoping allows.
-#[inline]
-pub fn enter(name: &'static str) {
-    if !enabled() {
-        return;
-    }
-    let start = now_us();
-    LOCAL.with(|(_, _, stack)| stack.borrow_mut().push((name, start)));
-}
-
-/// Close a manually opened span.
-///
-/// Mismatches are tolerated, never fatal: exiting a name that is deeper on
-/// the stack implicitly closes (and records) the frames above it; exiting
-/// a name that was never entered records nothing. Every tolerated
-/// mismatch bumps the `obs.span_mismatch` counter.
-pub fn exit(name: &'static str) {
-    if !enabled() {
-        return;
-    }
-    let end = now_us();
-    let frames: Option<Vec<(&'static str, u64)>> = LOCAL.with(|(_, _, stack)| {
-        let mut stack = stack.borrow_mut();
-        let pos = stack.iter().rposition(|(n, _)| *n == name)?;
-        Some(stack.drain(pos..).collect())
-    });
-    match frames {
-        None => count("obs.span_mismatch", 1),
-        Some(frames) => {
-            // frames[0] is the matching frame; everything after it was
-            // opened later and is implicitly closed now.
-            let mismatched = frames.len().saturating_sub(1) as u64;
-            if mismatched > 0 {
-                count("obs.span_mismatch", mismatched);
-            }
-            let tid = current_tid();
-            let ctx = current_ctx();
-            for (n, start_us) in frames.into_iter().rev() {
-                record_event(SpanEvent {
-                    name: n,
-                    tid,
-                    start_us,
-                    dur_us: end.saturating_sub(start_us),
-                    trace_id: ctx.trace_id,
-                    span_id: 0,
-                    parent_id: ctx.span_id,
-                    attrs: Vec::new(),
-                });
-            }
-        }
-    }
+    LOCAL.with(|(tid, _)| *tid)
 }
 
 // ---------------------------------------------------------------------------
@@ -403,25 +216,6 @@ pub fn count(name: &'static str, delta: u64) {
 /// tracing recorder, the serve-layer metrics, and the labeled
 /// [`registry`] families so quantiles are comparable across layers.
 pub const HIST_BUCKETS: usize = 64;
-
-#[derive(Debug, Clone)]
-struct Hist {
-    buckets: [u64; HIST_BUCKETS],
-    count: u64,
-    sum: u64,
-}
-
-impl Hist {
-    fn new() -> Self {
-        Self { buckets: [0; HIST_BUCKETS], count: 0, sum: 0 }
-    }
-
-    fn record(&mut self, value: u64) {
-        self.buckets[bucket_index(value)] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(value);
-    }
-}
 
 /// Bucket index for a value: 0 for 0, else `64 - leading_zeros`, clamped.
 pub fn bucket_index(value: u64) -> usize {
@@ -449,7 +243,7 @@ pub fn observe(name: &'static str, value: u64) {
     if !enabled() {
         return;
     }
-    lock_registry().hists.entry(name).or_insert_with(Hist::new).record(value);
+    lock_registry().hists.entry(name).or_default().record(value);
 }
 
 /// Record a duration (in microseconds) into the named histogram.
@@ -534,16 +328,7 @@ pub fn snapshot() -> Snapshot {
     Snapshot {
         events,
         counters: reg.counters.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
-        histograms: reg
-            .hists
-            .iter()
-            .map(|(k, h)| {
-                (
-                    k.to_string(),
-                    HistSnapshot { buckets: h.buckets.to_vec(), count: h.count, sum: h.sum },
-                )
-            })
-            .collect(),
+        histograms: reg.hists.iter().map(|(k, h)| (k.to_string(), h.snapshot())).collect(),
         dropped_events: dropped,
     }
 }
@@ -594,11 +379,11 @@ mod tests {
 
     #[test]
     fn quantile_on_known_distribution() {
-        let mut h = Hist::new();
+        let h = AtomicHistogram::default();
         for v in [1u64, 1, 2, 100, 100, 100, 100, 100, 100, 5000] {
             h.record(v);
         }
-        let snap = HistSnapshot { buckets: h.buckets.to_vec(), count: h.count, sum: h.sum };
+        let snap = h.snapshot();
         // p50 rank = 5 -> within the 100s bucket [64,128)
         assert_eq!(snap.quantile(0.5), Some(127));
         // p100 -> 5000 lives in [4096,8192)

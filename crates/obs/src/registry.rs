@@ -116,6 +116,14 @@ impl AtomicHistogram {
         self.sum.store(0, Ordering::Relaxed);
     }
 
+    /// Add a snapshot's buckets and exact sum into this histogram.
+    pub fn absorb(&self, snap: &HistSnapshot) {
+        for (b, &n) in self.buckets.iter().zip(&snap.buckets) {
+            b.fetch_add(n, Ordering::Relaxed);
+        }
+        self.sum.fetch_add(snap.sum, Ordering::Relaxed);
+    }
+
     /// Add this histogram's buckets and sum into an accumulator.
     pub fn accumulate(&self, buckets: &mut [u64; HIST_BUCKETS], sum: &mut u64) {
         for (acc, b) in buckets.iter_mut().zip(&self.buckets) {
@@ -569,17 +577,7 @@ pub fn bridge_recorder(snap: &Snapshot) -> Registry {
         &["name"],
     );
     for (name, h) in &snap.histograms {
-        let cell = hists.with(&[name]);
-        for (i, &n) in h.buckets.iter().enumerate().take(HIST_BUCKETS) {
-            if n > 0 {
-                // re-record a representative value per bucket: the upper
-                // bound maps back into the same bucket index
-                let v = if i == 0 { 0 } else { bucket_upper_bound(i) };
-                for _ in 0..n {
-                    cell.record(v);
-                }
-            }
-        }
+        hists.with(&[name]).inner().absorb(h);
     }
     if !snap.events.is_empty() {
         let spans = reg.counter_vec(

@@ -37,99 +37,6 @@ fn raii_spans_nest_and_record() {
     assert_eq!(outer.tid, inner.tid);
     assert!(inner.start_us >= outer.start_us);
     assert!(inner.start_us + inner.dur_us <= outer.start_us + outer.dur_us + 1);
-    assert_eq!(snap.counter("obs.span_mismatch"), 0);
-}
-
-#[test]
-fn manual_enter_exit_balanced() {
-    let snap = with_recorder(|| {
-        obs::enter("a");
-        obs::enter("b");
-        obs::exit("b");
-        obs::exit("a");
-        obs::snapshot()
-    });
-    assert_eq!(snap.events.len(), 2);
-    assert_eq!(snap.counter("obs.span_mismatch"), 0);
-}
-
-#[test]
-fn mismatched_exit_closes_intervening_frames() {
-    let snap = with_recorder(|| {
-        obs::enter("a");
-        obs::enter("b");
-        obs::enter("c");
-        // exiting "a" implicitly closes "b" and "c"
-        obs::exit("a");
-        obs::snapshot()
-    });
-    let names: Vec<_> = snap.events.iter().map(|e| e.name).collect();
-    assert!(names.contains(&"a"));
-    assert!(names.contains(&"b"));
-    assert!(names.contains(&"c"));
-    assert_eq!(snap.counter("obs.span_mismatch"), 2);
-}
-
-#[test]
-fn exit_without_enter_records_nothing() {
-    let snap = with_recorder(|| {
-        obs::exit("never-entered");
-        obs::snapshot()
-    });
-    assert!(snap.events.is_empty());
-    assert_eq!(snap.counter("obs.span_mismatch"), 1);
-}
-
-#[test]
-fn spans_inherit_the_installed_trace_context() {
-    let snap = with_recorder(|| {
-        {
-            let _ctx = obs::with_ctx(obs::TraceCtx { trace_id: 42, span_id: 9 });
-            let mut outer = obs::span("outer");
-            outer.attr("batch", 3);
-            {
-                let _inner = obs::span("inner");
-            }
-            drop(outer);
-        }
-        // context restored: spans after the guard are untraced
-        {
-            let _after = obs::span("after");
-        }
-        obs::snapshot()
-    });
-    let outer = snap.events.iter().find(|e| e.name == "outer").unwrap();
-    let inner = snap.events.iter().find(|e| e.name == "inner").unwrap();
-    let after = snap.events.iter().find(|e| e.name == "after").unwrap();
-    assert_eq!(outer.trace_id, 42);
-    assert_eq!(outer.parent_id, 9, "outer links to the installed context");
-    assert!(outer.span_id != 0);
-    assert_eq!(inner.trace_id, 42);
-    assert_eq!(inner.parent_id, outer.span_id, "inner nests under outer");
-    assert_eq!(outer.attrs, vec![("batch", 3)]);
-    assert_eq!(after.trace_id, 0);
-    assert_eq!(after.span_id, 0);
-}
-
-#[test]
-fn untraced_spans_stay_anonymous_and_ctx_is_cheap_when_disabled() {
-    let snap = with_recorder(|| {
-        {
-            let _s = obs::span("plain");
-        }
-        obs::snapshot()
-    });
-    let plain = snap.events.iter().find(|e| e.name == "plain").unwrap();
-    assert_eq!((plain.trace_id, plain.span_id, plain.parent_id), (0, 0, 0));
-    assert!(plain.attrs.is_empty());
-
-    // disabled spans never touch the thread-local context
-    obs::set_enabled(false);
-    let _ctx = obs::with_ctx(obs::TraceCtx { trace_id: 7, span_id: 1 });
-    let mut s = obs::span("off");
-    s.attr("k", 1);
-    assert_eq!(s.ctx(), obs::TraceCtx::NONE);
-    assert_eq!(obs::current_ctx().trace_id, 7, "inert span leaves the context alone");
 }
 
 #[test]
@@ -180,8 +87,6 @@ fn disabled_recorder_records_nothing_and_is_cheap() {
     obs::set_enabled(false);
     obs::count("c", 1);
     obs::observe("h", 1);
-    obs::enter("m");
-    obs::exit("m");
     {
         let _s = obs::span("s");
     }

@@ -159,6 +159,8 @@ fn recorder_bridge_exposes_span_counter_and_histogram_data() {
     obs::reset();
     assert!(text.contains("obs_counter_total{name=\"bridge.test_counter\"} 5"), "{text}");
     assert!(text.contains("obs_histogram_us_count{name=\"bridge.test_hist\"} 1"), "{text}");
+    // the exact sum crosses the bridge, not the bucket's upper bound (127)
+    assert!(text.contains("obs_histogram_us_sum{name=\"bridge.test_hist\"} 123"), "{text}");
     assert!(text.contains("obs_spans_total{name=\"bridge.test_span\"} 1"), "{text}");
     assert!(text.contains("obs_span_time_us_total{name=\"bridge.test_span\"}"), "{text}");
     // bridged histograms keep their bucket placement: 123 lives in [64,128)

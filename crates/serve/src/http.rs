@@ -130,10 +130,9 @@ pub fn write_response(stream: &mut TcpStream, resp: &Response) -> std::io::Resul
 /// The outer `Err` is a transport failure (drop the connection); the
 /// inner `Err` is a well-formed refusal to send back: `400` for a
 /// malformed request line or `Content-Length`, `413` when
-/// `Content-Length` exceeds [`MAX_BODY_BYTES`].
-pub fn read_request(stream: &mut TcpStream) -> std::io::Result<Result<Request, Response>> {
-    stream.set_read_timeout(Some(IO_TIMEOUT))?;
-    stream.set_write_timeout(Some(IO_TIMEOUT))?;
+/// `Content-Length` exceeds [`MAX_BODY_BYTES`] or the head outgrows its
+/// bound without a terminator.
+pub fn read_request(stream: &mut impl Read) -> std::io::Result<Result<Request, Response>> {
     let mut buf = Vec::new();
     let mut chunk = [0u8; 1024];
     let head_end = loop {
@@ -306,6 +305,8 @@ fn exchange(
     stream: &mut TcpStream,
     handler: &impl Fn(&Request) -> Response,
 ) -> std::io::Result<()> {
+    stream.set_read_timeout(Some(IO_TIMEOUT))?;
+    stream.set_write_timeout(Some(IO_TIMEOUT))?;
     match read_request(stream)? {
         Ok(req) => write_response(stream, &handler(&req)),
         Err(refused) => {
@@ -558,6 +559,70 @@ mod tests {
         let resp = refusal(&route(TABLE, "GET", "/nope"), "/nope").expect("refused");
         assert_eq!(resp.status, 404);
         assert_eq!(resp.content_type, "application/json");
+    }
+
+    /// What the parser owes any input: a request, a `400` or `413`
+    /// refusal, or a transport error — never a panic, never another status.
+    fn typed(input: &[u8]) -> bool {
+        match read_request(&mut &input[..]) {
+            Ok(Ok(_)) | Err(_) => true,
+            Ok(Err(refused)) => matches!(refused.status, 400 | 413),
+        }
+    }
+
+    fn status(input: &[u8]) -> Option<u16> {
+        read_request(&mut &input[..]).expect("slices never fail to read").err().map(|r| r.status)
+    }
+
+    fn post(content_length: usize, body: &[u8]) -> Vec<u8> {
+        let mut out = format!(
+            "POST /v1/sql HTTP/1.0\r\nHost: admin\r\nContent-Type: application/json\r\n\
+             Content-Length: {content_length}\r\n\r\n"
+        )
+        .into_bytes();
+        out.extend_from_slice(body);
+        out
+    }
+
+    #[test]
+    fn every_strict_prefix_of_a_valid_request_is_typed() {
+        let json = br#"{"sql":"SELECT COUNT(*) FROM eval_runs"}"#;
+        let get = b"GET /healthz HTTP/1.0\r\nHost: admin\r\n\r\n".to_vec();
+        let cases = [(get, "/healthz", &b""[..]), (post(json.len(), json), "/v1/sql", &json[..])];
+        for (full, path, body) in cases {
+            let req = read_request(&mut &full[..]).expect("read").expect("valid request");
+            assert_eq!((req.path.as_str(), req.body.as_slice()), (path, body));
+            for cut in 0..full.len() {
+                assert!(typed(&full[..cut]), "{:?}", String::from_utf8_lossy(&full[..cut]));
+            }
+        }
+    }
+
+    #[test]
+    fn oversized_head_and_short_body_are_refused() {
+        // no terminator within MAX_HEAD_BYTES: refused, not read forever
+        let mut endless = b"GET /".to_vec();
+        endless.resize(MAX_HEAD_BYTES + 100, b'a');
+        assert_eq!(status(&endless), Some(413));
+        // the body ends before its Content-Length does
+        assert_eq!(status(&post(10, b"abc")), Some(400));
+        assert_eq!(status(&post(MAX_BODY_BYTES + 1, b"")), Some(413));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Arbitrary bytes as they come (mostly a malformed or oversized
+        /// head), and the same bytes as the body behind a valid head whose
+        /// `Content-Length` may promise more, fewer or too many bytes.
+        #[test]
+        fn arbitrary_bytes_never_panic_the_parser(
+            raw in proptest::collection::vec(proptest::any::<u8>(), 0..16 * 1024),
+            declared in 0..MAX_BODY_BYTES + 2,
+        ) {
+            proptest::prop_assert!(typed(&raw));
+            proptest::prop_assert!(typed(&post(declared, &raw)));
+        }
     }
 
     #[test]

@@ -1246,11 +1246,6 @@ fn worker_loop<'a>(inner: &Inner, ctx: &'a EvalContext<'a>) {
 }
 
 fn serve_one<'a>(inner: &Inner, ctx: &'a EvalContext<'a>, p: Pending, batch_size: usize) {
-    // Obs spans opened under this request join its trace under its root,
-    // so a warehouse trace and a chrome-trace dump line up by id.
-    let _obs_ctx = p
-        .trace
-        .map(|t| obs::with_ctx(obs::TraceCtx { trace_id: t.trace_id, span_id: t.root_span }));
     let _span = obs::span("serve.request");
     // End of the queued phase: everything before `started` is queue wait,
     // everything after is this worker's own processing time.

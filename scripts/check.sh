@@ -74,6 +74,14 @@ if [ "$lint" -eq 1 ]; then
     exit 1
   fi
 
+  # One request-trace identity: serve::trace owns trace ids and parent
+  # links; the obs recorder keeps anonymous timings and no second context.
+  echo "==> one trace identity (no obs trace context or manual frames under crates/*/src)"
+  if grep -rnE "obs::(TraceCtx|with_ctx|current_ctx|next_span_id|enter|exit)\b|span_mismatch" crates/*/src; then
+    echo "request identity lives in serve::trace; obs spans stay anonymous" >&2
+    exit 1
+  fi
+
   # No timed re-check on a stop path: the eval runner and the forwarders
   # block until a message or a notify (sent under the lock) wakes them.
   echo "==> no stop poll (recv_timeout / wait_timeout in serve/src/lib.rs, cluster/src/scheduler.rs)"
@@ -90,12 +98,13 @@ if [ "$lint" -eq 1 ]; then
     exit 1
   fi
 
-  # The size of the engine the metrics stand on, of the files the request
+  # The size of the engine the metrics stand on, of the obs recorder and
+  # registry every layer reports through, of the files the request
   # path's fixed costs and its one completion / telemetry spine live in,
   # and of the micro-benchmark harness, always counted the same way:
   # lines above each file's first #[cfg(test)].
   echo "==> non-test lines"
-  for path in crates/minidb/src crates/sqlcheck/src \
+  for path in crates/minidb/src crates/sqlcheck/src crates/obs/src \
     crates/serve/src/http.rs crates/serve/src/lib.rs crates/serve/src/trace.rs \
     crates/serve/src/telemetry.rs crates/cluster/src/scheduler.rs crates/cluster/src/worker.rs \
     crates/bench/src/bin/bench_eval; do
