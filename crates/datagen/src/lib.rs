@@ -21,6 +21,8 @@
 //! corpus.db(s).database.run_query(&s.query).unwrap();
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 pub mod dataset;
 pub mod dbgen;
 pub mod domains;

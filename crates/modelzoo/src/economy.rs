@@ -65,7 +65,13 @@ impl LocalServing {
 
 /// Rough GPT-style token count: ~4 characters per token.
 pub fn count_tokens(text: &str) -> u64 {
-    (text.chars().count() as u64).div_ceil(4).max(1)
+    tokens_of_chars(text.chars().count())
+}
+
+/// [`count_tokens`] of any text `chars` characters long: the count
+/// depends only on the length, so a prompt's tokens are a sum of lengths.
+pub fn tokens_of_chars(chars: usize) -> u64 {
+    (chars as u64).div_ceil(4).max(1)
 }
 
 #[cfg(test)]

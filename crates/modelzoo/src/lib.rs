@@ -12,6 +12,8 @@
 //! EX from EM, the error-palette corruption, SFT learning curves, API
 //! pricing and serving models — is real, deterministic code.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 pub mod catalog;
 pub mod corruption;
 pub mod economy;

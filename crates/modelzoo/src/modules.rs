@@ -4,15 +4,17 @@
 //! question tokens against table/column names; DB-content matching really
 //! scans cell values (the BRIDGE v2 string-matching strategy, used verbatim
 //! in the SuperSQL prompt of Figure 15); few-shot selection really ranks
-//! training examples by question similarity (the DAIL-SQL strategy). Their
+//! training examples by question similarity (the DAIL-SQL strategy). The
+//! first two read the database through its [`DbPrompt`] profile (name
+//! parts and distinct text values, prepared once per database). Their
 //! outputs feed the prompt builders, so module choices change real token
 //! counts; their accuracy contribution enters composed pipelines through
 //! [`module_ex_bonus`].
 
+use crate::prompt::{DbPrompt, NamePart};
 use crate::taxonomy::{Decoding, FewShot, Intermediate, ModuleSet, MultiStep, PostProcessing};
-use datagen::{GeneratedDb, Sample};
-use minidb::{ColumnData, Value};
-use std::collections::{HashMap, HashSet};
+use datagen::Sample;
+use std::collections::HashMap;
 
 /// Lower-cased word tokens of a question.
 pub fn tokenize_question(q: &str) -> Vec<String> {
@@ -24,52 +26,42 @@ pub fn tokenize_question(q: &str) -> Vec<String> {
 
 /// Schema linking (RESDSQL-style ranking): keep tables whose name or column
 /// names overlap the question tokens; always keep at least one table, and
-/// keep FK-parents of kept tables so joins stay expressible.
-pub fn schema_link<'a>(db: &'a GeneratedDb, question: &str) -> Vec<&'a minidb::TableSchema> {
-    let tokens: HashSet<String> = tokenize_question(question).into_iter().collect();
-    let name_matches = |name: &str| {
-        let parts = name.to_lowercase();
-        parts
-            .split('_')
-            .any(|p| tokens.contains(p) || tokens.contains(&format!("{p}s")) || p.len() > 3 && tokens.iter().any(|t| t.starts_with(p)))
+/// keep FK-parents of kept tables so joins stay expressible. Returns the
+/// kept tables' names, in name order.
+pub fn schema_link<'p>(prompt: &'p DbPrompt, question: &str) -> Vec<&'p str> {
+    linked_tables(prompt, &distinct_tokens(question))
+        .into_iter()
+        .map(|t| prompt.tables[t].name.as_str())
+        .collect()
+}
+
+/// [`schema_link`] over the question's [`distinct_tokens`], as indices into
+/// `prompt.tables`.
+pub(crate) fn linked_tables(prompt: &DbPrompt, tokens: &[String]) -> Vec<usize> {
+    let has = |t: &str| tokens.binary_search_by(|token| token.as_str().cmp(t)).is_ok();
+    let matches = |p: &NamePart| {
+        has(&p.part)
+            || has(&p.plural)
+            || p.part.len() > 3 && tokens.iter().any(|t| t.starts_with(p.part.as_str()))
     };
-    let mut kept: Vec<&minidb::TableSchema> = Vec::new();
-    for t in db.database.tables() {
-        let schema = &t.schema;
-        let hit = name_matches(&schema.name)
-            || schema.columns.iter().any(|c| name_matches(&c.name));
-        if hit {
-            kept.push(schema);
-        }
-    }
-    if kept.is_empty() {
-        if let Some(t) = db.database.tables().next() {
-            kept.push(&t.schema);
+    let mut kept: Vec<bool> =
+        prompt.tables.iter().map(|t| t.name_parts.iter().any(matches)).collect();
+    if !kept.contains(&true) {
+        if let Some(first) = kept.first_mut() {
+            *first = true;
         }
     }
     // close over FK parents
-    loop {
-        let names: HashSet<&str> = kept.iter().map(|s| s.name.as_str()).collect();
-        let mut added = false;
-        let mut to_add: Vec<&minidb::TableSchema> = Vec::new();
-        for s in &kept {
-            for fk in &s.foreign_keys {
-                if !names.contains(fk.ref_table.as_str()) {
-                    if let Ok(parent) = db.database.table(&fk.ref_table) {
-                        to_add.push(&parent.schema);
-                        added = true;
-                    }
-                }
+    let mut open: Vec<usize> = (0..kept.len()).filter(|&t| kept[t]).collect();
+    while let Some(t) = open.pop() {
+        for &parent in &prompt.tables[t].fk_parents {
+            if !kept[parent] {
+                kept[parent] = true;
+                open.push(parent);
             }
         }
-        kept.extend(to_add);
-        kept.sort_by(|a, b| a.name.cmp(&b.name));
-        kept.dedup_by(|a, b| a.name == b.name);
-        if !added {
-            break;
-        }
     }
-    kept
+    prompt.by_name.iter().copied().filter(|&t| kept[t]).collect()
 }
 
 /// A matched (table, column, value) triple from DB-content matching.
@@ -83,36 +75,45 @@ pub struct ContentMatch {
     pub value: String,
 }
 
+/// A DB-content match as indices into a [`DbPrompt`]: candidate `value`
+/// of `tables[table].text_columns[column]`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ContentHit {
+    pub(crate) table: usize,
+    pub(crate) column: usize,
+    pub(crate) value: usize,
+}
+
 /// DB-content matching (BRIDGE v2 style): find cell values whose text occurs
-/// in the question; the matches annotate columns in the prompt.
-pub fn match_db_content(db: &GeneratedDb, question: &str, limit: usize) -> Vec<ContentMatch> {
-    let q_lower = question.to_lowercase();
-    let mut out = Vec::new();
-    for t in db.database.tables() {
-        for (ci, col) in t.schema.columns.iter().enumerate() {
-            if out.len() >= limit {
-                return out;
+/// in the question; the matches annotate columns in the prompt. Candidates
+/// are each text column's distinct values of at least 3 bytes; the first
+/// `limit` matches in table, column and first-occurrence order are kept.
+pub fn match_db_content(prompt: &DbPrompt, question: &str, limit: usize) -> Vec<ContentMatch> {
+    content_hits(prompt, &question.to_lowercase(), limit)
+        .into_iter()
+        .map(|hit| {
+            let column = prompt.column(&hit);
+            ContentMatch {
+                table: prompt.tables[hit.table].name.clone(),
+                column: column.name.clone(),
+                value: column.text(hit.value).to_string(),
             }
-            // text cells only, read in place from the typed storage
-            // (a NULL slot of a text column holds "" and is too short)
-            let (texts, mixed): (&[String], &[Value]) = match t.column(ci).data() {
-                ColumnData::Text(cells) => (cells, &[]),
-                ColumnData::Mixed(cells) => (&[], cells),
-                ColumnData::Int(_) | ColumnData::Real(_) => continue,
-            };
-            let cells = texts.iter().chain(mixed.iter().filter_map(|v| match v {
-                Value::Text(s) => Some(s),
-                _ => None,
-            }));
-            let mut seen: HashSet<&str> = HashSet::new();
-            for s in cells {
-                if s.len() >= 3 && seen.insert(s) && q_lower.contains(&s.to_lowercase()) {
-                    out.push(ContentMatch {
-                        table: t.schema.name.clone(),
-                        column: col.name.clone(),
-                        value: s.clone(),
-                    });
-                    if out.len() >= limit {
+        })
+        .collect()
+}
+
+/// [`match_db_content`] for an already lowered question.
+pub(crate) fn content_hits(prompt: &DbPrompt, q_lower: &str, limit: usize) -> Vec<ContentHit> {
+    let mut out = Vec::new();
+    if limit == 0 {
+        return out;
+    }
+    for (table, t) in prompt.tables.iter().enumerate() {
+        for (column, c) in t.text_columns.iter().enumerate() {
+            for (value, lowered) in c.lowered().enumerate() {
+                if q_lower.contains(lowered) {
+                    out.push(ContentHit { table, column, value });
+                    if out.len() == limit {
                         return out;
                     }
                 }
@@ -209,7 +210,11 @@ impl<'a> FewShotIndex<'a> {
     /// The `k` most similar training samples to `question`, most similar
     /// first; equally similar samples keep their pool order.
     pub fn select(&self, question: &str, k: usize) -> Vec<&'a Sample> {
-        let tokens = distinct_tokens(question);
+        self.select_tokens(&distinct_tokens(question), k)
+    }
+
+    /// [`select`](Self::select) for a question's [`distinct_tokens`].
+    pub(crate) fn select_tokens(&self, tokens: &[String], k: usize) -> Vec<&'a Sample> {
         // shared[i] = |q ∩ t_i|, at most sizes[i], so u16 cannot overflow
         let mut shared = vec![0u16; self.samples.len()];
         let mut visited = 0u64;
@@ -244,7 +249,7 @@ impl<'a> FewShotIndex<'a> {
 }
 
 /// The distinct tokens of a question, sorted.
-fn distinct_tokens(question: &str) -> Vec<String> {
+pub(crate) fn distinct_tokens(question: &str) -> Vec<String> {
     let mut tokens = tokenize_question(question);
     tokens.sort_unstable();
     tokens.dedup();
@@ -363,8 +368,10 @@ pub fn module_join_bonus(m: &ModuleSet) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use datagen::{generate_corpus, CorpusConfig, CorpusKind};
+    use datagen::{generate_corpus, CorpusConfig, CorpusKind, GeneratedDb};
+    use minidb::{TableSchema, Value};
     use proptest::prelude::*;
+    use std::collections::HashSet;
 
     fn corpus() -> datagen::Corpus {
         generate_corpus(CorpusKind::Spider, &CorpusConfig::tiny(5))
@@ -426,7 +433,8 @@ mod tests {
         let c = corpus();
         let s = &c.dev[0];
         let db = c.db(s);
-        let kept = schema_link(db, s.question());
+        let prompt = DbPrompt::new(db);
+        let kept = schema_link(&prompt, s.question());
         assert!(!kept.is_empty());
         assert!(kept.len() <= db.database.table_count());
         // the tables referenced by the gold SQL should survive pruning
@@ -438,7 +446,7 @@ mod tests {
                 }
             }
         }
-        let kept_names: Vec<String> = kept.iter().map(|k| k.name.to_lowercase()).collect();
+        let kept_names: Vec<String> = kept.iter().map(|k| k.to_lowercase()).collect();
         for r in &referenced {
             assert!(
                 kept_names.contains(r),
@@ -452,10 +460,13 @@ mod tests {
     fn schema_linking_closes_over_fk_parents() {
         let c = corpus();
         for s in c.dev.iter().take(10) {
-            let kept = schema_link(c.db(s), s.question());
-            let names: HashSet<&str> = kept.iter().map(|k| k.name.as_str()).collect();
+            let db = c.db(s);
+            let prompt = DbPrompt::new(db);
+            let kept = schema_link(&prompt, s.question());
+            let names: HashSet<&str> = kept.iter().copied().collect();
             for k in &kept {
-                for fk in &k.foreign_keys {
+                let schema = &db.database.table(k).unwrap().schema;
+                for fk in &schema.foreign_keys {
                     assert!(names.contains(fk.ref_table.as_str()), "unclosed FK parent");
                 }
             }
@@ -467,7 +478,7 @@ mod tests {
         let c = corpus();
         // find a dev sample whose question embeds a text value
         let hit = c.dev.iter().find_map(|s| {
-            let matches = match_db_content(c.db(s), s.question(), 8);
+            let matches = match_db_content(&DbPrompt::new(c.db(s)), s.question(), 8);
             (!matches.is_empty()).then_some((s, matches))
         });
         let (s, matches) = hit.expect("some question should mention a cell value");
@@ -480,7 +491,7 @@ mod tests {
     fn content_match_respects_limit() {
         let c = corpus();
         let s = &c.dev[0];
-        assert!(match_db_content(c.db(s), s.question(), 2).len() <= 2);
+        assert!(match_db_content(&DbPrompt::new(c.db(s)), s.question(), 2).len() <= 2);
     }
 
     #[test]
@@ -576,6 +587,93 @@ mod tests {
         }
     }
 
+    /// Profiles of every database of a corpus, by id.
+    fn profiles(c: &datagen::Corpus) -> HashMap<&str, DbPrompt> {
+        c.databases.iter().map(|(id, db)| (id.as_str(), DbPrompt::new(db))).collect()
+    }
+
+    #[test]
+    fn schema_link_equals_the_database_scan() {
+        // the linker before the profile: it re-split every name per question
+        fn by_scan<'a>(db: &'a GeneratedDb, question: &str) -> Vec<&'a TableSchema> {
+            let tokens: HashSet<String> = tokenize_question(question).into_iter().collect();
+            let name_matches = |name: &str| {
+                let parts = name.to_lowercase();
+                parts.split('_').any(|p| {
+                    tokens.contains(p)
+                        || tokens.contains(&format!("{p}s"))
+                        || p.len() > 3 && tokens.iter().any(|t| t.starts_with(p))
+                })
+            };
+            let mut kept: Vec<&TableSchema> = Vec::new();
+            for t in db.database.tables() {
+                let schema = &t.schema;
+                let hit = name_matches(&schema.name)
+                    || schema.columns.iter().any(|c| name_matches(&c.name));
+                if hit {
+                    kept.push(schema);
+                }
+            }
+            if kept.is_empty() {
+                if let Some(t) = db.database.tables().next() {
+                    kept.push(&t.schema);
+                }
+            }
+            loop {
+                let names: HashSet<&str> = kept.iter().map(|s| s.name.as_str()).collect();
+                let mut added = false;
+                let mut to_add: Vec<&TableSchema> = Vec::new();
+                for s in &kept {
+                    for fk in &s.foreign_keys {
+                        if !names.contains(fk.ref_table.as_str()) {
+                            if let Ok(parent) = db.database.table(&fk.ref_table) {
+                                to_add.push(&parent.schema);
+                                added = true;
+                            }
+                        }
+                    }
+                }
+                kept.extend(to_add);
+                kept.sort_by(|a, b| a.name.cmp(&b.name));
+                kept.dedup_by(|a, b| a.name == b.name);
+                if !added {
+                    break;
+                }
+            }
+            kept
+        }
+        let mut pruned = 0;
+        for kind in [CorpusKind::Spider, CorpusKind::Bird] {
+            let c = generate_corpus(kind, &CorpusConfig::tiny(5));
+            let prompts = profiles(&c);
+            let mut questions: Vec<(&str, String)> = c
+                .dev
+                .iter()
+                .flat_map(|s| s.variants.iter().map(|q| (s.db_id.as_str(), q.clone())))
+                .collect();
+            // per database: no token, a lone "s", every table name, and each
+            // column name as a plural (short parts match only as plurals)
+            for (id, db) in &c.databases {
+                let tables: Vec<&str> =
+                    db.database.tables().map(|t| t.schema.name.as_str()).collect();
+                let every = ["".into(), "s".into(), tables.join(" ")];
+                questions.extend(every.map(|q| (id.as_str(), q)));
+                for t in db.database.tables() {
+                    let plurals = t.schema.columns.iter().map(|col| format!("{}s", col.name));
+                    questions.extend(plurals.map(|q| (id.as_str(), q)));
+                }
+            }
+            for (id, q) in &questions {
+                let db = &c.databases[*id];
+                let got = schema_link(&prompts[id], q);
+                let want: Vec<&str> = by_scan(db, q).iter().map(|s| s.name.as_str()).collect();
+                assert_eq!(got, want, "{id} {q:?}");
+                pruned += usize::from(got.len() < db.database.table_count());
+            }
+        }
+        assert!(pruned > 0, "linking should prune some schema");
+    }
+
     #[test]
     fn content_match_equals_the_row_at_a_time_scan() {
         // the scan this module used before it read typed storage in place
@@ -606,10 +704,11 @@ mod tests {
         let mut matched = 0;
         for kind in [CorpusKind::Spider, CorpusKind::Bird] {
             let c = generate_corpus(kind, &CorpusConfig::tiny(5));
+            let prompts = profiles(&c);
             for s in &c.dev {
                 for q in &s.variants {
                     for limit in [0, 1, 6, 100] {
-                        let got = match_db_content(c.db(s), q, limit);
+                        let got = match_db_content(&prompts[s.db_id.as_str()], q, limit);
                         assert_eq!(got, by_value(c.db(s), q, limit), "{q:?} limit {limit}");
                         matched += got.len();
                     }

@@ -15,11 +15,11 @@
 use crate::corruption::corrupt_prediction;
 use crate::economy::count_tokens;
 use crate::profiles::{fnv1a, hash_unit, CapabilityProfile, DatasetKind, SampleTraits};
-use crate::prompt::build_prompt;
+use crate::modules::FewShotIndex;
+use crate::prompt::{DbPrompt, PromptPlan};
 use crate::registry::{MethodSpec, Serving};
 use crate::restyle::restyle;
 use crate::taxonomy::PostProcessing;
-use crate::modules::FewShotIndex;
 use datagen::{GeneratedDb, Sample};
 use minidb::ResultSet;
 use rand::rngs::StdRng;
@@ -35,6 +35,9 @@ pub struct TranslationTask<'a> {
     pub variant: usize,
     /// The database the question targets.
     pub db: &'a GeneratedDb,
+    /// `db`'s prompt profile, which prompt-based methods price their
+    /// prompts from.
+    pub prompt: &'a DbPrompt,
     /// Which benchmark this is.
     pub dataset: DatasetKind,
     /// Number of training databases in the sample's domain.
@@ -239,14 +242,15 @@ impl Nl2SqlModel for SimulatedModel {
         // economy accounting
         let (prompt_tokens, completion_tokens, cost_usd, latency_s) = match &self.spec.serving {
             Serving::Api(pricing) => {
-                let (_, acc) = build_prompt(
+                debug_assert!(task.prompt.describes(task.db), "prompt profile of another database");
+                let acc = PromptPlan::new(
                     self.spec.name,
                     &self.spec.modules,
-                    task.db,
+                    task.prompt,
                     task.question(),
                     task.few_shot,
-                    sql.len(),
-                );
+                )
+                .accounting(sql.len());
                 let cost = pricing.cost(acc.prompt_tokens, acc.completion_tokens);
                 // API latency: proportional to tokens moved (~50 tok/s
                 // generation + fixed round trips)
@@ -285,17 +289,30 @@ mod tests {
     use super::*;
     use crate::registry::method_by_name;
     use datagen::{generate_corpus, CorpusConfig, CorpusKind};
+    use std::collections::HashMap;
+
+    type Profiles<'a> = HashMap<&'a str, DbPrompt>;
 
     fn corpus() -> datagen::Corpus {
         generate_corpus(CorpusKind::Spider, &CorpusConfig::tiny(21))
     }
 
-    fn task<'a>(c: &'a datagen::Corpus, i: usize) -> TranslationTask<'a> {
+    /// Profiles of every database of a corpus, by id.
+    fn profiles(c: &datagen::Corpus) -> Profiles<'_> {
+        c.databases.iter().map(|(id, db)| (id.as_str(), DbPrompt::new(db))).collect()
+    }
+
+    fn task<'a>(
+        c: &'a datagen::Corpus,
+        profiles: &'a Profiles<'a>,
+        i: usize,
+    ) -> TranslationTask<'a> {
         let s = &c.dev[i];
         TranslationTask {
             sample: s,
             variant: 0,
             db: c.db(s),
+            prompt: &profiles[s.db_id.as_str()],
             dataset: DatasetKind::Spider,
             domain_train_dbs: 4,
             avg_domain_train_dbs: 4.2,
@@ -307,9 +324,10 @@ mod tests {
     #[test]
     fn translation_is_deterministic() {
         let c = corpus();
+        let profiles = profiles(&c);
         let m = SimulatedModel::new(method_by_name("DAILSQL").unwrap());
-        let a = m.translate(&task(&c, 0)).unwrap();
-        let b = m.translate(&task(&c, 0)).unwrap();
+        let a = m.translate(&task(&c, &profiles, 0)).unwrap();
+        let b = m.translate(&task(&c, &profiles, 0)).unwrap();
         assert_eq!(a.sql, b.sql);
         assert_eq!(a.prompt_tokens, b.prompt_tokens);
     }
@@ -317,9 +335,10 @@ mod tests {
     #[test]
     fn predictions_always_parse() {
         let c = corpus();
+        let profiles = profiles(&c);
         for m in zoo() {
             for i in 0..10 {
-                if let Some(p) = m.translate(&task(&c, i)) {
+                if let Some(p) = m.translate(&task(&c, &profiles, i)) {
                     sqlkit::parse_query(&p.sql)
                         .unwrap_or_else(|e| panic!("{}: `{}`: {e}", m.name(), p.sql));
                 }
@@ -330,11 +349,12 @@ mod tests {
     #[test]
     fn accuracy_tracks_profile_on_aggregate() {
         let c = generate_corpus(CorpusKind::Spider, &CorpusConfig::tiny(33));
+        let profiles = profiles(&c);
         let m = SimulatedModel::new(method_by_name("SFT CodeS-7B").unwrap());
         let mut correct = 0;
         let mut total = 0;
         for i in 0..c.dev.len() {
-            let t = task(&c, i);
+            let t = task(&c, &profiles, i);
             let p = m.translate(&t).unwrap();
             let gold = c.db(t.sample).database.run_query(&t.sample.query).unwrap();
             total += 1;
@@ -352,8 +372,9 @@ mod tests {
     #[test]
     fn dinsql_declines_bird() {
         let c = corpus();
+        let profiles = profiles(&c);
         let m = SimulatedModel::new(method_by_name("DINSQL").unwrap());
-        let mut t = task(&c, 0);
+        let mut t = task(&c, &profiles, 0);
         t.dataset = DatasetKind::Bird;
         assert!(m.translate(&t).is_none());
     }
@@ -361,8 +382,9 @@ mod tests {
     #[test]
     fn api_methods_report_tokens_and_cost() {
         let c = corpus();
+        let profiles = profiles(&c);
         let m = SimulatedModel::new(method_by_name("DAILSQL").unwrap());
-        let p = m.translate(&task(&c, 1)).unwrap();
+        let p = m.translate(&task(&c, &profiles, 1)).unwrap();
         assert!(p.prompt_tokens > 0);
         assert!(p.cost_usd > 0.0);
         assert!(p.latency_s > 0.0);
@@ -371,8 +393,9 @@ mod tests {
     #[test]
     fn local_methods_report_latency_not_cost() {
         let c = corpus();
+        let profiles = profiles(&c);
         let m = SimulatedModel::new(method_by_name("RESDSQL-3B").unwrap());
-        let p = m.translate(&task(&c, 1)).unwrap();
+        let p = m.translate(&task(&c, &profiles, 1)).unwrap();
         assert_eq!(p.prompt_tokens, 0);
         assert_eq!(p.cost_usd, 0.0);
         assert!(p.latency_s > 1.0);
@@ -381,6 +404,7 @@ mod tests {
     #[test]
     fn variants_usually_agree_for_stable_models() {
         let c = corpus();
+        let profiles = profiles(&c);
         let m = SimulatedModel::new(method_by_name("SFT CodeS-15B").unwrap());
         let mut agree = 0;
         let mut total = 0;
@@ -389,7 +413,7 @@ mod tests {
             if s.variants.len() < 2 {
                 continue;
             }
-            let mut t = task(&c, i);
+            let mut t = task(&c, &profiles, i);
             let p0 = m.translate(&t).unwrap();
             t.variant = 1;
             let p1 = m.translate(&t).unwrap();
@@ -419,6 +443,7 @@ mod tests {
     #[test]
     fn static_repair_applies_identically_in_both_prediction_paths() {
         let c = corpus();
+        let profiles = profiles(&c);
         let mut spec = method_by_name("SFT CodeS-7B").unwrap();
         spec.modules.post = crate::taxonomy::PostProcessing::StaticRepair;
         let repaired = SimulatedModel::new(spec);
@@ -427,7 +452,7 @@ mod tests {
 
         let mut changed = 0;
         for i in 0..c.dev.len() {
-            let t = task(&c, i);
+            let t = task(&c, &profiles, i);
             // fast path and full path must produce the same repaired query
             let full = repaired.translate(&t).unwrap();
             let fast = repaired.predict_query_only(&t).unwrap();

@@ -4,13 +4,23 @@
 //! gold result; corrupted predictions differ from it).
 
 use datagen::{generate_corpus, CorpusConfig, CorpusKind};
+use modelzoo::prompt::DbPrompt;
 use modelzoo::{zoo, DatasetKind, Nl2SqlModel, TranslationTask};
 use proptest::prelude::*;
+use std::collections::HashMap;
 use std::sync::OnceLock;
 
 fn corpus() -> &'static datagen::Corpus {
     static C: OnceLock<datagen::Corpus> = OnceLock::new();
     C.get_or_init(|| generate_corpus(CorpusKind::Spider, &CorpusConfig::tiny(2718)))
+}
+
+/// Prompt profiles of every database of [`corpus`], by id.
+fn profiles() -> &'static HashMap<&'static str, DbPrompt> {
+    static P: OnceLock<HashMap<&str, DbPrompt>> = OnceLock::new();
+    P.get_or_init(|| {
+        corpus().databases.iter().map(|(id, db)| (id.as_str(), DbPrompt::new(db))).collect()
+    })
 }
 
 fn task(sample_idx: usize, variant: usize) -> TranslationTask<'static> {
@@ -20,6 +30,7 @@ fn task(sample_idx: usize, variant: usize) -> TranslationTask<'static> {
         sample,
         variant: variant % sample.variants.len(),
         db: c.db(sample),
+        prompt: &profiles()[sample.db_id.as_str()],
         dataset: DatasetKind::Spider,
         domain_train_dbs: 3,
         avg_domain_train_dbs: 3.6,

@@ -11,11 +11,13 @@
 use datagen::{regenerate_content, Corpus, CorpusKind, GeneratedDb, Sample, SchemaProfile};
 use minidb::{results_equivalent, ExecError, ResultSet};
 use modelzoo::modules::FewShotIndex;
+use modelzoo::prompt::DbPrompt;
 use modelzoo::{DatasetKind, Nl2SqlModel, SimulatedModel, TranslationTask};
 use serde::{Deserialize, Serialize};
 use sqlkit::hardness::{BirdDifficulty, Hardness};
 use sqlkit::SqlFeatures;
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Why a predicted query failed to execute: the [`minidb::ExecError`] kind
 /// flattened to a serializable label, so stored logs keep failure *modes*
@@ -312,7 +314,7 @@ struct Recording {
 }
 
 /// Evaluation context over one corpus: gold executions cached, few-shot
-/// index built, domain statistics derived.
+/// index built, domain statistics derived, prompt profiles built on demand.
 pub struct EvalContext<'a> {
     /// The corpus being evaluated.
     pub corpus: &'a Corpus,
@@ -330,6 +332,10 @@ pub struct EvalContext<'a> {
     /// Per-database schema catalogs for the optional static check —
     /// derived once here so verdicts cost one lookup per prediction.
     catalogs: HashMap<String, sqlcheck::Catalog>,
+    /// Per-database prompt profiles, each built by the first translation
+    /// against its database, so databases nothing translates against cost
+    /// nothing.
+    prompts: HashMap<&'a str, OnceLock<DbPrompt>>,
 }
 
 impl<'a> EvalContext<'a> {
@@ -407,6 +413,7 @@ impl<'a> EvalContext<'a> {
             .iter()
             .map(|(id, db)| (id.clone(), sqlcheck::Catalog::from_database(&db.database)))
             .collect();
+        let prompts = corpus.databases.keys().map(|id| (id.as_str(), OnceLock::new())).collect();
         Self {
             corpus,
             dataset,
@@ -417,6 +424,7 @@ impl<'a> EvalContext<'a> {
             suite,
             suite_gold,
             catalogs,
+            prompts,
         }
     }
 
@@ -437,10 +445,12 @@ impl<'a> EvalContext<'a> {
 
     /// Build the translation task for a (sample, variant) pair.
     pub fn task(&'a self, sample: &'a Sample, variant: usize) -> TranslationTask<'a> {
+        let db = self.corpus.db(sample);
         TranslationTask {
             sample,
             variant,
-            db: self.corpus.db(sample),
+            db,
+            prompt: self.prompts[sample.db_id.as_str()].get_or_init(|| DbPrompt::new(db)),
             dataset: self.dataset,
             domain_train_dbs: self.domain_train_dbs(sample),
             avg_domain_train_dbs: self.avg_domain_train,

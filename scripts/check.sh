@@ -50,13 +50,13 @@ if [ "$lint" -eq 1 ]; then
   echo "==> cargo clippy (-D warnings)"
   cargo clippy --offline --workspace --all-targets -- -D warnings
 
-  # Panic hygiene: sqlkit, sqlcheck, minidb, serve, cluster, obs and
-  # nl2sql360 deny clippy::unwrap_used in non-test code (crate-level
-  # #![cfg_attr(not(test), deny(...))] attributes; this run compiles the
-  # non-test targets so the deny is active).
-  echo "==> cargo clippy (sqlkit + sqlcheck + minidb + serve + cluster + obs + nl2sql360, unwrap_used denied)"
+  # Panic hygiene: sqlkit, sqlcheck, minidb, serve, cluster, obs,
+  # nl2sql360, modelzoo and datagen deny clippy::unwrap_used in non-test
+  # code (crate-level #![cfg_attr(not(test), deny(...))] attributes; this
+  # run compiles the non-test targets so the deny is active).
+  echo "==> cargo clippy (sqlkit + sqlcheck + minidb + serve + cluster + obs + nl2sql360 + modelzoo + datagen, unwrap_used denied)"
   cargo clippy --offline -p sqlkit -p sqlcheck -p minidb -p serve -p cluster -p obs -p nl2sql360 \
-    --lib --bins -- -D warnings
+    -p modelzoo -p datagen --lib --bins -- -D warnings
 
   # One accept mechanism: every listener blocks in serve::accept_until and
   # is woken by serve::wake_listener. A poll creeping back in fails here.
@@ -82,6 +82,14 @@ if [ "$lint" -eq 1 ]; then
     exit 1
   fi
 
+  # Prompt accounting without the prompt: translate prices a prompt from
+  # its plan's lengths; the text is rendered only by build_prompt and tests.
+  echo "==> no prompt text on the translate path (render( / build_prompt / .repeat( in translator.rs)"
+  if grep -nE "render\(|build_prompt|\.repeat\(" crates/modelzoo/src/translator.rs; then
+    echo "translate builds prompt text again; add up PromptPlan::chars instead" >&2
+    exit 1
+  fi
+
   # No timed re-check on a stop path: the eval runner and the forwarders
   # block until a message or a notify (sent under the lock) wakes them.
   echo "==> no stop poll (recv_timeout / wait_timeout in serve/src/lib.rs, cluster/src/scheduler.rs)"
@@ -98,13 +106,13 @@ if [ "$lint" -eq 1 ]; then
     exit 1
   fi
 
-  # The size of the engine the metrics stand on, of the obs recorder and
-  # registry every layer reports through, of the files the request
-  # path's fixed costs and its one completion / telemetry spine live in,
-  # and of the micro-benchmark harness, always counted the same way:
-  # lines above each file's first #[cfg(test)].
+  # The size of the engine the metrics stand on, of the method zoo, of
+  # the obs recorder and registry every layer reports through, of the
+  # files the request path's fixed costs and its one completion /
+  # telemetry spine live in, and of the micro-benchmark harness, always
+  # counted the same way: lines above each file's first #[cfg(test)].
   echo "==> non-test lines"
-  for path in crates/minidb/src crates/sqlcheck/src crates/obs/src \
+  for path in crates/minidb/src crates/sqlcheck/src crates/modelzoo/src crates/obs/src \
     crates/serve/src/http.rs crates/serve/src/lib.rs crates/serve/src/trace.rs \
     crates/serve/src/telemetry.rs crates/cluster/src/scheduler.rs crates/cluster/src/worker.rs \
     crates/bench/src/bin/bench_eval; do
