@@ -205,114 +205,50 @@ fn rename_database(
     )
 }
 
-/// Rewrite a query against the rename maps (aliases stay untouched).
+/// Rewrite a query and its subqueries against the rename maps (aliases
+/// stay untouched).
 fn rename_query(
     q: &mut Query,
     tmap: &BTreeMap<String, String>,
     cmap: &BTreeMap<String, String>,
 ) {
+    let rename = |name: &mut String, map: &BTreeMap<String, String>| {
+        if let Some(new) = map.get(name) {
+            *name = new.clone();
+        }
+    };
     for core in q.cores_mut() {
-        if let Some(from) = &mut core.from {
-            rename_table_ref(&mut from.base, tmap, cmap);
-            for j in &mut from.joins {
-                rename_table_ref(&mut j.table, tmap, cmap);
-                if let Some(on) = &mut j.on {
-                    rename_expr(on, tmap, cmap);
-                }
-            }
-        }
         for item in &mut core.items {
-            match item {
-                SelectItem::QualifiedWildcard(t) => {
-                    if let Some(new) = tmap.get(t) {
-                        *t = new.clone();
-                    }
-                }
-                SelectItem::Expr { expr, .. } => rename_expr(expr, tmap, cmap),
-                SelectItem::Wildcard => {}
+            if let SelectItem::QualifiedWildcard(t) = item {
+                rename(t, tmap);
             }
         }
-        if let Some(w) = &mut core.where_clause {
-            rename_expr(w, tmap, cmap);
-        }
-        for g in &mut core.group_by {
-            rename_expr(g, tmap, cmap);
-        }
-        if let Some(h) = &mut core.having {
-            rename_expr(h, tmap, cmap);
+        for table in core.from.iter_mut().flat_map(FromClause::tables_mut) {
+            if let TableRef::Named { name, .. } = table {
+                rename(name, tmap);
+            }
         }
     }
-    for k in &mut q.order_by {
-        rename_expr(&mut k.expr, tmap, cmap);
-    }
+    q.for_each_child_mut(|c| rename_child(c, tmap, cmap));
 }
 
-fn rename_table_ref(
-    t: &mut TableRef,
+fn rename_child(
+    child: ChildMut<'_>,
     tmap: &BTreeMap<String, String>,
     cmap: &BTreeMap<String, String>,
 ) {
-    match t {
-        TableRef::Named { name, .. } => {
-            if let Some(new) = tmap.get(name) {
-                *name = new.clone();
-            }
-        }
-        TableRef::Subquery { query, .. } => rename_query(query, tmap, cmap),
-    }
-}
-
-fn rename_expr(e: &mut Expr, tmap: &BTreeMap<String, String>, cmap: &BTreeMap<String, String>) {
-    match e {
-        Expr::Column { table, column } => {
-            if let Some(t) = table {
-                if let Some(new) = tmap.get(t) {
-                    *t = new.clone();
+    match child {
+        ChildMut::Query(q) => rename_query(q, tmap, cmap),
+        ChildMut::Expr(e) => {
+            if let Expr::Column { table, column } = e {
+                if let Some(new) = table.as_ref().and_then(|t| tmap.get(t)) {
+                    *table = Some(new.clone());
+                }
+                if let Some(new) = cmap.get(column) {
+                    *column = new.clone();
                 }
             }
-            if let Some(new) = cmap.get(column) {
-                *column = new.clone();
-            }
-        }
-        Expr::Literal(_) | Expr::AggWildcard(_) => {}
-        Expr::Agg { arg, .. } => rename_expr(arg, tmap, cmap),
-        Expr::Func { args, .. } => args.iter_mut().for_each(|a| rename_expr(a, tmap, cmap)),
-        Expr::Binary { left, right, .. } => {
-            rename_expr(left, tmap, cmap);
-            rename_expr(right, tmap, cmap);
-        }
-        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
-            rename_expr(expr, tmap, cmap)
-        }
-        Expr::Between { expr, low, high, .. } => {
-            rename_expr(expr, tmap, cmap);
-            rename_expr(low, tmap, cmap);
-            rename_expr(high, tmap, cmap);
-        }
-        Expr::InList { expr, list, .. } => {
-            rename_expr(expr, tmap, cmap);
-            list.iter_mut().for_each(|x| rename_expr(x, tmap, cmap));
-        }
-        Expr::InSubquery { expr, query, .. } => {
-            rename_expr(expr, tmap, cmap);
-            rename_query(query, tmap, cmap);
-        }
-        Expr::Exists { query, .. } | Expr::Subquery(query) => rename_query(query, tmap, cmap),
-        Expr::Like { expr, pattern, .. } => {
-            rename_expr(expr, tmap, cmap);
-            rename_expr(pattern, tmap, cmap);
-        }
-        Expr::Case { operand, branches, else_expr } => {
-            if let Some(op) = operand {
-                rename_expr(op, tmap, cmap);
-            }
-            for (w, t) in branches {
-                rename_expr(w, tmap, cmap);
-                rename_expr(t, tmap, cmap);
-            }
-            if let Some(el) = else_expr {
-                rename_expr(el, tmap, cmap);
-            }
+            e.for_each_child_mut(|c| rename_child(c, tmap, cmap));
         }
     }
 }
@@ -377,21 +313,13 @@ fn mangle_value(s: &str, rng: &mut StdRng) -> String {
 }
 
 /// Rewrite string literals in the gold SQL to the mangled values so gold
-/// stays correct on the perturbed database.
+/// stays correct on the perturbed database. Only WHERE and HAVING are
+/// rewritten, and within them neither CASE, function or aggregate
+/// arguments, casts, `IS NULL` operands nor LIKE patterns.
 fn rewrite_literals(q: &mut Query, vmap: &BTreeMap<String, String>) {
     for core in q.cores_mut() {
-        if let Some(w) = &mut core.where_clause {
-            rewrite_literal_expr(w, vmap);
-        }
-        if let Some(h) = &mut core.having {
-            rewrite_literal_expr(h, vmap);
-        }
-        if let Some(from) = &mut core.from {
-            for t in from.tables() {
-                if let TableRef::Subquery { .. } = t {
-                    // handled through cores_mut of nested queries below
-                }
-            }
+        for clause in [&mut core.where_clause, &mut core.having].into_iter().flatten() {
+            rewrite_literal_expr(clause, vmap);
         }
     }
     // nested queries inside expressions
@@ -423,32 +351,18 @@ fn rewrite_literal_expr(e: &mut Expr, vmap: &BTreeMap<String, String>) {
                 *s = new.clone();
             }
         }
-        Expr::Binary { left, right, .. } => {
-            rewrite_literal_expr(left, vmap);
-            rewrite_literal_expr(right, vmap);
-        }
-        Expr::Unary { expr, .. } => rewrite_literal_expr(expr, vmap),
-        Expr::Between { expr, low, high, .. } => {
-            rewrite_literal_expr(expr, vmap);
-            rewrite_literal_expr(low, vmap);
-            rewrite_literal_expr(high, vmap);
-        }
-        Expr::InList { expr, list, .. } => {
-            rewrite_literal_expr(expr, vmap);
-            list.iter_mut().for_each(|x| rewrite_literal_expr(x, vmap));
-        }
-        Expr::Like { expr, pattern, .. } => {
-            rewrite_literal_expr(expr, vmap);
-            // LIKE patterns contain fragments; leave them (fragment matching
-            // is case-insensitive in the engine anyway)
-            let _ = pattern;
-        }
-        Expr::InSubquery { expr, query, .. } => {
-            rewrite_literal_expr(expr, vmap);
-            rewrite_literals(query, vmap);
-        }
-        Expr::Exists { query, .. } | Expr::Subquery(query) => rewrite_literals(query, vmap),
-        _ => {}
+        // LIKE patterns contain fragments; leave them (fragment matching
+        // is case-insensitive in the engine anyway)
+        Expr::Like { expr, .. } => rewrite_literal_expr(expr, vmap),
+        Expr::Case { .. }
+        | Expr::Func { .. }
+        | Expr::Agg { .. }
+        | Expr::Cast { .. }
+        | Expr::IsNull { .. } => {}
+        _ => e.for_each_child_mut(|c| match c {
+            ChildMut::Expr(x) => rewrite_literal_expr(x, vmap),
+            ChildMut::Query(q) => rewrite_literals(q, vmap),
+        }),
     }
 }
 

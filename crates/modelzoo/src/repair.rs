@@ -77,49 +77,18 @@ fn repair_query(query: &mut Query, catalog: &Catalog, changed: &mut bool) {
                 continue;
             }
         }
-        repair_expr(&mut k.expr, &arm_bindings, catalog, changed);
+        repair_child(ChildMut::Expr(&mut k.expr), &arm_bindings, catalog, changed);
     }
 }
 
 fn repair_core(core: &mut SelectCore, catalog: &Catalog, changed: &mut bool) {
-    // tables first, so column repair sees the repaired FROM
-    if let Some(from) = &mut core.from {
-        repair_table_ref(&mut from.base, catalog, changed);
-        for j in &mut from.joins {
-            repair_table_ref(&mut j.table, catalog, changed);
-        }
-        // FROM subqueries define their own scopes
-        if let TableRef::Subquery { query, .. } = &mut from.base {
-            repair_query(query, catalog, changed);
-        }
-        for j in &mut from.joins {
-            if let TableRef::Subquery { query, .. } = &mut j.table {
-                repair_query(query, catalog, changed);
-            }
-        }
+    // tables first, so column repair sees the repaired FROM; FROM
+    // subqueries define their own scopes
+    for t in core.from.iter_mut().flat_map(FromClause::tables_mut) {
+        repair_table_ref(t, catalog, changed);
     }
     let bindings = bindings_of(core, catalog);
-    for item in &mut core.items {
-        if let SelectItem::Expr { expr, .. } = item {
-            repair_expr(expr, &bindings, catalog, changed);
-        }
-    }
-    if let Some(from) = &mut core.from {
-        for j in &mut from.joins {
-            if let Some(on) = &mut j.on {
-                repair_expr(on, &bindings, catalog, changed);
-            }
-        }
-    }
-    if let Some(w) = &mut core.where_clause {
-        repair_expr(w, &bindings, catalog, changed);
-    }
-    for g in &mut core.group_by {
-        repair_expr(g, &bindings, catalog, changed);
-    }
-    if let Some(h) = &mut core.having {
-        repair_expr(h, &bindings, catalog, changed);
-    }
+    core.for_each_child_mut(|c| repair_child(c, &bindings, catalog, changed));
 }
 
 /// Rename an unknown base table to the closest catalog table name.
@@ -153,55 +122,20 @@ fn bindings_of<'a>(core: &SelectCore, catalog: &'a Catalog) -> Vec<Binding<'a>> 
     out
 }
 
-fn repair_expr(e: &mut Expr, bindings: &[Binding<'_>], catalog: &Catalog, changed: &mut bool) {
-    if let Expr::Column { table, column } = e {
-        repair_column(table, column, bindings, changed);
-    }
-    match e {
-        Expr::Agg { arg, .. } => repair_expr(arg, bindings, catalog, changed),
-        Expr::Func { args, .. } => {
-            args.iter_mut().for_each(|a| repair_expr(a, bindings, catalog, changed))
-        }
-        Expr::Binary { left, right, .. } => {
-            repair_expr(left, bindings, catalog, changed);
-            repair_expr(right, bindings, catalog, changed);
-        }
-        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
-            repair_expr(expr, bindings, catalog, changed)
-        }
-        Expr::Between { expr, low, high, .. } => {
-            repair_expr(expr, bindings, catalog, changed);
-            repair_expr(low, bindings, catalog, changed);
-            repair_expr(high, bindings, catalog, changed);
-        }
-        Expr::InList { expr, list, .. } => {
-            repair_expr(expr, bindings, catalog, changed);
-            list.iter_mut().for_each(|x| repair_expr(x, bindings, catalog, changed));
-        }
-        Expr::InSubquery { expr, query, .. } => {
-            repair_expr(expr, bindings, catalog, changed);
-            repair_query(query, catalog, changed);
-        }
-        Expr::Subquery(query) | Expr::Exists { query, .. } => {
-            repair_query(query, catalog, changed)
-        }
-        Expr::Like { expr, pattern, .. } => {
-            repair_expr(expr, bindings, catalog, changed);
-            repair_expr(pattern, bindings, catalog, changed);
-        }
-        Expr::Case { operand, branches, else_expr } => {
-            if let Some(op) = operand {
-                repair_expr(op, bindings, catalog, changed);
+fn repair_child(
+    child: ChildMut<'_>,
+    bindings: &[Binding<'_>],
+    catalog: &Catalog,
+    changed: &mut bool,
+) {
+    match child {
+        ChildMut::Query(q) => repair_query(q, catalog, changed),
+        ChildMut::Expr(e) => {
+            if let Expr::Column { table, column } = e {
+                repair_column(table, column, bindings, changed);
             }
-            for (w, t) in branches {
-                repair_expr(w, bindings, catalog, changed);
-                repair_expr(t, bindings, catalog, changed);
-            }
-            if let Some(el) = else_expr {
-                repair_expr(el, bindings, catalog, changed);
-            }
+            e.for_each_child_mut(|c| repair_child(c, bindings, catalog, changed));
         }
-        Expr::Literal(_) | Expr::Column { .. } | Expr::AggWildcard(_) => {}
     }
 }
 

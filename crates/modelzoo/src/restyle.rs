@@ -85,82 +85,22 @@ fn qualify_columns(query: &mut Query) -> bool {
     if orders_by_alias {
         return false;
     }
+    // the body core's clauses, then ORDER BY; never a subquery, whose
+    // scope differs, so qualification must not leak into it
     let mut changed = false;
-    let mut qualify = |e: &mut Expr| {
-        visit_exprs_mut(e, &mut |x| {
-            if let Expr::Column { table: t @ None, .. } = x {
-                *t = Some(table.clone());
-                changed = true;
-            }
-        });
+    let mut qualify = |c: ChildMut<'_>| {
+        if let ChildMut::Expr(e) = c {
+            e.walk_mut(&mut |x| {
+                if let Expr::Column { table: t @ None, .. } = x {
+                    *t = Some(table.clone());
+                    changed = true;
+                }
+            });
+        }
     };
-    let core = &mut query.body;
-    for item in &mut core.items {
-        if let SelectItem::Expr { expr, .. } = item {
-            qualify(expr);
-        }
-    }
-    if let Some(w) = &mut core.where_clause {
-        qualify(w);
-    }
-    for g in &mut core.group_by {
-        qualify(g);
-    }
-    if let Some(h) = &mut core.having {
-        qualify(h);
-    }
-    for k in &mut query.order_by {
-        qualify(&mut k.expr);
-    }
+    query.body.for_each_child_mut(&mut qualify);
+    query.order_by.iter_mut().for_each(|k| qualify(ChildMut::Expr(&mut k.expr)));
     changed
-}
-
-/// Visit an expression tree mutably (without entering subqueries — their
-/// scopes differ, so qualification must not leak into them).
-fn visit_exprs_mut(e: &mut Expr, f: &mut impl FnMut(&mut Expr)) {
-    f(e);
-    match e {
-        Expr::Agg { arg, .. } => visit_exprs_mut(arg, f),
-        Expr::Func { args, .. } => args.iter_mut().for_each(|a| visit_exprs_mut(a, f)),
-        Expr::Binary { left, right, .. } => {
-            visit_exprs_mut(left, f);
-            visit_exprs_mut(right, f);
-        }
-        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
-            visit_exprs_mut(expr, f)
-        }
-        Expr::Between { expr, low, high, .. } => {
-            visit_exprs_mut(expr, f);
-            visit_exprs_mut(low, f);
-            visit_exprs_mut(high, f);
-        }
-        Expr::InList { expr, list, .. } => {
-            visit_exprs_mut(expr, f);
-            list.iter_mut().for_each(|x| visit_exprs_mut(x, f));
-        }
-        Expr::InSubquery { expr, .. } => visit_exprs_mut(expr, f),
-        Expr::Like { expr, pattern, .. } => {
-            visit_exprs_mut(expr, f);
-            visit_exprs_mut(pattern, f);
-        }
-        Expr::Case { operand, branches, else_expr } => {
-            if let Some(op) = operand {
-                visit_exprs_mut(op, f);
-            }
-            for (w, t) in branches {
-                visit_exprs_mut(w, f);
-                visit_exprs_mut(t, f);
-            }
-            if let Some(el) = else_expr {
-                visit_exprs_mut(el, f);
-            }
-        }
-        Expr::Literal(_)
-        | Expr::Column { .. }
-        | Expr::AggWildcard(_)
-        | Expr::Exists { .. }
-        | Expr::Subquery(_) => {}
-    }
 }
 
 fn mirror(op: BinOp) -> Option<BinOp> {
@@ -180,7 +120,7 @@ fn flip_comparison(query: &mut Query) -> bool {
         return false;
     };
     let mut flipped = false;
-    visit_exprs_mut(w, &mut |e| {
+    w.walk_mut(&mut |e| {
         if flipped {
             return;
         }
@@ -207,7 +147,7 @@ fn expand_between(query: &mut Query) -> bool {
         return false;
     };
     let mut expanded = false;
-    visit_exprs_mut(w, &mut |e| {
+    w.walk_mut(&mut |e| {
         if expanded {
             return;
         }

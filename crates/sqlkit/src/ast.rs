@@ -4,6 +4,14 @@
 //! plus trailing ORDER BY / LIMIT. Expressions are a single [`Expr`] enum
 //! covering literals, column references, operators, function calls, CASE,
 //! and the three subquery forms (scalar, `IN`, `EXISTS`).
+//!
+//! This module is also the one place that knows an expression's children
+//! and a query's clause order: [`Expr::for_each_child`],
+//! [`SelectCore::for_each_child`] and [`Query::for_each_child`] (and their
+//! `_mut` twins) visit them, and passes over the tree — the walks below,
+//! feature extraction, value masking, mutation, renaming — recurse through
+//! them, keeping only what they do per variant. Visit order is observable:
+//! mutation picks its site by an RNG index over the walk.
 
 use serde::{Deserialize, Serialize};
 
@@ -118,6 +126,11 @@ impl FromClause {
     /// Iterate over every table reference (base first, then join targets).
     pub fn tables(&self) -> impl Iterator<Item = &TableRef> {
         std::iter::once(&self.base).chain(self.joins.iter().map(|j| &j.table))
+    }
+
+    /// Mutable variant of [`FromClause::tables`].
+    pub fn tables_mut(&mut self) -> impl Iterator<Item = &mut TableRef> {
+        std::iter::once(&mut self.base).chain(self.joins.iter_mut().map(|j| &mut j.table))
     }
 }
 
@@ -368,66 +381,6 @@ impl Expr {
         Expr::Binary { op, left: Box::new(left), right: Box::new(right) }
     }
 
-    /// Visit this expression and all sub-expressions (pre-order), including
-    /// expressions nested inside subqueries when `enter_subqueries` is true.
-    pub fn walk<'a>(&'a self, enter_subqueries: bool, f: &mut impl FnMut(&'a Expr)) {
-        f(self);
-        match self {
-            Expr::Literal(_) | Expr::Column { .. } | Expr::AggWildcard(_) => {}
-            Expr::Agg { arg, .. } => arg.walk(enter_subqueries, f),
-            Expr::Func { args, .. } => {
-                for a in args {
-                    a.walk(enter_subqueries, f);
-                }
-            }
-            Expr::Binary { left, right, .. } => {
-                left.walk(enter_subqueries, f);
-                right.walk(enter_subqueries, f);
-            }
-            Expr::Unary { expr, .. } => expr.walk(enter_subqueries, f),
-            Expr::Between { expr, low, high, .. } => {
-                expr.walk(enter_subqueries, f);
-                low.walk(enter_subqueries, f);
-                high.walk(enter_subqueries, f);
-            }
-            Expr::InList { expr, list, .. } => {
-                expr.walk(enter_subqueries, f);
-                for e in list {
-                    e.walk(enter_subqueries, f);
-                }
-            }
-            Expr::InSubquery { expr, query, .. } => {
-                expr.walk(enter_subqueries, f);
-                if enter_subqueries {
-                    walk_query_exprs(query, f);
-                }
-            }
-            Expr::Exists { query, .. } | Expr::Subquery(query) => {
-                if enter_subqueries {
-                    walk_query_exprs(query, f);
-                }
-            }
-            Expr::Like { expr, pattern, .. } => {
-                expr.walk(enter_subqueries, f);
-                pattern.walk(enter_subqueries, f);
-            }
-            Expr::IsNull { expr, .. } => expr.walk(enter_subqueries, f),
-            Expr::Case { operand, branches, else_expr } => {
-                if let Some(op) = operand {
-                    op.walk(enter_subqueries, f);
-                }
-                for (w, t) in branches {
-                    w.walk(enter_subqueries, f);
-                    t.walk(enter_subqueries, f);
-                }
-                if let Some(e) = else_expr {
-                    e.walk(enter_subqueries, f);
-                }
-            }
-            Expr::Cast { expr, .. } => expr.walk(enter_subqueries, f),
-        }
-    }
-
     /// True if the expression (not entering subqueries) contains an
     /// aggregate call.
     pub fn contains_aggregate(&self) -> bool {
@@ -441,122 +394,207 @@ impl Expr {
     }
 }
 
+/// A direct child of an expression, a select core or a query: a
+/// sub-expression, or the query of a subquery (`IN`, `EXISTS`, scalar, or
+/// a FROM relation).
+#[derive(Debug, Clone, Copy)]
+pub enum Child<'a> {
+    /// A sub-expression.
+    Expr(&'a Expr),
+    /// A nested query.
+    Query(&'a Query),
+}
+
+/// Mutable variant of [`Child`].
+#[derive(Debug)]
+pub enum ChildMut<'a> {
+    /// A sub-expression.
+    Expr(&'a mut Expr),
+    /// A nested query.
+    Query(&'a mut Query),
+}
+
+/// The child layout of every `Expr` variant, written once for both
+/// mutabilities: `$e` is `&Expr` or `&mut Expr` and match ergonomics bind
+/// every field as the same kind of reference. Order: operands left to
+/// right, the `IN` operand before its subquery, CASE operand, each
+/// WHEN/THEN pair, ELSE.
+macro_rules! expr_children {
+    ($e:expr, $f:ident, $Child:ident) => {
+        match $e {
+            Expr::Literal(_) | Expr::Column { .. } | Expr::AggWildcard(_) => {}
+            Expr::Agg { arg: x, .. }
+            | Expr::Unary { expr: x, .. }
+            | Expr::IsNull { expr: x, .. }
+            | Expr::Cast { expr: x, .. } => $f($Child::Expr(x)),
+            Expr::Func { args, .. } => {
+                for x in args {
+                    $f($Child::Expr(x));
+                }
+            }
+            Expr::Binary { left, right, .. } => {
+                $f($Child::Expr(left));
+                $f($Child::Expr(right));
+            }
+            Expr::Between { expr, low, high, .. } => {
+                $f($Child::Expr(expr));
+                $f($Child::Expr(low));
+                $f($Child::Expr(high));
+            }
+            Expr::InList { expr, list, .. } => {
+                $f($Child::Expr(expr));
+                for x in list {
+                    $f($Child::Expr(x));
+                }
+            }
+            Expr::InSubquery { expr, query, .. } => {
+                $f($Child::Expr(expr));
+                $f($Child::Query(query));
+            }
+            Expr::Exists { query, .. } | Expr::Subquery(query) => $f($Child::Query(query)),
+            Expr::Like { expr, pattern, .. } => {
+                $f($Child::Expr(expr));
+                $f($Child::Expr(pattern));
+            }
+            Expr::Case { operand, branches, else_expr } => {
+                if let Some(x) = operand {
+                    $f($Child::Expr(x));
+                }
+                for (w, t) in branches {
+                    $f($Child::Expr(w));
+                    $f($Child::Expr(t));
+                }
+                if let Some(x) = else_expr {
+                    $f($Child::Expr(x));
+                }
+            }
+        }
+    };
+}
+
+/// A select core's clause order, written once for both mutabilities:
+/// items, FROM subqueries (base, then each joined relation), ON
+/// conditions, WHERE, GROUP BY, HAVING.
+macro_rules! core_children {
+    ($core:expr, $f:ident, $Child:ident, $iter:ident) => {{
+        let SelectCore { items, from, where_clause, group_by, having, .. } = $core;
+        for item in items {
+            if let SelectItem::Expr { expr, .. } = item {
+                $f($Child::Expr(expr));
+            }
+        }
+        if let Some(FromClause { base, joins }) = from {
+            if let TableRef::Subquery { query, .. } = base {
+                $f($Child::Query(query));
+            }
+            for join in joins.$iter() {
+                if let Join { table: TableRef::Subquery { query, .. }, .. } = join {
+                    $f($Child::Query(query));
+                }
+            }
+            for join in joins.$iter() {
+                if let Join { on: Some(on), .. } = join {
+                    $f($Child::Expr(on));
+                }
+            }
+        }
+        if let Some(e) = where_clause {
+            $f($Child::Expr(e));
+        }
+        for e in group_by {
+            $f($Child::Expr(e));
+        }
+        if let Some(e) = having {
+            $f($Child::Expr(e));
+        }
+    }};
+}
+
+impl Expr {
+    /// Call `f` on each direct child, in the order every walk visits them.
+    pub fn for_each_child<'a>(&'a self, mut f: impl FnMut(Child<'a>)) {
+        expr_children!(self, f, Child)
+    }
+
+    /// Mutable variant of [`Expr::for_each_child`].
+    pub fn for_each_child_mut(&mut self, mut f: impl FnMut(ChildMut<'_>)) {
+        expr_children!(self, f, ChildMut)
+    }
+
+    /// Visit this expression and all sub-expressions (pre-order), including
+    /// expressions nested inside subqueries when `enter_subqueries` is true.
+    pub fn walk<'a>(&'a self, enter_subqueries: bool, f: &mut impl FnMut(&'a Expr)) {
+        f(self);
+        self.for_each_child(|c| match c {
+            Child::Expr(e) => e.walk(enter_subqueries, f),
+            Child::Query(q) if enter_subqueries => walk_query_exprs(q, f),
+            Child::Query(_) => {}
+        });
+    }
+
+    /// Mutable variant of `walk(false, f)`: a subquery is its own scope, so
+    /// this never enters one. `f` sees a node before its children, so a node
+    /// it replaces is walked in its new form.
+    pub fn walk_mut(&mut self, f: &mut impl FnMut(&mut Expr)) {
+        f(self);
+        self.for_each_child_mut(|c| {
+            if let ChildMut::Expr(e) = c {
+                e.walk_mut(f);
+            }
+        });
+    }
+}
+
+impl SelectCore {
+    /// Call `f` on each clause expression and FROM subquery, in clause
+    /// order (items, FROM subqueries, ON, WHERE, GROUP BY, HAVING).
+    pub fn for_each_child<'a>(&'a self, mut f: impl FnMut(Child<'a>)) {
+        core_children!(self, f, Child, iter)
+    }
+
+    /// Mutable variant of [`SelectCore::for_each_child`].
+    pub fn for_each_child_mut(&mut self, mut f: impl FnMut(ChildMut<'_>)) {
+        core_children!(self, f, ChildMut, iter_mut)
+    }
+}
+
+impl Query {
+    /// Call `f` on each core's children (the body, then each set-operation
+    /// arm), then on each ORDER BY key.
+    pub fn for_each_child<'a>(&'a self, mut f: impl FnMut(Child<'a>)) {
+        self.cores().for_each(|core| core.for_each_child(&mut f));
+        self.order_by.iter().for_each(|k| f(Child::Expr(&k.expr)));
+    }
+
+    /// Mutable variant of [`Query::for_each_child`].
+    pub fn for_each_child_mut(&mut self, mut f: impl FnMut(ChildMut<'_>)) {
+        let Query { body, set_ops, order_by, .. } = self;
+        body.for_each_child_mut(&mut f);
+        set_ops.iter_mut().for_each(|(_, core)| core.for_each_child_mut(&mut f));
+        order_by.iter_mut().for_each(|k| f(ChildMut::Expr(&mut k.expr)));
+    }
+}
+
 /// Visit every expression appearing anywhere in `query` (pre-order),
 /// entering nested subqueries.
 pub fn walk_query_exprs<'a>(query: &'a Query, f: &mut impl FnMut(&'a Expr)) {
-    for core in query.cores() {
-        for item in &core.items {
-            if let SelectItem::Expr { expr, .. } = item {
-                expr.walk(true, f);
-            }
-        }
-        if let Some(from) = &core.from {
-            for t in from.tables() {
-                if let TableRef::Subquery { query, .. } = t {
-                    walk_query_exprs(query, f);
-                }
-            }
-            for j in &from.joins {
-                if let Some(on) = &j.on {
-                    on.walk(true, f);
-                }
-            }
-        }
-        if let Some(w) = &core.where_clause {
-            w.walk(true, f);
-        }
-        for g in &core.group_by {
-            g.walk(true, f);
-        }
-        if let Some(h) = &core.having {
-            h.walk(true, f);
-        }
-    }
-    for k in &query.order_by {
-        k.expr.walk(true, f);
-    }
+    query.for_each_child(|c| match c {
+        Child::Expr(e) => e.walk(true, f),
+        Child::Query(q) => walk_query_exprs(q, f),
+    });
 }
 
-/// Visit every (sub)query contained in `query`, including `query` itself.
+/// Visit every (sub)query contained in `query`, including `query` itself,
+/// each before the subqueries it contains.
 pub fn walk_subqueries<'a>(query: &'a Query, f: &mut impl FnMut(&'a Query)) {
     f(query);
-    for core in query.cores() {
-        if let Some(from) = &core.from {
-            for t in from.tables() {
-                if let TableRef::Subquery { query, .. } = t {
-                    walk_subqueries(query, f);
-                }
-            }
-            for j in &from.joins {
-                if let Some(on) = &j.on {
-                    walk_expr_subqueries(on, f);
-                }
-            }
-        }
-        for item in &core.items {
-            if let SelectItem::Expr { expr, .. } = item {
-                walk_expr_subqueries(expr, f);
-            }
-        }
-        if let Some(w) = &core.where_clause {
-            walk_expr_subqueries(w, f);
-        }
-        for g in &core.group_by {
-            walk_expr_subqueries(g, f);
-        }
-        if let Some(h) = &core.having {
-            walk_expr_subqueries(h, f);
-        }
-    }
-    for k in &query.order_by {
-        walk_expr_subqueries(&k.expr, f);
-    }
+    query.for_each_child(|c| child_subqueries(c, f));
 }
 
-fn walk_expr_subqueries<'a>(expr: &'a Expr, f: &mut impl FnMut(&'a Query)) {
-    expr.walk(false, &mut |_| {});
-    // manual traversal to find subquery nodes (walk(false) doesn't enter them)
-    match expr {
-        Expr::InSubquery { expr, query, .. } => {
-            walk_expr_subqueries(expr, f);
-            walk_subqueries(query, f);
-        }
-        Expr::Exists { query, .. } | Expr::Subquery(query) => walk_subqueries(query, f),
-        Expr::Agg { arg, .. } => walk_expr_subqueries(arg, f),
-        Expr::Func { args, .. } => args.iter().for_each(|a| walk_expr_subqueries(a, f)),
-        Expr::Binary { left, right, .. } => {
-            walk_expr_subqueries(left, f);
-            walk_expr_subqueries(right, f);
-        }
-        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
-            walk_expr_subqueries(expr, f)
-        }
-        Expr::Between { expr, low, high, .. } => {
-            walk_expr_subqueries(expr, f);
-            walk_expr_subqueries(low, f);
-            walk_expr_subqueries(high, f);
-        }
-        Expr::InList { expr, list, .. } => {
-            walk_expr_subqueries(expr, f);
-            list.iter().for_each(|e| walk_expr_subqueries(e, f));
-        }
-        Expr::Like { expr, pattern, .. } => {
-            walk_expr_subqueries(expr, f);
-            walk_expr_subqueries(pattern, f);
-        }
-        Expr::Case { operand, branches, else_expr } => {
-            if let Some(op) = operand {
-                walk_expr_subqueries(op, f);
-            }
-            for (w, t) in branches {
-                walk_expr_subqueries(w, f);
-                walk_expr_subqueries(t, f);
-            }
-            if let Some(e) = else_expr {
-                walk_expr_subqueries(e, f);
-            }
-        }
-        Expr::Literal(_) | Expr::Column { .. } | Expr::AggWildcard(_) => {}
+fn child_subqueries<'a>(child: Child<'a>, f: &mut impl FnMut(&'a Query)) {
+    match child {
+        Child::Expr(e) => e.for_each_child(|c| child_subqueries(c, f)),
+        Child::Query(q) => walk_subqueries(q, f),
     }
 }
 

@@ -219,93 +219,22 @@ fn multiset_eq(a: impl Iterator<Item = String>, b: impl Iterator<Item = String>)
     av == bv
 }
 
-/// Replace every literal in the query with a placeholder, in place.
+/// Replace every literal in the query and its subqueries with a
+/// placeholder, in place. LIMIT counts are values too under Ignore; Spider
+/// keeps LIMIT presence but not the number.
 fn mask_query_values(q: &mut Query) {
-    for core in q.cores_mut() {
-        for item in &mut core.items {
-            if let SelectItem::Expr { expr, .. } = item {
-                mask_expr(expr);
-            }
-        }
-        if let Some(from) = &mut core.from {
-            mask_table_ref(&mut from.base);
-            for j in &mut from.joins {
-                mask_table_ref(&mut j.table);
-                if let Some(on) = &mut j.on {
-                    mask_expr(on);
-                }
-            }
-        }
-        if let Some(w) = &mut core.where_clause {
-            mask_expr(w);
-        }
-        for g in &mut core.group_by {
-            mask_expr(g);
-        }
-        if let Some(h) = &mut core.having {
-            mask_expr(h);
-        }
-    }
-    for k in &mut q.order_by {
-        mask_expr(&mut k.expr);
-    }
-    // LIMIT counts are values too under Ignore; Spider keeps LIMIT presence
-    // but not the number.
+    q.for_each_child_mut(mask_values);
     if let Some(l) = &mut q.limit {
         l.count = 0;
         l.offset = 0;
     }
 }
 
-fn mask_table_ref(t: &mut TableRef) {
-    if let TableRef::Subquery { query, .. } = t {
-        mask_query_values(query);
-    }
-}
-
-fn mask_expr(e: &mut Expr) {
-    match e {
-        Expr::Literal(lit) => *lit = Literal::Str("value".into()),
-        Expr::Column { .. } | Expr::AggWildcard(_) => {}
-        Expr::Agg { arg, .. } => mask_expr(arg),
-        Expr::Func { args, .. } => args.iter_mut().for_each(mask_expr),
-        Expr::Binary { left, right, .. } => {
-            mask_expr(left);
-            mask_expr(right);
-        }
-        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
-            mask_expr(expr)
-        }
-        Expr::Between { expr, low, high, .. } => {
-            mask_expr(expr);
-            mask_expr(low);
-            mask_expr(high);
-        }
-        Expr::InList { expr, list, .. } => {
-            mask_expr(expr);
-            list.iter_mut().for_each(mask_expr);
-        }
-        Expr::InSubquery { expr, query, .. } => {
-            mask_expr(expr);
-            mask_query_values(query);
-        }
-        Expr::Exists { query, .. } | Expr::Subquery(query) => mask_query_values(query),
-        Expr::Like { expr, pattern, .. } => {
-            mask_expr(expr);
-            mask_expr(pattern);
-        }
-        Expr::Case { operand, branches, else_expr } => {
-            if let Some(op) = operand {
-                mask_expr(op);
-            }
-            for (w, t) in branches {
-                mask_expr(w);
-                mask_expr(t);
-            }
-            if let Some(el) = else_expr {
-                mask_expr(el);
-            }
-        }
+fn mask_values(child: ChildMut<'_>) {
+    match child {
+        ChildMut::Expr(Expr::Literal(lit)) => *lit = Literal::Str("value".into()),
+        ChildMut::Expr(e) => e.for_each_child_mut(mask_values),
+        ChildMut::Query(q) => mask_query_values(q),
     }
 }
 

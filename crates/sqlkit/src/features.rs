@@ -55,10 +55,10 @@ impl SqlFeatures {
         let mut f = SqlFeatures {
             select_count: query.body.items.len(),
             where_cond_count: query.body.where_clause.as_ref().map_or(0, count_atomic_conditions),
-            nesting_depth: query_depth(query),
             ..SqlFeatures::default()
         };
-        collect(query, &mut f, true);
+        collect(query, &mut f, 0);
+        f.logical_connector_count = f.and_count + f.or_count;
         f
     }
 
@@ -96,215 +96,42 @@ fn count_atomic_conditions(e: &Expr) -> usize {
     }
 }
 
-/// Maximum nesting depth of subqueries within `q` (0 when flat).
-fn query_depth(q: &Query) -> usize {
-    let mut max_child = 0usize;
-    let mut consider = |sub: &Query| {
-        max_child = max_child.max(1 + query_depth(sub));
-    };
-    for core in q.cores() {
-        if let Some(from) = &core.from {
-            for t in from.tables() {
-                if let TableRef::Subquery { query, .. } = t {
-                    consider(query);
-                }
-            }
-            for j in &from.joins {
-                if let Some(on) = &j.on {
-                    expr_subquery_depth(on, &mut consider);
-                }
-            }
-        }
-        for item in &core.items {
-            if let SelectItem::Expr { expr, .. } = item {
-                expr_subquery_depth(expr, &mut consider);
-            }
-        }
-        if let Some(w) = &core.where_clause {
-            expr_subquery_depth(w, &mut consider);
-        }
-        if let Some(h) = &core.having {
-            expr_subquery_depth(h, &mut consider);
-        }
-    }
-    max_child
-}
-
-fn expr_subquery_depth(e: &Expr, consider: &mut impl FnMut(&Query)) {
-    // Direct children only: walk(false) stops at subquery boundaries, so use
-    // a manual match to find the immediate subquery nodes.
-    match e {
-        Expr::InSubquery { expr, query, .. } => {
-            expr_subquery_depth(expr, consider);
-            consider(query);
-        }
-        Expr::Exists { query, .. } | Expr::Subquery(query) => consider(query),
-        Expr::Agg { arg, .. } => expr_subquery_depth(arg, consider),
-        Expr::Func { args, .. } => args.iter().for_each(|a| expr_subquery_depth(a, consider)),
-        Expr::Binary { left, right, .. } => {
-            expr_subquery_depth(left, consider);
-            expr_subquery_depth(right, consider);
-        }
-        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
-            expr_subquery_depth(expr, consider)
-        }
-        Expr::Between { expr, low, high, .. } => {
-            expr_subquery_depth(expr, consider);
-            expr_subquery_depth(low, consider);
-            expr_subquery_depth(high, consider);
-        }
-        Expr::InList { expr, list, .. } => {
-            expr_subquery_depth(expr, consider);
-            list.iter().for_each(|x| expr_subquery_depth(x, consider));
-        }
-        Expr::Like { expr, pattern, .. } => {
-            expr_subquery_depth(expr, consider);
-            expr_subquery_depth(pattern, consider);
-        }
-        Expr::Case { operand, branches, else_expr } => {
-            if let Some(op) = operand {
-                expr_subquery_depth(op, consider);
-            }
-            for (w, t) in branches {
-                expr_subquery_depth(w, consider);
-                expr_subquery_depth(t, consider);
-            }
-            if let Some(el) = else_expr {
-                expr_subquery_depth(el, consider);
-            }
-        }
-        Expr::Literal(_) | Expr::Column { .. } | Expr::AggWildcard(_) => {}
-    }
-}
-
-/// Walk the whole query accumulating features. `top` marks the outermost
-/// query; subqueries contribute to global counters but not to the
-/// outer-select-specific ones.
-fn collect(q: &Query, f: &mut SqlFeatures, top: bool) {
+/// Walk `q` accumulating features; `depth` is the number of subqueries
+/// enclosing it. ORDER BY keys are counted, their expressions not read.
+fn collect(q: &Query, f: &mut SqlFeatures, depth: usize) {
+    f.nesting_depth = f.nesting_depth.max(depth);
     f.set_op_count += q.set_ops.len();
-    if !top {
-        // this query is itself a nested arm when called from a subquery site
-    }
-    if q.limit.is_some() {
-        f.has_limit = true;
-    }
+    // set-operation arms beyond the first count as nested queries, as in
+    // the Spider evaluator's get_nestedSQL
+    f.subquery_count += q.set_ops.len();
+    f.has_limit |= q.limit.is_some();
     f.order_by_count += q.order_by.len();
-    for (i, core) in q.cores().enumerate() {
-        // set-operation arms beyond the first count as nested queries, as in
-        // the Spider evaluator's get_nestedSQL
-        if i > 0 {
+    for core in q.cores() {
+        f.has_distinct |= core.distinct;
+        f.group_by_count += core.group_by.len();
+        f.join_count += core.from.as_ref().map_or(0, |from| from.joins.len());
+        core.for_each_child(|c| collect_child(c, f, depth));
+    }
+}
+
+fn collect_child(child: Child<'_>, f: &mut SqlFeatures, depth: usize) {
+    let e = match child {
+        Child::Expr(e) => e,
+        Child::Query(q) => {
             f.subquery_count += 1;
+            return collect(q, f, depth + 1);
         }
-        collect_core(core, f);
-    }
-}
-
-fn collect_core(core: &SelectCore, f: &mut SqlFeatures) {
-    if core.distinct {
-        f.has_distinct = true;
-    }
-    f.group_by_count += core.group_by.len();
-    for item in &core.items {
-        if let SelectItem::Expr { expr, .. } = item {
-            collect_expr(expr, f);
-        }
-    }
-    if let Some(from) = &core.from {
-        let table_count = 1 + from.joins.len();
-        f.join_count += table_count - 1;
-        for t in from.tables() {
-            if let TableRef::Subquery { query, .. } = t {
-                f.subquery_count += 1;
-                collect(query, f, false);
-            }
-        }
-        for j in &from.joins {
-            if let Some(on) = &j.on {
-                collect_expr(on, f);
-            }
-        }
-    }
-    if let Some(w) = &core.where_clause {
-        collect_expr(w, f);
-    }
-    for g in &core.group_by {
-        collect_expr(g, f);
-    }
-    if let Some(h) = &core.having {
-        collect_expr(h, f);
-    }
-}
-
-fn collect_expr(e: &Expr, f: &mut SqlFeatures) {
+    };
     match e {
-        Expr::Binary { op, left, right } => {
-            if op.is_logical() {
-                f.logical_connector_count += 1;
-                match op {
-                    BinOp::And => f.and_count += 1,
-                    BinOp::Or => f.or_count += 1,
-                    _ => unreachable!(),
-                }
-            }
-            collect_expr(left, f);
-            collect_expr(right, f);
-        }
-        Expr::Agg { arg, .. } => {
-            f.agg_count += 1;
-            collect_expr(arg, f);
-        }
-        Expr::AggWildcard(_) => f.agg_count += 1,
-        Expr::Func { name, args } => {
-            if name == "IIF" {
-                f.has_case = true;
-            }
-            args.iter().for_each(|a| collect_expr(a, f));
-        }
-        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
-            collect_expr(expr, f)
-        }
-        Expr::Between { expr, low, high, .. } => {
-            collect_expr(expr, f);
-            collect_expr(low, f);
-            collect_expr(high, f);
-        }
-        Expr::InList { expr, list, .. } => {
-            collect_expr(expr, f);
-            list.iter().for_each(|x| collect_expr(x, f));
-        }
-        Expr::InSubquery { expr, query, .. } => {
-            collect_expr(expr, f);
-            f.subquery_count += 1;
-            collect(query, f, false);
-        }
-        Expr::Exists { query, .. } => {
-            f.subquery_count += 1;
-            collect(query, f, false);
-        }
-        Expr::Subquery(query) => {
-            f.subquery_count += 1;
-            collect(query, f, false);
-        }
-        Expr::Like { expr, pattern, .. } => {
-            f.like_count += 1;
-            collect_expr(expr, f);
-            collect_expr(pattern, f);
-        }
-        Expr::Case { operand, branches, else_expr } => {
-            f.has_case = true;
-            if let Some(op) = operand {
-                collect_expr(op, f);
-            }
-            for (w, t) in branches {
-                collect_expr(w, f);
-                collect_expr(t, f);
-            }
-            if let Some(el) = else_expr {
-                collect_expr(el, f);
-            }
-        }
-        Expr::Literal(_) | Expr::Column { .. } => {}
+        Expr::Binary { op: BinOp::And, .. } => f.and_count += 1,
+        Expr::Binary { op: BinOp::Or, .. } => f.or_count += 1,
+        Expr::Agg { .. } | Expr::AggWildcard(_) => f.agg_count += 1,
+        Expr::Like { .. } => f.like_count += 1,
+        Expr::Case { .. } => f.has_case = true,
+        Expr::Func { name, .. } if name == "IIF" => f.has_case = true,
+        _ => {}
     }
+    e.for_each_child(|c| collect_child(c, f, depth));
 }
 
 #[cfg(test)]

@@ -132,76 +132,14 @@ pub fn referenced_columns(query: &Query) -> Vec<String> {
 
 // ---- individual mutations ----
 
+/// Visit every clause expression of every core, then ORDER BY, pre-order
+/// and without entering subqueries: the sites a mutation picks among.
 fn for_each_expr_mut(query: &mut Query, f: &mut impl FnMut(&mut Expr)) {
-    for core in query.cores_mut() {
-        for item in &mut core.items {
-            if let SelectItem::Expr { expr, .. } = item {
-                expr_mut(expr, f);
-            }
+    query.for_each_child_mut(|c| {
+        if let ChildMut::Expr(e) = c {
+            e.walk_mut(f);
         }
-        if let Some(from) = &mut core.from {
-            for j in &mut from.joins {
-                if let Some(on) = &mut j.on {
-                    expr_mut(on, f);
-                }
-            }
-        }
-        if let Some(w) = &mut core.where_clause {
-            expr_mut(w, f);
-        }
-        for g in &mut core.group_by {
-            expr_mut(g, f);
-        }
-        if let Some(h) = &mut core.having {
-            expr_mut(h, f);
-        }
-    }
-    for k in &mut query.order_by {
-        expr_mut(&mut k.expr, f);
-    }
-}
-
-fn expr_mut(e: &mut Expr, f: &mut impl FnMut(&mut Expr)) {
-    f(e);
-    match e {
-        Expr::Literal(_) | Expr::Column { .. } | Expr::AggWildcard(_) => {}
-        Expr::Agg { arg, .. } => expr_mut(arg, f),
-        Expr::Func { args, .. } => args.iter_mut().for_each(|a| expr_mut(a, f)),
-        Expr::Binary { left, right, .. } => {
-            expr_mut(left, f);
-            expr_mut(right, f);
-        }
-        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
-            expr_mut(expr, f)
-        }
-        Expr::Between { expr, low, high, .. } => {
-            expr_mut(expr, f);
-            expr_mut(low, f);
-            expr_mut(high, f);
-        }
-        Expr::InList { expr, list, .. } => {
-            expr_mut(expr, f);
-            list.iter_mut().for_each(|x| expr_mut(x, f));
-        }
-        Expr::InSubquery { expr, .. } => expr_mut(expr, f),
-        Expr::Exists { .. } | Expr::Subquery(_) => {}
-        Expr::Like { expr, pattern, .. } => {
-            expr_mut(expr, f);
-            expr_mut(pattern, f);
-        }
-        Expr::Case { operand, branches, else_expr } => {
-            if let Some(op) = operand {
-                expr_mut(op, f);
-            }
-            for (w, t) in branches {
-                expr_mut(w, f);
-                expr_mut(t, f);
-            }
-            if let Some(el) = else_expr {
-                expr_mut(el, f);
-            }
-        }
-    }
+    });
 }
 
 fn swap_column(query: &mut Query, vocab: &Vocab, rng: &mut impl Rng) -> bool {

@@ -245,6 +245,26 @@ proptest! {
         let _ = parse_query(&s);
     }
 
+    /// The shared and the mutable walk visit the same nodes in the same
+    /// order: mutation picks its site by index over the mutable one.
+    #[test]
+    fn shared_and_mutable_walks_agree(q in query()) {
+        let mut shared = Vec::new();
+        q.for_each_child(|c| {
+            if let Child::Expr(e) = c {
+                e.walk(false, &mut |x| shared.push(format!("{x:?}")));
+            }
+        });
+        let mut mutable = Vec::new();
+        let mut q = q;
+        q.for_each_child_mut(|c| {
+            if let ChildMut::Expr(e) = c {
+                e.walk_mut(&mut |x| mutable.push(format!("{x:?}")));
+            }
+        });
+        prop_assert_eq!(shared, mutable);
+    }
+
     /// Every mutation yields SQL that still prints and reparses.
     #[test]
     fn mutations_stay_well_formed(q in query(), seed in any::<u64>()) {

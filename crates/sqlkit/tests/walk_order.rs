@@ -113,27 +113,32 @@ fn walk_entering_subqueries_visits_clauses_in_order() {
     assert_eq!(got, want);
 }
 
+/// Clause order without entering subqueries (FROM subqueries skipped):
+/// the sites mutation and restyling choose among.
+const SHALLOW_CLAUSES: &[&str] = &["i_", "o_", "w_", "g_", "h_", "u_", "uw_", "ob_"];
+
 #[test]
 fn walk_not_entering_subqueries_stops_at_them() {
     let q = query();
     let mut got = Vec::new();
-    let mut visit = |e: &Expr| e.walk(false, &mut |x| got.push(tag(x)));
-    for core in q.cores() {
-        for item in &core.items {
-            if let SelectItem::Expr { expr, .. } = item {
-                visit(expr);
-            }
+    q.for_each_child(|c| {
+        if let Child::Expr(e) = c {
+            e.walk(false, &mut |x| got.push(tag(x)));
         }
-        for j in core.from.iter().flat_map(|f| &f.joins) {
-            if let Some(on) = &j.on {
-                visit(on);
-            }
+    });
+    assert_eq!(got, expand(SHALLOW, SHALLOW_CLAUSES));
+}
+
+#[test]
+fn mutable_walk_visits_what_the_shared_walk_does() {
+    let mut q = query();
+    let mut got = Vec::new();
+    q.for_each_child_mut(|c| {
+        if let ChildMut::Expr(e) = c {
+            e.walk_mut(&mut |x| got.push(tag(x)));
         }
-        core.where_clause.iter().chain(&core.group_by).chain(&core.having).for_each(&mut visit);
-    }
-    q.order_by.iter().for_each(|k| visit(&k.expr));
-    let want = expand(SHALLOW, &["i_", "o_", "w_", "g_", "h_", "u_", "uw_", "ob_"]);
-    assert_eq!(got, want);
+    });
+    assert_eq!(got, expand(SHALLOW, SHALLOW_CLAUSES));
 }
 
 #[test]
@@ -148,10 +153,14 @@ fn walk_subqueries_visits_each_query_once() {
         };
         got.push(name);
     });
-    let mut want = vec!["outer".to_string(), "base_t".into()];
-    want.extend(expand(&["{p}t1", "{p}t2", "{p}t3"], &["f_"]));
+    // the shared clause order: a query, then its subqueries clause by
+    // clause (items before FROM subqueries)
+    let tables = ["{p}t1", "{p}t2", "{p}t3"];
+    let mut want = vec!["outer".to_string()];
+    want.extend(expand(&tables, &["i_"]));
+    want.push("base_t".into());
+    want.extend(expand(&tables, &["f_"]));
     want.push("join_t".into());
-    want.extend(expand(&["{p}t1", "{p}t2", "{p}t3"], &["j_", "o_", "i_", "w_", "g_", "h_"]));
-    want.extend(expand(&["{p}t1", "{p}t2", "{p}t3"], &["u_", "uw_", "ob_"]));
+    want.extend(expand(&tables, &["j_", "o_", "w_", "g_", "h_", "u_", "uw_", "ob_"]));
     assert_eq!(got, want);
 }
