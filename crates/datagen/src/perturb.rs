@@ -322,26 +322,6 @@ fn rewrite_literals(q: &mut Query, vmap: &BTreeMap<String, String>) {
             rewrite_literal_expr(clause, vmap);
         }
     }
-    // nested queries inside expressions
-    fn recurse(e: &mut Expr, vmap: &BTreeMap<String, String>) {
-        match e {
-            Expr::InSubquery { query, .. } | Expr::Exists { query, .. } => {
-                rewrite_literals(query, vmap)
-            }
-            Expr::Subquery(query) => rewrite_literals(query, vmap),
-            Expr::Binary { left, right, .. } => {
-                recurse(left, vmap);
-                recurse(right, vmap);
-            }
-            Expr::Unary { expr, .. } => recurse(expr, vmap),
-            _ => {}
-        }
-    }
-    for core in q.cores_mut() {
-        if let Some(w) = &mut core.where_clause {
-            recurse(w, vmap);
-        }
-    }
 }
 
 fn rewrite_literal_expr(e: &mut Expr, vmap: &BTreeMap<String, String>) {
@@ -448,6 +428,21 @@ mod tests {
                 assert_eq!(a.perturbation, None);
             }
         }
+    }
+
+    #[test]
+    fn literal_in_a_nested_where_subquery_is_rewritten_once() {
+        // a mangled value that is itself a key must not be mangled again
+        let vmap: BTreeMap<String, String> =
+            [("abc", "ABC"), ("ABC", " ABC")].map(|(k, v)| (k.into(), v.into())).into();
+        let mut q =
+            sqlkit::parse_query("SELECT * FROM t WHERE x IN (SELECT y FROM t WHERE z = 'abc')")
+                .unwrap();
+        rewrite_literals(&mut q, &vmap);
+        assert_eq!(
+            sqlkit::to_sql(&q),
+            "SELECT * FROM t WHERE x IN (SELECT y FROM t WHERE z = 'ABC')"
+        );
     }
 
     #[test]
