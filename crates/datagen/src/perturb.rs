@@ -212,11 +212,6 @@ fn rename_query(
     tmap: &BTreeMap<String, String>,
     cmap: &BTreeMap<String, String>,
 ) {
-    let rename = |name: &mut String, map: &BTreeMap<String, String>| {
-        if let Some(new) = map.get(name) {
-            *name = new.clone();
-        }
-    };
     for core in q.cores_mut() {
         for item in &mut core.items {
             if let SelectItem::QualifiedWildcard(t) = item {
@@ -241,15 +236,19 @@ fn rename_child(
         ChildMut::Query(q) => rename_query(q, tmap, cmap),
         ChildMut::Expr(e) => {
             if let Expr::Column { table, column } = e {
-                if let Some(new) = table.as_ref().and_then(|t| tmap.get(t)) {
-                    *table = Some(new.clone());
+                if let Some(t) = table {
+                    rename(t, tmap);
                 }
-                if let Some(new) = cmap.get(column) {
-                    *column = new.clone();
-                }
+                rename(column, cmap);
             }
             e.for_each_child_mut(|c| rename_child(c, tmap, cmap));
         }
+    }
+}
+
+fn rename(name: &mut String, map: &BTreeMap<String, String>) {
+    if let Some(new) = map.get(name) {
+        *name = new.clone();
     }
 }
 

@@ -10,7 +10,7 @@
 //! one — and a clean query is never touched at all.
 
 use datagen::GeneratedDb;
-use sqlcheck::{Catalog, Severity};
+use sqlcheck::Catalog;
 use sqlkit::ast::*;
 
 /// Repair `query` in place against `db`'s schema. Returns `true` when the
@@ -23,7 +23,7 @@ pub fn static_repair(query: &mut Query, db: &GeneratedDb) -> bool {
 /// [`static_repair`] against a pre-built catalog (callers that process
 /// many queries per database should build the catalog once).
 pub fn static_repair_with(query: &mut Query, catalog: &Catalog) -> bool {
-    let before = error_count(catalog, query);
+    let before = sqlcheck::errors(catalog, query).len();
     if before == 0 {
         return false;
     }
@@ -33,19 +33,12 @@ pub fn static_repair_with(query: &mut Query, catalog: &Catalog) -> bool {
     if !changed {
         return false;
     }
-    if error_count(catalog, &repaired) < before {
+    if sqlcheck::errors(catalog, &repaired).len() < before {
         *query = repaired;
         true
     } else {
         false
     }
-}
-
-fn error_count(catalog: &Catalog, query: &Query) -> usize {
-    sqlcheck::analyze(catalog, query)
-        .iter()
-        .filter(|d| d.severity == Severity::Error)
-        .count()
 }
 
 /// One visible table binding: (binding name lowercased, its columns).
@@ -271,7 +264,7 @@ mod tests {
         // rewritten without reducing errors
         let cat = Catalog::from_database(&c.db(s).database);
         assert!(
-            sqlkit::to_sql(&q) == before || error_count(&cat, &q) < 2,
+            sqlkit::to_sql(&q) == before || sqlcheck::errors(&cat, &q).len() < 2,
             "{}",
             sqlkit::to_sql(&q)
         );

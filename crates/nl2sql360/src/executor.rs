@@ -625,10 +625,8 @@ impl<'a> EvalContext<'a> {
         };
         let diags = sqlcheck::analyze(catalog, pred);
         let clean = sqlcheck::is_clean(&diags);
-        let mut fired: Vec<sqlcheck::Rule> = diags.into_iter().map(|d| d.rule).collect();
-        fired.sort_by_key(|&r| r as usize);
-        fired.dedup();
-        StaticVerdict { clean, rules: fired.into_iter().map(|r| r.id().to_string()).collect() }
+        let rules = sqlcheck::rules_of(&diags).into_iter().map(|r| r.id().to_string()).collect();
+        StaticVerdict { clean, rules }
     }
 
     /// Classify a prediction on the match ladder. `em` is the already-

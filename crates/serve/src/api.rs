@@ -155,13 +155,7 @@ fn raw_sql(body: &serde::Value, inner: &Inner, ctx: &EvalContext<'_>) -> Respons
                 None => inner.evals.catalog.as_ref(),
             };
             if let Some(catalog) = catalog {
-                let mut fired: Vec<sqlcheck::Rule> = sqlcheck::analyze(catalog, query)
-                    .into_iter()
-                    .filter(|d| d.severity == sqlcheck::Severity::Error)
-                    .map(|d| d.rule)
-                    .collect();
-                fired.sort_by_key(|&r| r as usize);
-                fired.dedup();
+                let fired = sqlcheck::rejecting_rules(catalog, query);
                 if !fired.is_empty() {
                     let rules: Vec<String> =
                         fired.into_iter().map(|r| r.id().to_string()).collect();

@@ -1299,13 +1299,7 @@ fn translate_and_execute<'a>(
     // the check off.
     if inner.config.static_check {
         if let Some(catalog) = inner.catalogs.get(&sample.db_id) {
-            let mut fired: Vec<sqlcheck::Rule> = sqlcheck::analyze(catalog, &pred.query)
-                .into_iter()
-                .filter(|d| d.severity == sqlcheck::Severity::Error)
-                .map(|d| d.rule)
-                .collect();
-            fired.sort_by_key(|&r| r as usize);
-            fired.dedup();
+            let fired = sqlcheck::rejecting_rules(catalog, &pred.query);
             stages.checked = Some(Instant::now());
             if !fired.is_empty() {
                 let ids = fired.into_iter().map(|r| r.id().to_string()).collect();

@@ -236,6 +236,27 @@ pub fn is_clean(diags: &[Diagnostic]) -> bool {
     diags.iter().all(|d| d.severity != Severity::Error)
 }
 
+/// The Error-severity findings of `query`: the ones that reject it.
+pub fn errors(catalog: &Catalog, query: &sqlkit::Query) -> Vec<Diagnostic> {
+    let mut diags = analyze(catalog, query);
+    diags.retain(|d| d.severity == Severity::Error);
+    diags
+}
+
+/// The distinct rules behind `diags`, in declaration order.
+pub fn rules_of<'a>(diags: impl IntoIterator<Item = &'a Diagnostic>) -> Vec<Rule> {
+    let mut rules: Vec<Rule> = diags.into_iter().map(|d| d.rule).collect();
+    rules.sort_unstable();
+    rules.dedup();
+    rules
+}
+
+/// The rules that reject `query` before execution, each once, in
+/// declaration order: what a static admission check names.
+pub fn rejecting_rules(catalog: &Catalog, query: &sqlkit::Query) -> Vec<Rule> {
+    rules_of(&errors(catalog, query))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,5 +297,16 @@ mod tests {
         let err = Diagnostic::new(Rule::UnknownTable, Some("nope".into()), "unknown");
         assert!(is_clean(std::slice::from_ref(&warn)));
         assert!(!is_clean(&[warn, err]));
+    }
+
+    #[test]
+    fn rules_are_named_once_in_declaration_order() {
+        let d = |rule| Diagnostic::new(rule, None, "");
+        let diags = [d(Rule::StarWithoutFrom), d(Rule::UnknownTable), d(Rule::StarWithoutFrom)];
+        assert_eq!(rules_of(&diags), [Rule::UnknownTable, Rule::StarWithoutFrom]);
+        let catalog = Catalog::default();
+        let query = sqlkit::parse_query("SELECT a FROM nope WHERE 1 = 1").expect("parses");
+        assert_eq!(rejecting_rules(&catalog, &query), [Rule::UnknownTable]);
+        assert!(errors(&catalog, &query).iter().all(|e| e.severity == Severity::Error));
     }
 }

@@ -397,7 +397,7 @@ impl Expr {
 /// A direct child of an expression, a select core or a query: a
 /// sub-expression, or the query of a subquery (`IN`, `EXISTS`, scalar, or
 /// a FROM relation).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 pub enum Child<'a> {
     /// A sub-expression.
     Expr(&'a Expr),

@@ -90,6 +90,18 @@ if [ "$lint" -eq 1 ]; then
     exit 1
   fi
 
+  # One AST walk: sqlkit::ast owns what an expression's children are, so
+  # only it and the passes that do different work per variant (evaluation,
+  # printing, normalizing, parsing, typing, rewriting, lowering, generation)
+  # spell out a CASE node's fields; every other pass recurses through
+  # Expr::for_each_child.
+  echo "==> one AST walk (no Expr::Case field match outside ast.rs and the semantic passes)"
+  if grep -rnE '\bExpr::Case \{ *[a-z_]' crates/*/src \
+    | grep -vE '^crates/(sqlkit/src/(ast|parser|printer|normalize)|minidb/src/(eval|plan)|sqlcheck/src/(analyze|equiv)|datagen/src/query_gen)\.rs:'; then
+    echo "a pass copies the Expr child layout; recurse through Expr::for_each_child instead" >&2
+    exit 1
+  fi
+
   # No timed re-check on a stop path: the eval runner and the forwarders
   # block until a message or a notify (sent under the lock) wakes them.
   echo "==> no stop poll (recv_timeout / wait_timeout in serve/src/lib.rs, cluster/src/scheduler.rs)"
@@ -106,13 +118,15 @@ if [ "$lint" -eq 1 ]; then
     exit 1
   fi
 
-  # The size of the engine the metrics stand on, of the method zoo, of
-  # the obs recorder and registry every layer reports through, of the
-  # files the request path's fixed costs and its one completion /
-  # telemetry spine live in, and of the micro-benchmark harness, always
-  # counted the same way: lines above each file's first #[cfg(test)].
+  # The size of the SQL front end and corpus generator, of the engine the
+  # metrics stand on, of the method zoo, of the obs recorder and registry
+  # every layer reports through, of the files the request path's fixed
+  # costs and its one completion / telemetry spine live in, and of the
+  # micro-benchmark harness, always counted the same way: lines above each
+  # file's first #[cfg(test)].
   echo "==> non-test lines"
-  for path in crates/minidb/src crates/sqlcheck/src crates/modelzoo/src crates/obs/src \
+  for path in crates/sqlkit/src crates/datagen/src \
+    crates/minidb/src crates/sqlcheck/src crates/modelzoo/src crates/obs/src \
     crates/serve/src/http.rs crates/serve/src/lib.rs crates/serve/src/trace.rs \
     crates/serve/src/telemetry.rs crates/cluster/src/scheduler.rs crates/cluster/src/worker.rs \
     crates/bench/src/bin/bench_eval; do
