@@ -56,19 +56,6 @@ pub fn palette(class: MethodClass) -> Vec<MutationKind> {
     }
 }
 
-/// Column-name vocabulary of a database, for schema-linking mutations.
-pub fn db_vocab(db: &GeneratedDb) -> Vocab {
-    let mut columns = Vec::new();
-    for t in db.database.tables() {
-        for c in &t.schema.columns {
-            if !columns.contains(&c.name) {
-                columns.push(c.name.clone());
-            }
-        }
-    }
-    Vocab::new(columns)
-}
-
 /// Produce an incorrect prediction by mutating the gold query.
 ///
 /// A mutation can be semantically inert (dropping a predicate every row
@@ -78,16 +65,17 @@ pub fn db_vocab(db: &GeneratedDb) -> Vocab {
 /// executing it: candidates whose results still match the gold results are
 /// re-mutated, and a guaranteed-wrong scalar answer is the last resort.
 ///
+/// `vocab` is `db`'s column vocabulary, a [`DbProfile`](crate::DbProfile)'s.
 /// `gold_result` is the result of `gold` on `db` when the caller already
 /// holds it; with `None` the gold query is executed here.
 pub fn corrupt_prediction(
     gold: &Query,
     class: MethodClass,
     db: &GeneratedDb,
+    vocab: &Vocab,
     gold_result: Option<&ResultSet>,
     rng: &mut StdRng,
 ) -> Query {
-    let vocab = db_vocab(db);
     let pal = palette(class);
     let executed =
         if gold_result.is_none() { db.database.run_query(gold).ok() } else { None };
@@ -96,13 +84,13 @@ pub fn corrupt_prediction(
     let mut pred = gold.clone();
     let n = 1 + usize::from(rng.gen_bool(0.35)) + usize::from(rng.gen_bool(0.15));
     for _ in 0..n {
-        corrupt(&mut pred, &pal, &vocab, rng);
+        corrupt(&mut pred, &pal, vocab, rng);
     }
     for _ in 0..6 {
         if pred != *gold && !executes_like_gold(db, &pred, gold_rs) {
             return pred;
         }
-        corrupt(&mut pred, &pal, &vocab, rng);
+        corrupt(&mut pred, &pal, vocab, rng);
     }
     if pred != *gold && !executes_like_gold(db, &pred, gold_rs) {
         return pred;
@@ -126,8 +114,13 @@ fn executes_like_gold(db: &GeneratedDb, pred: &Query, gold_rs: Option<&ResultSet
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DbProfile;
     use datagen::{generate_corpus, CorpusConfig, CorpusKind};
     use rand::SeedableRng;
+
+    fn vocab(db: &GeneratedDb) -> Vocab {
+        DbProfile::new(db).vocab
+    }
 
     #[test]
     fn palettes_reflect_class_error_styles() {
@@ -146,8 +139,8 @@ mod tests {
         let mut total = 0;
         for (i, s) in c.dev.iter().enumerate() {
             let mut rng = StdRng::seed_from_u64(i as u64);
-            let pred =
-                corrupt_prediction(&s.query, MethodClass::FinetunedPlm, c.db(s), None, &mut rng);
+            let (db, class) = (c.db(s), MethodClass::FinetunedPlm);
+            let pred = corrupt_prediction(&s.query, class, db, &vocab(db), None, &mut rng);
             total += 1;
             if pred != s.query {
                 changed += 1;
@@ -163,8 +156,8 @@ mod tests {
         let mut total = 0;
         for (i, s) in c.dev.iter().enumerate().take(40) {
             let mut rng = StdRng::seed_from_u64(1000 + i as u64);
-            let pred =
-                corrupt_prediction(&s.query, MethodClass::PromptLlm, c.db(s), None, &mut rng);
+            let (db, class) = (c.db(s), MethodClass::PromptLlm);
+            let pred = corrupt_prediction(&s.query, class, db, &vocab(db), None, &mut rng);
             let gold_rs = c.db(s).database.run_query(&s.query).unwrap();
             total += 1;
             match c.db(s).database.run_query(&pred) {
@@ -188,11 +181,19 @@ mod tests {
             for (i, s) in c.dev.iter().enumerate() {
                 let db = c.db(s);
                 let gold_rs = db.database.run_query(&s.query).unwrap();
+                let vocab = vocab(db);
                 for class in [MethodClass::PromptLlm, MethodClass::FinetunedPlm] {
                     let mut executing = StdRng::seed_from_u64(i as u64);
                     let mut supplied = executing.clone();
-                    let a = corrupt_prediction(&s.query, class, db, None, &mut executing);
-                    let b = corrupt_prediction(&s.query, class, db, Some(&gold_rs), &mut supplied);
+                    let a = corrupt_prediction(&s.query, class, db, &vocab, None, &mut executing);
+                    let b = corrupt_prediction(
+                        &s.query,
+                        class,
+                        db,
+                        &vocab,
+                        Some(&gold_rs),
+                        &mut supplied,
+                    );
                     assert_eq!(a, b, "{kind:?} dev[{i}] {class:?}");
                     // and both consumed the same random stream
                     assert_eq!(executing.gen::<u64>(), supplied.gen::<u64>());
@@ -205,7 +206,7 @@ mod tests {
     fn vocab_collects_all_columns() {
         let c = generate_corpus(CorpusKind::Spider, &CorpusConfig::tiny(5));
         let db = c.databases.values().next().unwrap();
-        let v = db_vocab(db);
+        let v = vocab(db);
         assert!(v.columns.len() >= 4);
         assert!(v.columns.iter().any(|c| c == "id"));
     }

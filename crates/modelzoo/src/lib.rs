@@ -16,6 +16,7 @@
 
 pub mod catalog;
 pub mod corruption;
+pub mod dbprofile;
 pub mod economy;
 pub mod modules;
 pub mod profiles;
@@ -31,7 +32,8 @@ pub use catalog::{table1_rows, TaxonomyRow};
 pub use economy::{count_tokens, ApiPricing, LocalServing};
 pub use profiles::{CapabilityProfile, DatasetKind, SampleTraits};
 pub use registry::{all_methods, leaderboard_timeline, method_by_name, MethodSpec, Serving};
-pub use repair::{static_repair, static_repair_with};
+pub use dbprofile::DbProfile;
+pub use repair::static_repair;
 pub use taxonomy::{
     Decoding, FewShot, Intermediate, MethodClass, ModuleSet, MultiStep, PostProcessing,
 };

@@ -9,20 +9,15 @@
 //! of Error diagnostics, so it can never turn a clean query into a broken
 //! one — and a clean query is never touched at all.
 
-use datagen::GeneratedDb;
 use sqlcheck::Catalog;
 use sqlkit::ast::*;
 
-/// Repair `query` in place against `db`'s schema. Returns `true` when the
-/// query was changed (and the change reduced Error diagnostics).
-pub fn static_repair(query: &mut Query, db: &GeneratedDb) -> bool {
-    let catalog = Catalog::from_database(&db.database);
-    static_repair_with(query, &catalog)
-}
-
-/// [`static_repair`] against a pre-built catalog (callers that process
-/// many queries per database should build the catalog once).
-pub fn static_repair_with(query: &mut Query, catalog: &Catalog) -> bool {
+/// Repair `query` in place against its database's schema catalog (a
+/// [`DbProfile`]'s). Returns `true` when the query was changed (and the
+/// change reduced Error diagnostics).
+///
+/// [`DbProfile`]: crate::DbProfile
+pub fn static_repair(query: &mut Query, catalog: &Catalog) -> bool {
     let before = sqlcheck::errors(catalog, query).len();
     if before == 0 {
         return false;
@@ -213,10 +208,14 @@ fn levenshtein(a: &str, b: &str) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use datagen::{generate_corpus, CorpusConfig, CorpusKind};
+    use datagen::{generate_corpus, CorpusConfig, CorpusKind, GeneratedDb};
 
     fn corpus() -> datagen::Corpus {
         generate_corpus(CorpusKind::Spider, &CorpusConfig::tiny(5))
+    }
+
+    fn catalog(db: &GeneratedDb) -> Catalog {
+        crate::DbProfile::new(db).catalog
     }
 
     #[test]
@@ -224,7 +223,7 @@ mod tests {
         let c = corpus();
         let s = &c.dev[0];
         let mut q = s.query.clone();
-        assert!(!static_repair(&mut q, c.db(s)));
+        assert!(!static_repair(&mut q, &catalog(c.db(s))));
         assert_eq!(sqlkit::to_sql(&q), s.sql);
     }
 
@@ -249,7 +248,7 @@ mod tests {
             name.pop();
         }
         assert!(db.database.run_query(&q).is_err(), "typo must break execution");
-        assert!(static_repair(&mut q, db), "repair must engage");
+        assert!(static_repair(&mut q, &catalog(db)), "repair must engage");
         assert!(db.database.run_query(&q).is_ok(), "repaired query must run: {}", sqlkit::to_sql(&q));
     }
 
@@ -259,10 +258,10 @@ mod tests {
         let s = &c.dev[0];
         let mut q = sqlkit::parse_query("SELECT zzz_nothing_close FROM qqq_unrelated").unwrap();
         let before = sqlkit::to_sql(&q);
-        static_repair(&mut q, c.db(s));
+        let cat = catalog(c.db(s));
+        static_repair(&mut q, &cat);
         // either repaired to something better or left untouched — never
         // rewritten without reducing errors
-        let cat = Catalog::from_database(&c.db(s).database);
         assert!(
             sqlkit::to_sql(&q) == before || sqlcheck::errors(&cat, &q).len() < 2,
             "{}",

@@ -16,7 +16,8 @@ use crate::corruption::corrupt_prediction;
 use crate::economy::count_tokens;
 use crate::profiles::{fnv1a, hash_unit, CapabilityProfile, DatasetKind, SampleTraits};
 use crate::modules::FewShotIndex;
-use crate::prompt::{DbPrompt, PromptPlan};
+use crate::dbprofile::DbProfile;
+use crate::prompt::PromptPlan;
 use crate::registry::{MethodSpec, Serving};
 use crate::restyle::restyle;
 use crate::taxonomy::PostProcessing;
@@ -35,9 +36,10 @@ pub struct TranslationTask<'a> {
     pub variant: usize,
     /// The database the question targets.
     pub db: &'a GeneratedDb,
-    /// `db`'s prompt profile, which prompt-based methods price their
-    /// prompts from.
-    pub prompt: &'a DbPrompt,
+    /// `db`'s profile: the prompt profile prompt-based methods price their
+    /// prompts from, the catalog StaticRepair resolves names against and
+    /// the vocabulary corruptions draw columns from.
+    pub profile: &'a DbProfile,
     /// Which benchmark this is.
     pub dataset: DatasetKind,
     /// Number of training databases in the sample's domain.
@@ -209,12 +211,13 @@ impl SimulatedModel {
                 &task.sample.query,
                 self.spec.class,
                 task.db,
+                &task.profile.vocab,
                 task.gold_result,
                 &mut style_rng,
             )
         };
         if self.spec.modules.post == PostProcessing::StaticRepair {
-            crate::repair::static_repair(&mut pred_query, task.db);
+            crate::repair::static_repair(&mut pred_query, &task.profile.catalog);
         }
         pred_query
     }
@@ -242,11 +245,11 @@ impl Nl2SqlModel for SimulatedModel {
         // economy accounting
         let (prompt_tokens, completion_tokens, cost_usd, latency_s) = match &self.spec.serving {
             Serving::Api(pricing) => {
-                debug_assert!(task.prompt.describes(task.db), "prompt profile of another database");
+                debug_assert!(task.profile.describes(task.db), "profile of another database");
                 let acc = PromptPlan::new(
                     self.spec.name,
                     &self.spec.modules,
-                    task.prompt,
+                    &task.profile.prompt,
                     task.question(),
                     task.few_shot,
                 )
@@ -291,7 +294,7 @@ mod tests {
     use datagen::{generate_corpus, CorpusConfig, CorpusKind};
     use std::collections::HashMap;
 
-    type Profiles<'a> = HashMap<&'a str, DbPrompt>;
+    type Profiles<'a> = HashMap<&'a str, DbProfile>;
 
     fn corpus() -> datagen::Corpus {
         generate_corpus(CorpusKind::Spider, &CorpusConfig::tiny(21))
@@ -299,7 +302,7 @@ mod tests {
 
     /// Profiles of every database of a corpus, by id.
     fn profiles(c: &datagen::Corpus) -> Profiles<'_> {
-        c.databases.iter().map(|(id, db)| (id.as_str(), DbPrompt::new(db))).collect()
+        c.databases.iter().map(|(id, db)| (id.as_str(), DbProfile::new(db))).collect()
     }
 
     fn task<'a>(
@@ -312,7 +315,7 @@ mod tests {
             sample: s,
             variant: 0,
             db: c.db(s),
-            prompt: &profiles[s.db_id.as_str()],
+            profile: &profiles[s.db_id.as_str()],
             dataset: DatasetKind::Spider,
             domain_train_dbs: 4,
             avg_domain_train_dbs: 4.2,

@@ -4,8 +4,7 @@
 //! gold result; corrupted predictions differ from it).
 
 use datagen::{generate_corpus, CorpusConfig, CorpusKind};
-use modelzoo::prompt::DbPrompt;
-use modelzoo::{zoo, DatasetKind, Nl2SqlModel, TranslationTask};
+use modelzoo::{zoo, DatasetKind, DbProfile, Nl2SqlModel, TranslationTask};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::OnceLock;
@@ -15,11 +14,11 @@ fn corpus() -> &'static datagen::Corpus {
     C.get_or_init(|| generate_corpus(CorpusKind::Spider, &CorpusConfig::tiny(2718)))
 }
 
-/// Prompt profiles of every database of [`corpus`], by id.
-fn profiles() -> &'static HashMap<&'static str, DbPrompt> {
-    static P: OnceLock<HashMap<&str, DbPrompt>> = OnceLock::new();
+/// Profiles of every database of [`corpus`], by id.
+fn profiles() -> &'static HashMap<&'static str, DbProfile> {
+    static P: OnceLock<HashMap<&str, DbProfile>> = OnceLock::new();
     P.get_or_init(|| {
-        corpus().databases.iter().map(|(id, db)| (id.as_str(), DbPrompt::new(db))).collect()
+        corpus().databases.iter().map(|(id, db)| (id.as_str(), DbProfile::new(db))).collect()
     })
 }
 
@@ -30,7 +29,7 @@ fn task(sample_idx: usize, variant: usize) -> TranslationTask<'static> {
         sample,
         variant: variant % sample.variants.len(),
         db: c.db(sample),
-        prompt: &profiles()[sample.db_id.as_str()],
+        profile: &profiles()[sample.db_id.as_str()],
         dataset: DatasetKind::Spider,
         domain_train_dbs: 3,
         avg_domain_train_dbs: 3.6,

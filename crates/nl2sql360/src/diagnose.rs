@@ -516,10 +516,12 @@ mod tests {
         let mut diagnosed = 0;
         for (i, s) in c.dev.iter().enumerate().take(30) {
             let mut rng = rand::rngs::StdRng::seed_from_u64(i as u64);
+            let db = c.db(s);
             let pred = modelzoo::corruption::corrupt_prediction(
                 &s.query,
                 modelzoo::MethodClass::FinetunedPlm,
-                c.db(s),
+                db,
+                &modelzoo::DbProfile::new(db).vocab,
                 None,
                 &mut rng,
             );

@@ -11,8 +11,7 @@
 use datagen::{regenerate_content, Corpus, CorpusKind, GeneratedDb, Sample, SchemaProfile};
 use minidb::{results_equivalent, ExecError, ResultSet};
 use modelzoo::modules::FewShotIndex;
-use modelzoo::prompt::DbPrompt;
-use modelzoo::{DatasetKind, Nl2SqlModel, SimulatedModel, TranslationTask};
+use modelzoo::{DatasetKind, DbProfile, Nl2SqlModel, SimulatedModel, TranslationTask};
 use serde::{Deserialize, Serialize};
 use sqlkit::hardness::{BirdDifficulty, Hardness};
 use sqlkit::SqlFeatures;
@@ -305,6 +304,21 @@ impl EvalOptions {
     }
 }
 
+/// How one prediction scored against its dev sample: what an evaluation
+/// log records and a served reply carries, from [`EvalContext::judge`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Score {
+    /// The prediction executed and its result matched gold on the primary
+    /// database and on every test-suite instance.
+    pub ex: bool,
+    /// Spider-style exact match against the gold AST.
+    pub em: bool,
+    /// Work units of the primary execution (None if it failed).
+    pub pred_work: Option<u64>,
+    /// Why the primary execution failed, when it did.
+    pub exec_failure: Option<ExecFailureKind>,
+}
+
 /// Which optional per-variant extras an evaluation records; derived from
 /// [`EvalOptions`] once and threaded through the worker fan-out.
 #[derive(Clone, Copy)]
@@ -314,7 +328,9 @@ struct Recording {
 }
 
 /// Evaluation context over one corpus: gold executions cached, few-shot
-/// index built, domain statistics derived, prompt profiles built on demand.
+/// index built, domain statistics derived, database profiles built on
+/// demand. It owns what a prediction is translated against
+/// ([`task`](Self::task)) and scored against ([`judge`](Self::judge)).
 pub struct EvalContext<'a> {
     /// The corpus being evaluated.
     pub corpus: &'a Corpus,
@@ -329,13 +345,10 @@ pub struct EvalContext<'a> {
     /// the primary instance AND on every suite instance.
     suite: Vec<HashMap<String, GeneratedDb>>,
     suite_gold: Vec<Vec<Option<ResultSet>>>,
-    /// Per-database schema catalogs for the optional static check —
-    /// derived once here so verdicts cost one lookup per prediction.
-    catalogs: HashMap<String, sqlcheck::Catalog>,
-    /// Per-database prompt profiles, each built by the first translation
-    /// against its database, so databases nothing translates against cost
-    /// nothing.
-    prompts: HashMap<&'a str, OnceLock<DbPrompt>>,
+    /// Per-database profiles (prompt profile, schema catalog, column
+    /// vocabulary), each built by the first translation or check against
+    /// its database, so databases nothing reads cost nothing.
+    profiles: HashMap<&'a str, OnceLock<DbProfile>>,
 }
 
 impl<'a> EvalContext<'a> {
@@ -408,12 +421,7 @@ impl<'a> EvalContext<'a> {
             suite.push(instance);
             suite_gold.push(golds);
         }
-        let catalogs = corpus
-            .databases
-            .iter()
-            .map(|(id, db)| (id.clone(), sqlcheck::Catalog::from_database(&db.database)))
-            .collect();
-        let prompts = corpus.databases.keys().map(|id| (id.as_str(), OnceLock::new())).collect();
+        let profiles = corpus.databases.keys().map(|id| (id.as_str(), OnceLock::new())).collect();
         Self {
             corpus,
             dataset,
@@ -423,8 +431,7 @@ impl<'a> EvalContext<'a> {
             avg_domain_train,
             suite,
             suite_gold,
-            catalogs,
-            prompts,
+            profiles,
         }
     }
 
@@ -443,19 +450,36 @@ impl<'a> EvalContext<'a> {
         self.avg_domain_train
     }
 
-    /// Build the translation task for a (sample, variant) pair.
+    /// Database `db_id`'s profile, built by the first call that needs it;
+    /// `None` when the corpus has no such database.
+    pub fn profile(&self, db_id: &str) -> Option<&DbProfile> {
+        let db = self.corpus.databases.get(db_id)?;
+        Some(self.profiles[db_id].get_or_init(|| DbProfile::new(db)))
+    }
+
+    /// Database `db_id`'s schema catalog, from its [`profile`](Self::profile).
+    pub fn catalog(&self, db_id: &str) -> Option<&sqlcheck::Catalog> {
+        self.profile(db_id).map(|p| &p.catalog)
+    }
+
+    /// Build the translation task for a (sample, variant) pair: the
+    /// sample's database and its profile, and, when `sample` is one of this
+    /// context's dev samples, its cached gold result, which spares the
+    /// corruption check executing gold again.
     pub fn task(&'a self, sample: &'a Sample, variant: usize) -> TranslationTask<'a> {
-        let db = self.corpus.db(sample);
+        let gold_result = (self.corpus.dev.get(sample.id))
+            .filter(|dev| std::ptr::eq(*dev, sample))
+            .map(|_| &self.gold_results[sample.id]);
         TranslationTask {
             sample,
             variant,
-            db,
-            prompt: self.prompts[sample.db_id.as_str()].get_or_init(|| DbPrompt::new(db)),
+            db: self.corpus.db(sample),
+            profile: self.profile(&sample.db_id).expect("a sample's database is in its corpus"),
             dataset: self.dataset,
             domain_train_dbs: self.domain_train_dbs(sample),
             avg_domain_train_dbs: self.avg_domain_train,
             few_shot: Some(&self.few_shot),
-            gold_result: None,
+            gold_result,
         }
     }
 
@@ -575,17 +599,10 @@ impl<'a> EvalContext<'a> {
     ) -> Option<SampleRecord> {
         let _span = obs::span("eval.sample");
         let sample = &self.corpus.dev[i];
-        let gold_rs = &self.gold_results[i];
         let mut variants = Vec::with_capacity(sample.variants.len());
         for v in 0..sample.variants.len() {
-            let task = TranslationTask { gold_result: Some(gold_rs), ..self.task(sample, v) };
-            let pred = model.translate(&task)?;
-            let (mut ex, pred_work, exec_failure) =
-                score_execution(self.corpus, sample, &pred.query, gold_rs);
-            if ex {
-                ex = self.suite_confirms(i, sample, &pred.query);
-            }
-            let em = sqlkit::exact_match(&sample.query, &pred.query);
+            let pred = model.translate(&self.task(sample, v))?;
+            let Score { ex, em, pred_work, exec_failure } = self.score(i, &pred.query);
             let static_verdict =
                 recording.static_check.then(|| self.static_verdict(&sample.db_id, &pred.query));
             let match_kind = recording
@@ -613,14 +630,44 @@ impl<'a> EvalContext<'a> {
             bird_difficulty: sample.bird_difficulty,
             features: sample.features.clone(),
             gold_sql: sample.sql.clone(),
-            gold_work: gold_rs.work,
+            gold_work: self.gold_results[i].work,
             variants,
         })
     }
 
+    /// Score a prediction for dev sample `i`: execute it on the sample's
+    /// database, then [`judge`](Self::judge) the outcome.
+    pub fn score(&self, i: usize, pred: &sqlkit::Query) -> Score {
+        let executed = self.corpus.db(&self.corpus.dev[i]).database.run_query(pred);
+        self.judge(i, pred, executed.as_ref().map_err(ExecFailureKind::of))
+    }
+
+    /// Score a prediction for dev sample `i` from its execution on the
+    /// sample's database: EX against the cached gold result and every
+    /// test-suite instance, EM against the gold AST. The one scorer behind
+    /// evaluation logs, AAS fitness and served replies (which pass the
+    /// outcome their cache holds).
+    pub fn judge(
+        &self,
+        i: usize,
+        pred: &sqlkit::Query,
+        executed: Result<&ResultSet, ExecFailureKind>,
+    ) -> Score {
+        let (ex, pred_work, exec_failure) = match executed {
+            Ok(rs) => (
+                results_equivalent(&self.gold_results[i], rs) && self.suite_confirms(i, pred),
+                Some(rs.work),
+                None,
+            ),
+            Err(kind) => (false, None, Some(kind)),
+        };
+        let em = sqlkit::exact_match(&self.corpus.dev[i].query, pred);
+        Score { ex, em, pred_work, exec_failure }
+    }
+
     /// Analyze a predicted query against its database's schema catalog.
     pub fn static_verdict(&self, db_id: &str, pred: &sqlkit::Query) -> StaticVerdict {
-        let Some(catalog) = self.catalogs.get(db_id) else {
+        let Some(catalog) = self.catalog(db_id) else {
             return StaticVerdict { clean: true, rules: Vec::new() };
         };
         let diags = sqlcheck::analyze(catalog, pred);
@@ -642,7 +689,7 @@ impl<'a> EvalContext<'a> {
     ) -> MatchKind {
         if em {
             MatchKind::Syntactic
-        } else if sqlcheck::equiv::canonically_equal(gold, pred, self.catalogs.get(db_id)) {
+        } else if sqlcheck::equiv::canonically_equal(gold, pred, self.catalog(db_id)) {
             MatchKind::Canonical
         } else {
             MatchKind::Unmatched
@@ -652,10 +699,11 @@ impl<'a> EvalContext<'a> {
     /// Does the prediction match gold on every test-suite instance?
     /// (Vacuously true with an empty suite, or on instances where the gold
     /// itself cannot run.)
-    fn suite_confirms(&self, sample_idx: usize, sample: &Sample, pred: &sqlkit::Query) -> bool {
+    fn suite_confirms(&self, sample_idx: usize, pred: &sqlkit::Query) -> bool {
+        let db_id = &self.corpus.dev[sample_idx].db_id;
         for (instance, golds) in self.suite.iter().zip(&self.suite_gold) {
             let Some(gold_rs) = &golds[sample_idx] else { continue };
-            let ok = match instance[&sample.db_id].database.run_query(pred) {
+            let ok = match instance[db_id].database.run_query(pred) {
                 Ok(rs) => results_equivalent(gold_rs, &rs),
                 Err(_) => false,
             };
@@ -672,30 +720,12 @@ impl<'a> EvalContext<'a> {
         let n = n.min(self.corpus.dev.len());
         let mut correct = 0usize;
         for (i, sample) in self.corpus.dev.iter().take(n).enumerate() {
-            let gold_rs = &self.gold_results[i];
-            let task = TranslationTask { gold_result: Some(gold_rs), ..self.task(sample, 0) };
-            let pred = model.predict_query_only(&task)?;
-            let (ex, _, _) = score_execution(self.corpus, sample, &pred, gold_rs);
-            if ex {
+            let pred = model.predict_query_only(&self.task(sample, 0))?;
+            if self.score(i, &pred).ex {
                 correct += 1;
             }
         }
         Some(correct as f64 / n as f64 * 100.0)
-    }
-}
-
-/// Execute a predicted query and compare against the gold result. The
-/// third element preserves the execution-error kind on failure instead of
-/// collapsing every error into a bare `false`.
-fn score_execution(
-    corpus: &Corpus,
-    sample: &Sample,
-    pred: &sqlkit::Query,
-    gold_rs: &ResultSet,
-) -> (bool, Option<u64>, Option<ExecFailureKind>) {
-    match corpus.db(sample).database.run_query(pred) {
-        Ok(rs) => (results_equivalent(gold_rs, &rs), Some(rs.work), None),
-        Err(e) => (false, None, Some(ExecFailureKind::of(&e))),
     }
 }
 
@@ -852,21 +882,26 @@ mod tests {
     #[test]
     fn score_execution_preserves_failure_kind() {
         let corpus = ctx_corpus();
-        let sample = &corpus.dev[0];
-        let gold_rs = corpus.db(sample).database.run_query(&sample.query).unwrap();
+        let ctx = EvalContext::new(&corpus);
 
         // broken reference → kind preserved, no work recorded
         let bad = sqlkit::parse_query("SELECT nonexistent_col FROM nonexistent_tbl").unwrap();
-        let (ex, work, kind) = score_execution(&corpus, sample, &bad, &gold_rs);
-        assert!(!ex);
-        assert_eq!(work, None);
-        assert_eq!(kind, Some(ExecFailureKind::UnknownTable));
+        let score = ctx.score(0, &bad);
+        assert_eq!(
+            score,
+            Score {
+                ex: false,
+                em: false,
+                pred_work: None,
+                exec_failure: Some(ExecFailureKind::UnknownTable)
+            }
+        );
 
         // gold query → success, no failure kind
-        let (ex, work, kind) = score_execution(&corpus, sample, &sample.query, &gold_rs);
-        assert!(ex);
-        assert!(work.is_some());
-        assert_eq!(kind, None);
+        let score = ctx.score(0, &corpus.dev[0].query);
+        assert!(score.ex && score.em);
+        assert_eq!(score.pred_work, Some(ctx.gold_result(0).work));
+        assert_eq!(score.exec_failure, None);
     }
 
     #[test]

@@ -41,18 +41,12 @@ pub fn evaluate_with_rewriter(
             if paraphrase_key(text) == canonical_key {
                 // rewriter fires: translate the canonical question
                 let pred = model.translate(&canonical_task)?;
-                let gold_rs = ctx.gold_result(i);
-                let (ex, pred_work) = match ctx.corpus.db(sample).database.run_query(&pred.query)
-                {
-                    Ok(rs) => (minidb::results_equivalent(gold_rs, &rs), Some(rs.work)),
-                    Err(_) => (false, None),
-                };
-                let em = sqlkit::exact_match(&sample.query, &pred.query);
+                let score = ctx.score(i, &pred.query);
                 let rec = &mut log.records[i].variants[v];
-                rec.ex = ex;
-                rec.em = em;
+                rec.ex = score.ex;
+                rec.em = score.em;
                 rec.pred_sql = pred.sql;
-                rec.pred_work = pred_work;
+                rec.pred_work = score.pred_work;
             }
         }
     }

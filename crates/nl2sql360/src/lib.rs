@@ -60,7 +60,7 @@ pub use evaluator::{
 };
 pub use executor::{
     default_workers, EvalContext, EvalLog, EvalOptions, ExecFailureKind, MatchKind, SampleRecord,
-    StaticVerdict, VariantRecord,
+    Score, StaticVerdict, VariantRecord,
 };
 pub use filter::{CountBucket, Filter};
 pub use logs::LogStore;

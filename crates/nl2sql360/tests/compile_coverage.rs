@@ -12,9 +12,9 @@
 //! interpreter alike, which also pins "lowering succeeded ⇒ bind passes".
 
 use datagen::{generate_corpus, CorpusConfig, CorpusKind};
-use modelzoo::{method_by_name, Nl2SqlModel, SimulatedModel, TranslationTask};
+use modelzoo::{method_by_name, Nl2SqlModel, SimulatedModel};
 use nl2sql360::EvalContext;
-use sqlcheck::{Catalog, Rule, Severity};
+use sqlcheck::{Rule, Severity};
 
 #[test]
 fn nothing_declines_and_failures_are_sqlcheck_name_errors() {
@@ -23,20 +23,16 @@ fn nothing_declines_and_failures_are_sqlcheck_name_errors() {
         let corpus = generate_corpus(kind, &CorpusConfig::tiny(7));
         let ctx = EvalContext::new(&corpus);
         let (mut predictions, mut name_errors) = (0, 0);
-        for (i, sample) in corpus.dev.iter().enumerate() {
+        for sample in &corpus.dev {
             let db = &corpus.db(sample).database;
             assert!(
                 minidb::compile(db, &sample.query).is_some(),
                 "{kind:?} gold query declined: `{}`",
                 sample.sql
             );
-            let catalog = Catalog::from_database(db);
+            let catalog = ctx.catalog(&sample.db_id).expect("the sample's database");
             for variant in 0..sample.variants.len() {
-                let task = TranslationTask {
-                    gold_result: Some(ctx.gold_result(i)),
-                    ..ctx.task(sample, variant)
-                };
-                let Some(pred) = model.translate(&task) else { continue };
+                let Some(pred) = model.translate(&ctx.task(sample, variant)) else { continue };
                 predictions += 1;
                 let plan = minidb::compile(db, &pred.query)
                     .unwrap_or_else(|| panic!("{kind:?} prediction declined: `{}`", pred.sql));
@@ -47,7 +43,7 @@ fn nothing_declines_and_failures_are_sqlcheck_name_errors() {
                     "{kind:?} compiled and interpreted `{}` fail differently",
                     pred.sql
                 );
-                let flagged: Vec<String> = sqlcheck::analyze(&catalog, &pred.query)
+                let flagged: Vec<String> = sqlcheck::analyze(catalog, &pred.query)
                     .into_iter()
                     .filter(|d| {
                         matches!(d.rule, Rule::UnknownColumn | Rule::UnknownTable)

@@ -151,7 +151,7 @@ fn raw_sql(body: &serde::Value, inner: &Inner, ctx: &EvalContext<'_>) -> Respons
     if inner.config.static_check {
         if let Ok(query) = &parsed {
             let catalog = match db_id {
-                Some(id) => inner.catalogs.get(id),
+                Some(id) => ctx.catalog(id),
                 None => inner.evals.catalog.as_ref(),
             };
             if let Some(catalog) = catalog {

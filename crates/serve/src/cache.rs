@@ -18,14 +18,10 @@ use nl2sql360::ExecFailureKind;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-/// Cached outcome of executing one normalized query on one database.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ExecOutcome {
-    /// The query ran; the full result set is kept for gold comparison.
-    Ok(ResultSet),
-    /// The query failed with this error kind.
-    Failed(ExecFailureKind),
-}
+/// Cached outcome of executing one normalized query on one database: the
+/// full result set, kept for gold comparison, or the failure kind — what
+/// [`nl2sql360::EvalContext::judge`] scores.
+pub type ExecOutcome = Result<ResultSet, ExecFailureKind>;
 
 type Key = (String, String);
 
@@ -105,7 +101,7 @@ mod tests {
     use super::*;
 
     fn outcome(tag: u64) -> Arc<ExecOutcome> {
-        Arc::new(ExecOutcome::Ok(ResultSet {
+        Arc::new(Ok(ResultSet {
             columns: vec!["c".into()],
             rows: vec![],
             ordered: false,
@@ -123,7 +119,7 @@ mod tests {
         assert!(c.get(&key("SELECT 1")).is_none());
         c.insert(key("SELECT 1"), outcome(7));
         match &*c.get(&key("SELECT 1")).unwrap() {
-            ExecOutcome::Ok(rs) => assert_eq!(rs.work, 7),
+            Ok(rs) => assert_eq!(rs.work, 7),
             other => panic!("{other:?}"),
         }
     }

@@ -65,8 +65,8 @@ pub mod window;
 use cache::{ExecCache, ExecOutcome};
 use crossbeam::channel;
 pub use metrics::MetricsSnapshot;
-use modelzoo::{Nl2SqlModel, TranslationTask};
-use nl2sql360::{EvalContext, EvalStore, ExecFailureKind};
+use modelzoo::Nl2SqlModel;
+use nl2sql360::{EvalContext, EvalStore, ExecFailureKind, Score};
 use serde::{Deserialize, Serialize};
 pub use slowlog::{fnv1a64, SlowLog, SlowQueryEntry};
 use std::collections::{HashMap, VecDeque};
@@ -560,9 +560,6 @@ pub(crate) struct Inner {
     // (db_id, question) → (dev sample index, variant index)
     question_index: HashMap<(String, String), (usize, usize)>,
     cache: ExecCache,
-    /// Per-database schema catalogs for the static admission check; empty
-    /// unless `config.static_check` is on.
-    pub(crate) catalogs: HashMap<String, sqlcheck::Catalog>,
     /// Eval-run registry, persistence store, and runner job queue behind
     /// the `/v1/evals` endpoints.
     pub(crate) evals: EvalPlane,
@@ -934,18 +931,6 @@ impl Service {
         let admin_addr = admin_listener
             .as_ref()
             .map(|l| l.local_addr().expect("admin endpoint has a local addr"));
-        // Schema catalogs are derived once at startup so the static check
-        // and the canonical cache key cost one hash lookup plus an AST
-        // walk per request, no locks.
-        let catalogs = if config.static_check || config.canonical_cache_key {
-            ctx.corpus
-                .databases
-                .iter()
-                .map(|(id, db)| (id.clone(), sqlcheck::Catalog::from_database(&db.database)))
-                .collect()
-        } else {
-            HashMap::new()
-        };
         let started = Instant::now();
         let traces = config
             .request_tracing
@@ -955,7 +940,6 @@ impl Service {
             evals: EvalPlane::new(config.static_check),
             traces,
             config,
-            catalogs,
             queue: Mutex::new(QueueState { items: VecDeque::new(), shutdown: false }),
             not_empty: Condvar::new(),
             models,
@@ -1281,13 +1265,7 @@ fn translate_and_execute<'a>(
     batch_size: usize,
 ) -> (QueryReply, u64, Stages) {
     let sample = &ctx.corpus.dev[p.sample_idx];
-    // the context already holds the gold result; without it a wrong
-    // prediction's corruption check would execute the gold query again
-    let task = TranslationTask {
-        gold_result: Some(ctx.gold_result(p.sample_idx)),
-        ..ctx.task(sample, p.variant)
-    };
-    let translated = inner.models[p.method_idx].translate(&task);
+    let translated = inner.models[p.method_idx].translate(&ctx.task(sample, p.variant));
     let mut stages = Stages { translated: Some(Instant::now()), ..Stages::default() };
     let Some(pred) = translated else {
         return (Err(QueryError::TranslationRefused), 0, stages);
@@ -1298,7 +1276,7 @@ fn translate_and_execute<'a>(
     // diagnostics never reject, so clean queries are byte-identical with
     // the check off.
     if inner.config.static_check {
-        if let Some(catalog) = inner.catalogs.get(&sample.db_id) {
+        if let Some(catalog) = ctx.catalog(&sample.db_id) {
             let fired = sqlcheck::rejecting_rules(catalog, &pred.query);
             stages.checked = Some(Instant::now());
             if !fired.is_empty() {
@@ -1312,7 +1290,7 @@ fn translate_and_execute<'a>(
     // query into one entry; the name-preserving cache-safe rule set keeps
     // hit outcomes byte-identical to misses.
     let normalized = if inner.config.canonical_cache_key {
-        sqlcheck::equiv::cache_key_canonical_sql(&pred.query, inner.catalogs.get(&sample.db_id))
+        sqlcheck::equiv::cache_key_canonical_sql(&pred.query, ctx.catalog(&sample.db_id))
     } else {
         sqlkit::to_sql(&sqlkit::normalize::normalize(&pred.query))
     };
@@ -1321,22 +1299,16 @@ fn translate_and_execute<'a>(
     let (outcome, cache_hit) = match inner.cache.get(&key) {
         Some(v) => (v, true),
         None => {
-            let v = Arc::new(match ctx.corpus.db(sample).database.run_query(&pred.query) {
-                Ok(rs) => ExecOutcome::Ok(rs),
-                Err(e) => ExecOutcome::Failed(ExecFailureKind::of(&e)),
-            });
+            let executed = ctx.corpus.db(sample).database.run_query(&pred.query);
+            let v: Arc<ExecOutcome> = Arc::new(executed.map_err(|e| ExecFailureKind::of(&e)));
             inner.cache.insert(key, v.clone());
             (v, false)
         }
     };
     stages.executed = Some(Instant::now());
 
-    let gold = ctx.gold_result(p.sample_idx);
-    let (ex, pred_work, exec_failure) = match &*outcome {
-        ExecOutcome::Ok(rs) => (minidb::results_equivalent(gold, rs), Some(rs.work), None),
-        ExecOutcome::Failed(kind) => (false, None, Some(*kind)),
-    };
-    let em = sqlkit::exact_match(&sample.query, &pred.query);
+    let Score { ex, em, pred_work, exec_failure } =
+        ctx.judge(p.sample_idx, &pred.query, outcome.as_ref().as_ref().map_err(|&k| k));
     let reply = QueryResponse {
         ex,
         em,
