@@ -22,31 +22,20 @@ use serde::{Deserialize, Serialize};
 /// Evaluate a model with a *query rewriter* in front of it: every NL
 /// variant whose paraphrase key matches the canonical question is rewritten
 /// to the canonical question before translation, so the model never sees
-/// the paraphrase at all. Compare QVT against [`EvalContext::evaluate`] to
-/// measure the rewriter's stabilization effect.
+/// the paraphrase at all. Compare QVT against [`EvalContext::evaluate_with`]
+/// to measure the rewriter's stabilization effect.
 pub fn evaluate_with_rewriter(
     ctx: &EvalContext<'_>,
     model: &dyn Nl2SqlModel,
 ) -> Option<EvalLog> {
     let mut log = ctx.evaluate_with(model, &EvalOptions::new())?;
-    // Re-translate the variants the rewriter can canonicalize: the model
-    // receives variant 0 (the canonical question) instead.
-    for (i, sample) in ctx.corpus.dev.iter().enumerate() {
-        if sample.variants.len() < 2 {
-            continue;
-        }
+    // A rewritten variant is a translation of the canonical question, which
+    // is a pure function of the task: its record is variant 0's, whole.
+    for (record, sample) in log.records.iter_mut().zip(&ctx.corpus.dev) {
         let canonical_key = paraphrase_key(sample.question());
-        let canonical_task = ctx.task(sample, 0);
         for (v, text) in sample.variants.iter().enumerate().skip(1) {
             if paraphrase_key(text) == canonical_key {
-                // rewriter fires: translate the canonical question
-                let pred = model.translate(&canonical_task)?;
-                let score = ctx.score(i, &pred.query);
-                let rec = &mut log.records[i].variants[v];
-                rec.ex = score.ex;
-                rec.em = score.em;
-                rec.pred_sql = pred.sql;
-                rec.pred_work = score.pred_work;
+                record.variants[v] = record.variants[0].clone();
             }
         }
     }
@@ -138,6 +127,32 @@ mod tests {
             metrics::ex(&rewritten, &Filter::all()),
             "variant 0 is untouched"
         );
+    }
+
+    #[test]
+    fn a_rewritten_paraphrase_records_the_canonical_translation() {
+        // The model only ever sees the canonical question, so a paraphrase
+        // the rewriter catches records that translation whole: its SQL and
+        // outcome, and also its failure kind, tokens, cost and latency.
+        let corpus = corpus();
+        let ctx = EvalContext::new(&corpus);
+        let json = |v: &crate::VariantRecord| serde_json::to_string(v).unwrap();
+        let mut rewritten = 0;
+        for method in ["C3SQL", "RESDSQL-3B"] {
+            let model = SimulatedModel::new(method_by_name(method).unwrap());
+            let log = evaluate_with_rewriter(&ctx, &model).unwrap();
+            for (r, s) in log.records.iter().zip(&corpus.dev) {
+                let key = paraphrase_key(s.question());
+                for (v, text) in s.variants.iter().enumerate().skip(1) {
+                    if paraphrase_key(text) == key {
+                        let what = format!("{method} dev[{}] variant {v}", r.sample_id);
+                        assert_eq!(json(&r.variants[v]), json(r.canonical()), "{what}");
+                        rewritten += 1;
+                    }
+                }
+            }
+        }
+        assert!(rewritten > 0, "the rewriter never fired");
     }
 
     #[test]
