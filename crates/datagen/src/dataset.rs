@@ -34,6 +34,14 @@ impl CorpusKind {
             CorpusKind::Bird => "BIRD",
         }
     }
+
+    /// The schema profile this kind's databases are generated from.
+    pub fn schema_profile(&self) -> SchemaProfile {
+        match self {
+            CorpusKind::Spider => SchemaProfile::spider(),
+            CorpusKind::Bird => SchemaProfile::bird(),
+        }
+    }
 }
 
 /// One (NL, SQL) benchmark sample.
@@ -228,10 +236,7 @@ fn assign_domains(n: usize, rng: &mut StdRng) -> Vec<DomainId> {
 /// Generate a corpus.
 pub fn generate_corpus(kind: CorpusKind, config: &CorpusConfig) -> Corpus {
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let profile = match kind {
-        CorpusKind::Spider => SchemaProfile::spider(),
-        CorpusKind::Bird => SchemaProfile::bird(),
-    };
+    let profile = kind.schema_profile();
 
     // databases
     let train_domains = assign_domains(config.train_dbs, &mut rng);
@@ -349,10 +354,7 @@ pub fn augment_corpus(
 ) -> Corpus {
     let mut out = corpus.clone();
     let mut rng = StdRng::seed_from_u64(seed);
-    let profile = match corpus.kind {
-        CorpusKind::Spider => SchemaProfile::spider(),
-        CorpusKind::Bird => SchemaProfile::bird(),
-    };
+    let profile = corpus.kind.schema_profile();
     let weights = recipe_weights(corpus.kind);
     for i in 0..extra_dbs {
         let db_id = format!("{}_aug_{}", domain.spec().name.to_lowercase(), i);

@@ -8,7 +8,7 @@
 //! The resulting [`EvalLog`] is the single source every metric and report
 //! reads from.
 
-use datagen::{regenerate_content, Corpus, CorpusKind, GeneratedDb, Sample, SchemaProfile};
+use datagen::{regenerate_content, Corpus, CorpusKind, GeneratedDb, Sample};
 use minidb::{results_equivalent, ExecError, ResultSet};
 use modelzoo::modules::FewShotIndex;
 use modelzoo::{DatasetKind, DbProfile, Nl2SqlModel, SimulatedModel, TranslationTask};
@@ -319,14 +319,6 @@ pub struct Score {
     pub exec_failure: Option<ExecFailureKind>,
 }
 
-/// Which optional per-variant extras an evaluation records; derived from
-/// [`EvalOptions`] once and threaded through the worker fan-out.
-#[derive(Clone, Copy)]
-struct Recording {
-    static_check: bool,
-    match_kind: bool,
-}
-
 /// Evaluation context over one corpus: gold executions cached, few-shot
 /// index built, domain statistics derived, database profiles built on
 /// demand. It owns what a prediction is translated against
@@ -397,10 +389,7 @@ impl<'a> EvalContext<'a> {
         };
         // regenerate dev database content for each suite instance and
         // pre-execute gold queries on them
-        let profile = match corpus.kind {
-            CorpusKind::Spider => SchemaProfile::spider(),
-            CorpusKind::Bird => SchemaProfile::bird(),
-        };
+        let profile = corpus.kind.schema_profile();
         let mut suite = Vec::with_capacity(extra_instances);
         let mut suite_gold = Vec::with_capacity(extra_instances);
         for j in 0..extra_instances {
@@ -497,10 +486,7 @@ impl<'a> EvalContext<'a> {
         let _trace = opts.trace.then(obs::enable);
         let _span = obs::span("eval.run");
         let n = opts.subset.unwrap_or(usize::MAX).min(self.corpus.dev.len());
-        let workers = opts.workers.unwrap_or_else(default_workers);
-        let recording =
-            Recording { static_check: opts.static_check, match_kind: opts.match_kind };
-        self.run_eval(model, n, workers, recording)
+        self.run_eval(model, n, opts.worker_count(), opts)
     }
 
     /// Evaluation core shared by every [`evaluate_with`] path. Samples are
@@ -516,13 +502,13 @@ impl<'a> EvalContext<'a> {
         model: &dyn Nl2SqlModel,
         n: usize,
         workers: usize,
-        recording: Recording,
+        opts: &EvalOptions,
     ) -> Option<EvalLog> {
         let records = if workers <= 1 || n < 2 {
             let mut records = Vec::with_capacity(n);
             for i in 0..n {
                 obs::count("eval.claim", 1);
-                records.push(self.eval_sample(model, i, recording)?);
+                records.push(self.eval_sample(model, i, opts)?);
             }
             obs::observe("eval.samples_per_worker", n as u64);
             records
@@ -551,7 +537,7 @@ impl<'a> EvalContext<'a> {
                             }
                             claimed += 1;
                             obs::count("eval.claim", 1);
-                            match self.eval_sample(model, i, recording) {
+                            match self.eval_sample(model, i, opts) {
                                 Some(rec) => *slots[i].lock().expect("slot poisoned") = Some(rec),
                                 None => {
                                     // model refuses this dataset: the whole
@@ -595,7 +581,7 @@ impl<'a> EvalContext<'a> {
         &self,
         model: &dyn Nl2SqlModel,
         i: usize,
-        recording: Recording,
+        opts: &EvalOptions,
     ) -> Option<SampleRecord> {
         let _span = obs::span("eval.sample");
         let sample = &self.corpus.dev[i];
@@ -604,9 +590,8 @@ impl<'a> EvalContext<'a> {
             let pred = model.translate(&self.task(sample, v))?;
             let Score { ex, em, pred_work, exec_failure } = self.score(i, &pred.query);
             let static_verdict =
-                recording.static_check.then(|| self.static_verdict(&sample.db_id, &pred.query));
-            let match_kind = recording
-                .match_kind
+                opts.static_check.then(|| self.static_verdict(&sample.db_id, &pred.query));
+            let match_kind = (opts.match_kind)
                 .then(|| self.match_kind(&sample.db_id, &sample.query, &pred.query, em));
             variants.push(VariantRecord {
                 ex,
@@ -653,16 +638,25 @@ impl<'a> EvalContext<'a> {
         pred: &sqlkit::Query,
         executed: Result<&ResultSet, ExecFailureKind>,
     ) -> Score {
+        let sample = &self.corpus.dev[i];
+        // a suite instance whose gold cannot run confirms vacuously
+        let suite_confirms = || {
+            self.suite.iter().zip(&self.suite_gold).all(|(instance, golds)| {
+                golds[i].as_ref().is_none_or(|gold_rs| {
+                    let rs = instance[&sample.db_id].database.run_query(pred);
+                    rs.is_ok_and(|rs| results_equivalent(gold_rs, &rs))
+                })
+            })
+        };
         let (ex, pred_work, exec_failure) = match executed {
             Ok(rs) => (
-                results_equivalent(&self.gold_results[i], rs) && self.suite_confirms(i, pred),
+                results_equivalent(&self.gold_results[i], rs) && suite_confirms(),
                 Some(rs.work),
                 None,
             ),
             Err(kind) => (false, None, Some(kind)),
         };
-        let em = sqlkit::exact_match(&self.corpus.dev[i].query, pred);
-        Score { ex, em, pred_work, exec_failure }
+        Score { ex, em: sqlkit::exact_match(&sample.query, pred), pred_work, exec_failure }
     }
 
     /// Analyze a predicted query against its database's schema catalog.
@@ -694,24 +688,6 @@ impl<'a> EvalContext<'a> {
         } else {
             MatchKind::Unmatched
         }
-    }
-
-    /// Does the prediction match gold on every test-suite instance?
-    /// (Vacuously true with an empty suite, or on instances where the gold
-    /// itself cannot run.)
-    fn suite_confirms(&self, sample_idx: usize, pred: &sqlkit::Query) -> bool {
-        let db_id = &self.corpus.dev[sample_idx].db_id;
-        for (instance, golds) in self.suite.iter().zip(&self.suite_gold) {
-            let Some(gold_rs) = &golds[sample_idx] else { continue };
-            let ok = match instance[db_id].database.run_query(pred) {
-                Ok(rs) => results_equivalent(gold_rs, &rs),
-                Err(_) => false,
-            };
-            if !ok {
-                return false;
-            }
-        }
-        true
     }
 
     /// Fast EX-only fitness for the AAS search: canonical variants of the

@@ -89,7 +89,7 @@ fn check(kind: CorpusKind) {
     for canonical in [false, true] {
         let replies = serve_all(&corpus, &ctx, config(false, canonical), &reqs);
         for (&(m, i, v), reply) in reqs.iter().zip(&replies) {
-            let what = format!("{kind:?} {} dev[{i}] variant {v} canonical={canonical}", METHODS[m]);
+            let what = format!("{kind:?} {} dev[{i}] v{v} canonical={canonical}", METHODS[m]);
             match (&logs[m], reply) {
                 (None, Err(QueryError::TranslationRefused)) => {}
                 (Some(log), Ok(reply)) => {

@@ -102,6 +102,23 @@ if [ "$lint" -eq 1 ]; then
     exit 1
   fi
 
+  # One per-database profile and one scorer: modelzoo::DbProfile is the
+  # only code that builds a corpus database's catalog (EvalContext keeps
+  # one per database for translation, repair, the static check and the
+  # canonical key), and EvalContext::judge is the only code that compares a
+  # prediction's result with gold (evaluator, AAS fitness, rewriter and
+  # serve all call it); corruption's candidate check is the simulation's
+  # own oracle, and the eval store's catalog describes no corpus database.
+  echo "==> one profile, one scorer (no Catalog::from_database / results_equivalent elsewhere)"
+  if find crates/modelzoo/src crates/nl2sql360/src crates/serve/src crates/cluster/src -name '*.rs' \
+    | sort | xargs awk 'FNR == 1 { counting = 1 } /#\[cfg\(test\)\]/ { counting = 0 }
+      counting { print FILENAME ":" FNR ": " $0 }' \
+    | grep -E 'Catalog::from_database|results_equivalent' \
+    | grep -vE '^crates/(modelzoo/src/(dbprofile|corruption)|nl2sql360/src/executor)\.rs:|store\.database\(\)'; then
+    echo "read EvalContext::catalog / profile and score through EvalContext::judge" >&2
+    exit 1
+  fi
+
   # No timed re-check on a stop path: the eval runner and the forwarders
   # block until a message or a notify (sent under the lock) wakes them.
   echo "==> no stop poll (recv_timeout / wait_timeout in serve/src/lib.rs, cluster/src/scheduler.rs)"
@@ -120,13 +137,16 @@ if [ "$lint" -eq 1 ]; then
 
   # The size of the SQL front end and corpus generator, of the engine the
   # metrics stand on, of the method zoo, of the obs recorder and registry
-  # every layer reports through, of the files the request path's fixed
-  # costs and its one completion / telemetry spine live in, and of the
+  # every layer reports through, of the evaluation context and the serve
+  # cache a prediction is translated and scored through, of the files the
+  # request path's fixed costs and its one completion / telemetry spine
+  # live in, and of the
   # micro-benchmark harness, always counted the same way: lines above each
   # file's first #[cfg(test)].
   echo "==> non-test lines"
   for path in crates/sqlkit/src crates/datagen/src \
     crates/minidb/src crates/sqlcheck/src crates/modelzoo/src crates/obs/src \
+    crates/nl2sql360/src/executor.rs crates/serve/src/cache.rs \
     crates/serve/src/http.rs crates/serve/src/lib.rs crates/serve/src/trace.rs \
     crates/serve/src/telemetry.rs crates/cluster/src/scheduler.rs crates/cluster/src/worker.rs \
     crates/bench/src/bin/bench_eval; do
