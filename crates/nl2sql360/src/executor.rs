@@ -441,12 +441,12 @@ impl<'a> EvalContext<'a> {
 
     /// Database `db_id`'s profile, built by the first call that needs it;
     /// `None` when the corpus has no such database.
-    pub fn profile(&self, db_id: &str) -> Option<&DbProfile> {
+    fn profile(&self, db_id: &str) -> Option<&DbProfile> {
         let db = self.corpus.databases.get(db_id)?;
         Some(self.profiles[db_id].get_or_init(|| DbProfile::new(db)))
     }
 
-    /// Database `db_id`'s schema catalog, from its [`profile`](Self::profile).
+    /// Database `db_id`'s schema catalog, from its profile.
     pub fn catalog(&self, db_id: &str) -> Option<&sqlcheck::Catalog> {
         self.profile(db_id).map(|p| &p.catalog)
     }
@@ -456,9 +456,7 @@ impl<'a> EvalContext<'a> {
     /// context's dev samples, its cached gold result, which spares the
     /// corruption check executing gold again.
     pub fn task(&'a self, sample: &'a Sample, variant: usize) -> TranslationTask<'a> {
-        let gold_result = (self.corpus.dev.get(sample.id))
-            .filter(|dev| std::ptr::eq(*dev, sample))
-            .map(|_| &self.gold_results[sample.id]);
+        let gold_result = self.dev_index(sample).map(|i| &self.gold_results[i]);
         TranslationTask {
             sample,
             variant,
@@ -470,6 +468,16 @@ impl<'a> EvalContext<'a> {
             few_shot: Some(&self.few_shot),
             gold_result,
         }
+    }
+
+    /// `sample`'s index in the dev split when it is one of this context's
+    /// dev samples, found by address: a caller may reorder the split
+    /// without renumbering `Sample::id`.
+    fn dev_index(&self, sample: &Sample) -> Option<usize> {
+        let dev = &self.corpus.dev;
+        let offset = (sample as *const Sample as usize).checked_sub(dev.as_ptr() as usize)?;
+        let i = offset / std::mem::size_of::<Sample>();
+        dev.get(i).filter(|s| std::ptr::eq(*s, sample)).map(|_| i)
     }
 
     /// Cached gold result for dev sample `i`.
@@ -486,24 +494,24 @@ impl<'a> EvalContext<'a> {
         let _trace = opts.trace.then(obs::enable);
         let _span = obs::span("eval.run");
         let n = opts.subset.unwrap_or(usize::MAX).min(self.corpus.dev.len());
-        self.run_eval(model, n, opts.worker_count(), opts)
+        self.run_eval(model, n, opts)
     }
 
     /// Evaluation core shared by every [`evaluate_with`] path. Samples are
-    /// fanned out to `workers` scoped threads on a shared claim counter and
-    /// merged back in sample order, so the resulting [`EvalLog`] is
-    /// byte-identical to a sequential evaluation at any worker count
-    /// (test-enforced, tracing on or off). `workers <= 1` runs inline
-    /// without spawning.
+    /// fanned out to the options' worker count of scoped threads on a
+    /// shared claim counter and merged back in sample order, so the
+    /// resulting [`EvalLog`] is byte-identical to a sequential evaluation at
+    /// any worker count (test-enforced, tracing on or off). One worker runs
+    /// inline without spawning.
     ///
     /// [`evaluate_with`]: EvalContext::evaluate_with
     fn run_eval(
         &self,
         model: &dyn Nl2SqlModel,
         n: usize,
-        workers: usize,
         opts: &EvalOptions,
     ) -> Option<EvalLog> {
+        let workers = opts.worker_count();
         let records = if workers <= 1 || n < 2 {
             let mut records = Vec::with_capacity(n);
             for i in 0..n {
@@ -622,7 +630,7 @@ impl<'a> EvalContext<'a> {
 
     /// Score a prediction for dev sample `i`: execute it on the sample's
     /// database, then [`judge`](Self::judge) the outcome.
-    pub fn score(&self, i: usize, pred: &sqlkit::Query) -> Score {
+    pub(crate) fn score(&self, i: usize, pred: &sqlkit::Query) -> Score {
         let executed = self.corpus.db(&self.corpus.dev[i]).database.run_query(pred);
         self.judge(i, pred, executed.as_ref().map_err(ExecFailureKind::of))
     }
@@ -844,6 +852,21 @@ mod tests {
                 assert!(rb.canonical().ex, "gold-equal prediction must pass the suite");
             }
         }
+    }
+
+    #[test]
+    fn tasks_of_dev_samples_carry_their_gold_result() {
+        // reordered, so ids no longer match positions
+        let mut corpus = ctx_corpus();
+        corpus.dev.reverse();
+        let outsider = corpus.dev[0].clone();
+        let ctx = EvalContext::new(&corpus);
+        for (i, s) in corpus.dev.iter().enumerate() {
+            let gold = ctx.task(s, 0).gold_result.expect("a dev sample's gold is cached");
+            assert!(std::ptr::eq(gold, ctx.gold_result(i)), "dev[{i}]");
+        }
+        assert!(ctx.task(&outsider, 0).gold_result.is_none());
+        assert!(ctx.task(&corpus.train[0], 0).gold_result.is_none());
     }
 
     #[test]
