@@ -14,7 +14,7 @@ use sqlkit::mutate::Vocab;
 /// of profiles borrows nothing from the corpus.
 pub struct DbProfile {
     /// What the database contributes to any prompt over it.
-    pub prompt: DbPrompt,
+    pub(crate) prompt: DbPrompt,
     /// Its tables and typed columns.
     pub catalog: Catalog,
     /// Its distinct column names, first occurrence first.

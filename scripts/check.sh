@@ -115,7 +115,7 @@ if [ "$lint" -eq 1 ]; then
       counting { print FILENAME ":" FNR ": " $0 }' \
     | grep -E 'Catalog::from_database|results_equivalent' \
     | grep -vE '^crates/(modelzoo/src/(dbprofile|corruption)|nl2sql360/src/executor)\.rs:|store\.database\(\)'; then
-    echo "read EvalContext::catalog / profile and score through EvalContext::judge" >&2
+    echo "read EvalContext::catalog and score through EvalContext::judge" >&2
     exit 1
   fi
 
@@ -140,9 +140,8 @@ if [ "$lint" -eq 1 ]; then
   # every layer reports through, of the evaluation context and the serve
   # cache a prediction is translated and scored through, of the files the
   # request path's fixed costs and its one completion / telemetry spine
-  # live in, and of the
-  # micro-benchmark harness, always counted the same way: lines above each
-  # file's first #[cfg(test)].
+  # live in, and of the micro-benchmark harness, always counted the same
+  # way: lines above each file's first #[cfg(test)].
   echo "==> non-test lines"
   for path in crates/sqlkit/src crates/datagen/src \
     crates/minidb/src crates/sqlcheck/src crates/modelzoo/src crates/obs/src \
