@@ -3,7 +3,7 @@
 //! their prompts from, the schema catalog StaticRepair, the static check
 //! and the canonicalizer resolve names against, and the column vocabulary
 //! schema-linking corruptions draw from. The evaluator builds one per
-//! database on first use and every translation, repair and score reads it.
+//! database on first use; every translation and static check reads it.
 
 use crate::prompt::DbPrompt;
 use datagen::GeneratedDb;
