@@ -8,7 +8,7 @@
 
 use crate::taxonomy::MethodClass;
 use datagen::GeneratedDb;
-use minidb::ResultSet;
+use minidb::{ExecResult, ResultSet};
 use rand::rngs::StdRng;
 use rand::Rng;
 use sqlkit::mutate::{corrupt, MutationKind, Vocab};
@@ -65,6 +65,10 @@ pub fn palette(class: MethodClass) -> Vec<MutationKind> {
 /// executing it: candidates whose results still match the gold results are
 /// re-mutated, and a guaranteed-wrong scalar answer is the last resort.
 ///
+/// Returns the accepted candidate with the outcome of the execution that
+/// accepted it, so a scorer need not run it again; the outcome is `None`
+/// only for the fallback literal, which is never executed here.
+///
 /// `vocab` is `db`'s column vocabulary, a [`DbProfile`](crate::DbProfile)'s.
 /// `gold_result` is the result of `gold` on `db` when the caller already
 /// holds it; with `None` the gold query is executed here.
@@ -75,7 +79,7 @@ pub fn corrupt_prediction(
     vocab: &Vocab,
     gold_result: Option<&ResultSet>,
     rng: &mut StdRng,
-) -> Query {
+) -> (Query, Option<ExecResult<ResultSet>>) {
     let pal = palette(class);
     let executed =
         if gold_result.is_none() { db.database.run_query(gold).ok() } else { None };
@@ -87,28 +91,37 @@ pub fn corrupt_prediction(
         corrupt(&mut pred, &pal, vocab, rng);
     }
     for _ in 0..6 {
-        if pred != *gold && !executes_like_gold(db, &pred, gold_rs) {
-            return pred;
+        if let Some(outcome) = unlike_gold(db, gold, &pred, gold_rs) {
+            return (pred, Some(outcome));
         }
         corrupt(&mut pred, &pal, vocab, rng);
     }
-    if pred != *gold && !executes_like_gold(db, &pred, gold_rs) {
-        return pred;
+    if let Some(outcome) = unlike_gold(db, gold, &pred, gold_rs) {
+        return (pred, Some(outcome));
     }
     // guaranteed-wrong fallback: a scalar that cannot equal any gold result
     // produced by the corpus generators (all gold queries read a table)
-    sqlkit::parse_query("SELECT 'prediction_error'").expect("static SQL parses")
+    (sqlkit::parse_query("SELECT 'prediction_error'").expect("static SQL parses"), None)
 }
 
-/// Does `pred` execute successfully to the same result as the gold query?
-fn executes_like_gold(db: &GeneratedDb, pred: &Query, gold_rs: Option<&ResultSet>) -> bool {
-    let Some(gold_rs) = gold_rs else {
-        return false;
-    };
-    match db.database.run_query(pred) {
-        Ok(rs) => minidb::results_equivalent(gold_rs, &rs),
-        Err(_) => false,
+/// `pred`'s outcome on `db` when `pred` is not `gold` and does not execute
+/// to the gold result: an error, or a result unlike gold's (any result,
+/// when gold's is unknown). `None` when the candidate must be re-mutated.
+fn unlike_gold(
+    db: &GeneratedDb,
+    gold: &Query,
+    pred: &Query,
+    gold_rs: Option<&ResultSet>,
+) -> Option<ExecResult<ResultSet>> {
+    if pred == gold {
+        return None;
     }
+    let outcome = db.database.run_query(pred);
+    let like_gold = match (&outcome, gold_rs) {
+        (Ok(rs), Some(gold_rs)) => minidb::results_equivalent(gold_rs, rs),
+        _ => false,
+    };
+    (!like_gold).then_some(outcome)
 }
 
 #[cfg(test)]
@@ -140,7 +153,7 @@ mod tests {
         for (i, s) in c.dev.iter().enumerate() {
             let mut rng = StdRng::seed_from_u64(i as u64);
             let (db, class) = (c.db(s), MethodClass::FinetunedPlm);
-            let pred = corrupt_prediction(&s.query, class, db, &vocab(db), None, &mut rng);
+            let (pred, _) = corrupt_prediction(&s.query, class, db, &vocab(db), None, &mut rng);
             total += 1;
             if pred != s.query {
                 changed += 1;
@@ -157,10 +170,16 @@ mod tests {
         for (i, s) in c.dev.iter().enumerate().take(40) {
             let mut rng = StdRng::seed_from_u64(1000 + i as u64);
             let (db, class) = (c.db(s), MethodClass::PromptLlm);
-            let pred = corrupt_prediction(&s.query, class, db, &vocab(db), None, &mut rng);
+            let (pred, executed) =
+                corrupt_prediction(&s.query, class, db, &vocab(db), None, &mut rng);
             let gold_rs = c.db(s).database.run_query(&s.query).unwrap();
             total += 1;
-            match c.db(s).database.run_query(&pred) {
+            let outcome = c.db(s).database.run_query(&pred);
+            // the accepted candidate's outcome is the one its check ran
+            if let Some(executed) = executed {
+                assert_eq!(executed, outcome, "dev[{i}]");
+            }
+            match outcome {
                 Ok(pred_rs) => {
                     if !minidb::results_equivalent(&gold_rs, &pred_rs) {
                         wrong += 1;

@@ -22,7 +22,7 @@ use crate::registry::{MethodSpec, Serving};
 use crate::restyle::restyle;
 use crate::taxonomy::PostProcessing;
 use datagen::{GeneratedDb, Sample};
-use minidb::ResultSet;
+use minidb::{ExecResult, ResultSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sqlkit::Query;
@@ -50,8 +50,10 @@ pub struct TranslationTask<'a> {
     /// similarity-based example selection).
     pub few_shot: Option<&'a FewShotIndex<'a>>,
     /// The gold query's result on `db`, when the caller already holds it
-    /// (the evaluator caches one per dev sample): spares the corruption
-    /// engine re-executing gold. `None` makes it execute gold itself.
+    /// (the evaluator caches one per dev sample): the corruption engine
+    /// compares its candidates with it instead of re-executing gold.
+    /// `None` makes it execute gold itself. A prediction identical to gold
+    /// carries no outcome of its own: this result is its outcome.
     pub gold_result: Option<&'a ResultSet>,
 }
 
@@ -73,6 +75,12 @@ pub struct Prediction {
     pub sql: String,
     /// Parsed predicted query (always parseable — the simulation emits ASTs).
     pub query: Query,
+    /// `query`'s outcome on the task's database when translation already
+    /// executed it: a corruption's accepted candidate, which the corruption
+    /// engine ran to check it is wrong. `None` for correct or restyled
+    /// predictions, for the fallback literal and when StaticRepair changed
+    /// the query; a scorer executes those itself.
+    pub executed: Option<ExecResult<ResultSet>>,
     /// Prompt tokens spent (API methods; 0 for local models).
     pub prompt_tokens: u64,
     /// Completion tokens spent.
@@ -184,10 +192,14 @@ impl SimulatedModel {
         &self.spec.profile
     }
 
-    /// Fast path for fitness evaluation: produce only the predicted query,
+    /// Fast path for fitness evaluation: produce only the predicted query
+    /// and its outcome when already executed ([`Prediction::executed`]),
     /// skipping prompt construction and economy accounting. Identical
     /// prediction to [`Nl2SqlModel::translate`] for the same task.
-    pub fn predict_query_only(&self, task: &TranslationTask<'_>) -> Option<Query> {
+    pub fn predict_query_only(
+        &self,
+        task: &TranslationTask<'_>,
+    ) -> Option<(Query, Option<ExecResult<ResultSet>>)> {
         let p = self.spec.profile.p_correct(&self.traits(task))?;
         Some(self.predict(task, p))
     }
@@ -195,17 +207,22 @@ impl SimulatedModel {
     /// The prediction both paths share: decide correctness, then restyle
     /// the gold query (correct intent; EM may break, EX holds) or corrupt
     /// it from the method's error palette, then apply the method's static
-    /// repair.
-    fn predict(&self, task: &TranslationTask<'_>, p: f64) -> Query {
+    /// repair. Returns the query with the outcome corruption executed it
+    /// to, while that is still the query's.
+    fn predict(
+        &self,
+        task: &TranslationTask<'_>,
+        p: f64,
+    ) -> (Query, Option<ExecResult<ResultSet>>) {
         let correct = self.decide_correct(task, p);
         let mut style_rng = self.rng(task, "style", true, true);
-        let mut pred_query = if correct {
+        let (mut pred_query, mut executed) = if correct {
             let mut pred_query = task.sample.query.clone();
             let alignment = self.spec.profile.em_alignment(task.sample.hardness);
             if !style_rng.gen_bool(alignment.clamp(0.0, 1.0)) {
                 let _ = restyle(&mut pred_query, &mut style_rng);
             }
-            pred_query
+            (pred_query, None)
         } else {
             corrupt_prediction(
                 &task.sample.query,
@@ -216,10 +233,13 @@ impl SimulatedModel {
                 &mut style_rng,
             )
         };
-        if self.spec.modules.post == PostProcessing::StaticRepair {
-            crate::repair::static_repair(&mut pred_query, &task.profile.catalog);
+        if self.spec.modules.post == PostProcessing::StaticRepair
+            && crate::repair::static_repair(&mut pred_query, &task.profile.catalog)
+        {
+            // corruption ran the query before its repair
+            executed = None;
         }
-        pred_query
+        (pred_query, executed)
     }
 }
 
@@ -232,7 +252,7 @@ impl Nl2SqlModel for SimulatedModel {
         let _span = obs::span("modelzoo.translate");
         let p = self.spec.profile.p_correct(&self.traits(task))?;
 
-        let pred_query = {
+        let (pred_query, executed) = {
             let _decode = obs::span("modelzoo.decode");
             self.predict(task, p)
         };
@@ -274,6 +294,7 @@ impl Nl2SqlModel for SimulatedModel {
         Some(Prediction {
             sql,
             query: pred_query,
+            executed,
             prompt_tokens,
             completion_tokens,
             cost_usd,
@@ -458,10 +479,11 @@ mod tests {
             let t = task(&c, &profiles, i);
             // fast path and full path must produce the same repaired query
             let full = repaired.translate(&t).unwrap();
-            let fast = repaired.predict_query_only(&t).unwrap();
+            let (fast, executed) = repaired.predict_query_only(&t).unwrap();
             assert_eq!(full.query, fast, "paths diverge on sample {i}");
             assert_eq!(full.sql, sqlkit::to_sql(&fast));
-            if baseline.predict_query_only(&t).unwrap() != fast {
+            assert_eq!(full.executed, executed, "outcomes diverge on sample {i}");
+            if baseline.predict_query_only(&t).unwrap().0 != fast {
                 changed += 1;
             }
         }

@@ -81,15 +81,17 @@ proptest! {
         }
     }
 
-    /// The fast fitness path produces the same query as the full translate.
+    /// The fast fitness path produces the same query and outcome as the
+    /// full translate.
     #[test]
     fn fast_path_matches_translate(sample_idx in 0usize..60, method_idx in 0usize..16) {
         let models = zoo();
         let m = &models[method_idx % models.len()];
         let t = task(sample_idx, 0);
         let full = m.translate(&t).expect("supported");
-        let fast = m.predict_query_only(&t).expect("supported");
+        let (fast, executed) = m.predict_query_only(&t).expect("supported");
         prop_assert_eq!(full.query, fast);
+        prop_assert_eq!(full.executed, executed);
     }
 
     /// Economy accounting is internally consistent: cost follows tokens for

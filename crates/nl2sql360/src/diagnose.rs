@@ -517,7 +517,7 @@ mod tests {
         for (i, s) in c.dev.iter().enumerate().take(30) {
             let mut rng = rand::rngs::StdRng::seed_from_u64(i as u64);
             let db = c.db(s);
-            let pred = modelzoo::corruption::corrupt_prediction(
+            let (pred, _) = modelzoo::corruption::corrupt_prediction(
                 &s.query,
                 modelzoo::MethodClass::FinetunedPlm,
                 db,

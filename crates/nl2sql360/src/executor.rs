@@ -9,7 +9,7 @@
 //! reads from.
 
 use datagen::{regenerate_content, Corpus, CorpusKind, GeneratedDb, Sample};
-use minidb::{results_equivalent, ExecError, ResultSet};
+use minidb::{results_equivalent, ExecError, ExecResult, ResultSet};
 use modelzoo::modules::FewShotIndex;
 use modelzoo::{DatasetKind, DbProfile, Nl2SqlModel, SimulatedModel, TranslationTask};
 use serde::{Deserialize, Serialize};
@@ -596,7 +596,8 @@ impl<'a> EvalContext<'a> {
         let mut variants = Vec::with_capacity(sample.variants.len());
         for v in 0..sample.variants.len() {
             let pred = model.translate(&self.task(sample, v))?;
-            let Score { ex, em, pred_work, exec_failure } = self.score(i, &pred.query);
+            let Score { ex, em, pred_work, exec_failure } =
+                self.score(i, &pred.query, pred.executed.as_ref());
             let static_verdict =
                 opts.static_check.then(|| self.static_verdict(&sample.db_id, &pred.query));
             let match_kind = (opts.match_kind)
@@ -628,11 +629,37 @@ impl<'a> EvalContext<'a> {
         })
     }
 
-    /// Score a prediction for dev sample `i`: execute it on the sample's
-    /// database, then [`judge`](Self::judge) the outcome.
-    pub(crate) fn score(&self, i: usize, pred: &sqlkit::Query) -> Score {
-        let executed = self.corpus.db(&self.corpus.dev[i]).database.run_query(pred);
-        self.judge(i, pred, executed.as_ref().map_err(ExecFailureKind::of))
+    /// Score a prediction for dev sample `i` from its outcome on the
+    /// sample's database, then [`judge`](Self::judge) it. The outcome is
+    /// the one translation handed over (`executed`), else gold's cached
+    /// result when the prediction is the gold query, else one execution:
+    /// each prediction runs at most once, and nothing outlives the call.
+    pub(crate) fn score(
+        &self,
+        i: usize,
+        pred: &sqlkit::Query,
+        executed: Option<&ExecResult<ResultSet>>,
+    ) -> Score {
+        let sample = &self.corpus.dev[i];
+        let db = &self.corpus.db(sample).database;
+        let ran;
+        let outcome = match executed {
+            Some(outcome) => outcome.as_ref(),
+            None if *pred == sample.query => Ok(&self.gold_results[i]),
+            None => {
+                ran = db.run_query(pred);
+                ran.as_ref()
+            }
+        };
+        // A handed-over outcome must be what executing the prediction
+        // gives; the check asks minidb's interpreter, whose outcomes equal
+        // `run_query`'s (plan parity) and which leaves the dispatch
+        // counters to real executions.
+        if cfg!(debug_assertions) && (executed.is_some() || *pred == sample.query) {
+            let fresh = minidb::exec::execute(db, pred);
+            assert_eq!(outcome, fresh.as_ref(), "handed-over outcome of dev[{i}] is stale");
+        }
+        self.judge(i, pred, outcome.map_err(ExecFailureKind::of))
     }
 
     /// Score a prediction for dev sample `i` from its execution on the
@@ -647,14 +674,17 @@ impl<'a> EvalContext<'a> {
         executed: Result<&ResultSet, ExecFailureKind>,
     ) -> Score {
         let sample = &self.corpus.dev[i];
-        // a suite instance whose gold cannot run confirms vacuously
+        // a suite instance whose gold cannot run confirms vacuously, and
+        // every instance confirms the gold query itself: its result there
+        // is that instance's gold result, equivalent to itself
         let suite_confirms = || {
-            self.suite.iter().zip(&self.suite_gold).all(|(instance, golds)| {
-                golds[i].as_ref().is_none_or(|gold_rs| {
-                    let rs = instance[&sample.db_id].database.run_query(pred);
-                    rs.is_ok_and(|rs| results_equivalent(gold_rs, &rs))
+            *pred == sample.query
+                || self.suite.iter().zip(&self.suite_gold).all(|(instance, golds)| {
+                    golds[i].as_ref().is_none_or(|gold_rs| {
+                        let rs = instance[&sample.db_id].database.run_query(pred);
+                        rs.is_ok_and(|rs| results_equivalent(gold_rs, &rs))
+                    })
                 })
-            })
         };
         let (ex, pred_work, exec_failure) = match executed {
             Ok(rs) => (
@@ -704,8 +734,8 @@ impl<'a> EvalContext<'a> {
         let n = n.min(self.corpus.dev.len());
         let mut correct = 0usize;
         for (i, sample) in self.corpus.dev.iter().take(n).enumerate() {
-            let pred = model.predict_query_only(&self.task(sample, 0))?;
-            if self.score(i, &pred).ex {
+            let (pred, executed) = model.predict_query_only(&self.task(sample, 0))?;
+            if self.score(i, &pred, executed.as_ref()).ex {
                 correct += 1;
             }
         }
@@ -855,6 +885,29 @@ mod tests {
     }
 
     #[test]
+    fn gold_results_are_equivalent_to_themselves_on_every_instance() {
+        // `judge` lets a gold-identical prediction skip the suite
+        // instances: its result on each is that instance's gold result
+        for kind in [CorpusKind::Spider, CorpusKind::Bird] {
+            let corpus = generate_corpus(kind, &CorpusConfig::tiny(21));
+            let ctx = EvalContext::with_test_suite(&corpus, 2);
+            let mut checked = 0usize;
+            for (i, sample) in corpus.dev.iter().enumerate() {
+                let gold = ctx.gold_result(i);
+                assert!(results_equivalent(gold, gold), "{kind:?} dev[{i}] primary");
+                for (j, golds) in ctx.suite_gold.iter().enumerate() {
+                    if let Some(gold) = &golds[i] {
+                        assert!(results_equivalent(gold, gold), "{kind:?} dev[{i}] instance {j}");
+                        checked += 1;
+                    }
+                }
+                assert!(ctx.score(i, &sample.query, None).ex, "{kind:?} dev[{i}]");
+            }
+            assert!(checked > corpus.dev.len(), "{kind:?}: {checked} suite golds");
+        }
+    }
+
+    #[test]
     fn tasks_of_dev_samples_carry_their_gold_result() {
         // reordered, so ids no longer match positions
         let mut corpus = ctx_corpus();
@@ -885,7 +938,7 @@ mod tests {
 
         // broken reference → kind preserved, no work recorded
         let bad = sqlkit::parse_query("SELECT nonexistent_col FROM nonexistent_tbl").unwrap();
-        let score = ctx.score(0, &bad);
+        let score = ctx.score(0, &bad, None);
         assert_eq!(
             score,
             Score {
@@ -897,7 +950,7 @@ mod tests {
         );
 
         // gold query → success, no failure kind
-        let score = ctx.score(0, &corpus.dev[0].query);
+        let score = ctx.score(0, &corpus.dev[0].query, None);
         assert!(score.ex && score.em);
         assert_eq!(score.pred_work, Some(ctx.gold_result(0).work));
         assert_eq!(score.exec_failure, None);
