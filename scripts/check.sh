@@ -119,6 +119,22 @@ if [ "$lint" -eq 1 ]; then
     exit 1
   fi
 
+  # Each prediction executes at most once: the evaluator runs gold and the
+  # suite instances' gold when EvalContext is built (with_test_suite), a
+  # prediction on the suite instances in judge, and a prediction whose
+  # outcome translation did not hand over in score. Any other run_query in
+  # non-test nl2sql360 code executes something a second time.
+  echo "==> one execution per prediction (run_query in nl2sql360/src only in with_test_suite / judge / score)"
+  if find crates/nl2sql360/src -name '*.rs' | sort \
+    | xargs awk 'FNR == 1 { counting = 1; owner = "" } /#\[cfg\(test\)\]/ { counting = 0 }
+      /^[[:space:]]*\/\// { next }
+      counting && match($0, /fn [a-z_0-9]+/) { owner = substr($0, RSTART + 3, RLENGTH - 3) }
+      counting && /run_query/ { print FILENAME ":" FNR ": " owner ": " $0 }' \
+    | grep -vE '^crates/nl2sql360/src/executor\.rs:[0-9]+: (with_test_suite|judge|score): '; then
+    echo "score a prediction through EvalContext::score, which takes the outcome it already has" >&2
+    exit 1
+  fi
+
   # No timed re-check on a stop path: the eval runner and the forwarders
   # block until a message or a notify (sent under the lock) wakes them.
   echo "==> no stop poll (recv_timeout / wait_timeout in serve/src/lib.rs, cluster/src/scheduler.rs)"
