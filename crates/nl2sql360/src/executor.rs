@@ -666,25 +666,48 @@ impl<'a> EvalContext<'a> {
     /// sample's database: EX against the cached gold result and every
     /// test-suite instance, EM against the gold AST. The one scorer behind
     /// evaluation logs, AAS fitness and served replies (which pass the
-    /// outcome their cache holds).
+    /// outcome their cache holds). `executed` must be what executing
+    /// `pred` gives, so a prediction that is the gold query and ran scores
+    /// EX and EM without a comparison: gold's result on the primary
+    /// database and on every suite instance is equivalent to itself, and
+    /// gold matches itself exactly (both pinned by unit tests).
     pub fn judge(
         &self,
         i: usize,
         pred: &sqlkit::Query,
         executed: Result<&ResultSet, ExecFailureKind>,
     ) -> Score {
+        if let (true, Ok(rs)) = (*pred == self.corpus.dev[i].query, executed) {
+            let score = Score { ex: true, em: true, pred_work: Some(rs.work), exec_failure: None };
+            // the interpreter runs the suite check here, so the dispatch
+            // counters keep counting real executions only
+            if cfg!(debug_assertions) {
+                let full = self.judge_in_full(i, pred, executed, minidb::exec::execute);
+                assert_eq!(score, full, "gold-identical prediction of dev[{i}]");
+            }
+            return score;
+        }
+        self.judge_in_full(i, pred, executed, |db, q| db.run_query(q))
+    }
+
+    /// [`judge`](Self::judge) without the gold-identical short cut, running
+    /// the prediction on the suite instances with `run`.
+    fn judge_in_full(
+        &self,
+        i: usize,
+        pred: &sqlkit::Query,
+        executed: Result<&ResultSet, ExecFailureKind>,
+        run: impl Fn(&minidb::Database, &sqlkit::Query) -> ExecResult<ResultSet>,
+    ) -> Score {
         let sample = &self.corpus.dev[i];
-        // a suite instance whose gold cannot run confirms vacuously, and
-        // every instance confirms the gold query itself: its result there
-        // is that instance's gold result, equivalent to itself
+        // a suite instance whose gold cannot run confirms vacuously
         let suite_confirms = || {
-            *pred == sample.query
-                || self.suite.iter().zip(&self.suite_gold).all(|(instance, golds)| {
-                    golds[i].as_ref().is_none_or(|gold_rs| {
-                        let rs = instance[&sample.db_id].database.run_query(pred);
-                        rs.is_ok_and(|rs| results_equivalent(gold_rs, &rs))
-                    })
+            self.suite.iter().zip(&self.suite_gold).all(|(instance, golds)| {
+                golds[i].as_ref().is_none_or(|gold_rs| {
+                    let rs = run(&instance[&sample.db_id].database, pred);
+                    rs.is_ok_and(|rs| results_equivalent(gold_rs, &rs))
                 })
+            })
         };
         let (ex, pred_work, exec_failure) = match executed {
             Ok(rs) => (
@@ -904,6 +927,17 @@ mod tests {
                 assert!(ctx.score(i, &sample.query, None).ex, "{kind:?} dev[{i}]");
             }
             assert!(checked > corpus.dev.len(), "{kind:?}: {checked} suite golds");
+        }
+    }
+
+    #[test]
+    fn gold_queries_exactly_match_themselves() {
+        // `judge` scores a gold-identical prediction EM without comparing
+        for kind in [CorpusKind::Spider, CorpusKind::Bird] {
+            let corpus = generate_corpus(kind, &CorpusConfig::tiny(21));
+            for (i, sample) in corpus.dev.iter().enumerate() {
+                assert!(sqlkit::exact_match(&sample.query, &sample.query), "{kind:?} dev[{i}]");
+            }
         }
     }
 

@@ -548,6 +548,49 @@ impl EvalPlane {
     }
 }
 
+/// A dev sample's gold query as the pipeline sees it, computed once at
+/// boot: its cache key under the configured key kind and, with the static
+/// check on, the Error rules it fires (`None` when the check is off or the
+/// database has no catalog). A prediction that is the gold query takes
+/// both instead of analyzing and canonicalizing itself.
+struct GoldFacts {
+    key: String,
+    rejected: Option<Vec<sqlcheck::Rule>>,
+}
+
+impl GoldFacts {
+    fn of_dev(config: &ServeConfig, ctx: &EvalContext<'_>) -> Vec<GoldFacts> {
+        ctx.corpus
+            .dev
+            .iter()
+            .map(|s| GoldFacts {
+                key: cache_key(config, ctx, &s.db_id, &s.query),
+                rejected: (config.static_check)
+                    .then(|| ctx.catalog(&s.db_id).map(|c| sqlcheck::rejecting_rules(c, &s.query)))
+                    .flatten(),
+            })
+            .collect()
+    }
+}
+
+/// The normalized SQL a prediction's outcome is cached under: its
+/// canonical form with `canonical_cache_key`, which unifies surface
+/// restylings of the same query into one entry (the name-preserving
+/// cache-safe rule set keeps hit outcomes byte-identical to misses), else
+/// its normalized text.
+fn cache_key(
+    config: &ServeConfig,
+    ctx: &EvalContext<'_>,
+    db_id: &str,
+    query: &sqlkit::Query,
+) -> String {
+    if config.canonical_cache_key {
+        sqlcheck::equiv::cache_key_canonical_sql(query, ctx.catalog(db_id))
+    } else {
+        sqlkit::to_sql(&sqlkit::normalize::normalize(query))
+    }
+}
+
 /// `/readyz` reports unready once the queue is at least this percent full.
 pub const UNREADY_QUEUE_PCT: usize = 90;
 
@@ -559,6 +602,9 @@ pub(crate) struct Inner {
     pub(crate) method_index: HashMap<String, usize>,
     // (db_id, question) → (dev sample index, variant index)
     question_index: HashMap<(String, String), (usize, usize)>,
+    /// What each dev sample's gold query gives a prediction that is it,
+    /// indexed like the dev split.
+    gold: Vec<GoldFacts>,
     cache: ExecCache,
     /// Eval-run registry, persistence store, and runner job queue behind
     /// the `/v1/evals` endpoints.
@@ -589,13 +635,13 @@ impl Inner {
         let (tx, rx) = channel::bounded(1);
         let ticket = Ticket { rx };
 
-        let Some(&method_idx) = self.method_index.get(&req.method) else {
-            self.reject(QueryError::UnknownMethod(req.method), &tx);
+        let QueryRequest { method, db_id, question, deadline, trace: forwarded } = req;
+        let Some(&method_idx) = self.method_index.get(&method) else {
+            self.reject(QueryError::UnknownMethod(method), &tx);
             return Ok(ticket);
         };
-        let Some(&(sample_idx, variant)) =
-            self.question_index.get(&(req.db_id.clone(), req.question.clone()))
-        else {
+        let asked = (db_id, question);
+        let Some(&(sample_idx, variant)) = self.question_index.get(&asked) else {
             self.reject(QueryError::UnknownQuestion, &tx);
             return Ok(ticket);
         };
@@ -605,11 +651,10 @@ impl Inner {
         // fresh id. Resolution failures above get no trace — they never
         // reach the pipeline the spans describe.
         let trace = self.traces.as_ref().map(|store| {
-            let (trace_id, parent_span) = req
-                .trace
+            let (trace_id, parent_span) = forwarded
                 .as_ref()
                 .and_then(|t| trace::parse_trace_id(&t.trace_id).map(|id| (id, t.parent_span)))
-                .unwrap_or_else(|| (store.mint(&req.db_id, &req.question, &req.method), 0));
+                .unwrap_or_else(|| (store.mint(&asked.0, &asked.1, &method), 0));
             PendingTrace { trace_id, root_span: store.next_span_id(), parent_span }
         });
         let pending = Pending {
@@ -617,7 +662,7 @@ impl Inner {
             sample_idx,
             variant,
             enqueued: Instant::now(),
-            deadline: req.deadline,
+            deadline,
             reply: tx,
             trace,
         };
@@ -936,6 +981,7 @@ impl Service {
             .request_tracing
             .then(|| TraceStore::new(&config.trace_process, trace::TRACE_CAPACITY, started));
         let inner = Inner {
+            gold: GoldFacts::of_dev(&config, ctx),
             cache: ExecCache::new(config.cache_shards, config.cache_capacity_per_shard),
             evals: EvalPlane::new(config.static_check),
             traces,
@@ -1257,7 +1303,10 @@ fn serve_one<'a>(inner: &Inner, ctx: &'a EvalContext<'a>, p: Pending, batch_size
 /// translate → static check → execute (through the cache) → compare.
 /// Returns the reply (its `latency` and `trace_id` are `Inner::complete`'s
 /// to set), the hash of the cache key (0 when the request never got one)
-/// and when each stage ended.
+/// and when each stage ended. A prediction that is the gold query takes
+/// gold's verdict and cache key, and on a miss gold's cached result; any
+/// other takes the outcome translation handed over: a miss executes only a
+/// prediction nothing has run.
 fn translate_and_execute<'a>(
     inner: &Inner,
     ctx: &'a EvalContext<'a>,
@@ -1267,17 +1316,21 @@ fn translate_and_execute<'a>(
     let sample = &ctx.corpus.dev[p.sample_idx];
     let translated = inner.models[p.method_idx].translate(&ctx.task(sample, p.variant));
     let mut stages = Stages { translated: Some(Instant::now()), ..Stages::default() };
-    let Some(pred) = translated else {
+    let Some(mut pred) = translated else {
         return (Err(QueryError::TranslationRefused), 0, stages);
     };
+    let gold = (pred.query == sample.query).then(|| &inner.gold[p.sample_idx]);
 
     // Static admission: reject SQL the analyzer can prove will fail before
     // spending execution (or cache) budget on it. Warning-severity
     // diagnostics never reject, so clean queries are byte-identical with
     // the check off.
     if inner.config.static_check {
-        if let Some(catalog) = ctx.catalog(&sample.db_id) {
-            let fired = sqlcheck::rejecting_rules(catalog, &pred.query);
+        let fired = match gold {
+            Some(g) => g.rejected.clone(),
+            None => ctx.catalog(&sample.db_id).map(|c| sqlcheck::rejecting_rules(c, &pred.query)),
+        };
+        if let Some(fired) = fired {
             stages.checked = Some(Instant::now());
             if !fired.is_empty() {
                 let ids = fired.into_iter().map(|r| r.id().to_string()).collect();
@@ -1286,21 +1339,21 @@ fn translate_and_execute<'a>(
         }
     }
 
-    // The cache key: canonical form unifies surface restylings of the same
-    // query into one entry; the name-preserving cache-safe rule set keeps
-    // hit outcomes byte-identical to misses.
-    let normalized = if inner.config.canonical_cache_key {
-        sqlcheck::equiv::cache_key_canonical_sql(&pred.query, ctx.catalog(&sample.db_id))
-    } else {
-        sqlkit::to_sql(&sqlkit::normalize::normalize(&pred.query))
+    let normalized = match gold {
+        Some(g) => g.key.clone(),
+        None => cache_key(&inner.config, ctx, &sample.db_id, &pred.query),
     };
     let sql_hash = slowlog::fnv1a64(&normalized);
     let key = (sample.db_id.clone(), normalized);
     let (outcome, cache_hit) = match inner.cache.get(&key) {
         Some(v) => (v, true),
         None => {
-            let executed = ctx.corpus.db(sample).database.run_query(&pred.query);
-            let v: Arc<ExecOutcome> = Arc::new(executed.map_err(|e| ExecFailureKind::of(&e)));
+            let outcome = match (pred.executed.take(), gold) {
+                (Some(executed), _) => executed,
+                (None, Some(_)) => Ok(ctx.gold_result(p.sample_idx).clone()),
+                (None, None) => ctx.corpus.db(sample).database.run_query(&pred.query),
+            };
+            let v: Arc<ExecOutcome> = Arc::new(outcome.map_err(|e| ExecFailureKind::of(&e)));
             inner.cache.insert(key, v.clone());
             (v, false)
         }
@@ -1393,6 +1446,33 @@ mod tests {
             assert_eq!(first.pred_work, second.pred_work);
             assert!(handle.cache_len() >= 1);
         });
+    }
+
+    #[test]
+    fn gold_facts_are_computed_for_every_dev_gold() {
+        // a gold-identical prediction takes these instead of its own, so
+        // they must be gold's own key and verdict, never an assumed clean
+        let ctx = EvalContext::new(corpus());
+        for (canonical, static_check) in [(false, false), (false, true), (true, true)] {
+            let config = ServeConfig::builder()
+                .canonical_cache_key(canonical)
+                .static_check(static_check)
+                .build()
+                .expect("valid config");
+            let facts = GoldFacts::of_dev(&config, &ctx);
+            assert_eq!(facts.len(), corpus().dev.len());
+            for (s, g) in corpus().dev.iter().zip(&facts) {
+                let catalog = ctx.catalog(&s.db_id).expect("a dev database has a catalog");
+                let key = if canonical {
+                    sqlcheck::equiv::cache_key_canonical_sql(&s.query, Some(catalog))
+                } else {
+                    sqlkit::to_sql(&sqlkit::normalize::normalize(&s.query))
+                };
+                assert_eq!(g.key, key, "{}", s.sql);
+                let verdict = static_check.then(|| sqlcheck::rejecting_rules(catalog, &s.query));
+                assert_eq!(g.rejected, verdict, "{}", s.sql);
+            }
+        }
     }
 
     #[test]

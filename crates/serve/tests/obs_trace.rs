@@ -1,10 +1,12 @@
 //! Serve ↔ obs ↔ minidb reconciliation: with the obs recorder enabled
 //! around a service run, minidb's dispatch accounting must agree with the
-//! service's own cache metrics — every execution-cache miss is exactly one
-//! `run_query` dispatch, every hit is zero. Runs in its own test binary
-//! because the obs recorder is global.
+//! service's own cache metrics — an execution-cache miss is one `run_query`
+//! dispatch exactly when nothing has run its prediction yet (it is not the
+//! gold query and translation handed over no outcome), every hit is zero.
+//! Runs in its own test binary because the obs recorder is global.
 
 use datagen::{generate_corpus, CorpusConfig, CorpusKind};
+use modelzoo::{method_by_name, Nl2SqlModel, SimulatedModel};
 use nl2sql360::EvalContext;
 use serve::{QueryRequest, ServeConfig, Service};
 use std::sync::Mutex;
@@ -22,6 +24,10 @@ fn request(sample: &datagen::Sample, variant: usize, method: &str) -> QueryReque
     }
 }
 
+fn dispatched(s: &obs::Snapshot) -> u64 {
+    s.counter("minidb.dispatch.compiled") + s.counter("minidb.dispatch.interpreter")
+}
+
 #[test]
 fn trace_counters_reconcile_cache_with_minidb_dispatch() {
     let _lock = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -29,6 +35,20 @@ fn trace_counters_reconcile_cache_with_minidb_dispatch() {
     // Gold results execute eagerly here, BEFORE tracing starts, so the
     // dispatch counts seen below belong to served requests alone.
     let ctx = EvalContext::new(&corpus);
+    // The round-1 misses a worker must execute: predictions that are not
+    // the gold query and carry no outcome, found by translating the same
+    // requests here, before the recorder is on.
+    let model = SimulatedModel::new(method_by_name("C3SQL").expect("registered"));
+    let unran = corpus
+        .dev
+        .iter()
+        .take(10)
+        .filter(|s| {
+            let pred = model.translate(&ctx.task(s, 0)).expect("C3SQL runs on Spider");
+            pred.executed.is_none() && pred.query != s.query
+        })
+        .count() as u64;
+    assert!(0 < unran && unran < 10, "{unran} of 10 misses execute: pin both kinds");
     obs::reset();
 
     let config = ServeConfig::builder().workers(2).build().expect("valid config");
@@ -59,15 +79,15 @@ fn trace_counters_reconcile_cache_with_minidb_dispatch() {
     // simulated translator itself executes verification queries (the
     // corruption engine), and translation is deterministic per request —
     // so two identical rounds differ in dispatch count by *exactly* the
-    // executions the cache saved: round 1's misses.
-    let dispatch =
-        |s: &obs::Snapshot| s.counter("minidb.dispatch.compiled") + s.counter("minidb.dispatch.interpreter");
-    let round1 = dispatch(&mid);
-    let round2 = dispatch(&snap) - round1;
+    // executions the cache saved: round 1's misses that had no outcome in
+    // hand. A gold-identical miss takes gold's cached result and a
+    // corrupted one the outcome its corruption check ran.
+    let round1 = dispatched(&mid);
+    let round2 = dispatched(&snap) - round1;
     assert_eq!(
         round1 - round2,
-        metrics.cache_misses,
-        "dispatch delta between identical rounds must equal the misses the cache absorbed \
+        unran,
+        "dispatch delta between identical rounds must equal the misses nothing had run \
          (round1={round1}, round2={round2})"
     );
 
@@ -79,6 +99,33 @@ fn trace_counters_reconcile_cache_with_minidb_dispatch() {
     // per-operator work charged during serving flows through too
     assert!(snap.counter("minidb.work.total") > 0);
 
+    obs::reset();
+}
+
+#[test]
+fn a_service_executes_each_query_once_at_most() {
+    let _lock = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
+    let corpus = generate_corpus(CorpusKind::Spider, &CorpusConfig::tiny(91));
+    let ctx = EvalContext::new(&corpus);
+    obs::reset();
+    let recording = obs::enable();
+    let config = ServeConfig::builder().workers(2).build().expect("valid config");
+    let methods = ["C3SQL", "RESDSQL-3B"];
+    let served = Service::run_with_methods(config, &ctx, &methods, |handle| {
+        // one after another, so no two misses of one key race each other
+        for sample in &corpus.dev {
+            for method in methods {
+                handle.query(request(sample, 0, method)).expect("served");
+            }
+        }
+        handle.metrics()
+    });
+    drop(recording);
+    assert_eq!((served.completed, served.cache_misses), (120, 86));
+    // Translation's corruption checks plus the misses nothing had run.
+    // Before a miss took gold's result or the handed-over outcome, the
+    // same requests dispatched 105 executions.
+    assert_eq!(dispatched(&obs::snapshot()), 40, "120 requests");
     obs::reset();
 }
 

@@ -122,16 +122,26 @@ if [ "$lint" -eq 1 ]; then
   # Each prediction executes at most once: the evaluator runs gold and the
   # suite instances' gold when EvalContext is built (with_test_suite), a
   # prediction on the suite instances in judge, and a prediction whose
-  # outcome translation did not hand over in score. Any other run_query in
-  # non-test nl2sql360 code executes something a second time.
-  echo "==> one execution per prediction (run_query in nl2sql360/src only in with_test_suite / judge / score)"
-  if find crates/nl2sql360/src -name '*.rs' | sort \
-    | xargs awk 'FNR == 1 { counting = 1; owner = "" } /#\[cfg\(test\)\]/ { counting = 0 }
+  # outcome translation did not hand over in score; serve runs a raw
+  # `/v1/sql` query (raw_sql) and, on a cache miss in translate_and_execute,
+  # a prediction that is neither the gold query nor carries its outcome —
+  # the `(None, None)` arm after the cache lookup. Any other run_query in
+  # non-test nl2sql360 or serve code executes something a second time.
+  echo "==> one execution per prediction (run_query in nl2sql360/src and serve/src)"
+  flagged=$(find crates/nl2sql360/src crates/serve/src -name '*.rs' | sort \
+    | xargs awk 'FNR == 1 { counting = 1; owner = ""; looked_up = 0 } /#\[cfg\(test\)\]/ { counting = 0 }
       /^[[:space:]]*\/\// { next }
-      counting && match($0, /fn [a-z_0-9]+/) { owner = substr($0, RSTART + 3, RLENGTH - 3) }
-      counting && /run_query/ { print FILENAME ":" FNR ": " owner ": " $0 }' \
-    | grep -vE '^crates/nl2sql360/src/executor\.rs:[0-9]+: (with_test_suite|judge|score): '; then
-    echo "score a prediction through EvalContext::score, which takes the outcome it already has" >&2
+      counting && match($0, /fn [a-z_0-9]+/) { owner = substr($0, RSTART + 3, RLENGTH - 3); looked_up = 0 }
+      counting && /cache\.get\(/ { looked_up = 1 }
+      counting && /run_query/ {
+        arm = (looked_up && /\(None, None\) =>/) ? " miss arm" : ""
+        print FILENAME ":" FNR ": " owner arm ": " $0 }' \
+    | grep -vE '^crates/nl2sql360/src/executor\.rs:[0-9]+: (with_test_suite|judge|score): ' \
+    | grep -vE '^crates/serve/src/(lib\.rs:[0-9]+: translate_and_execute miss arm|api\.rs:[0-9]+: raw_sql): ' || true)
+  echo "    $(printf '%s' "$flagged" | grep -c .) site(s) flagged"
+  if [ -n "$flagged" ]; then
+    printf '%s\n' "$flagged"
+    echo "score a prediction through EvalContext::score, and serve a miss from the outcome in hand" >&2
     exit 1
   fi
 
