@@ -6,8 +6,9 @@
 //! * `POST /v1/sql` — NL question or raw SQL in, rows out as JSON. Raw SQL
 //!   runs against a corpus database (`"db"`) or, with no `"db"`, against
 //!   the eval store — which is how leaderboards over persisted runs become
-//!   plain SQL over HTTP. NL requests go through the same admission queue,
-//!   worker pool, cache, deadline, and static-check pipeline as in-process
+//!   plain SQL over HTTP. NL requests are queued for the worker pool, as
+//!   [`crate::ServiceHandle::submit`] does, and run the same admission,
+//!   cache, deadline and static-check pipeline as in-process
 //!   [`crate::ServiceHandle::query`] calls.
 //! * `POST /v1/evals/<corpus>` — launch a background evaluation run;
 //!   answers `202` with the run's API id immediately.
@@ -186,9 +187,10 @@ fn raw_sql(body: &serde::Value, inner: &Inner, ctx: &EvalContext<'_>) -> Respons
     }
 }
 
-/// The NL arm: build a [`QueryRequest`], run it through the normal
-/// admission queue and worker pool, then execute the predicted SQL for the
-/// actual rows.
+/// The NL arm: build a [`QueryRequest`], queue it for the worker pool,
+/// then execute the predicted SQL for the actual rows. Queued rather than
+/// run on the handler thread, so an HTTP request's deadline keeps bounding
+/// the time it waits for a worker.
 fn nl_query(body: &serde::Value, inner: &Inner, ctx: &EvalContext<'_>) -> Response {
     let request = match http::nl_request(body, |field| match field {
         "question" => "\"question\" must be a string".to_string(),

@@ -8,24 +8,35 @@
 //! [`minidb`] execution, [`nl2sql360::EvalContext`] gold results — behind
 //! a thread-pool service:
 //!
-//! * **Admission control**: a bounded queue; a full queue rejects new
-//!   requests with [`QueryError::Overloaded`] instead of letting latency
-//!   grow without bound.
-//! * **Worker pool**: N threads share one [`EvalContext`] and one model
-//!   set (scoped threads — the context borrows the corpus, no `'static`
-//!   gymnastics).
-//! * **Micro-batching**: a worker drains up to `max_batch` queued requests
-//!   for the *same method* in one round, amortizing per-method work
-//!   (few-shot retrieval state, prompt scaffolding) across requests.
+//! * **Admission control**: one admission step for every request; a full
+//!   queue (or a draining service) rejects new requests with
+//!   [`QueryError::Overloaded`] instead of letting latency grow without
+//!   bound.
+//! * **Two dispatchers, one pipeline**: [`ServiceHandle::query`], whose
+//!   caller blocks on the answer anyway, runs the pipeline on the calling
+//!   thread — no queue slot, no reply channel, no thread hand-off.
+//!   [`ServiceHandle::submit`] and the HTTP NL arm queue the request for a
+//!   pool of N worker threads and return a [`Ticket`]. Both share one
+//!   [`EvalContext`] and one model set (scoped threads — the context
+//!   borrows the corpus, no `'static` gymnastics) and serve through the
+//!   same `serve_one`.
+//! * **Same-method rounds**: a worker dequeues up to `max_batch` queued
+//!   requests for the *same method* in one round and serves them one after
+//!   another; the round shares nothing but the dequeue, and its size is
+//!   what a reply's `batch_size` reports (1 for a caller-run request).
 //! * **Result caching**: a sharded LRU over `(db_id, normalized SQL)`
 //!   execution outcomes. Execution is deterministic, so caching is
 //!   outcome-neutral — EX/EM cannot depend on cache state.
-//! * **Deadlines**: a request can carry a deadline; workers drop requests
-//!   whose deadline passed while queued ([`QueryError::DeadlineExceeded`]).
+//! * **Deadlines**: a request can carry a deadline; the pipeline drops a
+//!   request whose deadline passed before pickup
+//!   ([`QueryError::DeadlineExceeded`]).
+//! * **Panic isolation**: a panic while serving one request answers it
+//!   [`QueryError::Internal`]; the worker (or caller) goes on serving.
 //! * **One completion record per request**: every exit of the pipeline —
-//!   ok, deadline exceeded, refused, statically rejected, unknown method,
-//!   unknown question, overloaded — builds one `Completion` and hands it
-//!   to `Inner::complete`, the only code that records, traces and replies.
+//!   ok, deadline exceeded, refused, statically rejected, internal, unknown
+//!   method, unknown question, overloaded — builds one `Completion` and
+//!   hands it to `Inner::complete`, the only code that records and traces
+//!   it and derives the reply.
 //!   Queue wait, exec time, latency and the stage spans (derived at
 //!   completion from the request's stamps, each read once) add up. It
 //!   feeds labeled metric families ([`obs::Registry`])
@@ -39,7 +50,8 @@
 //!   `/healthz`, `/readyz` (unready while draining or saturated), and
 //!   `/slow`.
 //! * **Graceful drain**: shutdown answers every queued request before
-//!   workers exit; nothing is lost. Drain flips readiness *before* the
+//!   workers exit, and a caller-run request already admitted finishes on
+//!   its caller's thread; nothing is lost. Drain flips readiness *before* the
 //!   queue starts refusing, so an external balancer watching `/readyz`
 //!   never sees an `Overloaded` refusal from a service that still claimed
 //!   to be ready.
@@ -72,8 +84,9 @@ pub use slowlog::{fnv1a64, SlowLog, SlowQueryEntry};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use telemetry::{Completion, Stages, Telemetry, Work};
 use trace::TraceStore;
@@ -94,12 +107,16 @@ pub use window::{WindowReport, WindowRing};
 /// spans while a service runs, hold an [`obs::enable`] guard around it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// Worker threads executing translate→execute→compare.
+    /// Worker threads serving queued requests ([`ServiceHandle::submit`],
+    /// HTTP NL requests); a [`ServiceHandle::query`] runs on its caller's
+    /// thread instead.
     pub workers: usize,
-    /// Admission queue capacity; a full queue rejects with
-    /// [`QueryError::Overloaded`].
+    /// Admission queue capacity; at capacity every request, queued or
+    /// caller-run, is rejected with [`QueryError::Overloaded`].
     pub queue_capacity: usize,
-    /// Maximum same-method requests a worker serves per dequeue round.
+    /// Maximum same-method queued requests a worker dequeues in one round
+    /// (served one after another; the round size is the replies'
+    /// `batch_size`).
     pub max_batch: usize,
     /// Execution-cache shard count.
     pub cache_shards: usize,
@@ -250,7 +267,7 @@ pub struct ServeConfigBuilder {
 }
 
 impl ServeConfigBuilder {
-    /// Worker threads executing translate→execute→compare.
+    /// Worker threads serving queued requests.
     pub fn workers(mut self, workers: usize) -> Self {
         self.config.workers = workers;
         self
@@ -262,7 +279,7 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Maximum same-method requests per dequeue round.
+    /// Maximum same-method queued requests per dequeue round.
     pub fn max_batch(mut self, max_batch: usize) -> Self {
         self.config.max_batch = max_batch;
         self
@@ -334,8 +351,8 @@ pub struct QueryRequest {
     pub db_id: String,
     /// The NL question (must be a known dev question for `db_id`).
     pub question: String,
-    /// Optional deadline relative to submission; requests still queued
-    /// past it are dropped with [`QueryError::DeadlineExceeded`].
+    /// Optional deadline relative to admission; a request not picked up
+    /// within it is dropped with [`QueryError::DeadlineExceeded`].
     pub deadline: Option<Duration>,
     /// Incoming trace context: when a traced upstream (the cluster
     /// scheduler) forwards this request, the local root span adopts its
@@ -366,7 +383,8 @@ pub struct QueryResponse {
     pub exec_failure: Option<ExecFailureKind>,
     /// Whether the execution outcome came from the cache.
     pub cache_hit: bool,
-    /// Size of the same-method batch this request was served in.
+    /// Size of the same-method round this request was served in: 1 for a
+    /// caller-run request.
     pub batch_size: usize,
     /// Submission-to-response latency.
     pub latency: Duration,
@@ -382,7 +400,7 @@ pub struct QueryResponse {
 pub enum QueryError {
     /// Rejected at admission: queue full (or service shutting down).
     Overloaded,
-    /// Dropped because the deadline passed while queued.
+    /// Dropped because the deadline passed before pickup.
     DeadlineExceeded,
     /// No registered model with this name.
     UnknownMethod(String),
@@ -395,7 +413,8 @@ pub enum QueryError {
     /// would raise a binding error if executed. Carries the stable rule ids
     /// that fired, in registry order.
     StaticRejected(Vec<String>),
-    /// The service stopped before answering (worker panic).
+    /// The pipeline panicked while serving this request, or the service
+    /// stopped before answering it.
     Internal,
 }
 
@@ -433,10 +452,12 @@ impl QueryError {
 
 impl std::error::Error for QueryError {}
 
-/// The reply delivered through a [`Ticket`].
+/// The answer to one request: what [`ServiceHandle::query`] returns and a
+/// [`Ticket`] delivers.
 pub type QueryReply = Result<QueryResponse, QueryError>;
 
-/// Handle to one in-flight request.
+/// Handle to one request [`ServiceHandle::submit`] queued: a worker sends
+/// its reply here.
 pub struct Ticket {
     rx: channel::Receiver<QueryReply>,
 }
@@ -453,13 +474,14 @@ impl Ticket {
     }
 }
 
+/// An admitted request, as either dispatcher hands it to [`serve_one`].
 struct Pending {
     method_idx: usize,
     sample_idx: usize,
     variant: usize,
+    /// Admission; the deadline and the queue wait count from here.
     enqueued: Instant,
     deadline: Option<Duration>,
-    reply: channel::Sender<QueryReply>,
     /// Trace identity minted (or adopted) at admission; `None` when
     /// tracing is off.
     trace: Option<PendingTrace>,
@@ -476,7 +498,8 @@ pub(crate) struct PendingTrace {
 }
 
 struct QueueState {
-    items: VecDeque<Pending>,
+    /// Queued requests, each with its ticket's sending end.
+    items: VecDeque<(Pending, channel::Sender<QueryReply>)>,
     shutdown: bool,
 }
 
@@ -624,26 +647,25 @@ pub(crate) struct Inner {
 }
 
 impl Inner {
-    /// Admission: resolve the request, then enqueue it. `Err(Overloaded)`
-    /// means the queue was full (or draining) — the request was NOT
-    /// enqueued and no ticket exists. Resolution failures (unknown
-    /// method/question) are admitted and answered through the ticket, so
-    /// they share the normal reply path. This is the one admission path
-    /// for both in-process [`ServiceHandle::submit`] calls and
-    /// `POST /v1/sql` NL requests.
-    pub(crate) fn submit(&self, req: QueryRequest) -> Result<Ticket, QueryError> {
-        let (tx, rx) = channel::bounded(1);
-        let ticket = Ticket { rx };
-
+    /// Admission, shared by both dispatchers: resolve the method and the
+    /// question, fix the trace identity, then check the queue. `Ok` holds
+    /// the admitted request and the queue lock the check was made under,
+    /// so the queued dispatcher pushes without a second check; `Err` is the
+    /// error the request was answered with here (unknown method or
+    /// question, or `Overloaded` while draining or at capacity), already
+    /// completed. An admitted request counts as admitted whichever
+    /// dispatcher serves it.
+    fn admit(
+        &self,
+        req: QueryRequest,
+    ) -> Result<(Pending, MutexGuard<'_, QueueState>), QueryError> {
         let QueryRequest { method, db_id, question, deadline, trace: forwarded } = req;
         let Some(&method_idx) = self.method_index.get(&method) else {
-            self.reject(QueryError::UnknownMethod(method), &tx);
-            return Ok(ticket);
+            return Err(self.reject(QueryError::UnknownMethod(method)));
         };
         let asked = (db_id, question);
         let Some(&(sample_idx, variant)) = self.question_index.get(&asked) else {
-            self.reject(QueryError::UnknownQuestion, &tx);
-            return Ok(ticket);
+            return Err(self.reject(QueryError::UnknownQuestion));
         };
 
         // Trace identity is fixed at admission: adopt a forwarded context
@@ -657,44 +679,53 @@ impl Inner {
                 .unwrap_or_else(|| (store.mint(&asked.0, &asked.1, &method), 0));
             PendingTrace { trace_id, root_span: store.next_span_id(), parent_span }
         });
-        let pending = Pending {
-            method_idx,
-            sample_idx,
-            variant,
-            enqueued: Instant::now(),
-            deadline,
-            reply: tx,
-            trace,
-        };
-        {
-            let mut q = self.queue.lock().expect("queue lock poisoned");
-            if q.shutdown || q.items.len() >= self.config.queue_capacity {
-                drop(q);
-                // No ticket survives a refusal: the caller gets the same
-                // error `complete` sends into the channel dropped here.
-                self.reject(QueryError::Overloaded, &pending.reply);
-                return Err(QueryError::Overloaded);
-            }
-            self.telemetry.admitted();
-            q.items.push_back(pending);
+        let pending =
+            Pending { method_idx, sample_idx, variant, enqueued: Instant::now(), deadline, trace };
+        let q = self.queue.lock().expect("queue lock poisoned");
+        if q.shutdown || q.items.len() >= self.config.queue_capacity {
+            drop(q);
+            return Err(self.reject(QueryError::Overloaded));
         }
-        self.not_empty.notify_one();
-        Ok(ticket)
+        self.telemetry.admitted();
+        Ok((pending, q))
     }
 
-    /// Answer at admission: the request never queued, so no worker ran.
-    fn reject(&self, why: QueryError, to: &channel::Sender<QueryReply>) {
-        self.complete(Completion { reply: Err(why), work: None }, to);
+    /// The queued dispatcher: admit, then hand the request to a worker.
+    /// `Err(Overloaded)` means the request was NOT enqueued and no ticket
+    /// exists. Resolution failures (unknown method/question) are answered
+    /// through the ticket, so they share the normal reply path. Behind
+    /// [`ServiceHandle::submit`] and `POST /v1/sql` NL requests.
+    pub(crate) fn submit(&self, req: QueryRequest) -> Result<Ticket, QueryError> {
+        let (tx, rx) = channel::bounded(1);
+        match self.admit(req) {
+            Ok((pending, mut q)) => {
+                q.items.push_back((pending, tx));
+                drop(q);
+                self.not_empty.notify_one();
+            }
+            Err(QueryError::Overloaded) => return Err(QueryError::Overloaded),
+            Err(why) => {
+                let _ = tx.send(Err(why));
+            }
+        }
+        Ok(Ticket { rx })
+    }
+
+    /// Answer at admission: the request never reached the pipeline.
+    fn reject(&self, why: QueryError) -> QueryError {
+        self.complete(Completion { reply: Err(why), work: None })
+            .expect_err("an admission refusal completes as an error")
     }
 
     /// The one exit of the request pipeline. Every answered request —
-    /// whichever of the seven outcomes it met, at admission or in a worker
-    /// — arrives here as one [`Completion`], and only here does an ok
-    /// reply get its latency and trace id, is it counted (registry cells,
-    /// window ring, slow log), its span tree derived and stored, and its
-    /// reply sent — in that order, so a caller holding the reply can
+    /// whichever of the eight outcomes it met, at admission or in the
+    /// pipeline — arrives here as one [`Completion`], and only here does an
+    /// ok reply get its latency and trace id, is it counted (registry
+    /// cells, window ring, slow log), and its span tree derived and stored.
+    /// The reply is returned last, for a worker to send into the ticket or
+    /// the caller-run dispatcher to hand back, so a caller holding it can
     /// already read the full trace and the updated counters.
-    fn complete(&self, mut c: Completion<'_>, to: &channel::Sender<QueryReply>) {
+    fn complete(&self, mut c: Completion<'_>) -> QueryReply {
         if let (Some(w), Ok(r)) = (&c.work, &mut c.reply) {
             r.latency = w.finished - w.enqueued;
             if let Some(t) = w.trace {
@@ -707,10 +738,10 @@ impl Inner {
                 store.append(t.trace_id, self.request_spans(store, t, w, &c.reply), true);
             }
         }
-        let _ = to.send(c.reply);
+        c.reply
     }
 
-    /// A worker-answered request's span tree, derived from its stamps and
+    /// A pipeline-answered request's span tree, derived from its stamps and
     /// reply: the `request` root over `[enqueued, finished)` and one child
     /// per stage that ran, each from the previous stage's end to its own.
     fn request_spans(
@@ -822,22 +853,33 @@ impl Drop for DrainOnDrop<'_> {
 /// Client-side handle: submit requests, read metrics.
 pub struct ServiceHandle<'s> {
     inner: &'s Inner,
+    /// What [`query`](Self::query) serves against on the calling thread.
+    ctx: &'s EvalContext<'s>,
 }
 
 impl ServiceHandle<'_> {
-    /// Try to admit a request. `Err(Overloaded)` means the queue was full
-    /// (or the service is draining) — the request was NOT enqueued and no
-    /// ticket exists. Resolution failures (unknown method/question) are
-    /// admitted and answered through the ticket, so they share the normal
-    /// reply path.
+    /// Queue a request for the worker pool and return at once.
+    /// `Err(Overloaded)` means the queue was full (or the service is
+    /// draining) — the request was NOT enqueued and no ticket exists.
+    /// Resolution failures (unknown method/question) are answered through
+    /// the ticket, so they share the normal reply path. For a caller with
+    /// something else to do while the request is served; a caller that
+    /// would only wait calls [`query`](Self::query).
     pub fn submit(&self, req: QueryRequest) -> Result<Ticket, QueryError> {
         self.inner.submit(req)
     }
 
-    /// Convenience: submit and block for the reply. Admission rejects
-    /// surface as `Err(Overloaded)` like any other failure.
+    /// Serve a request on the calling thread and return its reply: the
+    /// same admission as [`submit`](Self::submit) (refused `Overloaded`
+    /// while draining or while the queue is at capacity), then the same
+    /// pipeline a worker runs, without a queue slot, a reply channel or a
+    /// thread hand-off. The request is served alone (`batch_size` 1), and
+    /// its queue wait is the instant between admission and pickup.
     pub fn query(&self, req: QueryRequest) -> QueryReply {
-        self.submit(req)?.wait()
+        let (pending, q) = self.inner.admit(req)?;
+        drop(q);
+        self.inner.telemetry.batch(1);
+        serve_one(self.inner, self.ctx, pending, 1)
     }
 
     /// Current metrics.
@@ -1020,7 +1062,7 @@ impl Service {
                 let inner_ref = &inner;
                 scope.spawn(move |_| eval_runner(inner_ref, ctx));
             }
-            let out = f(&ServiceHandle { inner: &inner });
+            let out = f(&ServiceHandle { inner: &inner, ctx });
             drop(guard); // initiate drain + admin stop; scope joins all
             out
         })
@@ -1239,10 +1281,11 @@ fn flush_warehouse_tick(inner: &Inner) {
     flush_warehouse(&mut store, inner.traces.as_ref(), inner.started, &values, errors);
 }
 
-/// Worker: block for work, drain a same-method batch, serve it.
+/// Worker: block for work, drain a same-method batch, serve it one
+/// request at a time, sending each reply into its ticket.
 fn worker_loop<'a>(inner: &Inner, ctx: &'a EvalContext<'a>) {
     loop {
-        let mut batch: Vec<Pending> = Vec::new();
+        let mut batch = Vec::new();
         {
             let mut q = inner.queue.lock().expect("queue lock poisoned");
             loop {
@@ -1257,10 +1300,10 @@ fn worker_loop<'a>(inner: &Inner, ctx: &'a EvalContext<'a>) {
             }
             // micro-batch: pull queued requests for the same method, in
             // arrival order, without skipping past more than we inspect
-            let method = batch[0].method_idx;
+            let method = batch[0].0.method_idx;
             let mut i = 0;
             while batch.len() < inner.config.max_batch && i < q.items.len() {
-                if q.items[i].method_idx == method {
+                if q.items[i].0.method_idx == method {
                     batch.push(q.items.remove(i).expect("index in bounds"));
                 } else {
                     i += 1;
@@ -1269,21 +1312,34 @@ fn worker_loop<'a>(inner: &Inner, ctx: &'a EvalContext<'a>) {
         }
         let batch_size = batch.len();
         inner.telemetry.batch(batch_size);
-        for pending in batch {
-            serve_one(inner, ctx, pending, batch_size);
+        for (pending, reply) in batch {
+            let _ = reply.send(serve_one(inner, ctx, pending, batch_size));
         }
     }
 }
 
-fn serve_one<'a>(inner: &Inner, ctx: &'a EvalContext<'a>, p: Pending, batch_size: usize) {
+/// The one pipeline under both dispatchers, a worker's and the caller-run
+/// [`ServiceHandle::query`]. A panic in the pipeline answers the request
+/// [`QueryError::Internal`] and leaves the thread serving the next one:
+/// the shared state it can interrupt (the execution cache, the context's
+/// per-database profiles) is left without the entry being computed, never
+/// with half of one.
+fn serve_one<'a>(
+    inner: &Inner,
+    ctx: &'a EvalContext<'a>,
+    p: Pending,
+    batch_size: usize,
+) -> QueryReply {
     let _span = obs::span("serve.request");
     // End of the queued phase: everything before `started` is queue wait,
-    // everything after is this worker's own processing time.
+    // everything after is this request's own processing time.
     let started = Instant::now();
     let (reply, sql_hash, stages) = if p.deadline.is_some_and(|d| started - p.enqueued > d) {
         (Err(QueryError::DeadlineExceeded), 0, Stages::default())
     } else {
-        translate_and_execute(inner, ctx, &p, batch_size)
+        let served = || translate_and_execute(inner, ctx, &p, batch_size);
+        panic::catch_unwind(AssertUnwindSafe(served))
+            .unwrap_or_else(|_| (Err(QueryError::Internal), 0, Stages::default()))
     };
     let work = Work {
         method: p.method_idx,
@@ -1296,7 +1352,7 @@ fn serve_one<'a>(inner: &Inner, ctx: &'a EvalContext<'a>, p: Pending, batch_size
         finished: Instant::now(),
         trace: p.trace,
     };
-    inner.complete(Completion { reply, work: Some(work) }, &p.reply);
+    inner.complete(Completion { reply, work: Some(work) })
 }
 
 /// The stages a worker runs on a request that made its deadline:

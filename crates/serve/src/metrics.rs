@@ -10,7 +10,8 @@ use std::time::Duration;
 /// Point-in-time metrics view.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsSnapshot {
-    /// Requests accepted into the queue.
+    /// Requests that entered the service: admitted (queued or caller-run)
+    /// or answered unresolved at admission.
     pub submitted: u64,
     /// Successful responses.
     pub completed: u64,
@@ -36,7 +37,7 @@ pub struct MetricsSnapshot {
     pub p95: Option<Duration>,
     /// 99th percentile latency.
     pub p99: Option<Duration>,
-    /// Median queue wait (enqueue → worker pickup).
+    /// Median queue wait (admission → pickup; ≈ 0 when caller-run).
     pub queue_p50: Option<Duration>,
     /// 95th percentile queue wait.
     pub queue_p95: Option<Duration>,

@@ -13,8 +13,8 @@ use crate::window::{WindowReport, WindowRing, WINDOW_BUCKETS, WINDOW_BUCKET_MS};
 use crate::{PendingTrace, QueryError, QueryReply};
 use nl2sql360::ExecFailureKind;
 use obs::{
-    bucket_upper_bound, AtomicHistogram, Counter, Gauge, HistSnapshot, Histogram, Registry,
-    HIST_BUCKETS,
+    bucket_upper_bound, AtomicHistogram, Counter, CounterVec, Gauge, HistSnapshot, Histogram,
+    Registry, HIST_BUCKETS,
 };
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -24,13 +24,14 @@ use std::time::{Duration, Instant};
 pub(crate) struct Completion<'a> {
     /// What the caller receives.
     pub reply: QueryReply,
-    /// What the worker that answered measured; `None` when admission
+    /// What the pipeline that answered measured; `None` when admission
     /// answered (unknown method or question, overloaded) — such a request
-    /// never queued, so it has no method cell, timings, batch or trace.
+    /// never reached the pipeline, so it has no method cell, timings,
+    /// batch or trace.
     pub work: Option<Work<'a>>,
 }
 
-/// The worker's side of a [`Completion`]: what ran, and the instants it
+/// The pipeline's side of a [`Completion`]: what ran, and the instants it
 /// passed, each read once. Every duration recorded anywhere — histograms,
 /// window, slow log, the ok reply's `latency`, the span tree — is a
 /// difference of them, so latency is queue wait plus exec by construction.
@@ -41,7 +42,8 @@ pub(crate) struct Work<'a> {
     pub batch_size: usize,
     /// FNV-1a of the cache key, for the slow log; 0 unless the reply is ok.
     pub sql_hash: u64,
-    /// Admission, worker pickup, and the answer (read once the pipeline
+    /// Admission, pickup (by a worker, or at once by a caller-run
+    /// request), and the answer (read once the pipeline
     /// returned, before `Inner::complete`).
     pub enqueued: Instant,
     pub started: Instant,
@@ -71,6 +73,7 @@ const STATIC_REJECTED: &str = "static_rejected";
 const UNKNOWN_METHOD: &str = "unknown_method";
 const UNKNOWN_QUESTION: &str = "unknown_question";
 const OVERLOADED: &str = "overloaded";
+const INTERNAL: &str = "internal";
 
 /// The label `reply` carries everywhere its outcome is exported.
 pub(crate) fn outcome_label(reply: &QueryReply) -> &'static str {
@@ -82,8 +85,7 @@ pub(crate) fn outcome_label(reply: &QueryReply) -> &'static str {
         Err(QueryError::UnknownMethod(_)) => UNKNOWN_METHOD,
         Err(QueryError::UnknownQuestion) => UNKNOWN_QUESTION,
         Err(QueryError::Overloaded) => OVERLOADED,
-        // never completed: it is what a ticket reads when no reply came
-        Err(QueryError::Internal) => "internal",
+        Err(QueryError::Internal) => INTERNAL,
     }
 }
 
@@ -98,19 +100,20 @@ const EXPORTED_WINDOWS: [(&str, Duration); 3] = [
 /// Pre-registered cells for one served method.
 struct MethodCells {
     name: String,
-    /// `serve_requests_total{method=...}` — requests a worker answered.
+    /// `serve_requests_total{method=...}` — requests the pipeline answered.
     /// Counted at completion like everything else (the HELP text still
     /// says "picked up": `/metrics` is byte-pinned), so a request stuck
     /// mid-pipeline is not in here yet and this never exceeds Σ responses.
     requests: Counter,
-    /// `serve_responses_total{method,outcome}`, one cell per worker outcome.
+    /// `serve_responses_total{method,outcome}`, one cell per pipeline
+    /// outcome but `internal` (see `Telemetry::responses`).
     ok: Counter,
     deadline: Counter,
     refused: Counter,
     static_rejected: Counter,
     /// `serve_latency_us{method=...}` — submit-to-response, every outcome.
     latency: Histogram,
-    /// `serve_exec_us{method=...}` — worker pickup-to-response, ok only.
+    /// `serve_exec_us{method=...}` — pickup-to-response, ok only.
     exec: Histogram,
 }
 
@@ -128,6 +131,12 @@ pub(crate) struct Telemetry {
     rejected_overloaded: Counter,
     unknown_method: Counter,
     unknown_question: Counter,
+    /// `serve_responses_total`, for the `internal` outcome: its cell is
+    /// registered by the first pipeline panic, so the surface of a service
+    /// that never panicked carries no such series.
+    responses: CounterVec,
+    /// Requests the pipeline answered `Internal`, for the snapshot.
+    internal: AtomicU64,
     /// `serve_queue_wait_us` — known at pickup, recorded at completion.
     queue_wait: Histogram,
     queue_depth: Gauge,
@@ -136,9 +145,10 @@ pub(crate) struct Telemetry {
     slow: SlowLog,
     // The quantities below have no exported family; they exist for
     // `MetricsSnapshot` alone.
-    /// Requests accepted into the queue.
+    /// Requests admitted, to the queue or to their caller's thread.
     admitted: AtomicU64,
-    /// Worker dequeue rounds, and the requests they carried.
+    /// Serving rounds (a worker's dequeue, or one caller-run request), and
+    /// the requests they carried.
     batches: AtomicU64,
     batched_requests: AtomicU64,
     /// Latency of ok replies only (`serve_latency_us` covers every outcome).
@@ -239,6 +249,8 @@ impl Telemetry {
                 .with(&[]),
             windows: WindowRing::new(WINDOW_BUCKET_MS, WINDOW_BUCKETS),
             slow: SlowLog::new(SLOW_LOG_K, SLOW_LOG_RATE_PER_SEC),
+            responses,
+            internal: AtomicU64::new(0),
             registry,
             admitted: AtomicU64::new(0),
             batches: AtomicU64::new(0),
@@ -247,12 +259,12 @@ impl Telemetry {
         }
     }
 
-    /// One request entered the queue.
+    /// One request was admitted.
     pub(crate) fn admitted(&self) {
         self.admitted.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// One worker dequeue round carrying `requests` same-method requests.
+    /// One serving round carrying `requests` same-method requests.
     pub(crate) fn batch(&self, requests: usize) {
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.batched_requests.fetch_add(requests as u64, Ordering::Relaxed);
@@ -314,7 +326,12 @@ impl Telemetry {
                 }
                 true
             }
-            // `TranslationRefused`: the last way a worker answers
+            Err(QueryError::Internal) => {
+                self.responses.with(&[&cells.name, INTERNAL]).inc();
+                self.internal.fetch_add(1, Ordering::Relaxed);
+                true
+            }
+            // `TranslationRefused`: the last way the pipeline answers
             Err(_) => {
                 cells.refused.inc();
                 true
@@ -356,7 +373,10 @@ impl Telemetry {
             completed: self.completed(),
             rejected_overloaded: self.rejected_overloaded.get(),
             deadline_exceeded: sum(|c| &c.deadline),
-            failed: unresolved + sum(|c| &c.refused) + static_rejected,
+            failed: unresolved
+                + sum(|c| &c.refused)
+                + static_rejected
+                + self.internal.load(Ordering::Relaxed),
             static_rejected,
             cache_hits: hits,
             cache_misses: misses,

@@ -1,8 +1,9 @@
 //! The service scores a prediction exactly as the evaluator does: for every
 //! unambiguous dev question of both corpora and one method of each class,
 //! the reply's EX, EM, SQL, work and failure kind equal the evaluation
-//! log's record — through the default cache key and the canonical one —
-//! and with the static check on, a request is rejected exactly when the
+//! log's record — through the default cache key and the canonical one,
+//! queued for the workers and run on the caller's thread — and with the
+//! static check on, a request is rejected exactly when the
 //! evaluator's verdict is not clean, naming the verdict's Error rules.
 
 use datagen::{generate_corpus, Corpus, CorpusConfig, CorpusKind};
@@ -37,22 +38,24 @@ fn serve_all(
     ctx: &EvalContext<'_>,
     config: ServeConfig,
     reqs: &[(usize, usize, usize)],
+    caller_run: bool,
 ) -> Vec<Result<QueryResponse, QueryError>> {
     Service::run_with_methods(config, ctx, &METHODS, |handle| {
-        let tickets: Vec<_> = reqs
-            .iter()
-            .map(|&(m, i, v)| {
-                let s = &corpus.dev[i];
-                let req = QueryRequest {
-                    method: METHODS[m].to_string(),
-                    db_id: s.db_id.clone(),
-                    question: s.variants[v].clone(),
-                    deadline: None,
-                    trace: None,
-                };
-                handle.submit(req).expect("queue never full")
-            })
-            .collect();
+        let requests = reqs.iter().map(|&(m, i, v)| {
+            let s = &corpus.dev[i];
+            QueryRequest {
+                method: METHODS[m].to_string(),
+                db_id: s.db_id.clone(),
+                question: s.variants[v].clone(),
+                deadline: None,
+                trace: None,
+            }
+        });
+        if caller_run {
+            return requests.map(|req| handle.query(req)).collect();
+        }
+        let tickets: Vec<_> =
+            requests.map(|req| handle.submit(req).expect("queue never full")).collect();
         tickets.into_iter().map(|t| t.wait()).collect()
     })
 }
@@ -86,10 +89,11 @@ fn check(kind: CorpusKind) {
         ..ServeConfig::default()
     };
     let mut compared = 0usize;
-    for canonical in [false, true] {
-        let replies = serve_all(&corpus, &ctx, config(false, canonical), &reqs);
+    for (canonical, caller_run) in [(false, false), (true, false), (false, true), (true, true)] {
+        let replies = serve_all(&corpus, &ctx, config(false, canonical), &reqs, caller_run);
         for (&(m, i, v), reply) in reqs.iter().zip(&replies) {
-            let what = format!("{kind:?} {} dev[{i}] v{v} canonical={canonical}", METHODS[m]);
+            let how = format!("canonical={canonical} caller_run={caller_run}");
+            let what = format!("{kind:?} {} dev[{i}] v{v} {how}", METHODS[m]);
             match (&logs[m], reply) {
                 (None, Err(QueryError::TranslationRefused)) => {}
                 (Some(log), Ok(reply)) => {
@@ -101,32 +105,39 @@ fn check(kind: CorpusKind) {
         }
     }
     assert!(compared > 80, "{kind:?}: {compared} replies compared");
-    let replies = serve_all(&corpus, &ctx, config(true, false), &reqs);
     let mut rejected = 0usize;
-    for (&(m, i, v), reply) in reqs.iter().zip(&replies) {
-        let Some(log) = &logs[m] else { continue };
-        let rec = &log.records[i].variants[v];
-        let verdict = rec.static_verdict.as_ref().expect("verdict recorded");
-        let what = format!("{kind:?} {} dev[{i}] variant {v} static", METHODS[m]);
-        match reply {
-            Ok(reply) => {
-                assert!(verdict.clean, "{what}: admitted an unclean prediction");
-                assert_scored_alike(reply, rec, &what);
+    let static_replies = [false, true].map(|caller_run| {
+        (caller_run, serve_all(&corpus, &ctx, config(true, false), &reqs, caller_run))
+    });
+    for (caller_run, replies) in &static_replies {
+        for (&(m, i, v), reply) in reqs.iter().zip(replies) {
+            let Some(log) = &logs[m] else { continue };
+            let rec = &log.records[i].variants[v];
+            let verdict = rec.static_verdict.as_ref().expect("verdict recorded");
+            let what = format!(
+                "{kind:?} {} dev[{i}] variant {v} static caller_run={caller_run}",
+                METHODS[m]
+            );
+            match reply {
+                Ok(reply) => {
+                    assert!(verdict.clean, "{what}: admitted an unclean prediction");
+                    assert_scored_alike(reply, rec, &what);
+                }
+                Err(QueryError::StaticRejected(ids)) => {
+                    let errors: Vec<&String> = verdict
+                        .rules
+                        .iter()
+                        .filter(|r| {
+                            sqlcheck::Rule::from_id(r).expect("stable id").severity()
+                                == sqlcheck::Severity::Error
+                        })
+                        .collect();
+                    assert!(!verdict.clean, "{what}: rejected a clean prediction");
+                    assert_eq!(ids.iter().collect::<Vec<_>>(), errors, "{what}");
+                    rejected += 1;
+                }
+                Err(e) => panic!("{what}: {e}"),
             }
-            Err(QueryError::StaticRejected(ids)) => {
-                let errors: Vec<&String> = verdict
-                    .rules
-                    .iter()
-                    .filter(|r| {
-                        sqlcheck::Rule::from_id(r).expect("stable id").severity()
-                            == sqlcheck::Severity::Error
-                    })
-                    .collect();
-                assert!(!verdict.clean, "{what}: rejected a clean prediction");
-                assert_eq!(ids.iter().collect::<Vec<_>>(), errors, "{what}");
-                rejected += 1;
-            }
-            Err(e) => panic!("{what}: {e}"),
         }
     }
     assert!(rejected > 0, "{kind:?}: the static check never fired");

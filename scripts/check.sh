@@ -145,6 +145,26 @@ if [ "$lint" -eq 1 ]; then
     exit 1
   fi
 
+  # One pipeline, two dispatchers: translate_and_execute runs only inside
+  # serve_one, and serve_one is entered only by a worker (worker_loop) and
+  # by the caller-run dispatcher (ServiceHandle::query), so both share the
+  # deadline check, the panic guard and the one completion.
+  echo "==> one pipeline, two dispatchers (translate_and_execute / serve_one callers in serve/src)"
+  flagged=$(find crates/serve/src -name '*.rs' | sort \
+    | xargs awk 'FNR == 1 { counting = 1; owner = "" } /#\[cfg\(test\)\]/ { counting = 0 }
+      /^[[:space:]]*\/\// { next }
+      counting && match($0, /fn [a-z_0-9]+/) { owner = substr($0, RSTART + 3, RLENGTH - 3) }
+      counting && /(translate_and_execute|serve_one)\(/ {
+        callee = ($0 ~ /translate_and_execute\(/) ? "translate_and_execute" : "serve_one"
+        print FILENAME ":" FNR ": " owner " -> " callee ": " $0 }' \
+    | grep -vE '^crates/serve/src/lib\.rs:[0-9]+: (serve_one -> translate_and_execute|(worker_loop|query) -> serve_one): ' || true)
+  echo "    $(printf '%s' "$flagged" | grep -c .) site(s) flagged"
+  if [ -n "$flagged" ]; then
+    printf '%s\n' "$flagged"
+    echo "serve a request through serve_one, from a worker or ServiceHandle::query" >&2
+    exit 1
+  fi
+
   # No timed re-check on a stop path: the eval runner and the forwarders
   # block until a message or a notify (sent under the lock) wakes them.
   echo "==> no stop poll (recv_timeout / wait_timeout in serve/src/lib.rs, cluster/src/scheduler.rs)"
