@@ -24,7 +24,6 @@
 
 use crate::scheduler::Inner;
 use serve::http::{self, PathSpec, Request, Response, Route, Routed};
-use serve::QueryError;
 use std::net::TcpListener;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -135,13 +134,7 @@ fn post_sql(req: &Request, inner: &Arc<Inner>) -> Response {
         Ok(r) => r,
         Err(refused) => return refused,
     };
-    let (tx, rx) = crossbeam::channel::bounded(1);
-    inner.submit_job(0, tx, request);
-    let reply = match rx.recv() {
-        Ok((_, reply)) => reply,
-        Err(_) => Err(QueryError::Internal),
-    };
-    match reply {
+    match inner.call(request) {
         Err(e) => Response::json_error(e.http_status(), &e.to_string()),
         Ok(resp) => http::nl_reply(&resp, None),
     }

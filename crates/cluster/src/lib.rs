@@ -27,7 +27,7 @@
 //! original reply field-for-field; the scheduler only has to guarantee
 //! exactly-once *reply* delivery, which it does structurally by keeping
 //! every in-flight job in an owned slot that exactly one thread — the
-//! forwarder on success, the evictor on failure — can take.
+//! stream's reader on success, the evictor on failure — can take.
 //!
 //! The shard key hashes the *question*, not the predicted SQL (the
 //! scheduler never translates), but deterministic translation makes the

@@ -8,43 +8,51 @@
 //!
 //! Routing: each request hashes to `key_hash(db_id, question)` and the
 //! consistent-hash [`Ring`](crate::ring::Ring) over *ready* workers picks
-//! the owner. Jobs queue per worker; a small pool of forwarder streams
-//! per worker (serial request/reply each) drains the queue over TCP.
-//! When no worker is ready, jobs wait in a scheduler-wide pending queue
-//! and are re-dispatched the moment a worker registers or turns ready —
-//! so clients may connect and submit before any worker exists.
+//! the owner. Each worker has a few forward streams, one request on the
+//! wire at a time each, dialed on first use. The thread that routes a
+//! request claims an idle stream of the owner and writes the `Execute`
+//! itself; a job waits in the worker's queue only while every stream is
+//! busy, for the stream that frees up next. Each dialed stream has one
+//! reader thread, which reads the `ExecuteResult` and writes the reply
+//! straight to the client. A request thus pays the four socket wake-ups
+//! of a proxy (client → scheduler → worker → scheduler → client) and no
+//! thread hand-off. With no worker ready, jobs wait in a scheduler-wide
+//! pending queue, re-dispatched the moment a worker registers or turns
+//! ready — so clients may submit before any worker exists.
 //!
 //! Exactly-once replies, structurally: every job the scheduler has
-//! accepted lives in exactly one place — a worker queue, a forwarder's
-//! in-flight slot (`Option<Job>`), the pending queue, or (terminally) its
-//! reply channel. Success takes the job from its slot and answers it; an
-//! eviction takes whatever the dead worker held and requeues it through
-//! the same dispatch path with a bumped attempt count; bounded retries
-//! end in an [`Internal`](QueryError::Internal) reply rather than
-//! silence. Two takers can never both win a slot, so the client sees
-//! exactly one reply per id no matter how the worker died.
+//! accepted lives in exactly one place — a worker queue, a stream's
+//! in-flight slot, the pending queue, or (terminally) its reply. The
+//! stream's reader takes the job from its slot and answers it; an
+//! eviction takes whatever the dead worker held and requeues it with a
+//! bumped attempt count; bounded retries end in an
+//! [`Internal`](QueryError::Internal) reply rather than silence. Both
+//! take under the queue lock, so the client sees exactly one reply per id
+//! no matter how the worker died.
 //!
-//! Failure detection is layered: a forward IO error or a control-
-//! connection EOF evicts immediately (a SIGKILLed worker's sockets close
-//! right away), and the reaper sweeps on heartbeat silence (strictly
+//! Failure detection is layered: a failed dial, write or read on a
+//! stream, a reply overdue by `forward_timeout`, or a control-connection
+//! EOF evicts at once (a SIGKILLed worker's sockets close right away);
+//! the reaper sweeps on heartbeat silence (strictly
 //! `now - last_heartbeat > timeout`) for workers that wedge without
-//! dying. The eviction log line carries the worker's last self-reported
+//! dying. Eviction shuts the worker's streams, which wakes their readers.
+//! The eviction log line carries the worker's last self-reported
 //! `/readyz` reason, so "died while saturated" and "died while draining"
-//! are distinguishable post-mortem.
+//! are distinguishable.
 
 use crate::admin;
 use crate::ring::Ring;
 use crossbeam::channel;
 use obs::registry::{Counter, CounterVec, Gauge, HistogramVec, Registry};
 use serde::Serialize;
-use serve::proto::{read_frame, write_frame, Message};
+use serve::proto::{read_frame, read_frame_interruptible, write_frame, Message};
 use serve::trace::{format_trace_id, SpanRecord, TraceStore};
 use serve::{hash, QueryError, QueryRequest, QueryReply, TraceContext};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, ErrorKind};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Scheduler tunables; `Default` suits tests and the bin's defaults.
@@ -61,14 +69,17 @@ pub struct SchedulerConfig {
     /// Total forward attempts per request (first try + retries) before
     /// the scheduler gives up with [`QueryError::Internal`].
     pub max_attempts: u32,
-    /// Concurrent forwarder connections per worker; each carries one
-    /// request at a time, so this bounds scheduler-side in-flight work
-    /// per worker (and with it, the worst-case requeue burst).
+    /// Forward streams per worker; each carries one request at a time, so
+    /// this bounds scheduler-side in-flight work per worker (and with it,
+    /// the worst-case requeue burst). A stream and its one reader thread
+    /// start when a request first needs them: no traffic, no threads.
     pub streams_per_worker: usize,
     /// Virtual nodes per worker on the routing ring.
     pub vnodes: usize,
-    /// Read deadline for one forwarded request's reply; a worker that
-    /// holds a stream longer is treated as failed on that stream.
+    /// Deadline for a forwarded request's reply, counted from the write of
+    /// its `Execute`; a worker that holds a stream longer has failed. Also
+    /// the streams' read timeout (an idle reader wakes this often) and
+    /// the write timeout of a reply to a client that stopped reading.
     pub forward_timeout: Duration,
     /// Mint a `trace_id` per submitted request, record the scheduler's
     /// own routing spans (`sched.request`/`sched.forward`/`sched.requeue`),
@@ -104,6 +115,13 @@ fn loopback_any() -> SocketAddr {
     "127.0.0.1:0".parse().expect("loopback literal parses")
 }
 
+/// Where a job's reply goes: a client connection's socket, locked by
+/// whichever thread answers, or an embedded caller blocked on a channel.
+enum ReplyTo {
+    Client(Arc<Mutex<TcpStream>>),
+    Caller(channel::Sender<(u64, QueryReply)>),
+}
+
 /// One routed request. A job is always owned by exactly one container
 /// (worker queue / in-flight slot / pending queue) until it is answered.
 struct Job {
@@ -114,9 +132,7 @@ struct Job {
     shard: u64,
     /// Forward attempts consumed so far.
     attempts: u32,
-    /// Where the reply goes: the client connection's writer (TCP) or the
-    /// embedded caller's channel.
-    reply: channel::Sender<(u64, QueryReply)>,
+    reply: ReplyTo,
     /// Trace id minted at admission; 0 when tracing is off.
     trace_id: u64,
     /// The `sched.request` root span every hop of this job parents to.
@@ -125,39 +141,55 @@ struct Job {
     accepted: Instant,
 }
 
+/// A job that holds a stream: its `Execute` is on the wire, or about to be.
+struct InFlight {
+    job: Job,
+    /// Stamped just before the `Execute` is written; the stream's
+    /// `forward_timeout` counts from here.
+    sent: Instant,
+    /// This hop's `sched.forward` span, which the worker's spans parent
+    /// to; 0 when the job is untraced.
+    forward_span: u64,
+}
+
+/// One forward stream to a worker.
+#[derive(Default)]
+struct Stream {
+    /// The dialed socket; `None` until a request first needs the stream.
+    conn: Option<Arc<TcpStream>>,
+    /// `Some` from the moment a thread claims the stream for a job until
+    /// that job's reply is taken: the stream is busy exactly while set.
+    in_flight: Option<InFlight>,
+}
+
 struct WorkerQueueState {
+    /// Jobs waiting for a free stream.
     queue: VecDeque<Job>,
-    /// One slot per forwarder stream; `Some` while that stream has a
-    /// request on the wire.
-    in_flight: Vec<Option<Job>>,
-    /// Set by eviction; forwarders drain out and refuse new work.
+    streams: Vec<Stream>,
+    /// Set by eviction; the streams are shut and refuse new work.
     dead: bool,
 }
 
+/// One member incarnation's forward side: who it is, its streams, and
+/// the jobs waiting for one.
 struct WorkerQueue {
-    state: Mutex<WorkerQueueState>,
-    not_empty: Condvar,
-}
-
-impl WorkerQueue {
-    fn new(streams: usize) -> Arc<WorkerQueue> {
-        Arc::new(WorkerQueue {
-            state: Mutex::new(WorkerQueueState {
-                queue: VecDeque::new(),
-                in_flight: (0..streams).map(|_| None).collect(),
-                dead: false,
-            }),
-            not_empty: Condvar::new(),
-        })
-    }
-}
-
-struct Member {
-    serve_addr: String,
+    worker_id: String,
     /// Monotonic incarnation number; a re-registration under the same
     /// worker id gets a new generation, and evictions/heartbeats against
     /// a stale generation are no-ops (the ABA guard for worker restarts).
     generation: u64,
+    /// Where the streams dial.
+    serve_addr: String,
+    state: Mutex<WorkerQueueState>,
+}
+
+impl WorkerQueue {
+    fn lock(&self) -> MutexGuard<'_, WorkerQueueState> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+struct Member {
     /// Milliseconds on the scheduler clock; registration counts as the
     /// first heartbeat.
     last_heartbeat_ms: u64,
@@ -172,6 +204,7 @@ struct Member {
     queue: Arc<WorkerQueue>,
 }
 
+#[derive(Default)]
 struct Routing {
     members: HashMap<String, Member>,
     /// Ring over ready members only.
@@ -202,72 +235,44 @@ pub(crate) struct ClusterMetrics {
 impl ClusterMetrics {
     fn new() -> ClusterMetrics {
         let registry = Registry::new();
-        let submitted = registry
-            .counter_vec("cluster_submitted_total", "Requests accepted for routing.", &[])
-            .with(&[]);
-        let forwarded = registry.counter_vec(
-            "cluster_forwarded_total",
-            "Requests answered through a worker, by worker id.",
-            &["worker"],
-        );
-        let forwarded_all = registry
-            .counter_vec("cluster_forwarded_all_total", "Requests answered through any worker.", &[])
-            .with(&[]);
-        let requeued = registry.counter_vec(
-            "cluster_requeued_total",
-            "Jobs taken back from a failed worker and re-dispatched, by worker id.",
-            &["worker"],
-        );
-        let requeued_all = registry
-            .counter_vec("cluster_requeued_all_total", "Jobs requeued from any worker.", &[])
-            .with(&[]);
-        let reaped = registry.counter_vec(
-            "cluster_reaped_workers_total",
-            "Worker evictions (heartbeat timeout, IO failure, or control-connection loss), by worker id.",
-            &["worker"],
-        );
-        let reaped_all = registry
-            .counter_vec("cluster_reaped_workers_all_total", "Worker evictions, any worker.", &[])
-            .with(&[]);
-        let retries_exhausted = registry
-            .counter_vec(
+        let total = |name, help| registry.counter_vec(name, help, &[]).with(&[]);
+        let by_worker = |name, help| registry.counter_vec(name, help, &["worker"]);
+        let gauge = |name, help| registry.gauge_vec(name, help, &[]).with(&[]);
+        ClusterMetrics {
+            submitted: total("cluster_submitted_total", "Requests accepted for routing."),
+            forwarded: by_worker(
+                "cluster_forwarded_total",
+                "Requests answered through a worker, by worker id.",
+            ),
+            forwarded_all: total("cluster_forwarded_all_total", "Requests answered through any worker."),
+            requeued: by_worker(
+                "cluster_requeued_total",
+                "Jobs taken back from a failed worker and re-dispatched, by worker id.",
+            ),
+            requeued_all: total("cluster_requeued_all_total", "Jobs requeued from any worker."),
+            reaped: by_worker(
+                "cluster_reaped_workers_total",
+                "Worker evictions (heartbeat timeout, IO failure, or control-connection loss), by worker id.",
+            ),
+            reaped_all: total("cluster_reaped_workers_all_total", "Worker evictions, any worker."),
+            retries_exhausted: total(
                 "cluster_retries_exhausted_total",
                 "Jobs answered Internal after exhausting forward attempts.",
-                &[],
-            )
-            .with(&[]);
-        let replied = registry.counter_vec(
-            "cluster_replied_total",
-            "Replies delivered to clients, by outcome.",
-            &["outcome"],
-        );
-        let forward_latency = registry.histogram_vec(
-            "cluster_forward_latency_us",
-            "Submit-to-reply forward latency through a worker, microseconds, by worker id.",
-            &["worker"],
-        );
-        let workers_ready =
-            registry.gauge_vec("cluster_workers_ready", "Registered workers currently ready.", &[]).with(&[]);
-        let workers_total =
-            registry.gauge_vec("cluster_workers_total", "Registered workers.", &[]).with(&[]);
-        let pending_depth = registry
-            .gauge_vec("cluster_pending_depth", "Jobs waiting with no ready owner.", &[])
-            .with(&[]);
-        ClusterMetrics {
+            ),
+            replied: registry.counter_vec(
+                "cluster_replied_total",
+                "Replies delivered to clients, by outcome.",
+                &["outcome"],
+            ),
+            forward_latency: registry.histogram_vec(
+                "cluster_forward_latency_us",
+                "Submit-to-reply forward latency through a worker, microseconds, by worker id.",
+                &["worker"],
+            ),
+            workers_ready: gauge("cluster_workers_ready", "Registered workers currently ready."),
+            workers_total: gauge("cluster_workers_total", "Registered workers."),
+            pending_depth: gauge("cluster_pending_depth", "Jobs waiting with no ready owner."),
             registry,
-            submitted,
-            forwarded,
-            forwarded_all,
-            requeued,
-            requeued_all,
-            reaped,
-            reaped_all,
-            retries_exhausted,
-            replied,
-            forward_latency,
-            workers_ready,
-            workers_total,
-            pending_depth,
         }
     }
 }
@@ -321,12 +326,7 @@ impl Inner {
     }
 
     /// Admit one request: hash, count, mint its trace, dispatch.
-    pub(crate) fn submit_job(
-        self: &Arc<Inner>,
-        client_id: u64,
-        reply: channel::Sender<(u64, QueryReply)>,
-        request: QueryRequest,
-    ) {
+    fn submit_job(self: &Arc<Inner>, client_id: u64, reply: ReplyTo, request: QueryRequest) {
         let shard = hash::key_hash(&request.db_id, &request.question);
         self.metrics.submitted.inc();
         let (trace_id, root_span) = match &self.traces {
@@ -348,36 +348,191 @@ impl Inner {
         });
     }
 
-    /// Route a job to its ring owner's queue, or park it pending.
+    /// The embedded caller's path: route one request through the full
+    /// scheduler path and block for its reply.
+    pub(crate) fn call(self: &Arc<Inner>, request: QueryRequest) -> QueryReply {
+        let (tx, rx) = channel::bounded(1);
+        self.submit_job(0, ReplyTo::Caller(tx), request);
+        rx.recv().map_or(Err(QueryError::Internal), |(_, reply)| reply)
+    }
+
+    /// Route a job: onto an idle stream of its ring owner, whose `Execute`
+    /// this thread then writes (dialing the stream on its first use); into
+    /// the owner's queue while every stream is busy; or pending while no
+    /// owner is ready. A failed dial or write evicts the worker.
     fn dispatch(self: &Arc<Inner>, job: Job) {
         let mut routing = self.routing.lock().unwrap_or_else(|e| e.into_inner());
         if routing.shutdown {
-            self.answer(&job, Err(QueryError::Overloaded));
+            drop(routing);
+            self.answer(job, Err(QueryError::Overloaded));
             return;
         }
-        let owner = routing.ring.owner(job.shard).map(str::to_string);
-        match owner.and_then(|id| routing.members.get(&id).map(|m| Arc::clone(&m.queue))) {
-            Some(queue) => {
-                let mut st = queue.state.lock().unwrap_or_else(|e| e.into_inner());
-                if st.dead {
-                    // lost a race with an eviction that has not rebuilt the
-                    // ring yet; park the job, the next membership change
-                    // re-dispatches it
-                    drop(st);
-                    routing.pending.push_back(job);
-                } else {
-                    st.queue.push_back(job);
-                    drop(st);
-                    queue.not_empty.notify_one();
+        let owner = routing.ring.owner(job.shard).and_then(|id| routing.members.get(id));
+        let Some(queue) = owner.map(|m| Arc::clone(&m.queue)) else {
+            routing.pending.push_back(job);
+            return;
+        };
+        let mut st = queue.lock();
+        if st.dead {
+            // lost a race with an eviction that has not rebuilt the ring
+            // yet; park the job, the next membership change re-dispatches it
+            drop(st);
+            routing.pending.push_back(job);
+            return;
+        }
+        // the queue lock alone now keeps an eviction from missing the job
+        drop(routing);
+        match st.streams.iter().position(|s| s.in_flight.is_none()) {
+            Some(slot) => {
+                let (conn, execute) = self.load(&mut st.streams[slot], job);
+                drop(st);
+                let conn = conn.map_or_else(|| self.dial(&queue, slot), Ok);
+                if let Err(e) = conn.and_then(|conn| write_frame(&mut &*conn, &execute)) {
+                    self.stream_failed(&queue, slot, &e);
                 }
             }
-            None => routing.pending.push_back(job),
+            None => st.queue.push_back(job),
         }
+    }
+
+    /// Claim `stream` for `job` and build its `Execute`, threading the
+    /// trace across the process boundary: the worker's root span parents
+    /// to this hop's span, minted before the wire. Call under the queue
+    /// lock, with the stream idle. With one request on a stream at a time,
+    /// the client's id is unique on it and serves as the `Execute` id.
+    fn load(&self, stream: &mut Stream, job: Job) -> (Option<Arc<TcpStream>>, Message) {
+        let mut request = job.request.clone();
+        let forward_span = match &self.traces {
+            Some(store) if job.trace_id != 0 => {
+                let span = store.next_span_id();
+                let trace_id = format_trace_id(job.trace_id);
+                request.trace = Some(TraceContext { trace_id, parent_span: span });
+                span
+            }
+            _ => 0,
+        };
+        let id = job.client_id;
+        stream.in_flight = Some(InFlight { job, sent: Instant::now(), forward_span });
+        (stream.conn.clone(), Message::Execute { id, request })
+    }
+
+    /// Dial stream `slot` of a worker and start the stream's reader.
+    fn dial(self: &Arc<Inner>, queue: &Arc<WorkerQueue>, slot: usize) -> io::Result<Arc<TcpStream>> {
+        let addr = &queue.serve_addr;
+        let parsed: SocketAddr = addr
+            .parse()
+            .map_err(|e| io::Error::new(ErrorKind::InvalidInput, format!("{addr}: {e}")))?;
+        let stream = TcpStream::connect_timeout(&parsed, Duration::from_secs(2))?;
+        stream.set_nodelay(true)?;
+        stream.set_read_timeout(Some(self.config.forward_timeout))?;
+        stream.set_write_timeout(Some(self.config.forward_timeout))?;
+        let reader = stream.try_clone()?;
+        let conn = Arc::new(stream);
+        {
+            let mut st = queue.lock();
+            if st.dead {
+                return Err(io::Error::new(ErrorKind::NotConnected, "worker evicted while dialing"));
+            }
+            let stream = &mut st.streams[slot];
+            stream.conn = Some(Arc::clone(&conn));
+            // the deadline counts from the write, not from before the dial
+            if let Some(hop) = &mut stream.in_flight {
+                hop.sent = Instant::now();
+            }
+        }
+        let queue = Arc::clone(queue);
+        spawn_with(self, move |inner| stream_reader(inner, queue, slot, reader));
+        Ok(conn)
+    }
+
+    /// Answer the job a stream's `ExecuteResult` completes, after giving
+    /// the stream the worker's next queued job. `Ok(false)` ends the
+    /// stream: its worker is gone, or the scheduler stops and nothing is
+    /// queued.
+    fn settle(
+        self: &Arc<Inner>,
+        queue: &WorkerQueue,
+        slot: usize,
+        conn: &mut TcpStream,
+        (id, reply, spans): (u64, QueryReply, Vec<SpanRecord>),
+    ) -> io::Result<bool> {
+        let ended = Instant::now();
+        let (done, next, last) = {
+            let mut guard = queue.lock();
+            let st = &mut *guard;
+            if st.dead {
+                // an eviction already took (and requeued) the job: the
+                // requeued run answers the client, so this result is the
+                // duplicate and is dropped, its spans with it
+                return Ok(false);
+            }
+            let Some(done) = st.streams[slot].in_flight.take_if(|f| f.job.client_id == id) else {
+                let why = format!("unexpected ExecuteResult {id}");
+                return Err(io::Error::new(ErrorKind::InvalidData, why));
+            };
+            let next = st.queue.pop_front().map(|job| self.load(&mut st.streams[slot], job).1);
+            // read under the lock that shutdown wakes idle streams under
+            let last = next.is_none() && self.stop.load(Ordering::SeqCst);
+            if last {
+                st.streams[slot].conn = None;
+            }
+            (done, next, last)
+        };
+        let sent = next.map_or(Ok(()), |execute| write_frame(conn, &execute));
+        let worker_id = &queue.worker_id;
+        self.record_hop(&done, worker_id, ended, Some(spans));
+        self.metrics.forwarded.with(&[worker_id]).inc();
+        self.metrics.forwarded_all.inc();
+        let latency = (ended - done.sent).as_micros() as u64;
+        self.metrics.forward_latency.with(&[worker_id]).record(latency);
+        self.answer(done.job, reply);
+        sent.map(|()| !last)
+    }
+
+    /// A stream's dial, write or read failed. On loopback that means the
+    /// worker is gone: evict it (a no-op if another stream already did)
+    /// and retry the job this stream held. An idle stream that shutdown
+    /// woke just ends.
+    fn stream_failed(self: &Arc<Inner>, queue: &WorkerQueue, slot: usize, error: &io::Error) {
+        let taken = {
+            let mut st = queue.lock();
+            let stream = &mut st.streams[slot];
+            if stream.in_flight.is_none() && self.stop.load(Ordering::SeqCst) {
+                return;
+            }
+            stream.in_flight.take()
+        };
+        let worker_id = &queue.worker_id;
+        if let Some(hop) = &taken {
+            self.record_hop(hop, worker_id, Instant::now(), None);
+        }
+        let why = format!("forward to {} failed: {error}", queue.serve_addr);
+        if let Some(line) = self.evict(worker_id, queue.generation, &why) {
+            eprintln!("serve-scheduler: {line}");
+        }
+        if let Some(hop) = taken {
+            self.requeue(worker_id, hop.job);
+        }
+    }
+
+    /// One hop's `sched.forward` span with the worker's spans merged under
+    /// it, recorded by whichever thread takes the job from its slot. A
+    /// failed hop (`spans` is `None`) lands in the trace too: this is what
+    /// a retry storm looks like when queried from the warehouse.
+    fn record_hop(&self, hop: &InFlight, worker: &str, ended: Instant, spans: Option<Vec<SpanRecord>>) {
+        let Some(store) = self.traces.as_ref().filter(|_| hop.forward_span != 0) else { return };
+        let job = &hop.job;
+        let error = if spans.is_none() { " error=1" } else { "" };
+        let attrs = format!("worker={worker} attempt={}{error}", job.attempts + 1);
+        let name = "sched.forward";
+        let span =
+            store.span(job.trace_id, hop.forward_span, job.root_span, name, hop.sent..ended, attrs);
+        store.append(job.trace_id, [vec![span], spans.unwrap_or_default()].concat(), false);
     }
 
     /// Deliver the terminal reply for a job, closing its root span first
     /// so a client holding the reply can already read the full trace.
-    fn answer(&self, job: &Job, reply: QueryReply) {
+    fn answer(&self, job: Job, reply: QueryReply) {
         let outcome = if reply.is_ok() { "ok" } else { "error" };
         if let (Some(store), true) = (&self.traces, job.trace_id != 0) {
             let attrs = format!("outcome={outcome} attempts={}", job.attempts + 1);
@@ -386,12 +541,28 @@ impl Inner {
             store.append(job.trace_id, vec![span], true);
         }
         self.metrics.replied.with(&[outcome]).inc();
-        let _ = job.reply.send((job.client_id, reply));
+        match job.reply {
+            ReplyTo::Client(conn) => {
+                let mut conn = conn.lock().unwrap_or_else(|e| e.into_inner());
+                let frame = Message::SubmitResult { id: job.client_id, reply };
+                if write_frame(&mut *conn, &frame).is_err() {
+                    // a client that stopped reading loses its connection,
+                    // and no frame after a torn one reaches it
+                    let _ = conn.shutdown(Shutdown::Both);
+                }
+            }
+            ReplyTo::Caller(tx) => {
+                let _ = tx.send((job.client_id, reply));
+            }
+        }
     }
 
-    /// Re-dispatch a job taken back from a failed worker; a job that has
-    /// burned all its attempts is answered `Internal` instead of looping.
-    fn requeue(self: &Arc<Inner>, mut job: Job) {
+    /// Re-dispatch a job taken back from failed worker `from`; a job that
+    /// has burned all its attempts is answered `Internal` instead of
+    /// looping.
+    fn requeue(self: &Arc<Inner>, from: &str, mut job: Job) {
+        self.metrics.requeued.with(&[from]).inc();
+        self.metrics.requeued_all.inc();
         job.attempts += 1;
         // the retry hop, visible in the trace as an instantaneous span
         if let (Some(store), true) = (&self.traces, job.trace_id != 0) {
@@ -403,15 +574,15 @@ impl Inner {
         }
         if job.attempts >= self.config.max_attempts {
             self.metrics.retries_exhausted.inc();
-            self.answer(&job, Err(QueryError::Internal));
+            self.answer(job, Err(QueryError::Internal));
             return;
         }
         self.dispatch(job);
     }
 
     /// Register (or re-register) a worker at an explicit clock reading.
-    /// Returns the new generation. Public wrappers feed the real clock;
-    /// tests feed edge-case timestamps.
+    /// Returns the new generation. The control connection feeds the real
+    /// clock; tests feed edge-case timestamps.
     fn register_at(
         self: &Arc<Inner>,
         now_ms: u64,
@@ -420,61 +591,38 @@ impl Inner {
         methods: Vec<String>,
     ) -> u64 {
         let generation = self.next_generation.fetch_add(1, Ordering::Relaxed) + 1;
-        let queue = WorkerQueue::new(self.config.streams_per_worker.max(1));
-        let displaced = {
-            let mut routing = self.routing.lock().unwrap_or_else(|e| e.into_inner());
-            let member = Member {
-                serve_addr: serve_addr.to_string(),
-                generation,
-                last_heartbeat_ms: now_ms,
-                ready: true,
-                last_reason: None,
-                queue_depth: 0,
-                completed: 0,
-                methods,
-                queue: Arc::clone(&queue),
-            };
-            let displaced = routing
-                .members
-                .insert(worker_id.to_string(), member)
-                .map(|old| self.kill_queue(&old.queue));
-            self.rebuild_ring(&mut routing);
-            let pending: Vec<Job> = routing.pending.drain(..).collect();
-            drop(routing);
-            // re-dispatch parked work now that the ring changed
-            for job in pending {
-                self.dispatch(job);
-            }
-            displaced
+        let streams = (0..self.config.streams_per_worker.max(1)).map(|_| Stream::default()).collect();
+        let queue = Arc::new(WorkerQueue {
+            worker_id: worker_id.to_string(),
+            generation,
+            serve_addr: serve_addr.to_string(),
+            state: Mutex::new(WorkerQueueState { queue: VecDeque::new(), streams, dead: false }),
+        });
+        let member = Member {
+            last_heartbeat_ms: now_ms,
+            ready: true,
+            last_reason: None,
+            queue_depth: 0,
+            completed: 0,
+            methods,
+            queue,
         };
+        let mut routing = self.routing.lock().unwrap_or_else(|e| e.into_inner());
+        let displaced =
+            routing.members.insert(worker_id.to_string(), member).map(|old| self.kill_queue(&old.queue));
+        self.rebuild_ring(&mut routing);
+        let pending: Vec<Job> = routing.pending.drain(..).collect();
+        drop(routing);
+        // re-dispatch parked work now that the ring changed
+        for job in pending {
+            self.dispatch(job);
+        }
         // a replaced incarnation's leftovers retry elsewhere (often on the
         // new incarnation itself)
-        if let Some(jobs) = displaced {
-            for job in jobs {
-                self.metrics.requeued.with(&[worker_id]).inc();
-                self.metrics.requeued_all.inc();
-                self.requeue(job);
-            }
-        }
-        for slot in 0..self.config.streams_per_worker.max(1) {
-            let inner = Arc::clone(self);
-            let queue = Arc::clone(&queue);
-            let worker_id = worker_id.to_string();
-            let serve_addr = serve_addr.to_string();
-            std::thread::spawn(move || {
-                stream_loop(inner, worker_id, generation, serve_addr, queue, slot)
-            });
+        for job in displaced.unwrap_or_default() {
+            self.requeue(worker_id, job);
         }
         generation
-    }
-
-    pub(crate) fn register(
-        self: &Arc<Inner>,
-        worker_id: &str,
-        serve_addr: &str,
-        methods: Vec<String>,
-    ) -> u64 {
-        self.register_at(self.now_ms(), worker_id, serve_addr, methods)
     }
 
     /// Apply a heartbeat at an explicit clock reading. Returns false when
@@ -492,23 +640,16 @@ impl Inner {
         completed: u64,
     ) -> bool {
         let mut routing = self.routing.lock().unwrap_or_else(|e| e.into_inner());
-        let became_ready;
-        match routing.members.get_mut(worker_id) {
-            Some(m) if m.generation == generation => {
-                m.last_heartbeat_ms = now_ms;
-                became_ready = ready && !m.ready;
-                let flipped = m.ready != ready;
-                m.ready = ready;
-                if let Some(r) = reason {
-                    m.last_reason = Some(r);
-                }
-                m.queue_depth = queue_depth;
-                m.completed = completed;
-                if flipped {
-                    self.rebuild_ring(&mut routing);
-                }
-            }
-            _ => return false,
+        let member = routing.members.get_mut(worker_id);
+        let Some(m) = member.filter(|m| m.queue.generation == generation) else { return false };
+        let (flipped, became_ready) = (m.ready != ready, ready && !m.ready);
+        m.last_heartbeat_ms = now_ms;
+        m.ready = ready;
+        m.last_reason = reason.or(m.last_reason.take());
+        m.queue_depth = queue_depth;
+        m.completed = completed;
+        if flipped {
+            self.rebuild_ring(&mut routing);
         }
         if became_ready {
             let pending: Vec<Job> = routing.pending.drain(..).collect();
@@ -520,33 +661,22 @@ impl Inner {
         true
     }
 
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn heartbeat(
-        self: &Arc<Inner>,
-        worker_id: &str,
-        generation: u64,
-        ready: bool,
-        reason: Option<String>,
-        queue_depth: u64,
-        completed: u64,
-    ) -> bool {
-        self.heartbeat_at(self.now_ms(), worker_id, generation, ready, reason, queue_depth, completed)
-    }
-
-    /// Mark a queue dead and take every job it still holds (queued and
-    /// in-flight). Caller must requeue the returned jobs *after*
-    /// releasing the routing lock.
-    fn kill_queue(&self, queue: &Arc<WorkerQueue>) -> Vec<Job> {
-        let mut st = queue.state.lock().unwrap_or_else(|e| e.into_inner());
+    /// Mark a queue dead, take every job it still holds (queued and
+    /// in-flight), and shut its streams, which wakes their readers. Caller
+    /// must requeue the returned jobs *after* releasing the routing lock.
+    fn kill_queue(&self, queue: &WorkerQueue) -> Vec<Job> {
+        let mut st = queue.lock();
         st.dead = true;
         let mut jobs: Vec<Job> = st.queue.drain(..).collect();
-        for slot in st.in_flight.iter_mut() {
-            if let Some(job) = slot.take() {
-                jobs.push(job);
+        for stream in st.streams.iter_mut() {
+            if let Some(hop) = stream.in_flight.take() {
+                self.record_hop(&hop, &queue.worker_id, Instant::now(), None);
+                jobs.push(hop.job);
+            }
+            if let Some(conn) = stream.conn.take() {
+                let _ = conn.shutdown(Shutdown::Both);
             }
         }
-        drop(st);
-        queue.not_empty.notify_all();
         jobs
     }
 
@@ -556,9 +686,8 @@ impl Inner {
     pub(crate) fn evict(self: &Arc<Inner>, worker_id: &str, generation: u64, why: &str) -> Option<String> {
         let (jobs, line) = {
             let mut routing = self.routing.lock().unwrap_or_else(|e| e.into_inner());
-            match routing.members.get(worker_id) {
-                Some(m) if m.generation == generation => {}
-                _ => return None,
+            if routing.members.get(worker_id).is_none_or(|m| m.queue.generation != generation) {
+                return None;
             }
             let member = routing.members.remove(worker_id).expect("member checked above");
             self.rebuild_ring(&mut routing);
@@ -573,9 +702,7 @@ impl Inner {
         self.metrics.reaped.with(&[worker_id]).inc();
         self.metrics.reaped_all.inc();
         for job in jobs {
-            self.metrics.requeued.with(&[worker_id]).inc();
-            self.metrics.requeued_all.inc();
-            self.requeue(job);
+            self.requeue(worker_id, job);
         }
         Some(line)
     }
@@ -591,7 +718,7 @@ impl Inner {
                 .members
                 .iter()
                 .filter(|(_, m)| now_ms.saturating_sub(m.last_heartbeat_ms) > timeout_ms)
-                .map(|(id, m)| (id.clone(), m.generation, now_ms.saturating_sub(m.last_heartbeat_ms)))
+                .map(|(id, m)| (id.clone(), m.queue.generation, now_ms.saturating_sub(m.last_heartbeat_ms)))
                 .collect()
         };
         stale
@@ -623,16 +750,16 @@ impl Inner {
             .members
             .iter()
             .map(|(id, m)| {
-                let st = m.queue.state.lock().unwrap_or_else(|e| e.into_inner());
+                let st = m.queue.lock();
                 WorkerSnapshot {
                     worker_id: id.clone(),
-                    serve_addr: m.serve_addr.clone(),
-                    generation: m.generation,
+                    serve_addr: m.queue.serve_addr.clone(),
+                    generation: m.queue.generation,
                     ready: m.ready,
                     last_reason: m.last_reason.clone(),
                     heartbeat_age_ms: now.saturating_sub(m.last_heartbeat_ms),
                     scheduler_queue: st.queue.len(),
-                    in_flight: st.in_flight.iter().filter(|s| s.is_some()).count(),
+                    in_flight: st.streams.iter().filter(|s| s.in_flight.is_some()).count(),
                     worker_queue_depth: m.queue_depth,
                     completed: m.completed,
                     methods: m.methods.clone(),
@@ -649,7 +776,7 @@ impl Inner {
     }
 
     /// Begin shutdown: refuse new work, wake both acceptors, fail parked
-    /// jobs, wake forwarders.
+    /// jobs, wake idle stream readers.
     fn shutdown(self: &Arc<Inner>) {
         self.stop.store(true, Ordering::SeqCst);
         serve::wake_listener(self.listen_addr);
@@ -665,160 +792,51 @@ impl Inner {
             )
         };
         for job in pending {
-            self.answer(&job, Err(QueryError::Overloaded));
+            self.answer(job, Err(QueryError::Overloaded));
         }
-        // Notify under each queue's lock: a forwarder that read `stop ==
-        // false` under it is then already waiting, and one that has not
-        // read it yet will see `true`. Unlocked, the wake could land in
-        // between and be lost.
+        // Shut each idle stream under its queue's lock, which wakes its
+        // reader to end; a busy one's reader drains the queue, then reads
+        // `stop` under that lock and ends on its own.
         for queue in queues {
-            let _st = queue.state.lock().unwrap_or_else(|e| e.into_inner());
-            queue.not_empty.notify_all();
-        }
-    }
-}
-
-/// One forwarder stream: serially take a job, put it in this stream's
-/// in-flight slot, push it over TCP, then race the evictor for the slot.
-fn stream_loop(
-    inner: Arc<Inner>,
-    worker_id: String,
-    generation: u64,
-    serve_addr: String,
-    queue: Arc<WorkerQueue>,
-    slot: usize,
-) {
-    let mut conn: Option<TcpStream> = None;
-    let mut next_id: u64 = 0;
-    loop {
-        let job = {
-            let mut st = queue.state.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if st.dead {
-                    return;
+            let st = queue.lock();
+            for stream in st.streams.iter().filter(|s| s.in_flight.is_none()) {
+                if let Some(conn) = &stream.conn {
+                    let _ = conn.shutdown(Shutdown::Both);
                 }
-                if let Some(job) = st.queue.pop_front() {
-                    break job;
-                }
-                if inner.stop.load(Ordering::SeqCst) {
-                    // drained: nothing queued, nothing to wait for
-                    return;
-                }
-                st = queue.not_empty.wait(st).unwrap_or_else(|e| e.into_inner());
-            }
-        };
-        let mut request = job.request.clone();
-        let client_id = job.client_id;
-        // Thread the trace across the process boundary: the worker's root
-        // span parents to this forward hop's span, minted before the wire.
-        let trace = (job.trace_id != 0)
-            .then(|| inner.traces.as_ref())
-            .flatten()
-            .map(|store| (job.trace_id, job.root_span, job.attempts, store.next_span_id()));
-        if let Some((trace_id, _, _, forward_span)) = &trace {
-            request.trace =
-                Some(TraceContext { trace_id: format_trace_id(*trace_id), parent_span: *forward_span });
-        }
-        {
-            let mut st = queue.state.lock().unwrap_or_else(|e| e.into_inner());
-            if st.dead {
-                // eviction won the race between our pop and slot placement;
-                // hand the job back through the normal retry path
-                drop(st);
-                inner.metrics.requeued.with(&[&worker_id]).inc();
-                inner.metrics.requeued_all.inc();
-                inner.requeue(job);
-                return;
-            }
-            st.in_flight[slot] = Some(job);
-        }
-        let started = Instant::now();
-        next_id += 1;
-        let timeout = inner.config.forward_timeout;
-        let mut result = forward(&mut conn, &serve_addr, timeout, next_id, &request);
-        let ended = Instant::now();
-        // a None slot means an eviction already took (and requeued) the
-        // job: after a success the requeued run answers the client, so
-        // this result is the duplicate and is dropped, its spans with it
-        let taken = queue.state.lock().unwrap_or_else(|e| e.into_inner()).in_flight[slot].take();
-        if let (Some(store), Some((trace_id, root_span, attempts, forward_span))) =
-            (&inner.traces, trace)
-        {
-            // a failed hop lands in the trace too: this is what a retry
-            // storm looks like when queried from the warehouse
-            let worker_spans = match &mut result {
-                Ok((_, spans)) => taken.is_some().then(|| std::mem::take(spans)),
-                Err(_) => Some(Vec::new()),
-            };
-            if let Some(worker_spans) = worker_spans {
-                let error = if result.is_err() { " error=1" } else { "" };
-                let attrs = format!("worker={worker_id} attempt={}{error}", attempts + 1);
-                let name = "sched.forward";
-                let hop = store.span(trace_id, forward_span, root_span, name, started..ended, attrs);
-                let mut spans = vec![hop];
-                spans.extend(worker_spans);
-                store.append(trace_id, spans, false);
-            }
-        }
-        match result {
-            Ok((reply, _)) => {
-                if let Some(job) = taken {
-                    inner.metrics.forwarded.with(&[&worker_id]).inc();
-                    inner.metrics.forwarded_all.inc();
-                    let latency = (ended - started).as_micros() as u64;
-                    inner.metrics.forward_latency.with(&[&worker_id]).record(latency);
-                    inner.answer(&job, reply);
-                }
-            }
-            Err(e) => {
-                // an IO failure on loopback means the worker is gone;
-                // evict it (no-op if another stream already did)
-                if let Some(line) = inner.evict(
-                    &worker_id,
-                    generation,
-                    &format!("forward to {serve_addr} failed for client request {client_id}: {e}"),
-                ) {
-                    eprintln!("serve-scheduler: {line}");
-                }
-                if let Some(job) = taken {
-                    inner.metrics.requeued.with(&[&worker_id]).inc();
-                    inner.metrics.requeued_all.inc();
-                    inner.requeue(job);
-                }
-                return;
             }
         }
     }
 }
 
-/// Send one `Execute` and block for its `ExecuteResult` (reply plus the
-/// worker-side spans to merge), dialing the worker lazily on first use.
-fn forward(
-    conn: &mut Option<TcpStream>,
-    serve_addr: &str,
-    timeout: Duration,
-    id: u64,
-    request: &QueryRequest,
-) -> io::Result<(QueryReply, Vec<SpanRecord>)> {
-    if conn.is_none() {
-        let parsed: SocketAddr = serve_addr
-            .parse()
-            .map_err(|e| io::Error::new(ErrorKind::InvalidInput, format!("{serve_addr}: {e}")))?;
-        let stream = TcpStream::connect_timeout(&parsed, Duration::from_secs(2))?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(timeout))?;
-        stream.set_write_timeout(Some(timeout))?;
-        *conn = Some(stream);
-    }
-    let stream = conn.as_mut().expect("connection dialed above");
-    write_frame(stream, &Message::Execute { id, request: request.clone() })?;
-    match read_frame(stream)? {
-        Message::ExecuteResult { id: got, reply, spans } if got == id => Ok((reply, spans)),
-        other => Err(io::Error::new(
-            ErrorKind::InvalidData,
-            format!("expected ExecuteResult {id}, got {other:?}"),
-        )),
-    }
+/// A dialed stream's one reader. Each `ExecuteResult` answers the job in
+/// the stream's slot from this thread. The read timeout
+/// (`forward_timeout`) also fires while the stream idles, and keeps a
+/// half-read frame; only a job whose `Execute` was written that long ago
+/// fails the stream. Ends when the stream fails (evicting its worker),
+/// when an eviction shuts it, or when the scheduler stops.
+fn stream_reader(inner: Arc<Inner>, queue: Arc<WorkerQueue>, slot: usize, mut conn: TcpStream) {
+    let timeout = inner.config.forward_timeout;
+    let overdue =
+        || queue.lock().streams[slot].in_flight.as_ref().is_some_and(|f| f.sent.elapsed() >= timeout);
+    let mut buf = Vec::new();
+    let error = loop {
+        match read_frame_interruptible(&mut conn, &mut buf, overdue) {
+            Ok(Some(Message::ExecuteResult { id, reply, spans })) => {
+                match inner.settle(&queue, slot, &mut conn, (id, reply, spans)) {
+                    Ok(true) => {}
+                    Ok(false) => return,
+                    Err(e) => break e,
+                }
+            }
+            Ok(Some(other)) => {
+                let why = format!("expected ExecuteResult, got {other:?}");
+                break io::Error::new(ErrorKind::InvalidData, why);
+            }
+            Ok(None) => break io::Error::new(ErrorKind::TimedOut, "no reply within forward_timeout"),
+            Err(e) => break e,
+        }
+    };
+    inner.stream_failed(&queue, slot, &error);
 }
 
 /// Handle to a running scheduler, inside [`Scheduler::run`]'s closure.
@@ -841,12 +859,7 @@ impl SchedulerHandle {
     /// scheduler path (ring, worker TCP, retries) and block for the
     /// reply. Tests use this to drive a cluster without a client socket.
     pub fn query(&self, request: QueryRequest) -> QueryReply {
-        let (tx, rx) = channel::bounded(1);
-        self.inner.submit_job(0, tx, request);
-        match rx.recv() {
-            Ok((_, reply)) => reply,
-            Err(_) => Err(QueryError::Internal),
-        }
+        self.inner.call(request)
     }
 
     /// Current member table.
@@ -930,12 +943,7 @@ impl Scheduler {
         let warehouse = config.warehouse.then(|| Mutex::new(nl2sql360::EvalStore::new()));
         let inner = Arc::new(Inner {
             config,
-            routing: Mutex::new(Routing {
-                members: HashMap::new(),
-                ring: Ring::default(),
-                pending: VecDeque::new(),
-                shutdown: false,
-            }),
+            routing: Mutex::default(),
             started,
             next_generation: AtomicU64::new(0),
             metrics: ClusterMetrics::new(),
@@ -945,40 +953,34 @@ impl Scheduler {
             traces,
             warehouse,
         });
-        let accept = {
-            let inner = Arc::clone(&inner);
-            std::thread::spawn(move || accept_loop(listener, inner))
-        };
-        let reaper = {
-            let inner = Arc::clone(&inner);
-            std::thread::spawn(move || reaper_loop(inner))
-        };
-        let admin = admin_listener.map(|listener| {
-            let inner = Arc::clone(&inner);
-            std::thread::spawn(move || admin::run(listener, inner))
-        });
-        let flusher = inner.warehouse.is_some().then(|| {
-            let inner = Arc::clone(&inner);
-            std::thread::spawn(move || {
-                serve::flush_periodically(
-                    || inner.stop.load(Ordering::SeqCst),
-                    || flush_warehouse_tick(&inner),
-                )
-            })
-        });
+        let mut threads = vec![
+            spawn_with(&inner, move |inner| accept_loop(listener, inner)),
+            spawn_with(&inner, reaper_loop),
+        ];
+        threads.extend(admin_listener.map(|l| spawn_with(&inner, move |inner| admin::run(l, inner))));
+        if inner.warehouse.is_some() {
+            threads.push(spawn_with(&inner, |inner| {
+                let stopped = || inner.stop.load(Ordering::SeqCst);
+                serve::flush_periodically(stopped, || flush_warehouse_tick(&inner))
+            }));
+        }
         let handle = SchedulerHandle { inner: Arc::clone(&inner) };
         let out = f(&handle);
         inner.shutdown();
-        let _ = accept.join();
-        let _ = reaper.join();
-        if let Some(admin) = admin {
-            let _ = admin.join();
-        }
-        if let Some(flusher) = flusher {
-            let _ = flusher.join();
+        for thread in threads {
+            let _ = thread.join();
         }
         out
     }
+}
+
+/// Run `f` on a thread of its own, with its own handle on the scheduler.
+fn spawn_with(
+    inner: &Arc<Inner>,
+    f: impl FnOnce(Arc<Inner>) + Send + 'static,
+) -> std::thread::JoinHandle<()> {
+    let inner = Arc::clone(inner);
+    std::thread::spawn(move || f(inner))
 }
 
 fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
@@ -986,8 +988,7 @@ fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
         &listener,
         || inner.stop.load(Ordering::SeqCst),
         |stream| {
-            let inner = Arc::clone(&inner);
-            std::thread::spawn(move || {
+            spawn_with(&inner, move |inner| {
                 let _ = serve_connection(stream, inner);
             });
         },
@@ -1049,12 +1050,13 @@ fn control_connection(
     serve_addr: String,
     methods: Vec<String>,
 ) -> io::Result<()> {
-    let generation = inner.register(&worker_id, &serve_addr, methods);
+    let generation = inner.register_at(inner.now_ms(), &worker_id, &serve_addr, methods);
     loop {
         match read_frame(&mut stream) {
             Ok(Message::Heartbeat { worker_id: hb_id, ready, reason, queue_depth, completed }) => {
+                let now = inner.now_ms();
                 if hb_id != worker_id
-                    || !inner.heartbeat(&worker_id, generation, ready, reason, queue_depth, completed)
+                    || !inner.heartbeat_at(now, &worker_id, generation, ready, reason, queue_depth, completed)
                 {
                     // stale generation (a newer incarnation registered):
                     // close so the worker reconnects fresh
@@ -1083,42 +1085,35 @@ fn control_connection(
     }
 }
 
-/// Client channel: submits in on this thread, replies out on a writer
-/// thread (replies complete out of order; jobs hold the writer's sender).
+/// Client channel: submits in on this thread, which routes each one and,
+/// when its owner has an idle stream, writes the `Execute` too. Replies go
+/// out from the stream readers that complete them, straight to this socket
+/// under its lock — out of submission order, and without this thread ever
+/// waiting on a worker.
 fn client_connection(
     mut stream: TcpStream,
     inner: Arc<Inner>,
     first_id: u64,
     first_request: QueryRequest,
 ) -> io::Result<()> {
-    let (tx, rx) = channel::unbounded::<(u64, QueryReply)>();
-    let mut write_half = stream.try_clone()?;
-    let writer = std::thread::spawn(move || {
-        while let Ok((id, reply)) = rx.recv() {
-            if write_frame(&mut write_half, &Message::SubmitResult { id, reply }).is_err() {
-                break;
-            }
-        }
-    });
-    inner.submit_job(first_id, tx.clone(), first_request);
+    stream.set_write_timeout(Some(inner.config.forward_timeout))?;
+    let replies = Arc::new(Mutex::new(stream.try_clone()?));
+    inner.submit_job(first_id, ReplyTo::Client(Arc::clone(&replies)), first_request);
+    let mut buf = Vec::new();
     loop {
-        match read_frame(&mut stream) {
-            Ok(Message::Submit { id, request }) => inner.submit_job(id, tx.clone(), request),
-            Ok(other) => {
-                drop(tx);
-                let _ = writer.join();
+        match read_frame_interruptible(&mut stream, &mut buf, || false) {
+            Ok(Some(Message::Submit { id, request })) => {
+                inner.submit_job(id, ReplyTo::Client(Arc::clone(&replies)), request)
+            }
+            Ok(Some(other)) => {
                 return Err(io::Error::new(
                     ErrorKind::InvalidData,
                     format!("expected Submit on client connection, got {other:?}"),
                 ));
             }
-            Err(_) => {
-                // client done (or gone); the writer drains outstanding
-                // replies and exits once the last job's sender drops
-                drop(tx);
-                let _ = writer.join();
-                return Ok(());
-            }
+            // client done (or gone); the replies still owed hold the
+            // socket open until the last is written
+            Ok(None) | Err(_) => return Ok(()),
         }
     }
 }
@@ -1128,8 +1123,8 @@ mod tests {
     use super::*;
 
     /// An Inner with no sockets: register/heartbeat/reap driven by
-    /// explicit clock readings. Forwarder threads spawn but idle on empty
-    /// queues and die with the queue, so no TCP is ever dialed.
+    /// explicit clock readings. A stream is dialed only for a job, and no
+    /// job reaches a member here, so no TCP is ever dialed.
     fn test_inner(heartbeat_timeout_ms: u64) -> Arc<Inner> {
         Arc::new(Inner {
             config: SchedulerConfig {
@@ -1274,12 +1269,12 @@ mod tests {
             request,
             shard: 42,
             attempts: inner.config.max_attempts - 1,
-            reply: tx,
+            reply: ReplyTo::Caller(tx),
             trace_id: 0,
             root_span: 0,
             accepted: Instant::now(),
         };
-        inner.requeue(job);
+        inner.requeue("w0", job);
         let (id, reply) = rx.recv().expect("terminal reply");
         assert_eq!(id, 7);
         assert_eq!(reply, Err(QueryError::Internal));

@@ -6,7 +6,7 @@
 //! simulated models, and [`Worker::attach`]es it to the cluster — two
 //! things layered on top inside the service scope:
 //!
-//! * an **Execute listener**: each scheduler forwarder connection gets a
+//! * an **Execute listener**: each scheduler forward stream gets a
 //!   thread that reads [`Execute`](Message::Execute) frames and answers
 //!   them through the same [`ServiceHandle::query`] an in-process caller
 //!   uses — which is the whole byte-identical-outcomes argument: there is
@@ -21,9 +21,9 @@
 //! Everything runs in the service's thread scope, so a worker shuts down
 //! exactly like the in-process service: stop flag, drain, join.
 
-use serve::proto::{write_frame, Message};
+use serve::proto::{read_frame_interruptible, write_frame, Message};
 use serve::{QueryReply, ServeConfig, Service, ServiceHandle};
-use std::io::{self, ErrorKind, Read};
+use std::io::{self, ErrorKind};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -146,7 +146,7 @@ impl Worker {
         crossbeam::thread::scope(|scope| {
             let stop_ref = &stop;
             scope.spawn(move |scope| {
-                // one scoped thread per scheduler forwarder connection,
+                // one scoped thread per scheduler forward stream,
                 // all joined before the service drains
                 serve::accept_until(
                     &listener,
@@ -170,17 +170,18 @@ impl Worker {
     }
 }
 
-/// Granularity at which blocked reads re-check the stop flag.
+/// Granularity at which blocked reads re-check the stop flag; a timeout
+/// mid-frame keeps the bytes read so far.
 const READ_POLL: Duration = Duration::from_millis(100);
 
-/// One scheduler forwarder stream: serial Execute → query → ExecuteResult.
+/// One scheduler forward stream: serial Execute → query → ExecuteResult.
 fn execute_connection(mut stream: TcpStream, handle: &ServiceHandle<'_>, stop: &AtomicBool) {
     if stream.set_nodelay(true).is_err() || stream.set_read_timeout(Some(READ_POLL)).is_err() {
         return;
     }
     let mut buf: Vec<u8> = Vec::new();
     loop {
-        match read_frame_interruptible(&mut stream, stop, &mut buf) {
+        match read_frame_interruptible(&mut stream, &mut buf, || stop.load(Ordering::SeqCst)) {
             Ok(Some(Message::Execute { id, request })) => {
                 // The forwarded trace context names the trace this worker's
                 // engine adopted; query() completes the trace before
@@ -199,47 +200,6 @@ fn execute_connection(mut stream: TcpStream, handle: &ServiceHandle<'_>, stop: &
             // connection; the scheduler treats that as this worker failing
             // and requeues, so never answer garbage with garbage
             Ok(Some(_)) | Ok(None) | Err(_) => return,
-        }
-    }
-}
-
-/// Like [`serve::proto::read_frame`], but interruptible: short read
-/// timeouts poll the stop flag *without losing partial bytes* (a plain
-/// `read_exact` under a timeout may drop a partial header and desync the
-/// stream). `Ok(None)` means stop was requested between frames.
-fn read_frame_interruptible(
-    stream: &mut TcpStream,
-    stop: &AtomicBool,
-    buf: &mut Vec<u8>,
-) -> io::Result<Option<Message>> {
-    let mut chunk = [0u8; 4096];
-    loop {
-        if buf.len() >= 4 {
-            let len = u32::from_be_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
-            if len > serve::proto::MAX_FRAME {
-                return Err(io::Error::new(
-                    ErrorKind::InvalidData,
-                    format!("frame length {len} exceeds MAX_FRAME (desynced stream?)"),
-                ));
-            }
-            if buf.len() >= 4 + len {
-                let frame: Vec<u8> = buf.drain(..4 + len).collect();
-                let mut reader: &[u8] = &frame;
-                return serve::proto::read_frame(&mut reader).map(Some);
-            }
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => {
-                return Err(io::Error::new(ErrorKind::UnexpectedEof, "peer closed"));
-            }
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                if stop.load(Ordering::SeqCst) {
-                    return Ok(None);
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
         }
     }
 }

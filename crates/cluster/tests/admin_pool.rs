@@ -71,17 +71,17 @@ fn scheduler_with_idle_listeners_shuts_down_at_once() {
     });
 }
 
-/// A registered worker with nothing to do parks its forwarder streams on
-/// their queue in a plain `wait` (shutdown notifies them under the queue
-/// lock, so no timed re-check is needed), and `Scheduler::run` still
-/// returns at once. Twenty rounds: shutdown paths race, and one lucky run
-/// proves little.
+/// A registered worker with nothing to do has no forward stream and no
+/// stream thread — a stream is dialed, and its reader started, only when a
+/// request first needs it — so nothing waits on a poll, and
+/// `Scheduler::run` still returns at once. Twenty rounds: shutdown paths
+/// race, and one lucky run proves little.
 #[test]
 fn scheduler_with_an_idle_registered_worker_shuts_down_at_once() {
     for round in 0..20 {
         let (control, returned) = Scheduler::run(SchedulerConfig::default(), |handle| {
-            // a worker's control connection: registration spawns its
-            // forwarders, which dial the worker only once work arrives
+            // a worker's control connection: registration starts no
+            // stream; one is dialed only once work arrives
             let mut control = TcpStream::connect(handle.client_addr()).expect("connect");
             let register = Message::Register {
                 worker_id: "idle".to_string(),

@@ -26,10 +26,16 @@
 //!
 //! * **Length prefix, not delimiters** — payloads are JSON with
 //!   arbitrary string content; a delimiter would need escaping.
-//! * **JSON payloads** — human-inspectable (`tcpdump` shows readable
-//!   frames), reuses the vendored serde stack, and the protocol is not
-//!   the bottleneck (a request costs hundreds of µs of translate+execute
-//!   against single-digit µs of codec).
+//! * **JSON payloads** — kept for inspectability (`tcpdump` shows
+//!   readable frames) and because they reuse the vendored serde stack, at
+//!   a measured price: encoding and decoding one `Submit` + `SubmitResult`
+//!   pair costs ≈ 15–21 µs and ≈ 520 B (the benchmark's
+//!   `serve.proto_frame_us` / `serve.proto_frame_bytes` on `cluster_hop`),
+//!   as much as the 15 µs a worker spends serving a cached request
+//!   (`serve.exec_p50_us`).
+//! * **One write per frame** — [`write_frame`] hands the length prefix
+//!   and the payload to the stream in one `write_all`, so a frame leaves
+//!   as one TCP segment instead of a 4-byte one and its payload.
 //! * **Bounded frames** — a reader rejects frames over [`MAX_FRAME`]
 //!   bytes instead of allocating attacker-controlled sizes. Loopback
 //!   only, but the bound also catches a desynced stream early.
@@ -124,9 +130,12 @@ pub enum Message {
     },
 }
 
-/// Write one frame. Not atomic against interleaved writers — callers
-/// serialize writes per stream (the cluster holds one writer per
-/// connection or a mutex around the stream).
+/// Write one frame: length prefix and payload in one `write_all`, which
+/// is one `write` call unless the stream takes the frame short. A short
+/// write continues with the rest, so two writers on one stream can still
+/// interleave — callers serialize writes per stream (the scheduler writes
+/// a worker stream only from the thread that claimed it, and a client
+/// connection under its lock).
 pub fn write_frame(stream: &mut impl Write, msg: &Message) -> io::Result<()> {
     let payload = serde_json::to_string(msg)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("encode frame: {e}")))?;
@@ -137,8 +146,10 @@ pub fn write_frame(stream: &mut impl Write, msg: &Message) -> io::Result<()> {
             format!("frame of {} bytes exceeds MAX_FRAME", bytes.len()),
         ));
     }
-    stream.write_all(&(bytes.len() as u32).to_be_bytes())?;
-    stream.write_all(bytes)?;
+    let mut frame = Vec::with_capacity(4 + bytes.len());
+    frame.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
+    frame.extend_from_slice(bytes);
+    stream.write_all(&frame)?;
     stream.flush()
 }
 
@@ -163,6 +174,47 @@ pub fn read_frame(stream: &mut impl Read) -> io::Result<Message> {
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("decode frame: {e}")))
 }
 
+/// [`read_frame`] for a stream with a read timeout. A timeout keeps the
+/// bytes read so far in `buf` — a plain `read_exact` under a timeout may
+/// drop a partial frame and desync the stream — and asks `give_up`,
+/// whose `true` ends the read with `Ok(None)`; the next call with the same
+/// `buf` resumes the frame where this one stopped. Bytes past the frame
+/// stay in `buf` too, so one `read` may bring in more than one frame.
+pub fn read_frame_interruptible(
+    stream: &mut impl Read,
+    buf: &mut Vec<u8>,
+    mut give_up: impl FnMut() -> bool,
+) -> io::Result<Option<Message>> {
+    let mut chunk = [0u8; 4096];
+    loop {
+        if let Some(prefix) = buf.first_chunk::<4>() {
+            let len = u32::from_be_bytes(*prefix) as usize;
+            if len > MAX_FRAME {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("frame length {len} exceeds MAX_FRAME (desynced stream?)"),
+                ));
+            }
+            if buf.len() >= 4 + len {
+                let msg = read_frame(&mut &buf[..4 + len]);
+                buf.drain(..4 + len);
+                return msg.map(Some);
+            }
+        }
+        match stream.read(&mut chunk) {
+            Ok(0) => return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "peer closed")),
+            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
+                if give_up() {
+                    return Ok(None);
+                }
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+}
+
 /// Blocking client for one scheduler connection: submit requests, match
 /// replies by id. Used by `serve-loadgen --endpoints` and the cluster
 /// tests; one instance is NOT thread-safe (wrap it per client thread,
@@ -170,6 +222,8 @@ pub fn read_frame(stream: &mut impl Read) -> io::Result<Message> {
 pub struct ClusterClient {
     stream: TcpStream,
     next_id: u64,
+    /// Reply bytes read past the last whole frame.
+    buf: Vec<u8>,
 }
 
 impl ClusterClient {
@@ -180,7 +234,7 @@ impl ClusterClient {
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, format!("{addr}: {e}")))?;
         let stream = TcpStream::connect_timeout(&parsed, timeout)?;
         stream.set_nodelay(true)?;
-        Ok(ClusterClient { stream, next_id: 0 })
+        Ok(ClusterClient { stream, next_id: 0, buf: Vec::new() })
     }
 
     /// Bound how long one blocking reply read may take. `None` waits
@@ -197,11 +251,14 @@ impl ClusterClient {
         Ok(id)
     }
 
-    /// Block for the next reply frame, whatever request it answers.
+    /// Block for the next reply frame, whatever request it answers. A
+    /// reply timeout is `Err(TimedOut)`; a frame it cut short stays
+    /// buffered, so the next call still reads it whole.
     pub fn next_reply(&mut self) -> io::Result<(u64, QueryReply)> {
-        match read_frame(&mut self.stream)? {
-            Message::SubmitResult { id, reply } => Ok((id, reply)),
-            other => Err(io::Error::new(
+        match read_frame_interruptible(&mut self.stream, &mut self.buf, || true)? {
+            None => Err(io::Error::new(io::ErrorKind::TimedOut, "no reply within the reply timeout")),
+            Some(Message::SubmitResult { id, reply }) => Ok((id, reply)),
+            Some(other) => Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("expected SubmitResult, got {other:?}"),
             )),
@@ -402,6 +459,97 @@ mod tests {
         let err = read_frame(&mut &deep[..]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("nesting deeper than"), "{err}");
+    }
+
+    /// A `Write` that counts its `write` calls: what a socket would see
+    /// as `write` syscalls.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, b: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(b);
+            Ok(b.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn one_write_per_frame() {
+        for msg in &every_kind() {
+            let mut out = CountingWriter::default();
+            write_frame(&mut out, msg).expect("writes");
+            assert_eq!(out.writes, 1, "{msg:?}");
+            assert_eq!(&read_frame(&mut &out.bytes[..]).expect("reads"), msg);
+        }
+    }
+
+    /// Hands out its bytes in pieces of `piece` bytes, with a read timeout
+    /// (`WouldBlock` and `TimedOut` in turn) before every piece.
+    struct Trickle {
+        bytes: Vec<u8>,
+        at: usize,
+        piece: usize,
+        stalled: bool,
+        stalls: usize,
+    }
+
+    impl Read for Trickle {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            self.stalled = !self.stalled;
+            if self.stalled {
+                self.stalls += 1;
+                let kind =
+                    if self.stalls.is_multiple_of(2) { io::ErrorKind::WouldBlock } else { io::ErrorKind::TimedOut };
+                return Err(kind.into());
+            }
+            let n = self.piece.min(out.len()).min(self.bytes.len() - self.at);
+            out[..n].copy_from_slice(&self.bytes[self.at..self.at + n]);
+            self.at += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_frame_read_in_pieces_across_timeouts_reassembles() {
+        let kinds = every_kind();
+        let mut wire = Vec::new();
+        for msg in &kinds {
+            write_frame(&mut wire, msg).expect("writes");
+        }
+        // down to a byte at a time, up to several frames in one read
+        for piece in [1, 3, 4, 5, 64, 4096] {
+            let mut stream = Trickle { bytes: wire.clone(), at: 0, piece, stalled: false, stalls: 0 };
+            let mut buf = Vec::new();
+            let mut reframed = Vec::new();
+            for msg in &kinds {
+                // give up on every other timeout: the read resumes, the
+                // half-read frame intact, from the same buffer
+                let mut timeouts = 0u32;
+                let got = loop {
+                    let read = read_frame_interruptible(&mut stream, &mut buf, || {
+                        timeouts += 1;
+                        timeouts.is_multiple_of(2)
+                    });
+                    if let Some(got) = read.expect("no error across timeouts") {
+                        break got;
+                    }
+                };
+                assert_eq!(&got, msg, "piece {piece}");
+                write_frame(&mut reframed, &got).expect("writes");
+            }
+            assert_eq!(reframed, wire, "piece {piece}: not byte-identical");
+            assert!(stream.stalls > 0, "piece {piece}: the reads never timed out");
+            let end = read_frame_interruptible(&mut stream, &mut buf, || false).unwrap_err();
+            assert_eq!(end.kind(), io::ErrorKind::UnexpectedEof);
+        }
     }
 
     /// The frame's own JSON vocabulary, so token soups reach the decoder's

@@ -165,8 +165,9 @@ if [ "$lint" -eq 1 ]; then
     exit 1
   fi
 
-  # No timed re-check on a stop path: the eval runner and the forwarders
-  # block until a message or a notify (sent under the lock) wakes them.
+  # No timed re-check on a stop path: the eval runner blocks until a
+  # message wakes it, and an idle scheduler stream reader until shutdown
+  # (or eviction) shuts its socket under the worker queue's lock.
   echo "==> no stop poll (recv_timeout / wait_timeout in serve/src/lib.rs, cluster/src/scheduler.rs)"
   if grep -n "recv_timeout\|wait_timeout" crates/serve/src/lib.rs crates/cluster/src/scheduler.rs; then
     echo "a stop path polls again; wake the waiter instead" >&2
@@ -279,6 +280,12 @@ if [ "$cluster" -eq 1 ]; then
     --requests 200 --clients 8 \
     --endpoints "$sched_client" \
     --scrape-addr "$sched_admin,${worker_admins[0]},${worker_admins[1]}"
+
+  # the same burst over one connection, open loop: every request is
+  # routed by the connection's reader (claiming an idle worker stream or
+  # queueing for a busy one) and answered by whichever stream reader
+  # completes it; loadgen checks each id is answered exactly once
+  ./target/release/serve-loadgen --open --requests 200 --endpoints "$sched_client"
 
   cleanup_cluster
   trap - EXIT
