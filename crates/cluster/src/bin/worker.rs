@@ -30,8 +30,7 @@ OPTIONS:
     --corpus-seed N       corpus generation seed [default: 7]
     --corpus KIND         spider | bird [default: spider]
     --methods A,B,C       methods to serve [default: C3SQL,DINSQL,DAILSQL(SC),SuperSQL]
-    --workers N           engine worker threads [default: cores]
-    --queue N             engine admission-queue capacity [default: 256]
+    --queue N             engine requests in flight before Overloaded [default: 256]
     --heartbeat-ms N      heartbeat interval [default: 500]
     --static-check        enable the sqlcheck admission gate
     --trace               trace requests through this engine so forwarded
@@ -79,7 +78,6 @@ fn parse_args() -> WorkerConfig {
             "--methods" => {
                 config.methods = value("--methods").split(',').map(str::to_string).collect()
             }
-            "--workers" => serve_config.workers = parse_num(&value("--workers")) as usize,
             "--queue" => serve_config.queue_capacity = parse_num(&value("--queue")) as usize,
             "--heartbeat-ms" => {
                 config.heartbeat = Duration::from_millis(parse_num(&value("--heartbeat-ms")))

@@ -312,7 +312,7 @@ pub struct WorkerSnapshot {
     pub scheduler_queue: usize,
     /// Scheduler-side jobs currently on the wire to this worker.
     pub in_flight: usize,
-    /// The worker's own admission-queue depth, as last reported.
+    /// Requests in flight in the worker's engine, as last reported.
     pub worker_queue_depth: u64,
     /// Requests the worker reports having completed.
     pub completed: u64,
@@ -1224,13 +1224,13 @@ mod tests {
     fn eviction_reports_the_workers_last_reason() {
         let inner = test_inner(400);
         let generation = inner.register_at(0, "w0", "127.0.0.1:1", vec![]);
-        assert!(hb(&inner, 10, "w0", generation, false, Some("saturated: queue 9/10 >= 90% threshold")));
+        assert!(hb(&inner, 10, "w0", generation, false, Some("saturated: 9/10 requests in flight >= 90% threshold")));
         // turning ready again keeps the last complaint for the post-mortem
         assert!(hb(&inner, 20, "w0", generation, true, None));
         let lines = inner.reap_at(421);
         assert_eq!(lines.len(), 1);
         assert!(
-            lines[0].contains("last reported readiness: saturated: queue 9/10 >= 90% threshold"),
+            lines[0].contains("last reported readiness: saturated: 9/10 requests in flight >= 90% threshold"),
             "{}",
             lines[0]
         );

@@ -228,7 +228,7 @@ fn heartbeat_loop(
                         worker_id: config.worker_id.clone(),
                         ready,
                         reason,
-                        queue_depth: handle.queue_len() as u64,
+                        queue_depth: handle.in_flight() as u64,
                         completed: handle.completed(),
                     };
                     if write_frame(&mut stream, &beat).is_err() {

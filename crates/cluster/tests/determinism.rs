@@ -59,7 +59,6 @@ fn normalize(reply: QueryReply) -> String {
 
 fn engine_config(traced: bool) -> ServeConfig {
     ServeConfig {
-        workers: 2,
         queue_capacity: 1024,
         admin_addr: None,
         request_tracing: traced,

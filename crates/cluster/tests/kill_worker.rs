@@ -118,7 +118,6 @@ fn sigkilled_workers_requeue_and_every_request_answers_exactly_once() {
             "--id", id,
             "--corpus-seed", &CORPUS_SEED.to_string(),
             "--methods", &METHODS.join(","),
-            "--workers", "2",
             "--queue", "1024",
             "--heartbeat-ms", "150",
             "--trace",

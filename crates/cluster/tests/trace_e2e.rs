@@ -47,7 +47,6 @@ fn spawn_worker(worker_id: &str, scheduler: SocketAddr) -> (channel::Sender<()>,
         corpus_seed: CORPUS_SEED,
         methods: vec![METHOD.to_string()],
         serve: ServeConfig {
-            workers: 2,
             admin_addr: None,
             request_tracing: true,
             ..ServeConfig::default()

@@ -6,10 +6,12 @@
 //! * `POST /v1/sql` — NL question or raw SQL in, rows out as JSON. Raw SQL
 //!   runs against a corpus database (`"db"`) or, with no `"db"`, against
 //!   the eval store — which is how leaderboards over persisted runs become
-//!   plain SQL over HTTP. NL requests are queued for the worker pool, as
-//!   [`crate::ServiceHandle::submit`] does, and run the same admission,
-//!   cache, deadline and static-check pipeline as in-process
-//!   [`crate::ServiceHandle::query`] calls.
+//!   plain SQL over HTTP. An NL request is served on the handler thread
+//!   that read it, through the same dispatcher as in-process
+//!   [`crate::ServiceHandle::query`] calls (admission, cache, deadline,
+//!   static check); it arrives when its connection was accepted, so the
+//!   wait for a handler counts against its deadline. Its rows come from the
+//!   execution outcome the pipeline scored — nothing runs twice.
 //! * `POST /v1/evals/<corpus>` — launch a background evaluation run;
 //!   answers `202` with the run's API id immediately.
 //! * `GET /v1/evals/<id>` / `GET /v1/evals` — run status.
@@ -27,6 +29,7 @@ use crate::{EvalRun, Inner, QueryError, RunStatus};
 use nl2sql360::EvalContext;
 use std::net::TcpListener;
 use std::sync::atomic::Ordering;
+use std::time::Instant;
 
 /// Handler tags for the service route table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,7 +118,7 @@ fn post_sql(req: &Request, inner: &Inner, ctx: &EvalContext<'_>) -> Response {
     if body.get("sql").is_some() {
         raw_sql(&body, inner, ctx)
     } else if body.get("question").is_some() {
-        nl_query(&body, inner, ctx)
+        nl_query(req.accepted, &body, inner, ctx)
     } else {
         Response::json_error(400, "body must carry either \"sql\" or \"question\"")
     }
@@ -187,11 +190,16 @@ fn raw_sql(body: &serde::Value, inner: &Inner, ctx: &EvalContext<'_>) -> Respons
     }
 }
 
-/// The NL arm: build a [`QueryRequest`], queue it for the worker pool,
-/// then execute the predicted SQL for the actual rows. Queued rather than
-/// run on the handler thread, so an HTTP request's deadline keeps bounding
-/// the time it waits for a worker.
-fn nl_query(body: &serde::Value, inner: &Inner, ctx: &EvalContext<'_>) -> Response {
+/// The NL arm: build a [`crate::QueryRequest`] that arrived with its
+/// connection and serve it on this handler thread. The rows are the
+/// execution outcome the reply was scored on (a cache hit's included); a
+/// failed execution reports its failure kind and `null` rows.
+fn nl_query(
+    arrived: Instant,
+    body: &serde::Value,
+    inner: &Inner,
+    ctx: &EvalContext<'_>,
+) -> Response {
     let request = match http::nl_request(body, |field| match field {
         "question" => "\"question\" must be a string".to_string(),
         field => format!("NL requests need a \"{field}\" string"),
@@ -199,28 +207,12 @@ fn nl_query(body: &serde::Value, inner: &Inner, ctx: &EvalContext<'_>) -> Respon
         Ok(r) => r,
         Err(refused) => return refused,
     };
-    let db_id = request.db_id.clone();
-    let ticket = match inner.submit(request) {
-        Ok(t) => t,
-        Err(e) => return query_error_response(&e),
-    };
-    let resp = match ticket.wait() {
+    let (reply, outcome) = inner.serve(ctx, request, arrived);
+    let resp = match reply {
         Ok(r) => r,
         Err(e) => return query_error_response(&e),
     };
-    // Rows come from re-executing the predicted SQL on the target
-    // database; execution is deterministic, so this matches the outcome
-    // the pipeline scored. A failed execution reports the failure kind and
-    // `null` rows instead.
-    let rows = if resp.exec_failure.is_none() {
-        ctx.corpus
-            .databases
-            .get(&db_id)
-            .and_then(|db| db.database.run(&resp.pred_sql).ok())
-            .map(|rs| result_set_json(&rs))
-    } else {
-        None
-    };
+    let rows = outcome.and_then(|o| o.as_ref().as_ref().ok().map(result_set_json));
     http::nl_reply(&resp, Some(rows.unwrap_or(serde::Value::Null)))
 }
 

@@ -1,15 +1,17 @@
 //! Deterministic load generator for the serve subsystem.
 //!
 //! Generates a seeded request mix over a synthetic corpus, drives the
-//! service either closed-loop (N client threads, one request in flight
-//! each) or open-loop (submit everything, then collect), and prints a
-//! throughput/latency report. The *outcome* section (per-request
-//! ex/em/errors, EX/EM totals, lost count) is deterministic for a given
-//! seed and request count — independent of workers, batching, and cache
-//! timing. Only the performance section varies run to run.
+//! service closed-loop (N client threads, one request in flight each;
+//! in-process, over HTTP, or through a scheduler) or, through a scheduler
+//! (`--open --endpoints`), open-loop (submit everything on one connection,
+//! then collect), and prints a throughput/latency report. The *outcome*
+//! section (per-request ex/em/errors, EX/EM totals, lost count) is
+//! deterministic for a given seed and request count — independent of the
+//! client count and cache timing. Only the performance section varies run
+//! to run.
 //!
 //! ```text
-//! serve-loadgen --requests 2000 --workers 8 --seed 7
+//! serve-loadgen --requests 2000 --clients 8 --seed 7
 //! ```
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
@@ -26,13 +28,13 @@ const DEFAULT_METHODS: &[&str] = &["C3SQL", "DINSQL", "DAILSQL(SC)", "SuperSQL"]
 
 struct Args {
     requests: usize,
-    workers: usize,
     seed: u64,
     corpus_seed: u64,
     clients: usize,
     queue: usize,
-    batch: usize,
     deadline_ms: Option<u64>,
+    /// Remote mode only (`--endpoints`): submit the whole burst on one
+    /// connection, then collect.
     open_loop: bool,
     scrape: bool,
     /// In-process mode: enable request tracing on the embedded engine so
@@ -59,12 +61,10 @@ impl Default for Args {
     fn default() -> Self {
         Args {
             requests: 2000,
-            workers: nl2sql360::default_workers(),
             seed: 7,
             corpus_seed: 42,
             clients: 16,
             queue: 256,
-            batch: 8,
             deadline_ms: None,
             open_loop: false,
             scrape: false,
@@ -81,8 +81,8 @@ fn parse_args() -> Args {
     let mut args = Args::default();
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
-    let usage = "usage: serve-loadgen [--requests N] [--workers N] [--seed N] \
-                 [--corpus-seed N] [--clients N] [--queue N] [--batch N] \
+    let usage = "usage: serve-loadgen [--requests N] [--seed N] \
+                 [--corpus-seed N] [--clients N] [--queue N] \
                  [--deadline-ms N] [--open] [--scrape] [--trace] [--http] \
                  [--canonical-key] [--endpoints ADDR,ADDR,...] \
                  [--scrape-addr ADDR,ADDR,...]";
@@ -101,12 +101,10 @@ fn parse_args() -> Args {
         };
         match argv[i].as_str() {
             "--requests" => args.requests = parse(need_value(i)) as usize,
-            "--workers" => args.workers = (parse(need_value(i)) as usize).max(1),
             "--seed" => args.seed = parse(need_value(i)),
             "--corpus-seed" => args.corpus_seed = parse(need_value(i)),
             "--clients" => args.clients = (parse(need_value(i)) as usize).max(1),
             "--queue" => args.queue = (parse(need_value(i)) as usize).max(1),
-            "--batch" => args.batch = (parse(need_value(i)) as usize).max(1),
             "--deadline-ms" => args.deadline_ms = Some(parse(need_value(i))),
             "--endpoints" => {
                 args.endpoints =
@@ -151,6 +149,12 @@ fn parse_args() -> Args {
             }
         }
         i += 2;
+    }
+    if args.open_loop && args.endpoints.is_empty() {
+        // an in-process caller is served on its own thread, so there is no
+        // queue for an open loop to fill; a scheduler connection has one
+        eprintln!("--open drives a scheduler: give it --endpoints ADDR\n{usage}");
+        std::process::exit(2);
     }
     args
 }
@@ -545,12 +549,7 @@ fn main() {
         return;
     }
 
-    let mut config = ServeConfig {
-        workers: args.workers,
-        queue_capacity: args.queue,
-        max_batch: args.batch,
-        ..ServeConfig::default()
-    };
+    let mut config = ServeConfig { queue_capacity: args.queue, ..ServeConfig::default() };
     if args.scrape {
         config.admin_addr = Some("127.0.0.1:0".parse().expect("loopback addr"));
     }
@@ -599,46 +598,31 @@ fn main() {
                     })
                 });
 
+                // closed loop: each client thread keeps one request in
+                // flight
                 let mut tally = Tally::default();
-                if args.open_loop {
-                    // submit everything as fast as admission allows, then
-                    // collect
-                    let mut tickets = Vec::with_capacity(requests.len());
-                    for req in &requests {
-                        match handle.submit(req.clone()) {
-                            Ok(t) => tickets.push(t),
-                            Err(e) => tally.absorb(&Err(e)),
-                        }
-                    }
-                    for t in tickets {
-                        tally.absorb(&t.wait());
-                    }
-                } else {
-                    // closed loop: each client thread keeps one request in
-                    // flight
-                    let clients = args.clients.min(requests.len().max(1));
-                    let chunk = requests.len().div_ceil(clients).max(1);
-                    let tallies = std::thread::scope(|clients_scope| {
-                        let handles: Vec<_> = requests
-                            .chunks(chunk)
-                            .map(|chunk| {
-                                clients_scope.spawn(move || {
-                                    let mut local = Tally::default();
-                                    for req in chunk {
-                                        local.absorb(&handle.query(req.clone()));
-                                    }
-                                    local
-                                })
+                let clients = args.clients.min(requests.len().max(1));
+                let chunk = requests.len().div_ceil(clients).max(1);
+                let tallies = std::thread::scope(|clients_scope| {
+                    let handles: Vec<_> = requests
+                        .chunks(chunk)
+                        .map(|chunk| {
+                            clients_scope.spawn(move || {
+                                let mut local = Tally::default();
+                                for req in chunk {
+                                    local.absorb(&handle.query(req.clone()));
+                                }
+                                local
                             })
-                            .collect();
-                        handles
-                            .into_iter()
-                            .map(|h| h.join().expect("client panicked"))
-                            .collect::<Vec<_>>()
-                    });
-                    for t in tallies {
-                        tally.merge(t);
-                    }
+                        })
+                        .collect();
+                    handles
+                        .into_iter()
+                        .map(|h| h.join().expect("client panicked"))
+                        .collect::<Vec<_>>()
+                });
+                for t in tallies {
+                    tally.merge(t);
                 }
                 stop_scraper.store(true, Ordering::Release);
                 let scrape_result = scraper.map(|s| s.join().expect("scraper panicked"));
@@ -650,7 +634,6 @@ fn main() {
         });
     let wall = started.elapsed();
 
-    let mode = if args.open_loop { "open-loop" } else { "closed-loop" };
     println!("serve-loadgen report");
     println!(
         "  corpus: Spider tiny(seed={})  dev samples: {}  methods: {}",
@@ -659,20 +642,14 @@ fn main() {
         DEFAULT_METHODS.join(", ")
     );
     println!(
-        "  config: {} workers (cores available: {}), queue {}, batch {}, {} / {} clients, {} requests, seed {}",
-        args.workers,
-        nl2sql360::default_workers(),
-        args.queue,
-        args.batch,
-        mode,
-        args.clients,
-        args.requests,
-        args.seed
+        "  config: in-flight cap {}, closed-loop / {} clients, {} requests, seed {}",
+        args.queue, args.clients, args.requests, args.seed
     );
-    // closed-loop clients block, so admission never races the workers and
-    // the whole outcome block reproduces bit-for-bit; open-loop admission
-    // and deadline expiry are timing-dependent by nature
-    if args.open_loop || args.deadline_ms.is_some() {
+    // each client keeps at most one request in flight, so with no more
+    // clients than the in-flight cap nobody is refused and the whole
+    // outcome block reproduces bit-for-bit; deadline expiry is
+    // timing-dependent by nature
+    if args.deadline_ms.is_some() || args.clients > args.queue {
         println!("outcomes (admission/deadline are timing-dependent in this mode):");
     } else {
         println!("outcomes (seed-deterministic):");
@@ -713,11 +690,7 @@ fn main() {
         fmt_duration(metrics.exec_p95),
         fmt_duration(metrics.exec_p99)
     );
-    println!(
-        "  cache hit rate: {:.1}%  mean batch size: {:.2}",
-        100.0 * metrics.cache_hit_rate,
-        metrics.mean_batch_size
-    );
+    println!("  cache hit rate: {:.1}%", 100.0 * metrics.cache_hit_rate);
     print_exemplars(&tally);
     println!("  windowed (sampled at shutdown):");
     for w in &windows {

@@ -31,8 +31,7 @@ OPTIONS:
     --corpus-seed N       corpus generation seed [default: 42]
     --corpus KIND         spider | bird [default: spider]
     --methods A,B,C       methods to serve [default: C3SQL,DINSQL,DAILSQL(SC),SuperSQL]
-    --workers N           engine worker threads [default: cores]
-    --queue N             admission-queue capacity [default: 256]
+    --queue N             requests in flight before Overloaded [default: 256]
     --static-check        enable the sqlcheck admission gate
     --trace               mint per-request trace ids, serve GET /v1/traces/<id>,
                           and run the telemetry warehouse (trace_spans +
@@ -83,7 +82,6 @@ fn parse_args() -> Args {
             "--methods" => {
                 out.methods = value("--methods").split(',').map(str::to_string).collect()
             }
-            "--workers" => out.config.workers = parse_num(&value("--workers")) as usize,
             "--queue" => out.config.queue_capacity = parse_num(&value("--queue")) as usize,
             "--static-check" => out.config.static_check = true,
             "--trace" => {

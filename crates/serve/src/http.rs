@@ -37,7 +37,8 @@ const MAX_HEAD_BYTES: usize = 8 * 1024;
 /// refused with `413 Payload Too Large` before any body bytes are read.
 pub const MAX_BODY_BYTES: usize = 64 * 1024;
 
-/// One parsed request: method, path (query string stripped), raw body.
+/// One parsed request: method, path (query string stripped), raw body,
+/// and when its connection was accepted.
 #[derive(Debug, Clone)]
 pub struct Request {
     /// Request method, uppercase as received (`GET`, `POST`, ...).
@@ -47,6 +48,11 @@ pub struct Request {
     pub path: String,
     /// Raw request body (empty for bodyless requests).
     pub body: Vec<u8>,
+    /// When [`serve_loop`] accepted the connection (when the request was
+    /// read, for a request [`read_request`] parsed on its own). An NL
+    /// request arrives here: its deadline and queue wait count the wait
+    /// for a handler.
+    pub accepted: Instant,
 }
 
 /// One response: status, content type, body.
@@ -186,7 +192,7 @@ pub fn read_request(stream: &mut impl Read) -> std::io::Result<Result<Request, R
     }
     body.truncate(content_length);
     let path = target.split('?').next().unwrap_or("").to_string();
-    Ok(Ok(Request { method: method.to_string(), path, body }))
+    Ok(Ok(Request { method: method.to_string(), path, body, accepted: Instant::now() }))
 }
 
 /// How a route matches the request path.
@@ -270,6 +276,8 @@ pub fn refusal<H>(outcome: &Routed<'_, H>, path: &str) -> Option<Response> {
 /// Accept-and-respond loop shared by both planes: [`crate::accept_until`]
 /// on the calling thread, [`HANDLER_THREADS`] scoped threads behind a
 /// queue of [`PENDING_CONNECTIONS`] answering one request per connection.
+/// Each connection is stamped when accepted; the stamp is its request's
+/// [`Request::accepted`].
 /// Exits — handlers joined, every queued connection answered — once
 /// `stop()` is true and the listener was woken
 /// ([`crate::wake_listener`]). Handler failures never take the listener
@@ -279,22 +287,22 @@ pub fn serve_loop(
     stop: impl Fn() -> bool,
     handler: impl Fn(&Request) -> Response + Sync,
 ) {
-    let (tx, rx) = crossbeam::channel::bounded::<TcpStream>(PENDING_CONNECTIONS);
+    let (tx, rx) = crossbeam::channel::bounded::<(TcpStream, Instant)>(PENDING_CONNECTIONS);
     std::thread::scope(|scope| {
         for _ in 0..HANDLER_THREADS {
             let (rx, handler) = (rx.clone(), &handler);
             scope.spawn(move || {
-                while let Ok(mut stream) = rx.recv() {
+                while let Ok((mut stream, accepted)) = rx.recv() {
                     // Best-effort: a client dying mid-response must not
                     // take the endpoint down.
-                    let _ = exchange(&mut stream, handler);
+                    let _ = exchange(&mut stream, accepted, handler);
                 }
             });
         }
         // A full queue blocks the acceptor and the kernel backlog fills
         // behind it: back-pressure is the connection cap.
         crate::accept_until(&listener, stop, |stream| {
-            let _ = tx.send(stream);
+            let _ = tx.send((stream, Instant::now()));
         });
         drop(tx);
     });
@@ -303,12 +311,13 @@ pub fn serve_loop(
 /// One request, one response; the server closes first.
 fn exchange(
     stream: &mut TcpStream,
+    accepted: Instant,
     handler: &impl Fn(&Request) -> Response,
 ) -> std::io::Result<()> {
     stream.set_read_timeout(Some(IO_TIMEOUT))?;
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
     match read_request(stream)? {
-        Ok(req) => write_response(stream, &handler(&req)),
+        Ok(req) => write_response(stream, &handler(&Request { accepted, ..req })),
         Err(refused) => {
             write_response(stream, &refused)?;
             discard_unread(stream);
@@ -350,8 +359,8 @@ pub fn http_get(addr: SocketAddr, path: &str) -> std::io::Result<(u16, String)> 
 }
 
 /// Minimal blocking HTTP POST with a JSON body; returns `(status, body)`.
-/// The read timeout is generous because `/v1/sql` NL requests block on
-/// the worker pool.
+/// The read timeout is generous because a `/v1/sql` NL request runs the
+/// whole pipeline before its handler answers.
 pub fn http_post(addr: SocketAddr, path: &str, json: &str) -> std::io::Result<(u16, String)> {
     let mut stream = TcpStream::connect_timeout(&addr, Duration::from_secs(2))?;
     stream.set_read_timeout(Some(Duration::from_secs(30)))?;

@@ -6,40 +6,38 @@
 //! as an online service with concurrency, admission control, and latency
 //! SLOs? It composes the existing pieces — [`modelzoo`] translators,
 //! [`minidb`] execution, [`nl2sql360::EvalContext`] gold results — behind
-//! a thread-pool service:
+//! one service:
 //!
-//! * **Admission control**: one admission step for every request; a full
-//!   queue (or a draining service) rejects new requests with
-//!   [`QueryError::Overloaded`] instead of letting latency grow without
-//!   bound.
-//! * **Two dispatchers, one pipeline**: [`ServiceHandle::query`], whose
-//!   caller blocks on the answer anyway, runs the pipeline on the calling
-//!   thread — no queue slot, no reply channel, no thread hand-off.
-//!   [`ServiceHandle::submit`] and the HTTP NL arm queue the request for a
-//!   pool of N worker threads and return a [`Ticket`]. Both share one
-//!   [`EvalContext`] and one model set (scoped threads — the context
-//!   borrows the corpus, no `'static` gymnastics) and serve through the
-//!   same `serve_one`.
-//! * **Same-method rounds**: a worker dequeues up to `max_batch` queued
-//!   requests for the *same method* in one round and serves them one after
-//!   another; the round shares nothing but the dequeue, and its size is
-//!   what a reply's `batch_size` reports (1 for a caller-run request).
+//! * **One dispatcher, one pipeline**: every request is served on the
+//!   thread that asks for it — [`ServiceHandle::query`] on its caller's,
+//!   an HTTP NL request (`POST /v1/sql`) on the handler thread that read
+//!   it — through the same admission and the same `serve_one`. There is
+//!   no request queue, no reply channel and no worker pool; the callers
+//!   share one [`EvalContext`] and one model set (scoped threads — the
+//!   context borrows the corpus, no `'static` gymnastics).
+//! * **Admission control**: a request is admitted while fewer than
+//!   [`ServeConfig::queue_capacity`] requests are in flight (admitted and
+//!   not yet answered); past that, and while draining, it is refused with
+//!   [`QueryError::Overloaded`] at once instead of letting latency grow
+//!   without bound. HTTP's own handler pool bounds how many NL requests
+//!   can wait to be read.
 //! * **Result caching**: a sharded LRU over `(db_id, normalized SQL)`
 //!   execution outcomes. Execution is deterministic, so caching is
 //!   outcome-neutral — EX/EM cannot depend on cache state.
-//! * **Deadlines**: a request can carry a deadline; the pipeline drops a
-//!   request whose deadline passed before pickup
-//!   ([`QueryError::DeadlineExceeded`]).
+//! * **Deadlines**: a request can carry a deadline, counted from its
+//!   arrival — the call for an in-process request, the accepted connection
+//!   for an HTTP one; the pipeline drops a request whose deadline passed
+//!   before pickup ([`QueryError::DeadlineExceeded`]).
 //! * **Panic isolation**: a panic while serving one request answers it
-//!   [`QueryError::Internal`]; the worker (or caller) goes on serving.
+//!   [`QueryError::Internal`]; the thread that served it goes on.
 //! * **One completion record per request**: every exit of the pipeline —
 //!   ok, deadline exceeded, refused, statically rejected, internal, unknown
 //!   method, unknown question, overloaded — builds one `Completion` and
 //!   hands it to `Inner::complete`, the only code that records and traces
 //!   it and derives the reply.
-//!   Queue wait, exec time, latency and the stage spans (derived at
-//!   completion from the request's stamps, each read once) add up. It
-//!   feeds labeled metric families ([`obs::Registry`])
+//!   Queue wait (arrival to pickup), exec time, latency and the stage spans
+//!   (derived at completion from the request's stamps, each read once) add
+//!   up. It feeds labeled metric families ([`obs::Registry`])
 //!   keyed by method, outcome and failure kind, sliding-window
 //!   QPS/error-rate/quantiles over the last 1s/10s/60s ([`window`]), and a
 //!   bounded top-K slow-query log ([`slowlog`]); [`MetricsSnapshot`]
@@ -49,17 +47,16 @@
 //!   serving `GET /metrics` (Prometheus text exposition), `/metrics.json`,
 //!   `/healthz`, `/readyz` (unready while draining or saturated), and
 //!   `/slow`.
-//! * **Graceful drain**: shutdown answers every queued request before
-//!   workers exit, and a caller-run request already admitted finishes on
-//!   its caller's thread; nothing is lost. Drain flips readiness *before* the
-//!   queue starts refusing, so an external balancer watching `/readyz`
-//!   never sees an `Overloaded` refusal from a service that still claimed
-//!   to be ready.
+//! * **Graceful drain**: shutdown refuses new requests and lets every
+//!   admitted one finish on the thread serving it; nothing is lost. One
+//!   flag both turns `/readyz` unready and makes admission refuse, so an
+//!   external balancer watching `/readyz` never sees an `Overloaded`
+//!   refusal from a service that still claimed to be ready.
 //!
 //! Outcome determinism: translations are deterministic per (method,
 //! sample, variant) and execution is deterministic per query, so the
-//! EX/EM outcome of every request is independent of worker count, batch
-//! boundaries, cache state, and scheduling. Only timing varies.
+//! EX/EM outcome of every request is independent of how many callers run
+//! at once, cache state, and scheduling. Only timing varies.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
@@ -81,12 +78,12 @@ use modelzoo::Nl2SqlModel;
 use nl2sql360::{EvalContext, EvalStore, ExecFailureKind, Score};
 use serde::{Deserialize, Serialize};
 pub use slowlog::{fnv1a64, SlowLog, SlowQueryEntry};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use telemetry::{Completion, Stages, Telemetry, Work};
 use trace::TraceStore;
@@ -94,9 +91,10 @@ pub use trace::{SpanRecord, TraceContext};
 pub use window::{WindowReport, WindowRing};
 
 /// Service tuning knobs. Prefer [`ServeConfig::builder`], which rejects
-/// degenerate values (zero-size queues/pools) at construction time; a
+/// degenerate values (zero capacities) at construction time; a
 /// hand-rolled struct with zeros is caught by the same validation when the
-/// service starts.
+/// service starts. No knob sizes a thread pool: every request is served on
+/// the thread that asks for it.
 ///
 /// Only what some caller sets differently is a field. Values every caller
 /// left at their default are constants beside the code that uses them:
@@ -107,17 +105,11 @@ pub use window::{WindowReport, WindowRing};
 /// spans while a service runs, hold an [`obs::enable`] guard around it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// Worker threads serving queued requests ([`ServiceHandle::submit`],
-    /// HTTP NL requests); a [`ServiceHandle::query`] runs on its caller's
-    /// thread instead.
-    pub workers: usize,
-    /// Admission queue capacity; at capacity every request, queued or
-    /// caller-run, is rejected with [`QueryError::Overloaded`].
+    /// Requests that may be in flight at once — admitted and not yet
+    /// answered, whichever thread serves them. While this many are, a new
+    /// request is refused [`QueryError::Overloaded`] without waiting, and
+    /// from [`UNREADY_QUEUE_PCT`] of it on `/readyz` reports saturated.
     pub queue_capacity: usize,
-    /// Maximum same-method queued requests a worker dequeues in one round
-    /// (served one after another; the round size is the replies'
-    /// `batch_size`).
-    pub max_batch: usize,
     /// Execution-cache shard count.
     pub cache_shards: usize,
     /// Execution-cache entries per shard.
@@ -164,9 +156,7 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
-            workers: nl2sql360::default_workers(),
             queue_capacity: 256,
-            max_batch: 8,
             cache_shards: 8,
             cache_capacity_per_shard: 128,
             admin_addr: None,
@@ -187,14 +177,8 @@ impl ServeConfig {
 
     /// Check the invariants [`Service::run`] relies on.
     pub fn validate(&self) -> Result<(), ServeConfigError> {
-        if self.workers == 0 {
-            return Err(ServeConfigError::ZeroWorkers);
-        }
         if self.queue_capacity == 0 {
             return Err(ServeConfigError::ZeroQueueCapacity);
-        }
-        if self.max_batch == 0 {
-            return Err(ServeConfigError::ZeroMaxBatch);
         }
         if self.cache_shards == 0 {
             return Err(ServeConfigError::ZeroCacheShards);
@@ -217,12 +201,8 @@ impl ServeConfig {
 /// Why a [`ServeConfigBuilder`] refused to produce a config.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeConfigError {
-    /// `workers` was zero — the service could never serve anything.
-    ZeroWorkers,
     /// `queue_capacity` was zero — every request would be rejected.
     ZeroQueueCapacity,
-    /// `max_batch` was zero — workers could never drain the queue.
-    ZeroMaxBatch,
     /// `cache_shards` was zero — the cache cannot be constructed.
     ZeroCacheShards,
     /// `cache_capacity_per_shard` was zero — the cache could hold nothing.
@@ -237,9 +217,7 @@ pub enum ServeConfigError {
 impl fmt::Display for ServeConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ServeConfigError::ZeroWorkers => write!(f, "workers must be >= 1"),
             ServeConfigError::ZeroQueueCapacity => write!(f, "queue_capacity must be >= 1"),
-            ServeConfigError::ZeroMaxBatch => write!(f, "max_batch must be >= 1"),
             ServeConfigError::ZeroCacheShards => write!(f, "cache_shards must be >= 1"),
             ServeConfigError::ZeroCacheCapacity => {
                 write!(f, "cache_capacity_per_shard must be >= 1")
@@ -257,7 +235,7 @@ impl fmt::Display for ServeConfigError {
 impl std::error::Error for ServeConfigError {}
 
 /// Validating builder for [`ServeConfig`]: setters chain, [`build`]
-/// rejects zero-size queues/pools with a [`ServeConfigError`] instead of
+/// rejects zero capacities with a [`ServeConfigError`] instead of
 /// letting [`Service::run`] panic later.
 ///
 /// [`build`]: ServeConfigBuilder::build
@@ -267,21 +245,9 @@ pub struct ServeConfigBuilder {
 }
 
 impl ServeConfigBuilder {
-    /// Worker threads serving queued requests.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.config.workers = workers;
-        self
-    }
-
-    /// Admission queue capacity.
+    /// Requests that may be in flight at once.
     pub fn queue_capacity(mut self, capacity: usize) -> Self {
         self.config.queue_capacity = capacity;
-        self
-    }
-
-    /// Maximum same-method queued requests per dequeue round.
-    pub fn max_batch(mut self, max_batch: usize) -> Self {
-        self.config.max_batch = max_batch;
         self
     }
 
@@ -351,8 +317,9 @@ pub struct QueryRequest {
     pub db_id: String,
     /// The NL question (must be a known dev question for `db_id`).
     pub question: String,
-    /// Optional deadline relative to admission; a request not picked up
-    /// within it is dropped with [`QueryError::DeadlineExceeded`].
+    /// Optional deadline relative to arrival (the call, or the accepted
+    /// HTTP connection); a request not picked up within it is dropped with
+    /// [`QueryError::DeadlineExceeded`].
     pub deadline: Option<Duration>,
     /// Incoming trace context: when a traced upstream (the cluster
     /// scheduler) forwards this request, the local root span adopts its
@@ -383,10 +350,11 @@ pub struct QueryResponse {
     pub exec_failure: Option<ExecFailureKind>,
     /// Whether the execution outcome came from the cache.
     pub cache_hit: bool,
-    /// Size of the same-method round this request was served in: 1 for a
-    /// caller-run request.
+    /// Requests served together with this one: always 1, since every
+    /// request is served alone on the thread that asked for it. Kept
+    /// because the wire format and logs carry it.
     pub batch_size: usize,
-    /// Submission-to-response latency.
+    /// Arrival-to-response latency.
     pub latency: Duration,
     /// External (hex) trace id of this request's span tree, fetchable via
     /// `GET /v1/traces/<id>`; empty when tracing is off. Defaulted so
@@ -398,7 +366,8 @@ pub struct QueryResponse {
 /// Why a request got no [`QueryResponse`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum QueryError {
-    /// Rejected at admission: queue full (or service shutting down).
+    /// Rejected at admission: `queue_capacity` requests in flight (or
+    /// service shutting down).
     Overloaded,
     /// Dropped because the deadline passed before pickup.
     DeadlineExceeded,
@@ -413,8 +382,8 @@ pub enum QueryError {
     /// would raise a binding error if executed. Carries the stable rule ids
     /// that fired, in registry order.
     StaticRejected(Vec<String>),
-    /// The pipeline panicked while serving this request, or the service
-    /// stopped before answering it.
+    /// The pipeline panicked while serving this request, or (through the
+    /// cluster scheduler) no worker answered it.
     Internal,
 }
 
@@ -452,39 +421,33 @@ impl QueryError {
 
 impl std::error::Error for QueryError {}
 
-/// The answer to one request: what [`ServiceHandle::query`] returns and a
-/// [`Ticket`] delivers.
+/// The answer to one request: what [`ServiceHandle::query`] returns.
 pub type QueryReply = Result<QueryResponse, QueryError>;
 
-/// Handle to one request [`ServiceHandle::submit`] queued: a worker sends
-/// its reply here.
-pub struct Ticket {
-    rx: channel::Receiver<QueryReply>,
-}
-
-impl Ticket {
-    /// Block until the reply arrives.
-    pub fn wait(self) -> QueryReply {
-        self.rx.recv().unwrap_or(Err(QueryError::Internal))
-    }
-
-    /// Non-blocking poll; `None` while still in flight.
-    pub fn try_wait(&self) -> Option<QueryReply> {
-        self.rx.try_recv().ok()
-    }
-}
-
-/// An admitted request, as either dispatcher hands it to [`serve_one`].
-struct Pending {
+/// An admitted request, as admission hands it to [`serve_one`].
+struct Pending<'i> {
     method_idx: usize,
     sample_idx: usize,
     variant: usize,
-    /// Admission; the deadline and the queue wait count from here.
-    enqueued: Instant,
+    /// Arrival; the deadline and the queue wait count from here.
+    arrived: Instant,
     deadline: Option<Duration>,
     /// Trace identity minted (or adopted) at admission; `None` when
     /// tracing is off.
     trace: Option<PendingTrace>,
+    /// The in-flight slot admission took; freed when this is dropped.
+    _slot: Slot<'i>,
+}
+
+/// One of the `queue_capacity` in-flight slots, held from admission until
+/// the request is answered. Dropping it frees the slot, so no exit of the
+/// pipeline — a panic included — can leak one.
+struct Slot<'i>(&'i AtomicUsize);
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
 }
 
 /// The trace identity a request carries from admission to its completion.
@@ -495,12 +458,6 @@ pub(crate) struct PendingTrace {
     root_span: u64,
     /// Remote parent for the local root span; 0 when minted here.
     parent_span: u64,
-}
-
-struct QueueState {
-    /// Queued requests, each with its ticket's sending end.
-    items: VecDeque<(Pending, channel::Sender<QueryReply>)>,
-    shutdown: bool,
 }
 
 /// One evaluation run registered through `POST /v1/evals/<corpus>`.
@@ -614,13 +571,17 @@ fn cache_key(
     }
 }
 
-/// `/readyz` reports unready once the queue is at least this percent full.
+/// `/readyz` reports unready once at least this percent of
+/// `queue_capacity` is in flight.
 pub const UNREADY_QUEUE_PCT: usize = 90;
 
 pub(crate) struct Inner {
     pub(crate) config: ServeConfig,
-    queue: Mutex<QueueState>,
-    not_empty: Condvar,
+    /// Requests admitted and not yet answered; admission compares it with
+    /// `config.queue_capacity`. Relaxed throughout: the count publishes no
+    /// other data, and each change is one read-modify-write, so the cap
+    /// holds under any interleaving.
+    in_flight: AtomicUsize,
     models: Vec<Box<dyn Nl2SqlModel>>,
     pub(crate) method_index: HashMap<String, usize>,
     // (db_id, question) → (dev sample index, variant index)
@@ -636,7 +597,9 @@ pub(crate) struct Inner {
     /// Per-request span store behind `GET /v1/traces/<id>`; present iff
     /// `config.request_tracing` is on.
     pub(crate) traces: Option<TraceStore>,
-    /// Readiness flag behind `/readyz`; true from start until drain.
+    /// True from start until drain. `/readyz` and admission read this one
+    /// flag, so no request is refused for draining while `/readyz` still
+    /// says ready.
     ready: AtomicBool,
     /// Service epoch: windows and the slow log timestamp against this.
     started: Instant,
@@ -647,18 +610,29 @@ pub(crate) struct Inner {
 }
 
 impl Inner {
-    /// Admission, shared by both dispatchers: resolve the method and the
-    /// question, fix the trace identity, then check the queue. `Ok` holds
-    /// the admitted request and the queue lock the check was made under,
-    /// so the queued dispatcher pushes without a second check; `Err` is the
-    /// error the request was answered with here (unknown method or
-    /// question, or `Overloaded` while draining or at capacity), already
-    /// completed. An admitted request counts as admitted whichever
-    /// dispatcher serves it.
-    fn admit(
+    /// The one dispatcher, behind [`ServiceHandle::query`] and the HTTP NL
+    /// arm: admit `req` as having arrived at `arrived`, then serve it on
+    /// the calling thread. Returns the reply and, for an ok reply, the
+    /// execution outcome it was scored on, so a caller that needs the rows
+    /// never executes the prediction again.
+    pub(crate) fn serve<'a>(
         &self,
+        ctx: &'a EvalContext<'a>,
         req: QueryRequest,
-    ) -> Result<(Pending, MutexGuard<'_, QueueState>), QueryError> {
+        arrived: Instant,
+    ) -> (QueryReply, Option<Arc<ExecOutcome>>) {
+        match self.admit(req, arrived) {
+            Ok(pending) => serve_one(self, ctx, pending),
+            Err(why) => (Err(why), None),
+        }
+    }
+
+    /// Admission: resolve the method and the question, fix the trace
+    /// identity, then take an in-flight slot. `Err` is the error the
+    /// request was answered with here (unknown method or question, or
+    /// `Overloaded` while draining or with `queue_capacity` requests in
+    /// flight), already completed.
+    fn admit(&self, req: QueryRequest, arrived: Instant) -> Result<Pending<'_>, QueryError> {
         let QueryRequest { method, db_id, question, deadline, trace: forwarded } = req;
         let Some(&method_idx) = self.method_index.get(&method) else {
             return Err(self.reject(QueryError::UnknownMethod(method)));
@@ -679,36 +653,24 @@ impl Inner {
                 .unwrap_or_else(|| (store.mint(&asked.0, &asked.1, &method), 0));
             PendingTrace { trace_id, root_span: store.next_span_id(), parent_span }
         });
-        let pending =
-            Pending { method_idx, sample_idx, variant, enqueued: Instant::now(), deadline, trace };
-        let q = self.queue.lock().expect("queue lock poisoned");
-        if q.shutdown || q.items.len() >= self.config.queue_capacity {
-            drop(q);
+        let Some(slot) = self.take_slot() else {
             return Err(self.reject(QueryError::Overloaded));
-        }
+        };
         self.telemetry.admitted();
-        Ok((pending, q))
+        Ok(Pending { method_idx, sample_idx, variant, arrived, deadline, trace, _slot: slot })
     }
 
-    /// The queued dispatcher: admit, then hand the request to a worker.
-    /// `Err(Overloaded)` means the request was NOT enqueued and no ticket
-    /// exists. Resolution failures (unknown method/question) are answered
-    /// through the ticket, so they share the normal reply path. Behind
-    /// [`ServiceHandle::submit`] and `POST /v1/sql` NL requests.
-    pub(crate) fn submit(&self, req: QueryRequest) -> Result<Ticket, QueryError> {
-        let (tx, rx) = channel::bounded(1);
-        match self.admit(req) {
-            Ok((pending, mut q)) => {
-                q.items.push_back((pending, tx));
-                drop(q);
-                self.not_empty.notify_one();
-            }
-            Err(QueryError::Overloaded) => return Err(QueryError::Overloaded),
-            Err(why) => {
-                let _ = tx.send(Err(why));
-            }
+    /// An in-flight slot, unless the service is draining or all
+    /// `queue_capacity` of them are taken.
+    fn take_slot(&self) -> Option<Slot<'_>> {
+        if !self.ready.load(Ordering::SeqCst) {
+            return None;
         }
-        Ok(Ticket { rx })
+        let capacity = self.config.queue_capacity;
+        self.in_flight
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| (n < capacity).then_some(n + 1))
+            .ok()
+            .map(|_| Slot(&self.in_flight))
     }
 
     /// Answer at admission: the request never reached the pipeline.
@@ -722,12 +684,11 @@ impl Inner {
     /// pipeline — arrives here as one [`Completion`], and only here does an
     /// ok reply get its latency and trace id, is it counted (registry
     /// cells, window ring, slow log), and its span tree derived and stored.
-    /// The reply is returned last, for a worker to send into the ticket or
-    /// the caller-run dispatcher to hand back, so a caller holding it can
-    /// already read the full trace and the updated counters.
+    /// The reply is returned last, so a caller holding it can already read
+    /// the full trace and the updated counters.
     fn complete(&self, mut c: Completion<'_>) -> QueryReply {
         if let (Some(w), Ok(r)) = (&c.work, &mut c.reply) {
-            r.latency = w.finished - w.enqueued;
+            r.latency = w.finished - w.arrived;
             if let Some(t) = w.trace {
                 r.trace_id = trace::format_trace_id(t.trace_id);
             }
@@ -742,7 +703,7 @@ impl Inner {
     }
 
     /// A pipeline-answered request's span tree, derived from its stamps and
-    /// reply: the `request` root over `[enqueued, finished)` and one child
+    /// reply: the `request` root over `[arrived, finished)` and one child
     /// per stage that ran, each from the previous stage's end to its own.
     fn request_spans(
         &self,
@@ -754,7 +715,7 @@ impl Inner {
         let child = |name: &str, from: Instant, to: Instant, attrs: String| {
             store.span(t.trace_id, store.next_span_id(), t.root_span, name, from..to, attrs)
         };
-        let mut spans = vec![child("queue", w.enqueued, w.started, String::new())];
+        let mut spans = vec![child("queue", w.arrived, w.started, String::new())];
         let Stages { translated, checked, executed } = w.stages;
         if let Some(translated) = translated {
             let method = self.models[w.method].name();
@@ -772,48 +733,43 @@ impl Inner {
             }
         }
         let outcome = telemetry::outcome_label(reply);
-        let mut attrs = format!("outcome={outcome} batch={}", w.batch_size);
+        let mut attrs = format!("outcome={outcome} batch=1");
         if let Ok(r) = reply {
             attrs.push_str(if r.cache_hit { " cache_hit=1" } else { " cache_hit=0" });
         }
-        let root = w.enqueued..w.finished;
+        let root = w.arrived..w.finished;
         spans.push(store.span(t.trace_id, t.root_span, t.parent_span, "request", root, attrs));
         spans
     }
 
+    /// Refuse new requests from now on; those in flight finish on the
+    /// threads serving them. Readiness and admission read the same flag,
+    /// so `/readyz` is unready before the first drain refusal.
     fn drain(&self) {
-        // Readiness-before-refusal ordering: flip `/readyz` unready
-        // *before* taking the queue lock to set `shutdown`. A submitter
-        // refused with `Overloaded` acquired that same lock after us, so
-        // by the time any shutdown-caused refusal is observable the
-        // readiness flag is already false — a balancer that stops sending
-        // on unready never has traffic refused by a "ready" service.
         self.ready.store(false, Ordering::SeqCst);
-        self.queue.lock().expect("queue lock poisoned").shutdown = true;
-        self.not_empty.notify_all();
     }
 
-    fn queue_len(&self) -> usize {
-        self.queue.lock().expect("queue lock poisoned").items.len()
+    fn in_flight(&self) -> usize {
+        self.in_flight.load(Ordering::Relaxed)
     }
 
     /// Why `/readyz` would refuse, if it would. The reason names the
-    /// condition *and* the numbers behind it ("saturated: queue 230/256 at
-    /// or past the 90% threshold"), because the body is what a balancer
+    /// condition *and* the numbers behind it ("saturated: 230/256 requests
+    /// in flight >= 90% threshold"), because the body is what a balancer
     /// operator — or the cluster scheduler's reaper, which logs a worker's
     /// last-reported reason when it evicts it — gets to see.
     pub(crate) fn readiness(&self) -> Result<(), String> {
         if !self.ready.load(Ordering::SeqCst) {
             return Err(format!(
-                "draining: shutdown in progress, {} request(s) still queued",
-                self.queue_len()
+                "draining: shutdown in progress, {} request(s) still in flight",
+                self.in_flight()
             ));
         }
         let threshold = (self.config.queue_capacity * UNREADY_QUEUE_PCT / 100).max(1);
-        let len = self.queue_len();
-        if len >= threshold {
+        let n = self.in_flight();
+        if n >= threshold {
             return Err(format!(
-                "saturated: queue {len}/{} >= {UNREADY_QUEUE_PCT}% threshold",
+                "saturated: {n}/{} requests in flight >= {UNREADY_QUEUE_PCT}% threshold",
                 self.config.queue_capacity
             ));
         }
@@ -822,7 +778,7 @@ impl Inner {
 
     /// Point-in-time gauges are set at scrape time, not on the hot path.
     pub(crate) fn refresh_gauges(&self) {
-        self.telemetry.set_gauges(self.queue_len(), self.readiness().is_ok());
+        self.telemetry.set_gauges(self.in_flight(), self.readiness().is_ok());
     }
 
     /// The `/metrics` exposition body.
@@ -832,8 +788,9 @@ impl Inner {
     }
 }
 
-/// Sets shutdown even if the serve closure panics, so workers exit and the
-/// thread scope can join instead of deadlocking.
+/// Starts the drain and stops the admin listener and the eval runner even
+/// if the serve closure panics, so the thread scope can join instead of
+/// deadlocking.
 struct DrainOnDrop<'i>(&'i Inner);
 
 impl Drop for DrainOnDrop<'_> {
@@ -850,7 +807,7 @@ impl Drop for DrainOnDrop<'_> {
     }
 }
 
-/// Client-side handle: submit requests, read metrics.
+/// Client-side handle: serve requests, read metrics.
 pub struct ServiceHandle<'s> {
     inner: &'s Inner,
     /// What [`query`](Self::query) serves against on the calling thread.
@@ -858,28 +815,12 @@ pub struct ServiceHandle<'s> {
 }
 
 impl ServiceHandle<'_> {
-    /// Queue a request for the worker pool and return at once.
-    /// `Err(Overloaded)` means the queue was full (or the service is
-    /// draining) — the request was NOT enqueued and no ticket exists.
-    /// Resolution failures (unknown method/question) are answered through
-    /// the ticket, so they share the normal reply path. For a caller with
-    /// something else to do while the request is served; a caller that
-    /// would only wait calls [`query`](Self::query).
-    pub fn submit(&self, req: QueryRequest) -> Result<Ticket, QueryError> {
-        self.inner.submit(req)
-    }
-
-    /// Serve a request on the calling thread and return its reply: the
-    /// same admission as [`submit`](Self::submit) (refused `Overloaded`
-    /// while draining or while the queue is at capacity), then the same
-    /// pipeline a worker runs, without a queue slot, a reply channel or a
-    /// thread hand-off. The request is served alone (`batch_size` 1), and
-    /// its queue wait is the instant between admission and pickup.
+    /// Serve a request on the calling thread and return its reply. It
+    /// arrives at the call: refused `Overloaded` at once while draining or
+    /// while `queue_capacity` requests are in flight, else served through
+    /// the one pipeline, and its deadline counts from the call.
     pub fn query(&self, req: QueryRequest) -> QueryReply {
-        let (pending, q) = self.inner.admit(req)?;
-        drop(q);
-        self.inner.telemetry.batch(1);
-        serve_one(self.inner, self.ctx, pending, 1)
+        self.inner.serve(self.ctx, req, Instant::now()).0
     }
 
     /// Current metrics.
@@ -898,29 +839,30 @@ impl ServiceHandle<'_> {
         self.inner.cache.len()
     }
 
-    /// Requests currently queued.
-    pub fn queue_len(&self) -> usize {
-        self.inner.queue_len()
+    /// Requests admitted and not yet answered.
+    pub fn in_flight(&self) -> usize {
+        self.inner.in_flight()
     }
 
     /// Whether the service currently reports ready on `/readyz` (false
-    /// while draining or while the queue is saturated past the configured
-    /// threshold).
+    /// while draining or while requests in flight reach
+    /// [`UNREADY_QUEUE_PCT`] of `queue_capacity`).
     pub fn ready(&self) -> bool {
         self.inner.readiness().is_ok()
     }
 
     /// Like [`ready`](Self::ready), but carrying the reason a `/readyz`
-    /// probe would report in its body ("draining: ..." or "saturated:
-    /// queue N/C >= P% threshold"). Cluster workers forward this in their
-    /// heartbeats so the scheduler knows *why* a worker stopped admitting.
+    /// probe would report in its body ("draining: ..." or "saturated: N/C
+    /// requests in flight >= P% threshold"). Cluster workers forward this
+    /// in their heartbeats so the scheduler knows *why* a worker stopped
+    /// admitting.
     pub fn readiness(&self) -> Result<(), String> {
         self.inner.readiness()
     }
 
     /// Start a graceful drain early, before the serve closure returns:
-    /// readiness flips to false first, then the queue refuses new
-    /// requests; everything already admitted is still answered.
+    /// readiness flips to false and admission refuses new requests, both
+    /// from one flag; everything already admitted is still answered.
     pub fn begin_drain(&self) {
         self.inner.drain();
     }
@@ -974,9 +916,10 @@ impl ServiceHandle<'_> {
     }
 }
 
-/// The service. Scoped-run API: [`Service::run`] starts the worker pool,
-/// hands your closure a [`ServiceHandle`], and drains + joins the pool
-/// when the closure returns — so the service can borrow a corpus-bound
+/// The service. Scoped-run API: [`Service::run`] starts the admin listener,
+/// the eval runner and the warehouse flusher (each only when configured),
+/// hands your closure a [`ServiceHandle`], and drains + joins them when the
+/// closure returns — so the service can borrow a corpus-bound
 /// [`EvalContext`] without `Arc` cycles or leaked lifetimes.
 pub struct Service;
 
@@ -1028,8 +971,7 @@ impl Service {
             evals: EvalPlane::new(config.static_check),
             traces,
             config,
-            queue: Mutex::new(QueueState { items: VecDeque::new(), shutdown: false }),
-            not_empty: Condvar::new(),
+            in_flight: AtomicUsize::new(0),
             models,
             method_index,
             question_index,
@@ -1041,10 +983,6 @@ impl Service {
         };
         crossbeam::thread::scope(|scope| {
             let guard = DrainOnDrop(&inner);
-            for _ in 0..inner.config.workers {
-                let inner_ref = &inner;
-                scope.spawn(move |_| worker_loop(inner_ref, ctx));
-            }
             if inner.config.warehouse {
                 let inner_ref = &inner;
                 scope.spawn(move |_| {
@@ -1066,7 +1004,7 @@ impl Service {
             drop(guard); // initiate drain + admin stop; scope joins all
             out
         })
-        .expect("serve worker panicked")
+        .expect("a service thread panicked")
     }
 
     /// Run with simulated models for the given registry method names.
@@ -1269,7 +1207,7 @@ fn flush_warehouse_tick(inner: &Inner) {
         ("static_rejected", m.static_rejected as i64),
         ("cache_hits", m.cache_hits as i64),
         ("cache_misses", m.cache_misses as i64),
-        ("queue_depth", inner.queue_len() as i64),
+        ("queue_depth", inner.in_flight() as i64),
         ("latency_p50_us", us(m.p50)),
         ("latency_p95_us", us(m.p95)),
         ("latency_p99_us", us(m.p99)),
@@ -1281,99 +1219,69 @@ fn flush_warehouse_tick(inner: &Inner) {
     flush_warehouse(&mut store, inner.traces.as_ref(), inner.started, &values, errors);
 }
 
-/// Worker: block for work, drain a same-method batch, serve it one
-/// request at a time, sending each reply into its ticket.
-fn worker_loop<'a>(inner: &Inner, ctx: &'a EvalContext<'a>) {
-    loop {
-        let mut batch = Vec::new();
-        {
-            let mut q = inner.queue.lock().expect("queue lock poisoned");
-            loop {
-                if let Some(first) = q.items.pop_front() {
-                    batch.push(first);
-                    break;
-                }
-                if q.shutdown {
-                    return;
-                }
-                q = inner.not_empty.wait(q).expect("queue lock poisoned");
-            }
-            // micro-batch: pull queued requests for the same method, in
-            // arrival order, without skipping past more than we inspect
-            let method = batch[0].0.method_idx;
-            let mut i = 0;
-            while batch.len() < inner.config.max_batch && i < q.items.len() {
-                if q.items[i].0.method_idx == method {
-                    batch.push(q.items.remove(i).expect("index in bounds"));
-                } else {
-                    i += 1;
-                }
-            }
-        }
-        let batch_size = batch.len();
-        inner.telemetry.batch(batch_size);
-        for (pending, reply) in batch {
-            let _ = reply.send(serve_one(inner, ctx, pending, batch_size));
-        }
-    }
-}
-
-/// The one pipeline under both dispatchers, a worker's and the caller-run
-/// [`ServiceHandle::query`]. A panic in the pipeline answers the request
-/// [`QueryError::Internal`] and leaves the thread serving the next one:
-/// the shared state it can interrupt (the execution cache, the context's
-/// per-database profiles) is left without the entry being computed, never
-/// with half of one.
+/// The one pipeline, entered only through [`Inner::serve`]. A panic in the
+/// pipeline answers the request [`QueryError::Internal`] and leaves the
+/// thread serving the next one: the shared state it can interrupt (the
+/// execution cache, the context's per-database profiles) is left without
+/// the entry being computed, never with half of one.
 fn serve_one<'a>(
     inner: &Inner,
     ctx: &'a EvalContext<'a>,
-    p: Pending,
-    batch_size: usize,
-) -> QueryReply {
+    p: Pending<'_>,
+) -> (QueryReply, Option<Arc<ExecOutcome>>) {
     let _span = obs::span("serve.request");
-    // End of the queued phase: everything before `started` is queue wait,
-    // everything after is this request's own processing time.
+    // End of the wait: everything before `started` is queue wait (for an
+    // HTTP request, the wait for a handler), everything after is this
+    // request's own processing time.
     let started = Instant::now();
-    let (reply, sql_hash, stages) = if p.deadline.is_some_and(|d| started - p.enqueued > d) {
-        (Err(QueryError::DeadlineExceeded), 0, Stages::default())
+    let served = if p.deadline.is_some_and(|d| started - p.arrived > d) {
+        Served::unexecuted(QueryError::DeadlineExceeded, Stages::default())
     } else {
-        let served = || translate_and_execute(inner, ctx, &p, batch_size);
+        let served = || translate_and_execute(inner, ctx, &p);
         panic::catch_unwind(AssertUnwindSafe(served))
-            .unwrap_or_else(|_| (Err(QueryError::Internal), 0, Stages::default()))
+            .unwrap_or_else(|_| Served::unexecuted(QueryError::Internal, Stages::default()))
     };
     let work = Work {
         method: p.method_idx,
         db_id: &ctx.corpus.dev[p.sample_idx].db_id,
-        batch_size,
-        sql_hash,
-        enqueued: p.enqueued,
+        sql_hash: served.sql_hash,
+        arrived: p.arrived,
         started,
-        stages,
+        stages: served.stages,
         finished: Instant::now(),
         trace: p.trace,
     };
-    inner.complete(Completion { reply, work: Some(work) })
+    (inner.complete(Completion { reply: served.reply, work: Some(work) }), served.outcome)
 }
 
-/// The stages a worker runs on a request that made its deadline:
-/// translate → static check → execute (through the cache) → compare.
-/// Returns the reply (its `latency` and `trace_id` are `Inner::complete`'s
-/// to set), the hash of the cache key (0 when the request never got one)
-/// and when each stage ended. A prediction that is the gold query takes
-/// gold's verdict and cache key, and on a miss gold's cached result; any
-/// other takes the outcome translation handed over: a miss executes only a
-/// prediction nothing has run.
-fn translate_and_execute<'a>(
-    inner: &Inner,
-    ctx: &'a EvalContext<'a>,
-    p: &Pending,
-    batch_size: usize,
-) -> (QueryReply, u64, Stages) {
+/// What the pipeline made of one request: the reply (its `latency` and
+/// `trace_id` are `Inner::complete`'s to set), the execution outcome it was
+/// scored on and the hash of its cache key (`None` and 0 when it never
+/// reached execution), and when each stage ended.
+struct Served {
+    reply: QueryReply,
+    outcome: Option<Arc<ExecOutcome>>,
+    sql_hash: u64,
+    stages: Stages,
+}
+
+impl Served {
+    fn unexecuted(why: QueryError, stages: Stages) -> Served {
+        Served { reply: Err(why), outcome: None, sql_hash: 0, stages }
+    }
+}
+
+/// The stages a request runs once it made its deadline: translate →
+/// static check → execute (through the cache) → compare. A prediction that
+/// is the gold query takes gold's verdict and cache key, and on a miss
+/// gold's cached result; any other takes the outcome translation handed
+/// over: a miss executes only a prediction nothing has run.
+fn translate_and_execute<'a>(inner: &Inner, ctx: &'a EvalContext<'a>, p: &Pending<'_>) -> Served {
     let sample = &ctx.corpus.dev[p.sample_idx];
     let translated = inner.models[p.method_idx].translate(&ctx.task(sample, p.variant));
     let mut stages = Stages { translated: Some(Instant::now()), ..Stages::default() };
     let Some(mut pred) = translated else {
-        return (Err(QueryError::TranslationRefused), 0, stages);
+        return Served::unexecuted(QueryError::TranslationRefused, stages);
     };
     let gold = (pred.query == sample.query).then(|| &inner.gold[p.sample_idx]);
 
@@ -1390,7 +1298,7 @@ fn translate_and_execute<'a>(
             stages.checked = Some(Instant::now());
             if !fired.is_empty() {
                 let ids = fired.into_iter().map(|r| r.id().to_string()).collect();
-                return (Err(QueryError::StaticRejected(ids)), 0, stages);
+                return Served::unexecuted(QueryError::StaticRejected(ids), stages);
             }
         }
     }
@@ -1425,11 +1333,11 @@ fn translate_and_execute<'a>(
         pred_work,
         exec_failure,
         cache_hit,
-        batch_size,
+        batch_size: 1,
         latency: Duration::ZERO,
         trace_id: String::new(),
     };
-    (Ok(reply), sql_hash, stages)
+    Served { reply: Ok(reply), outcome: Some(outcome), sql_hash, stages }
 }
 
 #[cfg(test)]
@@ -1460,7 +1368,7 @@ mod tests {
             let sample = &corpus().dev[0];
             let resp = handle.query(request(sample, 0, "C3SQL")).expect("served");
             assert!(!resp.pred_sql.is_empty());
-            assert!(resp.batch_size >= 1);
+            assert_eq!(resp.batch_size, 1);
             let m = handle.metrics();
             assert_eq!(m.completed, 1);
             assert_eq!(m.lost(), 0);
@@ -1468,7 +1376,7 @@ mod tests {
     }
 
     #[test]
-    fn unknown_method_and_question_answer_through_ticket() {
+    fn unknown_method_and_question_are_answered_at_admission() {
         let ctx = EvalContext::new(corpus());
         Service::run_with_methods(ServeConfig::default(), &ctx, &["C3SQL"], |handle| {
             let sample = &corpus().dev[0];
@@ -1549,7 +1457,6 @@ mod tests {
         }
         let run = |canonical: bool| {
             let config = ServeConfig::builder()
-                .workers(1)
                 .canonical_cache_key(canonical)
                 .build()
                 .expect("valid config");
@@ -1576,16 +1483,8 @@ mod tests {
     #[test]
     fn builder_rejects_zero_sizes_at_construction() {
         assert_eq!(
-            ServeConfig::builder().workers(0).build(),
-            Err(ServeConfigError::ZeroWorkers)
-        );
-        assert_eq!(
             ServeConfig::builder().queue_capacity(0).build(),
             Err(ServeConfigError::ZeroQueueCapacity)
-        );
-        assert_eq!(
-            ServeConfig::builder().max_batch(0).build(),
-            Err(ServeConfigError::ZeroMaxBatch)
         );
         assert_eq!(
             ServeConfig::builder().cache_shards(0).build(),
@@ -1605,16 +1504,14 @@ mod tests {
             Err(ServeConfigError::NonLoopbackAdmin)
         );
         // errors explain themselves
-        let msg = ServeConfig::builder().workers(0).build().unwrap_err().to_string();
-        assert!(msg.contains("workers"), "{msg}");
+        let msg = ServeConfig::builder().queue_capacity(0).build().unwrap_err().to_string();
+        assert!(msg.contains("queue_capacity"), "{msg}");
     }
 
     #[test]
     fn builder_produces_a_validated_config() {
         let config = ServeConfig::builder()
-            .workers(3)
             .queue_capacity(17)
-            .max_batch(4)
             .cache_shards(2)
             .cache_capacity_per_shard(9)
             .admin_addr("127.0.0.1:0".parse().unwrap())
@@ -1625,9 +1522,7 @@ mod tests {
             .trace_process("w1")
             .build()
             .expect("all sizes nonzero");
-        assert_eq!(config.workers, 3);
         assert_eq!(config.queue_capacity, 17);
-        assert_eq!(config.max_batch, 4);
         assert_eq!(config.cache_shards, 2);
         assert_eq!(config.cache_capacity_per_shard, 9);
         assert_eq!(config.admin_addr, Some("127.0.0.1:0".parse().unwrap()));
@@ -1647,11 +1542,11 @@ mod tests {
     #[test]
     fn run_panics_on_invalid_config_with_builder_hint() {
         let ctx = EvalContext::new(corpus());
-        let bad = ServeConfig { workers: 0, ..ServeConfig::default() };
+        let bad = ServeConfig { queue_capacity: 0, ..ServeConfig::default() };
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             Service::run_with_methods(bad, &ctx, &["C3SQL"], |_| ())
         }))
-        .expect_err("zero workers must be rejected");
+        .expect_err("a zero capacity must be rejected");
         let msg = err.downcast_ref::<String>().expect("panic carries a message");
         assert!(msg.contains("ServeConfig::builder"), "{msg}");
     }
@@ -1796,22 +1691,42 @@ mod tests {
     #[test]
     fn drain_answers_every_admitted_request() {
         let ctx = EvalContext::new(corpus());
-        let tickets = Service::run_with_methods(
-            ServeConfig { workers: 2, ..ServeConfig::default() },
-            &ctx,
-            &["C3SQL", "DAILSQL"],
-            |handle| {
-                let mut tickets = Vec::new();
-                for (i, sample) in corpus().dev.iter().enumerate().take(40) {
-                    let method = if i % 2 == 0 { "C3SQL" } else { "DAILSQL" };
-                    tickets.push(handle.submit(request(sample, 0, method)).expect("admitted"));
+        let methods = ["C3SQL", "DAILSQL"];
+        let (replies, m) = Service::run_with_methods(ServeConfig::default(), &ctx, &methods, |h| {
+            // two callers keep asking while the drain starts under them
+            let replies: Vec<QueryReply> = std::thread::scope(|s| {
+                let callers: Vec<_> = methods
+                    .iter()
+                    .map(|&method| {
+                        s.spawn(move || {
+                            let mut out = Vec::new();
+                            for sample in corpus().dev.iter().cycle().take(400) {
+                                let reply = h.query(request(sample, 0, method));
+                                let refused = reply == Err(QueryError::Overloaded);
+                                out.push(reply);
+                                if refused {
+                                    break;
+                                }
+                            }
+                            out
+                        })
+                    })
+                    .collect();
+                while h.metrics().completed < 10 {
+                    std::thread::yield_now();
                 }
-                tickets
-                // NOTE: closure returns with requests possibly still queued
-            },
+                h.begin_drain();
+                callers.into_iter().flat_map(|c| c.join().expect("caller")).collect()
+            });
+            (replies, h.metrics())
+        });
+        let refused = replies.iter().filter(|r| **r == Err(QueryError::Overloaded)).count();
+        assert!(refused <= 2, "one refusal ends each caller");
+        assert!(
+            replies.iter().all(|r| r.is_ok() || *r == Err(QueryError::Overloaded)),
+            "every admitted request is answered in full"
         );
-        for t in tickets {
-            assert!(t.wait().is_ok(), "drained request must still be answered");
-        }
+        assert_eq!(m.completed as usize, replies.len() - refused);
+        assert_eq!((m.rejected_overloaded as usize, m.lost()), (refused, 0));
     }
 }

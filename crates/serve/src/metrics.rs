@@ -10,8 +10,8 @@ use std::time::Duration;
 /// Point-in-time metrics view.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsSnapshot {
-    /// Requests that entered the service: admitted (queued or caller-run)
-    /// or answered unresolved at admission.
+    /// Requests that entered the service: admitted, or answered unresolved
+    /// at admission.
     pub submitted: u64,
     /// Successful responses.
     pub completed: u64,
@@ -29,7 +29,8 @@ pub struct MetricsSnapshot {
     pub cache_misses: u64,
     /// hits / (hits + misses), 0 when no lookups.
     pub cache_hit_rate: f64,
-    /// Mean same-method batch size.
+    /// Mean number of requests served together: 1.0 once any request
+    /// reached the pipeline (each is served alone), 0.0 before.
     pub mean_batch_size: f64,
     /// Median latency (None before any completion).
     pub p50: Option<Duration>,
@@ -37,7 +38,8 @@ pub struct MetricsSnapshot {
     pub p95: Option<Duration>,
     /// 99th percentile latency.
     pub p99: Option<Duration>,
-    /// Median queue wait (admission → pickup; ≈ 0 when caller-run).
+    /// Median queue wait (arrival → pickup: ≈ 0 for an in-process call,
+    /// the wait for a handler for an HTTP request).
     pub queue_p50: Option<Duration>,
     /// 95th percentile queue wait.
     pub queue_p95: Option<Duration>,
@@ -60,8 +62,8 @@ impl MetricsSnapshot {
     /// Requests that entered the system but got no reply of any kind.
     /// Zero once the service has drained.
     ///
-    /// Counters are loaded one by one with relaxed ordering while workers
-    /// keep recording, so a snapshot can read `submitted` *before* a
+    /// Counters are loaded one by one with relaxed ordering while serving
+    /// threads keep recording, so a snapshot can read `submitted` *before* a
     /// request is admitted yet read `completed` *after* that same request
     /// finished — making the raw difference transiently negative. That
     /// transient says nothing about lost requests, so it is clamped to 0;
@@ -110,30 +112,28 @@ mod tests {
                 pred_work: Some(1),
                 exec_failure: None,
                 cache_hit,
-                batch_size: 2,
+                batch_size: 1,
                 latency,
                 trace_id: String::new(),
             };
-            let enqueued = std::time::Instant::now();
+            let arrived = std::time::Instant::now();
             let work = Work {
                 method,
                 db_id: "db",
-                batch_size: 2,
                 sql_hash: 0,
-                enqueued,
-                started: enqueued,
+                arrived,
+                started: arrived,
                 stages: Default::default(),
-                finished: enqueued + latency,
+                finished: arrived + latency,
                 trace: None,
             };
-            t.record(&Completion { reply: Ok(reply), work: Some(work) }, enqueued);
+            t.record(&Completion { reply: Ok(reply), work: Some(work) }, arrived);
         }
-        t.batch(2);
         let s = t.snapshot();
         assert_eq!((s.submitted, s.completed), (2, 2), "completed sums over methods");
         assert_eq!(t.completed(), 2);
         assert_eq!(s.cache_hit_rate, 0.5);
-        assert_eq!(s.mean_batch_size, 2.0);
+        assert_eq!(s.mean_batch_size, 1.0);
         assert_eq!(s.lost(), 0);
     }
 

@@ -82,10 +82,11 @@ pub enum Message {
         /// Whether the worker's `/readyz` would answer 200 right now.
         ready: bool,
         /// The `/readyz` failure body when not ready ("draining: ...",
-        /// "saturated: queue 230/256 >= 90% threshold"); the scheduler's
+        /// "saturated: 230/256 requests in flight >= 90% threshold"); the scheduler's
         /// reaper logs the last one seen when it evicts the worker.
         reason: Option<String>,
-        /// Requests queued inside the worker's own admission queue.
+        /// Requests in flight inside the worker's engine (admitted, not yet
+        /// answered).
         queue_depth: u64,
         /// Requests the worker has completed since it started.
         completed: u64,
@@ -353,7 +354,7 @@ mod tests {
             Message::Heartbeat {
                 worker_id: "w0".into(),
                 ready: false,
-                reason: Some("saturated: queue 230/256 >= 90% threshold".into()),
+                reason: Some("saturated: 230/256 requests in flight >= 90% threshold".into()),
                 queue_depth: 230,
                 completed: 10_411,
             },

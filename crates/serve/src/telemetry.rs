@@ -26,8 +26,8 @@ pub(crate) struct Completion<'a> {
     pub reply: QueryReply,
     /// What the pipeline that answered measured; `None` when admission
     /// answered (unknown method or question, overloaded) — such a request
-    /// never reached the pipeline, so it has no method cell, timings,
-    /// batch or trace.
+    /// never reached the pipeline, so it has no method cell, timings or
+    /// trace.
     pub work: Option<Work<'a>>,
 }
 
@@ -39,13 +39,12 @@ pub(crate) struct Work<'a> {
     /// Index of the method that ran (into `Inner::models`).
     pub method: usize,
     pub db_id: &'a str,
-    pub batch_size: usize,
     /// FNV-1a of the cache key, for the slow log; 0 unless the reply is ok.
     pub sql_hash: u64,
-    /// Admission, pickup (by a worker, or at once by a caller-run
-    /// request), and the answer (read once the pipeline
-    /// returned, before `Inner::complete`).
-    pub enqueued: Instant,
+    /// Arrival (the call, or the accepted HTTP connection), pickup (the
+    /// pipeline starts on the serving thread), and the answer (read once
+    /// the pipeline returned, before `Inner::complete`).
+    pub arrived: Instant,
     pub started: Instant,
     pub finished: Instant,
     /// Ends of the stages in between.
@@ -101,8 +100,7 @@ const EXPORTED_WINDOWS: [(&str, Duration); 3] = [
 struct MethodCells {
     name: String,
     /// `serve_requests_total{method=...}` — requests the pipeline answered.
-    /// Counted at completion like everything else (the HELP text still
-    /// says "picked up": `/metrics` is byte-pinned), so a request stuck
+    /// Counted at completion like everything else, so a request stuck
     /// mid-pipeline is not in here yet and this never exceeds Σ responses.
     requests: Counter,
     /// `serve_responses_total{method,outcome}`, one cell per pipeline
@@ -111,7 +109,7 @@ struct MethodCells {
     deadline: Counter,
     refused: Counter,
     static_rejected: Counter,
-    /// `serve_latency_us{method=...}` — submit-to-response, every outcome.
+    /// `serve_latency_us{method=...}` — arrival-to-response, every outcome.
     latency: Histogram,
     /// `serve_exec_us{method=...}` — pickup-to-response, ok only.
     exec: Histogram,
@@ -139,18 +137,15 @@ pub(crate) struct Telemetry {
     internal: AtomicU64,
     /// `serve_queue_wait_us` — known at pickup, recorded at completion.
     queue_wait: Histogram,
+    /// `serve_queue_depth` — requests in flight, set at scrape time.
     queue_depth: Gauge,
     ready: Gauge,
     windows: WindowRing,
     slow: SlowLog,
     // The quantities below have no exported family; they exist for
     // `MetricsSnapshot` alone.
-    /// Requests admitted, to the queue or to their caller's thread.
+    /// Requests admitted.
     admitted: AtomicU64,
-    /// Serving rounds (a worker's dequeue, or one caller-run request), and
-    /// the requests they carried.
-    batches: AtomicU64,
-    batched_requests: AtomicU64,
     /// Latency of ok replies only (`serve_latency_us` covers every outcome).
     ok_latency: AtomicHistogram,
 }
@@ -165,22 +160,22 @@ impl Telemetry {
         let registry = Registry::new();
         let requests = registry.counter_vec(
             "serve_requests_total",
-            "Requests picked up by a worker, by method.",
+            "Requests the pipeline answered, by method.",
             &["method"],
         );
         let responses = registry.counter_vec(
             "serve_responses_total",
-            "Worker-answered requests by method and outcome.",
+            "Pipeline-answered requests by method and outcome.",
             &["method", "outcome"],
         );
         let latency = registry.histogram_vec(
             "serve_latency_us",
-            "Submit-to-response latency in microseconds, by method.",
+            "Arrival-to-response latency in microseconds, by method.",
             &["method"],
         );
         let exec = registry.histogram_vec(
             "serve_exec_us",
-            "Worker processing time (translate+execute+compare) in microseconds, by method.",
+            "Processing time (translate+execute+compare) in microseconds, by method.",
             &["method"],
         );
         let per_method = method_names
@@ -218,7 +213,7 @@ impl Telemetry {
         );
         let rejects = registry.counter_vec(
             "serve_admission_rejects_total",
-            "Requests answered without reaching a worker, by reason.",
+            "Requests answered without reaching the pipeline, by reason.",
             &["reason"],
         );
         Telemetry {
@@ -233,12 +228,12 @@ impl Telemetry {
             queue_wait: registry
                 .histogram_vec(
                     "serve_queue_wait_us",
-                    "Time spent queued before worker pickup, in microseconds.",
+                    "Time from arrival to pickup, in microseconds.",
                     &[],
                 )
                 .with(&[]),
             queue_depth: registry
-                .gauge_vec("serve_queue_depth", "Requests currently queued.", &[])
+                .gauge_vec("serve_queue_depth", "Requests admitted and not yet answered.", &[])
                 .with(&[]),
             ready: registry
                 .gauge_vec(
@@ -253,8 +248,6 @@ impl Telemetry {
             internal: AtomicU64::new(0),
             registry,
             admitted: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            batched_requests: AtomicU64::new(0),
             ok_latency: AtomicHistogram::default(),
         }
     }
@@ -262,12 +255,6 @@ impl Telemetry {
     /// One request was admitted.
     pub(crate) fn admitted(&self) {
         self.admitted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One serving round carrying `requests` same-method requests.
-    pub(crate) fn batch(&self, requests: usize) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.batched_requests.fetch_add(requests as u64, Ordering::Relaxed);
     }
 
     /// Account one answered request; windows and the slow log time it
@@ -282,8 +269,8 @@ impl Telemetry {
         };
         let cells = &self.per_method[w.method];
         cells.requests.inc();
-        let queue_wait = w.started - w.enqueued;
-        let latency = w.finished - w.enqueued;
+        let queue_wait = w.started - w.arrived;
+        let latency = w.finished - w.arrived;
         self.queue_wait.record_duration(queue_wait);
         cells.latency.record_duration(latency);
         let latency_us = latency.as_micros() as u64;
@@ -357,8 +344,6 @@ impl Telemetry {
         let submitted = self.admitted.load(Ordering::Relaxed) + unresolved;
         let static_rejected = sum(|c| &c.static_rejected);
         let (hits, misses) = (self.cache_hit.get(), self.cache_miss.get());
-        let batches = self.batches.load(Ordering::Relaxed);
-        let batched = self.batched_requests.load(Ordering::Relaxed);
         let (mut buckets, mut exec_sum) = ([0u64; HIST_BUCKETS], 0u64);
         for cells in &self.per_method {
             cells.exec.inner().accumulate(&mut buckets, &mut exec_sum);
@@ -385,7 +370,8 @@ impl Telemetry {
             } else {
                 hits as f64 / (hits + misses) as f64
             },
-            mean_batch_size: if batches == 0 { 0.0 } else { batched as f64 / batches as f64 },
+            // every request is served alone
+            mean_batch_size: if sum(|c| &c.requests) == 0 { 0.0 } else { 1.0 },
             p50: q(&latency, 0.50),
             p95: q(&latency, 0.95),
             p99: q(&latency, 0.99),
@@ -404,8 +390,8 @@ impl Telemetry {
     }
 
     /// Point-in-time gauges are set at scrape time, not on the hot path.
-    pub(crate) fn set_gauges(&self, queue_depth: usize, ready: bool) {
-        self.queue_depth.set(queue_depth as u64);
+    pub(crate) fn set_gauges(&self, in_flight: usize, ready: bool) {
+        self.queue_depth.set(in_flight as u64);
         self.ready.set(u64::from(ready));
     }
 

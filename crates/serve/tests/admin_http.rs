@@ -29,7 +29,6 @@ fn corpus() -> Corpus {
 
 fn admin_config() -> ServeConfig {
     ServeConfig::builder()
-        .workers(2)
         .admin_addr("127.0.0.1:0".parse().unwrap())
         .build()
         .expect("valid admin config")
@@ -224,12 +223,20 @@ impl Nl2SqlModel for GateModel {
     }
 }
 
-#[test]
-fn readyz_flips_to_503_during_drain() {
-    let corpus = corpus();
-    let ctx = EvalContext::new(&corpus);
-    let (started_tx, started_rx) = mpsc::sync_channel(16);
-    let gate = std::sync::Arc::new(GateModel::new(started_tx));
+/// Opens the gate wide when dropped. Made first thing inside a thread
+/// scope, it is dropped before the scope joins, so a failed assertion
+/// fails the test instead of leaving parked callers to wait on forever.
+struct OpenOnDrop<'g>(&'g GateModel);
+
+impl Drop for OpenOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.release(1_000);
+    }
+}
+
+/// The gate's model set and a receiver that hears each gated request
+/// reach translation.
+fn gated() -> (std::sync::Arc<GateModel>, mpsc::Receiver<()>, Vec<Box<dyn Nl2SqlModel>>) {
     struct Shared(std::sync::Arc<GateModel>);
     impl Nl2SqlModel for Shared {
         fn name(&self) -> &str {
@@ -239,38 +246,48 @@ fn readyz_flips_to_503_during_drain() {
             self.0.translate(task)
         }
     }
+    let (started_tx, started_rx) = mpsc::sync_channel(16);
+    let gate = std::sync::Arc::new(GateModel::new(started_tx));
+    let models: Vec<Box<dyn Nl2SqlModel>> = vec![Box::new(Shared(gate.clone()))];
+    (gate, started_rx, models)
+}
+
+#[test]
+fn readyz_flips_to_503_during_drain() {
+    let corpus = corpus();
+    let ctx = EvalContext::new(&corpus);
+    let (gate, started, models) = gated();
     let config = ServeConfig::builder()
-        .workers(1)
         .admin_addr("127.0.0.1:0".parse().unwrap())
         .build()
         .expect("valid config");
-    let models: Vec<Box<dyn Nl2SqlModel>> = vec![Box::new(Shared(gate.clone()))];
     Service::run(config, &ctx, models, |handle| {
         let addr = handle.admin_addr().expect("admin endpoint configured");
         let sample = &corpus.dev[0];
-        // wedge the single worker so the drain cannot finish under us
-        let wedged = handle.submit(request(sample, 0, "Gate")).expect("admitted");
-        started_rx.recv_timeout(Duration::from_secs(5)).expect("worker wedged");
+        std::thread::scope(|s| {
+            let _open = OpenOnDrop(&gate);
+            // park one request so the drain has something in flight
+            let parked = s.spawn(|| handle.query(request(sample, 0, "Gate")));
+            started.recv_timeout(Duration::from_secs(5)).expect("request parked");
 
-        let (status, _) = http_get(addr, "/readyz").expect("readyz before drain");
-        assert_eq!(status, 200);
+            let (status, _) = http_get(addr, "/readyz").expect("readyz before drain");
+            assert_eq!(status, 200);
 
-        handle.begin_drain();
-        let (status, body) = http_get(addr, "/readyz").expect("readyz during drain");
-        assert_eq!(status, 503);
-        // the body carries the reason *and* its detail, not a bare 503
-        assert!(body.starts_with("draining"), "body: {body}");
-        assert!(body.contains("queued"), "drain reason must carry detail: {body}");
-        assert_eq!(handle.readiness().unwrap_err().trim_end(), body.trim_end());
-        // the queue now refuses — and readiness was already false
-        assert!(matches!(
-            handle.submit(request(sample, 0, "Gate")),
-            Err(QueryError::Overloaded)
-        ));
-        assert!(!handle.ready());
+            handle.begin_drain();
+            let (status, body) = http_get(addr, "/readyz").expect("readyz during drain");
+            assert_eq!(status, 503);
+            // the body carries the reason *and* its detail, not a bare 503
+            assert!(body.starts_with("draining"), "body: {body}");
+            assert!(body.contains("1 request(s) still in flight"), "drain detail: {body}");
+            assert_eq!(handle.readiness().unwrap_err().trim_end(), body.trim_end());
+            // admission now refuses — and readiness was already false
+            assert_eq!(handle.query(request(sample, 0, "Gate")), Err(QueryError::Overloaded));
+            assert!(!handle.ready());
 
-        gate.release(1);
-        assert!(matches!(wedged.wait(), Err(QueryError::TranslationRefused)));
+            // the request admitted before the drain is still answered
+            gate.release(1);
+            assert_eq!(parked.join().expect("parked"), Err(QueryError::TranslationRefused));
+        });
     });
 }
 
@@ -278,48 +295,44 @@ fn readyz_flips_to_503_during_drain() {
 fn readyz_saturation_reason_reports_queue_numbers() {
     let corpus = corpus();
     let ctx = EvalContext::new(&corpus);
-    let (started_tx, started_rx) = mpsc::sync_channel(16);
-    let gate = std::sync::Arc::new(GateModel::new(started_tx));
-    struct Shared(std::sync::Arc<GateModel>);
-    impl Nl2SqlModel for Shared {
-        fn name(&self) -> &str {
-            self.0.name()
-        }
-        fn translate(&self, task: &TranslationTask<'_>) -> Option<Prediction> {
-            self.0.translate(task)
-        }
-    }
+    let (gate, started, models) = gated();
     let config = ServeConfig::builder()
-        .workers(1)
         .queue_capacity(10)
         .admin_addr("127.0.0.1:0".parse().unwrap())
         .build()
         .expect("valid config");
-    let models: Vec<Box<dyn Nl2SqlModel>> = vec![Box::new(Shared(gate.clone()))];
     Service::run(config, &ctx, models, |handle| {
         let addr = handle.admin_addr().expect("admin endpoint configured");
         let sample = &corpus.dev[0];
-        // wedge the single worker, then queue up to the constant
-        // `UNREADY_QUEUE_PCT` (90%) threshold: 8/10 is still ready, 9/10 not
-        let mut tickets = vec![handle.submit(request(sample, 0, "Gate")).expect("admitted")];
-        started_rx.recv_timeout(Duration::from_secs(5)).expect("worker wedged");
-        for _ in 0..8 {
-            tickets.push(handle.submit(request(sample, 0, "Gate")).expect("admitted"));
-        }
-        assert!(handle.ready(), "8/10 queued is under the threshold");
-        tickets.push(handle.submit(request(sample, 0, "Gate")).expect("admitted"));
-        let reason = handle.readiness().expect_err("9/10 queued >= 90% must be unready");
-        assert!(
-            reason.contains("saturated: queue 9/10") && reason.contains("90%"),
-            "reason must carry the numbers: {reason}"
-        );
-        let (status, body) = http_get(addr, "/readyz").expect("readyz while saturated");
-        assert_eq!(status, 503);
-        assert_eq!(body.trim_end(), reason);
+        std::thread::scope(|s| {
+            let _open = OpenOnDrop(&gate);
+            // park requests up to the constant `UNREADY_QUEUE_PCT` (90%)
+            // threshold: 8/10 in flight is still ready, 9/10 not
+            let park = || {
+                let caller = s.spawn(|| handle.query(request(sample, 0, "Gate")));
+                started.recv_timeout(Duration::from_secs(5)).expect("request parked");
+                caller
+            };
+            let mut callers: Vec<_> = (0..8).map(|_| park()).collect();
+            assert!(handle.ready(), "8/10 in flight is under the threshold");
+            callers.push(park());
+            let reason = handle.readiness().expect_err("9/10 in flight >= 90% must be unready");
+            assert!(
+                reason.contains("saturated: 9/10 requests in flight") && reason.contains("90%"),
+                "reason must carry the numbers: {reason}"
+            );
+            let (status, body) = http_get(addr, "/readyz").expect("readyz while saturated");
+            assert_eq!(status, 503);
+            assert_eq!(body.trim_end(), reason);
+            // the gauge reads the same count
+            let (_, metrics) = http_get(addr, "/metrics").expect("scrape");
+            assert!(metrics.contains("\nserve_queue_depth 9\n"), "{metrics}");
 
-        gate.release(tickets.len());
-        for t in tickets {
-            assert!(matches!(t.wait(), Err(QueryError::TranslationRefused)));
-        }
+            gate.release(callers.len());
+            for c in callers {
+                assert_eq!(c.join().expect("parked"), Err(QueryError::TranslationRefused));
+            }
+        });
+        assert!(handle.ready(), "every slot is free again");
     });
 }

@@ -27,7 +27,6 @@ fn corpus() -> Corpus {
 
 fn api_config() -> ServeConfig {
     ServeConfig::builder()
-        .workers(2)
         .admin_addr("127.0.0.1:0".parse().unwrap())
         .build()
         .expect("valid api config")
@@ -252,7 +251,6 @@ fn refusal_surface_speaks_json_and_proper_statuses() {
     let corpus = corpus();
     let ctx = EvalContext::new(&corpus);
     let config = ServeConfig::builder()
-        .workers(1)
         .admin_addr("127.0.0.1:0".parse().unwrap())
         .build()
         .expect("valid config");
@@ -444,55 +442,35 @@ impl Nl2SqlModel for Shared {
     }
 }
 
+/// The deadline of an HTTP request counts from its accepted connection:
+/// one that waits for a handler past its budget is a `504`.
 #[test]
 fn deadline_expiry_mid_queue_returns_504() {
     let corpus = corpus();
     let ctx = EvalContext::new(&corpus);
-    let (started_tx, started_rx) = mpsc::sync_channel(16);
-    let gate = std::sync::Arc::new(GateModel::new(started_tx));
-    let config = ServeConfig::builder()
-        .workers(1)
-        .admin_addr("127.0.0.1:0".parse().unwrap())
-        .build()
-        .expect("valid config");
-    let models: Vec<Box<dyn Nl2SqlModel>> = vec![Box::new(Shared(gate.clone()))];
-    Service::run(config, &ctx, models, |handle| {
+    Service::run_with_methods(api_config(), &ctx, &["C3SQL"], |handle| {
         let addr = handle.admin_addr().expect("admin endpoint configured");
         let sample = &corpus.dev[0];
-        // wedge the single worker so the HTTP request's deadline expires
-        // while it waits in the queue
-        let wedged = handle.submit(request(sample, 0, "Gate")).expect("admitted");
-        started_rx.recv_timeout(Duration::from_secs(5)).expect("worker wedged");
-
+        // four silent connections hold all four handlers for one read
+        // timeout each, so the request below waits in the handler queue
+        let _held: Vec<TcpStream> =
+            (0..4).map(|_| TcpStream::connect(addr).expect("connect")).collect();
         let body = serde_json::to_string(&serde::Value::Map(vec![
             ("question".to_string(), serde::Value::Str(sample.variants[0].clone())),
             ("db_id".to_string(), serde::Value::Str(sample.db_id.clone())),
-            ("method".to_string(), serde::Value::Str("Gate".to_string())),
+            ("method".to_string(), serde::Value::Str("C3SQL".to_string())),
             ("deadline_ms".to_string(), serde::Value::Int(1)),
         ]))
         .unwrap();
-        let poster = std::thread::spawn(move || http_post(addr, "/v1/sql", &body));
-
-        // wait until the deadlined request is queued, then let the worker
-        // finish the wedged one and reach it — past its 1ms deadline
-        let waited = Instant::now() + Duration::from_secs(5);
-        while handle.queue_len() == 0 {
-            assert!(Instant::now() < waited, "deadlined request never queued");
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        // let the 1ms deadline lapse while the request is still queued;
-        // releasing too early would serve it in time and wedge the gate
-        std::thread::sleep(Duration::from_millis(20));
-        gate.release(1);
-        assert!(wedged.wait().is_err(), "gate model always refuses");
-
-        let (status, reply) = poster.join().expect("poster thread").expect("post");
+        let (status, reply) = http_post(addr, "/v1/sql", &body).expect("post");
         assert_eq!(status, 504, "{reply}");
         let v: serde::Value = serde_json::from_str(&reply).expect("504 JSON");
         assert_eq!(
             v.get("error").and_then(|e| e.get("status")),
             Some(&serde::Value::Int(504))
         );
+        let m = handle.metrics();
+        assert_eq!((m.deadline_exceeded, m.completed), (1, 0));
     });
 }
 
@@ -653,7 +631,6 @@ fn probes_answer_while_an_nl_request_is_parked() {
     let ctx = EvalContext::new(&corpus);
     let (started_tx, started_rx) = mpsc::sync_channel(16);
     let config = ServeConfig::builder()
-        .workers(1)
         .admin_addr("127.0.0.1:0".parse().unwrap())
         .build()
         .expect("valid config");

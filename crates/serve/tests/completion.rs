@@ -1,16 +1,17 @@
 //! One completion per answered request, pinned from outside.
 //!
-//! Two scripted single-worker runs drive every way a request can be
-//! answered — ok (once as a cache miss, once as a hit, once as a miss
-//! whose execution fails), deadline exceeded, translation refused,
-//! unknown method, unknown question, overloaded, and (with the static
-//! check on, which rules execution failures out) statically rejected —
-//! and two tests read the result:
+//! Two scripted runs drive every way a request can be answered — ok (as a
+//! cache miss, as a hit, as a miss whose execution fails), deadline
+//! exceeded (an HTTP request that waited for a handler), translation
+//! refused (requests parked at a gate until released), unknown method,
+//! unknown question, overloaded (while the parked requests fill every
+//! in-flight slot), and (with the static check on, which rules execution
+//! failures out) statically rejected — and two tests read the result:
 //!
 //! * every `MetricsSnapshot` counter, the composition of `failed`,
 //!   `lost() == 0`, the window report's error count and the slow log's
 //!   trace-id echo have the values the script implies;
-//! * every worker-answered request's span tree — derived at completion
+//! * every pipeline-answered request's span tree — derived at completion
 //!   from the request's stamps — has the exact span list its outcome
 //!   implies, the root of an ok reply spans exactly the reply's latency,
 //!   and every slow-log entry's latency is its queue wait plus its
@@ -18,7 +19,8 @@
 //! * the `/metrics` and `/metrics.json` surface (every `# HELP`/`# TYPE`
 //!   line, every series name and label set, every counter and histogram
 //!   `_count` value) equals a golden captured before serve's duplicate
-//!   metrics plane was deleted, so the exposition is unchanged by test.
+//!   metrics plane was deleted, so the exposition is unchanged by test
+//!   (counts and HELP wording last changed when the worker pool went).
 //!   Gauge, window and histogram bucket/sum/quantile values depend on
 //!   timing and are masked. The golden is taken with the obs recorder
 //!   off; with it on the only lines that may differ from older commits
@@ -29,11 +31,12 @@
 use datagen::{generate_corpus, Corpus, CorpusConfig, CorpusKind, Sample};
 use modelzoo::{Nl2SqlModel, Prediction, TranslationTask};
 use nl2sql360::{EvalContext, ExecFailureKind};
-use serve::http::http_get;
+use serve::http::{http_get, http_post};
 use serve::{
     QueryError, QueryRequest, QueryResponse, ServeConfig, Service, ServiceHandle, TraceContext,
 };
 use std::fmt::Write as _;
+use std::net::TcpStream;
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -53,7 +56,7 @@ fn request(sample: &Sample, method: &str) -> QueryRequest {
 }
 
 /// Blocks in `translate` until a permit is released, then refuses: one
-/// model both wedges the single worker and produces the `refused` outcome.
+/// model both holds in-flight slots and produces the `refused` outcome.
 struct Gate {
     started: Mutex<mpsc::Sender<()>>,
     permits: Mutex<usize>,
@@ -64,6 +67,17 @@ impl Gate {
     fn release(&self, n: usize) {
         *self.permits.lock().unwrap() += n;
         self.released.notify_all();
+    }
+}
+
+/// Opens the gate wide when dropped. Made first thing inside a thread
+/// scope, it is dropped before the scope joins, so a failed assertion
+/// fails the test instead of leaving parked callers to wait on forever.
+struct OpenOnDrop<'g>(&'g Gate);
+
+impl Drop for OpenOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.release(1_000);
     }
 }
 
@@ -92,10 +106,10 @@ fn c3sql() -> Box<dyn Nl2SqlModel> {
 
 fn config(static_check: bool) -> ServeConfig {
     ServeConfig::builder()
-        .workers(1)
         .queue_capacity(4)
         .static_check(static_check)
         .request_tracing(true)
+        .warehouse(true)
         .admin_addr("127.0.0.1:0".parse().unwrap())
         .build()
         .unwrap()
@@ -127,7 +141,7 @@ fn traced(mut req: QueryRequest, id: u64) -> QueryRequest {
     req
 }
 
-/// A worker-answered request and the span tree its outcome implies.
+/// A pipeline-answered request and the span tree its outcome implies.
 struct Traced {
     trace_id: String,
     /// `(name, attrs)` of every span in recording order, root last.
@@ -152,9 +166,13 @@ impl Traced {
 
     /// The tree of an error reply: the stages that ran, then the root.
     fn error(id: u64, stages: &[(&'static str, &str)], root: &str) -> Traced {
+        Traced::error_hex(format!("{id:016x}"), stages, root)
+    }
+
+    fn error_hex(trace_id: String, stages: &[(&'static str, &str)], root: &str) -> Traced {
         let mut spans: Vec<_> = stages.iter().map(|&(n, a)| (n, a.to_string())).collect();
         spans.push(("request", root.to_string()));
-        Traced { trace_id: format!("{id:016x}"), spans, latency: None }
+        Traced { trace_id, spans, latency: None }
     }
 }
 
@@ -164,14 +182,46 @@ struct Observed {
     exec_failure: Option<ExecFailureKind>,
     rules: Vec<String>,
     ok_trace_ids: Vec<String>,
-    /// One per worker outcome the script produced.
+    /// One per pipeline outcome the script produced.
     traced: Vec<Traced>,
 }
 
-/// The main script, static check off (the default): one worker answers ok
-/// as a miss, a hit and a miss whose execution fails, then unknown
-/// method, unknown question, and — behind a wedged worker — refused,
-/// deadline exceeded and overloaded. `read` gets the still-live service.
+/// The NL `POST /v1/sql` body of `sample`'s first question to `method`.
+fn nl_body(sample: &Sample, method: &str, deadline_ms: i64) -> String {
+    let text = |s: &str| serde::Value::Str(s.to_string());
+    serde_json::to_string(&serde::Value::Map(vec![
+        ("question".to_string(), text(&sample.variants[0])),
+        ("db_id".to_string(), text(&sample.db_id)),
+        ("method".to_string(), text(method)),
+        ("deadline_ms".to_string(), serde::Value::Int(deadline_ms)),
+    ]))
+    .unwrap()
+}
+
+/// The hex id of the one trace whose root carries `root_attrs`, read back
+/// from the warehouse — how an operator finds a request whose reply
+/// carried no trace id.
+fn trace_with_root(handle: &ServiceHandle<'_>, root_attrs: &str) -> String {
+    handle.flush_warehouse();
+    let rs = handle
+        .store_sql(&format!(
+            "SELECT trace_id FROM trace_spans WHERE name = 'request' AND attrs = '{root_attrs}'"
+        ))
+        .expect("trace_spans query");
+    match rs.rows.as_slice() {
+        [row] => match &row[0] {
+            minidb::Value::Text(id) => id.clone(),
+            other => panic!("trace_id is text, got {other:?}"),
+        },
+        rows => panic!("want one {root_attrs} trace, got {rows:?}"),
+    }
+}
+
+/// The main script, static check off (the default): answers ok as a miss,
+/// a hit and a miss whose execution fails, then unknown method, unknown
+/// question, deadline exceeded over HTTP, and — with four refused requests
+/// parked at the gate in all four slots — overloaded. `read` gets the
+/// still-live service.
 fn scripted_run<R>(read: impl FnOnce(&ServiceHandle<'_>, &Observed) -> R) -> R {
     let corpus = corpus();
     let ctx = EvalContext::new(&corpus);
@@ -205,33 +255,51 @@ fn scripted_run<R>(read: impl FnOnce(&ServiceHandle<'_>, &Observed) -> R) -> R {
         nobody_asked.question = "question nobody asked".into();
         assert!(matches!(handle.query(nobody_asked), Err(QueryError::UnknownQuestion)));
 
-        // wedge the worker, fill the queue of 4, overflow it by one
-        let wedged = handle.submit(traced(request(clean, "Gate"), 0xa)).expect("admitted");
-        started_rx.recv_timeout(Duration::from_secs(5)).expect("worker wedged");
-        let mut late = traced(request(clean, "C3SQL"), 0xb);
-        late.deadline = Some(Duration::from_millis(1));
-        let late = handle.submit(late).expect("admitted");
-        let refused_a = handle.submit(request(clean, "Gate")).expect("admitted");
-        let refused_b = handle.submit(request(clean, "Gate")).expect("admitted");
-        let queued_hit = handle.submit(request(clean, "C3SQL")).expect("admitted");
-        assert!(matches!(handle.submit(request(clean, "C3SQL")), Err(QueryError::Overloaded)));
-        std::thread::sleep(Duration::from_millis(10));
-        gate.release(3);
+        // four silent connections hold the four HTTP handlers for one read
+        // timeout each; the deadline of the NL request behind them counts
+        // from its accepted connection and lapses while it waits
+        let addr = handle.admin_addr().expect("admin endpoint configured");
+        let held: Vec<TcpStream> =
+            (0..4).map(|_| TcpStream::connect(addr).expect("connect")).collect();
+        let (status, reply) =
+            http_post(addr, "/v1/sql", &nl_body(clean, "C3SQL", 1)).expect("post");
+        assert_eq!(status, 504, "{reply}");
+        drop(held);
+        let late = trace_with_root(handle, "outcome=deadline_exceeded batch=1");
 
-        assert!(matches!(wedged.wait(), Err(QueryError::TranslationRefused)));
-        assert!(matches!(late.wait(), Err(QueryError::DeadlineExceeded)));
-        assert!(matches!(refused_a.wait(), Err(QueryError::TranslationRefused)));
-        assert!(matches!(refused_b.wait(), Err(QueryError::TranslationRefused)));
-        let queued_hit = queued_hit.wait().expect("served");
-        assert!(queued_hit.cache_hit);
-        // dequeued together with the deadline drop: same method, one round
-        assert_eq!(queued_hit.batch_size, 2);
+        // park four requests at the gate, one in each in-flight slot, and
+        // overflow by one
+        std::thread::scope(|s| {
+            let _open = OpenOnDrop(&gate);
+            let parked: Vec<_> = [Some(0xa), None, None, None]
+                .into_iter()
+                .map(|id| {
+                    let req = request(clean, "Gate");
+                    let req = if let Some(id) = id { traced(req, id) } else { req };
+                    s.spawn(move || handle.query(req))
+                })
+                .collect();
+            for _ in 0..parked.len() {
+                started_rx.recv_timeout(Duration::from_secs(5)).expect("request parked");
+            }
+            assert!(matches!(handle.query(request(clean, "C3SQL")), Err(QueryError::Overloaded)));
+            gate.release(parked.len());
+            for p in parked {
+                assert!(matches!(p.join().expect("parked"), Err(QueryError::TranslationRefused)));
+            }
+        });
+        let hit_again = handle.query(request(clean, "C3SQL")).expect("served");
+        assert!(hit_again.cache_hit);
         seen.traced.extend([
-            Traced::ok(&queued_hit, false),
-            Traced::error(0xa, &[("queue", ""), ("translate", "method=Gate")], "outcome=refused batch=1"),
-            Traced::error(0xb, &[("queue", "")], "outcome=deadline_exceeded batch=2"),
+            Traced::ok(&hit_again, false),
+            Traced::error(
+                0xa,
+                &[("queue", ""), ("translate", "method=Gate")],
+                "outcome=refused batch=1",
+            ),
+            Traced::error_hex(late, &[("queue", "")], "outcome=deadline_exceeded batch=1"),
         ]);
-        seen.ok_trace_ids.push(queued_hit.trace_id);
+        seen.ok_trace_ids.push(hit_again.trace_id);
 
         read(handle, &seen)
     })
@@ -283,29 +351,29 @@ fn assert_slow_log_echoes(handle: &ServiceHandle<'_>, seen: &Observed) {
 fn seven_outcomes_are_each_counted_once() {
     scripted_run(|handle, seen| {
         let m = handle.metrics();
-        // 3 direct queries + 2 unresolvable + 1 wedge + 4 queued; the
-        // overloaded one was never admitted
-        assert_eq!(m.submitted, 10);
+        // 4 ok + 2 unresolvable + 1 deadline + 4 parked; the overloaded
+        // one was never admitted
+        assert_eq!(m.submitted, 11);
         assert_eq!(m.completed, 4);
         assert_eq!(m.rejected_overloaded, 1);
         assert_eq!(m.deadline_exceeded, 1);
         assert_eq!(m.static_rejected, 0);
-        // failed = unknown method + unknown question + 3 refused
-        assert_eq!(m.failed, 5);
+        // failed = unknown method + unknown question + 4 refused
+        assert_eq!(m.failed, 6);
         assert_eq!(m.lost(), 0);
         assert_eq!((m.cache_hits, m.cache_misses), (2, 2));
         assert_eq!(m.cache_hit_rate, 0.5);
         let kind = seen.exec_failure.expect("execution fails on the picked sample");
         assert_eq!(m.exec_failures, vec![(kind, 1)]);
-        // rounds: 3 single queries, the wedge, [late, queued hit], [refused a, b]
-        assert_eq!(m.mean_batch_size, 8.0 / 6.0);
+        // every request is served alone
+        assert_eq!(m.mean_batch_size, 1.0);
         assert!(m.p50.is_some() && m.queue_p50.is_some() && m.exec_p50.is_some());
-        assert!(m.queue_p99 >= Some(Duration::from_millis(8)), "the queued round waited");
+        assert!(m.queue_p99 >= Some(Duration::from_millis(8)), "the HTTP request waited");
 
-        // the window counts worker-answered requests; everything but the
+        // the window counts pipeline-answered requests; everything but the
         // three clean oks is an error
         let w = handle.window_report(Duration::from_secs(60));
-        assert_eq!((w.requests, w.errors), (8, 5));
+        assert_eq!((w.requests, w.errors), (9, 6));
 
         assert_slow_log_echoes(handle, seen);
         assert_eq!(handle.slow_queries().iter().filter(|e| e.cache_hit).count(), 2);
@@ -361,7 +429,11 @@ fn assert_trees_and_slow_log_add_up(handle: &ServiceHandle<'_>, seen: &Observed)
 #[test]
 fn every_worker_outcome_derives_its_span_tree_from_one_clock() {
     scripted_run(|handle, seen| {
-        assert_eq!(seen.traced.len(), 6, "ok miss, hit, exec failure, queued hit, refused, deadline");
+        assert_eq!(
+            seen.traced.len(),
+            6,
+            "ok miss, hit, exec failure, hit again, refused, deadline"
+        );
         assert_trees_and_slow_log_add_up(handle, seen);
     });
     scripted_static_run(|handle, seen| {

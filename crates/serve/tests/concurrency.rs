@@ -1,24 +1,25 @@
 //! Concurrency guarantees of the serve subsystem:
 //!
-//! * outcome determinism — EX/EM/pred_sql per request are identical under
-//!   1 worker and N workers, queued or run on 2 calling threads
-//!   (scheduling, batching, dispatch and cache timing never leak into
-//!   outcomes);
-//! * admission control — a saturated queue rejects deterministically with
-//!   `Overloaded` and never blocks the submitter;
-//! * deadlines — a request stuck behind a slow one is dropped with
-//!   `DeadlineExceeded` once its budget passes;
-//! * drain — releasing a wedged service answers every admitted request;
+//! * outcome determinism — EX/EM/pred_sql per request are identical
+//!   whether one thread or several call `query` (scheduling, dispatch and
+//!   cache timing never leak into outcomes);
+//! * admission control — with `queue_capacity` requests in flight the next
+//!   one is refused `Overloaded` at once, never blocked, and a freed slot
+//!   admits again;
+//! * deadlines — an HTTP request that waits for a handler past its budget
+//!   is dropped with `DeadlineExceeded`, one within it is served;
 //! * caller-runs — `query` serves on its caller's thread, so it is answered
-//!   while every worker is wedged, yet it is admitted exactly like a queued
-//!   request (`Overloaded` at capacity and while draining);
+//!   while another request is parked in the pipeline, and it is refused
+//!   `Overloaded` at capacity and while draining;
 //! * panic isolation — a request whose pipeline panics reads `Internal`,
-//!   through either dispatcher, and the thread that served it goes on.
+//!   in process and over HTTP, and the thread that served it goes on.
 
 use datagen::{generate_corpus, CorpusConfig, CorpusKind, Sample};
 use modelzoo::{Nl2SqlModel, Prediction, TranslationTask};
 use nl2sql360::EvalContext;
+use serve::http::http_post;
 use serve::{QueryError, QueryReply, QueryRequest, ServeConfig, Service};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -44,25 +45,12 @@ fn outcome(reply: QueryReply) -> Outcome {
     }
 }
 
-/// How a fleet reaches the service.
-#[derive(Clone, Copy)]
-enum Dispatch {
-    /// `submit` every request, then wait on the tickets.
-    Queued,
-    /// `query` from this many threads, thread `t` asking every request
-    /// whose index is `t` modulo the thread count.
-    CallerRun(usize),
-}
-
-fn run_fleet(corpus: &datagen::Corpus, workers: usize, dispatch: Dispatch) -> Vec<Outcome> {
+/// Every request of the corpus, `query`d from `threads` threads, thread
+/// `t` asking every request whose index is `t` modulo the thread count.
+fn run_fleet(corpus: &datagen::Corpus, threads: usize) -> Vec<Outcome> {
     let ctx = EvalContext::new(corpus);
-    let config = ServeConfig {
-        workers,
-        queue_capacity: 4096, // no admission rejects: all requests admitted
-        ..ServeConfig::default()
-    };
-    Service::run_with_methods(config, &ctx, &["C3SQL", "DAILSQL", "SuperSQL"], |handle| {
-        let methods = ["C3SQL", "DAILSQL", "SuperSQL"];
+    let methods = ["C3SQL", "DAILSQL", "SuperSQL"];
+    Service::run_with_methods(ServeConfig::default(), &ctx, &methods, |handle| {
         let mut requests = Vec::new();
         for (i, sample) in corpus.dev.iter().enumerate() {
             for variant in 0..sample.variants.len() {
@@ -70,16 +58,6 @@ fn run_fleet(corpus: &datagen::Corpus, workers: usize, dispatch: Dispatch) -> Ve
                 requests.push(request(sample, variant, method));
             }
         }
-        let threads = match dispatch {
-            Dispatch::Queued => {
-                let tickets: Vec<_> = requests
-                    .into_iter()
-                    .map(|r| handle.submit(r).expect("queue never full"))
-                    .collect();
-                return tickets.into_iter().map(|t| outcome(t.wait())).collect();
-            }
-            Dispatch::CallerRun(threads) => threads,
-        };
         let mut answered: Vec<(usize, Outcome)> = std::thread::scope(|s| {
             let callers: Vec<_> = (0..threads)
                 .map(|t| {
@@ -98,34 +76,32 @@ fn run_fleet(corpus: &datagen::Corpus, workers: usize, dispatch: Dispatch) -> Ve
 }
 
 #[test]
-fn outcomes_identical_for_one_and_many_workers() {
+fn outcomes_identical_for_one_and_many_callers() {
     let corpus = generate_corpus(CorpusKind::Spider, &CorpusConfig::tiny(5));
-    let serial = run_fleet(&corpus, 1, Dispatch::Queued);
+    let serial = run_fleet(&corpus, 1);
     assert!(!serial.is_empty());
-    for (what, other) in [
-        ("4 workers", run_fleet(&corpus, 4, Dispatch::Queued)),
-        ("query from 2 threads", run_fleet(&corpus, 1, Dispatch::CallerRun(2))),
-    ] {
-        assert_eq!(serial.len(), other.len(), "{what}");
+    for threads in [4, 2] {
+        let other = run_fleet(&corpus, threads);
+        assert_eq!(serial.len(), other.len(), "{threads} callers");
         for (i, (a, b)) in serial.iter().zip(&other).enumerate() {
-            assert_eq!(a, b, "request {i} diverged between 1 worker and {what}");
+            assert_eq!(a, b, "request {i} diverged between 1 caller and {threads}");
         }
     }
     // and re-running the same config reproduces itself exactly
-    assert_eq!(serial, run_fleet(&corpus, 1, Dispatch::Queued));
+    assert_eq!(serial, run_fleet(&corpus, 1));
 }
 
-/// A model whose `translate` blocks until released — lets tests wedge the
-/// single worker and observe queue behavior deterministically.
+/// A model whose `translate` blocks until released — lets tests park
+/// requests in the pipeline and observe admission deterministically.
 struct GateModel {
-    started: mpsc::SyncSender<()>,
+    started: Mutex<mpsc::Sender<()>>,
     gate: Mutex<usize>,
     released: Condvar,
 }
 
 impl GateModel {
-    fn new(started: mpsc::SyncSender<()>) -> Self {
-        GateModel { started, gate: Mutex::new(0), released: Condvar::new() }
+    fn new(started: mpsc::Sender<()>) -> Self {
+        GateModel { started: Mutex::new(started), gate: Mutex::new(0), released: Condvar::new() }
     }
 
     /// Allow `n` further `translate` calls to proceed.
@@ -141,104 +117,25 @@ impl Nl2SqlModel for GateModel {
     }
 
     fn translate(&self, _task: &TranslationTask<'_>) -> Option<Prediction> {
-        let _ = self.started.send(());
+        let _ = self.started.lock().unwrap().send(());
         let mut permits = self.gate.lock().unwrap();
         while *permits == 0 {
             permits = self.released.wait(permits).unwrap();
         }
         *permits -= 1;
-        None // refuse: the test only cares about queue mechanics
+        None // refuse: the tests only care about admission
     }
 }
 
-#[test]
-fn saturated_queue_rejects_overloaded_without_blocking() {
-    let corpus = generate_corpus(CorpusKind::Spider, &CorpusConfig::tiny(5));
-    let ctx = EvalContext::new(&corpus);
-    let (started_tx, started_rx) = mpsc::sync_channel(16);
-    let gate = std::sync::Arc::new(GateModel::new(started_tx));
-    struct Shared(std::sync::Arc<GateModel>);
-    impl Nl2SqlModel for Shared {
-        fn name(&self) -> &str {
-            self.0.name()
-        }
-        fn translate(&self, task: &TranslationTask<'_>) -> Option<Prediction> {
-            self.0.translate(task)
-        }
+/// Opens the gate wide when dropped. Made first thing inside a thread
+/// scope, it is dropped before the scope joins, so a failed assertion
+/// fails the test instead of leaving parked callers to wait on forever.
+struct OpenOnDrop<'g>(&'g GateModel);
+
+impl Drop for OpenOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.release(1_000);
     }
-    let config = ServeConfig { workers: 1, queue_capacity: 2, ..ServeConfig::default() };
-    let models: Vec<Box<dyn Nl2SqlModel>> = vec![Box::new(Shared(gate.clone()))];
-    Service::run(config, &ctx, models, |handle| {
-        let sample = &corpus.dev[0];
-        // first request occupies the single worker...
-        let t1 = handle.submit(request(sample, 0, "Gate")).expect("admitted");
-        started_rx.recv_timeout(Duration::from_secs(5)).expect("worker picked up request");
-        // ...two more fill the queue to capacity...
-        let t2 = handle.submit(request(sample, 0, "Gate")).expect("fits in queue");
-        let t3 = handle.submit(request(sample, 0, "Gate")).expect("fits in queue");
-        assert_eq!(handle.queue_len(), 2);
-        // ...so the next submit is rejected immediately, not blocked.
-        match handle.submit(request(sample, 0, "Gate")) {
-            Err(QueryError::Overloaded) => {}
-            other => panic!("expected Overloaded, got {:?}", other.map(|_| "ticket")),
-        }
-        assert_eq!(handle.metrics().rejected_overloaded, 1);
-
-        // release everything; all admitted requests resolve.
-        gate.release(3);
-        for t in [t1, t2, t3] {
-            assert!(matches!(t.wait(), Err(QueryError::TranslationRefused)));
-        }
-        let m = handle.metrics();
-        assert_eq!(m.submitted, 3);
-        assert_eq!(m.failed, 3);
-        assert_eq!(m.lost(), 0);
-    });
-}
-
-#[test]
-fn queued_requests_past_their_deadline_are_dropped() {
-    let corpus = generate_corpus(CorpusKind::Spider, &CorpusConfig::tiny(5));
-    let ctx = EvalContext::new(&corpus);
-    let (started_tx, started_rx) = mpsc::sync_channel(16);
-    let gate = std::sync::Arc::new(GateModel::new(started_tx));
-    struct Shared(std::sync::Arc<GateModel>);
-    impl Nl2SqlModel for Shared {
-        fn name(&self) -> &str {
-            self.0.name()
-        }
-        fn translate(&self, task: &TranslationTask<'_>) -> Option<Prediction> {
-            self.0.translate(task)
-        }
-    }
-    let config = ServeConfig { workers: 1, queue_capacity: 16, ..ServeConfig::default() };
-    let models: Vec<Box<dyn Nl2SqlModel>> =
-        vec![Box::new(Shared(gate.clone())), Box::new(modelzoo::SimulatedModel::new(
-            modelzoo::method_by_name("C3SQL").unwrap(),
-        ))];
-    Service::run(config, &ctx, models, |handle| {
-        let sample = &corpus.dev[0];
-        // wedge the worker
-        let blocker = handle.submit(request(sample, 0, "Gate")).expect("admitted");
-        started_rx.recv_timeout(Duration::from_secs(5)).expect("worker wedged");
-        // a zero-budget request queued behind it must expire, a generous
-        // one must survive
-        let mut doomed = request(sample, 0, "C3SQL");
-        doomed.deadline = Some(Duration::ZERO);
-        let doomed = handle.submit(doomed).expect("admitted");
-        let mut patient = request(sample, 1, "C3SQL");
-        patient.deadline = Some(Duration::from_secs(60));
-        let patient = handle.submit(patient).expect("admitted");
-
-        gate.release(1);
-        assert!(matches!(blocker.wait(), Err(QueryError::TranslationRefused)));
-        assert!(matches!(doomed.wait(), Err(QueryError::DeadlineExceeded)));
-        assert!(patient.wait().is_ok(), "in-budget request must be served");
-        let m = handle.metrics();
-        assert_eq!(m.deadline_exceeded, 1);
-        assert_eq!(m.completed, 1);
-        assert_eq!(m.lost(), 0);
-    });
 }
 
 /// A [`GateModel`] the test keeps a handle on while the service owns it.
@@ -257,30 +154,124 @@ fn c3sql() -> Box<dyn Nl2SqlModel> {
     Box::new(modelzoo::SimulatedModel::new(modelzoo::method_by_name("C3SQL").unwrap()))
 }
 
+/// A gate and the models of a service behind it: the gate, then C3SQL.
+fn gated() -> (Arc<GateModel>, mpsc::Receiver<()>, Vec<Box<dyn Nl2SqlModel>>) {
+    let (started_tx, started_rx) = mpsc::channel();
+    let gate = Arc::new(GateModel::new(started_tx));
+    let models: Vec<Box<dyn Nl2SqlModel>> = vec![Box::new(SharedGate(gate.clone())), c3sql()];
+    (gate, started_rx, models)
+}
+
+/// Wait until `n` gated requests have reached translation.
+fn parked(started: &mpsc::Receiver<()>, n: usize) {
+    for _ in 0..n {
+        started.recv_timeout(Duration::from_secs(5)).expect("a gated request reached the model");
+    }
+}
+
 #[test]
-fn query_is_served_on_its_caller_while_the_only_worker_is_wedged() {
+fn saturated_queue_rejects_overloaded_without_blocking() {
     let corpus = generate_corpus(CorpusKind::Spider, &CorpusConfig::tiny(5));
     let ctx = EvalContext::new(&corpus);
-    let (started_tx, started_rx) = mpsc::sync_channel(16);
-    let gate = Arc::new(GateModel::new(started_tx));
-    let config = ServeConfig { workers: 1, queue_capacity: 16, ..ServeConfig::default() };
-    let models: Vec<Box<dyn Nl2SqlModel>> = vec![Box::new(SharedGate(gate.clone())), c3sql()];
+    let (gate, started, models) = gated();
+    let config = ServeConfig { queue_capacity: 2, ..ServeConfig::default() };
     Service::run(config, &ctx, models, |handle| {
         let sample = &corpus.dev[0];
-        let wedged = handle.submit(request(sample, 0, "Gate")).expect("admitted");
-        started_rx.recv_timeout(Duration::from_secs(5)).expect("worker wedged");
-        let answered = std::thread::scope(|s| {
+        std::thread::scope(|s| {
+            let _open = OpenOnDrop(&gate);
+            // two gated callers take both in-flight slots...
+            let callers: Vec<_> =
+                (0..2).map(|_| s.spawn(|| handle.query(request(sample, 0, "Gate")))).collect();
+            parked(&started, 2);
+            assert_eq!(handle.in_flight(), 2);
+            // ...so the next caller is refused at once, not served and not
+            // blocked, although it would never wait at the gate
+            assert_eq!(handle.query(request(sample, 1, "C3SQL")), Err(QueryError::Overloaded));
+            assert_eq!(handle.metrics().rejected_overloaded, 1);
+
+            // release everything; all admitted requests resolve
+            gate.release(2);
+            for c in callers {
+                assert_eq!(c.join().expect("caller"), Err(QueryError::TranslationRefused));
+            }
+        });
+        // the answered requests gave their slots back
+        assert_eq!(handle.in_flight(), 0);
+        assert!(handle.query(request(sample, 1, "C3SQL")).is_ok());
+        let m = handle.metrics();
+        assert_eq!((m.submitted, m.completed, m.failed), (3, 1, 2));
+        assert_eq!(m.lost(), 0);
+    });
+}
+
+/// `n` connections that send nothing: each holds one of the HTTP
+/// endpoint's four handlers until its read timeout (500 ms) passes.
+fn hold_handlers(addr: SocketAddr, n: usize) -> Vec<TcpStream> {
+    (0..n).map(|_| TcpStream::connect(addr).expect("connect")).collect()
+}
+
+fn nl_body(sample: &Sample, variant: usize, method: &str, deadline_ms: u64) -> String {
+    let text = |s: &str| serde::Value::Str(s.to_string());
+    serde_json::to_string(&serde::Value::Map(vec![
+        ("question".to_string(), text(&sample.variants[variant])),
+        ("db_id".to_string(), text(&sample.db_id)),
+        ("method".to_string(), text(method)),
+        ("deadline_ms".to_string(), serde::Value::Int(deadline_ms as i64)),
+    ]))
+    .unwrap()
+}
+
+#[test]
+fn queued_requests_past_their_deadline_are_dropped() {
+    let corpus = generate_corpus(CorpusKind::Spider, &CorpusConfig::tiny(5));
+    let ctx = EvalContext::new(&corpus);
+    let config = ServeConfig::builder().admin_addr("127.0.0.1:0".parse().unwrap()).build().unwrap();
+    Service::run_with_methods(config, &ctx, &["C3SQL"], |handle| {
+        let addr = handle.admin_addr().expect("admin endpoint configured");
+        let sample = &corpus.dev[0];
+        // every handler is held, so both requests below wait for one; the
+        // wait counts from the accepted connection
+        let _held = hold_handlers(addr, 4);
+        let (doomed, patient) = std::thread::scope(|s| {
+            let doomed = s.spawn(|| http_post(addr, "/v1/sql", &nl_body(sample, 0, "C3SQL", 1)));
+            let patient =
+                s.spawn(|| http_post(addr, "/v1/sql", &nl_body(sample, 1, "C3SQL", 60_000)));
+            (doomed.join().expect("doomed"), patient.join().expect("patient"))
+        });
+        let (status, reply) = doomed.expect("post");
+        assert_eq!(status, 504, "a 1 ms budget expires while waiting for a handler: {reply}");
+        let (status, reply) = patient.expect("post");
+        assert_eq!(status, 200, "an in-budget request must be served: {reply}");
+        let m = handle.metrics();
+        assert_eq!(m.deadline_exceeded, 1);
+        assert_eq!(m.completed, 1);
+        assert!(m.queue_p99 >= Some(Duration::from_millis(100)), "they waited: {m:?}");
+        assert_eq!(m.lost(), 0);
+    });
+}
+
+#[test]
+fn query_is_served_on_its_caller_while_another_is_parked() {
+    let corpus = generate_corpus(CorpusKind::Spider, &CorpusConfig::tiny(5));
+    let ctx = EvalContext::new(&corpus);
+    let (gate, started, models) = gated();
+    let config = ServeConfig { queue_capacity: 16, ..ServeConfig::default() };
+    Service::run(config, &ctx, models, |handle| {
+        let sample = &corpus.dev[0];
+        let (answered, parked_reply) = std::thread::scope(|s| {
+            let _open = OpenOnDrop(&gate);
+            let gated = s.spawn(|| handle.query(request(sample, 0, "Gate")));
+            parked(&started, 1);
             let (tx, rx) = mpsc::channel();
             s.spawn(move || tx.send(handle.query(request(sample, 1, "C3SQL"))));
             let answered = rx.recv_timeout(Duration::from_secs(5));
-            // unwedge before judging, so a query stuck in the queue gets
-            // served and the scope can join its thread
+            // release before judging, so the scope can join the gated caller
             gate.release(1);
-            answered
+            (answered, gated.join().expect("gated caller"))
         });
-        let reply = answered.expect("query answered while the worker was wedged").expect("served");
-        assert_eq!(reply.batch_size, 1, "a caller-run request is served alone");
-        assert!(matches!(wedged.wait(), Err(QueryError::TranslationRefused)));
+        let reply = answered.expect("query answered while another was parked").expect("served");
+        assert_eq!(reply.batch_size, 1, "every request is served alone");
+        assert_eq!(parked_reply, Err(QueryError::TranslationRefused));
         let m = handle.metrics();
         assert_eq!((m.submitted, m.completed, m.failed, m.lost()), (2, 1, 1, 0));
     });
@@ -290,31 +281,29 @@ fn query_is_served_on_its_caller_while_the_only_worker_is_wedged() {
 fn query_is_refused_overloaded_at_capacity_and_while_draining() {
     let corpus = generate_corpus(CorpusKind::Spider, &CorpusConfig::tiny(5));
     let ctx = EvalContext::new(&corpus);
-    let (started_tx, started_rx) = mpsc::sync_channel(16);
-    let gate = Arc::new(GateModel::new(started_tx));
-    let config = ServeConfig { workers: 1, queue_capacity: 1, ..ServeConfig::default() };
-    let models: Vec<Box<dyn Nl2SqlModel>> = vec![Box::new(SharedGate(gate.clone())), c3sql()];
+    let (gate, started, models) = gated();
+    let config = ServeConfig { queue_capacity: 1, ..ServeConfig::default() };
     Service::run(config, &ctx, models, |handle| {
         let sample = &corpus.dev[0];
-        let wedged = handle.submit(request(sample, 0, "Gate")).expect("admitted");
-        started_rx.recv_timeout(Duration::from_secs(5)).expect("worker wedged");
-        let queued = handle.submit(request(sample, 0, "C3SQL")).expect("fits in queue");
-        // the queue is at capacity: a caller-run request is refused too,
-        // although it would never have taken the slot
-        assert_eq!(handle.query(request(sample, 1, "C3SQL")), Err(QueryError::Overloaded));
-        assert_eq!(handle.metrics().rejected_overloaded, 1);
-        gate.release(1);
-        assert!(matches!(wedged.wait(), Err(QueryError::TranslationRefused)));
-        assert!(queued.wait().is_ok());
+        std::thread::scope(|s| {
+            let _open = OpenOnDrop(&gate);
+            let gated = s.spawn(|| handle.query(request(sample, 0, "Gate")));
+            parked(&started, 1);
+            // the one slot is taken: a caller-run request is refused
+            assert_eq!(handle.query(request(sample, 1, "C3SQL")), Err(QueryError::Overloaded));
+            assert_eq!(handle.metrics().rejected_overloaded, 1);
+            gate.release(1);
+            assert_eq!(gated.join().expect("gated caller"), Err(QueryError::TranslationRefused));
+        });
 
-        let served = handle.query(request(sample, 1, "C3SQL")).expect("queue has room");
+        let served = handle.query(request(sample, 1, "C3SQL")).expect("the slot is free again");
         assert_eq!(served.batch_size, 1);
         handle.begin_drain();
         assert_eq!(handle.query(request(sample, 1, "C3SQL")), Err(QueryError::Overloaded));
         let m = handle.metrics();
         assert_eq!(m.rejected_overloaded, 2);
-        // the two refusals were never admitted; the caller-run one was
-        assert_eq!((m.submitted, m.completed, m.lost()), (3, 2, 0));
+        // the two refusals were never admitted; the gated and the served were
+        assert_eq!((m.submitted, m.completed, m.lost()), (2, 1, 0));
     });
 }
 
@@ -344,27 +333,37 @@ fn a_panicking_request_answers_internal_and_the_next_is_served() {
     std::thread::spawn(move || {
         let corpus = generate_corpus(CorpusKind::Spider, &CorpusConfig::tiny(5));
         let ctx = EvalContext::new(&corpus);
-        let (bad, good) =
-            (request(&corpus.dev[0], 0, "Poisoned"), request(&corpus.dev[1], 0, "Poisoned"));
-        assert_ne!(bad.question, good.question);
-        let poisoned = Poisoned { inner: c3sql(), question: bad.question.clone() };
-        let config = ServeConfig { workers: 1, ..ServeConfig::default() };
+        let (bad, good) = (&corpus.dev[0], &corpus.dev[1]);
+        assert_ne!(bad.variants[0], good.variants[0]);
+        let poisoned = Poisoned { inner: c3sql(), question: bad.variants[0].clone() };
+        let config =
+            ServeConfig::builder().admin_addr("127.0.0.1:0".parse().unwrap()).build().unwrap();
         let models: Vec<Box<dyn Nl2SqlModel>> = vec![Box::new(poisoned)];
         let metrics = Service::run(config, &ctx, models, |handle| {
             for _ in 0..2 {
-                let _ = reply_tx.send(handle.query(bad.clone()));
-                let _ = reply_tx.send(handle.query(good.clone()));
+                for sample in [bad, good] {
+                    let _ = reply_tx.send(handle.query(request(sample, 0, "Poisoned")).map(|_| ()));
+                }
             }
+            // over HTTP the handler thread serves it: 500, then 200
+            let addr = handle.admin_addr().expect("admin endpoint configured");
             for _ in 0..2 {
-                let _ = reply_tx.send(handle.submit(bad.clone()).expect("admitted").wait());
-                let _ = reply_tx.send(handle.submit(good.clone()).expect("admitted").wait());
+                for sample in [bad, good] {
+                    let body = nl_body(sample, 0, "Poisoned", 60_000);
+                    let reply = match http_post(addr, "/v1/sql", &body).expect("post") {
+                        (200, _) => Ok(()),
+                        (500, _) => Err(QueryError::Internal),
+                        (status, body) => panic!("unexpected {status}: {body}"),
+                    };
+                    let _ = reply_tx.send(reply);
+                }
             }
             handle.metrics()
         });
         let _ = done_tx.send(metrics);
     });
     let next = || reply_rx.recv_timeout(Duration::from_secs(30)).expect("reply within 30 s");
-    for dispatch in ["query", "query", "submit", "submit"] {
+    for dispatch in ["query", "query", "http", "http"] {
         assert_eq!(next(), Err(QueryError::Internal), "{dispatch}: the panicking request");
         assert!(next().is_ok(), "{dispatch}: the request after the panic");
     }

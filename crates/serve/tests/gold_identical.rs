@@ -44,7 +44,6 @@ fn check(kind: CorpusKind) {
 
     for canonical in [false, true] {
         let config = ServeConfig::builder()
-            .workers(1)
             .static_check(true)
             .canonical_cache_key(canonical)
             .cache_capacity_per_shard(4096)

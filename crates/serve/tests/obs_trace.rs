@@ -2,7 +2,8 @@
 //! around a service run, minidb's dispatch accounting must agree with the
 //! service's own cache metrics — an execution-cache miss is one `run_query`
 //! dispatch exactly when nothing has run its prediction yet (it is not the
-//! gold query and translation handed over no outcome), every hit is zero.
+//! gold query and translation handed over no outcome), every hit is zero —
+//! over HTTP too, where the NL reply's rows add no execution of their own.
 //! Runs in its own test binary because the obs recorder is global.
 
 use datagen::{generate_corpus, CorpusConfig, CorpusKind};
@@ -51,7 +52,7 @@ fn trace_counters_reconcile_cache_with_minidb_dispatch() {
     assert!(0 < unran && unran < 10, "{unran} of 10 misses execute: pin both kinds");
     obs::reset();
 
-    let config = ServeConfig::builder().workers(2).build().expect("valid config");
+    let config = ServeConfig::default();
     // Recorder on for the service's lifetime, restored when the guard drops.
     let recording = obs::enable();
     let (metrics, mid) = Service::run_with_methods(config, &ctx, &["C3SQL"], |handle| {
@@ -109,7 +110,7 @@ fn a_service_executes_each_query_once_at_most() {
     let ctx = EvalContext::new(&corpus);
     obs::reset();
     let recording = obs::enable();
-    let config = ServeConfig::builder().workers(2).build().expect("valid config");
+    let config = ServeConfig::default();
     let methods = ["C3SQL", "RESDSQL-3B"];
     let served = Service::run_with_methods(config, &ctx, &methods, |handle| {
         // one after another, so no two misses of one key race each other
@@ -144,4 +145,77 @@ fn untraced_service_records_no_obs_data() {
     assert!(snap.events.is_empty(), "a disabled recorder must record nothing");
     assert!(snap.counters.is_empty());
     assert!(snap.histograms.is_empty());
+}
+
+/// `POST /v1/sql` with `fields` as its JSON body; the status and the
+/// parsed reply.
+fn post_json(addr: std::net::SocketAddr, fields: &[(&str, &str)]) -> (u16, serde::Value) {
+    let map = fields.iter().map(|(k, v)| (k.to_string(), serde::Value::Str(v.to_string())));
+    let body = serde_json::to_string(&serde::Value::Map(map.collect())).expect("renders");
+    let (status, reply) = serve::http::http_post(addr, "/v1/sql", &body).expect("post");
+    (status, serde_json::from_str(&reply).expect("JSON reply"))
+}
+
+/// An HTTP NL reply's rows are the outcome the pipeline scored: they equal
+/// a raw `/v1/sql` of the same `pred_sql`, and the request dispatches what
+/// translation dispatches plus one execution on a miss nothing had run —
+/// none on a hit, none to produce the rows.
+#[test]
+fn an_http_nl_request_executes_its_prediction_at_most_once() {
+    let _lock = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
+    let corpus = generate_corpus(CorpusKind::Spider, &CorpusConfig::tiny(91));
+    let ctx = EvalContext::new(&corpus);
+    let model = SimulatedModel::new(method_by_name("C3SQL").expect("registered"));
+    // per sample: whether C3SQL's prediction fails to execute, and how
+    // many executions a miss adds (none when translation handed its
+    // outcome over or it is the gold query)
+    let miss = |s: &datagen::Sample| {
+        let pred = model.translate(&ctx.task(s, 0)).expect("C3SQL runs on Spider");
+        let fails = corpus.db(s).database.run_query(&pred.query).is_err();
+        (fails, u64::from(pred.executed.is_none() && pred.query != s.query))
+    };
+    let executes = corpus.dev.iter().position(|s| miss(s) == (false, 1)).expect("one executes");
+    let fails = corpus.dev.iter().position(|s| miss(s).0).expect("one fails");
+    let fails_adds = miss(&corpus.dev[fails]).1;
+    let config = ServeConfig::builder()
+        .admin_addr("127.0.0.1:0".parse().expect("loopback"))
+        .build()
+        .expect("valid config");
+    obs::reset();
+    let recording = obs::enable();
+    Service::run_with_methods(config, &ctx, &["C3SQL"], |handle| {
+        let addr = handle.admin_addr().expect("admin endpoint configured");
+        // (sample, cache hit expected, executions the request adds)
+        for (i, hit, executions) in
+            [(executes, false, 1), (executes, true, 0), (fails, false, fails_adds)]
+        {
+            let s = &corpus.dev[i];
+            let dispatches = || dispatched(&obs::snapshot());
+            let before = dispatches();
+            model.translate(&ctx.task(s, 0));
+            let translation = dispatches() - before;
+            let before = dispatches();
+            let nl =
+                [("question", s.variants[0].as_str()), ("db_id", &s.db_id), ("method", "C3SQL")];
+            let (status, reply) = post_json(addr, &nl);
+            let served = dispatches() - before;
+            assert_eq!(status, 200, "{reply:?}");
+            assert_eq!(reply.get("cache_hit"), Some(&serde::Value::Bool(hit)), "{reply:?}");
+            assert_eq!(served, translation + executions, "dev[{i}] hit={hit}: {reply:?}");
+
+            let Some(serde::Value::Str(pred_sql)) = reply.get("pred_sql") else {
+                panic!("no pred_sql: {reply:?}");
+            };
+            let (raw_status, raw) = post_json(addr, &[("sql", pred_sql), ("db", &s.db_id)]);
+            let rows = reply.get("result").expect("an NL reply carries its rows");
+            if i == fails {
+                assert!(matches!(reply.get("exec_failure"), Some(serde::Value::Str(_))));
+                assert_eq!((raw_status, rows), (422, &serde::Value::Null), "{raw:?}");
+            } else {
+                assert_eq!((raw_status, rows), (200, &raw), "dev[{i}] hit={hit}");
+            }
+        }
+    });
+    drop(recording);
+    obs::reset();
 }

@@ -2,8 +2,7 @@
 //! unambiguous dev question of both corpora and one method of each class,
 //! the reply's EX, EM, SQL, work and failure kind equal the evaluation
 //! log's record — through the default cache key and the canonical one,
-//! queued for the workers and run on the caller's thread — and with the
-//! static check on, a request is rejected exactly when the
+//! asked by one caller and by two at once — and with the static check on, a request is rejected exactly when the
 //! evaluator's verdict is not clean, naming the verdict's Error rules.
 
 use datagen::{generate_corpus, Corpus, CorpusConfig, CorpusKind};
@@ -38,25 +37,33 @@ fn serve_all(
     ctx: &EvalContext<'_>,
     config: ServeConfig,
     reqs: &[(usize, usize, usize)],
-    caller_run: bool,
+    callers: usize,
 ) -> Vec<Result<QueryResponse, QueryError>> {
     Service::run_with_methods(config, ctx, &METHODS, |handle| {
-        let requests = reqs.iter().map(|&(m, i, v)| {
+        let ask = |&(m, i, v): &(usize, usize, usize)| {
             let s = &corpus.dev[i];
-            QueryRequest {
+            handle.query(QueryRequest {
                 method: METHODS[m].to_string(),
                 db_id: s.db_id.clone(),
                 question: s.variants[v].clone(),
                 deadline: None,
                 trace: None,
-            }
+            })
+        };
+        // caller `c` asks every request whose index is `c` modulo `callers`
+        let mut replies: Vec<_> = std::thread::scope(|scope| {
+            let threads: Vec<_> = (0..callers)
+                .map(|c| {
+                    scope.spawn(move || {
+                        let mine = reqs.iter().enumerate().skip(c).step_by(callers);
+                        mine.map(|(k, r)| (k, ask(r))).collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            threads.into_iter().flat_map(|t| t.join().expect("caller")).collect()
         });
-        if caller_run {
-            return requests.map(|req| handle.query(req)).collect();
-        }
-        let tickets: Vec<_> =
-            requests.map(|req| handle.submit(req).expect("queue never full")).collect();
-        tickets.into_iter().map(|t| t.wait()).collect()
+        replies.sort_by_key(|&(k, _)| k);
+        replies.into_iter().map(|(_, reply)| reply).collect()
     })
 }
 
@@ -82,17 +89,16 @@ fn check(kind: CorpusKind) {
     let reqs = requests(&corpus);
     assert!(reqs.len() > 40, "{kind:?}: only {} requests", reqs.len());
     let config = |static_check: bool, canonical: bool| ServeConfig {
-        workers: 2,
         queue_capacity: 4096,
         static_check,
         canonical_cache_key: canonical,
         ..ServeConfig::default()
     };
     let mut compared = 0usize;
-    for (canonical, caller_run) in [(false, false), (true, false), (false, true), (true, true)] {
-        let replies = serve_all(&corpus, &ctx, config(false, canonical), &reqs, caller_run);
+    for (canonical, callers) in [(false, 2), (true, 2), (false, 1), (true, 1)] {
+        let replies = serve_all(&corpus, &ctx, config(false, canonical), &reqs, callers);
         for (&(m, i, v), reply) in reqs.iter().zip(&replies) {
-            let how = format!("canonical={canonical} caller_run={caller_run}");
+            let how = format!("canonical={canonical} callers={callers}");
             let what = format!("{kind:?} {} dev[{i}] v{v} {how}", METHODS[m]);
             match (&logs[m], reply) {
                 (None, Err(QueryError::TranslationRefused)) => {}
@@ -106,18 +112,15 @@ fn check(kind: CorpusKind) {
     }
     assert!(compared > 80, "{kind:?}: {compared} replies compared");
     let mut rejected = 0usize;
-    let static_replies = [false, true].map(|caller_run| {
-        (caller_run, serve_all(&corpus, &ctx, config(true, false), &reqs, caller_run))
-    });
-    for (caller_run, replies) in &static_replies {
+    let static_replies = [2, 1]
+        .map(|callers| (callers, serve_all(&corpus, &ctx, config(true, false), &reqs, callers)));
+    for (callers, replies) in &static_replies {
         for (&(m, i, v), reply) in reqs.iter().zip(replies) {
             let Some(log) = &logs[m] else { continue };
             let rec = &log.records[i].variants[v];
             let verdict = rec.static_verdict.as_ref().expect("verdict recorded");
-            let what = format!(
-                "{kind:?} {} dev[{i}] variant {v} static caller_run={caller_run}",
-                METHODS[m]
-            );
+            let what =
+                format!("{kind:?} {} dev[{i}] variant {v} static callers={callers}", METHODS[m]);
             match reply {
                 Ok(reply) => {
                     assert!(verdict.clean, "{what}: admitted an unclean prediction");

@@ -2,7 +2,7 @@
 //!
 //! * the slow-query log stays bounded at its configured K under load;
 //! * windowed reports agree with the cumulative counters;
-//! * drain ordering — a submitter refused with `Overloaded` because of a
+//! * drain ordering — a caller refused with `Overloaded` because of a
 //!   drain can never observe the service as still ready;
 //! * `MetricsSnapshot::lost()` never goes negative under concurrent
 //!   recording (the clamped torn-read race);
@@ -119,10 +119,21 @@ impl Nl2SqlModel for GateModel {
     }
 }
 
-/// Pin for the readiness-before-refusal ordering: a concurrent submitter
-/// that gets `Overloaded` from a *drain* (the queue is far from full)
-/// must already see `ready() == false` — drain flips readiness before the
-/// queue starts refusing.
+/// Opens the gate wide when dropped. Made first thing inside a thread
+/// scope, it is dropped before the scope joins, so a failed assertion
+/// fails the test instead of leaving parked callers to wait on forever.
+struct OpenOnDrop<'g>(&'g GateModel);
+
+impl Drop for OpenOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.release(1_000);
+    }
+}
+
+/// Pin for the readiness-before-refusal ordering: a concurrent caller
+/// that gets `Overloaded` from a *drain* (nowhere near `queue_capacity` in
+/// flight) must already see `ready() == false` — readiness and admission
+/// read one flag, and drain flips it.
 #[test]
 fn drain_refusals_are_never_observed_while_ready() {
     let corpus = corpus();
@@ -138,49 +149,50 @@ fn drain_refusals_are_never_observed_while_ready() {
             self.0.translate(task)
         }
     }
-    // queue far larger than the test will fill: the only possible
+    let c3sql = modelzoo::SimulatedModel::new(modelzoo::method_by_name("C3SQL").unwrap());
+    // capacity far larger than the test will fill: the only possible
     // Overloaded is the drain-induced one
-    let config = ServeConfig::builder().workers(1).queue_capacity(100_000).build().unwrap();
-    let models: Vec<Box<dyn Nl2SqlModel>> = vec![Box::new(Shared(gate.clone()))];
+    let config = ServeConfig::builder().queue_capacity(100_000).build().unwrap();
+    let models: Vec<Box<dyn Nl2SqlModel>> = vec![Box::new(Shared(gate.clone())), Box::new(c3sql)];
     Service::run(config, &ctx, models, |handle| {
         let sample = &corpus.dev[0];
-        let wedged = handle.submit(request(sample, 0, "Gate")).expect("admitted");
-        started_rx.recv_timeout(Duration::from_secs(5)).expect("worker wedged");
-
-        let submitting = AtomicBool::new(false);
-        let (mut tickets, ready_at_refusal) = std::thread::scope(|s| {
-            let submitter = s.spawn(|| {
-                let mut tickets = Vec::new();
+        let asking = AtomicBool::new(false);
+        let (served, ready_at_refusal, parked) = std::thread::scope(|s| {
+            let _open = OpenOnDrop(&gate);
+            // one request parked in the pipeline across the drain
+            let parked = s.spawn(|| handle.query(request(sample, 0, "Gate")));
+            started_rx.recv_timeout(Duration::from_secs(5)).expect("request parked");
+            let caller = s.spawn(|| {
+                let mut served = 0usize;
                 loop {
-                    match handle.submit(request(sample, 0, "Gate")) {
-                        Ok(t) => tickets.push(t),
+                    match handle.query(request(sample, 0, "C3SQL")) {
+                        Ok(_) => served += 1,
                         Err(QueryError::Overloaded) => {
                             // read readiness immediately after the refusal
-                            return (tickets, handle.ready());
+                            return (served, handle.ready());
                         }
-                        Err(e) => panic!("unexpected submit error: {e}"),
+                        Err(e) => panic!("unexpected query error: {e}"),
                     }
-                    submitting.store(true, Ordering::Release);
+                    asking.store(true, Ordering::Release);
                 }
             });
-            // wait until the submitter demonstrably runs, then drain
-            while !submitting.load(Ordering::Acquire) {
+            // wait until the caller demonstrably runs, then drain
+            while !asking.load(Ordering::Acquire) {
                 std::thread::yield_now();
             }
             handle.begin_drain();
-            submitter.join().expect("submitter thread")
+            let (served, ready) = caller.join().expect("caller thread");
+            // everything admitted before the drain is still answered
+            gate.release(1);
+            (served, ready, parked.join().expect("parked caller"))
         });
         assert!(
             !ready_at_refusal,
             "a drain-caused Overloaded was observed while /readyz still said ready"
         );
-
-        // everything admitted before the drain is still answered
-        gate.release(tickets.len() + 1);
-        tickets.push(wedged);
-        for t in tickets {
-            assert!(matches!(t.wait(), Err(QueryError::TranslationRefused)));
-        }
+        assert!(served > 0);
+        assert_eq!(parked, Err(QueryError::TranslationRefused));
+        assert_eq!(handle.metrics().lost(), 0);
     });
 }
 
@@ -194,7 +206,7 @@ fn lost_never_goes_negative_under_concurrent_snapshots() {
     let corpus = corpus();
     let ctx = EvalContext::new(&corpus);
     const PER_THREAD: u64 = 2_000;
-    let config = ServeConfig::builder().workers(2).build().unwrap();
+    let config = ServeConfig::default();
     Service::run_with_methods(config, &ctx, &["C3SQL"], |handle| {
         let sample = &corpus.dev[0];
         std::thread::scope(|s| {
@@ -230,7 +242,6 @@ fn outcomes_and_eval_logs_identical_with_tracing_and_warehouse_on_and_off() {
     let run = |traced: bool| {
         let ctx = EvalContext::new(&corpus);
         let config = ServeConfig::builder()
-            .workers(3)
             .request_tracing(traced)
             .warehouse(traced)
             .admin_addr("127.0.0.1:0".parse().expect("loopback addr"))

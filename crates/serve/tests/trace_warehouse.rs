@@ -41,7 +41,6 @@ fn traced_request_yields_span_tree_and_warehouse_rows() {
     let corpus = corpus();
     let ctx = EvalContext::new(&corpus);
     let config = ServeConfig::builder()
-        .workers(2)
         .request_tracing(true)
         .warehouse(true)
         .admin_addr("127.0.0.1:0".parse().expect("loopback addr"))
@@ -105,7 +104,6 @@ fn untraced_service_mints_no_ids_and_refuses_trace_lookups() {
     let corpus = corpus();
     let ctx = EvalContext::new(&corpus);
     let config = ServeConfig::builder()
-        .workers(2)
         .admin_addr("127.0.0.1:0".parse().expect("loopback addr"))
         .build()
         .expect("valid config");

@@ -126,14 +126,17 @@ if [ "$lint" -eq 1 ]; then
   # `/v1/sql` query (raw_sql) and, on a cache miss in translate_and_execute,
   # a prediction that is neither the gold query nor carries its outcome —
   # the `(None, None)` arm after the cache lookup. Any other run_query in
-  # non-test nl2sql360 or serve code executes something a second time.
-  echo "==> one execution per prediction (run_query in nl2sql360/src and serve/src)"
+  # non-test nl2sql360 or serve code, or any Database::run (which parses SQL
+  # text, then executes it) in serve — any `.run(` method call there —
+  # executes something a second time: an HTTP NL reply's rows come from the
+  # outcome the pipeline scored.
+  echo "==> one execution per prediction (run_query in nl2sql360/src and serve/src, Database::run in serve/src)"
   flagged=$(find crates/nl2sql360/src crates/serve/src -name '*.rs' | sort \
     | xargs awk 'FNR == 1 { counting = 1; owner = ""; looked_up = 0 } /#\[cfg\(test\)\]/ { counting = 0 }
       /^[[:space:]]*\/\// { next }
       counting && match($0, /fn [a-z_0-9]+/) { owner = substr($0, RSTART + 3, RLENGTH - 3); looked_up = 0 }
       counting && /cache\.get\(/ { looked_up = 1 }
-      counting && /run_query/ {
+      counting && (/run_query/ || (FILENAME ~ /serve\/src/ && /\.run\(|Database::run\(/)) {
         arm = (looked_up && /\(None, None\) =>/) ? " miss arm" : ""
         print FILENAME ":" FNR ": " owner arm ": " $0 }' \
     | grep -vE '^crates/nl2sql360/src/executor\.rs:[0-9]+: (with_test_suite|judge|score): ' \
@@ -145,23 +148,25 @@ if [ "$lint" -eq 1 ]; then
     exit 1
   fi
 
-  # One pipeline, two dispatchers: translate_and_execute runs only inside
-  # serve_one, and serve_one is entered only by a worker (worker_loop) and
-  # by the caller-run dispatcher (ServiceHandle::query), so both share the
-  # deadline check, the panic guard and the one completion.
-  echo "==> one pipeline, two dispatchers (translate_and_execute / serve_one callers in serve/src)"
-  flagged=$(find crates/serve/src -name '*.rs' | sort \
+  # One pipeline, one dispatcher: translate_and_execute runs only inside
+  # serve_one, and serve_one is entered only by Inner::serve, the dispatcher
+  # behind ServiceHandle::query and the HTTP NL arm, so every request shares
+  # the admission, the deadline check, the panic guard and the one
+  # completion.
+  echo "==> one pipeline, one dispatcher (translate_and_execute / serve_one callers in serve/src)"
+  callers=$(find crates/serve/src -name '*.rs' | sort \
     | xargs awk 'FNR == 1 { counting = 1; owner = "" } /#\[cfg\(test\)\]/ { counting = 0 }
       /^[[:space:]]*\/\// { next }
       counting && match($0, /fn [a-z_0-9]+/) { owner = substr($0, RSTART + 3, RLENGTH - 3) }
       counting && /(translate_and_execute|serve_one)\(/ {
         callee = ($0 ~ /translate_and_execute\(/) ? "translate_and_execute" : "serve_one"
-        print FILENAME ":" FNR ": " owner " -> " callee ": " $0 }' \
-    | grep -vE '^crates/serve/src/lib\.rs:[0-9]+: (serve_one -> translate_and_execute|(worker_loop|query) -> serve_one): ' || true)
+        print FILENAME ":" FNR ": " owner " -> " callee ": " $0 }')
+  flagged=$(printf '%s\n' "$callers" | grep . \
+    | grep -vE '^crates/serve/src/lib\.rs:[0-9]+: (serve_one -> translate_and_execute|serve -> serve_one): ' || true)
   echo "    $(printf '%s' "$flagged" | grep -c .) site(s) flagged"
-  if [ -n "$flagged" ]; then
-    printf '%s\n' "$flagged"
-    echo "serve a request through serve_one, from a worker or ServiceHandle::query" >&2
+  if [ -n "$flagged" ] || [ "$(printf '%s\n' "$callers" | grep -c -- '-> serve_one: ')" -ne 1 ]; then
+    printf '%s\n' "$callers"
+    echo "serve a request through Inner::serve, serve_one's one caller" >&2
     exit 1
   fi
 
