@@ -119,14 +119,9 @@ fn post_sql(req: &Request, inner: &Arc<Inner>) -> Response {
                  (or start the scheduler with --warehouse to query its telemetry tables)",
             );
         };
-        let executed = warehouse.lock().unwrap_or_else(|e| e.into_inner()).sql(sql);
-        return match executed {
-            Ok(rs) => Response::json(
-                200,
-                serde_json::to_string(&http::result_set_json(&rs)).unwrap_or_default(),
-            ),
-            Err(e) => Response::json_error(422, &e.to_string()),
-        };
+        return http::sql_reply(sql, |query| {
+            warehouse.lock().unwrap_or_else(|e| e.into_inner()).database().run_query(query)
+        });
     }
     let request = match http::nl_request(&body, |_| {
         "NL requests need \"question\", \"db_id\", and \"method\" strings".to_string()

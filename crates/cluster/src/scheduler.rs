@@ -42,7 +42,6 @@
 
 use crate::admin;
 use crate::ring::Ring;
-use crossbeam::channel;
 use obs::registry::{Counter, CounterVec, Gauge, HistogramVec, Registry};
 use serde::Serialize;
 use serve::proto::{read_frame, read_frame_interruptible, write_frame, Message};
@@ -52,7 +51,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{self, ErrorKind};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Scheduler tunables; `Default` suits tests and the bin's defaults.
@@ -119,7 +118,7 @@ fn loopback_any() -> SocketAddr {
 /// whichever thread answers, or an embedded caller blocked on a channel.
 enum ReplyTo {
     Client(Arc<Mutex<TcpStream>>),
-    Caller(channel::Sender<(u64, QueryReply)>),
+    Caller(mpsc::SyncSender<(u64, QueryReply)>),
 }
 
 /// One routed request. A job is always owned by exactly one container
@@ -351,7 +350,7 @@ impl Inner {
     /// The embedded caller's path: route one request through the full
     /// scheduler path and block for its reply.
     pub(crate) fn call(self: &Arc<Inner>, request: QueryRequest) -> QueryReply {
-        let (tx, rx) = channel::bounded(1);
+        let (tx, rx) = mpsc::sync_channel(1);
         self.submit_job(0, ReplyTo::Caller(tx), request);
         rx.recv().map_or(Err(QueryError::Internal), |(_, reply)| reply)
     }
@@ -1256,7 +1255,7 @@ mod tests {
         let inner = test_inner(400);
         // no members at all: dispatch parks the job pending; requeue burns
         // attempts until the bound answers Internal
-        let (tx, rx) = channel::bounded(1);
+        let (tx, rx) = mpsc::sync_channel(1);
         let request = QueryRequest {
             method: "C3SQL".into(),
             db_id: "db".into(),

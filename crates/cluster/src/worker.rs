@@ -143,20 +143,20 @@ impl Worker {
             .unwrap_or_else(|e| panic!("bind worker listener {}: {e}", config.listen));
         let serve_addr = listener.local_addr().expect("worker listener has an addr");
         let stop = AtomicBool::new(false);
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let stop_ref = &stop;
-            scope.spawn(move |scope| {
+            scope.spawn(move || {
                 // one scoped thread per scheduler forward stream,
                 // all joined before the service drains
                 serve::accept_until(
                     &listener,
                     || stop_ref.load(Ordering::SeqCst),
                     |stream| {
-                        scope.spawn(move |_| execute_connection(stream, handle, stop_ref));
+                        scope.spawn(move || execute_connection(stream, handle, stop_ref));
                     },
                 );
             });
-            scope.spawn(move |_| heartbeat_loop(config, handle, serve_addr, stop_ref));
+            scope.spawn(move || heartbeat_loop(config, handle, serve_addr, stop_ref));
             let runtime = WorkerRuntime {
                 serve_addr,
                 admin_addr: handle.admin_addr(),
@@ -166,7 +166,6 @@ impl Worker {
             runtime.begin_stop();
             out
         })
-        .expect("worker thread panicked")
     }
 }
 

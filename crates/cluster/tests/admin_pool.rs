@@ -118,3 +118,30 @@ fn worker_with_an_idle_listener_shuts_down_at_once() {
         });
     });
 }
+
+/// Raw SQL nested past the parser's budget is a malformed request on the
+/// scheduler's warehouse exactly as on an engine (`serve/tests/api_http.rs`):
+/// `400` in the uniform error shape, where an ordinary syntax error stays
+/// the engine's `422`.
+#[test]
+fn scheduler_warehouse_refuses_over_nested_sql_like_an_engine() {
+    let config = SchedulerConfig {
+        admin_addr: Some(loopback_any()),
+        warehouse: true,
+        ..SchedulerConfig::default()
+    };
+    Scheduler::run(config, |handle| {
+        let admin = handle.admin_addr().expect("admin configured");
+        let deep = format!("SELECT {}1{} FROM t", "(".repeat(10_000), ")".repeat(10_000));
+        let body = format!(r#"{{"sql": "{deep}"}}"#);
+        assert!(body.len() < serve::http::MAX_BODY_BYTES);
+        let (status, reply) = http_post(admin, "/v1/sql", &body).expect("deep sql");
+        assert_eq!(status, 400, "{reply}");
+        assert!(reply.contains("nesting deeper than"), "{reply}");
+        let (status, reply) =
+            http_post(admin, "/v1/sql", r#"{"sql": "SELECT FROM"}"#).expect("syntax error");
+        assert_eq!(status, 422, "{reply}");
+        let (status, _) = http_get(admin, "/healthz").expect("scheduler survived");
+        assert_eq!(status, 200);
+    });
+}

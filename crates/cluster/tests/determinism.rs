@@ -9,7 +9,7 @@
 //! as serialized JSON.
 
 use cluster::{Scheduler, SchedulerConfig, Worker, WorkerConfig};
-use crossbeam::channel;
+use std::sync::mpsc;
 use datagen::{generate_corpus, CorpusConfig, CorpusKind};
 use modelzoo::{method_by_name, Nl2SqlModel, Prediction, SimulatedModel, TranslationTask};
 use serve::proto::ClusterClient;
@@ -76,7 +76,7 @@ fn inprocess_outcomes(reqs: &[QueryRequest]) -> Vec<String> {
 }
 
 struct EmbeddedWorker {
-    stop: channel::Sender<()>,
+    stop: mpsc::SyncSender<()>,
     join: thread::JoinHandle<()>,
 }
 
@@ -93,7 +93,7 @@ fn worker_config(worker_id: &str, scheduler: SocketAddr, traced: bool) -> Worker
 }
 
 fn spawn_worker(worker_id: &str, scheduler: SocketAddr, traced: bool) -> EmbeddedWorker {
-    let (stop, stop_rx) = channel::bounded::<()>(1);
+    let (stop, stop_rx) = mpsc::sync_channel::<()>(1);
     let config = worker_config(worker_id, scheduler, traced);
     let join = thread::spawn(move || {
         Worker::run(config, |_| {
@@ -156,7 +156,7 @@ fn spawn_gated_worker(
     traced: bool,
     gate: Arc<Gate>,
 ) -> EmbeddedWorker {
-    let (stop, stop_rx) = channel::bounded::<()>(1);
+    let (stop, stop_rx) = mpsc::sync_channel::<()>(1);
     let config = worker_config(worker_id, scheduler, traced);
     let join = thread::spawn(move || {
         let corpus = generate_corpus(CorpusKind::Spider, &CorpusConfig::tiny(CORPUS_SEED));
@@ -200,8 +200,8 @@ fn cluster_outcomes(
     kill_after: Option<usize>,
     traced: bool,
 ) -> (Vec<String>, ClusterStats) {
-    let (addr_tx, addr_rx) = channel::bounded(1);
-    let (stop_tx, stop_rx) = channel::bounded::<()>(1);
+    let (addr_tx, addr_rx) = mpsc::sync_channel(1);
+    let (stop_tx, stop_rx) = mpsc::sync_channel::<()>(1);
     let scheduler = thread::spawn(move || {
         let config = SchedulerConfig {
             admin_addr: Some("127.0.0.1:0".parse().expect("loopback literal parses")),

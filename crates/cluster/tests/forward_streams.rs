@@ -6,7 +6,7 @@
 //! retries the job elsewhere, answering every request exactly once.
 
 use cluster::{Ring, Scheduler, SchedulerConfig, Worker, WorkerConfig};
-use crossbeam::channel;
+use std::sync::mpsc;
 use datagen::{generate_corpus, CorpusConfig, CorpusKind};
 use modelzoo::{method_by_name, Nl2SqlModel, Prediction, SimulatedModel, TranslationTask};
 use serve::proto::{read_frame, write_frame, ClusterClient, Message};
@@ -83,7 +83,7 @@ impl Nl2SqlModel for Gated {
 }
 
 struct EmbeddedWorker {
-    stop: channel::Sender<()>,
+    stop: mpsc::SyncSender<()>,
     join: thread::JoinHandle<()>,
 }
 
@@ -91,7 +91,7 @@ impl EmbeddedWorker {
     /// A worker on the same engine `Worker::run` builds; with a gate, its
     /// model waits there.
     fn spawn(worker_id: &str, scheduler: SocketAddr, gate: Option<Arc<Gate>>) -> EmbeddedWorker {
-        let (stop, stop_rx) = channel::bounded::<()>(1);
+        let (stop, stop_rx) = mpsc::sync_channel::<()>(1);
         let config = WorkerConfig {
             worker_id: worker_id.to_string(),
             scheduler: scheduler.to_string(),

@@ -14,7 +14,7 @@
 //! the same tree shape (names, processes, parent edges).
 
 use cluster::{Scheduler, SchedulerConfig, Worker, WorkerConfig};
-use crossbeam::channel;
+use std::sync::mpsc;
 use minidb::Value;
 use serve::trace::SpanRecord;
 use serve::{QueryRequest, ServeConfig};
@@ -35,12 +35,12 @@ struct Inspection {
 }
 
 enum Cmd {
-    Query { request: QueryRequest, reply: channel::Sender<serve::QueryReply> },
-    Inspect { trace_id: String, reply: channel::Sender<Inspection> },
+    Query { request: QueryRequest, reply: mpsc::SyncSender<serve::QueryReply> },
+    Inspect { trace_id: String, reply: mpsc::SyncSender<Inspection> },
 }
 
-fn spawn_worker(worker_id: &str, scheduler: SocketAddr) -> (channel::Sender<()>, thread::JoinHandle<()>) {
-    let (stop, stop_rx) = channel::bounded::<()>(1);
+fn spawn_worker(worker_id: &str, scheduler: SocketAddr) -> (mpsc::SyncSender<()>, thread::JoinHandle<()>) {
+    let (stop, stop_rx) = mpsc::sync_channel::<()>(1);
     let config = WorkerConfig {
         worker_id: worker_id.to_string(),
         scheduler: scheduler.to_string(),
@@ -64,9 +64,9 @@ fn spawn_worker(worker_id: &str, scheduler: SocketAddr) -> (channel::Sender<()>,
 
 /// Boot a traced 2-worker cluster, run `f` against a command channel into
 /// the scheduler's closure, then tear everything down.
-fn with_traced_cluster(f: impl FnOnce(&channel::Sender<Cmd>)) {
-    let (addr_tx, addr_rx) = channel::bounded(1);
-    let (cmd_tx, cmd_rx) = channel::unbounded::<Cmd>();
+fn with_traced_cluster(f: impl FnOnce(&mpsc::Sender<Cmd>)) {
+    let (addr_tx, addr_rx) = mpsc::sync_channel(1);
+    let (cmd_tx, cmd_rx) = mpsc::channel::<Cmd>();
     let scheduler = thread::spawn(move || {
         let config = SchedulerConfig {
             admin_addr: Some("127.0.0.1:0".parse().expect("loopback literal parses")),
@@ -128,14 +128,14 @@ fn with_traced_cluster(f: impl FnOnce(&channel::Sender<Cmd>)) {
     }
 }
 
-fn query(cmd_tx: &channel::Sender<Cmd>, request: QueryRequest) -> serve::QueryResponse {
-    let (tx, rx) = channel::bounded(1);
+fn query(cmd_tx: &mpsc::Sender<Cmd>, request: QueryRequest) -> serve::QueryResponse {
+    let (tx, rx) = mpsc::sync_channel(1);
     assert!(cmd_tx.send(Cmd::Query { request, reply: tx }).is_ok(), "scheduler alive");
     rx.recv().expect("reply").expect("request served")
 }
 
-fn inspect(cmd_tx: &channel::Sender<Cmd>, trace_id: &str) -> Inspection {
-    let (tx, rx) = channel::bounded(1);
+fn inspect(cmd_tx: &mpsc::Sender<Cmd>, trace_id: &str) -> Inspection {
+    let (tx, rx) = mpsc::sync_channel(1);
     assert!(
         cmd_tx.send(Cmd::Inspect { trace_id: trace_id.to_string(), reply: tx }).is_ok(),
         "scheduler alive"

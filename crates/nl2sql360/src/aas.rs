@@ -17,7 +17,7 @@
 //! with GPT-3.5 as the search backbone, then re-bases the winner on GPT-4 —
 //! which yields the SuperSQL composition.
 
-use crate::executor::EvalContext;
+use crate::executor::{default_workers, fan_out, EvalContext};
 use crate::pipeline::{compose, Backbone};
 use modelzoo::{Decoding, FewShot, Intermediate, ModuleSet, MultiStep, PostProcessing};
 use rand::rngs::StdRng;
@@ -177,13 +177,13 @@ fn swap_layers(a: &mut ModuleSet, b: &mut ModuleSet, p_swap: f64, rng: &mut StdR
 }
 
 /// Evaluate every not-yet-cached individual of a population, fanning the
-/// fitness evaluations over `workers` scoped threads.
+/// fitness evaluations out over `workers` claimers with [`fan_out`].
 ///
 /// The search trajectory must not depend on the worker count, and composed
 /// pipeline names salt the simulated models' prediction noise — so names
 /// are assigned *before* the parallel fan-out, in the population's
-/// first-occurrence order (`aas-{cache.len()+k}`), exactly the order the
-/// sequential loop would have composed them in. Results then enter the
+/// first-occurrence order (`aas-{cache.len()+k}`), exactly the order one
+/// worker composes them in. Results then enter the
 /// cache in that same order, keeping `evaluations` and every subsequent
 /// roulette draw identical at any worker count.
 fn evaluate_pending(
@@ -201,48 +201,12 @@ fn evaluate_pending(
             pending.push(*m);
         }
     }
-    if pending.is_empty() {
-        return;
-    }
     let base = cache.len();
-    let results: Vec<f64> = if workers <= 1 || pending.len() < 2 {
-        pending
-            .iter()
-            .enumerate()
-            .map(|(k, m)| {
-                let model = compose(format!("aas-{}", base + k), backbone, *m);
-                ctx.fitness_ex(&model, cfg.fitness_samples)
-                    .expect("composed pipelines run on every dataset")
-            })
-            .collect()
-    } else {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Mutex;
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<f64>>> =
-            (0..pending.len()).map(|_| Mutex::new(None)).collect();
-        let pending = &pending;
-        crossbeam::thread::scope(|s| {
-            for _ in 0..workers.min(pending.len()) {
-                s.spawn(|_| loop {
-                    let k = next.fetch_add(1, Ordering::Relaxed);
-                    if k >= pending.len() {
-                        break;
-                    }
-                    let model = compose(format!("aas-{}", base + k), backbone, pending[k]);
-                    let f = ctx
-                        .fitness_ex(&model, cfg.fitness_samples)
-                        .expect("composed pipelines run on every dataset");
-                    *slots[k].lock().expect("slot poisoned") = Some(f);
-                });
-            }
-        })
-        .expect("fitness worker panicked");
-        slots
-            .into_iter()
-            .map(|m| m.into_inner().expect("slot poisoned").expect("all slots evaluated"))
-            .collect()
-    };
+    let results = fan_out(pending.len(), workers, |k| {
+        let model = compose(format!("aas-{}", base + k), backbone, pending[k]);
+        ctx.fitness_ex(&model, cfg.fitness_samples)
+    })
+    .expect("composed pipelines run on every dataset");
     for (m, f) in pending.iter().zip(results) {
         cache.insert(*m, f);
         *evaluations += 1;
@@ -250,11 +214,11 @@ fn evaluate_pending(
 }
 
 /// Run the genetic search. Fitness = measured EX of the composed pipeline
-/// over `cfg.fitness_samples` dev samples of `ctx`. Fitness evaluations run
-/// on the default worker pool; the search trajectory is identical at any
-/// worker count.
+/// over `cfg.fitness_samples` dev samples of `ctx`. Each generation's new
+/// individuals are scored through [`fan_out`] with [`default_workers`]
+/// claimers; the search trajectory is identical at any worker count.
 pub fn search(ctx: &EvalContext<'_>, backbone: &Backbone, cfg: &AasConfig) -> AasResult {
-    search_with_workers(ctx, backbone, cfg, crate::executor::default_workers())
+    search_with_workers(ctx, backbone, cfg, default_workers())
 }
 
 /// [`search`] with an explicit fitness worker count.

@@ -1,7 +1,7 @@
 //! High-level evaluation orchestration (paper §3, "Evaluator").
 //!
-//! Runs many models over a corpus — in parallel across models — and renders
-//! leaderboards. This is the entry point the examples and the benchmark
+//! Runs many models over a corpus — each over the samples in parallel — and
+//! renders leaderboards. This is the entry point the examples and the benchmark
 //! harness drive.
 
 use crate::executor::{default_workers, EvalContext, EvalLog, EvalOptions};
@@ -16,32 +16,17 @@ pub fn evaluate_all(ctx: &EvalContext<'_>, models: &[SimulatedModel]) -> Vec<Eva
     evaluate_all_with_workers(ctx, models, default_workers())
 }
 
-/// Evaluate several models over the context with an explicit worker budget,
-/// split between model-level threads and per-model sample workers so the
-/// nested fan-out does not oversubscribe `workers` cores. Logs come back in
-/// model order, each byte-identical to a sequential evaluation.
+/// Evaluate several models over the context with an explicit worker budget:
+/// one model after another, each with the whole budget, so nothing nests
+/// and nothing oversubscribes `workers` cores. Logs come back in model
+/// order, each byte-identical to a sequential evaluation.
 pub fn evaluate_all_with_workers(
     ctx: &EvalContext<'_>,
     models: &[SimulatedModel],
     workers: usize,
 ) -> Vec<EvalLog> {
-    let workers = workers.max(1);
-    // samples-per-model workers, after model-level threads are accounted for
-    let per_model = (workers / models.len().max(1)).max(1);
-    let mut logs: Vec<Option<EvalLog>> = Vec::with_capacity(models.len());
-    crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for chunk in models.chunks(models.len().div_ceil(workers).max(1)) {
-            handles.push(scope.spawn(move |_| {
-                chunk.iter().map(|m| ctx.evaluate_with(m, &EvalOptions::new().workers(per_model))).collect::<Vec<_>>()
-            }));
-        }
-        for h in handles {
-            logs.extend(h.join().expect("evaluation thread panicked"));
-        }
-    })
-    .expect("evaluation scope panicked");
-    logs.into_iter().flatten().collect()
+    let opts = EvalOptions::new().workers(workers);
+    models.iter().filter_map(|m| ctx.evaluate_with(m, &opts)).collect()
 }
 
 /// A leaderboard row: method name, class, and a metric value.
@@ -128,13 +113,15 @@ mod tests {
         let corpus = generate_corpus(CorpusKind::Spider, &CorpusConfig::tiny(99));
         let ctx = EvalContext::new(&corpus);
         let models = models();
-        let par = evaluate_all(&ctx, &models);
-        assert_eq!(par.len(), 4);
-        // parallel result identical to direct evaluation (determinism)
-        let seq = ctx.evaluate_with(&models[0], &EvalOptions::new()).unwrap();
-        let p0 = par.iter().find(|l| l.method == seq.method).unwrap();
-        for (a, b) in seq.records.iter().zip(&p0.records) {
-            assert_eq!(a.canonical().ex, b.canonical().ex);
+        let json = |log: &EvalLog| serde_json::to_string(log).expect("log serializes");
+        let seq: Vec<String> = models
+            .iter()
+            .map(|m| json(&ctx.evaluate_with(m, &EvalOptions::new().workers(1)).unwrap()))
+            .collect();
+        assert_eq!(evaluate_all(&ctx, &models).iter().map(json).collect::<Vec<_>>(), seq);
+        for workers in [1, 3] {
+            let par = evaluate_all_with_workers(&ctx, &models, workers);
+            assert_eq!(par.iter().map(json).collect::<Vec<_>>(), seq, "{workers} workers");
         }
     }
 

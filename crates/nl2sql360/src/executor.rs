@@ -246,7 +246,8 @@ impl EvalOptions {
         self
     }
 
-    /// Size of the worker pool; `1` evaluates inline without spawning.
+    /// Threads claiming samples, the calling one included; `1` evaluates on
+    /// the calling thread without spawning.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers);
         self
@@ -260,19 +261,9 @@ impl EvalOptions {
         self
     }
 
-    /// The configured subset bound, if any.
-    pub fn subset_len(&self) -> Option<usize> {
-        self.subset
-    }
-
     /// The worker count this evaluation will use.
     pub fn worker_count(&self) -> usize {
         self.workers.unwrap_or_else(default_workers)
-    }
-
-    /// Whether tracing will be enabled for the run.
-    pub fn trace_enabled(&self) -> bool {
-        self.trace
     }
 
     /// Record a [`StaticVerdict`] for every predicted query. Purely
@@ -283,11 +274,6 @@ impl EvalOptions {
         self
     }
 
-    /// Whether static verdicts will be recorded.
-    pub fn static_check_enabled(&self) -> bool {
-        self.static_check
-    }
-
     /// Record a [`MatchKind`] for every predicted query: the boolean `em`
     /// refined by the [`sqlcheck::equiv`] canonicalizer (no witness
     /// search — this stays cheap enough for the hot loop). Purely
@@ -296,11 +282,6 @@ impl EvalOptions {
     pub fn match_kind(mut self, on: bool) -> Self {
         self.match_kind = on;
         self
-    }
-
-    /// Whether match kinds will be recorded.
-    pub fn match_kind_enabled(&self) -> bool {
-        self.match_kind
     }
 }
 
@@ -486,94 +467,19 @@ impl<'a> EvalContext<'a> {
     }
 
     /// Evaluate one model according to `opts` — the single evaluation entry
-    /// point. [`EvalOptions::default`] means: full dev split, worker pool
-    /// sized by [`default_workers`], no tracing. Returns `None` when the
-    /// model does not run on this dataset.
+    /// point. [`EvalOptions::default`] means: full dev split,
+    /// [`default_workers`] claimers, no tracing. Samples go through
+    /// [`fan_out`] and come back in sample order, so the resulting
+    /// [`EvalLog`] is byte-identical at any worker count (test-enforced,
+    /// tracing on or off). Returns `None` when the model does not run on
+    /// this dataset.
     pub fn evaluate_with(&self, model: &dyn Nl2SqlModel, opts: &EvalOptions) -> Option<EvalLog> {
         // The guard must outlive the run span so the span is recorded.
         let _trace = opts.trace.then(obs::enable);
         let _span = obs::span("eval.run");
         let n = opts.subset.unwrap_or(usize::MAX).min(self.corpus.dev.len());
-        self.run_eval(model, n, opts)
-    }
-
-    /// Evaluation core shared by every [`evaluate_with`] path. Samples are
-    /// fanned out to the options' worker count of scoped threads on a
-    /// shared claim counter and merged back in sample order, so the
-    /// resulting [`EvalLog`] is byte-identical to a sequential evaluation at
-    /// any worker count (test-enforced, tracing on or off). One worker runs
-    /// inline without spawning.
-    ///
-    /// [`evaluate_with`]: EvalContext::evaluate_with
-    fn run_eval(
-        &self,
-        model: &dyn Nl2SqlModel,
-        n: usize,
-        opts: &EvalOptions,
-    ) -> Option<EvalLog> {
-        let workers = opts.worker_count();
-        let records = if workers <= 1 || n < 2 {
-            let mut records = Vec::with_capacity(n);
-            for i in 0..n {
-                obs::count("eval.claim", 1);
-                records.push(self.eval_sample(model, i, opts)?);
-            }
-            obs::observe("eval.samples_per_worker", n as u64);
-            records
-        } else {
-            use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-            use std::sync::Mutex;
-            let workers = workers.min(n);
-            // dynamic claim counter: workers pull the next unclaimed sample,
-            // so an expensive sample never stalls a fixed chunk behind it
-            let next = AtomicUsize::new(0);
-            let abort = AtomicBool::new(false);
-            let slots: Vec<Mutex<Option<SampleRecord>>> =
-                (0..n).map(|_| Mutex::new(None)).collect();
-            crossbeam::thread::scope(|s| {
-                for _ in 0..workers {
-                    s.spawn(|_| {
-                        let _span = obs::span("eval.worker");
-                        let mut claimed = 0u64;
-                        loop {
-                            if abort.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            claimed += 1;
-                            obs::count("eval.claim", 1);
-                            match self.eval_sample(model, i, opts) {
-                                Some(rec) => *slots[i].lock().expect("slot poisoned") = Some(rec),
-                                None => {
-                                    // model refuses this dataset: the whole
-                                    // evaluation is None, matching sequential
-                                    abort.store(true, Ordering::Relaxed);
-                                    break;
-                                }
-                            }
-                        }
-                        // pool-utilization profile: a flat histogram means
-                        // even load; a skewed one means stragglers
-                        obs::observe("eval.samples_per_worker", claimed);
-                    });
-                }
-            })
-            .expect("evaluation worker panicked");
-            if abort.load(Ordering::Relaxed) {
-                return None;
-            }
-            // ordered merge: slot i holds sample i, independent of which
-            // worker produced it or when
-            let _merge = obs::span("eval.merge");
-            obs::count("eval.merge", 1);
-            slots
-                .into_iter()
-                .map(|m| m.into_inner().expect("slot poisoned"))
-                .collect::<Option<Vec<_>>>()?
-        };
+        // a model that refuses this dataset refuses every sample: None
+        let records = fan_out(n, opts.worker_count(), |i| self.eval_sample(model, i, opts))?;
         Some(EvalLog {
             method: model.name().to_string(),
             class_label: class_label_of(model),
@@ -768,9 +674,60 @@ impl<'a> EvalContext<'a> {
 
 /// Default evaluation worker count: the machine's available parallelism
 /// (1 when it cannot be determined). Shared by the CLI `--parallel`
-/// default, the serve worker pool, and `EvalContext::evaluate`.
+/// default, [`EvalContext::evaluate_with`], [`crate::evaluate_all`] and
+/// [`crate::search`].
 pub fn default_workers() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+}
+
+/// The one parallel map of the evaluator and the AAS search: `f` over
+/// `0..n`, results in index order. The calling thread and `workers - 1`
+/// scoped threads (never more claimers than indices) pull the next
+/// unclaimed index off one counter, so an expensive index never stalls a
+/// fixed chunk behind it, and one worker spawns nothing. A `None` from `f`
+/// stops the claiming and makes the whole map `None`.
+pub fn fan_out<T: Send + Sync>(
+    n: usize,
+    workers: usize,
+    f: impl Fn(usize) -> Option<T> + Sync,
+) -> Option<Vec<T>> {
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    let next = AtomicUsize::new(0);
+    let abort = AtomicBool::new(false);
+    let slots: Vec<OnceLock<T>> = (0..n).map(|_| OnceLock::new()).collect();
+    let claim = || {
+        let _span = obs::span("eval.worker");
+        let mut claimed = 0u64;
+        while !abort.load(Ordering::Relaxed) {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            claimed += 1;
+            obs::count("eval.claim", 1);
+            match f(i) {
+                // each index is claimed once, so its slot is still empty
+                Some(v) => {
+                    let _ = slots[i].set(v);
+                }
+                None => abort.store(true, Ordering::Relaxed),
+            }
+        }
+        // pool-utilization profile: a flat histogram means even load; a
+        // skewed one means stragglers
+        obs::observe("eval.samples_per_worker", claimed);
+    };
+    std::thread::scope(|s| {
+        for _ in 1..workers.min(n) {
+            s.spawn(claim);
+        }
+        claim();
+    });
+    // ordered merge: slot i holds f(i), whichever claimer produced it; a
+    // slot left empty by a None empties the whole map
+    let _merge = obs::span("eval.merge");
+    obs::count("eval.merge", 1);
+    slots.into_iter().map(OnceLock::into_inner).collect()
 }
 
 /// Small deterministic string hash for suite instance seeds.
@@ -805,11 +762,37 @@ mod tests {
 
     #[test]
     fn eval_context_is_shareable_across_threads() {
-        // The serve worker pool shares one context by reference; losing
-        // Send + Sync on EvalContext would silently break that crate's
-        // scoped-thread design, so pin it here at the source.
+        // fan_out's claimers, serve's request threads and the cluster
+        // worker's stream threads all share one context by reference;
+        // losing Send + Sync on EvalContext would break each of them, so
+        // pin it here at the source.
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<EvalContext<'static>>();
+    }
+
+    #[test]
+    fn fan_out_returns_results_in_index_order_at_any_worker_count() {
+        for n in [0usize, 1, 2, 7] {
+            let expected: Vec<usize> = (0..n).map(|i| i * i).collect();
+            for workers in [1, 2, n + 3] {
+                assert_eq!(fan_out(n, workers, |i| Some(i * i)), Some(expected.clone()), "n={n} workers={workers}");
+            }
+        }
+    }
+
+    #[test]
+    fn fan_out_is_none_when_any_call_is() {
+        for workers in [1usize, 2, 9] {
+            assert_eq!(fan_out(6, workers, |i| (i != 3).then_some(i)), None, "workers={workers}");
+            assert_eq!(fan_out(6, workers, |_| None::<usize>), None, "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn fan_out_at_one_worker_runs_every_call_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let ids = fan_out(5, 1, |_| Some(std::thread::current().id())).unwrap();
+        assert!(ids.iter().all(|&id| id == caller));
     }
 
     #[test]

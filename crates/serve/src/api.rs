@@ -124,9 +124,9 @@ fn post_sql(req: &Request, inner: &Inner, ctx: &EvalContext<'_>) -> Response {
     }
 }
 
-/// The raw-SQL arm: sqlcheck admission (same policy as the serve
-/// pipeline), then execution against the named corpus database or, with no
-/// `"db"`, the eval store.
+/// The raw-SQL arm, answered by [`http::sql_reply`]: sqlcheck admission
+/// (same policy as the serve pipeline), then execution against the named
+/// corpus database or, with no `"db"`, the eval store.
 fn raw_sql(body: &serde::Value, inner: &Inner, ctx: &EvalContext<'_>) -> Response {
     let Some(sql) = str_field(body, "sql") else {
         return Response::json_error(400, "\"sql\" must be a string");
@@ -141,19 +141,10 @@ fn raw_sql(body: &serde::Value, inner: &Inner, ctx: &EvalContext<'_>) -> Respons
             return Response::json_error(404, &format!("unknown database: {id}"));
         }
     }
-    // Text past the parser's nesting budget is a malformed request, refused
-    // here like any other bad body. Any other parse failure goes on to
-    // execution, which reports it as the engine's 422.
-    let parsed = sqlkit::parse_query(sql);
-    if let Err(e) = &parsed {
-        if e.kind == sqlkit::ErrorKind::NestingTooDeep {
-            return Response::json_error(400, &e.to_string());
-        }
-    }
-    // Static admission mirrors the NL pipeline: with the check on,
-    // Error-severity diagnostics reject before execution.
-    if inner.config.static_check {
-        if let Ok(query) = &parsed {
+    http::sql_reply(sql, |query| {
+        // Static admission mirrors the NL pipeline: with the check on,
+        // Error-severity diagnostics reject before execution.
+        if inner.config.static_check {
             let catalog = match db_id {
                 Some(id) => ctx.catalog(id),
                 None => inner.evals.catalog.as_ref(),
@@ -163,31 +154,22 @@ fn raw_sql(body: &serde::Value, inner: &Inner, ctx: &EvalContext<'_>) -> Respons
                 if !fired.is_empty() {
                     let rules: Vec<String> =
                         fired.into_iter().map(|r| r.id().to_string()).collect();
-                    return Response::json_error(
-                        422,
-                        &format!("statically invalid SQL ({})", rules.join(", ")),
-                    );
+                    return Err(format!("statically invalid SQL ({})", rules.join(", ")));
                 }
             }
         }
-    }
-    let executed = parsed.map_err(minidb::ExecError::from).and_then(|query| match db_id {
-        Some(id) => ctx.corpus.databases[id].database.run_query(&query),
-        None => inner
-            .evals
-            .store
-            .lock()
-            .expect("eval store lock poisoned")
-            .database()
-            .run_query(&query),
-    });
-    match executed {
-        Ok(rs) => Response::json(
-            200,
-            serde_json::to_string(&result_set_json(&rs)).unwrap_or_default(),
-        ),
-        Err(e) => Response::json_error(422, &e.to_string()),
-    }
+        match db_id {
+            Some(id) => ctx.corpus.databases[id].database.run_query(query),
+            None => inner
+                .evals
+                .store
+                .lock()
+                .expect("eval store lock poisoned")
+                .database()
+                .run_query(query),
+        }
+        .map_err(|e| e.to_string())
+    })
 }
 
 /// The NL arm: build a [`crate::QueryRequest`] that arrived with its

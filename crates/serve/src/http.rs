@@ -20,6 +20,7 @@ use crate::trace::TraceStore;
 use crate::{QueryRequest, QueryResponse};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::{mpsc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Per-connection read/write timeout; a client that stalls longer is
@@ -287,16 +288,19 @@ pub fn serve_loop(
     stop: impl Fn() -> bool,
     handler: impl Fn(&Request) -> Response + Sync,
 ) {
-    let (tx, rx) = crossbeam::channel::bounded::<(TcpStream, Instant)>(PENDING_CONNECTIONS);
+    let (tx, rx) = mpsc::sync_channel::<(TcpStream, Instant)>(PENDING_CONNECTIONS);
+    // The handlers share the receiver; each holds the lock only to take a
+    // connection, never through its exchange.
+    let rx = Mutex::new(rx);
     std::thread::scope(|scope| {
         for _ in 0..HANDLER_THREADS {
-            let (rx, handler) = (rx.clone(), &handler);
-            scope.spawn(move || {
-                while let Ok((mut stream, accepted)) = rx.recv() {
-                    // Best-effort: a client dying mid-response must not
-                    // take the endpoint down.
-                    let _ = exchange(&mut stream, accepted, handler);
-                }
+            let (rx, handler) = (&rx, &handler);
+            scope.spawn(move || loop {
+                let next = rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
+                let Ok((mut stream, accepted)) = next else { return };
+                // Best-effort: a client dying mid-response must not take
+                // the endpoint down.
+                let _ = exchange(&mut stream, accepted, handler);
             });
         }
         // A full queue blocks the acceptor and the kernel backlog fills
@@ -489,6 +493,30 @@ pub fn get_trace(store: Option<&TraceStore>, suffix: &str, process: &str) -> Res
             )
         }
         None => Response::json_error(404, &format!("no trace with id {suffix} (unknown or evicted)")),
+    }
+}
+
+/// The answer to a raw SQL body, shared by the per-engine API and the
+/// scheduler's warehouse so both refuse alike: text nested past the
+/// parser's budget is a malformed request (`400`, and nothing runs); any
+/// other parse failure, or an `Err` from `run`, is the engine's `422`;
+/// otherwise `200` with the rows as [`result_set_json`].
+pub fn sql_reply<E: std::fmt::Display>(
+    sql: &str,
+    run: impl FnOnce(&sqlkit::Query) -> Result<minidb::ResultSet, E>,
+) -> Response {
+    let executed = match sqlkit::parse_query(sql) {
+        Err(e) if e.kind == sqlkit::ErrorKind::NestingTooDeep => {
+            return Response::json_error(400, &e.to_string())
+        }
+        Err(e) => Err(minidb::ExecError::from(e).to_string()),
+        Ok(query) => run(&query).map_err(|e| e.to_string()),
+    };
+    match executed {
+        Ok(rs) => {
+            Response::json(200, serde_json::to_string(&result_set_json(&rs)).unwrap_or_default())
+        }
+        Err(message) => Response::json_error(422, &message),
     }
 }
 

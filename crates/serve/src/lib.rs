@@ -72,7 +72,6 @@ pub mod trace;
 pub mod window;
 
 use cache::{ExecCache, ExecOutcome};
-use crossbeam::channel;
 pub use metrics::MetricsSnapshot;
 use modelzoo::Nl2SqlModel;
 use nl2sql360::{EvalContext, EvalStore, ExecFailureKind, Score};
@@ -83,7 +82,7 @@ use std::fmt;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 use telemetry::{Completion, Stages, Telemetry, Work};
 use trace::TraceStore;
@@ -470,7 +469,7 @@ pub(crate) struct EvalRun {
     pub(crate) method: String,
     /// Optional dev-split subset size.
     pub(crate) subset: Option<usize>,
-    /// Optional eval worker-pool size (outcome-neutral by construction).
+    /// Optional evaluation worker count (outcome-neutral by construction).
     pub(crate) workers: Option<usize>,
     /// Where the run currently is.
     pub(crate) status: RunStatus,
@@ -502,8 +501,9 @@ pub(crate) enum RunStatus {
 }
 
 /// Shared state behind the `/v1/evals` endpoints: the persistent store
-/// (queryable through `POST /v1/sql`), the run registry, and the job
-/// channel feeding the single runner thread.
+/// (queryable through `POST /v1/sql`), the run registry, and the sending
+/// side of the job channel feeding the single runner thread, which owns
+/// the receiving side.
 pub(crate) struct EvalPlane {
     /// Eval runs persisted as `minidb` tables.
     pub(crate) store: Mutex<EvalStore>,
@@ -511,20 +511,19 @@ pub(crate) struct EvalPlane {
     pub(crate) runs: Mutex<Vec<EvalRun>>,
     /// Registration side of the job queue: `Some(run index)`, or `None`,
     /// the stop message sent once `admin_stop` is set.
-    pub(crate) jobs_tx: channel::Sender<Option<usize>>,
-    /// Runner side of the job queue.
-    jobs_rx: channel::Receiver<Option<usize>>,
+    pub(crate) jobs_tx: mpsc::Sender<Option<usize>>,
     /// sqlcheck catalog over the store schema, for static admission of
     /// raw `/v1/sql` queries; present iff `static_check` is on.
     pub(crate) catalog: Option<sqlcheck::Catalog>,
 }
 
 impl EvalPlane {
-    fn new(static_check: bool) -> Self {
+    /// The plane and the runner side of its job queue.
+    fn new(static_check: bool) -> (Self, mpsc::Receiver<Option<usize>>) {
         let store = EvalStore::new();
         let catalog = static_check.then(|| sqlcheck::Catalog::from_database(store.database()));
-        let (jobs_tx, jobs_rx) = channel::unbounded();
-        EvalPlane { store: Mutex::new(store), runs: Mutex::new(Vec::new()), jobs_tx, jobs_rx, catalog }
+        let (jobs_tx, jobs_rx) = mpsc::channel();
+        (EvalPlane { store: Mutex::new(store), runs: Mutex::new(Vec::new()), jobs_tx, catalog }, jobs_rx)
     }
 }
 
@@ -965,10 +964,11 @@ impl Service {
         let traces = config
             .request_tracing
             .then(|| TraceStore::new(&config.trace_process, trace::TRACE_CAPACITY, started));
+        let (evals, jobs_rx) = EvalPlane::new(config.static_check);
         let inner = Inner {
             gold: GoldFacts::of_dev(&config, ctx),
             cache: ExecCache::new(config.cache_shards, config.cache_capacity_per_shard),
-            evals: EvalPlane::new(config.static_check),
+            evals,
             traces,
             config,
             in_flight: AtomicUsize::new(0),
@@ -981,11 +981,11 @@ impl Service {
             admin_stop: AtomicBool::new(false),
             admin_addr,
         };
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let guard = DrainOnDrop(&inner);
             if inner.config.warehouse {
                 let inner_ref = &inner;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     flush_periodically(
                         || inner_ref.admin_stop.load(Ordering::Acquire),
                         || flush_warehouse_tick(inner_ref),
@@ -994,17 +994,16 @@ impl Service {
             }
             if let Some(listener) = admin_listener {
                 let inner_ref = &inner;
-                scope.spawn(move |_| api::run(listener, inner_ref, ctx));
+                scope.spawn(move || api::run(listener, inner_ref, ctx));
                 // Eval jobs only arrive over HTTP, so the runner lives
                 // exactly when the listener does.
                 let inner_ref = &inner;
-                scope.spawn(move |_| eval_runner(inner_ref, ctx));
+                scope.spawn(move || eval_runner(inner_ref, ctx, jobs_rx));
             }
             let out = f(&ServiceHandle { inner: &inner, ctx });
             drop(guard); // initiate drain + admin stop; scope joins all
             out
         })
-        .expect("a service thread panicked")
     }
 
     /// Run with simulated models for the given registry method names.
@@ -1040,8 +1039,8 @@ impl Service {
 /// compares both byte-for-byte against solo executions. Blocks in `recv`
 /// until a job or the stop message arrives; a job still queued once
 /// `admin_stop` is set is dropped.
-fn eval_runner<'a>(inner: &Inner, ctx: &'a EvalContext<'a>) {
-    while let Ok(Some(idx)) = inner.evals.jobs_rx.recv() {
+fn eval_runner<'a>(inner: &Inner, ctx: &'a EvalContext<'a>, jobs: mpsc::Receiver<Option<usize>>) {
+    while let Ok(Some(idx)) = jobs.recv() {
         if inner.admin_stop.load(Ordering::Acquire) {
             return;
         }

@@ -179,6 +179,29 @@ if [ "$lint" -eq 1 ]; then
     exit 1
   fi
 
+  # One parallel map, from std: threads and channels are std's everywhere,
+  # and the evaluator, the AAS fitness and evaluate_all fan out through
+  # nl2sql360::executor::fan_out, the one scoped thread pool of
+  # nl2sql360/src, instead of each keeping a claim loop of its own.
+  echo "==> one fan-out, no stand-in (crossbeam; thread::scope in nl2sql360/src outside fan_out)"
+  if find . -name Cargo.toml -not -path '*/target/*' | xargs grep -n crossbeam \
+    || grep -rn crossbeam crates examples tests --include='*.rs'; then
+    echo "use std::thread::scope and std::sync::mpsc" >&2
+    exit 1
+  fi
+  flagged=$(find crates/nl2sql360/src -name '*.rs' | sort \
+    | xargs awk 'FNR == 1 { counting = 1; owner = "" } /#\[cfg\(test\)\]/ { counting = 0 }
+      /^[[:space:]]*\/\// { next }
+      counting && match($0, /fn [a-z_0-9]+/) { owner = substr($0, RSTART + 3, RLENGTH - 3) }
+      counting && /thread::scope/ { print FILENAME ":" FNR ": " owner ": " $0 }' \
+    | grep -vE '^crates/nl2sql360/src/executor\.rs:[0-9]+: fan_out: ' || true)
+  echo "    $(printf '%s' "$flagged" | grep -c .) site(s) flagged"
+  if [ -n "$flagged" ]; then
+    printf '%s\n' "$flagged"
+    echo "map over indices with nl2sql360::executor::fan_out" >&2
+    exit 1
+  fi
+
   # Every bench_eval gate holds on any core count: a gate armed only on
   # bigger machines is an unmeasured claim on the one that runs it.
   echo "==> no core-count-armed gate (cores >= in bench_eval)"
@@ -189,15 +212,16 @@ if [ "$lint" -eq 1 ]; then
 
   # The size of the SQL front end and corpus generator, of the engine the
   # metrics stand on, of the method zoo, of the obs recorder and registry
-  # every layer reports through, of the evaluation context and the serve
-  # cache a prediction is translated and scored through, of the files the
-  # request path's fixed costs and its one completion / telemetry spine
-  # live in, and of the micro-benchmark harness, always counted the same
-  # way: lines above each file's first #[cfg(test)].
+  # every layer reports through, of the evaluator crate, its evaluation
+  # context and the serve cache a prediction is translated and scored
+  # through, of the files the request path's fixed costs and its one
+  # completion / telemetry spine live in, and of the micro-benchmark
+  # harness, always counted the same way: lines above each file's first
+  # #[cfg(test)].
   echo "==> non-test lines"
   for path in crates/sqlkit/src crates/datagen/src \
     crates/minidb/src crates/sqlcheck/src crates/modelzoo/src crates/obs/src \
-    crates/nl2sql360/src/executor.rs crates/serve/src/cache.rs \
+    crates/nl2sql360/src crates/nl2sql360/src/executor.rs crates/serve/src/cache.rs \
     crates/serve/src/http.rs crates/serve/src/lib.rs crates/serve/src/trace.rs \
     crates/serve/src/telemetry.rs crates/cluster/src/scheduler.rs crates/cluster/src/worker.rs \
     crates/bench/src/bin/bench_eval; do
