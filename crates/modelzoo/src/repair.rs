@@ -5,10 +5,15 @@
 //! Error-severity diagnostics, try to repair unresolvable table and column
 //! identifiers by nearest-name matching against the database schema (the
 //! classic "did you mean" repair real systems apply to model output before
-//! execution). The repair is kept only if it strictly reduces the number
-//! of Error diagnostics, so it can never turn a clean query into a broken
-//! one — and a clean query is never touched at all.
+//! execution). A column is a candidate only when `sqlcheck::scope`, the
+//! lookup rule the analyzer binds names with, finds it nowhere in reach —
+//! the query's own FROM, then each enclosing query's — and no binding with
+//! unknown columns could carry it: a valid correlated reference is never
+//! touched. The repair is kept only if it strictly reduces the number of
+//! Error diagnostics, so it can never turn a clean query into a broken one
+//! — and a clean query is never touched at all.
 
+use sqlcheck::scope::{self, Binding, Resolution, Scope};
 use sqlcheck::Catalog;
 use sqlkit::ast::*;
 
@@ -24,7 +29,7 @@ pub fn static_repair(query: &mut Query, catalog: &Catalog) -> bool {
     }
     let mut repaired = query.clone();
     let mut changed = false;
-    repair_query(&mut repaired, catalog, &mut changed);
+    repair_query(&mut repaired, catalog, None, &mut changed);
     if !changed {
         return false;
     }
@@ -36,47 +41,46 @@ pub fn static_repair(query: &mut Query, catalog: &Catalog) -> bool {
     }
 }
 
-/// One visible table binding: (binding name lowercased, its columns).
-struct Binding<'a> {
-    name: String,
-    cols: Option<&'a [(String, sqlcheck::Ty)]>,
-}
-
-fn repair_query(query: &mut Query, catalog: &Catalog, changed: &mut bool) {
-    repair_core(&mut query.body, catalog, changed);
-    let arm_bindings = bindings_of(&query.body, catalog);
+/// Repair a query inside the scope `outer` of the queries enclosing it.
+fn repair_query(
+    query: &mut Query,
+    catalog: &Catalog,
+    outer: Option<&Scope<'_>>,
+    changed: &mut bool,
+) {
+    let bindings = repair_core(&mut query.body, catalog, outer, changed);
     for (_, core) in &mut query.set_ops {
-        repair_core(core, catalog, changed);
+        repair_core(core, catalog, outer, changed);
     }
-    // select aliases are legal ORDER BY keys — never "repair" one into a
-    // real column
-    let aliases: Vec<String> = query
-        .body
-        .items
-        .iter()
-        .filter_map(|i| match i {
-            SelectItem::Expr { alias: Some(a), .. } => Some(a.to_lowercase()),
-            _ => None,
-        })
-        .collect();
+    let scope = Scope { bindings: &bindings, parent: outer };
     for k in &mut query.order_by {
-        if let Expr::Column { table: None, column } = &k.expr {
-            if aliases.contains(&column.to_lowercase()) {
-                continue;
-            }
+        // select aliases are legal ORDER BY keys — never "repair" one into a
+        // real column
+        if minidb::exec::order_alias(&query.body, &k.expr).is_none() {
+            repair_expr(&mut k.expr, &scope, catalog, changed);
         }
-        repair_child(ChildMut::Expr(&mut k.expr), &arm_bindings, catalog, changed);
     }
 }
 
-fn repair_core(core: &mut SelectCore, catalog: &Catalog, changed: &mut bool) {
-    // tables first, so column repair sees the repaired FROM; FROM
-    // subqueries define their own scopes
+/// Repair one core; returns its bindings (for the query's ORDER BY).
+fn repair_core<'c>(
+    core: &mut SelectCore,
+    catalog: &'c Catalog,
+    outer: Option<&Scope<'_>>,
+    changed: &mut bool,
+) -> Vec<Binding<'c>> {
+    // tables first, so column repair sees the repaired FROM
     for t in core.from.iter_mut().flat_map(FromClause::tables_mut) {
         repair_table_ref(t, catalog, changed);
     }
-    let bindings = bindings_of(core, catalog);
-    core.for_each_child_mut(|c| repair_child(c, &bindings, catalog, changed));
+    let bindings = scope::bindings(core.from.as_ref(), Some(catalog));
+    let scope = Scope { bindings: &bindings, parent: outer };
+    core.for_each_child_mut(|c| match c {
+        // a FROM subquery sees the enclosing query's scope, not its siblings
+        ChildMut::Query(q) => repair_query(q, catalog, outer, changed),
+        ChildMut::Expr(e) => repair_expr(e, &scope, catalog, changed),
+    });
+    bindings
 }
 
 /// Rename an unknown base table to the closest catalog table name.
@@ -92,88 +96,54 @@ fn repair_table_ref(t: &mut TableRef, catalog: &Catalog, changed: &mut bool) {
     }
 }
 
-fn bindings_of<'a>(core: &SelectCore, catalog: &'a Catalog) -> Vec<Binding<'a>> {
-    let mut out = Vec::new();
-    let Some(from) = &core.from else { return out };
-    let mut add = |t: &TableRef| {
-        let name = t.binding().unwrap_or("").to_lowercase();
-        let cols = match t {
-            TableRef::Named { name, .. } => catalog.table(name).map(|t| t.columns.as_slice()),
-            TableRef::Subquery { .. } => None,
-        };
-        out.push(Binding { name, cols });
-    };
-    add(&from.base);
-    for j in &from.joins {
-        add(&j.table);
+fn repair_expr(e: &mut Expr, scope: &Scope<'_>, catalog: &Catalog, changed: &mut bool) {
+    if let Expr::Column { table, column } = e {
+        repair_column(table, column, scope, changed);
     }
-    out
+    e.for_each_child_mut(|c| match c {
+        ChildMut::Query(q) => repair_query(q, catalog, Some(scope), changed),
+        ChildMut::Expr(e) => repair_expr(e, scope, catalog, changed),
+    });
 }
 
-fn repair_child(
-    child: ChildMut<'_>,
-    bindings: &[Binding<'_>],
-    catalog: &Catalog,
-    changed: &mut bool,
-) {
-    match child {
-        ChildMut::Query(q) => repair_query(q, catalog, changed),
-        ChildMut::Expr(e) => {
-            if let Expr::Column { table, column } = e {
-                repair_column(table, column, bindings, changed);
-            }
-            e.for_each_child_mut(|c| repair_child(c, bindings, catalog, changed));
-        }
-    }
-}
-
-/// Repair one column reference against the visible bindings: requalify a
-/// qualified reference whose column lives in a different visible table, or
-/// rename the column to the closest visible column name.
+/// Repair one column reference that resolves nowhere in `scope`: requalify
+/// a qualified reference whose column lives in another binding of the same
+/// FROM, or rename the column to the closest column name that FROM (the
+/// qualified table, for a qualified reference) has.
 fn repair_column(
     table: &mut Option<String>,
     column: &mut String,
-    bindings: &[Binding<'_>],
+    scope: &Scope<'_>,
     changed: &mut bool,
 ) {
-    let has =
-        |b: &Binding<'_>| b.cols.is_none_or(|cs| cs.iter().any(|(c, _)| c.eq_ignore_ascii_case(column)));
-    match table {
+    if scope.resolve(table.as_deref(), column) != Resolution::NotFound {
+        return;
+    }
+    let from = Scope { bindings: scope.bindings, parent: None };
+    let candidates: Vec<&str> = match table {
         Some(q) => {
-            let ql = q.to_lowercase();
-            let Some(target) = bindings.iter().find(|b| b.name == ql) else { return };
-            if has(target) {
-                return;
-            }
-            // the column exists under another visible binding → requalify
-            if let Some(other) = bindings.iter().find(|b| b.cols.is_some() && has(b)) {
-                *q = other.name.clone();
-                *changed = true;
-                return;
-            }
-            // otherwise: closest column within the qualified table
-            if let Some(cs) = target.cols {
-                let names: Vec<&str> = cs.iter().map(|(c, _)| c.as_str()).collect();
-                if let Some(fix) = closest(column, &names) {
-                    *column = fix.to_string();
+            // a qualifier this FROM does not bind is left alone
+            let Some(target) = from.binding(q) else { return };
+            // the column exists under another binding → requalify
+            if let Resolution::Found { key, .. } = from.resolve(None, column) {
+                if let Some(other) = from.binding_at(key).and_then(|b| b.name.as_deref()) {
+                    *q = other.to_lowercase();
                     *changed = true;
+                    return;
                 }
             }
+            target.cols.iter().flat_map(|cs| cs.iter()).map(|(c, _)| c.as_str()).collect()
         }
-        None => {
-            if bindings.iter().any(has) || bindings.is_empty() {
-                return;
-            }
-            let names: Vec<&str> = bindings
-                .iter()
-                .filter_map(|b| b.cols)
-                .flat_map(|cs| cs.iter().map(|(c, _)| c.as_str()))
-                .collect();
-            if let Some(fix) = closest(column, &names) {
-                *column = fix.to_string();
-                *changed = true;
-            }
-        }
+        None => from
+            .bindings
+            .iter()
+            .flat_map(|b| b.cols.iter().flat_map(|cs| cs.iter()))
+            .map(|(c, _)| c.as_str())
+            .collect(),
+    };
+    if let Some(fix) = closest(column, &candidates) {
+        *column = fix.to_string();
+        *changed = true;
     }
 }
 
@@ -266,6 +236,48 @@ mod tests {
             sqlkit::to_sql(&q) == before || sqlcheck::errors(&cat, &q).len() < 2,
             "{}",
             sqlkit::to_sql(&q)
+        );
+    }
+
+    /// `t(id, code)` and `u(tid, node)`.
+    fn two_tables() -> Catalog {
+        let mut cat = Catalog::new();
+        cat.add_table("t", vec![("id", sqlcheck::Ty::Num), ("code", sqlcheck::Ty::Text)]);
+        cat.add_table("u", vec![("tid", sqlcheck::Ty::Num), ("node", sqlcheck::Ty::Text)]);
+        cat
+    }
+
+    fn repaired(sql: &str) -> String {
+        let mut q = sqlkit::parse_query(sql).unwrap();
+        static_repair(&mut q, &two_tables());
+        sqlkit::to_sql(&q)
+    }
+
+    fn printed(sql: &str) -> String {
+        sqlkit::to_sql(&sqlkit::parse_query(sql).unwrap())
+    }
+
+    #[test]
+    fn a_correlated_outer_column_is_left_alone() {
+        // `code` is the outer `t.code`: only the typo `idd` is repaired
+        assert_eq!(
+            repaired(
+                "SELECT id FROM t WHERE EXISTS (SELECT 1 FROM u WHERE u.tid = t.id \
+                 AND node = code) AND idd = 1"
+            ),
+            printed(
+                "SELECT id FROM t WHERE EXISTS (SELECT 1 FROM u WHERE u.tid = t.id \
+                 AND node = code) AND id = 1"
+            )
+        );
+    }
+
+    #[test]
+    fn a_from_subquery_does_not_see_its_siblings() {
+        // `t.code` is a sibling, not in scope: `code` is repaired within `u`
+        assert_eq!(
+            repaired("SELECT * FROM t, (SELECT code FROM u) AS d"),
+            printed("SELECT * FROM t, (SELECT node FROM u) AS d")
         );
     }
 

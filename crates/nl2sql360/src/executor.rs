@@ -221,21 +221,20 @@ pub struct EvalLog {
 /// let log = ctx.evaluate_with(&model, &EvalOptions::new().subset(50).workers(4));
 /// ```
 ///
-/// Defaults: the full dev split, a pool of [`default_workers`] threads,
-/// tracing off. The resulting [`EvalLog`] is byte-identical for any
-/// combination of `workers` and `trace` (test-enforced); options affect
-/// only wall-clock and observability output.
+/// Defaults: the full dev split, a pool of [`default_workers`] threads.
+/// The resulting [`EvalLog`] is byte-identical at any worker count, with
+/// the obs recorder on or off (test-enforced); `workers` affects only
+/// wall-clock. To record a run, hold an [`obs::enable`] guard around it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EvalOptions {
     subset: Option<usize>,
     workers: Option<usize>,
-    trace: bool,
     static_check: bool,
     match_kind: bool,
 }
 
 impl EvalOptions {
-    /// Options with all defaults (full split, default pool, no tracing).
+    /// Options with all defaults (full split, default pool).
     pub fn new() -> Self {
         Self::default()
     }
@@ -250,14 +249,6 @@ impl EvalOptions {
     /// the calling thread without spawning.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers);
-        self
-    }
-
-    /// Enable the global obs recorder for the duration of the run (the
-    /// previous enablement is restored afterwards). Snapshot with
-    /// [`obs::snapshot`] after the call to export spans and counters.
-    pub fn trace(mut self, on: bool) -> Self {
-        self.trace = on;
         self
     }
 
@@ -468,14 +459,13 @@ impl<'a> EvalContext<'a> {
 
     /// Evaluate one model according to `opts` — the single evaluation entry
     /// point. [`EvalOptions::default`] means: full dev split,
-    /// [`default_workers`] claimers, no tracing. Samples go through
-    /// [`fan_out`] and come back in sample order, so the resulting
-    /// [`EvalLog`] is byte-identical at any worker count (test-enforced,
-    /// tracing on or off). Returns `None` when the model does not run on
+    /// [`default_workers`] claimers. Samples go through [`fan_out`] and come
+    /// back in sample order, so the resulting [`EvalLog`] is byte-identical
+    /// at any worker count (test-enforced, recorder on or off). The run
+    /// records spans and counters while the caller holds an
+    /// [`obs::enable`] guard. Returns `None` when the model does not run on
     /// this dataset.
     pub fn evaluate_with(&self, model: &dyn Nl2SqlModel, opts: &EvalOptions) -> Option<EvalLog> {
-        // The guard must outlive the run span so the span is recorded.
-        let _trace = opts.trace.then(obs::enable);
         let _span = obs::span("eval.run");
         let n = opts.subset.unwrap_or(usize::MAX).min(self.corpus.dev.len());
         // a model that refuses this dataset refuses every sample: None

@@ -22,8 +22,10 @@ fn tracing_on_or_off_yields_byte_identical_eval_logs() {
     for workers in [1usize, 4] {
         for trace in [false, true] {
             obs::reset();
-            let opts = EvalOptions::new().subset(24).workers(workers).trace(trace);
+            let guard = trace.then(obs::enable);
+            let opts = EvalOptions::new().subset(24).workers(workers);
             let log = ctx.evaluate_with(&model, &opts).expect("model runs on Spider");
+            drop(guard);
             let recorded = !obs::snapshot().events.is_empty();
             assert_eq!(recorded, trace, "recorder active iff trace requested");
             logs.push(serde_json::to_string(&log).expect("log serializes"));

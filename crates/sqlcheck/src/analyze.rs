@@ -1,23 +1,25 @@
 //! The analysis pass: binder → type checker → rule visitors.
 //!
-//! The binder follows minidb's bind step (`minidb/src/bind.rs`) — ASCII
-//! case-insensitive matching, first-match-wins within a scope level,
-//! parent-chained lookup for correlated subqueries, JOIN ON expressions
-//! seeing only the bindings joined so far, FROM subqueries seeing the
+//! The binder follows minidb's bind step (`minidb/src/bind.rs`): JOIN ON
+//! expressions see only the bindings joined so far, FROM subqueries see the
 //! enclosing query's outer scope (not their FROM siblings), and a bare
-//! ORDER BY key naming a select-list alias. It keeps its own lookup loop
-//! because it needs more than minidb's `resolve_in` returns: every
-//! diagnostic of a statement rather than the first error (hence *poisoned*
-//! bindings that swallow follow-on lookups), the number of bindings that
-//! carry a column (ambiguity), and column types. The function table and
-//! arity rules are minidb's own. Any statement where the analyzer reports a
-//! name Error and minidb does not refuse that name — or the reverse — is a
+//! ORDER BY key naming a select-list alias is that projected column. Names
+//! resolve through [`crate::scope`], the lookup rule the canonicalizer and
+//! StaticRepair share. The analyzer reports every diagnostic of a statement
+//! rather than minidb's first error, so a table it cannot bind stays in
+//! scope with unknown columns, and a lookup that only such a binding could
+//! answer reports nothing more; `dups` drives the ambiguity warning and the
+//! resolved column's type the type rules. The function table and arity
+//! rules are minidb's own. Any statement where the analyzer reports a name
+//! Error and minidb does not refuse that name — or the reverse — is a
 //! parity bug; `tests/differential.rs` pins both directions.
 
 use crate::catalog::{Catalog, Ty};
+use crate::scope::{Binding, ColKey, Resolution, Scope};
 use crate::{Diagnostic, Rule, Span};
 use minidb::eval::{check_function_arity, known_function};
 use sqlkit::ast::*;
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// Analyze a parsed query against a catalog. Diagnostics carry no spans
@@ -47,111 +49,24 @@ fn find_ident(sql: &str, ident: &str) -> Option<Span> {
     if ident.is_empty() {
         return None;
     }
-    let hay = sql.as_bytes();
-    let needle = ident.as_bytes();
-    let is_word = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
-    let mut i = 0;
-    while i + needle.len() <= hay.len() {
-        if hay[i..i + needle.len()].eq_ignore_ascii_case(needle) {
-            let end = i + needle.len();
-            let before_ok = i == 0 || !is_word(hay[i - 1]);
-            let after_ok = end == hay.len() || !is_word(hay[end]);
-            if before_ok && after_ok {
-                return Some(Span { start: i, end });
-            }
-        }
-        i += 1;
-    }
-    None
-}
-
-/// One FROM binding as the binder sees it. `poisoned` marks bindings whose
-/// table/subquery already failed to resolve: lookups through them are
-/// silently satisfied so one unknown table does not cascade into a
-/// diagnostic for every column it was supposed to provide.
-struct Binding {
-    name: Option<String>,
-    cols: Vec<(String, Ty)>,
-    poisoned: bool,
-}
-
-/// A resolution scope level, chained to the enclosing query's scope.
-struct Scope<'a> {
-    bindings: &'a [Binding],
-    parent: Option<&'a Scope<'a>>,
-}
-
-/// Identity of a resolved column: scope level + binding + column index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct ColKey {
-    level: usize,
-    binding: usize,
-    column: usize,
-}
-
-enum Resolution {
-    Found { ty: Ty, key: ColKey, dups: usize },
-    /// Not found, but a poisoned binding could have supplied it.
-    Poisoned,
-    NotFound,
-}
-
-impl<'a> Scope<'a> {
-    /// minidb's lookup rule (`Scope::lookup` over `resolve_in`): walk levels
-    /// outward, first matching binding wins; on top of it, `dups` counts
-    /// how many bindings at the winning level carry the column (ambiguity
-    /// detection) and poisoned bindings are skipped.
-    fn resolve(&self, table: Option<&str>, column: &str) -> Resolution {
-        let mut poisoned = false;
-        let mut level = 0usize;
-        let mut cur = Some(self);
-        while let Some(s) = cur {
-            let mut found: Option<(Ty, ColKey)> = None;
-            let mut dups = 0usize;
-            for (bi, b) in s.bindings.iter().enumerate() {
-                if let Some(t) = table {
-                    let matches =
-                        b.name.as_deref().map(|n| n.eq_ignore_ascii_case(t)).unwrap_or(false);
-                    if !matches {
-                        continue;
-                    }
-                }
-                if b.poisoned {
-                    poisoned = true;
-                    continue;
-                }
-                if let Some(ci) =
-                    b.cols.iter().position(|(c, _)| c.eq_ignore_ascii_case(column))
-                {
-                    if found.is_none() {
-                        found = Some((
-                            b.cols[ci].1,
-                            ColKey { level, binding: bi, column: ci },
-                        ));
-                    }
-                    dups += 1;
-                }
-            }
-            if let Some((ty, key)) = found {
-                return Resolution::Found { ty, key, dups };
-            }
-            level += 1;
-            cur = s.parent;
-        }
-        if poisoned {
-            Resolution::Poisoned
-        } else {
-            Resolution::NotFound
-        }
-    }
+    let hay = sql.to_ascii_lowercase().into_bytes();
+    let needle = ident.to_ascii_lowercase().into_bytes();
+    let is_word = |i: usize| hay.get(i).is_some_and(|b| b.is_ascii_alphanumeric() || *b == b'_');
+    (0..hay.len())
+        .find(|&i| {
+            hay[i..].starts_with(&needle)
+                && (i == 0 || !is_word(i - 1))
+                && !is_word(i + needle.len())
+        })
+        .map(|start| Span { start, end: start + needle.len() })
 }
 
 /// Group keys of the enclosing SELECT core, for the ungrouped-column rule.
 struct Grouped {
     /// Resolved column group keys.
     keys: Vec<ColKey>,
-    /// Rendered group expressions, for structural matching of non-column
-    /// keys (`GROUP BY a + b`).
+    /// Rendered group expressions, lowercased, for structural matching of
+    /// non-column keys (`GROUP BY a + b`).
     renders: Vec<String>,
 }
 
@@ -207,13 +122,7 @@ impl<'a> Analyzer<'a> {
         if !q.set_ops.is_empty() && !q.order_by.is_empty() {
             // Compound ORDER BY resolves only against the first arm's
             // output columns (no aliases), and aggregates error at runtime.
-            let binding = match &first {
-                Some(cols) => {
-                    Binding { name: None, cols: cols.clone(), poisoned: false }
-                }
-                None => Binding { name: None, cols: Vec::new(), poisoned: true },
-            };
-            let bindings = [binding];
+            let bindings = [Binding { name: None, cols: first.as_deref().map(Cow::Borrowed) }];
             let scope = Scope { bindings: &bindings, parent: outer };
             let env = Env { no_agg: Some("compound ORDER BY"), ..Env::default() };
             for k in &q.order_by {
@@ -223,29 +132,28 @@ impl<'a> Analyzer<'a> {
         first
     }
 
-    fn binding_for(&mut self, tref: &TableRef, outer: Option<&Scope<'_>>) -> Binding {
+    fn binding_for<'q>(&mut self, tref: &'q TableRef, outer: Option<&Scope<'_>>) -> Binding<'q>
+    where
+        'a: 'q,
+    {
         match tref {
             TableRef::Named { name, alias } => {
-                let bname = Some(alias.clone().unwrap_or_else(|| name.clone()));
-                match self.catalog.table(name) {
-                    Some(t) => {
-                        Binding { name: bname, cols: t.columns.clone(), poisoned: false }
-                    }
-                    None => {
-                        self.diag(
-                            Rule::UnknownTable,
-                            Some(name.clone()),
-                            format!("unknown table `{name}`"),
-                        );
-                        Binding { name: bname, cols: Vec::new(), poisoned: true }
-                    }
+                let binding =
+                    Binding::table(alias.as_deref().unwrap_or(name), name, Some(self.catalog));
+                if binding.cols.is_none() {
+                    self.diag(
+                        Rule::UnknownTable,
+                        Some(name.clone()),
+                        format!("unknown table `{name}`"),
+                    );
                 }
+                binding
             }
             // A FROM subquery sees the *enclosing* query's outer scope, not
             // its FROM siblings (mirrors minidb's table_source).
-            TableRef::Subquery { query, alias } => match self.check_query(query, outer) {
-                Some(cols) => Binding { name: alias.clone(), cols, poisoned: false },
-                None => Binding { name: alias.clone(), cols: Vec::new(), poisoned: true },
+            TableRef::Subquery { query, alias } => Binding {
+                name: alias.as_deref().map(Cow::Borrowed),
+                cols: self.check_query(query, outer).map(Cow::Owned),
             },
         }
     }
@@ -299,7 +207,7 @@ impl<'a> Analyzer<'a> {
                     _ => None,
                 })
                 .collect(),
-            renders: core.group_by.iter().map(render_expr).collect(),
+            renders: core.group_by.iter().map(|g| render_expr(g).to_ascii_lowercase()).collect(),
         });
 
         if let Some(h) = &core.having {
@@ -321,21 +229,18 @@ impl<'a> Analyzer<'a> {
                             "SELECT * without FROM".to_string(),
                         );
                         width_known = false;
-                    } else if bindings.iter().any(|b| b.poisoned) {
+                    } else if bindings.iter().any(|b| b.cols.is_none()) {
                         width_known = false;
                     } else {
-                        for b in &bindings {
-                            out.extend(b.cols.iter().cloned());
+                        for cols in bindings.iter().flat_map(|b| &b.cols) {
+                            out.extend(cols.iter().cloned());
                         }
                     }
                 }
                 SelectItem::QualifiedWildcard(t) => {
-                    let hit = bindings.iter().find(|b| {
-                        b.name.as_deref().map(|n| n.eq_ignore_ascii_case(t)).unwrap_or(false)
-                    });
-                    match hit {
-                        Some(b) if b.poisoned => width_known = false,
-                        Some(b) => out.extend(b.cols.iter().cloned()),
+                    match scope.binding(t).map(|b| &b.cols) {
+                        Some(Some(cols)) => out.extend(cols.iter().cloned()),
+                        Some(None) => width_known = false,
                         None => {
                             self.diag(
                                 Rule::UnknownTable,
@@ -382,7 +287,7 @@ impl<'a> Analyzer<'a> {
         let env = match env.grouped {
             Some(g)
                 if !matches!(e, Expr::Column { .. } | Expr::Literal(_))
-                    && g.renders.iter().any(|r| r.eq_ignore_ascii_case(&render_expr(e))) =>
+                    && g.renders.contains(&render_expr(e).to_ascii_lowercase()) =>
             {
                 Env { grouped: None, ..env }
             }
@@ -392,7 +297,7 @@ impl<'a> Analyzer<'a> {
             Expr::Literal(l) => literal_ty(l),
             Expr::Column { table, column } => {
                 match scope.resolve(table.as_deref(), column) {
-                    Resolution::Found { ty, key, dups } => {
+                    Resolution::Found { ty, key, dups, .. } => {
                         if table.is_none() && dups > 1 {
                             self.diag(
                                 Rule::AmbiguousColumn,
@@ -419,7 +324,9 @@ impl<'a> Analyzer<'a> {
                         }
                         ty
                     }
-                    Resolution::Poisoned => Ty::Unknown,
+                    // a binding with unknown columns could have supplied it:
+                    // its own error was reported where it was bound
+                    Resolution::Unknown => Ty::Unknown,
                     Resolution::NotFound => {
                         let ident = render_col(table.as_deref(), column);
                         self.diag(

@@ -2,8 +2,9 @@
 //!
 //! A [`Catalog`] is the analyzer's answer to "what tables and columns
 //! exist, and what are their types" — built either directly from a
-//! [`minidb::Database`] or assembled by hand in tests. Lookups are ASCII
-//! case-insensitive throughout, mirroring minidb's resolution rules.
+//! [`minidb::Database`] or assembled by hand in tests. Table lookups are
+//! ASCII case-insensitive, mirroring minidb's; columns resolve through
+//! [`crate::scope`].
 
 use minidb::ColumnType;
 use serde::{Deserialize, Serialize};
@@ -63,13 +64,6 @@ pub struct CatalogTable {
     pub columns: Vec<(String, Ty)>,
 }
 
-impl CatalogTable {
-    /// Index of a column by case-insensitive name.
-    pub fn column_index(&self, name: &str) -> Option<usize> {
-        self.columns.iter().position(|(c, _)| c.eq_ignore_ascii_case(name))
-    }
-}
-
 /// All tables of one database, the analyzer's resolution root.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Catalog {
@@ -126,8 +120,14 @@ mod tests {
         let mut cat = Catalog::new();
         cat.add_table("Singer", vec![("Id", Ty::Num), ("Name", Ty::Text)]);
         let t = cat.table("sInGeR").expect("table resolves");
-        assert_eq!(t.column_index("ID"), Some(0));
-        assert_eq!(t.column_index("missing"), None);
+        // columns resolve through the one lookup rule, crate::scope
+        let bindings = [crate::scope::Binding::table("s", &t.name, Some(&cat))];
+        let scope = crate::scope::Scope { bindings: &bindings, parent: None };
+        assert!(matches!(
+            scope.resolve(None, "ID"),
+            crate::scope::Resolution::Found { key: crate::scope::ColKey { column: 0, .. }, .. }
+        ));
+        assert_eq!(scope.resolve(None, "missing"), crate::scope::Resolution::NotFound);
         assert!(cat.table("other").is_none());
     }
 

@@ -37,7 +37,7 @@
 use std::collections::BTreeSet;
 
 use sqlkit::ast::{
-    BinOp, Expr, FromClause, Literal, OrderKey, Query, SelectCore, SelectItem, TableRef, UnOp,
+    BinOp, Expr, Literal, OrderKey, Query, SelectCore, SelectItem, TableRef, UnOp,
 };
 use sqlkit::normalize::normalize;
 use sqlkit::printer::expr_to_sql;
@@ -47,6 +47,7 @@ use minidb::eval::{check_function_arity, eval_rowless, known_function};
 use minidb::Value;
 
 use crate::catalog::Catalog;
+use crate::scope::{self, Binding, Resolution, Scope};
 
 /// The named rewrite rules of the canonicalizer, in catalog order. Ids are
 /// stable public surface (CLI tables, per-rule EM-upgrade counts).
@@ -81,8 +82,9 @@ pub enum RewriteRule {
     /// `x IN (a, b)` → `x = a OR x = b` when `x` is total (`x` is
     /// re-evaluated per disjunct). Single-element lists become `x = a`.
     InListToDisjuncts,
-    /// Qualify a bare column that resolves uniquely in its innermost
-    /// scope frame (`a` → `t.a`), mirroring minidb first-match resolution.
+    /// Qualify a bare column that exactly one binding of the scope level
+    /// it resolves at carries (`a` → `t.a`), mirroring minidb first-match
+    /// resolution.
     QualifyColumns,
     /// Drop `DISTINCT` where provably a no-op: a single-row aggregate
     /// core, or a grouped core whose projection contains every group key.
@@ -313,7 +315,7 @@ fn canonicalize_inner(
     let mut rw = Rewriter { rules, catalog, preserve_names, fired: BTreeSet::new() };
     let mut prev = to_sql(&q);
     for _ in 0..MAX_PASSES {
-        rw.pass_query(&mut q, &[], QueryCtx { top: true, order_unobservable: false });
+        rw.pass_query(&mut q, None, QueryCtx { top: true, order_unobservable: false });
         let cur = to_sql(&q);
         if cur == prev {
             break;
@@ -380,86 +382,26 @@ pub fn equivalence(
 }
 
 // ---------------------------------------------------------------------------
-// scope frames + totality
+// totality
 // ---------------------------------------------------------------------------
 
-/// One layer of name scope: the (binding, table) pairs of a FROM clause,
-/// or `Opaque` when the FROM contains a derived table whose column set we
-/// do not track.
-#[derive(Debug, Clone)]
-enum Frame {
-    Tables(Vec<(String, String)>),
-    Opaque,
-}
-
-#[derive(Debug, PartialEq, Eq)]
-enum Resolution {
-    Unique(String),
-    Ambiguous,
-    NotFound,
-    Unknown,
-}
-
-fn catalog_has_column(catalog: &Catalog, table: &str, column: &str) -> bool {
-    catalog.table(table).map(|t| t.column_index(column).is_some()).unwrap_or(false)
-}
-
-/// minidb's innermost-first, first-frame-wins column resolution, asked a
-/// different question than `minidb::exec::resolve_in` answers: frames hold
-/// (binding, table) pairs looked up in the [`Catalog`], not column lists; an
-/// unqualified name must tell `Unique` from `Ambiguous` (rewrites fire only
-/// where first-match and any-match agree); and a frame with a derived table
-/// is `Opaque` — `Unknown`, not `NotFound`.
-fn resolve(
-    frames: &[Frame],
-    catalog: Option<&Catalog>,
-    table: Option<&str>,
-    column: &str,
-) -> Resolution {
-    let Some(catalog) = catalog else { return Resolution::Unknown };
-    for frame in frames {
-        let pairs = match frame {
-            Frame::Opaque => return Resolution::Unknown,
-            Frame::Tables(pairs) => pairs,
-        };
-        match table {
-            Some(t) => {
-                if let Some((_, tbl)) =
-                    pairs.iter().find(|(b, _)| b.eq_ignore_ascii_case(t))
-                {
-                    if catalog_has_column(catalog, tbl, column) {
-                        return Resolution::Unique(t.to_string());
-                    }
-                    return Resolution::NotFound;
-                }
-            }
-            None => {
-                let matches: Vec<&String> = pairs
-                    .iter()
-                    .filter(|(_, tbl)| catalog_has_column(catalog, tbl, column))
-                    .map(|(b, _)| b)
-                    .collect();
-                match matches.len() {
-                    0 => {}
-                    1 => return Resolution::Unique(matches[0].clone()),
-                    _ => return Resolution::Ambiguous,
-                }
-            }
-        }
-    }
-    Resolution::NotFound
+/// Does a column resolve through the scope with nothing unknown passed on
+/// the way? An unqualified one must also resolve in a single binding of
+/// its level unless `allow_ambiguous`: a rewrite that needs first-match and
+/// any-match to agree asks for that.
+fn resolves(scope: &Scope<'_>, table: Option<&str>, column: &str, allow_ambiguous: bool) -> bool {
+    matches!(
+        scope.resolve(table, column),
+        Resolution::Found { dups, unknown_first: false, .. }
+            if allow_ambiguous || table.is_some() || dups == 1
+    )
 }
 
 /// Is `e` *total*: deterministic and incapable of raising an execution
 /// error? Subqueries and aggregates are never total (they execute plans
 /// and charge work); functions must be known with valid arity; columns
-/// must resolve through the frames against the catalog.
-fn total_expr(
-    e: &Expr,
-    frames: &[Frame],
-    catalog: Option<&Catalog>,
-    allow_ambiguous: bool,
-) -> bool {
+/// must resolve through the scope against the catalog.
+fn total_expr(e: &Expr, scope: &Scope<'_>, allow_ambiguous: bool) -> bool {
     let mut ok = true;
     e.walk(false, &mut |node| match node {
         Expr::Subquery(_) | Expr::InSubquery { .. } | Expr::Exists { .. } => ok = false,
@@ -471,11 +413,7 @@ fn total_expr(
             }
         }
         Expr::Column { table, column } => {
-            match resolve(frames, catalog, table.as_deref(), column) {
-                Resolution::Unique(_) => {}
-                Resolution::Ambiguous if allow_ambiguous => {}
-                _ => ok = false,
-            }
+            ok &= resolves(scope, table.as_deref(), column, allow_ambiguous);
         }
         _ => {}
     });
@@ -588,39 +526,39 @@ impl<'a> Rewriter<'a> {
         self.rules.contains(rule)
     }
 
-    fn pass_query(&mut self, q: &mut Query, outer: &[Frame], ctx: QueryCtx) {
+    fn pass_query(&mut self, q: &mut Query, outer: Option<&Scope<'_>>, ctx: QueryCtx) {
         let only_core = q.set_ops.is_empty();
         let order_has_agg = q.order_by.iter().any(|k| k.expr.contains_aggregate());
-        self.pass_core(&mut q.body, outer, only_core, order_has_agg);
+        let bindings = self.pass_core(&mut q.body, outer, only_core, order_has_agg);
         for (_, core) in &mut q.set_ops {
             self.pass_core(core, outer, false, false);
         }
 
         // ORDER BY expressions resolve against the (single) core's scope.
+        let scope = Scope { bindings: &bindings, parent: outer };
         if only_core {
-            let frames = push_frame(core_frame(&q.body.from), outer);
             for key in &mut q.order_by {
                 // A bare column key may resolve to a projected alias first
                 // (minidb's order_keys); leave those leaves untouched.
                 if matches!(key.expr, Expr::Column { table: None, .. }) {
                     continue;
                 }
-                self.rw_expr(&mut key.expr, &frames, false);
+                self.rw_expr(&mut key.expr, &scope, false);
             }
         }
 
         if self.on(RewriteRule::OrderByNoop) && !q.order_by.is_empty() {
-            self.order_by_noop(q, outer, ctx, only_core, order_has_agg);
+            self.order_by_noop(q, &scope, ctx, only_core, order_has_agg);
         }
         if self.on(RewriteRule::JoinCommute) && ctx.top {
-            self.join_commute(q, outer);
+            self.join_commute(q, &scope);
         }
     }
 
     fn order_by_noop(
         &mut self,
         q: &mut Query,
-        outer: &[Frame],
+        scope: &Scope<'_>,
         ctx: QueryCtx,
         only_core: bool,
         order_has_agg: bool,
@@ -629,10 +567,7 @@ impl<'a> Rewriter<'a> {
         // position), no LIMIT depends on it, the keys cannot error, and
         // dropping them cannot flip the core in/out of aggregate mode.
         if ctx.order_unobservable && q.limit.is_none() && !order_has_agg && only_core {
-            let frames = push_frame(core_frame(&q.body.from), outer);
-            let all_total = q.order_by.iter().all(|k| {
-                total_expr(&k.expr, &frames, self.catalog, true)
-            });
+            let all_total = q.order_by.iter().all(|k| total_expr(&k.expr, scope, true));
             if all_total {
                 q.order_by.clear();
                 self.fire(RewriteRule::OrderByNoop);
@@ -668,7 +603,8 @@ impl<'a> Rewriter<'a> {
         q.order_by = kept;
     }
 
-    fn join_commute(&mut self, q: &mut Query, outer: &[Frame]) {
+    /// `scope` is the body's.
+    fn join_commute(&mut self, q: &mut Query, scope: &Scope<'_>) {
         use sqlkit::ast::JoinKind;
         if !q.set_ops.is_empty() || !q.order_by.is_empty() || q.limit.is_some() {
             return;
@@ -704,7 +640,6 @@ impl<'a> Rewriter<'a> {
         }
         // every expression must be total with unambiguous resolution:
         // first-match lookup must not change targets after the swap
-        let frames = push_frame(core_frame(&core.from), outer);
         let mut exprs: Vec<&Expr> = Vec::new();
         for item in &core.items {
             if let SelectItem::Expr { expr, .. } = item {
@@ -715,7 +650,7 @@ impl<'a> Rewriter<'a> {
         exprs.extend(core.group_by.iter());
         exprs.extend(core.having.iter());
         exprs.extend(from.joins[0].on.iter());
-        if !exprs.iter().all(|e| total_expr(e, &frames, self.catalog, false)) {
+        if !exprs.iter().all(|e| total_expr(e, scope, false)) {
             return;
         }
         let from = q.body.from.as_mut().expect("from checked above");
@@ -728,52 +663,31 @@ impl<'a> Rewriter<'a> {
         self.fire(RewriteRule::JoinCommute);
     }
 
+    /// Rewrite one core; returns its bindings for the query's ORDER BY.
     fn pass_core(
         &mut self,
         core: &mut SelectCore,
-        outer: &[Frame],
+        outer: Option<&Scope<'_>>,
         only_core: bool,
         order_has_agg: bool,
-    ) {
-        // Derived tables see the parent frames, not this core's own
-        // bindings or siblings (mirrors the analyzer's scope model).
+    ) -> Vec<Binding<'a>> {
+        let bindings = scope::bindings(core.from.as_ref(), self.catalog);
+        // Derived tables see the parent scope, not this core's own bindings
+        // or siblings (mirrors the analyzer's scope model); an ON sees the
+        // bindings joined so far.
         if let Some(from) = &mut core.from {
-            if let TableRef::Subquery { query, .. } = &mut from.base {
-                self.pass_query(query, outer, QueryCtx { top: false, order_unobservable: false });
-            }
-            let mut progressive: Vec<(String, String)> = Vec::new();
-            let mut opaque = matches!(from.base, TableRef::Subquery { .. });
-            if let TableRef::Named { name, alias } = &from.base {
-                progressive.push(binding_pair(name, alias));
-            }
-            for join in &mut from.joins {
-                if let TableRef::Subquery { query, .. } = &mut join.table {
-                    self.pass_query(
-                        query,
-                        outer,
-                        QueryCtx { top: false, order_unobservable: false },
-                    );
-                    opaque = true;
-                }
-                if let TableRef::Named { name, alias } = &join.table {
-                    progressive.push(binding_pair(name, alias));
-                }
+            self.pass_derived(&mut from.base, outer);
+            for (i, join) in from.joins.iter_mut().enumerate() {
+                self.pass_derived(&mut join.table, outer);
                 if let Some(on) = &mut join.on {
-                    // ON sees the bindings materialized so far
-                    let frame = if opaque {
-                        Frame::Opaque
-                    } else {
-                        Frame::Tables(progressive.clone())
-                    };
-                    let frames = push_frame(frame, outer);
-                    self.rw_expr(on, &frames, true);
+                    self.rw_expr(on, &Scope { bindings: &bindings[..i + 2], parent: outer }, true);
                 }
             }
         }
 
-        let frames = push_frame(core_frame(&core.from), outer);
+        let scope = Scope { bindings: &bindings, parent: outer };
         if let Some(w) = &mut core.where_clause {
-            self.rw_expr(w, &frames, true);
+            self.rw_expr(w, &scope, true);
         }
         for item in &mut core.items {
             match item {
@@ -788,23 +702,30 @@ impl<'a> Rewriter<'a> {
                     {
                         continue;
                     }
-                    self.rw_expr(expr, &frames, false);
+                    self.rw_expr(expr, &scope, false);
                 }
                 SelectItem::Wildcard | SelectItem::QualifiedWildcard(_) => {}
             }
         }
         for g in &mut core.group_by {
-            self.rw_expr(g, &frames, false);
+            self.rw_expr(g, &scope, false);
         }
         if let Some(h) = &mut core.having {
-            self.rw_expr(h, &frames, true);
+            self.rw_expr(h, &scope, true);
         }
 
         if self.on(RewriteRule::DistinctNoop) && core.distinct && only_core {
             self.distinct_noop(core, order_has_agg);
         }
         if self.on(RewriteRule::GroupByToDistinct) && only_core {
-            self.group_by_to_distinct(core, &frames, order_has_agg);
+            self.group_by_to_distinct(core, &scope, order_has_agg);
+        }
+        bindings
+    }
+
+    fn pass_derived(&mut self, t: &mut TableRef, outer: Option<&Scope<'_>>) {
+        if let TableRef::Subquery { query, .. } = t {
+            self.pass_query(query, outer, QueryCtx { top: false, order_unobservable: false });
         }
     }
 
@@ -847,7 +768,7 @@ impl<'a> Rewriter<'a> {
     fn group_by_to_distinct(
         &mut self,
         core: &mut SelectCore,
-        frames: &[Frame],
+        scope: &Scope<'_>,
         order_has_agg: bool,
     ) {
         if core.group_by.is_empty()
@@ -883,9 +804,7 @@ impl<'a> Rewriter<'a> {
             return;
         }
         if !same_seq {
-            let all_total = item_exprs
-                .iter()
-                .all(|e| total_expr(e, frames, self.catalog, true));
+            let all_total = item_exprs.iter().all(|e| total_expr(e, scope, true));
             if !all_total {
                 return;
             }
@@ -895,72 +814,75 @@ impl<'a> Rewriter<'a> {
         self.fire(RewriteRule::GroupByToDistinct);
     }
 
-    fn rw_expr(&mut self, e: &mut Expr, frames: &[Frame], truth: bool) {
+    fn rw_expr(&mut self, e: &mut Expr, scope: &Scope<'_>, truth: bool) {
         // recurse first (bottom-up); truth context propagates to positions
         // where only Value::truth() of the child is observable
         match e {
             Expr::Binary { op, left, right } => {
                 let child_truth = op.is_logical();
-                self.rw_expr(left, frames, child_truth);
-                self.rw_expr(right, frames, child_truth);
+                self.rw_expr(left, scope, child_truth);
+                self.rw_expr(right, scope, child_truth);
             }
             Expr::Unary { op, expr } => {
-                self.rw_expr(expr, frames, *op == UnOp::Not);
+                self.rw_expr(expr, scope, *op == UnOp::Not);
             }
             Expr::Between { expr, low, high, .. } => {
-                self.rw_expr(expr, frames, false);
-                self.rw_expr(low, frames, false);
-                self.rw_expr(high, frames, false);
+                self.rw_expr(expr, scope, false);
+                self.rw_expr(low, scope, false);
+                self.rw_expr(high, scope, false);
             }
             Expr::InList { expr, list, .. } => {
-                self.rw_expr(expr, frames, false);
+                self.rw_expr(expr, scope, false);
                 for item in list {
-                    self.rw_expr(item, frames, false);
+                    self.rw_expr(item, scope, false);
                 }
             }
             Expr::InSubquery { expr, query, .. } => {
-                self.rw_expr(expr, frames, false);
-                self.pass_query(query, frames, QueryCtx { top: false, order_unobservable: true });
+                self.rw_expr(expr, scope, false);
+                let ctx = QueryCtx { top: false, order_unobservable: true };
+                self.pass_query(query, Some(scope), ctx);
             }
             Expr::Exists { query, .. } => {
-                self.pass_query(query, frames, QueryCtx { top: false, order_unobservable: true });
+                let ctx = QueryCtx { top: false, order_unobservable: true };
+                self.pass_query(query, Some(scope), ctx);
             }
             Expr::Subquery(query) => {
                 // scalar subqueries take the FIRST row: order observable
-                self.pass_query(query, frames, QueryCtx { top: false, order_unobservable: false });
+                let ctx = QueryCtx { top: false, order_unobservable: false };
+                self.pass_query(query, Some(scope), ctx);
             }
             Expr::Like { expr, pattern, .. } => {
-                self.rw_expr(expr, frames, false);
-                self.rw_expr(pattern, frames, false);
+                self.rw_expr(expr, scope, false);
+                self.rw_expr(pattern, scope, false);
             }
             Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
-                self.rw_expr(expr, frames, false);
+                self.rw_expr(expr, scope, false);
             }
-            Expr::Agg { arg, .. } => self.rw_expr(arg, frames, false),
+            Expr::Agg { arg, .. } => self.rw_expr(arg, scope, false),
             Expr::Func { args, .. } => {
                 for a in args {
-                    self.rw_expr(a, frames, false);
+                    self.rw_expr(a, scope, false);
                 }
             }
             Expr::Case { operand, branches, else_expr } => {
                 let operandless = operand.is_none();
                 if let Some(op) = operand {
-                    self.rw_expr(op, frames, false);
+                    self.rw_expr(op, scope, false);
                 }
                 for (w, t) in branches {
-                    self.rw_expr(w, frames, operandless);
-                    self.rw_expr(t, frames, false);
+                    self.rw_expr(w, scope, operandless);
+                    self.rw_expr(t, scope, false);
                 }
                 if let Some(el) = else_expr {
-                    self.rw_expr(el, frames, false);
+                    self.rw_expr(el, scope, false);
                 }
             }
             Expr::Literal(_) | Expr::Column { .. } | Expr::AggWildcard(_) => {}
         }
-        self.apply_node_rules(e, frames, truth);
+        self.apply_node_rules(e, scope, truth);
     }
 
-    fn apply_node_rules(&mut self, e: &mut Expr, frames: &[Frame], truth: bool) {
+    fn apply_node_rules(&mut self, e: &mut Expr, scope: &Scope<'_>, truth: bool) {
         if self.on(RewriteRule::ConstFold) {
             if let Some(folded) = try_const_fold(e) {
                 if *e != folded {
@@ -999,8 +921,8 @@ impl<'a> Rewriter<'a> {
                     // give the freshly created NOT leaves their node rules
                     // now rather than waiting for the next pass
                     if let Expr::Binary { left, right, .. } = e {
-                        self.apply_node_rules(left, frames, true);
-                        self.apply_node_rules(right, frames, true);
+                        self.apply_node_rules(left, scope, true);
+                        self.apply_node_rules(right, scope, true);
                     }
                 }
             }
@@ -1065,8 +987,8 @@ impl<'a> Rewriter<'a> {
                     } else if !is_literal(left)
                         && !is_literal(right)
                         && matches!(op, BinOp::Gt | BinOp::GtEq)
-                        && total_expr(left, frames, self.catalog, true)
-                        && total_expr(right, frames, self.catalog, true)
+                        && total_expr(left, scope, true)
+                        && total_expr(right, scope, true)
                     {
                         let l = take_expr(left);
                         let r = take_expr(right);
@@ -1086,8 +1008,8 @@ impl<'a> Rewriter<'a> {
                     && (is_literal(left) != is_literal(right));
                 if symmetric && !orient_domain {
                     let swappable = (is_literal(left) || is_literal(right))
-                        || (total_expr(left, frames, self.catalog, true)
-                            && total_expr(right, frames, self.catalog, true));
+                        || (total_expr(left, scope, true)
+                            && total_expr(right, scope, true));
                     if swappable && expr_key(left) > expr_key(right) {
                         let l = take_expr(left);
                         let r = take_expr(right);
@@ -1100,9 +1022,9 @@ impl<'a> Rewriter<'a> {
 
         if self.on(RewriteRule::BetweenToRange) {
             if let Expr::Between { expr, negated, low, high } = e {
-                let all_total = total_expr(expr, frames, self.catalog, true)
-                    && total_expr(low, frames, self.catalog, true)
-                    && total_expr(high, frames, self.catalog, true);
+                let all_total = total_expr(expr, scope, true)
+                    && total_expr(low, scope, true)
+                    && total_expr(high, scope, true);
                 if all_total {
                     let x = take_expr(expr);
                     let lo = take_expr(low);
@@ -1126,7 +1048,7 @@ impl<'a> Rewriter<'a> {
             if let Expr::InList { expr, negated, list } = e {
                 // x is re-evaluated per disjunct; items keep their original
                 // order and short-circuit, so only x needs to be total
-                if !list.is_empty() && total_expr(expr, frames, self.catalog, true) {
+                if !list.is_empty() && total_expr(expr, scope, true) {
                     let x = take_expr(expr);
                     let items = std::mem::take(list);
                     let neg = *negated;
@@ -1155,7 +1077,7 @@ impl<'a> Rewriter<'a> {
                 let mut leaves = Vec::new();
                 flatten_chain(op, take_expr(e), &mut leaves);
                 let all_total =
-                    leaves.iter().all(|l| total_expr(l, frames, self.catalog, true));
+                    leaves.iter().all(|l| total_expr(l, scope, true));
                 if all_total {
                     let before: Vec<String> = leaves.iter().map(expr_key).collect();
                     leaves.sort_by_key(expr_key);
@@ -1178,10 +1100,15 @@ impl<'a> Rewriter<'a> {
 
         if self.on(RewriteRule::QualifyColumns) {
             if let Expr::Column { table: table @ None, column } = e {
-                if let Resolution::Unique(binding) =
-                    resolve(frames, self.catalog, None, column)
-                {
-                    *table = Some(binding);
+                let unique = match scope.resolve(None, column) {
+                    Resolution::Found { key, dups: 1, unknown_first: false, .. } => {
+                        scope.binding_at(key).and_then(|b| b.name.as_deref())
+                    }
+                    _ => None,
+                };
+                // the canonical text spells the binding lowercased
+                if let Some(binding) = unique {
+                    *table = Some(binding.to_ascii_lowercase());
                     self.fire(RewriteRule::QualifyColumns);
                 }
             }
@@ -1191,30 +1118,6 @@ impl<'a> Rewriter<'a> {
 
 fn empty_query() -> Query {
     Query::simple(SelectCore::new(vec![SelectItem::expr(Expr::Literal(Literal::Int(1)))]))
-}
-
-fn binding_pair(name: &str, alias: &Option<String>) -> (String, String) {
-    let binding = alias.as_deref().unwrap_or(name);
-    (binding.to_ascii_lowercase(), name.to_ascii_lowercase())
-}
-
-fn core_frame(from: &Option<FromClause>) -> Frame {
-    let Some(from) = from else { return Frame::Tables(Vec::new()) };
-    let mut pairs = Vec::new();
-    for t in from.tables() {
-        match t {
-            TableRef::Named { name, alias } => pairs.push(binding_pair(name, alias)),
-            TableRef::Subquery { .. } => return Frame::Opaque,
-        }
-    }
-    Frame::Tables(pairs)
-}
-
-fn push_frame(frame: Frame, outer: &[Frame]) -> Vec<Frame> {
-    let mut frames = Vec::with_capacity(outer.len() + 1);
-    frames.push(frame);
-    frames.extend(outer.iter().cloned());
-    frames
 }
 
 fn flatten_chain(op: BinOp, e: Expr, out: &mut Vec<Expr>) {

@@ -1,9 +1,12 @@
 //! Static SQL semantic analysis against a schema catalog.
 //!
-//! `sqlcheck` walks a `sqlkit` AST with a binder (scope stack following
-//! minidb's case-insensitive, first-match, parent-chained name resolution),
-//! a type checker over a small `Num`/`Text` lattice, and a set of rule
-//! visitors, producing [`Diagnostic`]s from a stable [`Rule`] registry.
+//! `sqlcheck` walks a `sqlkit` AST with a binder, a type checker over a
+//! small `Num`/`Text` lattice, and a set of rule visitors, producing
+//! [`Diagnostic`]s from a stable [`Rule`] registry. Names resolve through
+//! [`scope`]: minidb's case-insensitive, first-match, parent-chained lookup
+//! rule over a [`Catalog`], and the only one outside minidb — the analyzer,
+//! the [`equiv`] canonicalizer and `modelzoo`'s StaticRepair all bind
+//! through it.
 //! What can be *called* rather than mirrored is minidb's own: the scalar
 //! function table and arity rule the analyzer lints against, and the
 //! evaluation of literal-only nodes that [`equiv`]'s constant folding
@@ -36,6 +39,7 @@
 
 pub mod catalog;
 pub mod equiv;
+pub mod scope;
 
 mod analyze;
 

@@ -202,6 +202,23 @@ if [ "$lint" -eq 1 ]; then
     exit 1
   fi
 
+  # One catalog scope: the static check, the canonicalizer and StaticRepair
+  # resolve names through sqlcheck::scope, the one lookup rule over a
+  # Catalog; none of them keeps a binder of its own or matches a name
+  # against a binding or a column list itself.
+  echo "==> one catalog scope (no binder or name matching in analyze.rs, equiv.rs, repair.rs)"
+  flagged=$(awk 'FNR == 1 { counting = 1 } /#\[cfg\(test\)\]/ { counting = 0 }
+      /^[[:space:]]*\/\// { next }
+      counting && /struct (Binding|Scope)[^A-Za-z0-9_]|enum Frame[^A-Za-z0-9_]|fn resolve\(|eq_ignore_ascii_case/ {
+        print FILENAME ":" FNR ": " $0 }' \
+    crates/sqlcheck/src/analyze.rs crates/sqlcheck/src/equiv.rs crates/modelzoo/src/repair.rs)
+  echo "    $(printf '%s' "$flagged" | grep -c .) site(s) flagged"
+  if [ -n "$flagged" ]; then
+    printf '%s\n' "$flagged"
+    echo "bind names with sqlcheck::scope::Scope::resolve" >&2
+    exit 1
+  fi
+
   # Every bench_eval gate holds on any core count: a gate armed only on
   # bigger machines is an unmeasured claim on the one that runs it.
   echo "==> no core-count-armed gate (cores >= in bench_eval)"
